@@ -22,7 +22,7 @@ from .errors import LoadFlowError, PfscError, SingularSystemError
 from .loadflow import solve_load_flow
 from .montecarlo import MCConfig, run_monte_carlo
 from .network import build_admittance, load_network
-from .report import RunConfig, emit_report, run_pipeline
+from .report import RunConfig, coefficient_keys, emit_report, run_pipeline
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
@@ -68,29 +68,19 @@ def _prepare(args):
 
 def _coeff_rows(problem, x):
     """Flatten x to rows keyed by (i, phase, l, phase, P|Q, Re|Im)."""
-    p = problem.phase_count
-    pairs = [
-        (problem.bus_indices[f // p], f % p) for f in problem.nonslack
+    keys, rows, cols = coefficient_keys(problem)
+    return [
+        {
+            "bus_i": key.bus_i,
+            "phase_i": key.phase_i,
+            "bus_l": key.bus_l,
+            "phase_l": key.phase_l,
+            "wrt": key.wrt,
+            "part": key.part.capitalize(),
+            "value": value,
+        }
+        for key, value in zip(keys, x[rows, cols].tolist())
     ]
-    rows = []
-    for ki, (bus_i, ph_i) in enumerate(pairs):
-        for part_off, part in ((0, "Re"), (1, "Im")):
-            for kl, (bus_l, ph_l) in enumerate(pairs):
-                for wrt_off, wrt in ((0, "P"), (1, "Q")):
-                    rows.append(
-                        {
-                            "bus_i": bus_i,
-                            "phase_i": ph_i,
-                            "bus_l": bus_l,
-                            "phase_l": ph_l,
-                            "wrt": wrt,
-                            "part": part,
-                            "value": float(
-                                x[2 * ki + part_off, 2 * kl + wrt_off]
-                            ),
-                        }
-                    )
-    return rows
 
 
 def _write_rows(rows, out, fmt):

@@ -13,10 +13,17 @@ gives the square real system  H x = z  solved here.
 Realified ordering (rows and columns alike): non-slack nodes in bus-major
 order, real part at even offset 2k, imaginary part at 2k+1.  Columns of z:
 P-injection of node k at 2k, Q-injection at 2k+1.
+
+Every column of z is a signed unit vector (+1 in the real row for a
+P-injection, -1 in the imaginary row for a Q-injection), so z = diag(s)
+for a sign vector s of alternating +1/-1.  The problem carries only s;
+the solve is the column scaling x = H^-1 diag(s), and the dense z is
+derived on request.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +33,8 @@ from .loadflow import GridState, solve_load_flow
 from .network import AdmittanceMatrix, NetworkModel, with_injections
 
 RESIDUAL_RTOL = 1e-10
+#: largest accepted 2-norm condition number of H
+COND_MAX = 1e12
 P = "P"
 Q = "Q"
 
@@ -35,10 +44,15 @@ class SensitivityProblem:
     """The real linear system H x = z for all voltage sensitivities."""
 
     H: np.ndarray  # (2n, 2n) with n = p*(N_b - 1)
-    z: np.ndarray  # (2n, 2n); columns are unit right-hand sides
+    signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
     nonslack: tuple[int, ...]  # flat node indices kept, in order
     phase_count: int
     bus_indices: tuple[int, ...]
+
+    @property
+    def z(self):
+        """Dense right-hand side diag(signs); columns are signed unit vectors."""
+        return np.diag(self.signs)
 
     def node_of(self, bus_index, phase=0):
         """Position within ``nonslack`` of a (bus, phase) pair."""
@@ -94,7 +108,7 @@ def assemble_problem(
 def assemble_from_raw(
     Ym: np.ndarray, E: np.ndarray, network: NetworkModel
 ) -> SensitivityProblem:
-    """Assemble H and z directly from an admittance matrix and voltages.
+    """Assemble H (and the signs of z) from an admittance matrix and voltages.
 
     Used by assemble_problem and, with perturbed inputs, by the
     Monte-Carlo trials.
@@ -119,31 +133,52 @@ def assemble_from_raw(
     H[1::2, 0::2] = A.imag + B.imag
     H[1::2, 1::2] = A.real - B.real
 
-    z = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        z[2 * k, 2 * k] = 1.0  # P-injection: rhs = 1
-        z[2 * k + 1, 2 * k + 1] = -1.0  # Q-injection: rhs = -j
     return SensitivityProblem(
         H=H,
-        z=z,
+        signs=_rhs_signs(n),
         nonslack=nonslack,
         phase_count=network.phase_count,
         bus_indices=tuple(b.index for b in network.buses),
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _rhs_signs(n):
+    """Diagonal of z for n non-slack nodes; read-only, shared between calls
+    so that Monte-Carlo trials do not rebuild it."""
+    signs = np.ones(2 * n)  # P-injection: rhs = 1
+    signs[1::2] = -1.0  # Q-injection: rhs = -j
+    signs.flags.writeable = False
+    return signs
+
+
 def solve_coefficients(
     problem: SensitivityProblem, voltages=None
 ) -> SensitivityResult:
-    """Solve x = H^-1 z, exposing H^-1 explicitly for error propagation."""
-    H, z = problem.H, problem.z
-    cond = np.linalg.cond(H)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularSystemError(
-            f"Jacobian not invertible (condition number {cond:.3e})"
-        )
-    H_inv = np.linalg.inv(H)
-    x = H_inv @ z
+    """Solve x = H^-1 z, exposing H^-1 explicitly for error propagation.
+
+    Systems with cond_2(H) > COND_MAX are rejected.  Because
+    cond_2 <= dim * cond_1, the exact 1-norm condition number from the
+    inverse (O(n^2) once H^-1 exists) clears every H with
+    cond_1 <= COND_MAX / dim; only the others pay for the SVD behind
+    np.linalg.cond, so the decision is that of the 2-norm gate alone.
+    """
+    H, s = problem.H, problem.signs
+    try:
+        H_inv = np.linalg.inv(H)
+        cond_1 = np.linalg.norm(H, 1) * np.linalg.norm(H_inv, 1)
+    except np.linalg.LinAlgError:
+        H_inv, cond_1 = None, np.inf
+    if not cond_1 <= COND_MAX / H.shape[0]:
+        cond = np.linalg.cond(H)
+        if H_inv is None or not np.isfinite(cond) or cond > COND_MAX:
+            raise SingularSystemError(
+                f"Jacobian not invertible (condition number {cond:.3e})"
+            )
+    # H^-1 diag(s) as a column scaling; adding 0.0 turns the -0.0 of a zero
+    # entry times -1 into +0.0, as the matrix product did
+    x = H_inv * s + 0.0
+    z = problem.z
     residual = np.max(np.abs(H @ x - z))
     if residual > RESIDUAL_RTOL * np.max(np.abs(z)):
         # one step of iterative refinement keeps the residual bound honest

@@ -128,13 +128,16 @@ def run_monte_carlo(
 
     samples = []
     failed = 0
+    z = None  # the same right-hand side for every trial
     for k in range(cfg.n_trials):
         rng = _trial_rng(cfg.seed, k)
         E_k = _perturb_voltages(E0, cfg.polar, rng)
         Y_k = _perturb_admittance(network, Y, cfg, rng)
         problem = assemble_from_raw(Y_k, E_k, network)
+        if z is None:
+            z = problem.z
         try:
-            x = np.linalg.solve(problem.H, problem.z)
+            x = np.linalg.solve(problem.H, z)
         except np.linalg.LinAlgError:
             failed += 1
             continue

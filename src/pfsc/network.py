@@ -23,6 +23,9 @@ from .errors import (
     NetworkValidationError,
 )
 
+#: libyaml's C parser when PyYAML was built with it; same safe constructor
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 SLACK = "slack"
 PQ = "pq"
 
@@ -324,7 +327,7 @@ def load_network(path) -> NetworkModel:
     """
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise NetworkParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -89,27 +89,48 @@ class ComparisonReport:
             return 100.0 * stds / np.abs(self.nominal)
 
 
-def _all_keys(problem):
-    keys = []
+PARTS = ("re", "im")  # row offset within a node's row pair
+INJECTIONS = ("P", "Q")  # column offset within a node's column pair
+
+
+def coefficient_keys(problem, coefficients=None):
+    """Keys and positions in x of the coefficients to report.
+
+    Returns ``(keys, rows, cols)`` with ``x[rows, cols]`` the coefficients
+    of ``keys``, row-major over x.  ``coefficients`` keeps only the
+    ``(bus_i, bus_l, part, wrt)`` tuples it lists, for every phase pair of
+    those buses; None keeps the whole table.
+    """
     p = problem.phase_count
-    nonslack_pairs = [
-        (problem.bus_indices[flat // p], flat % p) for flat in problem.nonslack
+    node_bus = [problem.bus_indices[f // p] for f in problem.nonslack]
+    node_phase = [f % p for f in problem.nonslack]
+    dim = 2 * len(node_bus)
+    if coefficients is None:
+        keep = np.ones((dim, dim), dtype=bool)
+    else:
+        nodes_of = {}
+        for k, bus in enumerate(node_bus):
+            nodes_of.setdefault(bus, []).append(k)
+        keep = np.zeros((dim, dim), dtype=bool)
+        for bus_i, bus_l, part, wrt in coefficients:
+            if part not in PARTS or wrt not in INJECTIONS:
+                continue
+            r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
+            c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
+            keep[np.ix_(r, c)] = True
+    rows, cols = np.nonzero(keep)
+    keys = [
+        CoefficientKey(
+            node_bus[r // 2], node_phase[r // 2], PARTS[r % 2],
+            node_bus[c // 2], node_phase[c // 2], INJECTIONS[c % 2],
+        )
+        for r, c in zip(rows.tolist(), cols.tolist())
     ]
-    for bus_i, ph_i in nonslack_pairs:
-        for part in ("re", "im"):
-            for bus_l, ph_l in nonslack_pairs:
-                for wrt in ("P", "Q"):
-                    keys.append(
-                        CoefficientKey(bus_i, ph_i, part, bus_l, ph_l, wrt)
-                    )
-    return keys
+    return keys, rows, cols
 
 
-def _key_indices(problem, key: CoefficientKey):
-    return (
-        problem.row(key.bus_i, key.phase_i, key.part),
-        problem.column(key.bus_l, key.phase_l, key.wrt),
-    )
+def _timing_key(name, *args):
+    return f"{name}[{','.join(str(a) for a in args)}]"
 
 
 def run_pipeline(cfg: RunConfig) -> ComparisonReport:
@@ -133,20 +154,10 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     )
     polar = it_class_to_polar(cfg.it_class, noise_cfg)
 
-    keys = _all_keys(problem)
-    if cfg.coefficients is not None:
-        wanted = {tuple(c) for c in cfg.coefficients}
-        keys = [
-            k for k in keys if (k.bus_i, k.bus_l, k.part, k.wrt) in wanted
-        ]
-    idx = [_key_indices(problem, k) for k in keys]
-    rows = np.array([i for i, _ in idx])
-    cols = np.array([j for _, j in idx])
-    nominal = result.x[rows, cols] if keys else np.zeros(0)
-
+    keys, rows, cols = coefficient_keys(problem, cfg.coefficients)
     report = ComparisonReport(
         keys=keys,
-        nominal=nominal,
+        nominal=result.x[rows, cols],
         timings=timings,
         meta={
             "network": str(cfg.network),
@@ -163,18 +174,16 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
             t0 = time.perf_counter()
             en = project_polar_noise(state, polar)
             unc = analytical_sigma(problem, result, Y, state, yu, en)
-            timings[f"analytical_s[{lvl}]"] = time.perf_counter() - t0
-            report.analytical[lvl] = (
-                unc.sigma[rows, cols] if keys else np.zeros(0)
-            )
+            timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
+            report.analytical[lvl] = unc.sigma[rows, cols]
         if cfg.mode in ("mc", "both"):
             for n in cfg.n_mc:
                 mc_cfg = MCConfig(
                     n_trials=n, seed=cfg.seed, polar=polar, yu=yu
                 )
                 mc = run_monte_carlo(network, Y, state, mc_cfg)
-                timings[f"mc_s[{lvl},{n}]"] = mc.runtime_s
-                report.mc[(lvl, n)] = mc.std[rows, cols] if keys else np.zeros(0)
+                timings[_timing_key("mc_s", lvl, n)] = mc.runtime_s
+                report.mc[(lvl, n)] = mc.std[rows, cols]
     return report
 
 
@@ -203,10 +212,11 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
         if fmt == "csv":
             for lvl in levels:
                 path = out_dir / f"report_sigmaY_{lvl:g}pct.csv"
+                summed = {"load_flow_s", "coefficients_s"}
+                summed.add(_timing_key("analytical_s", lvl))
+                summed.update(_timing_key("mc_s", lvl, n) for n in n_mcs)
                 total = sum(
-                    v
-                    for k, v in report.timings.items()
-                    if f"[{lvl}" in k or k in ("load_flow_s", "coefficients_s")
+                    v for k, v in report.timings.items() if k in summed
                 )
                 header = ["coefficient", "nominal_pu"]
                 if lvl in report.analytical:
@@ -271,23 +281,20 @@ def _emit_pretty(report, labels, levels, n_mcs, path):
     for lvl in levels:
         lines.append(f"sigma_Y = {lvl:g}% of |element|")
         head = f"{'coefficient':<{width}} {'nominal':>12}"
+        columns = []  # (stds, percent of nominal), one per std column
         if lvl in report.analytical:
             head += f" {'analytical':>16}"
+            columns.append(report.analytical[lvl])
         for n in n_mcs:
             if (lvl, n) in report.mc:
                 head += f" {f'MC n={n}':>16}"
+                columns.append(report.mc[(lvl, n)])
+        columns = [(c, report.percent_of_nominal(c)) for c in columns]
         lines.append(head)
         for i, label in enumerate(labels):
             row = f"{label:<{width}} {report.nominal[i]:>12.{d}f}"
-            if lvl in report.analytical:
-                stds = report.analytical[lvl]
-                pct = report.percent_of_nominal(stds)[i]
-                row += f" {stds[i]:>9.{d}f} ({pct:4.1f}%)"
-            for n in n_mcs:
-                if (lvl, n) in report.mc:
-                    stds = report.mc[(lvl, n)]
-                    pct = report.percent_of_nominal(stds)[i]
-                    row += f" {stds[i]:>9.{d}f} ({pct:4.1f}%)"
+            for stds, pct in columns:
+                row += f" {stds[i]:>9.{d}f} ({pct[i]:4.1f}%)"
             lines.append(row)
         lines.append("")
     lines.append("timings (s):")

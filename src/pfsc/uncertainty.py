@@ -298,56 +298,35 @@ def propagate_to_H(
     # Diagonal node pairs (r == c): the K-term K_r = sum_n Y_rn E_n shares
     # inputs with A_rr, so gradients are combined before squaring.
     #
-    # Per entry we track, over the full node set n, the bilinear pair
-    # coefficients c of the four product channels
-    #   (Re E_n, Re Y_rn), (Im E_n, Im Y_rn),
-    #   (Re E_n, Im Y_rn), (Im E_n, Re Y_rn)
-    # with:  Re(A_rr): (+1, +1, 0, 0) at n = r only
-    #        Im(A_rr): (0, 0, +1, -1) at n = r only
-    #        Re(K_r):  (+1, -1, 0, 0) at every n
-    #        Im(K_r):  (0, 0, +1, +1) at every n
-    for k, fr in enumerate(ns):
-        onehot = np.zeros(m)
-        onehot[fr] = 1.0
-        # (c_rr, c_ii, c_ri, c_ir) coefficient arrays per named part
-        parts = {
-            "ReA": (onehot, onehot, 0.0, 0.0),
-            "ImA": (0.0, 0.0, onehot, -onehot),
-            "ReK": (np.ones(m), -np.ones(m), 0.0, 0.0),
-            "ImK": (0.0, 0.0, np.ones(m), np.ones(m)),
-        }
-        entries = {
-            (0, 0): (("ReA", +1.0), ("ReK", +1.0)),
-            (0, 1): (("ImA", -1.0), ("ImK", +1.0)),
-            (1, 0): (("ImA", +1.0), ("ImK", +1.0)),
-            (1, 1): (("ReA", +1.0), ("ReK", -1.0)),
-        }
-        for (dr, dc), terms in entries.items():
-            c = [np.zeros(m) for _ in range(4)]
-            for name, sign in terms:
-                for ch in range(4):
-                    c[ch] = c[ch] + sign * np.asarray(parts[name][ch])
-            c_rr, c_ii, c_ri, c_ir = c
-            # first-order gradients follow from the pair coefficients:
-            # dH/dYre_rn = c_rr*er_n + c_ir*ei_n, etc.
-            g_yr = c_rr * er + c_ir * ei
-            g_yi = c_ii * ei + c_ri * er
-            g_er = c_rr * yr[fr] + c_ri * yi[fr]
-            g_ei = c_ii * yi[fr] + c_ir * yr[fr]
-            v = (
-                g_yr**2 @ vYr[fr]
-                + g_yi**2 @ vYi[fr]
-                + g_er**2 @ vEr
-                + g_ei**2 @ vEi
-            )
-            if second_order:
-                v += (
-                    c_rr**2 * vEr * vYr[fr]
-                    + c_ii**2 * vEi * vYi[fr]
-                    + c_ri**2 * vEr * vYi[fr]
-                    + c_ir**2 * vEi * vYr[fr]
-                ).sum()
-            var[2 * k + dr, 2 * k + dc] = v
+    # Each entry is a signed sum of Re/Im(A_rr) and Re/Im(K_r); its bilinear
+    # pair coefficient on a product channel (E part, Y_rn part) is 1 +- 1 at
+    # n = r, where A_rr adds to K_r, and +-1 elsewhere:
+    #   Re(A_rr): (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) +1, at n = r only
+    #   Im(A_rr): (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) -1, at n = r only
+    #   Re(K_r):  (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) -1, at every n
+    #   Im(K_r):  (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) +1, at every n
+    # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e))
+    # at first order and c^2 var(e) var(y) at second order; c^2 is
+    # (1 + onehot)^2 or (1 - onehot)^2 over the (nonslack r, node n) grid.
+    onehot = np.zeros((n, m))
+    onehot[np.arange(n), ns] = 1.0
+    up, down = (1.0 + onehot) ** 2, (1.0 - onehot) ** 2
+    yr_n, yi_n, vYr_n, vYi_n = yr[ns], yi[ns], vYr[ns], vYi[ns]
+    ch_rr = er**2 * vYr_n + yr_n**2 * vEr  # (Re E_n, Re Y_rn)
+    ch_ii = ei**2 * vYi_n + yi_n**2 * vEi  # (Im E_n, Im Y_rn)
+    ch_ri = er**2 * vYi_n + yi_n**2 * vEr  # (Re E_n, Im Y_rn)
+    ch_ir = ei**2 * vYr_n + yr_n**2 * vEi  # (Im E_n, Re Y_rn)
+    if second_order:
+        ch_rr = ch_rr + vEr * vYr_n
+        ch_ii = ch_ii + vEi * vYi_n
+        ch_ri = ch_ri + vEr * vYi_n
+        ch_ir = ch_ir + vEi * vYr_n
+    k = np.arange(n)
+    # H_rr entries: Re A + Re K | -Im A + Im K | Im A + Im K | Re A - Re K
+    var[2 * k, 2 * k] = (up * ch_rr + down * ch_ii).sum(axis=1)
+    var[2 * k, 2 * k + 1] = (down * ch_ri + up * ch_ir).sum(axis=1)
+    var[2 * k + 1, 2 * k] = (up * ch_ri + down * ch_ir).sum(axis=1)
+    var[2 * k + 1, 2 * k + 1] = (down * ch_rr + up * ch_ii).sum(axis=1)
     return HVariance(var=var)
 
 
@@ -404,14 +383,16 @@ def coefficient_variance(
     problem: SensitivityProblem | None = None,
     metadata: dict | None = None,
 ) -> UncertaintyResult:
-    """Coefficient stds for constant z: var(x)_ic = sum_j var(Hinv)_ij z_jc^2."""
-    var_x = iv.var @ (z**2)
-    # z columns are unit vectors, so each output column is one column of
-    # the inverse-variance matrix; cheap internal consistency check.
-    nz = np.abs(z) == 1.0
-    if np.all(np.sum(nz, axis=0) == 1) and np.all((z == 0) | nz):
-        picked = iv.var[:, np.argmax(nz, axis=0)]
-        assert np.allclose(var_x, picked), "unit-column reduction violated"
+    """Coefficient stds for constant z: var(x)_ic = sum_j var(Hinv)_ij z_jc^2.
+
+    A diagonal z (the sensitivity right-hand side diag(s)) reduces the sum
+    to scaling column c by z_cc^2; any other z takes the matrix product.
+    """
+    d = np.diagonal(z)
+    if z.shape[0] == z.shape[1] and np.count_nonzero(z) == np.count_nonzero(d):
+        var_x = iv.var * d**2
+    else:
+        var_x = iv.var @ (z**2)
     return UncertaintyResult(
         sigma=np.sqrt(var_x),
         method="analytical",

@@ -3,6 +3,8 @@ import pytest
 
 import pfsc
 from pfsc.coefficients import (
+    COND_MAX,
+    SensitivityProblem,
     assemble_problem,
     finite_difference_oracle,
     solve_coefficients,
@@ -115,6 +117,91 @@ class TestSolve:
             for ph in (1, 2):
                 d = res.derivative(bus_i, bus_i, ph, ph) / rot[ph]
                 assert abs(d - base) / abs(base) < 1e-9
+
+
+    def test_x_is_inverse_times_z(self, ieee4_solved):
+        # the column scaling H^-1 diag(s) equals the product H^-1 @ z bitwise
+        for net in (ieee4_solved[0], make_random_network(12, 3, radial=False)):
+            _, _, problem, res = solved(net)
+            assert np.array_equal(res.x, res.H_inv @ problem.z)
+            assert not np.any(np.signbit(res.x) & (res.x == 0.0))
+
+
+def _svd_matrix(singular_values, seed=None):
+    """6x6 U diag(s) V^T; signed permutations for U, V without a seed."""
+    dim = len(singular_values)
+    if seed is None:
+        U = np.eye(dim)[[3, 0, 5, 1, 4, 2]] * [1, -1, 1, 1, -1, 1]
+        V = np.eye(dim)[[1, 4, 0, 2, 5, 3]] * [-1, 1, 1, -1, 1, 1]
+    else:
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return U @ np.diag(singular_values) @ V.T
+
+
+def _problem_of(H):
+    n = H.shape[0] // 2
+    return SensitivityProblem(
+        H=H,
+        signs=np.tile([1.0, -1.0], n),
+        nonslack=tuple(range(1, n + 1)),
+        phase_count=1,
+        bus_indices=tuple(range(1, n + 2)),
+    )
+
+
+class TestConditionGate:
+    """The 1-norm pre-check decides exactly as the cond_2 > 1e12 gate."""
+
+    KAPPA_1_LIMIT = COND_MAX / 6
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            _svd_matrix(np.geomspace(1.0, 1 / 5e11, 6), seed=0),
+            _svd_matrix(np.geomspace(1.0, 1 / 2e12, 6), seed=0),
+            _svd_matrix(np.r_[np.ones(5), 1 / 5e11], seed=1),
+            _svd_matrix(np.r_[np.ones(5), 1 / 2e12], seed=1),
+            _svd_matrix(np.geomspace(1.0, 1 / (1.001 * COND_MAX / 6), 6)),
+            _svd_matrix(np.geomspace(1.0, 1 / (0.999 * COND_MAX / 6), 6)),
+            _svd_matrix(np.geomspace(1.0, 1 / 5e11, 6)),
+            _svd_matrix(np.geomspace(1.0, 1 / 2e12, 6)),
+            np.ones((6, 6)),  # exactly singular: inv raises
+        ],
+        ids=[
+            "k2=5e11", "k2=2e12", "k2=5e11-flat", "k2=2e12-flat",
+            "k1-above", "k1-below", "k2=5e11-perm", "k2=2e12-perm", "ones",
+        ],
+    )
+    def test_same_decision_as_cond(self, H, monkeypatch):
+        svd_calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(
+            np.linalg, "cond", lambda A: svd_calls.append(1) or cond(A)
+        )
+        rejected = cond(H) > COND_MAX
+        try:
+            solve_coefficients(_problem_of(H))
+        except SingularSystemError as exc:
+            gate_raised = "not invertible" in str(exc)
+        else:
+            gate_raised = False
+        assert gate_raised == rejected
+        try:
+            kappa_1 = np.linalg.norm(H, 1) * np.linalg.norm(np.linalg.inv(H), 1)
+        except np.linalg.LinAlgError:
+            kappa_1 = np.inf
+        # the SVD runs only when the cheap bound cannot clear H
+        assert bool(svd_calls) == (kappa_1 > self.KAPPA_1_LIMIT)
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_accepted_near_limit_solves(self, factor):
+        # signed-permutation SVD factors: H^-1 is exact, so the residual
+        # check passes and the solve returns on both sides of the limit
+        H = _svd_matrix(np.geomspace(1.0, 1 / (factor * self.KAPPA_1_LIMIT), 6))
+        res = solve_coefficients(_problem_of(H))
+        np.testing.assert_array_equal(res.x, np.linalg.inv(H) * res.problem.signs)
 
 
 class TestFiniteDifferenceOracle:

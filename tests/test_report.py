@@ -9,9 +9,12 @@ from pfsc.errors import ConfigError
 from pfsc.report import (
     CoefficientKey,
     RunConfig,
+    coefficient_keys,
     emit_report,
     run_pipeline,
 )
+
+from conftest import make_three_phase_balanced
 
 NETWORK = pfsc.bundled_network_path("ieee4_balanced")
 
@@ -49,6 +52,52 @@ class TestCoefficientKey:
     def test_three_phase_label(self):
         key = CoefficientKey(3, 1, "im", 2, 2, "Q")
         assert key.label(phase_count=3) == "Im(dE3b/dQ2c)"
+
+
+def brute_force_keys(problem, coefficients=None):
+    """Nested-loop enumeration of the report keys, row-major over x."""
+    p = problem.phase_count
+    pairs = [(problem.bus_indices[f // p], f % p) for f in problem.nonslack]
+    wanted = None if coefficients is None else {tuple(c) for c in coefficients}
+    keys, rows, cols = [], [], []
+    for bus_i, ph_i in pairs:
+        for part in ("re", "im"):
+            for bus_l, ph_l in pairs:
+                for wrt in ("P", "Q"):
+                    if wanted is not None and (bus_i, bus_l, part, wrt) not in wanted:
+                        continue
+                    keys.append(CoefficientKey(bus_i, ph_i, part, bus_l, ph_l, wrt))
+                    rows.append(problem.row(bus_i, ph_i, part))
+                    cols.append(problem.column(bus_l, ph_l, wrt))
+    return keys, rows, cols
+
+
+def _problem(network):
+    Y = pfsc.build_admittance(network)
+    state = pfsc.solve_load_flow(network, Y)
+    return pfsc.assemble_problem(Y, state, network)
+
+
+class TestCoefficientKeys:
+    @pytest.mark.parametrize("three_phase", [False, True])
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            None,
+            ((4, 2, "re", "P"),),
+            # every phase pair of two bus pairs, a repeat, and entries
+            # that match nothing (unknown bus, part spelled as a label)
+            ((3, 2, "im", "Q"), (2, 3, "re", "Q"), (3, 2, "im", "Q"),
+             (9, 2, "re", "P"), (2, 2, "Re", "P")),
+        ],
+    )
+    def test_matches_brute_force(self, ieee4, three_phase, coefficients):
+        problem = _problem(make_three_phase_balanced() if three_phase else ieee4)
+        keys, rows, cols = coefficient_keys(problem, coefficients)
+        ref_keys, ref_rows, ref_cols = brute_force_keys(problem, coefficients)
+        assert keys == ref_keys
+        assert rows.tolist() == ref_rows
+        assert cols.tolist() == ref_cols
 
 
 class TestPipeline:
@@ -154,6 +203,37 @@ class TestEmission:
         assert "sigma_Y = 1% of |element|" in text
         assert "Re(dE4/dP4)" in text
         assert "timings (s):" in text
+
+    def test_pretty_text_rows(self, report, tmp_path):
+        (path,) = emit_report(report, ("pretty-text",), tmp_path)
+        lines = path.read_text().splitlines()
+        labels = [k.label() for k in report.keys]
+        width = max([len(s) for s in labels] + [24])
+        columns = [report.analytical[1.0], report.mc[(1.0, 20)], report.mc[(1.0, 50)]]
+        for i, label in enumerate(labels):
+            row = f"{label:<{width}} {report.nominal[i]:>12.4f}"
+            for stds in columns:
+                pct = 100.0 * stds[i] / abs(report.nominal[i])
+                row += f" {stds[i]:>9.4f} ({pct:4.1f}%)"
+            assert lines[2 + i] == row
+
+    def test_csv_time_sums_own_level_only(self, tmp_path):
+        # level 0.5 must not pick up the timings of level 0.55
+        report = run_pipeline(small_cfg(mode="analytical", sigma_y_pct=(0.5, 0.55)))
+        report.timings = {
+            "load_flow_s": 1.0,
+            "coefficients_s": 2.0,
+            "analytical_s[0.5]": 4.0,
+            "analytical_s[0.55]": 8.0,
+        }
+        totals = {}
+        for path in emit_report(report, ("csv",), tmp_path):
+            with open(path) as fh:
+                totals[path.name] = {row["time_s"] for row in csv.DictReader(fh)}
+        assert totals == {
+            "report_sigmaY_0.5pct.csv": {"7.0"},
+            "report_sigmaY_0.55pct.csv": {"11.0"},
+        }
 
     def test_unknown_format(self, report, tmp_path):
         with pytest.raises(ConfigError, match="unknown report format"):

@@ -24,7 +24,7 @@ from pfsc.uncertainty import (
     propagate_to_H,
 )
 
-from conftest import make_two_bus
+from conftest import make_random_network, make_three_phase_balanced, make_two_bus
 
 
 import functools
@@ -109,7 +109,83 @@ def loaded_two_bus():
     return net, Y, state, problem
 
 
+def diagonal_blocks_reference(problem, Y, state, yu, en, second_order):
+    """Per-node loop over the 2x2 diagonal blocks of var(H).
+
+    Pair coefficients of the product channels (Re E_n, Re Y_rn),
+    (Im E_n, Im Y_rn), (Re E_n, Im Y_rn), (Im E_n, Re Y_rn) per named part
+    of H_rr = A_rr + K_r, combined with the entry's signs, then squared.
+    """
+    E, Ym = state.voltages, Y.matrix
+    er, ei, yr, yi = E.real, E.imag, Ym.real, Ym.imag
+    vEr, vEi = en.sigma_re**2, en.sigma_im**2
+    vYr, vYi = yu.sigma_re**2, yu.sigma_im**2
+    m = E.size
+    out = {}
+    for k, fr in enumerate(problem.nonslack):
+        onehot = np.zeros(m)
+        onehot[fr] = 1.0
+        ones, zero = np.ones(m), np.zeros(m)
+        parts = {
+            "ReA": (onehot, onehot, zero, zero),
+            "ImA": (zero, zero, onehot, -onehot),
+            "ReK": (ones, -ones, zero, zero),
+            "ImK": (zero, zero, ones, ones),
+        }
+        entries = {
+            (0, 0): (("ReA", 1.0), ("ReK", 1.0)),
+            (0, 1): (("ImA", -1.0), ("ImK", 1.0)),
+            (1, 0): (("ImA", 1.0), ("ImK", 1.0)),
+            (1, 1): (("ReA", 1.0), ("ReK", -1.0)),
+        }
+        for (dr, dc), terms in entries.items():
+            c_rr, c_ii, c_ri, c_ir = (
+                sum(sign * parts[name][ch] for name, sign in terms)
+                for ch in range(4)
+            )
+            g_yr = c_rr * er + c_ir * ei
+            g_yi = c_ii * ei + c_ri * er
+            g_er = c_rr * yr[fr] + c_ri * yi[fr]
+            g_ei = c_ii * yi[fr] + c_ir * yr[fr]
+            v = g_yr**2 @ vYr[fr] + g_yi**2 @ vYi[fr] + g_er**2 @ vEr + g_ei**2 @ vEi
+            if second_order:
+                v += (
+                    c_rr**2 * vEr * vYr[fr]
+                    + c_ii**2 * vEi * vYi[fr]
+                    + c_ri**2 * vEr * vYi[fr]
+                    + c_ir**2 * vEi * vYr[fr]
+                ).sum()
+            out[(2 * k + dr, 2 * k + dc)] = v
+    return out
+
+
 class TestPropagateToH:
+    @pytest.mark.parametrize("second_order", [False, True])
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random12"])
+    def test_diagonal_blocks_match_loop_reference(self, which, second_order):
+        net = {
+            "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
+            "three-phase": make_three_phase_balanced,
+            "random12": lambda: make_random_network(12, 5, radial=False),
+        }[which]()
+        Y = pfsc.build_admittance(net)
+        state = pfsc.solve_load_flow(net, Y)
+        problem = assemble_problem(Y, state, net)
+        rng = np.random.default_rng(7)
+        yu = AdmittanceUncertainty(
+            rng.uniform(0, 1e-2, (net.n_nodes,) * 2) * np.abs(Y.matrix),
+            rng.uniform(0, 1e-2, (net.n_nodes,) * 2) * np.abs(Y.matrix),
+        )
+        en = CartesianNoiseSpec(
+            rng.uniform(0, 1e-3, net.n_nodes), rng.uniform(0, 1e-3, net.n_nodes)
+        )
+        hv = propagate_to_H(problem, Y, state, yu, en, second_order=second_order)
+        ref = diagonal_blocks_reference(problem, Y, state, yu, en, second_order)
+        # same terms summed in another order: float64 rounding only
+        for (r, c), v in ref.items():
+            assert hv.var[r, c] == pytest.approx(v, rel=1e-13)
+
+
     def test_zero_in_zero_out(self, ieee4_solved):
         net, Y, state = ieee4_solved
         problem = assemble_problem(Y, state, net)
@@ -327,6 +403,15 @@ class TestCoefficientVariance:
         a = coefficient_variance(res.H_inv, iv, problem.z)
         b = general_variance(res.H_inv, iv, problem.z, np.zeros_like(problem.z))
         assert np.array_equal(a.sigma, b.sigma)
+
+    def test_non_diagonal_z(self):
+        rng = np.random.default_rng(3)
+        H_inv = rng.normal(size=(4, 4))
+        iv = inverse_self_variance(H_inv, HVariance(rng.uniform(0, 1, (4, 4))))
+        z = np.diag([1.0, -1.0, 1.0, -1.0])
+        z[0, 2] = 0.5  # a right-hand side combining two injections
+        out = coefficient_variance(H_inv, iv, z)
+        np.testing.assert_array_equal(out.sigma, np.sqrt(iv.var @ z**2))
 
     def test_zv_only_term(self):
         H_inv = np.array([[0.5, 0.2], [0.1, 0.25]])
