@@ -43,7 +43,7 @@ Q = "Q"
 class SensitivityProblem:
     """The real linear system H x = z for all voltage sensitivities."""
 
-    H: np.ndarray  # (2n, 2n) with n = p*(N_b - 1)
+    H: np.ndarray  # (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
     nonslack: tuple[int, ...]  # flat node indices kept, in order
     phase_count: int
@@ -111,27 +111,30 @@ def assemble_from_raw(
     """Assemble H (and the signs of z) from an admittance matrix and voltages.
 
     Used by assemble_problem and, with perturbed inputs, by the
-    Monte-Carlo trials.
+    Monte-Carlo trials.  Leading axes of ``Ym`` (..., m, m) and ``E``
+    (..., m) broadcast: a stack of inputs gives a stack of H of shape
+    (..., 2n, 2n), each slice bitwise equal to its own assembly.
     """
     m = network.n_nodes
-    if Ym.shape != (m, m) or E.shape != (m,):
+    if Ym.shape[-2:] != (m, m) or E.shape[-1:] != (m,):
         raise ValueError(
             f"dimension mismatch: Y {Ym.shape}, E {E.shape}, nodes {m}"
         )
     slack = set(network.slack_flat_indices())
     nonslack = tuple(i for i in range(m) if i not in slack)
-    ns = list(nonslack)
+    ns = np.array(nonslack, dtype=np.intp)
     n = len(ns)
 
-    K = Ym @ E  # per-node current-like sum, multiplies conj(u_i)
-    A = np.conj(E[ns, None]) * Ym[np.ix_(ns, ns)]  # multiplies u_n
-    B = np.diag(K[ns])
+    K = (Ym @ E[..., None])[..., 0]  # (Y E)_i, multiplies conj(u_i)
+    A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies u_n
+    B = np.zeros(A.shape, dtype=complex)
+    B[..., np.arange(n), np.arange(n)] = K[..., ns]  # diag(K) of each slice
 
-    H = np.empty((2 * n, 2 * n))
-    H[0::2, 0::2] = A.real + B.real
-    H[0::2, 1::2] = -A.imag + B.imag
-    H[1::2, 0::2] = A.imag + B.imag
-    H[1::2, 1::2] = A.real - B.real
+    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    H[..., 0::2, 0::2] = A.real + B.real
+    H[..., 0::2, 1::2] = -A.imag + B.imag
+    H[..., 1::2, 0::2] = A.imag + B.imag
+    H[..., 1::2, 1::2] = A.real - B.real
 
     return SensitivityProblem(
         H=H,

@@ -81,6 +81,7 @@ class ComparisonReport:
     nominal: np.ndarray
     analytical: dict = field(default_factory=dict)  # sigma_pct -> stds
     mc: dict = field(default_factory=dict)  # (sigma_pct, n_mc) -> stds
+    mc_failed: dict = field(default_factory=dict)  # (sigma_pct, n_mc) -> count
     timings: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -184,6 +185,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
                 mc = run_monte_carlo(network, Y, state, mc_cfg)
                 timings[_timing_key("mc_s", lvl, n)] = mc.runtime_s
                 report.mc[(lvl, n)] = mc.std[rows, cols]
+                report.mc_failed[(lvl, n)] = mc.trials_failed
     return report
 
 
@@ -258,6 +260,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
                         "pct_of_nominal": [
                             float(v) for v in report.percent_of_nominal(stds)
                         ],
+                        "trials_failed": report.mc_failed[(lvl, n)],
                     }
                     for (lvl, n), stds in sorted(report.mc.items())
                 },

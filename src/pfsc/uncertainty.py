@@ -259,12 +259,14 @@ def propagate_to_H(
     """
     Ym = Y.matrix if isinstance(Y, AdmittanceMatrix) else np.asarray(Y)
     E = state.voltages if isinstance(state, GridState) else np.asarray(state)
-    ns = list(problem.nonslack)
+    ns = np.array(problem.nonslack, dtype=np.intp)
+    block = (ns[:, None], ns)  # the (nonslack, nonslack) block of an (m, m) array
     n = len(ns)
     m = E.size
 
-    er, ei = E.real, E.imag
-    yr, yi = Ym.real, Ym.imag
+    # inputs enter squared: e^2 var(y) + y^2 var(e) per bilinear channel
+    er2, ei2 = E.real**2, E.imag**2
+    yr2, yi2 = Ym.real**2, Ym.imag**2
     vEr, vEi = en.sigma_re**2, en.sigma_im**2
     vYr, vYi = yu.sigma_re**2, yu.sigma_im**2
     if vEr.shape != (m,) or vYr.shape != (m, m):
@@ -275,17 +277,17 @@ def propagate_to_H(
     # Off-diagonal node pairs (r != c): only the A-term
     # A_rc = conj(E_r) Y_rc contributes.
     #   Re(A) = er_r yr_rc + ei_r yi_rc ; Im(A) = er_r yi_rc - ei_r yr_rc
-    er_r = er[ns][:, None]
-    ei_r = ei[ns][:, None]
-    yr_b = yr[np.ix_(ns, ns)]
-    yi_b = yi[np.ix_(ns, ns)]
-    vYr_b = vYr[np.ix_(ns, ns)]
-    vYi_b = vYi[np.ix_(ns, ns)]
+    er2_r = er2[ns][:, None]
+    ei2_r = ei2[ns][:, None]
+    yr2_b = yr2[block]
+    yi2_b = yi2[block]
+    vYr_b = vYr[block]
+    vYi_b = vYi[block]
     vEr_r = vEr[ns][:, None]
     vEi_r = vEi[ns][:, None]
 
-    v_reA = er_r**2 * vYr_b + ei_r**2 * vYi_b + yr_b**2 * vEr_r + yi_b**2 * vEi_r
-    v_imA = er_r**2 * vYi_b + ei_r**2 * vYr_b + yi_b**2 * vEr_r + yr_b**2 * vEi_r
+    v_reA = er2_r * vYr_b + ei2_r * vYi_b + yr2_b * vEr_r + yi2_b * vEi_r
+    v_imA = er2_r * vYi_b + ei2_r * vYr_b + yi2_b * vEr_r + yr2_b * vEi_r
     if second_order:
         v_reA = v_reA + vEr_r * vYr_b + vEi_r * vYi_b
         v_imA = v_imA + vEr_r * vYi_b + vEi_r * vYr_b
@@ -306,27 +308,34 @@ def propagate_to_H(
     #   Re(K_r):  (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) -1, at every n
     #   Im(K_r):  (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) +1, at every n
     # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e))
-    # at first order and c^2 var(e) var(y) at second order; c^2 is
-    # (1 + onehot)^2 or (1 - onehot)^2 over the (nonslack r, node n) grid.
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), ns] = 1.0
-    up, down = (1.0 + onehot) ** 2, (1.0 - onehot) ** 2
-    yr_n, yi_n, vYr_n, vYi_n = yr[ns], yi[ns], vYr[ns], vYi[ns]
-    ch_rr = er**2 * vYr_n + yr_n**2 * vEr  # (Re E_n, Re Y_rn)
-    ch_ii = ei**2 * vYi_n + yi_n**2 * vEi  # (Im E_n, Im Y_rn)
-    ch_ri = er**2 * vYi_n + yi_n**2 * vEr  # (Re E_n, Im Y_rn)
-    ch_ir = ei**2 * vYr_n + yr_n**2 * vEi  # (Im E_n, Re Y_rn)
+    # at first order and c^2 var(e) var(y) at second order.  Over the
+    # (nonslack r, node n) grid, c^2 is 1 except at n = r, where it is
+    # (1 + 1)^2 = 4 on an "up" channel and (1 - 1)^2 = 0 on a "down" one.
+    yr2_n, yi2_n, vYr_n, vYi_n = yr2[ns], yi2[ns], vYr[ns], vYi[ns]
+    ch_rr = er2 * vYr_n + yr2_n * vEr  # (Re E_n, Re Y_rn)
+    ch_ii = ei2 * vYi_n + yi2_n * vEi  # (Im E_n, Im Y_rn)
+    ch_ri = er2 * vYi_n + yi2_n * vEr  # (Re E_n, Im Y_rn)
+    ch_ir = ei2 * vYr_n + yr2_n * vEi  # (Im E_n, Re Y_rn)
     if second_order:
         ch_rr = ch_rr + vEr * vYr_n
         ch_ii = ch_ii + vEi * vYi_n
         ch_ri = ch_ri + vEr * vYi_n
         ch_ir = ch_ir + vEi * vYr_n
     k = np.arange(n)
+    at_r = (k, ns)  # the n = r entries of the grid
+
+    def weighted_sum(up, down):
+        """Row sums of c^2 up + c^2 down: c^2 = 1, except 4 and 0 at n = r."""
+        both = up + down
+        both[at_r] = 4.0 * up[at_r]
+        return both.sum(axis=1)
+
     # H_rr entries: Re A + Re K | -Im A + Im K | Im A + Im K | Re A - Re K
-    var[2 * k, 2 * k] = (up * ch_rr + down * ch_ii).sum(axis=1)
-    var[2 * k, 2 * k + 1] = (down * ch_ri + up * ch_ir).sum(axis=1)
-    var[2 * k + 1, 2 * k] = (up * ch_ri + down * ch_ir).sum(axis=1)
-    var[2 * k + 1, 2 * k + 1] = (down * ch_rr + up * ch_ii).sum(axis=1)
+    re, im = 2 * k, 2 * k + 1
+    var[re, re] = weighted_sum(ch_rr, ch_ii)
+    var[re, im] = weighted_sum(ch_ir, ch_ri)
+    var[im, re] = weighted_sum(ch_ri, ch_ir)
+    var[im, im] = weighted_sum(ch_ii, ch_rr)
     return HVariance(var=var)
 
 

@@ -1,10 +1,16 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pfsc
+from pfsc import montecarlo
+from pfsc.coefficients import assemble_from_raw
 from pfsc.errors import ConfigError
 from pfsc.montecarlo import (
     BRANCH_PARAMETER,
+    INDEPENDENT_ELEMENTS,
     SYMMETRIC_PAIRS,
     MCConfig,
     estimate_stats,
@@ -12,7 +18,10 @@ from pfsc.montecarlo import (
     run_monte_carlo,
     trial_covariance,
 )
+from pfsc.network import Branch, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
+
+MODES = (INDEPENDENT_ELEMENTS, SYMMETRIC_PAIRS, BRANCH_PARAMETER)
 
 
 def mc_setup(ieee4_solved, sigma_y_pct=1.0, it_class="0.5"):
@@ -87,6 +96,156 @@ def test_alternative_symmetry_modes_run(ieee4_solved, mode):
     out = run_monte_carlo(net, Y, state, cfg)
     assert out.std.shape == (6, 6)
     assert np.all(out.std > 0.0)
+
+
+# -- batched engine against the serial per-trial loop ------------------------
+
+
+def serial_trials(network, Y, state, cfg):
+    """Trial store of the one-trial-at-a-time loop: the reference engine.
+
+    Draws every trial's inputs with ``normal`` calls in the order the
+    batched engine's draw rows encode, assembles and solves one trial at
+    a time, and drops singular or non-finite trials.
+    """
+    E0, Ym, polar = state.voltages, Y.matrix, cfg.polar
+    m = E0.size
+    samples = []
+    for k in range(cfg.n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
+        n_rho = rng.normal(0.0, 1.0, m)
+        n_theta = rng.normal(0.0, 1.0, m)
+        if polar.sigma_rho == 0.0 and polar.sigma_theta == 0.0:
+            E = E0.copy()
+        else:
+            rho, theta = np.abs(E0), np.angle(E0)
+            sig_rho = polar.sigma_rho * rho if polar.relative else polar.sigma_rho
+            E = (rho + n_rho * sig_rho) * np.exp(1j * (theta + n_theta * polar.sigma_theta))
+        if cfg.symmetry_mode == BRANCH_PARAMETER:
+            frac = cfg.yu.level_pct / 100.0
+            branches = []
+            for br in network.branches:
+                z = br.z_ohm
+                dz = rng.normal(0.0, 1.0, z.shape) * frac * np.abs(z) + 1j * (
+                    rng.normal(0.0, 1.0, z.shape) * frac * np.abs(z)
+                )
+                branches.append(
+                    Branch(br.from_bus, br.to_bus, z + dz, br.shunt_b_s, br.length_km)
+                )
+            Y_k = build_admittance(replace(network, branches=tuple(branches))).matrix
+        else:
+            d_re = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_re
+            d_im = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_im
+            if cfg.symmetry_mode == SYMMETRIC_PAIRS:
+                upper = np.triu_indices(m)
+                for d in (d_re, d_im):
+                    full = np.zeros_like(d)
+                    full[upper] = d[upper]
+                    d[:] = full + np.triu(full, 1).T
+            Y_k = Ym + d_re + 1j * d_im
+        problem = assemble_from_raw(Y_k, E, network)
+        try:
+            x = np.linalg.solve(problem.H, problem.z)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(x)):
+            samples.append(x)
+    return np.stack(samples, axis=-1)
+
+
+@pytest.fixture
+def seven_trial_chunks(monkeypatch):
+    """Chunks of 7 trials, so that chunk boundaries fall inside short runs."""
+    monkeypatch.setattr(montecarlo, "_chunk_trials", lambda dim: 7)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batched_equals_serial(ieee4_solved, seven_trial_chunks, mode):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    cfg = MCConfig(n_trials=60, seed=7, polar=polar, yu=yu, symmetry_mode=mode,
+                   store_trials=True)
+    ref = serial_trials(net, Y, state, cfg)
+    out = run_monte_carlo(net, Y, state, cfg)
+    assert np.array_equal(out.trials, ref)
+    ref_mean, ref_std = estimate_stats(ref)
+    np.testing.assert_allclose(out.std, ref_std, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(out.mean, ref_mean, rtol=1e-12, atol=0.0)
+    # the first 20 trials end inside the third chunk of 7
+    short = run_monte_carlo(net, Y, state, replace(cfg, n_trials=20))
+    assert np.array_equal(short.trials, out.trials[..., :20])
+
+
+def test_zero_voltage_noise_keeps_streams_aligned(ieee4_solved, seven_trial_chunks):
+    net, Y, state, _, yu = mc_setup(ieee4_solved)
+    cfg = MCConfig(n_trials=20, seed=2, polar=PolarNoiseSpec(0.0, 0.0), yu=yu,
+                   store_trials=True)
+    assert np.array_equal(run_monte_carlo(net, Y, state, cfg).trials,
+                          serial_trials(net, Y, state, cfg))
+
+
+def poisoned_assembly(monkeypatch, poison):
+    """Route the engine's assembly through ``poison(H_stack, call_index)``."""
+    calls = []
+
+    def assemble(Ym, E, network):
+        problem = assemble_from_raw(Ym, E, network)
+        poison(problem.H, len(calls))
+        calls.append(len(problem.H))
+        return problem
+
+    monkeypatch.setattr(montecarlo, "assemble_from_raw", assemble)
+    return calls
+
+
+def test_failed_trials_dropped_and_counted(ieee4_solved, seven_trial_chunks,
+                                           monkeypatch):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    cfg = MCConfig(n_trials=20, seed=9, polar=polar, yu=yu, store_trials=True)
+    ref = serial_trials(net, Y, state, cfg)
+
+    def poison(H, call):
+        if call == 1:  # trials 7-13
+            H[1] = 0.0  # exactly singular: the batched solve raises
+            H[4] = np.nan  # solves to non-finite values
+
+    calls = poisoned_assembly(monkeypatch, poison)
+    out = run_monte_carlo(net, Y, state, cfg)
+    assert calls == [7, 7, 6]
+    assert out.trials_failed == 2
+    kept = np.delete(ref, [8, 11], axis=-1)
+    assert np.array_equal(out.trials, kept)
+    _, std = estimate_stats(kept)
+    np.testing.assert_allclose(out.std, std, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_all_trials_failed_raises(ieee4_solved, seven_trial_chunks, monkeypatch, value):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+
+    def poison(H, call):
+        H[...] = value
+
+    poisoned_assembly(monkeypatch, poison)
+    cfg = MCConfig(n_trials=10, seed=9, polar=polar, yu=yu)
+    with pytest.raises(ConfigError, match="all Monte-Carlo trials failed"):
+        run_monte_carlo(net, Y, state, cfg)
+
+
+def test_memory_bounded_in_n_trials(ieee4_solved):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+
+    def peak(n_trials):
+        cfg = MCConfig(n_trials=n_trials, seed=4, polar=polar, yu=yu)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_monte_carlo(net, Y, state, cfg)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500), peak(5000)
+    assert large <= 1.1 * small, (small, large)
 
 
 class TestEstimateStats:

@@ -189,6 +189,29 @@ class TestEmission:
             [float(r["std_mc_50"]) for r in rows],
         )
 
+    def test_json_trials_failed(self, report, tmp_path):
+        (path,) = emit_report(report, ("json",), tmp_path)
+        doc = json.loads(path.read_text())
+        failed = {k: v["trials_failed"] for k, v in doc["monte_carlo"].items()}
+        assert failed == {"1.0|20": 0, "1.0|50": 0}
+        assert report.mc_failed == {(1.0, 20): 0, (1.0, 50): 0}
+
+    def test_json_trials_failed_counts_failures(self, tmp_path, monkeypatch):
+        from pfsc import montecarlo
+
+        real = montecarlo.assemble_from_raw
+
+        def one_singular_trial(Ym, E, network):
+            problem = real(Ym, E, network)
+            problem.H[0] = 0.0
+            return problem
+
+        monkeypatch.setattr(montecarlo, "assemble_from_raw", one_singular_trial)
+        report = run_pipeline(small_cfg(mode="mc", n_mc=(20,)))
+        (path,) = emit_report(report, ("json",), tmp_path)
+        doc = json.loads(path.read_text())
+        assert doc["monte_carlo"]["1.0|20"]["trials_failed"] == 1
+
     def test_json_percent_of_nominal(self, report, tmp_path):
         (path,) = emit_report(report, ("json",), tmp_path)
         doc = json.loads(path.read_text())
