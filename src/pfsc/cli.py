@@ -149,7 +149,7 @@ def _cmd_mc(args):
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     problem = assemble_problem(Y, state, network)
     cfg = MCConfig(
-        n_trials=args.nmc[0],
+        n_trials=args.nmc,
         seed=args.seed,
         polar=polar,
         yu=yu,
@@ -230,7 +230,7 @@ def build_parser():
 
     p = sub.add_parser("mc", help="Monte-Carlo coefficient stds")
     common(p, noise=True)
-    p.add_argument("--nmc", type=int, nargs="+", default=[1000])
+    p.add_argument("--nmc", type=int, default=1000)
     p.add_argument(
         "--dump-trials", default=None, help="CSV path for the raw trial store"
     )

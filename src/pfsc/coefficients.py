@@ -8,10 +8,10 @@ each equation node i and each unknown derivative u_n = dE_n/dP (or dQ):
 
 with K_i = (Y E)_i, rhs = 1 for a P-injection and -j for a Q-injection.
 Splitting every complex equation and unknown into real and imaginary parts
-gives the square real system  H x = z  solved here.
-
-Realified ordering (rows and columns alike): non-slack nodes in bus-major
-order, real part at even offset 2k, imaginary part at 2k+1.  Columns of z:
+gives the square real system  H x = z  solved here.  Its left-hand side is
+the linearisation of conj(S) that the load flow's Newton iteration
+inverts, so H is ``loadflow.jacobian`` at the operating point; the
+realified ordering of rows and columns is stated there.  Columns of z:
 P-injection of node k at 2k, Q-injection at 2k+1.
 
 Every column of z is a signed unit vector (+1 in the real row for a
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularSystemError
-from .loadflow import GridState, solve_load_flow
+from .loadflow import GridState, jacobian, solve_load_flow
 from .network import AdmittanceMatrix, NetworkModel, with_injections
 
 RESIDUAL_RTOL = 1e-10
@@ -108,7 +108,7 @@ def assemble_problem(
 def assemble_from_raw(
     Ym: np.ndarray, E: np.ndarray, network: NetworkModel
 ) -> SensitivityProblem:
-    """Assemble H (and the signs of z) from an admittance matrix and voltages.
+    """Pack ``loadflow.jacobian`` and the signs of z into a SensitivityProblem.
 
     Used by assemble_problem and, with perturbed inputs, by the
     Monte-Carlo trials.  Leading axes of ``Ym`` (..., m, m) and ``E``
@@ -120,25 +120,10 @@ def assemble_from_raw(
         raise ValueError(
             f"dimension mismatch: Y {Ym.shape}, E {E.shape}, nodes {m}"
         )
-    slack = set(network.slack_flat_indices())
-    nonslack = tuple(i for i in range(m) if i not in slack)
-    ns = np.array(nonslack, dtype=np.intp)
-    n = len(ns)
-
-    K = (Ym @ E[..., None])[..., 0]  # (Y E)_i, multiplies conj(u_i)
-    A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies u_n
-    B = np.zeros(A.shape, dtype=complex)
-    B[..., np.arange(n), np.arange(n)] = K[..., ns]  # diag(K) of each slice
-
-    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
-    H[..., 0::2, 0::2] = A.real + B.real
-    H[..., 0::2, 1::2] = -A.imag + B.imag
-    H[..., 1::2, 0::2] = A.imag + B.imag
-    H[..., 1::2, 1::2] = A.real - B.real
-
+    nonslack = network.nonslack_flat_indices()
     return SensitivityProblem(
-        H=H,
-        signs=_rhs_signs(n),
+        H=jacobian(Ym, E, nonslack),
+        signs=_rhs_signs(len(nonslack)),
         nonslack=nonslack,
         phase_count=network.phase_count,
         bus_indices=tuple(b.index for b in network.buses),

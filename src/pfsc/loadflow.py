@@ -1,8 +1,17 @@
-"""AC load flow in rectangular complex coordinates.
+"""AC load flow in rectangular complex coordinates, and its Newton matrix.
 
 The solver produces the operating point (nodal voltage phasors) used both
 as the linearization point for the sensitivity computation and as the
 ground truth for Monte-Carlo noise studies.
+
+``jacobian`` is the package's one linearisation of the power flow: the
+real Newton matrix H of conj(S) = conj(E) * (Y E) with respect to the
+non-slack voltages, d conj(S_i) = conj(E_i) (Y dE)_i + (Y E)_i conj(dE_i).
+Realified ordering, for rows and columns alike and throughout the package:
+the nodes of ``NetworkModel.nonslack_flat_indices`` in bus-major order,
+the real part of node k at 2k and the imaginary part at 2k + 1.  The load
+flow, the sensitivity system H x = z and the Monte-Carlo trials all
+assemble H here.
 """
 
 from __future__ import annotations
@@ -43,25 +52,27 @@ def nodal_power(voltages, Y: AdmittanceMatrix | np.ndarray):
     return E * np.conj(Ym @ E)
 
 
-def _jacobian(E, Ym, pq):
-    """Real Jacobian of [Re S; Im S] w.r.t. [Re E; Im E] at the PQ nodes.
+def jacobian(Ym, E, nonslack):
+    """Newton matrix H of conj(S) w.r.t. the non-slack voltages, (..., 2n, 2n).
 
-    Rows/columns interleave Re and Im per node: 2k is the real part of
-    node pq[k], 2k+1 the imaginary part.
+    Leading axes of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a
+    stack of inputs gives a stack of H, each slice bitwise equal to its
+    own assembly.  See the module docstring for the realified ordering.
     """
-    n = len(pq)
-    K = Ym @ E
-    # dS_i/dE_n = conj(K_i) * delta_in   (direct term, complex-linear)
-    # dS_i/dconj(E_n) = E_i * conj(Y_in) (conjugate-linear term)
-    A = np.conj(K[pq, None]) * np.eye(len(E))[pq][:, pq]
-    B = E[pq, None] * np.conj(Ym[np.ix_(pq, pq)])
-    J = np.empty((2 * n, 2 * n))
-    # dS = A dE + B conj(dE); realify with dE = dr + j di
-    J[0::2, 0::2] = A.real + B.real
-    J[0::2, 1::2] = -A.imag + B.imag
-    J[1::2, 0::2] = A.imag + B.imag
-    J[1::2, 1::2] = A.real - B.real
-    return J
+    ns = np.asarray(nonslack, dtype=np.intp)
+    n = len(ns)
+    K = (Ym @ E[..., None])[..., 0]  # (Y E)_i, multiplies conj(dE_i)
+    A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies dE_n
+    B = np.zeros(A.shape, dtype=complex)
+    B[..., np.arange(n), np.arange(n)] = K[..., ns]  # diag(K) of each slice
+
+    # d conj(S) = A dE + B conj(dE); realify with dE = dr + j di
+    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    H[..., 0::2, 0::2] = A.real + B.real
+    H[..., 0::2, 1::2] = -A.imag + B.imag
+    H[..., 1::2, 0::2] = A.imag + B.imag
+    H[..., 1::2, 1::2] = A.real - B.real
+    return H
 
 
 def solve_load_flow(
@@ -77,9 +88,8 @@ def solve_load_flow(
     or on a singular Jacobian.
     """
     Ym = Y.matrix
-    m = network.n_nodes
     slack = network.slack_flat_indices()
-    pq = [i for i in range(m) if i not in slack]
+    pq = np.array(network.nonslack_flat_indices(), dtype=np.intp)
     s_spec = network.injections_pu()
 
     phasors = network.slack_voltage_phasors()
@@ -95,12 +105,11 @@ def solve_load_flow(
             return GridState(
                 voltages=E, converged=True, mismatch=mismatch, iterations=it - 1
             )
-        J = _jacobian(E, Ym, pq)
-        rhs = np.empty(2 * len(pq))
+        rhs = np.empty(2 * len(pq))  # realified conj(mismatch)
         rhs[0::2] = mismatch[pq].real
-        rhs[1::2] = mismatch[pq].imag
+        rhs[1::2] = -mismatch[pq].imag
         try:
-            step = np.linalg.solve(J, rhs)
+            step = np.linalg.solve(jacobian(Ym, E, pq), rhs)
         except np.linalg.LinAlgError as exc:
             raise LoadFlowError(
                 f"singular load-flow Jacobian at iteration {it}", mismatch=mismatch

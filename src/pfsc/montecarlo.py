@@ -220,7 +220,7 @@ def run_monte_carlo(
     E0 = state.voltages
     t0 = time.perf_counter()
 
-    dim = 2 * (network.n_nodes - len(network.slack_flat_indices()))
+    dim = 2 * len(network.nonslack_flat_indices())
     size = _chunk_trials(dim)
     moments = _Moments()
     kept = []

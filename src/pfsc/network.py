@@ -134,6 +134,11 @@ class NetworkModel:
         base = self.bus_position(self.slack_bus) * self.phase_count
         return list(range(base, base + self.phase_count))
 
+    def nonslack_flat_indices(self):
+        """Flat indices of the PQ nodes: the unknowns, in order, of H."""
+        slack = self.slack_flat_indices()
+        return tuple(i for i in range(self.n_nodes) if i not in slack)
+
     def slack_voltage_phasors(self):
         """Per-phase slack voltages; phases are spaced 120 degrees apart."""
         v = complex(self.slack_voltage_pu)

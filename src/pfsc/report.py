@@ -100,7 +100,9 @@ def coefficient_keys(problem, coefficients=None):
     Returns ``(keys, rows, cols)`` with ``x[rows, cols]`` the coefficients
     of ``keys``, row-major over x.  ``coefficients`` keeps only the
     ``(bus_i, bus_l, part, wrt)`` tuples it lists, for every phase pair of
-    those buses; None keeps the whole table.
+    those buses; None keeps the whole table.  An entry that selects
+    nothing (a slack or unknown bus, a part other than "re"/"im", a
+    ``wrt`` other than "P"/"Q") raises ConfigError.
     """
     p = problem.phase_count
     node_bus = [problem.bus_indices[f // p] for f in problem.nonslack]
@@ -113,11 +115,18 @@ def coefficient_keys(problem, coefficients=None):
         for k, bus in enumerate(node_bus):
             nodes_of.setdefault(bus, []).append(k)
         keep = np.zeros((dim, dim), dtype=bool)
-        for bus_i, bus_l, part, wrt in coefficients:
-            if part not in PARTS or wrt not in INJECTIONS:
-                continue
-            r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
-            c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
+        for entry in coefficients:
+            bus_i, bus_l, part, wrt = entry
+            r = c = ()
+            if part in PARTS and wrt in INJECTIONS:
+                r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
+                c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
+            if not (r and c):
+                raise ConfigError(
+                    f"coefficient filter entry {tuple(entry)!r} selects nothing: "
+                    f"buses must be non-slack buses of the network, part one "
+                    f"of {PARTS}, wrt one of {INJECTIONS}"
+                )
             keep[np.ix_(r, c)] = True
     rows, cols = np.nonzero(keep)
     keys = [

@@ -63,9 +63,6 @@ class CartesianNoiseSpec:
     def zero(cls, n_nodes):
         return cls(np.zeros(n_nodes), np.zeros(n_nodes))
 
-    def variances(self):
-        return self.sigma_re**2, self.sigma_im**2
-
 
 @dataclass(frozen=True)
 class AdmittanceUncertainty:
@@ -104,18 +101,13 @@ class HVariance:
 
 @dataclass(frozen=True)
 class InverseVariance:
-    """Per-entry (self) variance of H^-1; cross terms computed on demand.
+    """Per-entry (self) variance of H^-1.
 
     The full cross-covariance object would be (2n)^2 x (2n)^2 and is never
-    materialized.
+    materialized; ``inverse_cross_covariance`` gives single cross terms.
     """
 
     var: np.ndarray
-    H_inv: np.ndarray = field(repr=False, default=None)
-    h_var: np.ndarray = field(repr=False, default=None)
-
-    def cross_covariance(self, mn, ab):
-        return inverse_cross_covariance(self.H_inv, HVariance(self.h_var), mn, ab)
 
 
 @dataclass(frozen=True)
@@ -352,7 +344,7 @@ def inverse_self_variance(H_inv: np.ndarray, hv: HVariance) -> InverseVariance:
     if sq.shape != hv.var.shape:
         raise ValueError("shape mismatch between H^-1 and its variance")
     var = sq @ hv.var @ sq
-    return InverseVariance(var=var, H_inv=H_inv, h_var=hv.var)
+    return InverseVariance(var=var)
 
 
 def inverse_self_variance_reference(H_inv: np.ndarray, hv: HVariance) -> np.ndarray:

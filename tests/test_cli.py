@@ -136,6 +136,24 @@ def test_mc_deterministic_for_fixed_seed(capsys, tmp_path):
     assert one("a.csv") == one("b.csv")
 
 
+def test_mc_nmc_takes_one_count(capsys, tmp_path):
+    # mc runs one trial count: a second one is a usage error, not dropped
+    out_file = tmp_path / "mc.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mc", "--network", NETWORK, "--nmc", "10", "20",
+              "--out", str(out_file)])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: 20" in capsys.readouterr().err
+    assert not out_file.exists()
+    # report keeps its list of counts
+    code, _, _ = run(capsys, "report", "--network", NETWORK, "--mode", "mc",
+                     "--nmc", "10", "20", "--format", "json", "--out",
+                     str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert set(doc["monte_carlo"]) == {"1.0|10", "1.0|20"}
+
+
 def test_report_requires_out(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["report", "--network", NETWORK])

@@ -4,9 +4,21 @@ from scipy import optimize
 
 import pfsc
 from pfsc.errors import LoadFlowError
-from pfsc.loadflow import nodal_power, solve_load_flow
+from pfsc.loadflow import jacobian, nodal_power, solve_load_flow
 
-from conftest import make_two_bus
+from conftest import make_random_network, make_three_phase_balanced, make_two_bus
+
+FEEDERS = {
+    "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
+    "three-phase": make_three_phase_balanced,
+    "mesh12-seed3": lambda: make_random_network(12, 3, radial=False),
+    "mesh12-seed8": lambda: make_random_network(12, 8, radial=False),
+}
+
+
+def realify(z):
+    """Interleave real and imaginary parts: [Re z0, Im z0, Re z1, ...]."""
+    return np.column_stack((z.real, z.imag)).ravel()
 
 
 def test_nodal_power_flat_lossless(two_bus):
@@ -105,3 +117,75 @@ def test_deterministic(ieee4):
     a = solve_load_flow(ieee4, Y)
     b = solve_load_flow(ieee4, Y)
     assert np.array_equal(a.voltages, b.voltages)
+
+
+@pytest.mark.parametrize("feeder", sorted(FEEDERS))
+def test_jacobian_matches_central_difference(feeder):
+    # conj(S) is quadratic in (Re E, Im E), so the central difference is
+    # exact up to rounding (about 1e-12 relative here); the bound is tight
+    # enough to see an error of 1e-4 in the small diag(Y E) terms
+    net = FEEDERS[feeder]()
+    Y = pfsc.build_admittance(net)
+    E = solve_load_flow(net, Y).voltages
+    ns = np.array(net.nonslack_flat_indices())
+    H = jacobian(Y.matrix, E, ns)
+    rng = np.random.default_rng(5)
+    h = 1e-4
+    for _ in range(4):
+        delta = rng.standard_normal(2 * len(ns))
+        step = np.zeros_like(E)
+        step[ns] = h * (delta[0::2] + 1j * delta[1::2])
+        plus = np.conj(nodal_power(E + step, Y))[ns]
+        minus = np.conj(nodal_power(E - step, Y))[ns]
+        fd = realify(plus - minus) / (2 * h)
+        lin = H @ delta
+        assert np.linalg.norm(fd - lin) <= 1e-9 * np.linalg.norm(lin)
+
+
+def _reference_jacobian(E, Ym, pq):
+    """Jacobian of [Re S; Im S] w.r.t. [Re E; Im E], built apart from ``jacobian``."""
+    n = len(pq)
+    K = Ym @ E
+    A = np.conj(K[pq, None]) * np.eye(len(E))[pq][:, pq]
+    B = E[pq, None] * np.conj(Ym[np.ix_(pq, pq)])
+    J = np.empty((2 * n, 2 * n))
+    J[0::2, 0::2] = A.real + B.real
+    J[0::2, 1::2] = -A.imag + B.imag
+    J[1::2, 0::2] = A.imag + B.imag
+    J[1::2, 1::2] = A.real - B.real
+    return J
+
+
+def _reference_load_flow(net, Y, tol=1e-8, max_iter=50):
+    """Newton-Raphson on S itself, with its own Jacobian, from a flat start."""
+    Ym = Y.matrix
+    slack = net.slack_flat_indices()
+    pq = [i for i in range(net.n_nodes) if i not in slack]
+    s_spec = net.injections_pu()
+    E = np.tile(net.slack_voltage_phasors(), net.n_bus)
+    mismatch = s_spec - nodal_power(E, Ym)
+    mismatch[slack] = 0.0
+    for it in range(1, max_iter + 1):
+        if np.max(np.abs(mismatch)) <= tol:
+            return E, it - 1, mismatch
+        rhs = np.empty(2 * len(pq))
+        rhs[0::2] = mismatch[pq].real
+        rhs[1::2] = mismatch[pq].imag
+        step = np.linalg.solve(_reference_jacobian(E, Ym, pq), rhs)
+        E[pq] += step[0::2] + 1j * step[1::2]
+        mismatch = s_spec - nodal_power(E, Ym)
+        mismatch[slack] = 0.0
+    raise AssertionError("reference load flow did not converge")
+
+
+@pytest.mark.parametrize("feeder", sorted(FEEDERS))
+def test_load_flow_matches_reference_newton_bitwise(feeder):
+    # the Newton matrix of conj(S) is that of S with its odd rows negated;
+    # pivoting and rounding are sign-symmetric, so every iterate is equal
+    net = FEEDERS[feeder]()
+    Y = pfsc.build_admittance(net)
+    state = solve_load_flow(net, Y)
+    E, iterations, mismatch = _reference_load_flow(net, Y)
+    assert state.iterations == iterations
+    assert state.voltages.tobytes() == E.tobytes()
+    assert state.mismatch.tobytes() == mismatch.tobytes()

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,10 +86,8 @@ class TestCoefficientKeys:
         [
             None,
             ((4, 2, "re", "P"),),
-            # every phase pair of two bus pairs, a repeat, and entries
-            # that match nothing (unknown bus, part spelled as a label)
-            ((3, 2, "im", "Q"), (2, 3, "re", "Q"), (3, 2, "im", "Q"),
-             (9, 2, "re", "P"), (2, 2, "Re", "P")),
+            # every phase pair of two bus pairs, and a repeat
+            ((3, 2, "im", "Q"), (2, 3, "re", "Q"), (3, 2, "im", "Q")),
         ],
     )
     def test_matches_brute_force(self, ieee4, three_phase, coefficients):
@@ -98,6 +97,26 @@ class TestCoefficientKeys:
         assert keys == ref_keys
         assert rows.tolist() == ref_rows
         assert cols.tolist() == ref_cols
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (2, 2, "RE", "P"),  # part spelled in capitals
+            (2, 2, "re", "p"),  # injection spelled in lower case
+            (99, 2, "re", "P"),  # unknown bus
+            (1, 2, "re", "P"),  # the slack bus
+            (2, 1, "re", "P"),
+        ],
+    )
+    def test_entry_selecting_nothing_raises(self, ieee4, entry):
+        problem = _problem(ieee4)
+        with pytest.raises(ConfigError, match=re.escape(repr(entry))):
+            coefficient_keys(problem, ((2, 3, "re", "Q"), entry))
+
+    def test_pipeline_rejects_entry_selecting_nothing(self):
+        cfg = small_cfg(coefficients=((99, 2, "re", "P"),), mode="analytical")
+        with pytest.raises(ConfigError, match="selects nothing"):
+            run_pipeline(cfg)
 
 
 class TestPipeline:
