@@ -46,10 +46,7 @@ from .report import ComparisonReport, RunConfig, emit_report, run_pipeline
 from .uncertainty import (
     AdmittanceUncertainty,
     CartesianNoiseSpec,
-    HVariance,
-    InverseVariance,
     PolarNoiseSpec,
-    UncertaintyResult,
     analytical_sigma,
     coefficient_variance,
     general_variance,

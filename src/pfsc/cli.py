@@ -26,7 +26,6 @@ from .report import RunConfig, coefficient_keys, emit_report, run_pipeline
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
-    default_noise_config,
     it_class_to_polar,
     load_noise_config,
     project_polar_noise,
@@ -55,8 +54,7 @@ def _resolve_config(path):
 
 
 def _noise_cfg(args):
-    path = _resolve_config(getattr(args, "noise_config", None))
-    return load_noise_config(path) if path else default_noise_config()
+    return load_noise_config(_resolve_config(args.noise_config))
 
 
 def _prepare(args):
@@ -135,8 +133,7 @@ def _cmd_propagate(args):
     polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     en = project_polar_noise(state, polar)
-    unc = analytical_sigma(problem, result, Y, state, yu, en)
-    rows = _coeff_rows(problem, unc.sigma)
+    rows = _coeff_rows(problem, analytical_sigma(result, Y, state, yu, en))
     for row in rows:
         row["sigma"] = row.pop("value")
     _write_rows(rows, args.out, args.format)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import ConfigError, SingularSystemError
 from .loadflow import GridState, jacobian, solve_load_flow
 from .network import AdmittanceMatrix, NetworkModel, with_injections
 
@@ -37,6 +37,14 @@ RESIDUAL_RTOL = 1e-10
 COND_MAX = 1e12
 P = "P"
 Q = "Q"
+PARTS = ("re", "im")  # row offset within a node's row pair
+INJECTIONS = (P, Q)  # column offset within a node's column pair
+
+
+def _offset(name, value, allowed):
+    if value not in allowed:
+        raise ConfigError(f"{name} must be one of {allowed}, not {value!r}")
+    return allowed.index(value)
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,11 @@ class SensitivityProblem:
 
     def row(self, bus_index, phase=0, part="re"):
         k = self.node_of(bus_index, phase)
-        return 2 * k + (0 if part == "re" else 1)
+        return 2 * k + _offset("part", part, PARTS)
 
     def column(self, bus_index, phase=0, wrt=P):
         k = self.node_of(bus_index, phase)
-        return 2 * k + (0 if wrt == P else 1)
+        return 2 * k + _offset("wrt", wrt, INJECTIONS)
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def finite_difference_oracle(
         raise ValueError("degenerate step h = 0")
     s0 = network.injections_pu()
     flat = network.flat_index(bus_index, phase)
-    delta = h if which == P else 1j * h
+    delta = (h, 1j * h)[_offset("which", which, INJECTIONS)]
     shifted = []
     for sign in (+1, -1):
         s = s0.copy()

@@ -10,7 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import assemble_problem, solve_coefficients
+from .coefficients import (
+    INJECTIONS,
+    PARTS,
+    assemble_problem,
+    solve_coefficients,
+)
 from .errors import ConfigError
 from .loadflow import solve_load_flow
 from .montecarlo import MCConfig, run_monte_carlo
@@ -18,7 +23,6 @@ from .network import build_admittance, load_network
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
-    default_noise_config,
     it_class_to_polar,
     load_noise_config,
     project_polar_noise,
@@ -90,10 +94,6 @@ class ComparisonReport:
             return 100.0 * stds / np.abs(self.nominal)
 
 
-PARTS = ("re", "im")  # row offset within a node's row pair
-INJECTIONS = ("P", "Q")  # column offset within a node's column pair
-
-
 def coefficient_keys(problem, coefficients=None):
     """Keys and positions in x of the coefficients to report.
 
@@ -157,12 +157,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     result = solve_coefficients(problem, voltages=state.voltages)
     timings["coefficients_s"] = time.perf_counter() - t0
 
-    noise_cfg = (
-        load_noise_config(cfg.noise_config)
-        if cfg.noise_config
-        else default_noise_config()
-    )
-    polar = it_class_to_polar(cfg.it_class, noise_cfg)
+    polar = it_class_to_polar(cfg.it_class, load_noise_config(cfg.noise_config))
 
     keys, rows, cols = coefficient_keys(problem, cfg.coefficients)
     report = ComparisonReport(
@@ -183,9 +178,9 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
         if cfg.mode in ("analytical", "both"):
             t0 = time.perf_counter()
             en = project_polar_noise(state, polar)
-            unc = analytical_sigma(problem, result, Y, state, yu, en)
+            sigma = analytical_sigma(result, Y, state, yu, en)
             timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
-            report.analytical[lvl] = unc.sigma[rows, cols]
+            report.analytical[lvl] = sigma[rows, cols]
         if cfg.mode in ("mc", "both"):
             for n in cfg.n_mc:
                 mc_cfg = MCConfig(

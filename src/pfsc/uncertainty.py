@@ -2,19 +2,21 @@
 
 Chain: polar measurement noise -> Cartesian voltage stds -> per-entry
 variances of H -> per-entry variances of H^-1 -> per-coefficient stds.
+The three variance stages (propagate_to_H, inverse_self_variance,
+coefficient_variance) each take and return plain arrays.
 
-Variances (not stds) are the internal currency; stds appear only at the
-reporting boundary.  All cross-covariances between distinct admittance
-elements, between admittance and voltage, and between distinct voltage
-entries are taken as zero (inputs are perturbed independently); repeated
-occurrences of the *same* input variable inside one H entry are combined
-before squaring, so entries on the diagonal are handled exactly.
+Variances (not stds) are the internal currency; only analytical_sigma,
+the end-to-end call, returns stds.  All cross-covariances between
+distinct admittance elements, between admittance and voltage, and
+between distinct voltage entries are taken as zero (inputs are perturbed
+independently); repeated occurrences of the *same* input variable inside
+one H entry are combined before squaring, so entries on the diagonal are
+handled exactly.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -92,62 +94,23 @@ class AdmittanceUncertainty:
         return cls(z, z.copy(), level_pct=0.0)
 
 
-@dataclass(frozen=True)
-class HVariance:
-    """Per-entry variance of H."""
-
-    var: np.ndarray
-
-
-@dataclass(frozen=True)
-class InverseVariance:
-    """Per-entry (self) variance of H^-1.
-
-    The full cross-covariance object would be (2n)^2 x (2n)^2 and is never
-    materialized; ``inverse_cross_covariance`` gives single cross terms.
-    """
-
-    var: np.ndarray
-
-
-@dataclass(frozen=True)
-class UncertaintyResult:
-    """Per-coefficient stds, aligned with the x matrix of the solve."""
-
-    sigma: np.ndarray
-    method: str  # "analytical" | "monte-carlo"
-    metadata: dict = field(default_factory=dict)
-    problem: SensitivityProblem | None = field(repr=False, default=None)
-
-    def coefficient_sigma(self, bus_i, bus_l, phase_i=0, phase_l=0,
-                          part="re", wrt="P"):
-        if self.problem is None:
-            raise ValueError("no index map attached")
-        row = self.problem.row(bus_i, phase_i, part)
-        col = self.problem.column(bus_l, phase_l, wrt)
-        return float(self.sigma[row, col])
-
-
 # -- IT class table ----------------------------------------------------------
 
 
-def load_noise_config(path):
-    """Read a noise configuration file.
+def load_noise_config(path=None):
+    """Read a noise configuration file; None reads the bundled table.
 
     Expected keys: ``it_classes`` mapping class labels to
     ``{magnitude_pct, phase_rad}`` worst-case limits, and optionally
     ``admittance_sigma_pct``.
     """
+    if path is None:
+        path = resources.files("pfsc.data").joinpath("noise_classes.yaml")
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict) or "it_classes" not in raw:
         raise ConfigError(f"{path}: missing it_classes table")
     return raw
-
-
-def default_noise_config():
-    with resources.files("pfsc.data").joinpath("noise_classes.yaml").open() as fh:
-        return yaml.safe_load(fh)
 
 
 def it_class_to_polar(class_label, config=None, magnitude_pct=None,
@@ -167,7 +130,7 @@ def it_class_to_polar(class_label, config=None, magnitude_pct=None,
             sigma_theta=phase_rad / 3.0,
         )
     if config is None:
-        config = default_noise_config()
+        config = load_noise_config()
     classes = config.get("it_classes", config)
     entry = classes.get(str(class_label))
     if entry is None:
@@ -239,7 +202,7 @@ def propagate_to_H(
     yu: AdmittanceUncertainty,
     en: CartesianNoiseSpec,
     second_order: bool = False,
-) -> HVariance:
+) -> np.ndarray:
     """Per-entry variance of H via sum/product error-propagation rules.
 
     Every H entry is a sum of bilinear products of one voltage part and
@@ -328,26 +291,27 @@ def propagate_to_H(
     var[re, im] = weighted_sum(ch_ir, ch_ri)
     var[im, re] = weighted_sum(ch_ri, ch_ir)
     var[im, im] = weighted_sum(ch_ii, ch_rr)
-    return HVariance(var=var)
+    return var
 
 
 # -- variance of H^-1 --------------------------------------------------------
 
 
-def inverse_self_variance(H_inv: np.ndarray, hv: HVariance) -> InverseVariance:
-    """Per-entry variance of H^-1: (H^-1 o H^-1) varH (H^-1 o H^-1).
+def inverse_self_variance(H_inv: np.ndarray, var_H: np.ndarray) -> np.ndarray:
+    """Per-entry variance of H^-1: (H^-1 o H^-1) var(H) (H^-1 o H^-1).
 
     ``o`` is the entrywise square; algebraically identical to the
-    quadruple-loop reference implementation.
+    quadruple-loop reference implementation.  The full cross-covariance
+    of H^-1 would be (2n)^2 x (2n)^2 and is never materialized;
+    ``inverse_cross_covariance`` gives single cross terms.
     """
     sq = H_inv**2
-    if sq.shape != hv.var.shape:
+    if sq.shape != var_H.shape:
         raise ValueError("shape mismatch between H^-1 and its variance")
-    var = sq @ hv.var @ sq
-    return InverseVariance(var=var)
+    return sq @ var_H @ sq
 
 
-def inverse_self_variance_reference(H_inv: np.ndarray, hv: HVariance) -> np.ndarray:
+def inverse_self_variance_reference(H_inv: np.ndarray, var_H: np.ndarray) -> np.ndarray:
     """O(n^4) literal double sum, kept as the cross-check implementation."""
     n = H_inv.shape[0]
     out = np.zeros((n, n))
@@ -356,12 +320,12 @@ def inverse_self_variance_reference(H_inv: np.ndarray, hv: HVariance) -> np.ndar
             acc = 0.0
             for i in range(n):
                 for j in range(n):
-                    acc += H_inv[a, i] ** 2 * hv.var[i, j] * H_inv[j, b] ** 2
+                    acc += H_inv[a, i] ** 2 * var_H[i, j] * H_inv[j, b] ** 2
             out[a, b] = acc
     return out
 
 
-def inverse_cross_covariance(H_inv: np.ndarray, hv: HVariance, mn, ab) -> float:
+def inverse_cross_covariance(H_inv: np.ndarray, var_H: np.ndarray, mn, ab) -> float:
     """cov(H^-1[m,n], H^-1[a,b]) induced by independent entry noise on H."""
     m_, n_ = mn
     a_, b_ = ab
@@ -371,75 +335,38 @@ def inverse_cross_covariance(H_inv: np.ndarray, hv: HVariance, mn, ab) -> float:
             raise IndexError(f"index {idx} out of range for {dim}x{dim} matrix")
     left = H_inv[m_, :] * H_inv[a_, :]
     right = H_inv[:, n_] * H_inv[:, b_]
-    return float(left @ hv.var @ right)
+    return float(left @ var_H @ right)
 
 
 # -- coefficient variance ----------------------------------------------------
 
 
-def coefficient_variance(
-    H_inv: np.ndarray,
-    iv: InverseVariance,
-    z: np.ndarray,
-    problem: SensitivityProblem | None = None,
-    metadata: dict | None = None,
-) -> UncertaintyResult:
-    """Coefficient stds for constant z: var(x)_ic = sum_j var(Hinv)_ij z_jc^2.
+def coefficient_variance(var_Hinv: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Coefficient variances for z = diag(signs).
 
-    A diagonal z (the sensitivity right-hand side diag(s)) reduces the sum
-    to scaling column c by z_cc^2; any other z takes the matrix product.
+    The sum var(x)_ic = sum_j var(Hinv)_ij z_jc^2 of a diagonal z reduces
+    to scaling column c by s_c^2; general_variance takes any other z.
     """
-    d = np.diagonal(z)
-    if z.shape[0] == z.shape[1] and np.count_nonzero(z) == np.count_nonzero(d):
-        var_x = iv.var * d**2
-    else:
-        var_x = iv.var @ (z**2)
-    return UncertaintyResult(
-        sigma=np.sqrt(var_x),
-        method="analytical",
-        metadata=dict(metadata or {}),
-        problem=problem,
-    )
+    return var_Hinv * signs**2
 
 
 def general_variance(
-    H_inv: np.ndarray,
-    iv: InverseVariance,
-    z: np.ndarray,
-    zv: np.ndarray,
-    problem: SensitivityProblem | None = None,
-    metadata: dict | None = None,
-) -> UncertaintyResult:
-    """Full propagation including variance of z.
+    H_inv: np.ndarray, var_Hinv: np.ndarray, z: np.ndarray, zv: np.ndarray
+) -> np.ndarray:
+    """Coefficient variances for any z, including the variance ``zv`` of z.
 
-    With ``zv`` identically zero this reproduces coefficient_variance
-    bitwise.
+    With ``zv`` identically zero and z = diag(s) this reproduces
+    coefficient_variance bitwise.
     """
-    var_x = H_inv**2 @ np.asarray(zv) + iv.var @ (z**2)
-    return UncertaintyResult(
-        sigma=np.sqrt(var_x),
-        method="analytical",
-        metadata=dict(metadata or {}),
-        problem=problem,
-    )
+    return H_inv**2 @ np.asarray(zv) + var_Hinv @ (z**2)
 
 
 # -- end-to-end convenience --------------------------------------------------
 
 
-def analytical_sigma(
-    problem, result, Y, state, yu, en, second_order=False, metadata=None
-):
-    """Run the full analytical chain and return the UncertaintyResult.
-
-    Wall time of the propagation is recorded in the metadata.
-    """
-    t0 = time.perf_counter()
-    hv = propagate_to_H(problem, Y, state, yu, en, second_order=second_order)
-    iv = inverse_self_variance(result.H_inv, hv)
-    out = coefficient_variance(result.H_inv, iv, problem.z, problem=problem)
-    meta = dict(metadata or {})
-    meta["runtime_s"] = time.perf_counter() - t0
-    return UncertaintyResult(
-        sigma=out.sigma, method="analytical", metadata=meta, problem=problem
-    )
+def analytical_sigma(result, Y, state, yu, en, second_order=False):
+    """Coefficient stds from the full analytical chain, aligned with x."""
+    problem = result.problem
+    var_H = propagate_to_H(problem, Y, state, yu, en, second_order=second_order)
+    var_Hinv = inverse_self_variance(result.H_inv, var_H)
+    return np.sqrt(coefficient_variance(var_Hinv, problem.signs))

@@ -7,6 +7,7 @@ rationale behind each tolerance.
 """
 
 import time
+import timeit
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from pfsc.uncertainty import (
     FORM_SIGN_CORRECTED,
     AdmittanceUncertainty,
     CartesianNoiseSpec,
-    HVariance,
     PolarNoiseSpec,
     analytical_sigma,
     coefficient_variance,
@@ -119,8 +119,8 @@ def test_std_agreement_reference_case(case, mc_10k):
     t0 = time.perf_counter()
     en = project_polar_noise(state, it_class_to_polar("0.5"))
     yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-    unc = analytical_sigma(problem, result, Y, state, yu, en)
-    gap = np.max(np.abs(unc.sigma - mc_10k.std) / mc_10k.std)
+    unc = analytical_sigma(result, Y, state, yu, en)
+    gap = np.max(np.abs(unc - mc_10k.std) / mc_10k.std)
     nominal = np.array(
         [result.x[r, c] for r, c in _reference_indices(problem)]
     )
@@ -157,14 +157,14 @@ def test_admittance_sweep_trend(case):
     al, mc, gap = {}, {}, {}
     for lvl in (0.5, 1.0, 2.0):
         yu = AdmittanceUncertainty.from_relative(Y, lvl)
-        unc = analytical_sigma(problem, result, Y, state, yu, no_en)
+        unc = analytical_sigma(result, Y, state, yu, no_en)
         run = run_monte_carlo(
             net,
             Y,
             state,
             MCConfig(n_trials=1000, seed=SEED, polar=polar, yu=yu),
         )
-        al[lvl] = np.array([unc.sigma[r, c] for r, c in idx])
+        al[lvl] = np.array([unc[r, c] for r, c in idx])
         mc[lvl] = np.array([run.std[r, c] for r, c in idx])
         gap[lvl] = np.mean(np.abs(al[lvl] - mc[lvl]) / mc[lvl])
     ratios = np.concatenate([al[1.0] / al[0.5], mc[1.0] / mc[0.5]])
@@ -207,23 +207,24 @@ def test_mc_convergence(case, mc_10k):
 
 def test_speed_ratio(case):
     """Analytical propagation is at least 10x faster than a 100-trial
-    Monte-Carlo run on the bundled four-bus case."""
+    Monte-Carlo run on the bundled four-bus case.  Each side is timed as
+    the best of 5 calls after a warm-up call."""
     net, Y, state, problem, result = case
     polar = it_class_to_polar("0.5")
     yu = AdmittanceUncertainty.from_relative(Y, 1.0)
     en = project_polar_noise(state, polar)
-    analytical_sigma(problem, result, Y, state, yu, en)  # warm up
-    t0 = time.perf_counter()
-    analytical_sigma(problem, result, Y, state, yu, en)
-    t_an = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_monte_carlo(
-        net,
-        Y,
-        state,
-        MCConfig(n_trials=100, seed=SEED, polar=polar, yu=yu),
-    )
-    t_mc = time.perf_counter() - t0
+    mc_cfg = MCConfig(n_trials=100, seed=SEED, polar=polar, yu=yu)
+
+    def analytical():
+        analytical_sigma(result, Y, state, yu, en)
+
+    def monte_carlo():
+        run_monte_carlo(net, Y, state, mc_cfg)
+
+    analytical()  # warm up
+    monte_carlo()
+    t_an = min(timeit.repeat(analytical, number=1, repeat=5))
+    t_mc = min(timeit.repeat(monte_carlo, number=1, repeat=5))
     ratio = t_mc / t_an
     ok = ratio >= 10.0
     _verdict(
@@ -280,7 +281,6 @@ def test_property_suite(case):
     checks = {}
 
     zero_unc = analytical_sigma(
-        problem,
         result,
         Y,
         state,
@@ -298,7 +298,7 @@ def test_property_suite(case):
             yu=AdmittanceUncertainty.zero(net.n_nodes),
         ),
     )
-    checks["zero-in-zero-out"] = np.all(zero_unc.sigma == 0.0) and np.all(
+    checks["zero-in-zero-out"] = np.all(zero_unc == 0.0) and np.all(
         zero_mc.std == 0.0
     )
 
@@ -306,29 +306,27 @@ def test_property_suite(case):
     yu = AdmittanceUncertainty.from_relative(Y, 1.0)
     hv = propagate_to_H(problem, Y, state, yu, en)
     iv = inverse_self_variance(result.H_inv, hv)
-    reduced = coefficient_variance(result.H_inv, iv, problem.z)
-    full = general_variance(
+    reduced = np.sqrt(coefficient_variance(iv, problem.signs))
+    full = np.sqrt(general_variance(
         result.H_inv, iv, problem.z, np.zeros_like(problem.z)
-    )
-    checks["general-form-reduction"] = np.array_equal(
-        full.sigma, reduced.sigma
-    )
+    ))
+    checks["general-form-reduction"] = np.array_equal(full, reduced)
 
     # the two sides take different BLAS summation paths, so the identity
     # is checked at close to machine precision rather than bitwise
     cov = inverse_cross_covariance(result.H_inv, hv, (1, 2), (1, 2))
-    checks["self-covariance"] = abs(cov - iv.var[1, 2]) <= 1e-12 * iv.var[1, 2]
+    checks["self-covariance"] = abs(cov - iv[1, 2]) <= 1e-12 * iv[1, 2]
 
     rng = np.random.default_rng(SEED)
     H = rng.normal(size=(10, 10))
-    hvr = HVariance(rng.uniform(0.01, 1.0, (10, 10)))
+    hvr = rng.uniform(0.01, 1.0, (10, 10))
     Hinv = np.linalg.inv(H)
-    fast = inverse_self_variance(Hinv, hvr).var
+    fast = inverse_self_variance(Hinv, hvr)
     slow = inverse_self_variance_reference(Hinv, hvr)
     checks["accelerated-kernel"] = np.max(np.abs(fast - slow) / slow) <= 1e-12
 
     def endtoend():
-        unc = analytical_sigma(problem, result, Y, state, yu, en)
+        unc = analytical_sigma(result, Y, state, yu, en)
         mc = run_monte_carlo(
             net,
             Y,
@@ -340,7 +338,7 @@ def test_property_suite(case):
                 yu=yu,
             ),
         )
-        return unc.sigma.tobytes() + mc.std.tobytes()
+        return unc.tobytes() + mc.std.tobytes()
 
     checks["seeded-repeatability"] = endtoend() == endtoend()
 

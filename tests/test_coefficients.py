@@ -9,7 +9,7 @@ from pfsc.coefficients import (
     finite_difference_oracle,
     solve_coefficients,
 )
-from pfsc.errors import SingularSystemError
+from pfsc.errors import ConfigError, SingularSystemError
 
 from conftest import make_random_network, make_three_phase_balanced, make_two_bus
 
@@ -49,6 +49,21 @@ class TestAssemble:
         bad = replace(state, converged=False)
         with pytest.raises(ValueError, match="not converged"):
             assemble_problem(Y, bad, net)
+
+    @pytest.mark.parametrize("part", ["Re", "x"])
+    def test_row_rejects_unknown_part(self, ieee4_solved, part):
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        with pytest.raises(ConfigError, match=repr(part)):
+            problem.row(2, part=part)
+
+    @pytest.mark.parametrize("wrt", ["p", "x"])
+    def test_column_rejects_unknown_injection(self, ieee4_solved, wrt):
+        _, _, _, res = solved(ieee4_solved[0])
+        with pytest.raises(ConfigError, match=repr(wrt)):
+            res.problem.column(3, wrt=wrt)
+        with pytest.raises(ConfigError, match=repr(wrt)):
+            res.derivative(2, 3, wrt=wrt)
 
     def test_ieee4_H_well_conditioned(self, ieee4_solved):
         net, Y, state = ieee4_solved
@@ -209,6 +224,11 @@ class TestFiniteDifferenceOracle:
         net, Y, _ = ieee4_solved
         with pytest.raises(ValueError, match="degenerate step"):
             finite_difference_oracle(net, Y, 2, h=0.0)
+
+    def test_unknown_injection_rejected(self, ieee4_solved):
+        net, Y, _ = ieee4_solved
+        with pytest.raises(ConfigError, match="'p'"):
+            finite_difference_oracle(net, Y, 2, which="p")
 
     @pytest.mark.parametrize("which", ["P", "Q"])
     def test_two_bus_agreement(self, which):

@@ -11,7 +11,6 @@ from pfsc.uncertainty import (
     FORM_SIGN_CORRECTED,
     AdmittanceUncertainty,
     CartesianNoiseSpec,
-    HVariance,
     PolarNoiseSpec,
     analytical_sigma,
     coefficient_variance,
@@ -20,6 +19,7 @@ from pfsc.uncertainty import (
     inverse_self_variance,
     inverse_self_variance_reference,
     it_class_to_polar,
+    load_noise_config,
     project_polar_noise,
     propagate_to_H,
 )
@@ -99,6 +99,19 @@ class TestITClass:
     def test_unknown_class(self):
         with pytest.raises(ConfigError, match="unknown IT class"):
             it_class_to_polar("7")
+
+
+class TestNoiseConfig:
+    def test_none_reads_bundled_table(self):
+        bundled = load_noise_config(pfsc.bundled_noise_config_path())
+        assert load_noise_config(None) == bundled
+        assert "0.5" in bundled["it_classes"]
+
+    def test_missing_it_classes_rejected(self, tmp_path):
+        path = tmp_path / "noise.yaml"
+        path.write_text("admittance_sigma_pct: 1.0\n")
+        with pytest.raises(ConfigError, match="missing it_classes"):
+            load_noise_config(path)
 
 
 def loaded_two_bus():
@@ -183,7 +196,7 @@ class TestPropagateToH:
         ref = diagonal_blocks_reference(problem, Y, state, yu, en, second_order)
         # same terms summed in another order: float64 rounding only
         for (r, c), v in ref.items():
-            assert hv.var[r, c] == pytest.approx(v, rel=1e-13)
+            assert hv[r, c] == pytest.approx(v, rel=1e-13)
 
 
     def test_zero_in_zero_out(self, ieee4_solved):
@@ -196,7 +209,7 @@ class TestPropagateToH:
             AdmittanceUncertainty.zero(net.n_nodes),
             CartesianNoiseSpec.zero(net.n_nodes),
         )
-        assert np.all(hv.var == 0.0)
+        assert np.all(hv == 0.0)
 
     def test_single_term_product_rule(self, ieee4_solved):
         # H[row(2,re), col(3,re)] = Re(conj(E_2) Y_23); give noise only to
@@ -217,7 +230,7 @@ class TestPropagateToH:
         expected = e2.real**2 * s_y**2 + y23.real**2 * s_e**2
         r = problem.row(2, part="re")
         c = 2 * problem.nonslack.index(i3)  # real column of node 3
-        assert hv.var[r, c] == pytest.approx(expected, rel=1e-12)
+        assert hv[r, c] == pytest.approx(expected, rel=1e-12)
 
     def test_second_order_term(self, ieee4_solved):
         net, Y, state = ieee4_solved
@@ -228,8 +241,8 @@ class TestPropagateToH:
         )
         first = propagate_to_H(problem, Y, state, yu, en)
         second = propagate_to_H(problem, Y, state, yu, en, second_order=True)
-        assert np.all(second.var >= first.var)
-        assert np.any(second.var > first.var)
+        assert np.all(second >= first)
+        assert np.any(second > first)
 
     def test_matches_perturbation_sampling_admittance_only(self):
         net, Y, state, problem = loaded_two_bus()
@@ -257,7 +270,7 @@ class TestPropagateToH:
             axis=1,
         )
         sampled = entries.var(axis=0, ddof=1).reshape(2, 2)
-        np.testing.assert_allclose(hv.var, sampled, rtol=0.03)
+        np.testing.assert_allclose(hv, sampled, rtol=0.03)
 
     def test_matches_perturbation_sampling_voltage_only(self):
         net, Y, state, problem = loaded_two_bus()
@@ -284,7 +297,7 @@ class TestPropagateToH:
             axis=1,
         )
         sampled = entries.var(axis=0, ddof=1).reshape(2, 2)
-        np.testing.assert_allclose(hv.var, sampled, rtol=0.03)
+        np.testing.assert_allclose(hv, sampled, rtol=0.03)
 
     def test_negative_variance_input_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -294,24 +307,24 @@ class TestPropagateToH:
 class TestInverseVariance:
     def test_zero_in_zero_out(self):
         H_inv = np.linalg.inv(np.array([[2.0, 1.0], [0.5, 3.0]]))
-        iv = inverse_self_variance(H_inv, HVariance(np.zeros((2, 2))))
-        assert np.all(iv.var == 0.0)
+        iv = inverse_self_variance(H_inv, np.zeros((2, 2)))
+        assert np.all(iv == 0.0)
 
     def test_scalar_collapse(self):
         # 1x1: var(1/h) = var(h) / h^4
         h, s = 2.0, 0.1
         iv = inverse_self_variance(
-            np.array([[1.0 / h]]), HVariance(np.array([[s**2]]))
+            np.array([[1.0 / h]]), np.array([[s**2]])
         )
-        assert iv.var[0, 0] == pytest.approx(s**2 / h**4, rel=1e-14)
+        assert iv[0, 0] == pytest.approx(s**2 / h**4, rel=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_accelerated_equals_reference(self, seed):
         rng = np.random.default_rng(seed)
         H_inv = rng.normal(size=(10, 10))
-        hv = HVariance(rng.uniform(0.0, 1.0, (10, 10)))
-        fast = inverse_self_variance(H_inv, hv).var
+        hv = rng.uniform(0.0, 1.0, (10, 10))
+        fast = inverse_self_variance(H_inv, hv)
         slow = inverse_self_variance_reference(H_inv, hv)
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
@@ -325,7 +338,7 @@ class TestInverseVariance:
         rng = np.random.default_rng(77)
         n = 10**5
         Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
-            hv.var
+            hv
         )
         # analytic 2x2 inverse, vectorized
         det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
@@ -335,7 +348,7 @@ class TestInverseVariance:
         inv[:, 0, 1] = -Hs[:, 0, 1] / det
         inv[:, 1, 0] = -Hs[:, 1, 0] / det
         sampled = inv.var(axis=0, ddof=1)
-        np.testing.assert_allclose(iv.var, sampled, rtol=0.05)
+        np.testing.assert_allclose(iv, sampled, rtol=0.05)
 
     def test_cross_covariance_definition_consistency(self):
         net, Y, state, problem = loaded_two_bus()
@@ -345,18 +358,18 @@ class TestInverseVariance:
         iv = inverse_self_variance(H_inv, hv)
         for mn in [(0, 0), (0, 1), (1, 1)]:
             cov = inverse_cross_covariance(H_inv, hv, mn, mn)
-            assert cov == pytest.approx(iv.var[mn], rel=1e-12)
+            assert cov == pytest.approx(iv[mn], rel=1e-12)
 
     def test_cross_covariance_zero_noise(self):
         H_inv = np.linalg.inv(np.array([[2.0, 1.0], [0.5, 3.0]]))
         assert inverse_cross_covariance(
-            H_inv, HVariance(np.zeros((2, 2))), (0, 0), (1, 1)
+            H_inv, np.zeros((2, 2)), (0, 0), (1, 1)
         ) == 0.0
 
     def test_cross_covariance_index_check(self):
         H_inv = np.eye(2)
         with pytest.raises(IndexError):
-            inverse_cross_covariance(H_inv, HVariance(np.zeros((2, 2))), (0, 2), (0, 0))
+            inverse_cross_covariance(H_inv, np.zeros((2, 2)), (0, 2), (0, 0))
 
     def test_cross_covariance_matches_sampling(self):
         net, Y, state, problem = loaded_two_bus()
@@ -367,7 +380,7 @@ class TestInverseVariance:
         rng = np.random.default_rng(55)
         n = 10**5
         Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
-            hv.var
+            hv
         )
         det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
         inv = np.empty_like(Hs)
@@ -388,9 +401,9 @@ class TestCoefficientVariance:
         net, Y, state = ieee4_solved
         problem = assemble_problem(Y, state, net)
         res = solve_coefficients(problem)
-        iv = inverse_self_variance(res.H_inv, HVariance(np.zeros_like(problem.H)))
-        out = coefficient_variance(res.H_inv, iv, problem.z)
-        assert np.all(out.sigma == 0.0)
+        iv = inverse_self_variance(res.H_inv, np.zeros_like(problem.H))
+        out = np.sqrt(coefficient_variance(iv, problem.signs))
+        assert np.all(out == 0.0)
 
     def test_reduction_is_bitwise(self, ieee4_solved):
         net, Y, state = ieee4_solved
@@ -400,39 +413,39 @@ class TestCoefficientVariance:
         en = project_polar_noise(state, it_class_to_polar("0.5"))
         hv = propagate_to_H(problem, Y, state, yu, en)
         iv = inverse_self_variance(res.H_inv, hv)
-        a = coefficient_variance(res.H_inv, iv, problem.z)
-        b = general_variance(res.H_inv, iv, problem.z, np.zeros_like(problem.z))
-        assert np.array_equal(a.sigma, b.sigma)
+        a = np.sqrt(coefficient_variance(iv, problem.signs))
+        b = np.sqrt(general_variance(res.H_inv, iv, problem.z, np.zeros_like(problem.z)))
+        assert np.array_equal(a, b)
 
     def test_non_diagonal_z(self):
         rng = np.random.default_rng(3)
         H_inv = rng.normal(size=(4, 4))
-        iv = inverse_self_variance(H_inv, HVariance(rng.uniform(0, 1, (4, 4))))
+        iv = inverse_self_variance(H_inv, rng.uniform(0, 1, (4, 4)))
         z = np.diag([1.0, -1.0, 1.0, -1.0])
         z[0, 2] = 0.5  # a right-hand side combining two injections
-        out = coefficient_variance(H_inv, iv, z)
-        np.testing.assert_array_equal(out.sigma, np.sqrt(iv.var @ z**2))
+        out = np.sqrt(general_variance(H_inv, iv, z, np.zeros_like(z)))
+        np.testing.assert_array_equal(out, np.sqrt(iv @ z**2))
 
     def test_zv_only_term(self):
         H_inv = np.array([[0.5, 0.2], [0.1, 0.25]])
-        iv = inverse_self_variance(H_inv, HVariance(np.zeros((2, 2))))
+        iv = inverse_self_variance(H_inv, np.zeros((2, 2)))
         z = np.array([[1.0], [0.0]])
         zv = np.array([[0.04], [0.09]])
-        out = general_variance(H_inv, iv, z, zv)
+        out = np.sqrt(general_variance(H_inv, iv, z, zv))
         expected = np.sqrt(H_inv**2 @ zv)
-        np.testing.assert_array_equal(out.sigma, expected)
+        np.testing.assert_array_equal(out, expected)
 
     def test_scalar_hand_case(self):
         # h = 2, z = 1, sigma_h = 0.1, sigma_z = 0.1:
         # var(hinv) = sigma_h^2/h^4; var(x) = hinv^2 sigma_z^2 + var(hinv) z^2
         h, s_h, s_z = 2.0, 0.1, 0.1
         H_inv = np.array([[1.0 / h]])
-        iv = inverse_self_variance(H_inv, HVariance(np.array([[s_h**2]])))
-        out = general_variance(
+        iv = inverse_self_variance(H_inv, np.array([[s_h**2]]))
+        out = np.sqrt(general_variance(
             H_inv, iv, np.array([[1.0]]), np.array([[s_z**2]])
-        )
+        ))
         expected = np.sqrt((s_z / h) ** 2 + s_h**2 / h**4)
-        assert out.sigma[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert out[0, 0] == pytest.approx(expected, rel=1e-14)
 
     @settings(max_examples=10, deadline=None)
     @given(st.floats(min_value=1.0, max_value=10.0))
@@ -449,7 +462,7 @@ class TestCoefficientVariance:
         def sigma_x(yu, en):
             hv = propagate_to_H(problem, Y, state, yu, en)
             iv = inverse_self_variance(res.H_inv, hv)
-            return coefficient_variance(res.H_inv, iv, problem.z).sigma
+            return np.sqrt(coefficient_variance(iv, problem.signs))
 
         a = sigma_x(yu1, en1)
         b = sigma_x(yuk, enk)
@@ -475,10 +488,10 @@ class TestChannelFidelity:
         res = solve_coefficients(problem)
         yu = AdmittanceUncertainty.from_relative(Y, 0.5)
         unc = analytical_sigma(
-            problem, res, Y, state, yu, CartesianNoiseSpec.zero(net.n_nodes)
+            res, Y, state, yu, CartesianNoiseSpec.zero(net.n_nodes)
         )
         mc = self._mc_std(net, Y, state, PolarNoiseSpec(0.0, 0.0), yu)
-        assert np.max(np.abs(unc.sigma - mc) / mc) < 0.05
+        assert np.max(np.abs(unc - mc) / mc) < 0.05
 
     def test_voltage_channel_known_overestimate(self):
         # a single voltage error perturbs a whole row of H coherently;
@@ -491,11 +504,11 @@ class TestChannelFidelity:
         polar = it_class_to_polar("1.0")
         en = project_polar_noise(state, polar)
         unc = analytical_sigma(
-            problem, res, Y, state,
+            res, Y, state,
             AdmittanceUncertainty.zero(net.n_nodes), en,
         )
         mc = self._mc_std(net, Y, state, polar,
                           AdmittanceUncertainty.zero(net.n_nodes))
-        ratio = unc.sigma / mc
+        ratio = unc / mc
         assert np.all(ratio > 1.0)
         assert ratio.max() > 2.0
