@@ -29,7 +29,6 @@ from .loadflow import GridState, nodal_power, solve_load_flow
 from .montecarlo import (
     MCConfig,
     MCResult,
-    estimate_stats,
     qq_normality_check,
     run_monte_carlo,
 )

@@ -64,9 +64,9 @@ def _prepare(args):
     return network, Y, state
 
 
-def _coeff_rows(problem, x):
+def _coeff_rows(network, x):
     """Flatten x to rows keyed by (i, phase, l, phase, P|Q, Re|Im)."""
-    keys, rows, cols = coefficient_keys(problem)
+    keys, rows, cols = coefficient_keys(network)
     return [
         {
             "bus_i": key.bus_i,
@@ -104,13 +104,12 @@ def _write_rows(rows, out, fmt):
 
 def _cmd_solve(args):
     network, Y, state = _prepare(args)
-    for pos, bus in enumerate(network.buses):
-        for ph in range(network.phase_count):
-            e = state.voltages[pos * network.phase_count + ph]
-            print(
-                f"bus {bus.index} phase {ph}: "
-                f"|E| = {abs(e):.6f} pu, angle = {np.angle(e):.6f} rad"
-            )
+    for flat, e in enumerate(state.voltages):
+        bus, ph = network.node(flat)
+        print(
+            f"bus {bus} phase {ph}: "
+            f"|E| = {abs(e):.6f} pu, angle = {np.angle(e):.6f} rad"
+        )
     print(
         f"converged in {state.iterations} iterations, "
         f"max mismatch {state.max_mismatch:.3e} pu"
@@ -122,7 +121,7 @@ def _cmd_pfsc(args):
     network, Y, state = _prepare(args)
     problem = assemble_problem(Y, state, network)
     result = solve_coefficients(problem, voltages=state.voltages)
-    _write_rows(_coeff_rows(problem, result.x), args.out, args.format)
+    _write_rows(_coeff_rows(network, result.x), args.out, args.format)
     return 0
 
 
@@ -133,7 +132,7 @@ def _cmd_propagate(args):
     polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     en = project_polar_noise(state, polar)
-    rows = _coeff_rows(problem, analytical_sigma(result, Y, state, yu, en))
+    rows = _coeff_rows(network, analytical_sigma(result, Y, state, yu, en))
     for row in rows:
         row["sigma"] = row.pop("value")
     _write_rows(rows, args.out, args.format)
@@ -144,7 +143,6 @@ def _cmd_mc(args):
     network, Y, state = _prepare(args)
     polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
-    problem = assemble_problem(Y, state, network)
     cfg = MCConfig(
         n_trials=args.nmc,
         seed=args.seed,
@@ -153,7 +151,7 @@ def _cmd_mc(args):
         store_trials=args.dump_trials is not None,
     )
     mc = run_monte_carlo(network, Y, state, cfg)
-    rows = _coeff_rows(problem, mc.std)
+    rows = _coeff_rows(network, mc.std)
     for row in rows:
         row["sigma_mc"] = row.pop("value")
     _write_rows(rows, args.out, args.format)
@@ -270,7 +268,7 @@ def main(argv=None):
     except PfscError as exc:
         print(f"pfsc {args.command}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"pfsc {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,9 @@ Splitting every complex equation and unknown into real and imaginary parts
 gives the square real system  H x = z  solved here.  Its left-hand side is
 the linearisation of conj(S) that the load flow's Newton iteration
 inverts, so H is ``loadflow.jacobian`` at the operating point; the
-realified ordering of rows and columns is stated there.  Columns of z:
-P-injection of node k at 2k, Q-injection at 2k+1.
+realified ordering of rows and columns is stated there, and node k is the
+k-th non-slack node of the ordering that ``pfsc.network`` states.
+Columns of z: P-injection of node k at 2k, Q-injection at 2k+1.
 
 Every column of z is a signed unit vector (+1 in the real row for a
 P-injection, -1 in the imaginary row for a Q-injection), so z = diag(s)
@@ -53,19 +54,21 @@ class SensitivityProblem:
 
     H: np.ndarray  # (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
-    nonslack: tuple[int, ...]  # flat node indices kept, in order
-    phase_count: int
-    bus_indices: tuple[int, ...]
+    network: NetworkModel  # owner of the node ordering
 
     @property
     def z(self):
         """Dense right-hand side diag(signs); columns are signed unit vectors."""
         return np.diag(self.signs)
 
+    @property
+    def nonslack(self):
+        """Flat node indices of the unknowns, in order."""
+        return self.network.nonslack_flat_indices()
+
     def node_of(self, bus_index, phase=0):
         """Position within ``nonslack`` of a (bus, phase) pair."""
-        flat = self.bus_indices.index(bus_index) * self.phase_count + phase
-        return self.nonslack.index(flat)
+        return self.nonslack.index(self.network.flat_index(bus_index, phase))
 
     def row(self, bus_index, phase=0, part="re"):
         k = self.node_of(bus_index, phase)
@@ -96,9 +99,7 @@ class SensitivityResult:
         """d|E_i|/d{P or Q}_l, from the complex derivative and the voltage."""
         if self.voltages is None:
             raise ValueError("no operating-point voltages attached")
-        pr = self.problem
-        flat = pr.bus_indices.index(bus_i) * pr.phase_count + phase_i
-        e = self.voltages[flat]
+        e = self.voltages[self.problem.network.flat_index(bus_i, phase_i)]
         d = self.derivative(bus_i, bus_l, phase_i, phase_l, wrt)
         return (e.real * d.real + e.imag * d.imag) / abs(e)
 
@@ -132,9 +133,7 @@ def assemble_from_raw(
     return SensitivityProblem(
         H=jacobian(Ym, E, nonslack),
         signs=_rhs_signs(len(nonslack)),
-        nonslack=nonslack,
-        phase_count=network.phase_count,
-        bus_indices=tuple(b.index for b in network.buses),
+        network=network,
     )
 
 

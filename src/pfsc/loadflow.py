@@ -8,10 +8,10 @@ ground truth for Monte-Carlo noise studies.
 real Newton matrix H of conj(S) = conj(E) * (Y E) with respect to the
 non-slack voltages, d conj(S_i) = conj(E_i) (Y dE)_i + (Y E)_i conj(dE_i).
 Realified ordering, for rows and columns alike and throughout the package:
-the nodes of ``NetworkModel.nonslack_flat_indices`` in bus-major order,
-the real part of node k at 2k and the imaginary part at 2k + 1.  The load
-flow, the sensitivity system H x = z and the Monte-Carlo trials all
-assemble H here.
+the nodes of ``NetworkModel.nonslack_flat_indices`` (node ordering as
+stated in ``pfsc.network``), the real part of node k at 2k and the
+imaginary part at 2k + 1.  The load flow, the sensitivity system
+H x = z and the Monte-Carlo trials all assemble H here.
 """
 
 from __future__ import annotations
@@ -61,17 +61,23 @@ def jacobian(Ym, E, nonslack):
     """
     ns = np.asarray(nonslack, dtype=np.intp)
     n = len(ns)
-    K = (Ym @ E[..., None])[..., 0]  # (Y E)_i, multiplies conj(dE_i)
+    K = (Ym @ E[..., None])[..., 0][..., ns]  # (Y E)_i, multiplies conj(dE_i)
     A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies dE_n
-    B = np.zeros(A.shape, dtype=complex)
-    B[..., np.arange(n), np.arange(n)] = K[..., ns]  # diag(K) of each slice
 
-    # d conj(S) = A dE + B conj(dE); realify with dE = dr + j di
+    # d conj(S) = A dE + diag(K) conj(dE); realify with dE = dr + j di
     H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
-    H[..., 0::2, 0::2] = A.real + B.real
-    H[..., 0::2, 1::2] = -A.imag + B.imag
-    H[..., 1::2, 0::2] = A.imag + B.imag
-    H[..., 1::2, 1::2] = A.real - B.real
+    H[..., 0::2, 0::2] = A.real
+    H[..., 0::2, 1::2] = -A.imag
+    H[..., 1::2, 0::2] = A.imag
+    H[..., 1::2, 1::2] = A.real
+    # diag(K) touches only the 2x2 diagonal blocks: entry (2k + a, 2k + b)
+    # sits at offset k (4n + 2) + 2n a + b of each flattened slice
+    flat = H.reshape(H.shape[:-2] + (-1,))
+    step = 4 * n + 2
+    flat[..., ::step] += K.real
+    flat[..., 1::step] += K.imag
+    flat[..., 2 * n :: step] += K.imag
+    flat[..., 2 * n + 1 :: step] -= K.real
     return H
 
 

@@ -251,29 +251,6 @@ def run_monte_carlo(
     )
 
 
-def estimate_stats(trials: np.ndarray):
-    """Unbiased mean/std over the last axis of a trial store.
-
-    Returns (mean, std); covariance between two flattened coefficient
-    indices is available via trial_covariance.
-    """
-    trials = np.asarray(trials)
-    if trials.shape[-1] < 2:
-        raise ValueError("need at least 2 trials for std estimation")
-    # anchor on the first trial so a constant sample gives std exactly 0
-    anchor = trials[..., :1]
-    shifted = trials - anchor
-    mean = anchor[..., 0] + shifted.mean(axis=-1)
-    return mean, shifted.std(axis=-1, ddof=1)
-
-
-def trial_covariance(trials: np.ndarray, idx_a, idx_b):
-    """Sample covariance between two coefficients of a trial store."""
-    a = trials[idx_a]
-    b = trials[idx_b]
-    return float(np.cov(a, b, ddof=1)[0, 1])
-
-
 @dataclass(frozen=True)
 class QQReport:
     """Paired quantiles of a sample against the fitted normal."""

@@ -5,9 +5,15 @@ Buses, branches and per-unit bases are read from a YAML description file
 in SI units on the data classes and converted to per-unit on demand, so a
 load/emit round trip is lossless.
 
-Flat node/phase ordering is bus-major, phase-minor:
+Node ordering.  Every per-node vector and matrix of the package (voltages,
+injections, the rows and columns of Y) is indexed by a flat node index,
+bus-major and phase-minor:
 ``(bus_0, ph_0), (bus_0, ph_1), ..., (bus_1, ph_0), ...``
-where buses keep the order they appear in the file.
+where buses keep the order they appear in the file.  The unknowns of the
+sensitivity system are the non-slack nodes in that order
+(``nonslack_flat_indices``).  ``NetworkModel`` owns this table:
+``flat_index`` maps a (bus index, phase) pair to its flat index and
+``node`` maps it back; no other module computes a position itself.
 """
 
 from __future__ import annotations
@@ -87,7 +93,11 @@ class Branch:
 
 @dataclass
 class NetworkModel:
-    """A polyphase network with one slack bus and PQ buses elsewhere."""
+    """A polyphase network with one slack bus and PQ buses elsewhere.
+
+    The bus -> position table is built once, at construction; change a
+    network with ``dataclasses.replace``, which builds a new one.
+    """
 
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
@@ -101,6 +111,7 @@ class NetworkModel:
     def __post_init__(self):
         self.buses = tuple(self.buses)
         self.branches = tuple(self.branches)
+        self._position = {bus.index: pos for pos, bus in enumerate(self.buses)}
         self.validate()
 
     # -- derived quantities -------------------------------------------------
@@ -119,10 +130,10 @@ class NetworkModel:
         return self.base_voltage_v**2 / self.base_power_va
 
     def bus_position(self, bus_index):
-        for pos, bus in enumerate(self.buses):
-            if bus.index == bus_index:
-                return pos
-        raise NetworkValidationError(f"no bus with index {bus_index}")
+        try:
+            return self._position[bus_index]
+        except KeyError:
+            raise NetworkValidationError(f"no bus with index {bus_index}") from None
 
     def flat_index(self, bus_index, phase=0):
         """Flat node index of (bus, phase) in bus-major ordering."""
@@ -130,14 +141,19 @@ class NetworkModel:
             raise NetworkValidationError(f"phase {phase} out of range")
         return self.bus_position(bus_index) * self.phase_count + phase
 
+    def node(self, flat):
+        """(bus index, phase) of a flat node index; inverse of flat_index."""
+        pos, phase = divmod(flat, self.phase_count)
+        return self.buses[pos].index, phase
+
     def slack_flat_indices(self):
-        base = self.bus_position(self.slack_bus) * self.phase_count
+        base = self.flat_index(self.slack_bus)
         return list(range(base, base + self.phase_count))
 
     def nonslack_flat_indices(self):
         """Flat indices of the PQ nodes: the unknowns, in order, of H."""
-        slack = self.slack_flat_indices()
-        return tuple(i for i in range(self.n_nodes) if i not in slack)
+        base = self.flat_index(self.slack_bus)
+        return tuple(range(base)) + tuple(range(base + self.phase_count, self.n_nodes))
 
     def slack_voltage_phasors(self):
         """Per-phase slack voltages; phases are spaced 120 degrees apart."""
@@ -153,13 +169,12 @@ class NetworkModel:
     def injections_pu(self):
         """Complex net injections S = P + jQ per node/phase, in per-unit."""
         s = np.zeros(self.n_nodes, dtype=complex)
-        for pos, bus in enumerate(self.buses):
-            if bus.kind == SLACK:
-                continue
-            for ph in range(self.phase_count):
-                s[pos * self.phase_count + ph] = (
-                    bus.p_kw[ph] * 1e3 + 1j * bus.q_kvar[ph] * 1e3
-                ) / self.base_power_va
+        s[list(self.nonslack_flat_indices())] = [
+            (p_kw * 1e3 + 1j * q_kvar * 1e3) / self.base_power_va
+            for bus in self.buses
+            if bus.kind == PQ
+            for p_kw, q_kvar in zip(bus.p_kw, bus.q_kvar)
+        ]
         return s
 
     # -- validation ---------------------------------------------------------
@@ -169,8 +184,7 @@ class NetworkModel:
             raise NetworkValidationError(
                 f"phase_count must be 1 or 3, got {self.phase_count}"
             )
-        indices = [b.index for b in self.buses]
-        if len(set(indices)) != len(indices):
+        if len(self._position) != len(self.buses):
             raise NetworkValidationError("duplicate bus indices")
         slacks = [b.index for b in self.buses if b.kind == SLACK]
         if len(slacks) != 1:
@@ -193,7 +207,7 @@ class NetworkModel:
                 raise NetworkValidationError(
                     f"branch {br.from_bus}-{br.to_bus} connects a bus to itself"
                 )
-            if br.from_bus not in indices or br.to_bus not in indices:
+            if br.from_bus not in self._position or br.to_bus not in self._position:
                 raise NetworkValidationError(
                     f"branch {br.from_bus}-{br.to_bus} references unknown bus"
                 )
@@ -202,21 +216,21 @@ class NetworkModel:
                     f"branch {br.from_bus}-{br.to_bus}: impedance block is "
                     f"{br.z_ohm.shape}, expected ({p}, {p})"
                 )
-        self._check_connected(indices)
+        self._check_connected()
 
-    def _check_connected(self, indices):
-        adjacency = {i: set() for i in indices}
+    def _check_connected(self):
+        adjacency = {i: set() for i in self._position}
         for br in self.branches:
             adjacency[br.from_bus].add(br.to_bus)
             adjacency[br.to_bus].add(br.from_bus)
-        seen = {indices[0]}
-        stack = [indices[0]]
+        seen = {self.slack_bus}
+        stack = [self.slack_bus]
         while stack:
             for nxt in adjacency[stack.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if len(seen) != len(indices):
+        if len(seen) != len(adjacency):
             raise NetworkValidationError("graph not connected")
 
 
@@ -224,25 +238,11 @@ class NetworkModel:
 class AdmittanceMatrix:
     """Dense compound admittance matrix in per-unit.
 
-    ``matrix`` is ``(p*N_b) x (p*N_b)`` complex, with the same bus-major
-    node ordering as :class:`NetworkModel`.
+    ``matrix`` is ``(p*N_b) x (p*N_b)`` complex, indexed by the flat node
+    ordering of :class:`NetworkModel` (see the module docstring).
     """
 
     matrix: np.ndarray
-    phase_count: int
-    bus_indices: tuple[int, ...]
-
-    @property
-    def n_nodes(self):
-        return self.matrix.shape[0]
-
-    def flat_index(self, bus_index, phase=0):
-        return self.bus_indices.index(bus_index) * self.phase_count + phase
-
-    def element(self, bus_i, bus_n, phase_i=0, phase_n=0):
-        return self.matrix[
-            self.flat_index(bus_i, phase_i), self.flat_index(bus_n, phase_n)
-        ]
 
 
 def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
@@ -264,17 +264,13 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
             )
         y = np.linalg.inv(z_pu)
         ysh = 1j * br.shunt_b_s * network.z_base_ohm / 2.0
-        f = network.bus_position(br.from_bus) * p
-        t = network.bus_position(br.to_bus) * p
+        f = network.flat_index(br.from_bus)
+        t = network.flat_index(br.to_bus)
         Y[f : f + p, f : f + p] += y + ysh
         Y[t : t + p, t : t + p] += y + ysh
         Y[f : f + p, t : t + p] -= y
         Y[t : t + p, f : f + p] -= y
-    return AdmittanceMatrix(
-        matrix=Y,
-        phase_count=p,
-        bus_indices=tuple(b.index for b in network.buses),
-    )
+    return AdmittanceMatrix(matrix=Y)
 
 
 # -- file input / output ----------------------------------------------------
@@ -466,19 +462,16 @@ def with_injections(network: NetworkModel, s_pu) -> NetworkModel:
     ``s_pu`` follows the flat node ordering; slack entries are ignored.
     Used by the finite-difference oracle to perturb single injections.
     """
-    s_pu = np.asarray(s_pu, dtype=complex)
-    p = network.phase_count
-    new_buses = []
-    for pos, bus in enumerate(network.buses):
-        if bus.kind == SLACK:
-            new_buses.append(bus)
-            continue
-        sl = s_pu[pos * p : (pos + 1) * p] * network.base_power_va
-        new_buses.append(
-            replace(
-                bus,
-                p_kw=tuple(float(v) for v in sl.real / 1e3),
-                q_kvar=tuple(float(v) for v in sl.imag / 1e3),
-            )
+    s_va = np.asarray(s_pu, dtype=complex) * network.base_power_va
+    per_bus = s_va.reshape(network.n_bus, network.phase_count)  # row = bus position
+    new_buses = tuple(
+        bus
+        if bus.kind == SLACK
+        else replace(
+            bus,
+            p_kw=tuple(float(v) for v in sl.real / 1e3),
+            q_kvar=tuple(float(v) for v in sl.imag / 1e3),
         )
-    return replace(network, buses=tuple(new_buses))
+        for bus, sl in zip(network.buses, per_bus)
+    )
+    return replace(network, buses=new_buses)

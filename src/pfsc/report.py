@@ -29,6 +29,8 @@ from .uncertainty import (
 )
 
 PRETTY_DECIMALS = 4
+#: the formats ``emit_report`` writes
+FORMATS = ("csv", "json", "pretty-text")
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,21 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("analytical", "mc", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not Path(self.network).exists():
-            raise ConfigError(f"network file not found: {self.network}")
-        if self.noise_config is not None and not Path(self.noise_config).exists():
-            raise ConfigError(f"noise config not found: {self.noise_config}")
+        _check_formats(self.formats)
+        paths = (("network file", self.network), ("noise config", self.noise_config))
+        for what, path in paths:
+            if path is None:
+                continue
+            if not Path(path).exists():
+                raise ConfigError(f"{what} not found: {path}")
+            if Path(path).is_dir():
+                raise ConfigError(f"{what} is a directory: {path}")
+
+
+def _check_formats(formats):
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ConfigError(f"unknown report format {fmt!r} (choose from {FORMATS})")
 
 
 @dataclass(frozen=True)
@@ -94,25 +107,24 @@ class ComparisonReport:
             return 100.0 * stds / np.abs(self.nominal)
 
 
-def coefficient_keys(problem, coefficients=None):
+def coefficient_keys(network, coefficients=None):
     """Keys and positions in x of the coefficients to report.
 
     Returns ``(keys, rows, cols)`` with ``x[rows, cols]`` the coefficients
-    of ``keys``, row-major over x.  ``coefficients`` keeps only the
-    ``(bus_i, bus_l, part, wrt)`` tuples it lists, for every phase pair of
-    those buses; None keeps the whole table.  An entry that selects
-    nothing (a slack or unknown bus, a part other than "re"/"im", a
-    ``wrt`` other than "P"/"Q") raises ConfigError.
+    of ``keys``, row-major over x, whose node k is the k-th non-slack node
+    of ``network`` (see ``pfsc.network`` for the ordering).
+    ``coefficients`` keeps only the ``(bus_i, bus_l, part, wrt)`` tuples it
+    lists, for every phase pair of those buses; None keeps the whole
+    table.  An entry that selects nothing (a slack or unknown bus, a part
+    other than "re"/"im", a ``wrt`` other than "P"/"Q") raises ConfigError.
     """
-    p = problem.phase_count
-    node_bus = [problem.bus_indices[f // p] for f in problem.nonslack]
-    node_phase = [f % p for f in problem.nonslack]
-    dim = 2 * len(node_bus)
+    nodes = [network.node(f) for f in network.nonslack_flat_indices()]
+    dim = 2 * len(nodes)
     if coefficients is None:
         keep = np.ones((dim, dim), dtype=bool)
     else:
         nodes_of = {}
-        for k, bus in enumerate(node_bus):
+        for k, (bus, _) in enumerate(nodes):
             nodes_of.setdefault(bus, []).append(k)
         keep = np.zeros((dim, dim), dtype=bool)
         for entry in coefficients:
@@ -131,8 +143,7 @@ def coefficient_keys(problem, coefficients=None):
     rows, cols = np.nonzero(keep)
     keys = [
         CoefficientKey(
-            node_bus[r // 2], node_phase[r // 2], PARTS[r % 2],
-            node_bus[c // 2], node_phase[c // 2], INJECTIONS[c % 2],
+            *nodes[r // 2], PARTS[r % 2], *nodes[c // 2], INJECTIONS[c % 2]
         )
         for r, c in zip(rows.tolist(), cols.tolist())
     ]
@@ -159,7 +170,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
 
     polar = it_class_to_polar(cfg.it_class, load_noise_config(cfg.noise_config))
 
-    keys, rows, cols = coefficient_keys(problem, cfg.coefficients)
+    keys, rows, cols = coefficient_keys(network, cfg.coefficients)
     report = ComparisonReport(
         keys=keys,
         nominal=result.x[rows, cols],
@@ -169,7 +180,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
             "it_class": str(cfg.it_class),
             "seed": cfg.seed,
             "mode": cfg.mode,
-            "phase_count": problem.phase_count,
+            "phase_count": network.phase_count,
         },
     )
 
@@ -204,6 +215,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     JSON: a single file carrying all levels plus percents and timings.
     Pretty text: fixed-point table, 4 decimals.
     """
+    _check_formats(formats)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -273,11 +285,9 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             written.append(path)
-        elif fmt == "pretty-text":
+        else:  # pretty-text
             path = out_dir / "report.txt"
             written.append(_emit_pretty(report, labels, levels, n_mcs, path))
-        else:
-            raise ConfigError(f"unknown report format {fmt!r}")
     return written
 
 

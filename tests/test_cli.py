@@ -4,6 +4,7 @@ import json
 import pytest
 
 import pfsc
+from pfsc import cli
 from pfsc.cli import main
 
 NETWORK = str(pfsc.bundled_network_path("ieee4_balanced"))
@@ -32,6 +33,43 @@ def test_missing_network_file(capsys):
     code, _, err = run(capsys, "solve", "--network", "/no/such.yaml")
     assert code == 1
     assert "no/such.yaml" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--network", "{dir}"),
+        ("pfsc", "--network", "{dir}"),
+        ("report", "--network", "{dir}", "--out", "{out}"),
+        ("propagate", "--network", NETWORK, "--noise-config", "{dir}"),
+        ("mc", "--network", NETWORK, "--nmc", "5", "--noise-config", "{dir}"),
+        ("report", "--network", NETWORK, "--noise-config", "{dir}", "--out", "{out}"),
+    ],
+    ids=[
+        "solve-network", "pfsc-network", "report-network",
+        "propagate-noise", "mc-noise", "report-noise",
+    ],
+)
+def test_directory_path_is_config_error(capsys, tmp_path, argv):
+    argv = [a.format(dir=tmp_path, out=tmp_path / "out") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"pfsc {argv[0]}: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_unknown_format_before_any_work(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_pipeline", lambda cfg: pytest.fail("pipeline ran"))
+    out = tmp_path / "out"
+    code, stdout, err = run(
+        capsys, "report", "--network", NETWORK, "--format", "csv,jsn",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert "'jsn'" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_pfsc_csv(capsys, tmp_path):

@@ -157,13 +157,8 @@ def _svd_matrix(singular_values, seed=None):
 
 def _problem_of(H):
     n = H.shape[0] // 2
-    return SensitivityProblem(
-        H=H,
-        signs=np.tile([1.0, -1.0], n),
-        nonslack=tuple(range(1, n + 1)),
-        phase_count=1,
-        bus_indices=tuple(range(1, n + 2)),
-    )
+    # the gate reads H and the signs only; no node position is looked up
+    return SensitivityProblem(H=H, signs=np.tile([1.0, -1.0], n), network=None)
 
 
 class TestConditionGate:

@@ -142,6 +142,37 @@ def test_jacobian_matches_central_difference(feeder):
         assert np.linalg.norm(fd - lin) <= 1e-9 * np.linalg.norm(lin)
 
 
+def _jacobian_dense_b(Ym, E, nonslack):
+    """The former assembly: diag(Y E) as a dense complex B added to all four blocks."""
+    ns = np.asarray(nonslack, dtype=np.intp)
+    n = len(ns)
+    K = (Ym @ E[..., None])[..., 0]
+    A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]
+    B = np.zeros(A.shape, dtype=complex)
+    B[..., np.arange(n), np.arange(n)] = K[..., ns]
+    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    H[..., 0::2, 0::2] = A.real + B.real
+    H[..., 0::2, 1::2] = -A.imag + B.imag
+    H[..., 1::2, 0::2] = A.imag + B.imag
+    H[..., 1::2, 1::2] = A.real - B.real
+    return H
+
+
+@pytest.mark.parametrize("feeder", sorted(FEEDERS))
+def test_jacobian_matches_dense_b_form(feeder):
+    # equal under ==, single and stacked; the sign of a zero entry is not
+    # pinned (adding the dense form's zero B turned -0.0 into +0.0)
+    net = FEEDERS[feeder]()
+    Y = pfsc.build_admittance(net)
+    E = solve_load_flow(net, Y).voltages
+    ns = net.nonslack_flat_indices()
+    rng = np.random.default_rng(2)
+    Y_k = Y.matrix + 1e-3 * rng.standard_normal((3,) + Y.matrix.shape)
+    E_k = E + 1e-3 * rng.standard_normal((3,) + E.shape)
+    for Ym, E_ in ((Y.matrix, E), (Y_k, E_k), (Y_k, E)):
+        assert np.array_equal(jacobian(Ym, E_, ns), _jacobian_dense_b(Ym, E_, ns))
+
+
 def _reference_jacobian(E, Ym, pq):
     """Jacobian of [Re S; Im S] w.r.t. [Re E; Im E], built apart from ``jacobian``."""
     n = len(pq)

@@ -24,7 +24,9 @@ class TestBuildAdmittance:
         br12 = ieee4.branches[0]
         z_pu = br12.z_ohm[0, 0] / ieee4.z_base_ohm
         assert Y.matrix.shape == (4, 4)
-        np.testing.assert_allclose(Y.element(1, 2), -1.0 / z_pu, rtol=1e-12)
+        np.testing.assert_allclose(
+            Y.matrix[ieee4.flat_index(1), ieee4.flat_index(2)], -1.0 / z_pu, rtol=1e-12
+        )
 
     def test_degenerate_branch(self):
         with pytest.raises(DegenerateBranchError, match="degenerate branch"):

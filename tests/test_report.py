@@ -2,11 +2,14 @@ import csv
 import json
 import re
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 
 import pfsc
 from pfsc.errors import ConfigError
+from pfsc.network import Branch
 from pfsc.report import (
     CoefficientKey,
     RunConfig,
@@ -44,6 +47,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="noise config"):
             small_cfg(noise_config="/no/such/noise.yaml")
 
+    def test_network_directory(self, tmp_path):
+        with pytest.raises(ConfigError, match="network file is a directory"):
+            small_cfg(network=str(tmp_path))
+
+    @pytest.mark.parametrize("path", ["{dir}", ""])
+    def test_noise_config_directory(self, tmp_path, path):
+        # an empty path is the working directory
+        with pytest.raises(ConfigError, match="noise config is a directory"):
+            small_cfg(noise_config=path.format(dir=tmp_path))
+
+    def test_unknown_format(self):
+        with pytest.raises(ConfigError, match="unknown report format 'jsn'"):
+            small_cfg(formats=("csv", "jsn"))
+
 
 class TestCoefficientKey:
     def test_single_phase_label(self):
@@ -57,8 +74,13 @@ class TestCoefficientKey:
 
 def brute_force_keys(problem, coefficients=None):
     """Nested-loop enumeration of the report keys, row-major over x."""
-    p = problem.phase_count
-    pairs = [(problem.bus_indices[f // p], f % p) for f in problem.nonslack]
+    net = problem.network
+    pairs = [
+        (bus.index, ph)
+        for bus in net.buses
+        if bus.index != net.slack_bus
+        for ph in range(net.phase_count)
+    ]
     wanted = None if coefficients is None else {tuple(c) for c in coefficients}
     keys, rows, cols = [], [], []
     for bus_i, ph_i in pairs:
@@ -91,8 +113,9 @@ class TestCoefficientKeys:
         ],
     )
     def test_matches_brute_force(self, ieee4, three_phase, coefficients):
-        problem = _problem(make_three_phase_balanced() if three_phase else ieee4)
-        keys, rows, cols = coefficient_keys(problem, coefficients)
+        net = make_three_phase_balanced() if three_phase else ieee4
+        problem = _problem(net)
+        keys, rows, cols = coefficient_keys(net, coefficients)
         ref_keys, ref_rows, ref_cols = brute_force_keys(problem, coefficients)
         assert keys == ref_keys
         assert rows.tolist() == ref_rows
@@ -109,14 +132,84 @@ class TestCoefficientKeys:
         ],
     )
     def test_entry_selecting_nothing_raises(self, ieee4, entry):
-        problem = _problem(ieee4)
         with pytest.raises(ConfigError, match=re.escape(repr(entry))):
-            coefficient_keys(problem, ((2, 3, "re", "Q"), entry))
+            coefficient_keys(ieee4, ((2, 3, "re", "Q"), entry))
 
     def test_pipeline_rejects_entry_selecting_nothing(self):
         cfg = small_cfg(coefficients=((99, 2, "re", "P"),), mode="analytical")
         with pytest.raises(ConfigError, match="selects nothing"):
             run_pipeline(cfg)
+
+
+def _renumbered(net, numbers):
+    """``net`` with its bus list reversed (slack last) and bus i renamed
+    ``numbers[i]``."""
+    branches = tuple(
+        Branch(
+            numbers[br.from_bus], numbers[br.to_bus], br.z_ohm, br.shunt_b_s,
+            br.length_km,
+        )
+        for br in net.branches
+    )
+    return replace(
+        net,
+        buses=tuple(replace(b, index=numbers[b.index]) for b in reversed(net.buses)),
+        branches=branches,
+        slack_bus=numbers[net.slack_bus],
+    )
+
+
+class TestBusOrder:
+    """Reports do not depend on where a bus sits in the file or its number."""
+
+    NUMBERS = {1: 40, 2: 7, 3: 1000, 4: 23}
+
+    @staticmethod
+    def _by_key(network, tmp_path, numbers=None):
+        """{key: (nominal, analytical std)} of the report, buses renamed by numbers."""
+        path = tmp_path / "net.yaml"
+        pfsc.emit_network(network, path)
+        report = run_pipeline(small_cfg(network=str(path), mode="analytical"))
+        numbers = numbers or {b.index: b.index for b in network.buses}
+        return {
+            astuple(replace(k, bus_i=numbers[k.bus_i], bus_l=numbers[k.bus_l])): (
+                report.nominal[i], report.analytical[1.0][i]
+            )
+            for i, k in enumerate(report.keys)
+        }
+
+    @pytest.mark.parametrize("three_phase", [False, True])
+    def test_reversed_and_renumbered(self, ieee4, three_phase, tmp_path):
+        net = make_three_phase_balanced() if three_phase else ieee4
+        moved = _renumbered(net, self.NUMBERS)
+        assert moved.buses[-1].index == moved.slack_bus
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        want = self._by_key(net, tmp_path / "a", self.NUMBERS)
+        got = self._by_key(moved, tmp_path / "b")
+        assert set(got) == set(want)
+        keys = sorted(want)
+        np.testing.assert_allclose(
+            [got[k] for k in keys], [want[k] for k in keys], rtol=1e-10, atol=0
+        )
+
+        Y = pfsc.build_admittance(moved)
+        state = pfsc.solve_load_flow(moved, Y)
+        problem = pfsc.assemble_problem(Y, state, moved)
+        keys, rows, cols = coefficient_keys(moved)
+        for key, r, c in zip(keys, rows.tolist(), cols.tolist()):
+            assert r == problem.row(key.bus_i, key.phase_i, key.part)
+            assert c == problem.column(key.bus_l, key.phase_l, key.wrt)
+        columns = {}
+        for key in keys:
+            columns.setdefault((key.bus_l, key.phase_l, key.wrt), []).append(key)
+        for (bus_l, ph_l, wrt), col_keys in columns.items():
+            fd = pfsc.finite_difference_oracle(moved, Y, bus_l, ph_l, wrt, state=state)
+            for key in col_keys:
+                d = fd[moved.flat_index(key.bus_i, key.phase_i)]
+                ref = d.real if key.part == "re" else d.imag
+                nominal, _ = got[astuple(key)]
+                assert abs(nominal - ref) <= 1e-3 * max(abs(d), 1e-9)
 
 
 class TestPipeline:
