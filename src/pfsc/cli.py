@@ -22,7 +22,7 @@ from .errors import LoadFlowError, PfscError, SingularSystemError
 from .loadflow import solve_load_flow
 from .montecarlo import MCConfig, run_monte_carlo
 from .network import build_admittance, load_network
-from .report import RunConfig, coefficient_keys, emit_report, run_pipeline
+from .report import FORMATS, RunConfig, coefficient_keys, emit_report, run_pipeline
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
@@ -195,50 +195,49 @@ def build_parser():
     parser = _Parser(prog="pfsc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, noise=False):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--network", required=True, help="network YAML file")
-        p.add_argument("--out", default=None, help="output file or directory")
+        p.set_defaults(func=func)
+        return p
+
+    def table(p):
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def noise(p):
         p.add_argument(
-            "--format", default="csv", help="output format (csv, json)"
+            "--noise-config",
+            default=None,
+            help=f"noise YAML (also searched in ${CONFIG_DIR_ENV})",
         )
-        if noise:
-            p.add_argument(
-                "--noise-config",
-                default=None,
-                help=f"noise YAML (also searched in ${CONFIG_DIR_ENV})",
-            )
-            p.add_argument("--it-class", default="0.5")
-            p.add_argument("--sigma-y-pct", type=float, default=1.0)
-            p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--it-class", default="0.5")
 
-    p = sub.add_parser("solve", help="run the load flow")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
+    command("solve", _cmd_solve, "run the load flow")
 
-    p = sub.add_parser("pfsc", help="voltage sensitivity coefficients")
-    common(p)
-    p.set_defaults(func=_cmd_pfsc)
+    table(command("pfsc", _cmd_pfsc, "voltage sensitivity coefficients"))
 
-    p = sub.add_parser("propagate", help="analytical coefficient stds")
-    common(p, noise=True)
-    p.set_defaults(func=_cmd_propagate)
+    p = command("propagate", _cmd_propagate, "analytical coefficient stds")
+    table(p)
+    noise(p)
+    p.add_argument("--sigma-y-pct", type=float, default=1.0)
 
-    p = sub.add_parser("mc", help="Monte-Carlo coefficient stds")
-    common(p, noise=True)
+    p = command("mc", _cmd_mc, "Monte-Carlo coefficient stds")
+    table(p)
+    noise(p)
+    p.add_argument("--sigma-y-pct", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--nmc", type=int, default=1000)
     p.add_argument(
         "--dump-trials", default=None, help="CSV path for the raw trial store"
     )
-    p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("report", help="full comparison pipeline")
-    common(p)
+    p = command("report", _cmd_report, "full comparison pipeline")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--noise-config",
-        default=None,
-        help=f"noise YAML (also searched in ${CONFIG_DIR_ENV})",
+        "--format", default="csv", help=f"comma-separated list of {', '.join(FORMATS)}"
     )
-    p.add_argument("--it-class", default="0.5")
+    noise(p)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--nmc", type=int, nargs="+", default=[1000])
     p.add_argument(
@@ -251,15 +250,11 @@ def build_parser():
     p.add_argument(
         "--mode", choices=("analytical", "mc", "both"), default="both"
     )
-    p.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "report" and not args.out:
-        parser.error("report requires --out")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (LoadFlowError, SingularSystemError) as exc:

@@ -107,11 +107,8 @@ class SensitivityResult:
 def assemble_problem(
     Y: AdmittanceMatrix, state: GridState, network: NetworkModel
 ) -> SensitivityProblem:
-    """Build H and z at a converged operating point."""
-    if not state.converged:
-        raise ValueError("operating point is not converged")
-    E = state.voltages
-    return assemble_from_raw(Y.matrix, E, network)
+    """Build H and z at the load-flow operating point ``state``."""
+    return assemble_from_raw(Y.matrix, state.voltages, network)
 
 
 def assemble_from_raw(

@@ -32,18 +32,17 @@ class GridState:
     """Nodal voltage phasors (per-unit) at an operating point."""
 
     voltages: np.ndarray  # complex, length p*N_b, bus-major ordering
-    converged: bool
     mismatch: np.ndarray  # complex power residual per node/phase
-    iterations: int = 0
+    iterations: int
 
     @property
     def max_mismatch(self):
         return float(np.max(np.abs(self.mismatch)))
 
 
-def nodal_power(voltages, Y: AdmittanceMatrix | np.ndarray):
+def nodal_power(voltages, Y: AdmittanceMatrix):
     """Apparent power injected at each node/phase: S_i = E_i * conj((Y E)_i)."""
-    Ym = Y.matrix if isinstance(Y, AdmittanceMatrix) else np.asarray(Y)
+    Ym = Y.matrix
     E = np.asarray(voltages, dtype=complex)
     if Ym.shape != (E.size, E.size):
         raise ValueError(
@@ -85,13 +84,12 @@ def solve_load_flow(
     network: NetworkModel,
     Y: AdmittanceMatrix,
     initial: GridState | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> GridState:
     """Newton-Raphson load flow with PQ buses and one slack bus.
 
-    Raises LoadFlowError on non-convergence (carrying the last mismatch)
-    or on a singular Jacobian.
+    Converged once the largest power mismatch is at most DEFAULT_TOL.
+    Raises LoadFlowError on non-convergence within DEFAULT_MAX_ITER
+    iterations (carrying the last mismatch) or on a singular Jacobian.
     """
     Ym = Y.matrix
     slack = network.slack_flat_indices()
@@ -104,13 +102,11 @@ def solve_load_flow(
         E = initial.voltages.astype(complex).copy()
     E[slack] = phasors
 
-    mismatch = s_spec - nodal_power(E, Ym)
+    mismatch = s_spec - nodal_power(E, Y)
     mismatch[slack] = 0.0
-    for it in range(1, max_iter + 1):
-        if np.max(np.abs(mismatch)) <= tol:
-            return GridState(
-                voltages=E, converged=True, mismatch=mismatch, iterations=it - 1
-            )
+    for it in range(1, DEFAULT_MAX_ITER + 1):
+        if np.max(np.abs(mismatch)) <= DEFAULT_TOL:
+            return GridState(voltages=E, mismatch=mismatch, iterations=it - 1)
         rhs = np.empty(2 * len(pq))  # realified conj(mismatch)
         rhs[0::2] = mismatch[pq].real
         rhs[1::2] = -mismatch[pq].imag
@@ -121,11 +117,11 @@ def solve_load_flow(
                 f"singular load-flow Jacobian at iteration {it}", mismatch=mismatch
             ) from exc
         E[pq] += step[0::2] + 1j * step[1::2]
-        mismatch = s_spec - nodal_power(E, Ym)
+        mismatch = s_spec - nodal_power(E, Y)
         mismatch[slack] = 0.0
 
     raise LoadFlowError(
-        f"load flow did not converge in {max_iter} iterations "
+        f"load flow did not converge in {DEFAULT_MAX_ITER} iterations "
         f"(last max mismatch {np.max(np.abs(mismatch)):.3e} pu)",
         mismatch=mismatch,
     )

@@ -213,8 +213,6 @@ def run_monte_carlo(
     Trials whose solve is singular or not finite are dropped and counted
     in ``trials_failed``.
     """
-    if not state.converged:
-        raise ValueError("nominal operating point is not converged")
     if cfg.symmetry_mode == BRANCH_PARAMETER and cfg.yu.level_pct is None:
         raise ConfigError("branch-parameter mode needs a relative level_pct")
     E0 = state.voltages
@@ -258,11 +256,10 @@ class QQReport:
     theoretical: np.ndarray
     empirical: np.ndarray
     correlation: float
-    threshold: float = 0.999
 
     @property
     def looks_normal(self):
-        return self.correlation >= self.threshold
+        return self.correlation >= 0.999
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -272,11 +269,11 @@ class QQReport:
                 writer.writerow([repr(float(t)), repr(float(e))])
 
 
-def qq_normality_check(samples, threshold=0.999) -> QQReport:
+def qq_normality_check(samples) -> QQReport:
     """Ordered sample values against normal quantiles (Blom positions).
 
     The correlation coefficient of the QQ line is the summary statistic;
-    values >= threshold are treated as consistent with normality.
+    values >= 0.999 are treated as consistent with normality.
     """
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
@@ -286,9 +283,4 @@ def qq_normality_check(samples, threshold=0.999) -> QQReport:
     positions = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
     theoretical = stats.norm.ppf(positions)
     corr = float(np.corrcoef(theoretical, empirical)[0, 1])
-    return QQReport(
-        theoretical=theoretical,
-        empirical=empirical,
-        correlation=corr,
-        threshold=threshold,
-    )
+    return QQReport(theoretical=theoretical, empirical=empirical, correlation=corr)

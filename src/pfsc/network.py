@@ -301,6 +301,20 @@ def _impedance_block(entry, key_r, key_x, p, what):
     return r + 1j * x
 
 
+def _entries(raw, section, keys, path):
+    """The entries of a list section, each a mapping that holds ``keys``."""
+    entries = raw[section]
+    if not isinstance(entries, list):
+        raise NetworkParseError(f"{path}: {section} must be a list of mappings")
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise NetworkParseError(f"{path}: {section}[{pos}] is not a mapping")
+        for key in keys:
+            if key not in entry:
+                raise NetworkParseError(f"{path}: {section}[{pos}] is missing {key!r}")
+    return entries
+
+
 def load_network(path) -> NetworkModel:
     """Load a network description file.
 
@@ -324,7 +338,8 @@ def load_network(path) -> NetworkModel:
     lists otherwise); branch impedances in ohms (p x p nested lists for
     ``phases: 3``).  Net injection = generation - load; generation
     positive.  Either the load/gen split or the net ``p_kw``/``q_kvar``
-    may be given per bus, not both.
+    may be given per bus, not both; an omitted field is zero on every
+    phase.
     """
     try:
         with open(path) as fh:
@@ -353,7 +368,8 @@ def load_network(path) -> NetworkModel:
 
     buses = []
     slack_index = None
-    for entry in raw["buses"]:
+    zeros = 0.0 if p == 1 else [0.0] * p  # an omitted power field, per phase
+    for entry in _entries(raw, "buses", ("index",), path):
         idx = int(entry["index"])
         kind = entry.get("kind", PQ)
         if kind == SLACK:
@@ -369,10 +385,9 @@ def load_network(path) -> NetworkModel:
                 f"bus {idx}: give either p_kw/q_kvar or load/gen fields, not both"
             )
         if has_net:
-            p_kw = _per_phase(entry.get("p_kw", 0.0), p, f"bus {idx} p_kw")
-            q_kvar = _per_phase(entry.get("q_kvar", 0.0), p, f"bus {idx} q_kvar")
+            p_kw = _per_phase(entry.get("p_kw", zeros), p, f"bus {idx} p_kw")
+            q_kvar = _per_phase(entry.get("q_kvar", zeros), p, f"bus {idx} q_kvar")
         else:
-            zeros = 0.0 if p == 1 else [0.0] * p
             load_p = _per_phase(entry.get("load_kw", zeros), p, f"bus {idx} load_kw")
             load_q = _per_phase(entry.get("load_kvar", zeros), p, f"bus {idx} load_kvar")
             gen_p = _per_phase(entry.get("gen_kw", zeros), p, f"bus {idx} gen_kw")
@@ -385,7 +400,7 @@ def load_network(path) -> NetworkModel:
         raise NetworkValidationError("exactly one slack bus required, found 0")
 
     branches = []
-    for entry in raw["branches"]:
+    for entry in _entries(raw, "branches", ("from", "to"), path):
         what = f"branch {entry.get('from')}-{entry.get('to')}"
         z = _impedance_block(entry, "r_ohm", "x_ohm", p, what)
         shunt = entry.get("shunt_b_s")

@@ -16,6 +16,7 @@ handled exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -79,13 +80,12 @@ class AdmittanceUncertainty:
             raise ConfigError("admittance stds must be nonnegative")
 
     @classmethod
-    def from_relative(cls, Y: AdmittanceMatrix | np.ndarray, level_pct: float):
+    def from_relative(cls, Y: AdmittanceMatrix, level_pct: float):
         """Both stds set to ``level_pct`` percent of |element|.
 
         Structurally zero elements keep zero std.
         """
-        Ym = Y.matrix if isinstance(Y, AdmittanceMatrix) else np.asarray(Y)
-        sigma = np.abs(Ym) * (level_pct / 100.0)
+        sigma = np.abs(Y.matrix) * (level_pct / 100.0)
         return cls(sigma_re=sigma, sigma_im=sigma.copy(), level_pct=level_pct)
 
     @classmethod
@@ -97,41 +97,62 @@ class AdmittanceUncertainty:
 # -- IT class table ----------------------------------------------------------
 
 
+#: the keys of one IT class entry, worst-case limits
+CLASS_LIMITS = ("magnitude_pct", "phase_rad")
+
+
 def load_noise_config(path=None):
     """Read a noise configuration file; None reads the bundled table.
 
-    Expected keys: ``it_classes`` mapping class labels to
-    ``{magnitude_pct, phase_rad}`` worst-case limits, and optionally
-    ``admittance_sigma_pct``.
+    The file holds one key, ``it_classes``, mapping string class labels
+    to ``{magnitude_pct, phase_rad}`` worst-case limits given as finite
+    numbers.  A custom class is one more entry.  Any other content raises
+    ConfigError naming the offending key or class.
     """
     if path is None:
         path = resources.files("pfsc.data").joinpath("noise_classes.yaml")
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "it_classes" not in raw:
         raise ConfigError(f"{path}: missing it_classes table")
+    for key in raw:
+        if key != "it_classes":
+            raise ConfigError(f"{path}: unknown key {key!r} (only it_classes is read)")
+    classes = raw["it_classes"]
+    if not isinstance(classes, dict):
+        raise ConfigError(f"{path}: it_classes must map class labels to limits")
+    for label, entry in classes.items():
+        what = f"{path}: IT class {label!r}"
+        if not isinstance(label, str):
+            raise ConfigError(f"{what}: the label must be a string (quote it)")
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{what} must be a mapping of {', '.join(CLASS_LIMITS)}")
+        for key in entry:
+            if key not in CLASS_LIMITS:
+                raise ConfigError(f"{what}: unknown key {key!r}")
+        for key in CLASS_LIMITS:
+            if key not in entry:
+                raise ConfigError(f"{what}: missing {key}")
+            value = entry[key]
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{what}: {key} must be a number, not {value!r}")
     return raw
 
 
-def it_class_to_polar(class_label, config=None, magnitude_pct=None,
-                      phase_rad=None) -> PolarNoiseSpec:
+def it_class_to_polar(class_label, config=None) -> PolarNoiseSpec:
     """Polar stds from an instrument-transformer accuracy class.
 
     The class worst-case limits (magnitude in percent, phase in radians)
-    are read from ``config`` and interpreted as 3-sigma bounds, so the
-    returned stds are limit/3.  ``class_label`` "custom" takes the limits
-    from the keyword arguments instead.
+    are read from ``config``, as ``load_noise_config`` returns it (None
+    reads the bundled table), and interpreted as 3-sigma bounds, so the
+    returned stds are limit/3.
     """
-    if str(class_label) == "custom":
-        if magnitude_pct is None or phase_rad is None:
-            raise ConfigError("custom IT class needs magnitude_pct and phase_rad")
-        return PolarNoiseSpec(
-            sigma_rho=magnitude_pct / 100.0 / 3.0,
-            sigma_theta=phase_rad / 3.0,
-        )
     if config is None:
         config = load_noise_config()
-    classes = config.get("it_classes", config)
+    classes = config["it_classes"]
     entry = classes.get(str(class_label))
     if entry is None:
         known = ", ".join(sorted(classes))
@@ -212,8 +233,8 @@ def propagate_to_H(
     for every bilinear pairing (default off; the first-order form is the
     operating regime of the propagation).
     """
-    Ym = Y.matrix if isinstance(Y, AdmittanceMatrix) else np.asarray(Y)
-    E = state.voltages if isinstance(state, GridState) else np.asarray(state)
+    Ym = Y.matrix
+    E = state.voltages
     ns = np.array(problem.nonslack, dtype=np.intp)
     block = (ns[:, None], ns)  # the (nonslack, nonslack) block of an (m, m) array
     n = len(ns)

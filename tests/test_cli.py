@@ -198,6 +198,100 @@ def test_report_requires_out(capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--out", "x.csv"), "unrecognized arguments: --out x.csv"),
+        (("solve", "--format", "json"), "unrecognized arguments: --format json"),
+        (("propagate", "--seed", "3"), "unrecognized arguments: --seed 3"),
+        (("pfsc", "--format", "xml"), "invalid choice: 'xml'"),
+        (("propagate", "--format", "pretty-text"), "invalid choice: 'pretty-text'"),
+        (("mc", "--format", "xml"), "invalid choice: 'xml'"),
+        (("report",), "the following arguments are required: --out"),
+    ],
+    ids=["solve-out", "solve-format", "propagate-seed", "pfsc-format",
+         "propagate-format", "mc-format", "report-no-out"],
+)
+def test_unused_settings_are_usage_errors(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main([argv[0], "--network", NETWORK, *argv[1:]])
+    assert excinfo.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_custom_it_class_names_known_classes(capsys):
+    code, out, err = run(capsys, "propagate", "--network", NETWORK, "--it-class", "custom")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "pfsc propagate: unknown IT class 'custom' (known: 0.1, 0.2, 0.5, 1.0)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("it_classes:\n  '0.5': {magnitude_pct: 0.5, phase_rad: 0.006}\n"
+         "admittance_sigma_pct: 1.0\n", "unknown key 'admittance_sigma_pct'"),
+        ("it_classes:\n  '0.5': {magnitude_pct: 0.5}\n",
+         "IT class '0.5': missing phase_rad"),
+    ],
+    ids=["unread-key", "missing-phase"],
+)
+def test_malformed_noise_config_is_one_line(capsys, tmp_path, text, message):
+    cfg = tmp_path / "noise.yaml"
+    cfg.write_text(text)
+    code, out, err = run(
+        capsys, "propagate", "--network", NETWORK, "--noise-config", str(cfg)
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pfsc propagate: ") and message in err
+
+
+def test_subcommands_agree_with_report(capsys, tmp_path):
+    # pfsc, propagate and mc run their own orchestration beside run_pipeline;
+    # on one seed, level and trial count their columns equal the report's
+    level, seed, nmc = "2.0", "5", "40"
+
+    def table(*argv):
+        out_file = tmp_path / f"{argv[0]}.csv"
+        code, _, _ = run(capsys, *argv, "--network", NETWORK, "--out", str(out_file))
+        assert code == 0
+        with open(out_file) as fh:
+            return {
+                f"{r['part']}(dE{r['bus_i']}/d{r['wrt']}{r['bus_l']})": r
+                for r in csv.DictReader(fh)
+            }
+
+    nominal = table("pfsc")
+    sigma = table("propagate", "--sigma-y-pct", level)
+    sigma_mc = table("mc", "--sigma-y-pct", level, "--seed", seed, "--nmc", nmc)
+    code, _, _ = run(
+        capsys, "report", "--network", NETWORK, "--mode", "both",
+        "--sigma-y-pct", level, "--seed", seed, "--nmc", nmc,
+        "--format", "json", "--out", str(tmp_path / "rep"),
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "rep" / "report.json").read_text())
+    labels = doc["coefficients"]
+    assert len(labels) == 36
+    assert set(labels) == set(nominal) == set(sigma) == set(sigma_mc)
+    columns = (
+        (nominal, "value", doc["nominal_pu"]),
+        (sigma, "sigma", doc["analytical"][level]["std"]),
+        (sigma_mc, "sigma_mc", doc["monte_carlo"][f"{level}|{nmc}"]["std"]),
+    )
+    for rows, column, expected in columns:
+        for label, want in zip(labels, expected):
+            assert float(rows[label][column]) == want, (column, label)
+
+
 def test_report_end_to_end(capsys, tmp_path):
     code, out, _ = run(
         capsys,
@@ -235,7 +329,6 @@ def test_noise_config_dir_env(capsys, tmp_path, monkeypatch):
         "  '0.5':\n"
         "    magnitude_pct: 0.5\n"
         "    phase_rad: 0.006\n"
-        "admittance_sigma_pct: 1.0\n"
     )
     monkeypatch.setenv("PFSC_CONFIG_DIR", str(tmp_path))
     code, out, _ = run(

@@ -42,14 +42,6 @@ class TestAssemble:
             assert qcol[problem.row(bus, part="im")] == -1.0
         assert set(np.unique(problem.z)) <= {-1.0, 0.0, 1.0}
 
-    def test_unconverged_state_rejected(self, ieee4_solved):
-        from dataclasses import replace
-
-        net, Y, state = ieee4_solved
-        bad = replace(state, converged=False)
-        with pytest.raises(ValueError, match="not converged"):
-            assemble_problem(Y, bad, net)
-
     @pytest.mark.parametrize("part", ["Re", "x"])
     def test_row_rejects_unknown_part(self, ieee4_solved, part):
         net, Y, state = ieee4_solved

@@ -194,7 +194,7 @@ def _reference_load_flow(net, Y, tol=1e-8, max_iter=50):
     pq = [i for i in range(net.n_nodes) if i not in slack]
     s_spec = net.injections_pu()
     E = np.tile(net.slack_voltage_phasors(), net.n_bus)
-    mismatch = s_spec - nodal_power(E, Ym)
+    mismatch = s_spec - nodal_power(E, Y)
     mismatch[slack] = 0.0
     for it in range(1, max_iter + 1):
         if np.max(np.abs(mismatch)) <= tol:
@@ -204,7 +204,7 @@ def _reference_load_flow(net, Y, tol=1e-8, max_iter=50):
         rhs[1::2] = mismatch[pq].imag
         step = np.linalg.solve(_reference_jacobian(E, Ym, pq), rhs)
         E[pq] += step[0::2] + 1j * step[1::2]
-        mismatch = s_spec - nodal_power(E, Ym)
+        mismatch = s_spec - nodal_power(E, Y)
         mismatch[slack] = 0.0
     raise AssertionError("reference load flow did not converge")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,58 @@ branches:
         )
         with pytest.raises(NetworkParseError, match="impedance block"):
             load_network(path)
+
+    @pytest.mark.parametrize(
+        "buses, branches, message",
+        [
+            ("[{kind: slack}, {index: 2}]", "[{from: 1, to: 2}]",
+             "buses[0] is missing 'index'"),
+            ("[{index: 1, kind: slack}, {index: 2}]", "[{to: 2}]",
+             "branches[0] is missing 'from'"),
+            ("[{index: 1, kind: slack}, {index: 2}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}, {from: 2}]",
+             "branches[1] is missing 'to'"),
+            ("3", "[{from: 1, to: 2}]", "buses must be a list of mappings"),
+            ("[{index: 1, kind: slack}, 2]", "[{from: 1, to: 2}]",
+             "buses[1] is not a mapping"),
+            ("[{index: 1, kind: slack}, {index: 2}]", "{from: 1, to: 2}",
+             "branches must be a list of mappings"),
+        ],
+        ids=["bus-index", "branch-from", "branch-to", "buses-scalar",
+             "bus-scalar", "branches-mapping"],
+    )
+    def test_malformed_entries(self, tmp_path, buses, branches, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            f"buses: {buses}\nbranches: {branches}\n"
+        )
+        with pytest.raises(NetworkParseError, match=re.escape(message)):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "net, split",
+        [
+            ("p_kw: [-10, -10, -10]", "load_kw: [10, 10, 10]"),
+            ("q_kvar: [5, 5, 5]", "gen_kvar: [5, 5, 5]"),
+        ],
+    )
+    def test_three_phase_net_form_defaults_per_phase(self, tmp_path, net, split):
+        # an omitted net field is per-phase zeros, as in the load/gen form
+        def load(fields):
+            path = tmp_path / "net.yaml"
+            path.write_text(
+                "phases: 3\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+                "buses:\n  - {index: 1, kind: slack}\n"
+                f"  - {{index: 2, {fields}}}\n"
+                "branches:\n  - {from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0], "
+                "[0, 0, 0.1]], x_ohm: [[0.2, 0, 0], [0, 0.2, 0], [0, 0, 0.2]]}\n"
+            )
+            return load_network(path)
+
+        a, b = load(net), load(split)
+        assert a.buses == b.buses
+        np.testing.assert_array_equal(a.injections_pu(), b.injections_pu())
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,11 +93,6 @@ class TestITClass:
         assert spec.sigma_theta == pytest.approx(0.006 / 3)
         assert spec.relative
 
-    def test_custom(self):
-        spec = it_class_to_polar("custom", magnitude_pct=1.0, phase_rad=0.01)
-        assert spec.sigma_rho == pytest.approx(0.01 / 3)
-        assert spec.sigma_theta == pytest.approx(0.01 / 3)
-
     def test_unknown_class(self):
         with pytest.raises(ConfigError, match="unknown IT class"):
             it_class_to_polar("7")
@@ -112,6 +109,40 @@ class TestNoiseConfig:
         path.write_text("admittance_sigma_pct: 1.0\n")
         with pytest.raises(ConfigError, match="missing it_classes"):
             load_noise_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("it_classes:\n  '0.5': {magnitude_pct: 0.5}\n",
+             "IT class '0.5': missing phase_rad"),
+            ("it_classes: [1, 2]\n", "it_classes must map class labels"),
+            ("it_classes:\n  '0.5': {magnitude_pct: abc, phase_rad: 0.006}\n",
+             "IT class '0.5': magnitude_pct must be a number, not 'abc'"),
+            ("it_classes:\n  '0.5': {magnitude_pct: 0.5, phase_rad: .nan}\n",
+             "IT class '0.5': phase_rad must be a number, not nan"),
+            ("it_classes:\n  '0.5': {magnitude_pct: 0.5, phase_rad: 0.006, x: 1}\n",
+             "IT class '0.5': unknown key 'x'"),
+            ("it_classes:\n  '0.5': 0.5\n", "IT class '0.5' must be a mapping"),
+            ("it_classes:\n  0.5: {magnitude_pct: 0.5, phase_rad: 0.006}\n",
+             "IT class 0.5: the label must be a string"),
+            ("it_classes: {}\nadmittance_sigma_pct: 1.0\n",
+             "unknown key 'admittance_sigma_pct'"),
+        ],
+        ids=["missing-key", "list", "text-value", "nan", "extra-key",
+             "scalar-class", "float-label", "extra-top-key"],
+    )
+    def test_malformed_table_rejected(self, tmp_path, text, message):
+        path = tmp_path / "noise.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_noise_config(path)
+
+    def test_custom_class_is_a_file_entry(self, tmp_path):
+        path = tmp_path / "noise.yaml"
+        path.write_text("it_classes:\n  lab: {magnitude_pct: 1, phase_rad: 0.01}\n")
+        spec = it_class_to_polar("lab", load_noise_config(path))
+        assert spec.sigma_rho == pytest.approx(0.01 / 3)
+        assert spec.sigma_theta == pytest.approx(0.01 / 3)
 
 
 def loaded_two_bus():
