@@ -31,3 +31,11 @@ class SingularSystemError(PfscError):
 
 class ConfigError(PfscError):
     """Invalid run or noise configuration."""
+
+
+def yaml_error_line(exc):
+    """A PyYAML error as one line: where it was found, and the problem."""
+    mark = getattr(exc, "problem_mark", None)
+    problem = getattr(exc, "problem", None) or str(exc)
+    where = "" if mark is None else f"line {mark.line + 1}, column {mark.column + 1}: "
+    return where + " ".join(problem.split())

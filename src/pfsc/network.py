@@ -27,6 +27,7 @@ from .errors import (
     DegenerateBranchError,
     NetworkParseError,
     NetworkValidationError,
+    yaml_error_line,
 )
 
 #: libyaml's C parser when PyYAML was built with it; same safe constructor
@@ -254,37 +255,57 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
     """
     p = network.phase_count
     m = network.n_nodes
+    branches = network.branches
+    z_pu = np.array([network.branch_z_pu(br) for br in branches]).reshape(-1, p, p)
+    degenerate = np.abs(np.linalg.det(z_pu)) < 1e-300
+    if np.any(degenerate):
+        br = branches[int(np.argmax(degenerate))]
+        raise DegenerateBranchError(
+            f"degenerate branch {br.from_bus}-{br.to_bus}: singular "
+            f"series impedance matrix"
+        )
+    y = np.linalg.inv(z_pu)
+    shunts = np.array([np.broadcast_to(br.shunt_b_s, (p, p)) for br in branches])
+    shunts = shunts.reshape(-1, p, p)
+    ysh = 1j * shunts * network.z_base_ohm / 2.0
+    f = np.array([network.flat_index(br.from_bus) for br in branches], dtype=np.intp)
+    t = np.array([network.flat_index(br.to_bus) for br in branches], dtype=np.intp)
+    # blocks (f, f), (t, t), (f, t), (t, f) of each branch, branch by branch:
+    # an entry shared by several branches sums them in branch order
+    first = np.stack([f, t, f, t], axis=1)[:, :, None, None]
+    second = np.stack([f, t, t, f], axis=1)[:, :, None, None]
+    ph = np.arange(p)
+    rows = first + ph[:, None]
+    cols = second + ph
+    blocks = np.stack([y + ysh, y + ysh, -y, -y], axis=1)
     Y = np.zeros((m, m), dtype=complex)
-    for br in network.branches:
-        z_pu = network.branch_z_pu(br)
-        if abs(np.linalg.det(z_pu)) < 1e-300:
-            raise DegenerateBranchError(
-                f"degenerate branch {br.from_bus}-{br.to_bus}: singular "
-                f"series impedance matrix"
-            )
-        y = np.linalg.inv(z_pu)
-        ysh = 1j * br.shunt_b_s * network.z_base_ohm / 2.0
-        f = network.flat_index(br.from_bus)
-        t = network.flat_index(br.to_bus)
-        Y[f : f + p, f : f + p] += y + ysh
-        Y[t : t + p, t : t + p] += y + ysh
-        Y[f : f + p, t : t + p] -= y
-        Y[t : t + p, f : f + p] -= y
+    np.add.at(Y.reshape(-1), rows * m + cols, blocks)
     return AdmittanceMatrix(matrix=Y)
 
 
 # -- file input / output ----------------------------------------------------
 
 
+def _numeric(value, cast, what):
+    """``cast(value)``; NetworkParseError naming ``what`` if it is not numeric."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise NetworkParseError(f"{what} must be numeric, not {value!r}") from None
+
+
+def _matrix(value):
+    return np.atleast_2d(np.asarray(value, dtype=float))
+
+
 def _per_phase(value, p, what):
-    if isinstance(value, (int, float)):
+    if not isinstance(value, (list, tuple)):
         if p != 1:
             raise NetworkParseError(f"{what}: scalar given but phases={p}")
-        return (float(value),)
-    vals = tuple(float(v) for v in value)
-    if len(vals) != p:
-        raise NetworkParseError(f"{what}: expected {p} entries, got {len(vals)}")
-    return vals
+        value = [value]
+    if len(value) != p:
+        raise NetworkParseError(f"{what}: expected {p} entries, got {len(value)}")
+    return tuple(_numeric(v, float, what) for v in value)
 
 
 def _impedance_block(entry, key_r, key_x, p, what):
@@ -292,8 +313,8 @@ def _impedance_block(entry, key_r, key_x, p, what):
     x = entry.get(key_x)
     if r is None or x is None:
         raise NetworkParseError(f"{what}: missing {key_r}/{key_x}")
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    r = _numeric(r, _matrix, f"{what} {key_r}")
+    x = _numeric(x, _matrix, f"{what} {key_x}")
     if r.shape != (p, p) or x.shape != (p, p):
         raise NetworkParseError(
             f"{what}: impedance block is {r.shape}/{x.shape}, expected ({p}, {p})"
@@ -345,32 +366,36 @@ def load_network(path) -> NetworkModel:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise NetworkParseError(f"{path}: {exc}") from exc
+        raise NetworkParseError(f"{path}: {yaml_error_line(exc)}") from exc
     if not isinstance(raw, dict):
         raise NetworkParseError(f"{path}: top level must be a mapping")
 
     for key in ("phases", "bases", "buses", "branches"):
         if key not in raw:
             raise NetworkParseError(f"{path}: missing section {key!r}")
-    p = int(raw["phases"])
+    p = _numeric(raw["phases"], int, f"{path}: phases")
     bases = raw["bases"]
-    try:
-        s_base = float(bases["s_base_va"])
-        v_base = float(bases["v_base_v"])
-    except (KeyError, TypeError) as exc:
-        raise NetworkParseError(f"{path}: bases needs s_base_va and v_base_v") from exc
+    if not (isinstance(bases, dict) and {"s_base_va", "v_base_v"} <= set(bases)):
+        raise NetworkParseError(f"{path}: bases needs s_base_va and v_base_v")
+    s_base = _numeric(bases["s_base_va"], float, f"{path}: bases s_base_va")
+    v_base = _numeric(bases["v_base_v"], float, f"{path}: bases v_base_v")
 
     slack_v = raw.get("slack_voltage_pu", 1.0)
+    what = f"{path}: slack_voltage_pu"
     if isinstance(slack_v, (list, tuple)):
-        slack_v = slack_v[0] * np.exp(1j * slack_v[1])
+        if len(slack_v) != 2:
+            raise NetworkParseError(f"{what} must be a number or [magnitude, angle_rad]")
+        mag, angle = (_numeric(v, float, what) for v in slack_v)
+        slack_v = mag * np.exp(1j * angle)
     else:
-        slack_v = complex(slack_v)
+        slack_v = _numeric(slack_v, complex, what)
 
     buses = []
     slack_index = None
     zeros = 0.0 if p == 1 else [0.0] * p  # an omitted power field, per phase
-    for entry in _entries(raw, "buses", ("index",), path):
-        idx = int(entry["index"])
+    for pos, entry in enumerate(_entries(raw, "buses", ("index",), path)):
+        what = f"{path}: buses[{pos}]"
+        idx = _numeric(entry["index"], int, f"{what} index")
         kind = entry.get("kind", PQ)
         if kind == SLACK:
             slack_index = idx
@@ -385,13 +410,13 @@ def load_network(path) -> NetworkModel:
                 f"bus {idx}: give either p_kw/q_kvar or load/gen fields, not both"
             )
         if has_net:
-            p_kw = _per_phase(entry.get("p_kw", zeros), p, f"bus {idx} p_kw")
-            q_kvar = _per_phase(entry.get("q_kvar", zeros), p, f"bus {idx} q_kvar")
+            p_kw = _per_phase(entry.get("p_kw", zeros), p, f"{what} p_kw")
+            q_kvar = _per_phase(entry.get("q_kvar", zeros), p, f"{what} q_kvar")
         else:
-            load_p = _per_phase(entry.get("load_kw", zeros), p, f"bus {idx} load_kw")
-            load_q = _per_phase(entry.get("load_kvar", zeros), p, f"bus {idx} load_kvar")
-            gen_p = _per_phase(entry.get("gen_kw", zeros), p, f"bus {idx} gen_kw")
-            gen_q = _per_phase(entry.get("gen_kvar", zeros), p, f"bus {idx} gen_kvar")
+            load_p = _per_phase(entry.get("load_kw", zeros), p, f"{what} load_kw")
+            load_q = _per_phase(entry.get("load_kvar", zeros), p, f"{what} load_kvar")
+            gen_p = _per_phase(entry.get("gen_kw", zeros), p, f"{what} gen_kw")
+            gen_q = _per_phase(entry.get("gen_kvar", zeros), p, f"{what} gen_kvar")
             p_kw = tuple(g - l for g, l in zip(gen_p, load_p))
             q_kvar = tuple(g - l for g, l in zip(gen_q, load_q))
         buses.append(Bus(index=idx, kind=PQ, p_kw=p_kw, q_kvar=q_kvar))
@@ -400,16 +425,16 @@ def load_network(path) -> NetworkModel:
         raise NetworkValidationError("exactly one slack bus required, found 0")
 
     branches = []
-    for entry in _entries(raw, "branches", ("from", "to"), path):
-        what = f"branch {entry.get('from')}-{entry.get('to')}"
+    for pos, entry in enumerate(_entries(raw, "branches", ("from", "to"), path)):
+        what = f"{path}: branches[{pos}]"
         z = _impedance_block(entry, "r_ohm", "x_ohm", p, what)
         shunt = entry.get("shunt_b_s")
         if shunt is not None:
-            shunt = np.atleast_2d(np.asarray(shunt, dtype=float))
+            shunt = _numeric(shunt, _matrix, f"{what} shunt_b_s")
         branches.append(
             Branch(
-                from_bus=entry["from"],
-                to_bus=entry["to"],
+                from_bus=_numeric(entry["from"], int, f"{what} from"),
+                to_bus=_numeric(entry["to"], int, f"{what} to"),
                 z_ohm=z,
                 shunt_b_s=shunt,
                 length_km=entry.get("length_km"),

@@ -163,17 +163,18 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     state = solve_load_flow(network, Y)
     timings["load_flow_s"] = time.perf_counter() - t0
 
+    keys, rows, cols = coefficient_keys(network, cfg.coefficients)
     t0 = time.perf_counter()
     problem = assemble_problem(Y, state, network)
-    result = solve_coefficients(problem, voltages=state.voltages)
+    result = solve_coefficients(problem, state.voltages, rows, cols)
     timings["coefficients_s"] = time.perf_counter() - t0
+    at = result.block_index(rows, cols)  # the keys' entries of x-aligned tables
 
     polar = it_class_to_polar(cfg.it_class, load_noise_config(cfg.noise_config))
 
-    keys, rows, cols = coefficient_keys(network, cfg.coefficients)
     report = ComparisonReport(
         keys=keys,
-        nominal=result.x[rows, cols],
+        nominal=result.x[at],
         timings=timings,
         meta={
             "network": str(cfg.network),
@@ -191,7 +192,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
             en = project_polar_noise(state, polar)
             sigma = analytical_sigma(result, Y, state, yu, en)
             timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
-            report.analytical[lvl] = sigma[rows, cols]
+            report.analytical[lvl] = sigma[at]
         if cfg.mode in ("mc", "both"):
             for n in cfg.n_mc:
                 mc_cfg = MCConfig(

@@ -5,6 +5,16 @@ variances of H -> per-entry variances of H^-1 -> per-coefficient stds.
 The three variance stages (propagate_to_H, inverse_self_variance,
 coefficient_variance) each take and return plain arrays.
 
+A solve that holds only rows R and columns C of x (see
+``solve_coefficients``) takes the restricted form of the same formula,
+
+    var(x)[R, C] = ((H^-1[R, :])o2 var(H)) (H^-1[:, C])o2 * s[C]^2,
+
+with o2 the entrywise square and s the signs of z; the full table is
+R = C = every row, with H^-1 on both sides.  var(H) is evaluated on H's
+structural pattern only (the node pairs where Y or its noise is nonzero,
+and the 2x2 diagonal blocks) and returned dense.
+
 Variances (not stds) are the internal currency; only analytical_sigma,
 the end-to-end call, returns stds.  All cross-covariances between
 distinct admittance elements, between admittance and voltage, and
@@ -24,7 +34,7 @@ import numpy as np
 import yaml
 
 from .coefficients import SensitivityProblem
-from .errors import ConfigError
+from .errors import ConfigError, yaml_error_line
 from .loadflow import GridState
 from .network import AdmittanceMatrix
 
@@ -115,7 +125,7 @@ def load_noise_config(path=None):
         with open(path) as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {yaml_error_line(exc)}") from exc
     if not isinstance(raw, dict) or "it_classes" not in raw:
         raise ConfigError(f"{path}: missing it_classes table")
     for key in raw:
@@ -232,46 +242,55 @@ def propagate_to_H(
     ``second_order=True`` the +var(a)var(b) product-rule term is included
     for every bilinear pairing (default off; the first-order form is the
     operating regime of the propagation).
+
+    The channel formulas are evaluated on H's structural pattern only:
+    the node pairs where Y or its noise is nonzero, plus the 2x2 diagonal
+    blocks, whose K-term sums run over that pattern of each row.  Every
+    other entry of the returned dense array is exactly zero.
     """
     Ym = Y.matrix
     E = state.voltages
     ns = np.array(problem.nonslack, dtype=np.intp)
-    block = (ns[:, None], ns)  # the (nonslack, nonslack) block of an (m, m) array
     n = len(ns)
     m = E.size
-
-    # inputs enter squared: e^2 var(y) + y^2 var(e) per bilinear channel
-    er2, ei2 = E.real**2, E.imag**2
-    yr2, yi2 = Ym.real**2, Ym.imag**2
     vEr, vEi = en.sigma_re**2, en.sigma_im**2
-    vYr, vYi = yu.sigma_re**2, yu.sigma_im**2
-    if vEr.shape != (m,) or vYr.shape != (m, m):
+    if vEr.shape != (m,) or yu.sigma_re.shape != (m, m):
         raise ValueError("noise spec dimensions do not match the network")
 
-    var = np.empty((2 * n, 2 * n))
+    # The pattern: the (nonslack r, node n) pairs where Y_rn or its noise
+    # is nonzero.  Every channel below vanishes exactly elsewhere.
+    nz = (Ym[ns] != 0) | (yu.sigma_re[ns] != 0) | (yu.sigma_im[ns] != 0)
+    k, node = np.nonzero(nz)  # row-major: by row r = ns[k], then by node n
+    r = ns[k]
+    # inputs enter squared: e^2 var(y) + y^2 var(e) per bilinear channel
+    er2, ei2 = E.real**2, E.imag**2
+    y = Ym[r, node]
+    yr2, yi2 = y.real**2, y.imag**2
+    vYr, vYi = yu.sigma_re[r, node] ** 2, yu.sigma_im[r, node] ** 2
 
-    # Off-diagonal node pairs (r != c): only the A-term
+    var = np.zeros((2 * n, 2 * n))
+
+    # Off-diagonal node pairs (r != c, both nonslack): only the A-term
     # A_rc = conj(E_r) Y_rc contributes.
     #   Re(A) = er_r yr_rc + ei_r yi_rc ; Im(A) = er_r yi_rc - ei_r yr_rc
-    er2_r = er2[ns][:, None]
-    ei2_r = ei2[ns][:, None]
-    yr2_b = yr2[block]
-    yi2_b = yi2[block]
-    vYr_b = vYr[block]
-    vYi_b = vYi[block]
-    vEr_r = vEr[ns][:, None]
-    vEi_r = vEi[ns][:, None]
+    col = np.full(m, -1)
+    col[ns] = np.arange(n)
+    c = col[node]
+    off = (c >= 0) & (c != k)
+    kr, kc, rr = k[off], c[off], r[off]
+    yr2_o, yi2_o, vYr_o, vYi_o = yr2[off], yi2[off], vYr[off], vYi[off]
+    er2_r, ei2_r, vEr_r, vEi_r = er2[rr], ei2[rr], vEr[rr], vEi[rr]
 
-    v_reA = er2_r * vYr_b + ei2_r * vYi_b + yr2_b * vEr_r + yi2_b * vEi_r
-    v_imA = er2_r * vYi_b + ei2_r * vYr_b + yi2_b * vEr_r + yr2_b * vEi_r
+    v_reA = er2_r * vYr_o + ei2_r * vYi_o + yr2_o * vEr_r + yi2_o * vEi_r
+    v_imA = er2_r * vYi_o + ei2_r * vYr_o + yi2_o * vEr_r + yr2_o * vEi_r
     if second_order:
-        v_reA = v_reA + vEr_r * vYr_b + vEi_r * vYi_b
-        v_imA = v_imA + vEr_r * vYi_b + vEi_r * vYr_b
+        v_reA = v_reA + vEr_r * vYr_o + vEi_r * vYi_o
+        v_imA = v_imA + vEr_r * vYi_o + vEi_r * vYr_o
 
-    var[0::2, 0::2] = v_reA
-    var[0::2, 1::2] = v_imA
-    var[1::2, 0::2] = v_imA
-    var[1::2, 1::2] = v_reA
+    var[2 * kr, 2 * kc] = v_reA
+    var[2 * kr, 2 * kc + 1] = v_imA
+    var[2 * kr + 1, 2 * kc] = v_imA
+    var[2 * kr + 1, 2 * kc + 1] = v_reA
 
     # Diagonal node pairs (r == c): the K-term K_r = sum_n Y_rn E_n shares
     # inputs with A_rr, so gradients are combined before squaring.
@@ -285,29 +304,28 @@ def propagate_to_H(
     #   Im(K_r):  (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) +1, at every n
     # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e))
     # at first order and c^2 var(e) var(y) at second order.  Over the
-    # (nonslack r, node n) grid, c^2 is 1 except at n = r, where it is
-    # (1 + 1)^2 = 4 on an "up" channel and (1 - 1)^2 = 0 on a "down" one.
-    yr2_n, yi2_n, vYr_n, vYi_n = yr2[ns], yi2[ns], vYr[ns], vYi[ns]
-    ch_rr = er2 * vYr_n + yr2_n * vEr  # (Re E_n, Re Y_rn)
-    ch_ii = ei2 * vYi_n + yi2_n * vEi  # (Im E_n, Im Y_rn)
-    ch_ri = er2 * vYi_n + yi2_n * vEr  # (Re E_n, Im Y_rn)
-    ch_ir = ei2 * vYr_n + yr2_n * vEi  # (Im E_n, Re Y_rn)
+    # pattern, c^2 is 1 except at n = r, where it is (1 + 1)^2 = 4 on an
+    # "up" channel and (1 - 1)^2 = 0 on a "down" one.
+    er2_n, ei2_n, vEr_n, vEi_n = er2[node], ei2[node], vEr[node], vEi[node]
+    ch_rr = er2_n * vYr + yr2 * vEr_n  # (Re E_n, Re Y_rn)
+    ch_ii = ei2_n * vYi + yi2 * vEi_n  # (Im E_n, Im Y_rn)
+    ch_ri = er2_n * vYi + yi2 * vEr_n  # (Re E_n, Im Y_rn)
+    ch_ir = ei2_n * vYr + yr2 * vEi_n  # (Im E_n, Re Y_rn)
     if second_order:
-        ch_rr = ch_rr + vEr * vYr_n
-        ch_ii = ch_ii + vEi * vYi_n
-        ch_ri = ch_ri + vEr * vYi_n
-        ch_ir = ch_ir + vEi * vYr_n
-    k = np.arange(n)
-    at_r = (k, ns)  # the n = r entries of the grid
+        ch_rr = ch_rr + vEr_n * vYr
+        ch_ii = ch_ii + vEi_n * vYi
+        ch_ri = ch_ri + vEr_n * vYi
+        ch_ir = ch_ir + vEi_n * vYr
+    at_r = node == r
 
     def weighted_sum(up, down):
         """Row sums of c^2 up + c^2 down: c^2 = 1, except 4 and 0 at n = r."""
         both = up + down
         both[at_r] = 4.0 * up[at_r]
-        return both.sum(axis=1)
+        return np.bincount(k, weights=both, minlength=n)
 
     # H_rr entries: Re A + Re K | -Im A + Im K | Im A + Im K | Re A - Re K
-    re, im = 2 * k, 2 * k + 1
+    re, im = 2 * np.arange(n), 2 * np.arange(n) + 1
     var[re, re] = weighted_sum(ch_rr, ch_ii)
     var[re, im] = weighted_sum(ch_ir, ch_ri)
     var[im, re] = weighted_sum(ch_ri, ch_ir)
@@ -318,18 +336,24 @@ def propagate_to_H(
 # -- variance of H^-1 --------------------------------------------------------
 
 
-def inverse_self_variance(H_inv: np.ndarray, var_H: np.ndarray) -> np.ndarray:
+def inverse_self_variance(
+    H_inv: np.ndarray, var_H: np.ndarray, H_inv_cols: np.ndarray | None = None
+) -> np.ndarray:
     """Per-entry variance of H^-1: (H^-1 o H^-1) var(H) (H^-1 o H^-1).
 
     ``o`` is the entrywise square; algebraically identical to the
-    quadruple-loop reference implementation.  The full cross-covariance
-    of H^-1 would be (2n)^2 x (2n)^2 and is never materialized;
-    ``inverse_cross_covariance`` gives single cross terms.
+    quadruple-loop reference implementation.  ``H_inv`` may be a block of
+    rows H^-1[R, :] and ``H_inv_cols`` a block of columns H^-1[:, C]; the
+    result is then the block var(H^-1)[R, C].  ``H_inv_cols`` None (or the
+    same array as ``H_inv``) is the full H^-1 on both sides.  The full
+    cross-covariance of H^-1 would be (2n)^2 x (2n)^2 and is never
+    materialized; ``inverse_cross_covariance`` gives single cross terms.
     """
     sq = H_inv**2
-    if sq.shape != var_H.shape:
+    sq_cols = sq if H_inv_cols is None or H_inv_cols is H_inv else H_inv_cols**2
+    if sq.shape[1:] != var_H.shape[:1] or var_H.shape[1:] != sq_cols.shape[:1]:
         raise ValueError("shape mismatch between H^-1 and its variance")
-    return sq @ var_H @ sq
+    return sq @ var_H @ sq_cols
 
 
 def inverse_self_variance_reference(H_inv: np.ndarray, var_H: np.ndarray) -> np.ndarray:
@@ -386,8 +410,9 @@ def general_variance(
 
 
 def analytical_sigma(result, Y, state, yu, en, second_order=False):
-    """Coefficient stds from the full analytical chain, aligned with x."""
+    """Coefficient stds from the full analytical chain, aligned with
+    ``result.x``: the rows and columns of x the result holds."""
     problem = result.problem
     var_H = propagate_to_H(problem, Y, state, yu, en, second_order=second_order)
-    var_Hinv = inverse_self_variance(result.H_inv, var_H)
-    return np.sqrt(coefficient_variance(var_Hinv, problem.signs))
+    var_Hinv = inverse_self_variance(result.H_inv_rows, var_H, result.H_inv_cols)
+    return np.sqrt(coefficient_variance(var_Hinv, problem.signs[result.cols]))

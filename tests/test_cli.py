@@ -254,6 +254,30 @@ def test_malformed_noise_config_is_one_line(capsys, tmp_path, text, message):
     assert err.startswith("pfsc propagate: ") and message in err
 
 
+_NET_HEAD = "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+_NET_TAIL = "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_NET_HEAD + "buses: [{index: abc, kind: slack}, {index: 2}]\n" + _NET_TAIL,
+         "buses[0] index must be numeric, not 'abc'"),
+        (_NET_HEAD + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: abc}]\n"
+         + _NET_TAIL, "buses[1] p_kw must be numeric, not 'abc'"),
+        ("phases: [\n", "line 2, column 1: did not find expected node content"),
+    ],
+    ids=["index", "p_kw", "yaml-syntax"],
+)
+def test_malformed_network_is_one_line(capsys, tmp_path, text, message):
+    net = tmp_path / "net.yaml"
+    net.write_text(text)
+    code, out, err = run(capsys, "solve", "--network", str(net))
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc solve: {net}: {message}\n"
+
+
 def test_subcommands_agree_with_report(capsys, tmp_path):
     # pfsc, propagate and mc run their own orchestration beside run_pipeline;
     # on one seed, level and trial count their columns equal the report's

@@ -10,6 +10,7 @@ from pfsc.coefficients import (
     solve_coefficients,
 )
 from pfsc.errors import ConfigError, SingularSystemError
+from scipy.sparse.linalg import splu
 
 from conftest import make_random_network, make_three_phase_balanced, make_two_bus
 
@@ -153,29 +154,31 @@ def _problem_of(H):
     return SensitivityProblem(H=H, signs=np.tile([1.0, -1.0], n), network=None)
 
 
+#: matrices on both sides of the cond_2 > COND_MAX gate and of the
+#: cond_1 <= COND_MAX / dim shortcut, and one exactly singular matrix
+GATE_MATRICES = [
+    _svd_matrix(np.geomspace(1.0, 1 / 5e11, 6), seed=0),
+    _svd_matrix(np.geomspace(1.0, 1 / 2e12, 6), seed=0),
+    _svd_matrix(np.r_[np.ones(5), 1 / 5e11], seed=1),
+    _svd_matrix(np.r_[np.ones(5), 1 / 2e12], seed=1),
+    _svd_matrix(np.geomspace(1.0, 1 / (1.001 * COND_MAX / 6), 6)),
+    _svd_matrix(np.geomspace(1.0, 1 / (0.999 * COND_MAX / 6), 6)),
+    _svd_matrix(np.geomspace(1.0, 1 / 5e11, 6)),
+    _svd_matrix(np.geomspace(1.0, 1 / 2e12, 6)),
+    np.ones((6, 6)),  # exactly singular: inv raises
+]
+GATE_IDS = [
+    "k2=5e11", "k2=2e12", "k2=5e11-flat", "k2=2e12-flat",
+    "k1-above", "k1-below", "k2=5e11-perm", "k2=2e12-perm", "ones",
+]
+
+
 class TestConditionGate:
     """The 1-norm pre-check decides exactly as the cond_2 > 1e12 gate."""
 
     KAPPA_1_LIMIT = COND_MAX / 6
 
-    @pytest.mark.parametrize(
-        "H",
-        [
-            _svd_matrix(np.geomspace(1.0, 1 / 5e11, 6), seed=0),
-            _svd_matrix(np.geomspace(1.0, 1 / 2e12, 6), seed=0),
-            _svd_matrix(np.r_[np.ones(5), 1 / 5e11], seed=1),
-            _svd_matrix(np.r_[np.ones(5), 1 / 2e12], seed=1),
-            _svd_matrix(np.geomspace(1.0, 1 / (1.001 * COND_MAX / 6), 6)),
-            _svd_matrix(np.geomspace(1.0, 1 / (0.999 * COND_MAX / 6), 6)),
-            _svd_matrix(np.geomspace(1.0, 1 / 5e11, 6)),
-            _svd_matrix(np.geomspace(1.0, 1 / 2e12, 6)),
-            np.ones((6, 6)),  # exactly singular: inv raises
-        ],
-        ids=[
-            "k2=5e11", "k2=2e12", "k2=5e11-flat", "k2=2e12-flat",
-            "k1-above", "k1-below", "k2=5e11-perm", "k2=2e12-perm", "ones",
-        ],
-    )
+    @pytest.mark.parametrize("H", GATE_MATRICES, ids=GATE_IDS)
     def test_same_decision_as_cond(self, H, monkeypatch):
         svd_calls = []
         cond = np.linalg.cond
@@ -204,6 +207,111 @@ class TestConditionGate:
         H = _svd_matrix(np.geomspace(1.0, 1 / (factor * self.KAPPA_1_LIMIT), 6))
         res = solve_coefficients(_problem_of(H))
         np.testing.assert_array_equal(res.x, np.linalg.inv(H) * res.problem.signs)
+
+
+class TestTargetedSolve:
+    """A request that leaves out a row or column of x solves only its block."""
+
+    @staticmethod
+    def _request(problem, every=7):
+        """Re/P and Im/Q rows and columns of every ``every``-th node, and
+        one cross pair."""
+        dim = problem.H.shape[0]
+        rows = np.r_[np.arange(0, dim, 2 * every), np.arange(1, dim, 2 * every), 3]
+        cols = np.r_[np.arange(0, dim, 2 * every), np.arange(1, dim, 2 * every), 0]
+        return rows, cols
+
+    def test_blocks_match_full_table(self):
+        net = make_random_network(60, 1, radial=False)
+        Y, state, problem, full = solved(net)
+        rows, cols = self._request(problem)
+        res = solve_coefficients(problem, state.voltages, rows, cols)
+        R, C = np.unique(rows), np.unique(cols)
+        assert np.array_equal(res.rows, R) and np.array_equal(res.cols, C)
+        scale = np.max(np.abs(full.H_inv))
+        for got, want in (
+            (res.x, full.x[np.ix_(R, C)]),
+            (res.H_inv_rows, full.H_inv[R]),
+            (res.H_inv_cols, full.H_inv[:, C]),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * scale)
+        # the accessors read the held block
+        bus = net.buses[15].index
+        assert res.derivative(bus, bus) == pytest.approx(
+            full.derivative(bus, bus), rel=1e-12
+        )
+        with pytest.raises(ValueError, match="not held"):
+            res.derivative(bus, net.buses[2].index)
+        with pytest.raises(ValueError, match="blocks of H"):
+            res.H_inv
+
+    def test_path_follows_request(self, ieee4_solved, monkeypatch):
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        dim = problem.H.shape[0]
+        every = np.arange(dim)
+        # every row and every column requested: the dense full table
+        full = solve_coefficients(problem, rows=np.r_[every, 0], cols=every[::-1])
+        assert full.H_inv is full.H_inv_rows is full.H_inv_cols
+        # one column left out: the estimate clears H, no dense inverse is formed
+        for name in ("inv", "cond"):
+            monkeypatch.setattr(np.linalg, name, lambda *a: pytest.fail(name))
+        res = solve_coefficients(problem, rows=every, cols=every[1:])
+        assert res.x.shape == (dim, dim - 1)
+        np.testing.assert_allclose(res.x, full.x[:, 1:], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("H", GATE_MATRICES, ids=GATE_IDS)
+    def test_same_decision_as_full_table(self, H):
+        def outcome(**request):
+            try:
+                return solve_coefficients(_problem_of(H), **request)
+            except SingularSystemError as exc:
+                return "gate" if "not invertible" in str(exc) else "residual"
+
+        full = outcome()
+        res = outcome(rows=[0, 5], cols=[1])
+        if isinstance(full, str):
+            assert res == full
+        else:  # an H the estimate cannot clear: the dense block
+            np.testing.assert_array_equal(res.x, full.x[np.ix_([0, 5], [1])])
+        assert (res == "gate") == (np.linalg.cond(H) > COND_MAX)
+
+    def test_empty_request(self, ieee4_solved):
+        from dataclasses import replace
+
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        res = solve_coefficients(problem, rows=[], cols=[])
+        assert res.x.shape == (0, 0)
+        assert res.H_inv_rows.shape == (0, 6) and res.H_inv_cols.shape == (6, 0)
+        # the request does not skip the conditioning decision
+        with pytest.raises(SingularSystemError, match="not invertible"):
+            solve_coefficients(replace(problem, H=np.zeros((6, 6))), rows=[], cols=[])
+
+    @pytest.mark.parametrize("scale, refined", [(1 + 1e-7, True), (2.0, False)])
+    def test_residual_check_and_refinement(self, ieee4_solved, monkeypatch, scale, refined):
+        # a factorisation whose solves are off by a relative ``scale - 1``:
+        # one refinement step repairs 1e-7 and cannot repair 100 %
+        from pfsc import coefficients
+
+        class Sloppy:
+            def __init__(self, A):
+                self.lu = splu(A)
+
+            def solve(self, b, trans="N"):
+                return self.lu.solve(b, trans=trans) * scale
+
+        monkeypatch.setattr(coefficients, "splu", Sloppy)
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        if refined:
+            res = solve_coefficients(problem, rows=[0, 1], cols=[2])
+            exact = np.linalg.inv(problem.H)
+            np.testing.assert_allclose(res.H_inv_cols, exact[:, [2]], rtol=1e-10)
+            np.testing.assert_allclose(res.H_inv_rows, exact[[0, 1]], rtol=1e-10)
+        else:
+            with pytest.raises(SingularSystemError, match="solve residual"):
+                solve_coefficients(problem, rows=[0, 1], cols=[2])
 
 
 class TestFiniteDifferenceOracle:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,24 @@ from pfsc.errors import (
 )
 from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network
 
-from conftest import make_random_network
+from conftest import make_random_network, make_three_phase_balanced
+
+
+def _admittance_per_branch(network):
+    """Branch-by-branch assembly of Y, the reference for the batched one."""
+    p = network.phase_count
+    m = network.n_nodes
+    Y = np.zeros((m, m), dtype=complex)
+    for br in network.branches:
+        y = np.linalg.inv(network.branch_z_pu(br))
+        ysh = 1j * br.shunt_b_s * network.z_base_ohm / 2.0
+        f = network.flat_index(br.from_bus)
+        t = network.flat_index(br.to_bus)
+        Y[f : f + p, f : f + p] += y + ysh
+        Y[t : t + p, t : t + p] += y + ysh
+        Y[f : f + p, t : t + p] -= y
+        Y[t : t + p, f : f + p] -= y
+    return Y
 
 
 class TestBuildAdmittance:
@@ -79,6 +97,30 @@ class TestBuildAdmittance:
         np.testing.assert_allclose(
             Y2.matrix[np.ix_(perm, perm)], Y.matrix, rtol=1e-15
         )
+
+
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random40"])
+    def test_batched_equals_per_branch_loop(self, ieee4, which):
+        net = {
+            "ieee4": ieee4,
+            "three-phase": make_three_phase_balanced(),
+            "random40": make_random_network(40, 2, radial=False),
+        }[which]
+        if which == "three-phase":  # shunts on shared nodes, in branch order
+            net = replace(net, branches=tuple(
+                Branch(br.from_bus, br.to_bus, br.z_ohm, 1e-4 * (k + 1) * np.eye(3))
+                for k, br in enumerate(net.branches)
+            ))
+        Y = pfsc.build_admittance(net).matrix
+        assert Y.tobytes() == _admittance_per_branch(net).tobytes()
+
+    def test_degenerate_branch_named_in_branch_order(self):
+        net = make_random_network(6, 1)
+        branches = list(net.branches)
+        for k in (2, 4):
+            branches[k] = Branch(branches[k].from_bus, branches[k].to_bus, 0.0)
+        with pytest.raises(DegenerateBranchError, match="branch 3-4"):
+            pfsc.build_admittance(replace(net, branches=tuple(branches)))
 
 
 class TestLoadNetwork:
@@ -177,6 +219,62 @@ branches:
         a, b = load(net), load(split)
         assert a.buses == b.buses
         np.testing.assert_array_equal(a.injections_pu(), b.injections_pu())
+
+    @pytest.mark.parametrize(
+        "phases, bases, buses, branches, message",
+        [
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: abc, kind: slack}, {index: 2}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]",
+             "buses[0] index must be numeric, not 'abc'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}, {index: 2, p_kw: abc}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]",
+             "buses[1] p_kw must be numeric, not 'abc'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}, {index: 2, load_kvar: [x]}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]",
+             "buses[1] load_kvar must be numeric, not 'x'"),
+            ("one", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}]", "[]",
+             "phases must be numeric, not 'one'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: high}",
+             "[{index: 1, kind: slack}]", "[]",
+             "bases v_base_v must be numeric, not 'high'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}, {index: 2}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: low}]",
+             "branches[0] x_ohm must be numeric, not 'low'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}, {index: 2}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, shunt_b_s: b}]",
+             "branches[0] shunt_b_s must be numeric, not 'b'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}, {index: 2}]",
+             "[{from: 1, to: two, r_ohm: 0.1, x_ohm: 0.2}]",
+             "branches[0] to must be numeric, not 'two'"),
+        ],
+        ids=["index", "p_kw", "load_kvar", "phases", "base", "impedance",
+             "shunt", "branch-end"],
+    )
+    def test_non_numeric_value(self, tmp_path, phases, bases, buses, branches, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            f"phases: {phases}\nbases: {bases}\nbuses: {buses}\nbranches: {branches}\n"
+        )
+        with pytest.raises(NetworkParseError, match=re.escape(f"{path}: {message}")):
+            load_network(path)
+
+    def test_yaml_syntax_error_is_one_line(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: x\nphases: [\n")
+        with pytest.raises(NetworkParseError) as excinfo:
+            load_network(path)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message == (
+            f"{path}: line 3, column 1: did not find expected node content"
+        )
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.yaml"

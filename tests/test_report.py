@@ -18,7 +18,9 @@ from pfsc.report import (
     run_pipeline,
 )
 
-from conftest import make_three_phase_balanced
+from pfsc.coefficients import INJECTIONS, PARTS
+
+from conftest import make_random_network, make_three_phase_balanced
 
 NETWORK = pfsc.bundled_network_path("ieee4_balanced")
 
@@ -259,6 +261,62 @@ class TestPipeline:
         assert np.array_equal(a.nominal, b.nominal)
         assert np.array_equal(a.analytical[1.0], b.analytical[1.0])
         assert np.array_equal(a.mc[(1.0, 50)], b.mc[(1.0, 50)])
+
+
+class TestFilteredReport:
+    """A filtered report solves only its rows and columns of H^-1 and agrees
+    with the full-table report."""
+
+    NETWORKS = {
+        "random60": lambda: make_random_network(60, 1, radial=False),
+        "random300": lambda: make_random_network(300, 4, radial=False),
+        "three-phase": make_three_phase_balanced,
+    }
+
+    @staticmethod
+    def _filter(network):
+        buses = [b.index for b in network.buses if b.index != network.slack_bus]
+        picked = buses[:: max(2, len(buses) // 8)]  # leaves out some rows
+        return tuple(
+            (bus_i, bus_l, part, wrt)
+            for bus_i, bus_l in zip(picked, picked[1:] + picked[:1])
+            for part in PARTS
+            for wrt in INJECTIONS
+        ) + ((picked[0], picked[0], "re", "P"),)
+
+    @pytest.mark.parametrize("which", list(NETWORKS))
+    def test_equals_full_table(self, tmp_path, which):
+        net = self.NETWORKS[which]()
+        path = tmp_path / "net.yaml"
+        pfsc.emit_network(net, path)
+        cfg = small_cfg(network=str(path), mode="analytical")
+        full = run_pipeline(cfg)
+        filtered = run_pipeline(replace(cfg, coefficients=self._filter(net)))
+        _, rows, cols = coefficient_keys(net, self._filter(net))
+        dim = 2 * len(net.nonslack_flat_indices())
+        assert len(set(rows.tolist())) < dim and len(set(cols.tolist())) < dim
+        index = {k: i for i, k in enumerate(full.keys)}
+        at = [index[k] for k in filtered.keys]
+        assert 0 < len(at) < len(full.keys)
+        np.testing.assert_allclose(filtered.nominal, full.nominal[at], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            filtered.analytical[1.0], full.analytical[1.0][at], rtol=1e-12, atol=0
+        )
+
+    def test_global_rng_untouched_and_bitwise_repeatable(self, tmp_path):
+        net = make_random_network(60, 1, radial=False)
+        path = tmp_path / "net.yaml"
+        pfsc.emit_network(net, path)
+        cfg = small_cfg(network=str(path), mode="analytical", coefficients=self._filter(net))
+        np.random.seed(11)
+        before = np.random.get_state()
+        a = run_pipeline(cfg)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+        b = run_pipeline(cfg)
+        assert a.nominal.tobytes() == b.nominal.tobytes()
+        assert a.analytical[1.0].tobytes() == b.analytical[1.0].tobytes()
 
 
 @pytest.fixture(scope="module")

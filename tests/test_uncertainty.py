@@ -137,6 +137,15 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_noise_config(path)
 
+    def test_yaml_syntax_error_is_one_line(self, tmp_path):
+        path = tmp_path / "noise.yaml"
+        path.write_text("it_classes:\n  '0.5': {magnitude_pct: [\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_noise_config(path)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert message.startswith(f"{path}: line 3, column 1: ")
+
     def test_custom_class_is_a_file_entry(self, tmp_path):
         path = tmp_path / "noise.yaml"
         path.write_text("it_classes:\n  lab: {magnitude_pct: 1, phase_rad: 0.01}\n")
@@ -262,6 +271,24 @@ class TestPropagateToH:
         r = problem.row(2, part="re")
         c = 2 * problem.nonslack.index(i3)  # real column of node 3
         assert hv[r, c] == pytest.approx(expected, rel=1e-12)
+
+    def test_noise_on_structural_zero_reaches_H(self, ieee4_solved):
+        # buses 2 and 4 share no branch, so Y_24 = 0; noise on it still
+        # enters H[row(2), col(4)] through e_2^2 var(Y_24)
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        i2, i4 = net.flat_index(2), net.flat_index(4)
+        assert Y.matrix[i2, i4] == 0
+        s_y = 0.01
+        yu_im = np.zeros((4, 4))
+        yu_im[i2, i4] = s_y
+        yu = AdmittanceUncertainty(np.zeros((4, 4)), yu_im)
+        hv = propagate_to_H(problem, Y, state, yu, CartesianNoiseSpec.zero(4))
+        e2 = state.voltages[i2]
+        r = problem.row(2, part="re")
+        c = 2 * problem.nonslack.index(i4)
+        assert hv[r, c] == pytest.approx(e2.imag**2 * s_y**2, rel=1e-12)
+        assert hv[r, c + 1] == pytest.approx(e2.real**2 * s_y**2, rel=1e-12)
 
     def test_second_order_term(self, ieee4_solved):
         net, Y, state = ieee4_solved
