@@ -294,6 +294,16 @@ def _numeric(value, cast, what):
         raise NetworkParseError(f"{what} must be numeric, not {value!r}") from None
 
 
+def _integer(value, what):
+    """``value`` as an int; NetworkParseError naming ``what`` unless it is a
+    whole number.  A fraction or a bool is refused, not cast."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, bool) or not _numeric(value, float, what).is_integer():
+        raise NetworkParseError(f"{what} must be an integer, not {value!r}")
+    return int(float(value))
+
+
 def _matrix(value):
     return np.atleast_2d(np.asarray(value, dtype=float))
 
@@ -360,7 +370,8 @@ def load_network(path) -> NetworkModel:
     ``phases: 3``).  Net injection = generation - load; generation
     positive.  Either the load/gen split or the net ``p_kw``/``q_kvar``
     may be given per bus, not both; an omitted field is zero on every
-    phase.
+    phase.  Bus indices, branch ends and ``phases`` are integers; a
+    fraction or a bool is refused, not truncated.
     """
     try:
         with open(path) as fh:
@@ -373,7 +384,7 @@ def load_network(path) -> NetworkModel:
     for key in ("phases", "bases", "buses", "branches"):
         if key not in raw:
             raise NetworkParseError(f"{path}: missing section {key!r}")
-    p = _numeric(raw["phases"], int, f"{path}: phases")
+    p = _integer(raw["phases"], f"{path}: phases")
     bases = raw["bases"]
     if not (isinstance(bases, dict) and {"s_base_va", "v_base_v"} <= set(bases)):
         raise NetworkParseError(f"{path}: bases needs s_base_va and v_base_v")
@@ -395,7 +406,7 @@ def load_network(path) -> NetworkModel:
     zeros = 0.0 if p == 1 else [0.0] * p  # an omitted power field, per phase
     for pos, entry in enumerate(_entries(raw, "buses", ("index",), path)):
         what = f"{path}: buses[{pos}]"
-        idx = _numeric(entry["index"], int, f"{what} index")
+        idx = _integer(entry["index"], f"{what} index")
         kind = entry.get("kind", PQ)
         if kind == SLACK:
             slack_index = idx
@@ -433,8 +444,8 @@ def load_network(path) -> NetworkModel:
             shunt = _numeric(shunt, _matrix, f"{what} shunt_b_s")
         branches.append(
             Branch(
-                from_bus=_numeric(entry["from"], int, f"{what} from"),
-                to_bus=_numeric(entry["to"], int, f"{what} to"),
+                from_bus=_integer(entry["from"], f"{what} from"),
+                to_bus=_integer(entry["to"], f"{what} to"),
                 z_ohm=z,
                 shunt_b_s=shunt,
                 length_km=entry.get("length_km"),

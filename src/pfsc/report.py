@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +71,7 @@ def _check_formats(formats):
             raise ConfigError(f"unknown report format {fmt!r} (choose from {FORMATS})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientKey:
     """Identifies one real coefficient: d{Re|Im} E_i / d{P|Q}_l."""
 
@@ -80,14 +83,24 @@ class CoefficientKey:
     wrt: str  # "P" | "Q"
 
     def label(self, phase_count=1):
-        part = "Re" if self.part == "re" else "Im"
-        if phase_count == 1:
-            return f"{part}(dE{self.bus_i}/d{self.wrt}{self.bus_l})"
-        ph = "abc"
-        return (
-            f"{part}(dE{self.bus_i}{ph[self.phase_i]}"
-            f"/d{self.wrt}{self.bus_l}{ph[self.phase_l]})"
-        )
+        row = _row_label(self.bus_i, self.phase_i, self.part, phase_count)
+        return row + _column_label(self.bus_l, self.phase_l, self.wrt, phase_count)
+
+
+# A label joins a row half, "Re(dE4", to a column half, "/dP2)"; with more
+# than one phase each bus number is followed by its phase letter.
+def _row_label(bus, phase, part, phase_count):
+    ph = "" if phase_count == 1 else "abc"[phase]
+    return f"{'Re' if part == 're' else 'Im'}(dE{bus}{ph}"
+
+
+def _column_label(bus, phase, wrt, phase_count):
+    ph = "" if phase_count == 1 else "abc"[phase]
+    return f"/d{wrt}{bus}{ph})"
+
+
+#: the slot setter of each CoefficientKey field, in field order
+_KEY_SETTERS = tuple(getattr(CoefficientKey, f.name).__set__ for f in fields(CoefficientKey))
 
 
 @dataclass
@@ -95,6 +108,7 @@ class ComparisonReport:
     """Per-coefficient nominal values and stds from both methods."""
 
     keys: list[CoefficientKey]
+    labels: list[str]  # keys[i].label(phase_count)
     nominal: np.ndarray
     analytical: dict = field(default_factory=dict)  # sigma_pct -> stds
     mc: dict = field(default_factory=dict)  # (sigma_pct, n_mc) -> stds
@@ -141,13 +155,37 @@ def coefficient_keys(network, coefficients=None):
                 )
             keep[np.ix_(r, c)] = True
     rows, cols = np.nonzero(keep)
-    keys = [
-        CoefficientKey(
-            *nodes[r // 2], PARTS[r % 2], *nodes[c // 2], INJECTIONS[c % 2]
-        )
-        for r, c in zip(rows.tolist(), cols.tolist())
-    ]
+    # The slots are set directly: the frozen __init__, one
+    # object.__setattr__ per field, is most of the cost of a large table.
+    set_bus_i, set_phase_i, set_part, set_bus_l, set_phase_l, set_wrt = _KEY_SETTERS
+    keys = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        key = object.__new__(CoefficientKey)
+        bus, ph = nodes[r // 2]
+        set_bus_i(key, bus)
+        set_phase_i(key, ph)
+        set_part(key, PARTS[r % 2])
+        bus, ph = nodes[c // 2]
+        set_bus_l(key, bus)
+        set_phase_l(key, ph)
+        set_wrt(key, INJECTIONS[c % 2])
+        keys.append(key)
     return keys, rows, cols
+
+
+def _coefficient_labels(network, rows, cols):
+    """``key.label(phase_count)`` of each ``coefficient_keys`` entry at ``rows, cols``."""
+    p = network.phase_count
+    flat = network.nonslack_flat_indices()
+    row = {
+        r: _row_label(*network.node(flat[r // 2]), PARTS[r % 2], p)
+        for r in np.unique(rows).tolist()
+    }
+    col = {
+        c: _column_label(*network.node(flat[c // 2]), INJECTIONS[c % 2], p)
+        for c in np.unique(cols).tolist()
+    }
+    return [row[r] + col[c] for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 def _timing_key(name, *args):
@@ -172,9 +210,32 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
 
     polar = it_class_to_polar(cfg.it_class, load_noise_config(cfg.noise_config))
 
-    report = ComparisonReport(
+    analytical, mc_stds, mc_failed = {}, {}, {}
+    for lvl in cfg.sigma_y_pct:
+        yu = AdmittanceUncertainty.from_relative(Y, lvl)
+        if cfg.mode in ("analytical", "both"):
+            t0 = time.perf_counter()
+            en = project_polar_noise(state, polar)
+            sigma = analytical_sigma(result, Y, state, yu, en)
+            timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
+            analytical[lvl] = sigma[at]
+        if cfg.mode in ("mc", "both"):
+            for n in cfg.n_mc:
+                mc_cfg = MCConfig(
+                    n_trials=n, seed=cfg.seed, polar=polar, yu=yu
+                )
+                mc = run_monte_carlo(network, Y, state, mc_cfg)
+                timings[_timing_key("mc_s", lvl, n)] = mc.runtime_s
+                mc_stds[(lvl, n)] = mc.std[rows, cols]
+                mc_failed[(lvl, n)] = mc.trials_failed
+    return ComparisonReport(
         keys=keys,
+        # made last, so that they are not held through the Monte-Carlo runs
+        labels=_coefficient_labels(network, rows, cols),
         nominal=result.x[at],
+        analytical=analytical,
+        mc=mc_stds,
+        mc_failed=mc_failed,
         timings=timings,
         meta={
             "network": str(cfg.network),
@@ -185,27 +246,33 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
         },
     )
 
-    for lvl in cfg.sigma_y_pct:
-        yu = AdmittanceUncertainty.from_relative(Y, lvl)
-        if cfg.mode in ("analytical", "both"):
-            t0 = time.perf_counter()
-            en = project_polar_noise(state, polar)
-            sigma = analytical_sigma(result, Y, state, yu, en)
-            timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
-            report.analytical[lvl] = sigma[at]
-        if cfg.mode in ("mc", "both"):
-            for n in cfg.n_mc:
-                mc_cfg = MCConfig(
-                    n_trials=n, seed=cfg.seed, polar=polar, yu=yu
-                )
-                mc = run_monte_carlo(network, Y, state, mc_cfg)
-                timings[_timing_key("mc_s", lvl, n)] = mc.runtime_s
-                report.mc[(lvl, n)] = mc.std[rows, cols]
-                report.mc_failed[(lvl, n)] = mc.trials_failed
-    return report
-
 
 # -- emission ----------------------------------------------------------------
+
+#: An array's slot in the JSON skeleton: the line of its key, whose value is
+#: the string "\0<k>" (ASCII-escaped), k the array's position in the list.
+_JSON_SLOT = re.compile(r'^( *)(".*": )"\\u0000(\d+)"', re.M)
+
+
+class _Column:
+    """One column of report values, formatted at most once per emission."""
+
+    def __init__(self, values):
+        self.values = values
+
+    @cached_property
+    def reprs(self):
+        """``repr`` of each value: a float's text in CSV and in JSON."""
+        return list(map(repr, self.values.tolist()))
+
+    @cached_property
+    def json_items(self):
+        """``reprs`` with null for each value that is not finite (RFC 8259
+        JSON has no NaN or Infinity)."""
+        finite = np.isfinite(self.values)
+        if finite.all():
+            return self.reprs
+        return [r if ok else "null" for r, ok in zip(self.reprs, finite.tolist())]
 
 
 def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
@@ -213,8 +280,14 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
 
     CSV: one file per admittance-std level with columns
     {coefficient, nominal_pu, std_analytical, std_mc_<n>..., time_s}.
-    JSON: a single file carrying all levels plus percents and timings.
-    Pretty text: fixed-point table, 4 decimals.
+    JSON: a single file carrying all levels plus percents and timings; a
+    value that is not finite, such as the percent of a zero nominal, is
+    written as null.
+    Pretty text: fixed-point table, 4 decimals; the percent of a zero
+    nominal reads ``nan%`` or ``inf%``.
+    CSV and JSON write a float as its ``repr``, the shortest text that
+    reads back to the same double.  Each column is formatted once per call
+    and shared by the formats that need it.
     """
     _check_formats(formats)
     out_dir = Path(out_dir)
@@ -224,12 +297,19 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
         set(report.analytical) | {lvl for lvl, _ in report.mc}
     )
     n_mcs = sorted({n for _, n in report.mc})
-    p = report.meta.get("phase_count", 1)
-    labels = [k.label(p) for k in report.keys]
+    nominal = _Column(report.nominal)
+    # (n_mc, stds, percent of nominal) of each std column of a level, n_mc
+    # None for the analytical one, in report column order
+    columns = {lvl: [] for lvl in levels}
+    for lvl, n in [(lvl, None) for lvl in report.analytical] + sorted(report.mc):
+        stds = report.analytical[lvl] if n is None else report.mc[(lvl, n)]
+        columns[lvl].append(
+            (n, _Column(stds), _Column(report.percent_of_nominal(stds)))
+        )
 
     for fmt in formats:
         if fmt == "csv":
-            for lvl in levels:
+            for lvl, cols in columns.items():
                 path = out_dir / f"report_sigmaY_{lvl:g}pct.csv"
                 summed = {"load_flow_s", "coefficients_s"}
                 summed.add(_timing_key("analytical_s", lvl))
@@ -238,82 +318,88 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
                     v for k, v in report.timings.items() if k in summed
                 )
                 header = ["coefficient", "nominal_pu"]
-                if lvl in report.analytical:
-                    header.append("std_analytical")
-                header += [f"std_mc_{n}" for n in n_mcs if (lvl, n) in report.mc]
+                header += [
+                    "std_analytical" if n is None else f"std_mc_{n}" for n, _, _ in cols
+                ]
                 header.append("time_s")
+                values = [stds.reprs for _, stds, _ in cols]
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(header)
-                    for i, label in enumerate(labels):
-                        row = [label, repr(float(report.nominal[i]))]
-                        if lvl in report.analytical:
-                            row.append(repr(float(report.analytical[lvl][i])))
-                        for n in n_mcs:
-                            if (lvl, n) in report.mc:
-                                row.append(repr(float(report.mc[(lvl, n)][i])))
-                        row.append(repr(float(total)))
-                        writer.writerow(row)
+                    writer.writerows(
+                        zip(report.labels, nominal.reprs, *values, repeat(repr(float(total))))
+                    )
                 written.append(path)
         elif fmt == "json":
             path = out_dir / "report.json"
-            doc = {
-                "meta": report.meta,
-                "timings": report.timings,
-                "coefficients": labels,
-                "nominal_pu": [float(v) for v in report.nominal],
-                "analytical": {
-                    str(lvl): {
-                        "std": [float(v) for v in stds],
-                        "pct_of_nominal": [
-                            float(v) for v in report.percent_of_nominal(stds)
-                        ],
-                    }
-                    for lvl, stds in sorted(report.analytical.items())
-                },
-                "monte_carlo": {
-                    f"{lvl}|{n}": {
-                        "std": [float(v) for v in stds],
-                        "pct_of_nominal": [
-                            float(v) for v in report.percent_of_nominal(stds)
-                        ],
-                        "trials_failed": report.mc_failed[(lvl, n)],
-                    }
-                    for (lvl, n), stds in sorted(report.mc.items())
-                },
-            }
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            path.write_text(_json_text(report, nominal, columns))
             written.append(path)
         else:  # pretty-text
             path = out_dir / "report.txt"
-            written.append(_emit_pretty(report, labels, levels, n_mcs, path))
+            written.append(_emit_pretty(report, nominal, columns, path))
     return written
 
 
-def _emit_pretty(report, labels, levels, n_mcs, path):
+def _json_text(report, nominal, columns):
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of the report document,
+    with a final newline.
+
+    With an indent, ``json`` runs its pure-Python encoder, one call per
+    item.  Only the skeleton goes through it, with a slot in place of each
+    array; the arrays, already formatted, are joined into their slots.
+    """
+    arrays = []
+
+    def slot(items):
+        arrays.append(items)
+        return f"\0{len(arrays) - 1}"
+
+    analytical, monte_carlo = {}, {}
+    for lvl, cols in columns.items():
+        for n, stds, pct in cols:
+            entry = {"std": slot(stds.json_items), "pct_of_nominal": slot(pct.json_items)}
+            if n is None:
+                analytical[str(lvl)] = entry
+            else:
+                entry["trials_failed"] = report.mc_failed[(lvl, n)]
+                monte_carlo[f"{lvl}|{n}"] = entry
+    doc = {
+        "meta": report.meta,
+        "timings": report.timings,
+        "coefficients": slot(list(map(json.encoder.encode_basestring_ascii, report.labels))),
+        "nominal_pu": slot(nominal.json_items),
+        "analytical": analytical,
+        "monte_carlo": monte_carlo,
+    }
+    skeleton = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def fill(match):
+        indent, head, items = match[1], match[2], arrays[int(match[3])]
+        if not items:
+            return f"{indent}{head}[]"
+        inner = f"\n{indent}  "
+        return f"{indent}{head}[{inner}{f',{inner}'.join(items)}\n{indent}]"
+
+    return _JSON_SLOT.sub(fill, skeleton)
+
+
+def _emit_pretty(report, nominal, columns, path):
     d = PRETTY_DECIMALS
-    width = max([len(s) for s in labels] + [24])
+    labels = report.labels
+    width = max(max(map(len, labels), default=0), 24)
+    nominal = nominal.values.tolist()
     lines = []
-    for lvl in levels:
+    for lvl, cols in columns.items():
         lines.append(f"sigma_Y = {lvl:g}% of |element|")
         head = f"{'coefficient':<{width}} {'nominal':>12}"
-        columns = []  # (stds, percent of nominal), one per std column
-        if lvl in report.analytical:
-            head += f" {'analytical':>16}"
-            columns.append(report.analytical[lvl])
-        for n in n_mcs:
-            if (lvl, n) in report.mc:
-                head += f" {f'MC n={n}':>16}"
-                columns.append(report.mc[(lvl, n)])
-        columns = [(c, report.percent_of_nominal(c)) for c in columns]
+        row = f"%-{width}s %12.{d}f"
+        values = [labels, nominal]
+        for n, stds, pct in cols:
+            head += f" {'analytical' if n is None else f'MC n={n}':>16}"
+            row += f" %9.{d}f (%4.1f%%)"
+            values += [stds.values.tolist(), pct.values.tolist()]
         lines.append(head)
-        for i, label in enumerate(labels):
-            row = f"{label:<{width}} {report.nominal[i]:>12.{d}f}"
-            for stds, pct in columns:
-                row += f" {stds[i]:>9.{d}f} ({pct[i]:4.1f}%)"
-            lines.append(row)
+        lines.extend(map(row.__mod__, zip(*values)))
         lines.append("")
     lines.append("timings (s):")
     for k in sorted(report.timings):

@@ -266,8 +266,11 @@ _NET_TAIL = "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]\n"
         (_NET_HEAD + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: abc}]\n"
          + _NET_TAIL, "buses[1] p_kw must be numeric, not 'abc'"),
         ("phases: [\n", "line 2, column 1: did not find expected node content"),
+        (_NET_HEAD + "buses: [{index: 1, kind: slack}, {index: 2.7}]\n"
+         + "branches: [{from: 1, to: 2.7, r_ohm: 0.1, x_ohm: 0.2}]\n",
+         "buses[1] index must be an integer, not 2.7"),
     ],
-    ids=["index", "p_kw", "yaml-syntax"],
+    ids=["index", "p_kw", "yaml-syntax", "non-integral-index"],
 )
 def test_malformed_network_is_one_line(capsys, tmp_path, text, message):
     net = tmp_path / "net.yaml"

@@ -265,6 +265,43 @@ branches:
         with pytest.raises(NetworkParseError, match=re.escape(f"{path}: {message}")):
             load_network(path)
 
+    _BUSES = "[{index: 1, kind: slack}, {index: 2}]"
+    _BRANCHES = "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]"
+
+    @pytest.mark.parametrize(
+        "phases, buses, branches, message",
+        [
+            ("1", "[{index: 1, kind: slack}, {index: 2.7}]", _BRANCHES,
+             "buses[1] index must be an integer, not 2.7"),
+            ("1", "[{index: 1, kind: slack}, {index: true}]", _BRANCHES,
+             "buses[1] index must be an integer, not True"),
+            ("1", _BUSES, "[{from: 1.5, to: 2, r_ohm: 0.1, x_ohm: 0.2}]",
+             "branches[0] from must be an integer, not 1.5"),
+            ("1", _BUSES, "[{from: 1, to: 2.9, r_ohm: 0.1, x_ohm: 0.2}]",
+             "branches[0] to must be an integer, not 2.9"),
+            ("1.5", _BUSES, _BRANCHES, "phases must be an integer, not 1.5"),
+            ("true", _BUSES, _BRANCHES, "phases must be an integer, not True"),
+        ],
+        ids=["index", "index-bool", "from", "to", "phases", "phases-bool"],
+    )
+    def test_non_integral_index(self, tmp_path, phases, buses, branches, message):
+        # a fraction used to be truncated, so {index: 2.7} loaded as bus 2
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            f"phases: {phases}\nbases: {{s_base_va: 1.0e6, v_base_v: 1000.0}}\n"
+            f"buses: {buses}\nbranches: {branches}\n"
+        )
+        with pytest.raises(NetworkParseError, match=re.escape(f"{path}: {message}")):
+            load_network(path)
+
+    def test_whole_number_index_loads(self, ieee4, tmp_path):
+        path = tmp_path / "net.yaml"
+        emit_network(ieee4, path)
+        text = path.read_text()
+        path.write_text(re.sub(r"index: (\d+)", r"index: \1.0", text))
+        assert path.read_text() != text
+        assert load_network(path).buses == ieee4.buses
+
     def test_yaml_syntax_error_is_one_line(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("name: x\nphases: [\n")

@@ -2,7 +2,8 @@ import csv
 import json
 import re
 
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ import pfsc
 from pfsc.errors import ConfigError
 from pfsc.network import Branch
 from pfsc.report import (
+    FORMATS,
     CoefficientKey,
     RunConfig,
+    _coefficient_labels,
+    _timing_key,
     coefficient_keys,
     emit_report,
     run_pipeline,
@@ -122,6 +126,22 @@ class TestCoefficientKeys:
         assert keys == ref_keys
         assert rows.tolist() == ref_rows
         assert cols.tolist() == ref_cols
+
+    @pytest.mark.parametrize("three_phase", [False, True])
+    def test_keys_and_labels_match_brute_force(self, ieee4, three_phase):
+        # the keys' slots are set without CoefficientKey.__init__, and the
+        # labels are joined from per-row and per-column halves
+        net = make_three_phase_balanced() if three_phase else ieee4
+        keys, rows, cols = coefficient_keys(net)
+        ref_keys, _, _ = brute_force_keys(_problem(net))
+        assert [astuple(k) for k in keys] == [astuple(k) for k in ref_keys]
+        assert [hash(k) for k in keys] == [hash(k) for k in ref_keys]
+        assert len(set(keys)) == len(keys)
+        labels = _coefficient_labels(net, rows, cols)
+        assert labels == [k.label(net.phase_count) for k in ref_keys]
+        with pytest.raises(FrozenInstanceError):
+            keys[0].bus_i = 9
+        assert replace(keys[0], bus_i=9) == CoefficientKey(9, *astuple(keys[0])[1:])
 
     @pytest.mark.parametrize(
         "entry",
@@ -449,3 +469,177 @@ class TestEmission:
             return [row[:-1] for row in rows]
 
         assert run("a") == run("b")
+
+
+def _reference_emit_report(report, formats, out_dir):
+    """Row-by-row emission, one format at a time: the reference for
+    ``emit_report``, whose files must match it byte for byte (JSON aside
+    from its non-finite numbers, see ``_json_nulls``)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    levels = sorted(
+        set(report.analytical) | {lvl for lvl, _ in report.mc}
+    )
+    n_mcs = sorted({n for _, n in report.mc})
+    p = report.meta.get("phase_count", 1)
+    labels = [k.label(p) for k in report.keys]
+
+    for fmt in formats:
+        if fmt == "csv":
+            for lvl in levels:
+                path = out_dir / f"report_sigmaY_{lvl:g}pct.csv"
+                summed = {"load_flow_s", "coefficients_s"}
+                summed.add(_timing_key("analytical_s", lvl))
+                summed.update(_timing_key("mc_s", lvl, n) for n in n_mcs)
+                total = sum(
+                    v for k, v in report.timings.items() if k in summed
+                )
+                header = ["coefficient", "nominal_pu"]
+                if lvl in report.analytical:
+                    header.append("std_analytical")
+                header += [f"std_mc_{n}" for n in n_mcs if (lvl, n) in report.mc]
+                header.append("time_s")
+                with open(path, "w", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    for i, label in enumerate(labels):
+                        row = [label, repr(float(report.nominal[i]))]
+                        if lvl in report.analytical:
+                            row.append(repr(float(report.analytical[lvl][i])))
+                        for n in n_mcs:
+                            if (lvl, n) in report.mc:
+                                row.append(repr(float(report.mc[(lvl, n)][i])))
+                        row.append(repr(float(total)))
+                        writer.writerow(row)
+                written.append(path)
+        elif fmt == "json":
+            path = out_dir / "report.json"
+            doc = {
+                "meta": report.meta,
+                "timings": report.timings,
+                "coefficients": labels,
+                "nominal_pu": [float(v) for v in report.nominal],
+                "analytical": {
+                    str(lvl): {
+                        "std": [float(v) for v in stds],
+                        "pct_of_nominal": [
+                            float(v) for v in report.percent_of_nominal(stds)
+                        ],
+                    }
+                    for lvl, stds in sorted(report.analytical.items())
+                },
+                "monte_carlo": {
+                    f"{lvl}|{n}": {
+                        "std": [float(v) for v in stds],
+                        "pct_of_nominal": [
+                            float(v) for v in report.percent_of_nominal(stds)
+                        ],
+                        "trials_failed": report.mc_failed[(lvl, n)],
+                    }
+                    for (lvl, n), stds in sorted(report.mc.items())
+                },
+            }
+            with open(path, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            written.append(path)
+        else:  # pretty-text
+            path = out_dir / "report.txt"
+            written.append(_reference_emit_pretty(report, labels, levels, n_mcs, path))
+    return written
+
+
+def _reference_emit_pretty(report, labels, levels, n_mcs, path):
+    d = 4
+    width = max([len(s) for s in labels] + [24])
+    lines = []
+    for lvl in levels:
+        lines.append(f"sigma_Y = {lvl:g}% of |element|")
+        head = f"{'coefficient':<{width}} {'nominal':>12}"
+        columns = []  # (stds, percent of nominal), one per std column
+        if lvl in report.analytical:
+            head += f" {'analytical':>16}"
+            columns.append(report.analytical[lvl])
+        for n in n_mcs:
+            if (lvl, n) in report.mc:
+                head += f" {f'MC n={n}':>16}"
+                columns.append(report.mc[(lvl, n)])
+        columns = [(c, report.percent_of_nominal(c)) for c in columns]
+        lines.append(head)
+        for i, label in enumerate(labels):
+            row = f"{label:<{width}} {report.nominal[i]:>12.{d}f}"
+            for stds, pct in columns:
+                row += f" {stds[i]:>9.{d}f} ({pct[i]:4.1f}%)"
+            lines.append(row)
+        lines.append("")
+    lines.append("timings (s):")
+    for k in sorted(report.timings):
+        lines.append(f"  {k}: {report.timings[k]:.3f}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _json_nulls(text):
+    """``text`` with each non-finite array item (``json``'s NaN, Infinity and
+    -Infinity tokens) written as null, as ``emit_report`` writes it."""
+    return re.sub(r"(?m)^( *)(?:NaN|-?Infinity)(,?)$", r"\1null\2", text)
+
+
+def _raise_on_constant(token):
+    raise ValueError(f"not RFC 8259 JSON: {token}")
+
+
+def _network_cfg(tmp_path, network, **kw):
+    path = tmp_path / "net.yaml"
+    pfsc.emit_network(network, path)
+    return small_cfg(network=str(path), **kw)
+
+
+class TestEmissionBytes:
+    """``emit_report`` writes the reference's bytes, all formats in one call."""
+
+    CASES = {
+        "ieee4": lambda tmp: small_cfg(n_mc=(20, 50)),
+        "three-phase": lambda tmp: _network_cfg(tmp, make_three_phase_balanced()),
+        "empty": lambda tmp: small_cfg(coefficients=()),
+        "analytical-two-levels": lambda tmp: small_cfg(
+            mode="analytical", sigma_y_pct=(0.5, 0.55)
+        ),
+        # zero nominals: buses in different subtrees under the stiff slack
+        "random60-full": lambda tmp: _network_cfg(
+            tmp, make_random_network(60, 1, radial=False), n_mc=(20,)
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_bytes_as_reference(self, tmp_path, case):
+        report = run_pipeline(self.CASES[case](tmp_path))
+        # fixed timings, so that the time_s column and the timings compare
+        report.timings = {k: 0.125 * (i + 1) for i, k in enumerate(report.timings)}
+        got = emit_report(report, FORMATS, tmp_path / "got")
+        want = _reference_emit_report(report, FORMATS, tmp_path / "want")
+        assert [p.name for p in got] == [p.name for p in want]
+        for g, w in zip(got, want):
+            expected = w.read_bytes()
+            if w.suffix == ".json":
+                expected = _json_nulls(expected.decode()).encode()
+            assert g.read_bytes() == expected, g.name
+        if case == "empty":
+            doc = json.loads(got[-2].read_text())
+            assert doc["coefficients"] == [] and doc["nominal_pu"] == []
+            assert doc["analytical"]["1.0"]["std"] == []
+
+    def test_zero_nominal_percent_is_null(self, tmp_path):
+        cfg = _network_cfg(
+            tmp_path, make_random_network(60, 1, radial=False), mode="analytical"
+        )
+        report = run_pipeline(cfg)
+        zero = report.nominal == 0
+        assert zero.any()
+        (path,) = emit_report(report, ("json",), tmp_path / "out")
+        doc = json.loads(path.read_text(), parse_constant=_raise_on_constant)
+        pct = doc["analytical"]["1.0"]["pct_of_nominal"]
+        assert [v is None for v in pct] == zero.tolist()
+        (path,) = emit_report(report, ("pretty-text",), tmp_path / "out")
+        assert "nan%)" in path.read_text()
