@@ -31,6 +31,7 @@ from .montecarlo import (
     MCResult,
     qq_normality_check,
     run_monte_carlo,
+    run_monte_carlo_sets,
 )
 from .network import (
     AdmittanceMatrix,

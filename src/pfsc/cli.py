@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -64,34 +65,51 @@ def _prepare(args):
     return network, Y, state
 
 
-def _coeff_rows(network, x):
-    """Flatten x to rows keyed by (i, phase, l, phase, P|Q, Re|Im)."""
+def _coeff_table(network, x, name):
+    """Columns of the table of x: the key (i, phase, l, phase, P|Q, Re|Im)
+    of each coefficient, and its value under ``name``."""
     keys, rows, cols = coefficient_keys(network)
-    return [
-        {
-            "bus_i": key.bus_i,
-            "phase_i": key.phase_i,
-            "bus_l": key.bus_l,
-            "phase_l": key.phase_l,
-            "wrt": key.wrt,
-            "part": key.part.capitalize(),
-            "value": value,
-        }
-        for key, value in zip(keys, x[rows, cols].tolist())
-    ]
+    return {
+        "bus_i": [key.bus_i for key in keys],
+        "phase_i": [key.phase_i for key in keys],
+        "bus_l": [key.bus_l for key in keys],
+        "phase_l": [key.phase_l for key in keys],
+        "wrt": [key.wrt for key in keys],
+        "part": [key.part.capitalize() for key in keys],
+        name: x[rows, cols].tolist(),
+    }
 
 
-def _write_rows(rows, out, fmt):
+#: how ``json`` spells the floats that a JSON number cannot hold
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_items(values):
+    """The ``json.dumps`` text of each value of a column of str, int or float."""
+    if isinstance(values[0], str):
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    return [_JSON_NONFINITE.get(r, r) for r in map(repr, values)]
+
+
+def _write_table(table, out, fmt):
+    """Write the columns of ``table`` as CSV, or as the list of row objects
+    that ``json.dumps(rows, indent=2)`` writes.
+
+    That encoder runs in pure Python, one call per item, with an indent;
+    here each value is formatted once, and each row fills one template.
+    """
     if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        fields = ",\n".join(
+            f"    {json.encoder.encode_basestring_ascii(name)}: %s" for name in table
+        )
+        row = f"  {{\n{fields}\n  }}"
+        items = zip(*map(_json_items, table.values()))
+        text = "[\n" + ",\n".join(map(row.__mod__, items)) + "\n]\n"
     else:
-        cols = list(rows[0]) if rows else []
-        import io
-
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=cols)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf)
+        writer.writerow(table)
+        writer.writerows(zip(*table.values()))
         text = buf.getvalue()
     if out:
         Path(out).write_text(text)
@@ -121,7 +139,7 @@ def _cmd_pfsc(args):
     network, Y, state = _prepare(args)
     problem = assemble_problem(Y, state, network)
     result = solve_coefficients(problem, voltages=state.voltages)
-    _write_rows(_coeff_rows(network, result.x), args.out, args.format)
+    _write_table(_coeff_table(network, result.x, "value"), args.out, args.format)
     return 0
 
 
@@ -132,10 +150,8 @@ def _cmd_propagate(args):
     polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     en = project_polar_noise(state, polar)
-    rows = _coeff_rows(network, analytical_sigma(result, Y, state, yu, en))
-    for row in rows:
-        row["sigma"] = row.pop("value")
-    _write_rows(rows, args.out, args.format)
+    sigma = analytical_sigma(result, Y, state, yu, en)
+    _write_table(_coeff_table(network, sigma, "sigma"), args.out, args.format)
     return 0
 
 
@@ -151,10 +167,7 @@ def _cmd_mc(args):
         store_trials=args.dump_trials is not None,
     )
     mc = run_monte_carlo(network, Y, state, cfg)
-    rows = _coeff_rows(network, mc.std)
-    for row in rows:
-        row["sigma_mc"] = row.pop("value")
-    _write_rows(rows, args.out, args.format)
+    _write_table(_coeff_table(network, mc.std, "sigma_mc"), args.out, args.format)
     if args.dump_trials:
         n_rows = mc.trials.shape[0] * mc.trials.shape[1]
         flat = mc.trials.reshape(n_rows, -1)

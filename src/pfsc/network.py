@@ -43,7 +43,8 @@ class Bus:
 
     ``p_kw``/``q_kvar`` are net injections (generation positive, load
     negative), one entry per phase.  The slack bus carries no specified
-    injection.
+    injection.  ``index`` is a whole number: ``2.0`` is kept as ``2``, and
+    a fraction or a bool raises NetworkParseError.
     """
 
     index: int
@@ -52,6 +53,7 @@ class Bus:
     q_kvar: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "index", _integer(self.index, "bus index"))
         if self.kind not in (SLACK, PQ):
             raise NetworkValidationError(
                 f"bus {self.index}: unknown kind {self.kind!r}"
@@ -64,12 +66,12 @@ class Branch:
     The series impedance is a ``p x p`` complex matrix in ohms (scalar for
     the single-phase equivalent).  ``shunt_b_s`` is the total shunt
     susceptance in siemens, split evenly between the two ends; it defaults
-    to zero.
+    to zero.  The bus ends are whole numbers, checked as ``Bus.index`` is.
     """
 
     def __init__(self, from_bus, to_bus, z_ohm, shunt_b_s=None, length_km=None):
-        self.from_bus = int(from_bus)
-        self.to_bus = int(to_bus)
+        self.from_bus = _integer(from_bus, "branch from_bus")
+        self.to_bus = _integer(to_bus, "branch to_bus")
         self.z_ohm = np.atleast_2d(np.asarray(z_ohm, dtype=complex))
         if shunt_b_s is None:
             self.shunt_b_s = np.zeros_like(self.z_ohm, dtype=float)
@@ -299,7 +301,7 @@ def _integer(value, what):
     whole number.  A fraction or a bool is refused, not cast."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, bool) or not _numeric(value, float, what).is_integer():
+    if isinstance(value, (bool, np.bool_)) or not _numeric(value, float, what).is_integer():
         raise NetworkParseError(f"{what} must be an integer, not {value!r}")
     return int(float(value))
 

@@ -1,11 +1,16 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 import pfsc
 from pfsc import cli
 from pfsc.cli import main
+from pfsc.report import coefficient_keys
+
+from conftest import make_random_network, make_three_phase_balanced
 
 NETWORK = str(pfsc.bundled_network_path("ieee4_balanced"))
 
@@ -95,6 +100,81 @@ def test_pfsc_json_stdout(capsys):
     rows = json.loads(out)
     assert len(rows) == 36
     assert {"bus_i", "bus_l", "wrt", "part", "value"} <= set(rows[0])
+
+
+def reference_rows(network, x, name):
+    """One dict per coefficient of x, in table order: the rows that the
+    tables' CSV and JSON bytes are checked against."""
+    keys, rows, cols = coefficient_keys(network)
+    return [
+        {
+            "bus_i": key.bus_i,
+            "phase_i": key.phase_i,
+            "bus_l": key.bus_l,
+            "phase_l": key.phase_l,
+            "wrt": key.wrt,
+            "part": key.part.capitalize(),
+            name: value,
+        }
+        for key, value in zip(keys, x[rows, cols].tolist())
+    ]
+
+
+def reference_bytes(rows, fmt):
+    """The text ``json.dumps(rows, indent=2)`` or ``csv.DictWriter`` writes."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+TABLE_NETWORKS = {
+    "ieee4": lambda: pfsc.load_network(NETWORK),
+    "three-phase": make_three_phase_balanced,
+    "random60": lambda: make_random_network(60, 1, radial=False),
+}
+
+
+@pytest.mark.parametrize("command", ["pfsc", "propagate", "mc"])
+@pytest.mark.parametrize("name", TABLE_NETWORKS)
+def test_table_bytes(capsys, tmp_path, name, command):
+    network = TABLE_NETWORKS[name]()
+    path = tmp_path / "net.yaml"
+    pfsc.emit_network(network, path)
+    network = pfsc.load_network(path)
+    Y = pfsc.build_admittance(network)
+    state = pfsc.solve_load_flow(network, Y)
+    result = pfsc.solve_coefficients(pfsc.assemble_problem(Y, state, network),
+                                     voltages=state.voltages)
+    polar = pfsc.it_class_to_polar("0.5")
+    yu = pfsc.AdmittanceUncertainty.from_relative(Y, 1.0)
+    if command == "pfsc":
+        x, column, extra = result.x, "value", []
+    elif command == "propagate":
+        en = pfsc.project_polar_noise(state, polar)
+        x, column, extra = pfsc.analytical_sigma(result, Y, state, yu, en), "sigma", []
+    else:
+        cfg = pfsc.MCConfig(n_trials=5, seed=4, polar=polar, yu=yu)
+        x = pfsc.run_monte_carlo(network, Y, state, cfg).std
+        column, extra = "sigma_mc", ["--nmc", "5", "--seed", "4"]
+    rows = reference_rows(network, x, column)
+    for fmt in ("json", "csv"):
+        code, out, _ = run(capsys, command, "--network", str(path), "--format", fmt, *extra)
+        assert code == 0
+        assert out == reference_bytes(rows, fmt)
+
+
+def test_json_table_spells_nonfinite_values_as_json_does(tmp_path):
+    values = [1.5, -0.0, 1e-300, float("nan"), float("inf"), float("-inf")]
+    table = {"part": ["Re", "Im\u00e9", "P", "Q", "\"", "x"], "bus_i": list(range(6)),
+             "value": values}
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    out = tmp_path / "table.json"
+    cli._write_table(table, out, "json")
+    assert out.read_text() == json.dumps(rows, indent=2) + "\n"
 
 
 def test_propagate_csv(capsys, tmp_path):

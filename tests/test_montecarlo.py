@@ -1,5 +1,7 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from pfsc.montecarlo import (
     MCConfig,
     qq_normality_check,
     run_monte_carlo,
+    run_monte_carlo_sets,
 )
 from pfsc.network import Branch, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
@@ -245,18 +248,135 @@ def test_all_trials_failed_raises(ieee4_solved, seven_trial_chunks, monkeypatch,
         run_monte_carlo(net, Y, state, cfg)
 
 
+# -- one pass for several sets ------------------------------------------------
+
+
+def poisoned_trial(monkeypatch, network, state, cfg, trial):
+    """Make one trial's H exactly singular wherever it is assembled.
+
+    The trial is recognised by its perturbed voltages, which every level
+    shares, so the batched solve of its chunk raises at each level.
+    """
+    m = state.voltages.size
+    d = montecarlo._draws(cfg.seed, range(trial, trial + 1), 2 * m)
+    target = montecarlo._perturb_voltages(state.voltages, cfg.polar, d[:, :m], d[:, m:])
+    hits = []
+
+    def assemble(Ym, E, network):
+        problem = assemble_from_raw(Ym, E, network)
+        hit = (E == target).all(axis=-1)
+        problem.H[hit] = 0.0
+        hits.append(int(hit.sum()))
+        return problem
+
+    monkeypatch.setattr(montecarlo, "assemble_from_raw", assemble)
+    return hits
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["clean", "singular-trial"])
+@pytest.mark.parametrize("mode", MODES)
+def test_shared_pass_equals_separate_runs(ieee4_solved, seven_trial_chunks,
+                                          monkeypatch, mode, poison):
+    net, Y, state, polar, _ = mc_setup(ieee4_solved)
+    cfgs = [
+        MCConfig(n_trials=n, seed=7, polar=polar, yu=yu, symmetry_mode=mode,
+                 store_trials=True)
+        for yu in (AdmittanceUncertainty.from_relative(Y, lvl) for lvl in (0.5, 1.0, 2.0))
+        for n in (7, 20, 60)
+    ]
+    if poison:
+        # trial 20 is outside the 20-trial sets but inside the chunk of
+        # 14-20 that the pass solves for the 60-trial ones
+        hits = poisoned_trial(monkeypatch, net, state, cfgs[0], 20)
+    shared = run_monte_carlo_sets(net, Y, state, cfgs)
+    if poison:
+        assert sum(hits) == 3  # once per level
+    for cfg, got in zip(cfgs, shared):
+        alone = run_monte_carlo(net, Y, state, cfg)
+        assert got.n_trials == cfg.n_trials
+        assert got.trials_failed == alone.trials_failed == int(poison and cfg.n_trials > 20)
+        assert np.array_equal(got.trials, alone.trials)
+        assert np.array_equal(got.mean, alone.mean)
+        assert np.array_equal(got.std, alone.std)
+
+
+def test_report_builds_each_trial_stream_once(monkeypatch):
+    streams = []
+
+    def counted(seed, k):
+        streams.append(k)
+        return rng(seed, k)
+
+    rng = montecarlo._trial_rng
+    monkeypatch.setattr(montecarlo, "_trial_rng", counted)
+    cfg = pfsc.RunConfig(network=str(pfsc.bundled_network_path()), mode="mc",
+                         n_mc=(20, 50), sigma_y_pct=(0.5, 1.0, 2.0))
+    report = pfsc.run_pipeline(cfg)
+    # separate runs built 3 x (20 + 50) = 210
+    assert streams == list(range(50))
+    assert sorted(report.mc) == [(lvl, n) for lvl in (0.5, 1.0, 2.0) for n in (20, 50)]
+
+
+def test_shared_pass_seconds_add_up_to_its_wall_time(ieee4_solved, seven_trial_chunks,
+                                                    monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(montecarlo, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    yu2 = AdmittanceUncertainty.from_relative(Y, 2.0)
+    cfgs = [MCConfig(n_trials=n, seed=1, polar=polar, yu=y)
+            for y in (yu, yu2) for n in (7, 20)]
+    results = run_monte_carlo_sets(net, Y, state, cfgs)
+    # the first tick starts the pass, the last is the last one charged
+    assert sum(r.runtime_s for r in results) == pytest.approx(next(ticks) - 1, rel=1e-12)
+    # the 7-trial sets read one of the three chunks
+    assert results[0].runtime_s < results[1].runtime_s
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"seed": 8}, {"polar": PolarNoiseSpec(0.0, 0.0)},
+     {"symmetry_mode": SYMMETRIC_PAIRS}, {"store_trials": True}],
+    ids=["seed", "polar", "symmetry_mode", "store_trials"],
+)
+def test_shared_pass_refuses_sets_that_differ_in_their_draws(ieee4_solved, change):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    cfg = MCConfig(n_trials=10, seed=7, polar=polar, yu=yu)
+    (field,) = change
+    with pytest.raises(ConfigError, match=f"differ in {field}"):
+        run_monte_carlo_sets(net, Y, state, [cfg, replace(cfg, **change)])
+
+
+def traced_peak(run):
+    """Peak traced bytes that ``run()`` adds."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_pass_memory_bounded_in_n_trials(ieee4_solved):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    yu2 = AdmittanceUncertainty.from_relative(Y, 2.0)
+
+    def peak(n_trials):
+        # two levels, each with a tenth-size set beside the full one
+        cfgs = [MCConfig(n_trials=n, seed=4, polar=polar, yu=y)
+                for y in (yu, yu2) for n in (n_trials // 10, n_trials)]
+        return traced_peak(lambda: run_monte_carlo_sets(net, Y, state, cfgs))
+
+    small, large = peak(500), peak(5000)
+    assert large <= 1.1 * small, (small, large)
+
+
 def test_memory_bounded_in_n_trials(ieee4_solved):
     net, Y, state, polar, yu = mc_setup(ieee4_solved)
 
     def peak(n_trials):
         cfg = MCConfig(n_trials=n_trials, seed=4, polar=polar, yu=yu)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run_monte_carlo(net, Y, state, cfg)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: run_monte_carlo(net, Y, state, cfg))
 
     small, large = peak(500), peak(5000)
     assert large <= 1.1 * small, (small, large)

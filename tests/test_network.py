@@ -335,3 +335,29 @@ branches:
         s = ieee4.injections_pu()
         i4 = ieee4.flat_index(4)
         assert s[i4] == pytest.approx((-300e3 - 150e3j) / 1e7)
+
+
+#: each constructor argument that names a bus, and what its error calls it
+_BUS_NUMBERS = {
+    "bus index": lambda v: Bus(v, "pq").index,
+    "branch from_bus": lambda v: Branch(v, 1, 0.1j).from_bus,
+    "branch to_bus": lambda v: Branch(1, v, 0.1j).to_bus,
+}
+
+
+@pytest.mark.parametrize("what", _BUS_NUMBERS)
+@pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)],
+                         ids=["int", "float", "np-int", "np-float"])
+def test_constructors_take_whole_bus_numbers(what, value):
+    number = _BUS_NUMBERS[what](value)
+    assert number == 2 and type(number) is int
+
+
+@pytest.mark.parametrize("what", _BUS_NUMBERS)
+@pytest.mark.parametrize("value", [2.7, True, np.bool_(False)],
+                         ids=["fraction", "bool", "np-bool"])
+def test_constructors_refuse_fractional_or_bool_bus_numbers(what, value):
+    # Branch(2.7, ...) used to truncate to bus 2, and Bus(2.7, ...) kept 2.7
+    with pytest.raises(NetworkParseError,
+                       match=re.escape(f"{what} must be an integer, not {value!r}")):
+        _BUS_NUMBERS[what](value)
