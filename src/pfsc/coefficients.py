@@ -25,15 +25,17 @@ Full table and targeted solves.  Given the positions in x of the
 requested coefficients, ``solve_coefficients`` holds only the rows R and
 columns C of x behind them.  When R and C cover every row and column (or
 no positions are given) it solves the whole table from a dense inverse
-of H.  When they leave out a row or a column, it takes the targeted
-path: one sparse LU of H (``scipy.sparse.linalg.splu``), then H^-1[:, C]
-solved with H and H^-1[R, :] solved with H^T.  Each block passes the
-residual check max |H B - I| <= RESIDUAL_RTOL, with one step of
-iterative refinement when it does not.  The factors clear H only when
-||H||_1 times the 1-norm estimate of H^-1 (``onenormest`` with t = 1,
-which draws no random numbers) is at least ESTIMATE_MARGIN times below
-COND_MAX / dim.  Any other H takes the full-table path, whose dense
-decision and checks are the reference, and the result keeps the
+of the dense H.  When they leave out a row or a column, it takes the
+targeted path, which never forms a dense H: H is assembled as a CSC
+matrix on Y's pattern (``SensitivityProblem.H_csc``), factored once by
+sparse LU (``scipy.sparse.linalg.splu``), then H^-1[:, C] is solved with
+H and H^-1[R, :] with H^T.  Each block passes the residual check
+max |H B - I| <= RESIDUAL_RTOL, with one step of iterative refinement
+when it does not.  The factors clear H only when ||H||_1 (its largest
+column sum) times the 1-norm estimate of H^-1 (``onenormest`` with
+t = 1, which draws no random numbers) is at least ESTIMATE_MARGIN times
+below COND_MAX / dim.  Any other H takes the full-table path, whose
+dense decision and checks are the reference, and the result keeps the
 requested block.  The two paths agree to rounding (about 1e-14
 relative at 300 buses).
 """
@@ -48,7 +50,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import ConfigError, SingularSystemError
-from .loadflow import GridState, jacobian, solve_load_flow
+from .loadflow import GridState, SparseJacobian, jacobian, solve_load_flow
 from .network import AdmittanceMatrix, NetworkModel, with_injections
 
 RESIDUAL_RTOL = 1e-10
@@ -68,13 +70,49 @@ def _offset(name, value, allowed):
     return allowed.index(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SensitivityProblem:
-    """The real linear system H x = z for all voltage sensitivities."""
+    """The real linear system H x = z for all voltage sensitivities.
 
-    H: np.ndarray  # (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack
+    Made from a dense ``H``, or (by ``assemble_problem``) from the ``point``
+    (Ym, E) that H is the Newton matrix at.  Such a problem assembles H
+    when first read, in the form read: ``H`` dense by
+    ``loadflow.jacobian``, ``H_csc`` on Y's pattern by
+    ``loadflow.SparseJacobian``.  The two agree entry by entry under ==.
+    """
+
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
     network: NetworkModel  # owner of the node ordering
+    point: tuple | None = field(default=None, repr=False)  # (Ym, E), or None
+
+    def __init__(self, H, signs, network, point=None):
+        if H is None and point is None:
+            raise ValueError("a SensitivityProblem needs H or the point to assemble it at")
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "point", None if H is not None else point)
+        if H is not None:
+            self.__dict__["H"] = H  # the cached value of the property below
+
+    @functools.cached_property
+    def H(self):
+        """Dense H, (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack."""
+        Ym, E = self.point
+        return jacobian(Ym, E, self.nonslack)
+
+    @functools.cached_property
+    def H_csc(self):
+        """H as a CSC matrix: on Y's pattern when made from a point, else
+        the nonzeros of the dense H."""
+        if self.point is None:
+            return csc_matrix(self.H)
+        Ym, E = self.point
+        return SparseJacobian(Ym, self.nonslack)(Ym, E)
+
+    @property
+    def dim(self):
+        """Rows (and columns) of H: twice the number of non-slack nodes."""
+        return len(self.signs)
 
     @property
     def z(self):
@@ -127,7 +165,7 @@ class SensitivityResult:
     def block_index(self, rows, cols):
         """Positions in x (and in every table aligned with x) of the
         full-table positions ``rows``, ``cols``."""
-        dim = self.problem.H.shape[0]
+        dim = self.problem.dim
         return _positions(self.rows, rows, dim), _positions(self.cols, cols, dim)
 
     def derivative(self, bus_i, bus_l, phase_i=0, phase_l=0, wrt=P):
@@ -161,31 +199,43 @@ def _positions(held, wanted, dim):
 def assemble_problem(
     Y: AdmittanceMatrix, state: GridState, network: NetworkModel
 ) -> SensitivityProblem:
-    """Build H and z at the load-flow operating point ``state``."""
-    return assemble_from_raw(Y.matrix, state.voltages, network)
+    """H and z at the load-flow operating point ``state``.
+
+    H is assembled when the solve reads it: as CSC on Y's pattern for a
+    targeted solve, dense for the full table (see ``SensitivityProblem``).
+    """
+    Ym, E = Y.matrix, state.voltages
+    n = len(_checked_nonslack(Ym, E, network))
+    return SensitivityProblem(None, _rhs_signs(n), network, point=(Ym, E))
 
 
 def assemble_from_raw(
     Ym: np.ndarray, E: np.ndarray, network: NetworkModel
 ) -> SensitivityProblem:
-    """Pack ``loadflow.jacobian`` and the signs of z into a SensitivityProblem.
+    """Pack the dense ``loadflow.jacobian`` and the signs of z into a
+    SensitivityProblem.
 
-    Used by assemble_problem and, with perturbed inputs, by the
-    Monte-Carlo trials.  Leading axes of ``Ym`` (..., m, m) and ``E``
-    (..., m) broadcast: a stack of inputs gives a stack of H of shape
-    (..., 2n, 2n), each slice bitwise equal to its own assembly.
+    Used, with perturbed inputs, by the Monte-Carlo trials.  Leading axes
+    of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of inputs
+    gives a stack of H of shape (..., 2n, 2n), each slice bitwise equal to
+    its own assembly.
     """
-    m = network.n_nodes
-    if Ym.shape[-2:] != (m, m) or E.shape[-1:] != (m,):
-        raise ValueError(
-            f"dimension mismatch: Y {Ym.shape}, E {E.shape}, nodes {m}"
-        )
-    nonslack = network.nonslack_flat_indices()
+    nonslack = _checked_nonslack(Ym, E, network)
     return SensitivityProblem(
         H=jacobian(Ym, E, nonslack),
         signs=_rhs_signs(len(nonslack)),
         network=network,
     )
+
+
+def _checked_nonslack(Ym, E, network):
+    """The non-slack flat indices, once the shapes are checked against them."""
+    m = network.n_nodes
+    if Ym.shape[-2:] != (m, m) or E.shape[-1:] != (m,):
+        raise ValueError(
+            f"dimension mismatch: Y {Ym.shape}, E {E.shape}, nodes {m}"
+        )
+    return network.nonslack_flat_indices()
 
 
 @functools.lru_cache(maxsize=8)
@@ -221,16 +271,17 @@ def solve_coefficients(
     cond_1 <= COND_MAX / dim; only the others pay for the SVD behind
     np.linalg.cond, so the decision is that of the 2-norm gate alone.
     """
-    H, s = problem.H, problem.signs
-    dim = H.shape[0]
+    s, dim = problem.signs, problem.dim
+    check_nonempty(dim)
     R, C = _held(rows, dim), _held(cols, dim)
     targeted = len(R) < dim or len(C) < dim
-    blocks = _inverse_blocks(H, R, C) if targeted else None
+    blocks = _inverse_blocks(problem.H_csc, R, C) if targeted else None
     if blocks is not None:
         H_inv_rows, H_inv_cols = blocks
         x = H_inv_cols[R] * s[C] + 0.0
         return SensitivityResult(x, H_inv_rows, H_inv_cols, R, C, problem, voltages)
 
+    H = problem.H
     try:
         H_inv = np.linalg.inv(H)
         cond_1 = np.linalg.norm(H, 1) * np.linalg.norm(H_inv, 1)
@@ -263,6 +314,12 @@ def solve_coefficients(
     return SensitivityResult(x, H_inv, H_inv, full, full, problem, voltages)
 
 
+def check_nonempty(dim):
+    """Raise ConfigError for an empty H: a network of slack nodes only."""
+    if dim == 0:
+        raise ConfigError("the network has no non-slack node, so no coefficient to solve")
+
+
 def _held(positions, dim):
     """Sorted distinct entries of ``positions``; every position for None."""
     if positions is None:
@@ -272,22 +329,23 @@ def _held(positions, dim):
     return np.flatnonzero(held)
 
 
-def _inverse_blocks(H, R, C):
-    """(H^-1[R, :], H^-1[:, C]) from one sparse LU of H, or None when the
-    1-norm estimate cannot clear H (see the module docstring)."""
-    dim = H.shape[0]
-    A = csc_matrix(H)
+def _inverse_blocks(A, R, C):
+    """(H^-1[R, :], H^-1[:, C]) from one sparse LU of H, given as the CSC
+    matrix ``A``, or None when the 1-norm estimate cannot clear H (see
+    the module docstring)."""
+    dim = A.shape[0]
     try:
         lu = splu(A)
     except RuntimeError:  # SuperLU met an exactly zero pivot
         return None
     inverse = LinearOperator(
-        H.shape,
+        A.shape,
         matvec=lu.solve,
         rmatvec=lambda b: lu.solve(b, trans="T"),
-        dtype=H.dtype,
+        dtype=A.dtype,
     )
-    cond_est = np.linalg.norm(H, 1) * onenormest(inverse, t=1)
+    norm_1 = abs(A).sum(axis=0).max()  # largest column sum of |H|
+    cond_est = norm_1 * onenormest(inverse, t=1)
     if not cond_est <= COND_MAX / (ESTIMATE_MARGIN * dim):
         return None
     cols = _refined_solve(A, lu.solve, C)

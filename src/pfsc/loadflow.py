@@ -4,14 +4,25 @@ The solver produces the operating point (nodal voltage phasors) used both
 as the linearization point for the sensitivity computation and as the
 ground truth for Monte-Carlo noise studies.
 
-``jacobian`` is the package's one linearisation of the power flow: the
-real Newton matrix H of conj(S) = conj(E) * (Y E) with respect to the
-non-slack voltages, d conj(S_i) = conj(E_i) (Y dE)_i + (Y E)_i conj(dE_i).
+The package's one linearisation of the power flow is the real Newton
+matrix H of conj(S) = conj(E) * (Y E) with respect to the non-slack
+voltages, d conj(S_i) = conj(E_i) (Y dE)_i + (Y E)_i conj(dE_i).
 Realified ordering, for rows and columns alike and throughout the package:
 the nodes of ``NetworkModel.nonslack_flat_indices`` (node ordering as
 stated in ``pfsc.network``), the real part of node k at 2k and the
 imaginary part at 2k + 1.  The load flow, the sensitivity system
-H x = z and the Monte-Carlo trials all assemble H here.
+H x = z and the Monte-Carlo trials all assemble H here, in one of two
+forms that evaluate the same expressions:
+
+- ``SparseJacobian``: a CSC matrix on Y's pattern (node pair (i, n) is
+  a 2x2 block, stored where Y_in is nonzero and on the diagonal), laid
+  out once and refilled for each (Y, E).  The Newton loop and the
+  targeted coefficient solve factor it with SuperLU
+  (``scipy.sparse.linalg.splu``).
+- ``jacobian``: dense and batched over stacks of (Y, E), for the
+  Monte-Carlo trials and the full-table inverse.
+
+Every stored entry of the first equals the second's under ==.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .errors import LoadFlowError
 from .network import AdmittanceMatrix, NetworkModel
@@ -80,6 +93,66 @@ def jacobian(Ym, E, nonslack):
     return H
 
 
+class SparseJacobian:
+    """``jacobian`` on the pattern of Y, as a CSC matrix refilled per call.
+
+    The pattern is fixed by the structural nonzeros of ``Ym`` among the
+    ``nonslack`` nodes, plus the diagonal.  Calling the object with an
+    admittance matrix of that pattern and voltages E writes H(Y, E) into
+    the data of ``matrix`` (the same object each call) and returns it.
+    """
+
+    def __init__(self, Ym, nonslack):
+        ns = np.asarray(nonslack, dtype=np.intp)
+        n, m = len(ns), Ym.shape[0]
+        # (Re, Im) != 0 of each entry side by side; read as one uint16,
+        # the pair is nonzero where either is
+        nonzero = np.ascontiguousarray(Ym).view(np.float64) != 0
+        linked = nonzero.view(np.uint16) != 0
+        linked.flat[:: m + 1] = True
+        i, j = np.divmod(np.flatnonzero(linked), m)
+        position = np.full(m, -1)
+        position[ns] = np.arange(n)
+        k, c = position[i], position[j]
+        both = (k >= 0) & (c >= 0)
+        # node pairs column-major: by column node c, then row node k
+        c, k = np.divmod(np.sort(c[both] * n + k[both]), n)
+        counts = np.bincount(c, minlength=n)
+        starts = np.cumsum(counts) - counts
+        # Node column c holds CSC columns 2c and 2c + 1, each with rows
+        # 2k, 2k + 1 of every k linked to c.  Data offsets of pair p's
+        # entries (2k, 2c), (2k + 1, 2c), (2k, 2c + 1), (2k + 1, 2c + 1):
+        first = 2 * np.arange(len(c)) + 2 * starts[c]
+        second = first + 2 * counts[c]
+        self._at = np.stack((first, first + 1, second, second + 1))
+        self._at_diag = self._at[:, k == c]  # one pair per column, node order
+        self._row, self._col, self._ns = ns[k], ns[c], ns
+        indices = np.empty(4 * len(c), dtype=np.int32)
+        indices[self._at] = 2 * k + np.array([[0], [1], [0], [1]])
+        indptr = np.zeros(2 * n + 1, dtype=np.int32)
+        np.cumsum(np.repeat(2 * counts, 2), out=indptr[1:])
+        self.matrix = csc_matrix(
+            (np.zeros(4 * len(c)), indices, indptr), shape=(2 * n, 2 * n)
+        )
+
+    def __call__(self, Ym, E):
+        # the expressions of ``jacobian``, evaluated on the pattern only
+        A = np.conj(E[self._row]) * Ym[self._row, self._col]
+        K = (Ym @ E[:, None])[:, 0][self._ns]
+        data = self.matrix.data
+        rr, ir, ri, ii = self._at
+        data[rr] = A.real
+        data[ir] = A.imag
+        data[ri] = -A.imag
+        data[ii] = A.real
+        rr, ir, ri, ii = self._at_diag
+        data[rr] += K.real
+        data[ir] += K.imag
+        data[ri] += K.imag
+        data[ii] -= K.real
+        return self.matrix
+
+
 def solve_load_flow(
     network: NetworkModel,
     Y: AdmittanceMatrix,
@@ -87,9 +160,11 @@ def solve_load_flow(
 ) -> GridState:
     """Newton-Raphson load flow with PQ buses and one slack bus.
 
-    Converged once the largest power mismatch is at most DEFAULT_TOL.
-    Raises LoadFlowError on non-convergence within DEFAULT_MAX_ITER
-    iterations (carrying the last mismatch) or on a singular Jacobian.
+    Each step factors H with SuperLU on the pattern that one
+    ``SparseJacobian`` lays out per call.  Converged once the largest
+    power mismatch is at most DEFAULT_TOL.  Raises LoadFlowError on
+    non-convergence within DEFAULT_MAX_ITER iterations (carrying the last
+    mismatch) or on a Jacobian that SuperLU finds exactly singular.
     """
     Ym = Y.matrix
     slack = network.slack_flat_indices()
@@ -104,6 +179,7 @@ def solve_load_flow(
 
     mismatch = s_spec - nodal_power(E, Y)
     mismatch[slack] = 0.0
+    H = SparseJacobian(Ym, pq)
     for it in range(1, DEFAULT_MAX_ITER + 1):
         if np.max(np.abs(mismatch)) <= DEFAULT_TOL:
             return GridState(voltages=E, mismatch=mismatch, iterations=it - 1)
@@ -111,11 +187,12 @@ def solve_load_flow(
         rhs[0::2] = mismatch[pq].real
         rhs[1::2] = -mismatch[pq].imag
         try:
-            step = np.linalg.solve(jacobian(Ym, E, pq), rhs)
-        except np.linalg.LinAlgError as exc:
+            lu = splu(H(Ym, E))
+        except RuntimeError as exc:  # SuperLU met an exactly zero pivot
             raise LoadFlowError(
                 f"singular load-flow Jacobian at iteration {it}", mismatch=mismatch
             ) from exc
+        step = lu.solve(rhs)
         E[pq] += step[0::2] + 1j * step[1::2]
         mismatch = s_spec - nodal_power(E, Y)
         mismatch[slack] = 0.0

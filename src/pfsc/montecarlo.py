@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .coefficients import assemble_from_raw
+from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
 from .loadflow import GridState
 from .network import AdmittanceMatrix, Branch, NetworkModel, build_admittance
@@ -338,7 +338,9 @@ def run_monte_carlo_sets(
     else:
         width = 2 * m + 2 * m * m
 
-    size = _chunk_trials(2 * len(network.nonslack_flat_indices()))
+    dim = 2 * len(network.nonslack_flat_indices())
+    check_nonempty(dim)
+    size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
     for start in range(0, n_max, size):
         end = min(start + size, n_max)

@@ -33,6 +33,20 @@ from .errors import (
 #: libyaml's C parser when PyYAML was built with it; same safe constructor
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+
+def read_yaml(path, error):
+    """The document of the YAML file ``path``, read with ``_YAML_LOADER``.
+
+    A syntax error raises ``error`` with one line: the path, the line and
+    column where the parser stopped, and its problem.
+    """
+    try:
+        with open(path) as fh:
+            return yaml.load(fh, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise error(f"{path}: {yaml_error_line(exc)}") from exc
+
+
 SLACK = "slack"
 PQ = "pq"
 
@@ -375,11 +389,7 @@ def load_network(path) -> NetworkModel:
     phase.  Bus indices, branch ends and ``phases`` are integers; a
     fraction or a bool is refused, not truncated.
     """
-    try:
-        with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise NetworkParseError(f"{path}: {yaml_error_line(exc)}") from exc
+    raw = read_yaml(path, NetworkParseError)
     if not isinstance(raw, dict):
         raise NetworkParseError(f"{path}: top level must be a mapping")
 

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from .coefficients import SensitivityProblem
-from .errors import ConfigError, yaml_error_line
+from .errors import ConfigError
 from .loadflow import GridState
-from .network import AdmittanceMatrix
+from .network import AdmittanceMatrix, read_yaml
 
 #: Imaginary-part projection variants, see project_polar_noise.
 FORM_SIGN_CORRECTED = "sign-corrected"
@@ -121,11 +120,7 @@ def load_noise_config(path=None):
     """
     if path is None:
         path = resources.files("pfsc.data").joinpath("noise_classes.yaml")
-    try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {yaml_error_line(exc)}") from exc
+    raw = read_yaml(path, ConfigError)
     if not isinstance(raw, dict) or "it_classes" not in raw:
         raise ConfigError(f"{path}: missing it_classes table")
     for key in raw:

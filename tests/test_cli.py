@@ -361,6 +361,21 @@ def test_malformed_network_is_one_line(capsys, tmp_path, text, message):
     assert err == f"pfsc solve: {net}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["pfsc", "propagate", "mc", "report"])
+def test_network_without_nonslack_node_is_one_line(capsys, tmp_path, command):
+    # one slack bus and no branch: the load flow holds, there is no coefficient
+    net = tmp_path / "net.yaml"
+    net.write_text(_NET_HEAD + "buses: [{index: 1, kind: slack}]\nbranches: []\n")
+    argv = [command, "--network", str(net)]
+    argv += ["--out", str(tmp_path / "out")] if command == "report" else []
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"pfsc {command}: the network has no non-slack node, so no coefficient to solve\n"
+    )
+
+
 def test_subcommands_agree_with_report(capsys, tmp_path):
     # pfsc, propagate and mc run their own orchestration beside run_pipeline;
     # on one seed, level and trial count their columns equal the report's

@@ -10,6 +10,7 @@ from pfsc.coefficients import (
     solve_coefficients,
 )
 from pfsc.errors import ConfigError, SingularSystemError
+from pfsc.network import Bus, NetworkModel
 from scipy.sparse.linalg import splu
 
 from conftest import make_random_network, make_three_phase_balanced, make_two_bus
@@ -97,6 +98,18 @@ class TestSolve:
         assert res.x.shape == (6, 6)
         with pytest.raises(ValueError):
             res.derivative(1, 2)  # slack bus excluded by construction
+
+    def test_no_nonslack_node_is_config_error(self):
+        net = NetworkModel(
+            buses=(Bus(1, "slack"),), branches=(), phase_count=1, slack_bus=1,
+            base_power_va=1e6, base_voltage_v=1e3,
+        )
+        Y = pfsc.build_admittance(net)
+        problem = assemble_problem(Y, pfsc.solve_load_flow(net, Y), net)
+        assert problem.H_csc.shape == (0, 0) and problem.H.shape == (0, 0)
+        for request in ({}, {"rows": [], "cols": []}):
+            with pytest.raises(ConfigError, match="no non-slack node"):
+                solve_coefficients(problem, **request)
 
     def test_singular_H_raises(self, ieee4_solved):
         from dataclasses import replace
@@ -216,7 +229,7 @@ class TestTargetedSolve:
     def _request(problem, every=7):
         """Re/P and Im/Q rows and columns of every ``every``-th node, and
         one cross pair."""
-        dim = problem.H.shape[0]
+        dim = problem.dim
         rows = np.r_[np.arange(0, dim, 2 * every), np.arange(1, dim, 2 * every), 3]
         cols = np.r_[np.arange(0, dim, 2 * every), np.arange(1, dim, 2 * every), 0]
         return rows, cols
@@ -287,6 +300,26 @@ class TestTargetedSolve:
         # the request does not skip the conditioning decision
         with pytest.raises(SingularSystemError, match="not invertible"):
             solve_coefficients(replace(problem, H=np.zeros((6, 6))), rows=[], cols=[])
+
+    def test_no_dense_jacobian_at_300_buses(self, monkeypatch):
+        # the targeted path reads H as CSC on Y's pattern only; the
+        # full table, solved afterwards, agrees to rounding
+        from pfsc import coefficients
+
+        net = make_random_network(300, 4, radial=False)
+        Y = pfsc.build_admittance(net)
+        state = pfsc.solve_load_flow(net, Y)
+        problem = assemble_problem(Y, state, net)
+        rows, cols = self._request(problem, every=30)
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, "jacobian", lambda *a: pytest.fail("dense H"))
+            res = solve_coefficients(problem, state.voltages, rows, cols)
+        assert "H" not in vars(problem)  # the dense H was never assembled
+        full = solve_coefficients(assemble_problem(Y, state, net))
+        np.testing.assert_allclose(
+            res.x, full.x[np.ix_(res.rows, res.cols)], rtol=1e-12,
+            atol=1e-14 * np.max(np.abs(full.H_inv)),
+        )
 
     @pytest.mark.parametrize("scale, refined", [(1 + 1e-7, True), (2.0, False)])
     def test_residual_check_and_refinement(self, ieee4_solved, monkeypatch, scale, refined):

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 import pfsc
 from pfsc.errors import LoadFlowError
-from pfsc.loadflow import jacobian, nodal_power, solve_load_flow
+from pfsc.loadflow import (
+    GridState,
+    SparseJacobian,
+    jacobian,
+    nodal_power,
+    solve_load_flow,
+)
 
 from conftest import make_random_network, make_three_phase_balanced, make_two_bus
 
@@ -14,6 +22,8 @@ FEEDERS = {
     "mesh12-seed3": lambda: make_random_network(12, 3, radial=False),
     "mesh12-seed8": lambda: make_random_network(12, 8, radial=False),
 }
+#: FEEDERS and one larger meshed feeder
+SPARSE_FEEDERS = {**FEEDERS, "mesh60-seed1": lambda: make_random_network(60, 1, radial=False)}
 
 
 def realify(z):
@@ -202,7 +212,7 @@ def _reference_load_flow(net, Y, tol=1e-8, max_iter=50):
         rhs = np.empty(2 * len(pq))
         rhs[0::2] = mismatch[pq].real
         rhs[1::2] = mismatch[pq].imag
-        step = np.linalg.solve(_reference_jacobian(E, Ym, pq), rhs)
+        step = splu(csc_matrix(_reference_jacobian(E, Ym, pq))).solve(rhs)
         E[pq] += step[0::2] + 1j * step[1::2]
         mismatch = s_spec - nodal_power(E, Y)
         mismatch[slack] = 0.0
@@ -211,8 +221,10 @@ def _reference_load_flow(net, Y, tol=1e-8, max_iter=50):
 
 @pytest.mark.parametrize("feeder", sorted(FEEDERS))
 def test_load_flow_matches_reference_newton_bitwise(feeder):
-    # the Newton matrix of conj(S) is that of S with its odd rows negated;
-    # pivoting and rounding are sign-symmetric, so every iterate is equal
+    # the Newton matrix of conj(S) is that of S with its odd rows negated,
+    # on the same sparsity pattern; SuperLU's ordering reads the pattern
+    # only, and its pivoting and rounding are sign-symmetric, so every
+    # iterate is equal
     net = FEEDERS[feeder]()
     Y = pfsc.build_admittance(net)
     state = solve_load_flow(net, Y)
@@ -220,3 +232,65 @@ def test_load_flow_matches_reference_newton_bitwise(feeder):
     assert state.iterations == iterations
     assert state.voltages.tobytes() == E.tobytes()
     assert state.mismatch.tobytes() == mismatch.tobytes()
+
+
+@pytest.mark.parametrize("feeder", sorted(SPARSE_FEEDERS))
+def test_sparse_jacobian_equals_dense(feeder):
+    # every entry under ==, at the solution and at a perturbed point that
+    # refills the same matrix; the stored pattern is Y's, with the diagonal
+    net = SPARSE_FEEDERS[feeder]()
+    Y = pfsc.build_admittance(net)
+    E = solve_load_flow(net, Y).voltages
+    ns = net.nonslack_flat_indices()
+    sparse = SparseJacobian(Y.matrix, ns)
+    rng = np.random.default_rng(4)
+    for E_ in (E, E + 1e-3 * rng.standard_normal(E.shape)):
+        H = sparse(Y.matrix, E_)
+        assert H is sparse.matrix and H.has_canonical_format
+        assert np.array_equal(H.toarray(), jacobian(Y.matrix, E_, ns))
+    linked = Y.matrix[np.ix_(ns, ns)] != 0
+    assert H.nnz == 4 * np.count_nonzero(linked | np.eye(len(ns), dtype=bool))
+
+
+def _dense_load_flow(net, Y, tol=1e-8, max_iter=50):
+    """The Newton loop on conj(S) with the dense ``jacobian`` and
+    ``np.linalg.solve``, from a flat start."""
+    Ym = Y.matrix
+    slack = net.slack_flat_indices()
+    pq = np.array(net.nonslack_flat_indices())
+    s_spec = net.injections_pu()
+    E = np.tile(net.slack_voltage_phasors(), net.n_bus)
+    mismatch = s_spec - nodal_power(E, Y)
+    mismatch[slack] = 0.0
+    for it in range(1, max_iter + 1):
+        if np.max(np.abs(mismatch)) <= tol:
+            return E, it - 1
+        rhs = np.empty(2 * len(pq))
+        rhs[0::2] = mismatch[pq].real
+        rhs[1::2] = -mismatch[pq].imag
+        step = np.linalg.solve(jacobian(Ym, E, pq), rhs)
+        E[pq] += step[0::2] + 1j * step[1::2]
+        mismatch = s_spec - nodal_power(E, Y)
+        mismatch[slack] = 0.0
+    raise AssertionError("dense load flow did not converge")
+
+
+def test_sparse_newton_matches_dense_newton():
+    # the sparse and dense solves differ only in rounding
+    net = make_random_network(200, 0, radial=False)
+    Y = pfsc.build_admittance(net)
+    state = solve_load_flow(net, Y)
+    E, iterations = _dense_load_flow(net, Y)
+    assert iterations > 3
+    assert state.iterations == iterations
+    np.testing.assert_allclose(state.voltages, E, rtol=1e-12, atol=0)
+
+
+def test_singular_jacobian_is_load_flow_error():
+    # from E2 = 0.5 on a lossless line, |conj(E2) Y22| = |(Y E)_2|: the
+    # 2x2 Newton matrix [[0, 10], [0, 0]] is exactly singular
+    net = make_two_bus(p2_kw=-50.0)
+    Y = pfsc.build_admittance(net)
+    start = GridState(np.array([1.0, 0.5 + 0j]), np.zeros(2, dtype=complex), 0)
+    with pytest.raises(LoadFlowError, match="singular load-flow Jacobian at iteration 1"):
+        solve_load_flow(net, Y, initial=start)

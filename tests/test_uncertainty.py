@@ -145,6 +145,10 @@ class TestNoiseConfig:
         message = str(excinfo.value)
         assert "\n" not in message
         assert message.startswith(f"{path}: line 3, column 1: ")
+        # read by the network loader's parser: the same line, word for word
+        with pytest.raises(pfsc.NetworkParseError) as excinfo:
+            pfsc.load_network(path)
+        assert str(excinfo.value) == message
 
     def test_custom_class_is_a_file_entry(self, tmp_path):
         path = tmp_path / "noise.yaml"
