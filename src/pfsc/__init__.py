@@ -29,7 +29,6 @@ from .loadflow import GridState, nodal_power, solve_load_flow
 from .montecarlo import (
     MCConfig,
     MCResult,
-    qq_normality_check,
     run_monte_carlo,
     run_monte_carlo_sets,
 )
@@ -49,8 +48,6 @@ from .uncertainty import (
     PolarNoiseSpec,
     analytical_sigma,
     coefficient_variance,
-    general_variance,
-    inverse_cross_covariance,
     inverse_self_variance,
     it_class_to_polar,
     project_polar_noise,

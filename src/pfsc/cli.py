@@ -138,7 +138,7 @@ def _cmd_solve(args):
 def _cmd_pfsc(args):
     network, Y, state = _prepare(args)
     problem = assemble_problem(Y, state, network)
-    result = solve_coefficients(problem, voltages=state.voltages)
+    result = solve_coefficients(problem)
     _write_table(_coeff_table(network, result.x, "value"), args.out, args.format)
     return 0
 
@@ -146,7 +146,7 @@ def _cmd_pfsc(args):
 def _cmd_propagate(args):
     network, Y, state = _prepare(args)
     problem = assemble_problem(Y, state, network)
-    result = solve_coefficients(problem, voltages=state.voltages)
+    result = solve_coefficients(problem)
     polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     en = project_polar_noise(state, polar)

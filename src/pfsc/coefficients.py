@@ -153,7 +153,6 @@ class SensitivityResult:
     rows: np.ndarray
     cols: np.ndarray
     problem: SensitivityProblem
-    voltages: np.ndarray = field(repr=False, default=None)
 
     @property
     def H_inv(self):
@@ -174,14 +173,6 @@ class SensitivityResult:
         k = pr.node_of(bus_i, phase_i)
         r, c = self.block_index([2 * k, 2 * k + 1], [pr.column(bus_l, phase_l, wrt)])
         return complex(self.x[r[0], c[0]] + 1j * self.x[r[1], c[0]])
-
-    def magnitude_derivative(self, bus_i, bus_l, phase_i=0, phase_l=0, wrt=P):
-        """d|E_i|/d{P or Q}_l, from the complex derivative and the voltage."""
-        if self.voltages is None:
-            raise ValueError("no operating-point voltages attached")
-        e = self.voltages[self.problem.network.flat_index(bus_i, phase_i)]
-        d = self.derivative(bus_i, bus_l, phase_i, phase_l, wrt)
-        return (e.real * d.real + e.imag * d.imag) / abs(e)
 
 
 def _positions(held, wanted, dim):
@@ -249,7 +240,7 @@ def _rhs_signs(n):
 
 
 def solve_coefficients(
-    problem: SensitivityProblem, voltages=None, rows=None, cols=None
+    problem: SensitivityProblem, rows=None, cols=None
 ) -> SensitivityResult:
     """Solve x = H^-1 z, exposing H^-1 (or the blocks of it that the
     request needs) for error propagation.
@@ -279,7 +270,7 @@ def solve_coefficients(
     if blocks is not None:
         H_inv_rows, H_inv_cols = blocks
         x = H_inv_cols[R] * s[C] + 0.0
-        return SensitivityResult(x, H_inv_rows, H_inv_cols, R, C, problem, voltages)
+        return SensitivityResult(x, H_inv_rows, H_inv_cols, R, C, problem)
 
     H = problem.H
     try:
@@ -307,11 +298,9 @@ def solve_coefficients(
                 f"solve residual {residual:.3e} exceeds tolerance"
             )
     if targeted:  # H the estimate could not clear: keep the requested block
-        return SensitivityResult(
-            x[np.ix_(R, C)], H_inv[R], H_inv[:, C], R, C, problem, voltages
-        )
+        return SensitivityResult(x[np.ix_(R, C)], H_inv[R], H_inv[:, C], R, C, problem)
     full = np.arange(dim)
-    return SensitivityResult(x, H_inv, H_inv, full, full, problem, voltages)
+    return SensitivityResult(x, H_inv, H_inv, full, full, problem)
 
 
 def check_nonempty(dim):

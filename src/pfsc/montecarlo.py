@@ -25,12 +25,10 @@ that of the set run alone (``run_monte_carlo``, the one-set case).
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
@@ -376,40 +374,3 @@ def run_monte_carlo(
     in ``trials_failed``.  The one-set case of ``run_monte_carlo_sets``.
     """
     return run_monte_carlo_sets(network, Y, state, [cfg])[0]
-
-
-@dataclass(frozen=True)
-class QQReport:
-    """Paired quantiles of a sample against the fitted normal."""
-
-    theoretical: np.ndarray
-    empirical: np.ndarray
-    correlation: float
-
-    @property
-    def looks_normal(self):
-        return self.correlation >= 0.999
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theoretical_quantile", "sample_quantile"])
-            for t, e in zip(self.theoretical, self.empirical):
-                writer.writerow([repr(float(t)), repr(float(e))])
-
-
-def qq_normality_check(samples) -> QQReport:
-    """Ordered sample values against normal quantiles (Blom positions).
-
-    The correlation coefficient of the QQ line is the summary statistic;
-    values >= 0.999 are treated as consistent with normality.
-    """
-    samples = np.asarray(samples, dtype=float).ravel()
-    n = samples.size
-    if n < 20:
-        raise ValueError(f"need at least 20 samples, got {n}")
-    empirical = np.sort(samples)
-    positions = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
-    theoretical = stats.norm.ppf(positions)
-    corr = float(np.corrcoef(theoretical, empirical)[0, 1])
-    return QQReport(theoretical=theoretical, empirical=empirical, correlation=corr)

@@ -206,7 +206,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     keys, rows, cols = coefficient_keys(network, cfg.coefficients)
     t0 = time.perf_counter()
     problem = assemble_problem(Y, state, network)
-    result = solve_coefficients(problem, state.voltages, rows, cols)
+    result = solve_coefficients(problem, rows, cols)
     timings["coefficients_s"] = time.perf_counter() - t0
     at = result.block_index(rows, cols)  # the keys' entries of x-aligned tables
 

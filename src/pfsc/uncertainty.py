@@ -37,10 +37,6 @@ from .errors import ConfigError
 from .loadflow import GridState
 from .network import AdmittanceMatrix, read_yaml
 
-#: Imaginary-part projection variants, see project_polar_noise.
-FORM_SIGN_CORRECTED = "sign-corrected"
-FORM_REPEATED_SIGN = "repeated-sign"
-
 
 # -- noise specifications ----------------------------------------------------
 
@@ -85,15 +81,23 @@ class AdmittanceUncertainty:
     level_pct: float | None = None  # set when built via from_relative
 
     def __post_init__(self):
-        if np.any(self.sigma_re < 0) or np.any(self.sigma_im < 0):
-            raise ConfigError("admittance stds must be nonnegative")
+        for sigma in (self.sigma_re, self.sigma_im):
+            if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
+                raise ConfigError("admittance stds must be finite and nonnegative")
 
     @classmethod
     def from_relative(cls, Y: AdmittanceMatrix, level_pct: float):
         """Both stds set to ``level_pct`` percent of |element|.
 
-        Structurally zero elements keep zero std.
+        Structurally zero elements keep zero std.  A level that is not a
+        finite, nonnegative number raises ConfigError.
         """
+        # checked before the product: 0 * inf would warn and give nan
+        if not 0 <= level_pct < math.inf:
+            raise ConfigError(
+                f"admittance noise level must be a finite, nonnegative "
+                f"percentage, not {level_pct!r}"
+            )
         sigma = np.abs(Y.matrix) * (level_pct / 100.0)
         return cls(sigma_re=sigma, sigma_im=sigma.copy(), level_pct=level_pct)
 
@@ -172,19 +176,16 @@ def it_class_to_polar(class_label, config=None) -> PolarNoiseSpec:
 
 
 def project_polar_noise(
-    state: GridState | np.ndarray,
-    polar: PolarNoiseSpec,
-    form: str = FORM_SIGN_CORRECTED,
+    state: GridState | np.ndarray, polar: PolarNoiseSpec
 ) -> CartesianNoiseSpec:
     """Closed-form stds of Re(E) and Im(E) from polar noise stds.
 
-    Two variants of the imaginary-part expression are provided.  The
-    ``sign-corrected`` default flips the sign of the cos(2*theta) term in
-    the imaginary-part variance relative to the ``repeated-sign`` form;
-    the sampling oracle in the test suite confirms that only the corrected
-    form reproduces empirical stds (the literal form reuses the real-part
-    cos(2*theta) sign and is off by orders of magnitude away from
-    theta = pi/2).  See docs/projection-validation in the README.
+    The imaginary-part variance carries -cos(2*theta) where the real part
+    carries +cos(2*theta).  The sampling oracle in the test suite confirms
+    that this sign-corrected form reproduces empirical stds, and that the
+    repeated-sign form (+cos(2*theta) in both) is off by orders of
+    magnitude away from theta = pi/2.  See docs/projection-validation in
+    the README.
     """
     E = state.voltages if isinstance(state, GridState) else np.asarray(state)
     rho = np.abs(E)
@@ -200,18 +201,7 @@ def project_polar_noise(
     tail = 1.0 - 2.0 * damp_half
 
     var_re = common * (1.0 + damp2 * np.cos(2 * theta)) + rho**2 * np.cos(theta) ** 2 * tail
-    if form == FORM_REPEATED_SIGN:
-        var_im = (
-            common * (1.0 + damp2 * np.cos(2 * theta))
-            + rho**2 * np.sin(theta) ** 2 * tail
-        )
-    elif form == FORM_SIGN_CORRECTED:
-        var_im = (
-            common * (1.0 - damp2 * np.cos(2 * theta))
-            + rho**2 * np.sin(theta) ** 2 * tail
-        )
-    else:
-        raise ConfigError(f"unknown projection form {form!r}")
+    var_im = common * (1.0 - damp2 * np.cos(2 * theta)) + rho**2 * np.sin(theta) ** 2 * tail
     # cancellation can leave tiny negative residue at very small noise
     var_re = np.maximum(var_re, 0.0)
     var_im = np.maximum(var_im, 0.0)
@@ -227,16 +217,14 @@ def propagate_to_H(
     state: GridState,
     yu: AdmittanceUncertainty,
     en: CartesianNoiseSpec,
-    second_order: bool = False,
 ) -> np.ndarray:
     """Per-entry variance of H via sum/product error-propagation rules.
 
     Every H entry is a sum of bilinear products of one voltage part and
     one admittance part; the variance of each entry is the quadratic form
-    sum_v (dH/dv)^2 var(v) over the independent inputs v.  With
-    ``second_order=True`` the +var(a)var(b) product-rule term is included
-    for every bilinear pairing (default off; the first-order form is the
-    operating regime of the propagation).
+    sum_v (dH/dv)^2 var(v) over the independent inputs v (first order:
+    the var(a)var(b) product-rule term of each bilinear pairing is left
+    out).
 
     The channel formulas are evaluated on H's structural pattern only:
     the node pairs where Y or its noise is nonzero, plus the 2x2 diagonal
@@ -278,9 +266,6 @@ def propagate_to_H(
 
     v_reA = er2_r * vYr_o + ei2_r * vYi_o + yr2_o * vEr_r + yi2_o * vEi_r
     v_imA = er2_r * vYi_o + ei2_r * vYr_o + yi2_o * vEr_r + yr2_o * vEi_r
-    if second_order:
-        v_reA = v_reA + vEr_r * vYr_o + vEi_r * vYi_o
-        v_imA = v_imA + vEr_r * vYi_o + vEi_r * vYr_o
 
     var[2 * kr, 2 * kc] = v_reA
     var[2 * kr, 2 * kc + 1] = v_imA
@@ -297,20 +282,14 @@ def propagate_to_H(
     #   Im(A_rr): (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) -1, at n = r only
     #   Re(K_r):  (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) -1, at every n
     #   Im(K_r):  (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) +1, at every n
-    # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e))
-    # at first order and c^2 var(e) var(y) at second order.  Over the
-    # pattern, c^2 is 1 except at n = r, where it is (1 + 1)^2 = 4 on an
-    # "up" channel and (1 - 1)^2 = 0 on a "down" one.
+    # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e)).
+    # Over the pattern, c^2 is 1 except at n = r, where it is (1 + 1)^2 = 4
+    # on an "up" channel and (1 - 1)^2 = 0 on a "down" one.
     er2_n, ei2_n, vEr_n, vEi_n = er2[node], ei2[node], vEr[node], vEi[node]
     ch_rr = er2_n * vYr + yr2 * vEr_n  # (Re E_n, Re Y_rn)
     ch_ii = ei2_n * vYi + yi2 * vEi_n  # (Im E_n, Im Y_rn)
     ch_ri = er2_n * vYi + yi2 * vEr_n  # (Re E_n, Im Y_rn)
     ch_ir = ei2_n * vYr + yr2 * vEi_n  # (Im E_n, Re Y_rn)
-    if second_order:
-        ch_rr = ch_rr + vEr_n * vYr
-        ch_ii = ch_ii + vEi_n * vYi
-        ch_ri = ch_ri + vEr_n * vYi
-        ch_ir = ch_ir + vEi_n * vYr
     at_r = node == r
 
     def weighted_sum(up, down):
@@ -336,46 +315,18 @@ def inverse_self_variance(
 ) -> np.ndarray:
     """Per-entry variance of H^-1: (H^-1 o H^-1) var(H) (H^-1 o H^-1).
 
-    ``o`` is the entrywise square; algebraically identical to the
-    quadruple-loop reference implementation.  ``H_inv`` may be a block of
+    ``o`` is the entrywise square.  ``H_inv`` may be a block of
     rows H^-1[R, :] and ``H_inv_cols`` a block of columns H^-1[:, C]; the
     result is then the block var(H^-1)[R, C].  ``H_inv_cols`` None (or the
     same array as ``H_inv``) is the full H^-1 on both sides.  The full
     cross-covariance of H^-1 would be (2n)^2 x (2n)^2 and is never
-    materialized; ``inverse_cross_covariance`` gives single cross terms.
+    materialized.
     """
     sq = H_inv**2
     sq_cols = sq if H_inv_cols is None or H_inv_cols is H_inv else H_inv_cols**2
     if sq.shape[1:] != var_H.shape[:1] or var_H.shape[1:] != sq_cols.shape[:1]:
         raise ValueError("shape mismatch between H^-1 and its variance")
     return sq @ var_H @ sq_cols
-
-
-def inverse_self_variance_reference(H_inv: np.ndarray, var_H: np.ndarray) -> np.ndarray:
-    """O(n^4) literal double sum, kept as the cross-check implementation."""
-    n = H_inv.shape[0]
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    acc += H_inv[a, i] ** 2 * var_H[i, j] * H_inv[j, b] ** 2
-            out[a, b] = acc
-    return out
-
-
-def inverse_cross_covariance(H_inv: np.ndarray, var_H: np.ndarray, mn, ab) -> float:
-    """cov(H^-1[m,n], H^-1[a,b]) induced by independent entry noise on H."""
-    m_, n_ = mn
-    a_, b_ = ab
-    dim = H_inv.shape[0]
-    for idx in (m_, n_, a_, b_):
-        if not 0 <= idx < dim:
-            raise IndexError(f"index {idx} out of range for {dim}x{dim} matrix")
-    left = H_inv[m_, :] * H_inv[a_, :]
-    right = H_inv[:, n_] * H_inv[:, b_]
-    return float(left @ var_H @ right)
 
 
 # -- coefficient variance ----------------------------------------------------
@@ -385,29 +336,18 @@ def coefficient_variance(var_Hinv: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Coefficient variances for z = diag(signs).
 
     The sum var(x)_ic = sum_j var(Hinv)_ij z_jc^2 of a diagonal z reduces
-    to scaling column c by s_c^2; general_variance takes any other z.
+    to scaling column c by s_c^2.
     """
     return var_Hinv * signs**2
-
-
-def general_variance(
-    H_inv: np.ndarray, var_Hinv: np.ndarray, z: np.ndarray, zv: np.ndarray
-) -> np.ndarray:
-    """Coefficient variances for any z, including the variance ``zv`` of z.
-
-    With ``zv`` identically zero and z = diag(s) this reproduces
-    coefficient_variance bitwise.
-    """
-    return H_inv**2 @ np.asarray(zv) + var_Hinv @ (z**2)
 
 
 # -- end-to-end convenience --------------------------------------------------
 
 
-def analytical_sigma(result, Y, state, yu, en, second_order=False):
+def analytical_sigma(result, Y, state, yu, en):
     """Coefficient stds from the full analytical chain, aligned with
     ``result.x``: the rows and columns of x the result holds."""
     problem = result.problem
-    var_H = propagate_to_H(problem, Y, state, yu, en, second_order=second_order)
+    var_H = propagate_to_H(problem, Y, state, yu, en)
     var_Hinv = inverse_self_variance(result.H_inv_rows, var_H, result.H_inv_cols)
     return np.sqrt(coefficient_variance(var_Hinv, problem.signs[result.cols]))

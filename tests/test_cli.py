@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,8 +150,7 @@ def test_table_bytes(capsys, tmp_path, name, command):
     network = pfsc.load_network(path)
     Y = pfsc.build_admittance(network)
     state = pfsc.solve_load_flow(network, Y)
-    result = pfsc.solve_coefficients(pfsc.assemble_problem(Y, state, network),
-                                     voltages=state.voltages)
+    result = pfsc.solve_coefficients(pfsc.assemble_problem(Y, state, network))
     polar = pfsc.it_class_to_polar("0.5")
     yu = pfsc.AdmittanceUncertainty.from_relative(Y, 1.0)
     if command == "pfsc":
@@ -359,6 +361,43 @@ def test_malformed_network_is_one_line(capsys, tmp_path, text, message):
     assert code == 1
     assert out == ""
     assert err == f"pfsc solve: {net}: {message}\n"
+
+
+@pytest.mark.parametrize("level", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--out", "{dir}/rep"),
+        ("propagate", "--out", "{dir}/sigma.csv"),
+        ("mc", "--nmc", "5", "--out", "{dir}/mc.csv", "--dump-trials", "{dir}/trials.csv"),
+    ],
+    ids=["report", "propagate", "mc"],
+)
+def test_nonfinite_admittance_level_is_one_line(capsys, tmp_path, argv, level):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv, "--network", NETWORK, "--sigma-y-pct", level)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"pfsc {argv[0]}: admittance noise level must be a finite, nonnegative "
+        f"percentage, not {level}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of every CLI call; only the
+    # tests' QQ oracle needs it
+    src = str(Path(pfsc.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import pfsc; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["pfsc", "propagate", "mc", "report"])

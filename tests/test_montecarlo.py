@@ -15,12 +15,13 @@ from pfsc.montecarlo import (
     INDEPENDENT_ELEMENTS,
     SYMMETRIC_PAIRS,
     MCConfig,
-    qq_normality_check,
     run_monte_carlo,
     run_monte_carlo_sets,
 )
 from pfsc.network import Branch, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
+
+from oracles import qq_normality_check
 
 MODES = (INDEPENDENT_ELEMENTS, SYMMETRIC_PAIRS, BRANCH_PARAMETER)
 

@@ -9,17 +9,12 @@ import pfsc
 from pfsc.coefficients import assemble_problem, solve_coefficients
 from pfsc.errors import ConfigError
 from pfsc.uncertainty import (
-    FORM_REPEATED_SIGN,
-    FORM_SIGN_CORRECTED,
     AdmittanceUncertainty,
     CartesianNoiseSpec,
     PolarNoiseSpec,
     analytical_sigma,
     coefficient_variance,
-    general_variance,
-    inverse_cross_covariance,
     inverse_self_variance,
-    inverse_self_variance_reference,
     it_class_to_polar,
     load_noise_config,
     project_polar_noise,
@@ -27,6 +22,12 @@ from pfsc.uncertainty import (
 )
 
 from conftest import make_random_network, make_three_phase_balanced, make_two_bus
+from oracles import (
+    general_variance,
+    inverse_cross_covariance,
+    inverse_self_variance_reference,
+    repeated_sign_projection,
+)
 
 
 import functools
@@ -67,23 +68,19 @@ class TestProjection:
         s_th = 0.006 / 3
         spec = PolarNoiseSpec(s_rho, s_th)
         e = np.array([np.exp(1j * theta)])
-        out = project_polar_noise(e, spec, form=FORM_SIGN_CORRECTED)
+        out = project_polar_noise(e, spec)
         sre, sim = sample_polar_projection(1.0, theta, s_rho, s_th, 10**6, seed=9)
         assert out.sigma_re[0] == pytest.approx(sre, rel=0.02)
         assert out.sigma_im[0] == pytest.approx(sim, rel=0.02)
 
     def test_literal_form_fails_near_axis(self):
         # the repeated-sign variant overstates the imaginary-part std by
-        # orders of magnitude for small angles; kept only for reference
+        # orders of magnitude for small angles, so the package does not carry it
         spec = PolarNoiseSpec(0.005 / 3, 0.006 / 3)
         e = np.array([1.0 + 0j])
-        lit = project_polar_noise(e, spec, form=FORM_REPEATED_SIGN)
+        lit = repeated_sign_projection(e, spec)
         _, sim = sample_polar_projection(1.0, 0.0, 0.005 / 3, 0.006 / 3, 10**5, 3)
         assert lit.sigma_im[0] > 100 * sim
-
-    def test_unknown_form(self):
-        with pytest.raises(ConfigError, match="projection form"):
-            project_polar_noise(np.array([1.0 + 0j]), PolarNoiseSpec(0.01, 0.01), form="x")
 
 
 class TestITClass:
@@ -166,7 +163,7 @@ def loaded_two_bus():
     return net, Y, state, problem
 
 
-def diagonal_blocks_reference(problem, Y, state, yu, en, second_order):
+def diagonal_blocks_reference(problem, Y, state, yu, en):
     """Per-node loop over the 2x2 diagonal blocks of var(H).
 
     Pair coefficients of the product channels (Re E_n, Re Y_rn),
@@ -205,21 +202,13 @@ def diagonal_blocks_reference(problem, Y, state, yu, en, second_order):
             g_er = c_rr * yr[fr] + c_ri * yi[fr]
             g_ei = c_ii * yi[fr] + c_ir * yr[fr]
             v = g_yr**2 @ vYr[fr] + g_yi**2 @ vYi[fr] + g_er**2 @ vEr + g_ei**2 @ vEi
-            if second_order:
-                v += (
-                    c_rr**2 * vEr * vYr[fr]
-                    + c_ii**2 * vEi * vYi[fr]
-                    + c_ri**2 * vEr * vYi[fr]
-                    + c_ir**2 * vEi * vYr[fr]
-                ).sum()
             out[(2 * k + dr, 2 * k + dc)] = v
     return out
 
 
 class TestPropagateToH:
-    @pytest.mark.parametrize("second_order", [False, True])
     @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random12"])
-    def test_diagonal_blocks_match_loop_reference(self, which, second_order):
+    def test_diagonal_blocks_match_loop_reference(self, which):
         net = {
             "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
             "three-phase": make_three_phase_balanced,
@@ -236,8 +225,8 @@ class TestPropagateToH:
         en = CartesianNoiseSpec(
             rng.uniform(0, 1e-3, net.n_nodes), rng.uniform(0, 1e-3, net.n_nodes)
         )
-        hv = propagate_to_H(problem, Y, state, yu, en, second_order=second_order)
-        ref = diagonal_blocks_reference(problem, Y, state, yu, en, second_order)
+        hv = propagate_to_H(problem, Y, state, yu, en)
+        ref = diagonal_blocks_reference(problem, Y, state, yu, en)
         # same terms summed in another order: float64 rounding only
         for (r, c), v in ref.items():
             assert hv[r, c] == pytest.approx(v, rel=1e-13)
@@ -293,18 +282,6 @@ class TestPropagateToH:
         c = 2 * problem.nonslack.index(i4)
         assert hv[r, c] == pytest.approx(e2.imag**2 * s_y**2, rel=1e-12)
         assert hv[r, c + 1] == pytest.approx(e2.real**2 * s_y**2, rel=1e-12)
-
-    def test_second_order_term(self, ieee4_solved):
-        net, Y, state = ieee4_solved
-        problem = assemble_problem(Y, state, net)
-        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        en = CartesianNoiseSpec(
-            np.full(4, 1e-3), np.full(4, 1e-3)
-        )
-        first = propagate_to_H(problem, Y, state, yu, en)
-        second = propagate_to_H(problem, Y, state, yu, en, second_order=True)
-        assert np.all(second >= first)
-        assert np.any(second > first)
 
     def test_matches_perturbation_sampling_admittance_only(self):
         net, Y, state, problem = loaded_two_bus()
@@ -364,6 +341,13 @@ class TestPropagateToH:
     def test_negative_variance_input_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
             AdmittanceUncertainty(-np.ones((2, 2)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_std_rejected(self, bad):
+        sigma = np.ones((2, 2))
+        sigma[0, 1] = bad
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            AdmittanceUncertainty(np.ones((2, 2)), sigma)
 
 
 class TestInverseVariance:
