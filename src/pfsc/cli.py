@@ -21,12 +21,13 @@ import numpy as np
 from .coefficients import assemble_problem, solve_coefficients
 from .errors import LoadFlowError, PfscError, SingularSystemError
 from .loadflow import solve_load_flow
-from .montecarlo import MCConfig, run_monte_carlo
+from .montecarlo import MCConfig, check_seed, check_trials, run_monte_carlo
 from .network import build_admittance, load_network
 from .report import FORMATS, RunConfig, coefficient_keys, emit_report, run_pipeline
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
+    check_level,
     it_class_to_polar,
     load_noise_config,
     project_polar_noise,
@@ -144,10 +145,11 @@ def _cmd_pfsc(args):
 
 
 def _cmd_propagate(args):
+    check_level(args.sigma_y_pct)
+    polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     network, Y, state = _prepare(args)
     problem = assemble_problem(Y, state, network)
     result = solve_coefficients(problem)
-    polar = it_class_to_polar(args.it_class, _noise_cfg(args))
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     en = project_polar_noise(state, polar)
     sigma = analytical_sigma(result, Y, state, yu, en)
@@ -156,8 +158,11 @@ def _cmd_propagate(args):
 
 
 def _cmd_mc(args):
-    network, Y, state = _prepare(args)
+    check_level(args.sigma_y_pct)
+    check_trials(args.nmc)
+    check_seed(args.seed)
     polar = it_class_to_polar(args.it_class, _noise_cfg(args))
+    network, Y, state = _prepare(args)
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     cfg = MCConfig(
         n_trials=args.nmc,

@@ -50,7 +50,13 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import ConfigError, SingularSystemError
-from .loadflow import GridState, SparseJacobian, jacobian, solve_load_flow
+from .loadflow import (
+    GridState,
+    SparseJacobian,
+    jacobian,
+    jacobian_derivative,
+    solve_load_flow,
+)
 from .network import AdmittanceMatrix, NetworkModel, with_injections
 
 RESIDUAL_RTOL = 1e-10
@@ -79,6 +85,8 @@ class SensitivityProblem:
     when first read, in the form read: ``H`` dense by
     ``loadflow.jacobian``, ``H_csc`` on Y's pattern by
     ``loadflow.SparseJacobian``.  The two agree entry by entry under ==.
+    It also derives ``dH``, the derivative of H with respect to its inputs,
+    once, when first read.
     """
 
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
@@ -108,6 +116,13 @@ class SensitivityProblem:
             return csc_matrix(self.H)
         Ym, E = self.point
         return SparseJacobian(Ym, self.nonslack)(Ym, E)
+
+    @functools.cached_property
+    def dH(self):
+        """dH/d(input) at the point (``loadflow.JacobianDerivative``), with
+        the structural nonzeros of Y as the admittance inputs."""
+        Ym, E = self.point
+        return jacobian_derivative(Ym, E, self.nonslack)
 
     @property
     def dim(self):

@@ -23,6 +23,12 @@ forms that evaluate the same expressions:
   Monte-Carlo trials and the full-table inverse.
 
 Every stored entry of the first equals the second's under ==.
+
+H is real-bilinear in (E, Y), so its derivative with respect to each
+real input is exact and sparse: ``jacobian_derivative`` lays it out once
+per point as a table of signed terms (``JacobianDerivative``), which the
+analytical uncertainty propagation squares and weights by the input
+variances.
 """
 
 from __future__ import annotations
@@ -93,6 +99,100 @@ def jacobian(Ym, E, nonslack):
     return H
 
 
+def structural_nonzero(Ym):
+    """(m, m) mask of the nonzero entries of the complex matrix ``Ym``."""
+    # (Re, Im) != 0 of each entry side by side; read as one uint16, the
+    # pair is nonzero where either is (faster than a complex compare)
+    nonzero = np.ascontiguousarray(Ym).view(np.float64) != 0
+    return nonzero.view(np.uint16) != 0
+
+
+@dataclass(frozen=True, eq=False)
+class JacobianDerivative:
+    """dH/d(input) of ``jacobian`` at one point, as groups of signed terms.
+
+    The real inputs are numbered: Re E_n at n and Im E_n at m + n for
+    every node n, then Re Y at 2m + q and Im Y at 2m + L + q for the L
+    admittance entries ``pairs`` (flat positions r m + n in Y, row r a
+    non-slack node).  Group g holds four entries of H, at the flat
+    positions ``position[:, g]`` of the dim x dim matrix, and four
+    inputs ``input[:, g]``: entry ``position[e, g]`` has the derivative
+    ``coefficient[e, v, g]`` with respect to input ``input[v, g]``.  No
+    (entry, input) pair occurs twice: an input that enters one entry more
+    than once (E_r and Y_rr in the diagonal blocks, through both
+    conj(E_r) Y_rr and (Y E)_r) has the sum of its coefficients.
+    """
+
+    dim: int
+    pairs: np.ndarray
+    position: np.ndarray  # (4, G)
+    input: np.ndarray  # (4, G)
+    coefficient: np.ndarray  # (4, 4, G): entry, input, group
+
+    def squared_product(self, values):
+        """(J o J) @ values, as a dense (dim, dim) array: entry p sums
+        coefficient^2 * values[input] over the terms at p."""
+        per_entry = (self.coefficient**2 * values[self.input]).sum(axis=1)
+        flat = np.bincount(
+            self.position.ravel(), weights=per_entry.ravel(), minlength=self.dim**2
+        )
+        return flat.reshape(self.dim, self.dim)
+
+
+def jacobian_derivative(Ym, E, nonslack, linked=None):
+    """The ``JacobianDerivative`` of ``jacobian(Ym, E, nonslack)``.
+
+    The admittance inputs are the entries of the non-slack rows where the
+    (m, m) mask ``linked`` is set; by default where Y is nonzero.  Any
+    other entry is taken as a zero that has no noise: it has no input, and
+    the voltage it multiplies has a zero derivative through it.
+    """
+    ns = np.asarray(nonslack, dtype=np.intp)
+    n, m = len(ns), len(E)
+    dim = 2 * n
+    at = np.full(m, -1)
+    at[ns] = np.arange(n)
+    if linked is None:
+        linked = structural_nonzero(Ym)
+    pairs = np.flatnonzero(linked)
+    pairs = pairs[at[pairs // m] >= 0]
+    r, node = np.divmod(pairs, m)
+    k, c = at[r], at[node]
+    y = Ym.take(pairs)
+    yr, yi = y.real, y.imag
+    er_n, ei_n, er_r, ei_r = E.real[node], E.imag[node], E.real[r], E.imag[r]
+    q = np.arange(len(pairs))
+    i_yr, i_yi = 2 * m + q, 2 * m + len(pairs) + q
+
+    # Each pair's Y_rn enters H twice: in A = conj(E_r) Y_rn on block
+    # (k, c), for n non-slack, and in K = (Y E)_r on block (k, k).  The
+    # gradients of Re and Im of each over the inputs (Re Y_rn, Im Y_rn,
+    # Re E, Im E), with E = E_r for A and E = E_n for K:
+    g_a = np.stack([er_r, ei_r, yr, yi, -ei_r, er_r, yi, -yr]).reshape(2, 4, -1)
+    g_k = np.stack([er_n, -ei_n, yr, -yi, ei_n, er_n, yi, yr]).reshape(2, 4, -1)
+    # and of the four entries of a block, (re, re), (re, im), (im, re),
+    # (im, im): Re A, -Im A, Im A, Re A plus Re K, Im K, Im K, -Re K
+    coef_a = np.stack([g_a[0], -g_a[1], g_a[1], g_a[0]])  # (entry, input, pair)
+    coef_k = np.stack([g_k[0], g_k[1], g_k[1], -g_k[0]])
+    diag = node == r  # both on block (k, k), with the same inputs: summed
+    coef_k[:, :, diag] += coef_a[:, :, diag]
+    off = (c >= 0) & ~diag
+
+    # the K group of every pair, then the A group of each off-diagonal one
+    offset = np.array([0, 1, dim, dim + 1])[:, None]  # entry within a block
+    corner = np.concatenate([2 * k * (dim + 1), (2 * k * dim + 2 * c)[off]])
+    return JacobianDerivative(
+        dim=dim,
+        pairs=pairs,
+        position=offset + corner,
+        input=np.concatenate(
+            [np.stack([i_yr, i_yi, node, m + node]), np.stack([i_yr, i_yi, r, m + r])[:, off]],
+            axis=1,
+        ),
+        coefficient=np.concatenate([coef_k, coef_a[:, :, off]], axis=2),
+    )
+
+
 class SparseJacobian:
     """``jacobian`` on the pattern of Y, as a CSC matrix refilled per call.
 
@@ -105,10 +205,7 @@ class SparseJacobian:
     def __init__(self, Ym, nonslack):
         ns = np.asarray(nonslack, dtype=np.intp)
         n, m = len(ns), Ym.shape[0]
-        # (Re, Im) != 0 of each entry side by side; read as one uint16,
-        # the pair is nonzero where either is
-        nonzero = np.ascontiguousarray(Ym).view(np.float64) != 0
-        linked = nonzero.view(np.uint16) != 0
+        linked = structural_nonzero(Ym)
         linked.flat[:: m + 1] = True
         i, j = np.divmod(np.flatnonzero(linked), m)
         position = np.full(m, -1)

@@ -10,6 +10,15 @@ trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
 builds the stack of H, and one batched ``np.linalg.solve`` solves it.
+
+The streams are NumPy's own (NEP 19), built for a whole chunk at once.
+``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
+then those of ``k``, into a pool of four words, and ``PCG64`` seeds from
+four 64-bit words that the pool generates; ``_stream_states`` runs that
+hash as uint32 array arithmetic over the chunk's trials and turns the
+words into each stream's PCG64 ``state`` and ``inc``.  ``_draws`` then
+sets them on one reused generator before each trial's draws, which are
+bitwise those of ``default_rng(SeedSequence((seed, k)))``.
 The mean and std are streamed across chunks (Chan, Golub & LeVeque
 1979), so memory is bounded by one chunk whatever ``n_trials`` is;
 only ``store_trials`` (the CLI's ``--dump-trials``) keeps every trial.
@@ -47,6 +56,20 @@ CHUNK_TRIALS = 256
 CHUNK_BYTES = 4 * 2**20
 
 
+def check_seed(seed):
+    """Raise ConfigError unless ``seed`` is a nonnegative integer (not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, not {seed!r}")
+
+
+def check_trials(n_trials):
+    """Raise ConfigError unless ``n_trials`` is an integer of at least 1."""
+    if isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer)):
+        raise ConfigError(f"n_trials must be an integer, not {n_trials!r}")
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+
+
 @dataclass(frozen=True)
 class MCConfig:
     n_trials: int
@@ -57,8 +80,8 @@ class MCConfig:
     store_trials: bool = False
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        check_trials(self.n_trials)
+        check_seed(self.seed)
         if self.symmetry_mode not in _MODES:
             raise ConfigError(
                 f"unknown symmetry_mode {self.symmetry_mode!r} "
@@ -74,15 +97,6 @@ class MCResult:
     runtime_s: float = 0.0  # the set's share of its pass's wall time
     trials_failed: int = 0
     n_trials: int = 0
-
-
-def _trial_rng(seed, k):
-    """Per-trial substream: independent generator keyed by (seed, trial).
-
-    Serial and parallel execution orders therefore produce identical
-    draws for any given trial index.
-    """
-    return np.random.default_rng(np.random.SeedSequence((seed, k)))
 
 
 def _chunk_trials(dim):
@@ -143,17 +157,106 @@ def _perturb_branches(network, frac, noise):
     ])
 
 
+# The hash of ``numpy.random.SeedSequence`` (pool of 4 words) and the
+# seeding of ``PCG64``; the 32-bit constants are Python ints, masked
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(n):
+    """Little-endian 32-bit words of a nonnegative int; [0] for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pool(entropy):
+    """SeedSequence's pool of each column of ``entropy``, (L, batch) uint32."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+def _stream_states(seed, trials):
+    """PCG64 ``(state, inc)`` of each trial's ``SeedSequence((seed, k))`` stream.
+
+    Trials whose index takes the same number of 32-bit words share one
+    array evaluation of the hash.
+    """
+    k = np.array(trials, dtype=np.uint64)
+    seed_words = _words(int(seed))
+    wide = k > _MASK32  # a second entropy word (indices below 2**64)
+    states = [None] * len(k)
+    for rows, n_words in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
+        if not len(rows):
+            continue
+        entropy = np.empty((len(seed_words) + n_words, len(rows)), dtype=np.uint32)
+        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+        for i in range(n_words):
+            entropy[len(seed_words) + i] = (k[rows] >> np.uint64(32 * i)) & np.uint64(_MASK32)
+        # generate_state(4, uint64): 8 words from the cycled pool
+        pool = _pool(entropy)
+        hash_const = _INIT_B
+        out = []
+        for i in range(8):
+            value = pool[i % _POOL_SIZE] ^ hash_const
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value = value * hash_const
+            out.append((value ^ (value >> 16)).astype(np.uint64))
+        # little-endian pairs; PCG64 takes words 0, 1 as the high and low
+        # halves of its seed and 2, 3 as those of its increment
+        w = [out[2 * i] | (out[2 * i + 1] << np.uint64(32)) for i in range(4)]
+        for j, (s_hi, s_lo, i_hi, i_lo) in zip(rows.tolist(), zip(*(a.tolist() for a in w))):
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            states[j] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+    return states
+
+
 def _draws(seed, trials, width):
     """Standard-normal draws of the given trials, one row of ``width`` each.
 
     Each trial's stream fills its row: magnitude and phase noise of the m
     voltages, then the admittance noise, element-wise the real and
     imaginary noise of the m x m matrix, or in branch-parameter mode that
-    of each branch impedance (see ``_perturb_branches``).
+    of each branch impedance (see ``_perturb_branches``).  The rows are
+    bitwise those of ``default_rng(SeedSequence((seed, k)))``.
     """
     draws = np.empty((len(trials), width))
-    for j, k in enumerate(trials):
-        _trial_rng(seed, k).standard_normal(out=draws[j])
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg_state, inc) in zip(draws, _stream_states(seed, trials)):
+        pcg["state"], pcg["inc"] = pcg_state, inc
+        bit_generator.state = state
+        generator.standard_normal(out=row)
     return draws
 
 

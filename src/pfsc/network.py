@@ -30,8 +30,10 @@ from .errors import (
     yaml_error_line,
 )
 
-#: libyaml's C parser when PyYAML was built with it; same safe constructor
+#: libyaml's C parser and emitter when PyYAML was built with them; the
+#: same safe constructor and representer
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def read_yaml(path, error):
@@ -477,7 +479,8 @@ def load_network(path) -> NetworkModel:
 
 
 def emit_network(network: NetworkModel, path):
-    """Write a network back to the YAML schema accepted by load_network."""
+    """Write a network back to the YAML schema accepted by load_network,
+    through ``_YAML_DUMPER``: the bytes of ``yaml.safe_dump``."""
     p = network.phase_count
 
     def scalar_or_list(vals):
@@ -516,7 +519,7 @@ def emit_network(network: NetworkModel, path):
             entry["length_km"] = br.length_km
         doc["branches"].append(entry)
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def with_injections(network: NetworkModel, s_pu) -> NetworkModel:

@@ -23,11 +23,18 @@ from .errors import ConfigError
 from .loadflow import solve_load_flow
 # run_monte_carlo is not called here but stays importable from this module,
 # where the benchmark harness wraps and calls it
-from .montecarlo import MCConfig, run_monte_carlo, run_monte_carlo_sets  # noqa: F401
+from .montecarlo import (  # noqa: F401
+    MCConfig,
+    check_seed,
+    check_trials,
+    run_monte_carlo,
+    run_monte_carlo_sets,
+)
 from .network import build_admittance, load_network
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
+    check_level,
     it_class_to_polar,
     load_noise_config,
     project_polar_noise,
@@ -57,6 +64,11 @@ class RunConfig:
         if self.mode not in ("analytical", "mc", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         _check_formats(self.formats)
+        for level in self.sigma_y_pct:
+            check_level(level)
+        for n in self.n_mc:
+            check_trials(n)
+        check_seed(self.seed)
         paths = (("network file", self.network), ("noise config", self.noise_config))
         for what, path in paths:
             if path is None:
@@ -196,6 +208,8 @@ def _timing_key(name, *args):
 
 def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     """Load flow, coefficient solve, then analytical and/or MC stds."""
+    # an unknown IT class is refused before any numerical work
+    polar = it_class_to_polar(cfg.it_class, load_noise_config(cfg.noise_config))
     timings = {}
     t0 = time.perf_counter()
     network = load_network(cfg.network)
@@ -209,8 +223,6 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     result = solve_coefficients(problem, rows, cols)
     timings["coefficients_s"] = time.perf_counter() - t0
     at = result.block_index(rows, cols)  # the keys' entries of x-aligned tables
-
-    polar = it_class_to_polar(cfg.it_class, load_noise_config(cfg.noise_config))
 
     analytical, mc_stds, mc_failed = {}, {}, {}
     mc_sets, mc_cfgs = [], []

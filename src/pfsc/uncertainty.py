@@ -11,22 +11,30 @@ A solve that holds only rows R and columns C of x (see
     var(x)[R, C] = ((H^-1[R, :])o2 var(H)) (H^-1[:, C])o2 * s[C]^2,
 
 with o2 the entrywise square and s the signs of z; the full table is
-R = C = every row, with H^-1 on both sides.  var(H) is evaluated on H's
-structural pattern only (the node pairs where Y or its noise is nonzero,
-and the 2x2 diagonal blocks) and returned dense.
+R = C = every row, with H^-1 on both sides.
+
+var(H) = (J o J) var(inputs) is the first-order law of the GUM (JCGM
+100:2008, 5.1), with J = dH/d(input) the exact derivative of the
+bilinear H with respect to Re and Im of each voltage and of each
+admittance entry (``loadflow.JacobianDerivative``).  J is derived once
+per ``SensitivityProblem`` (its ``dH``), so each noise level costs one
+gather of the input variances and one product with J o J.  var(H) is
+nonzero only on H's structural pattern (the node pairs where Y or its
+noise is nonzero, and the 2x2 diagonal blocks) and is returned dense.
 
 Variances (not stds) are the internal currency; only analytical_sigma,
 the end-to-end call, returns stds.  All cross-covariances between
 distinct admittance elements, between admittance and voltage, and
 between distinct voltage entries are taken as zero (inputs are perturbed
-independently); repeated occurrences of the *same* input variable inside
-one H entry are combined before squaring, so entries on the diagonal are
+independently); an input that occurs more than once in one H entry has
+its derivatives summed before squaring, so entries on the diagonal are
 handled exactly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,7 +42,7 @@ import numpy as np
 
 from .coefficients import SensitivityProblem
 from .errors import ConfigError
-from .loadflow import GridState
+from .loadflow import GridState, jacobian_derivative, structural_nonzero
 from .network import AdmittanceMatrix, read_yaml
 
 
@@ -72,6 +80,17 @@ class CartesianNoiseSpec:
         return cls(np.zeros(n_nodes), np.zeros(n_nodes))
 
 
+def check_level(level_pct):
+    """Raise ConfigError unless ``level_pct`` is a finite, nonnegative number."""
+    if isinstance(level_pct, bool) or not isinstance(level_pct, numbers.Real) or not (
+        0 <= level_pct < math.inf
+    ):
+        raise ConfigError(
+            f"admittance noise level must be a finite, nonnegative "
+            f"percentage, not {level_pct!r}"
+        )
+
+
 @dataclass(frozen=True)
 class AdmittanceUncertainty:
     """Per-element stds of Re(Y) and Im(Y), same shape as Y."""
@@ -90,16 +109,14 @@ class AdmittanceUncertainty:
         """Both stds set to ``level_pct`` percent of |element|.
 
         Structurally zero elements keep zero std.  A level that is not a
-        finite, nonnegative number raises ConfigError.
+        finite, nonnegative number raises ConfigError.  The two stds are
+        one read-only array.
         """
         # checked before the product: 0 * inf would warn and give nan
-        if not 0 <= level_pct < math.inf:
-            raise ConfigError(
-                f"admittance noise level must be a finite, nonnegative "
-                f"percentage, not {level_pct!r}"
-            )
+        check_level(level_pct)
         sigma = np.abs(Y.matrix) * (level_pct / 100.0)
-        return cls(sigma_re=sigma, sigma_im=sigma.copy(), level_pct=level_pct)
+        sigma.flags.writeable = False
+        return cls(sigma_re=sigma, sigma_im=sigma, level_pct=level_pct)
 
     @classmethod
     def zero(cls, n_nodes):
@@ -218,93 +235,48 @@ def propagate_to_H(
     yu: AdmittanceUncertainty,
     en: CartesianNoiseSpec,
 ) -> np.ndarray:
-    """Per-entry variance of H via sum/product error-propagation rules.
+    """Per-entry variance of H, (J o J) var(inputs), returned dense.
 
-    Every H entry is a sum of bilinear products of one voltage part and
-    one admittance part; the variance of each entry is the quadratic form
-    sum_v (dH/dv)^2 var(v) over the independent inputs v (first order:
-    the var(a)var(b) product-rule term of each bilinear pairing is left
-    out).
+    J = dH/d(input) (``loadflow.JacobianDerivative``) holds the exact
+    derivative of each H entry with respect to each independent real
+    input: Re and Im of every voltage, and of every admittance entry of a
+    non-slack row where Y or its noise is nonzero.  This is the first-order
+    law var(H_p) = sum_v J_pv^2 var(v) (GUM, JCGM 100:2008, 5.1); the
+    var(a)var(b) term of each bilinear product is left out.  Entries off
+    H's structural pattern (those node pairs, and the 2x2 diagonal blocks)
+    are exactly zero.
 
-    The channel formulas are evaluated on H's structural pattern only:
-    the node pairs where Y or its noise is nonzero, plus the 2x2 diagonal
-    blocks, whose K-term sums run over that pattern of each row.  Every
-    other entry of the returned dense array is exactly zero.
+    J is derived once per problem (``SensitivityProblem.dH``) and reused
+    while ``Y`` and ``state`` are the problem's own point and the
+    admittance noise lies on Y's pattern; otherwise it is derived for this
+    call, on the pattern of Y and the noise together.
     """
     Ym = Y.matrix
     E = state.voltages
-    ns = np.array(problem.nonslack, dtype=np.intp)
-    n = len(ns)
     m = E.size
-    vEr, vEi = en.sigma_re**2, en.sigma_im**2
-    if vEr.shape != (m,) or yu.sigma_re.shape != (m, m):
+    if en.sigma_re.shape != (m,) or yu.sigma_re.shape != (m, m):
         raise ValueError("noise spec dimensions do not match the network")
+    dH = _cached_derivative(problem, Ym, E, yu)
+    if dH is None:
+        linked = structural_nonzero(Ym) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
+        dH = jacobian_derivative(Ym, E, problem.nonslack, linked)
+    stds = (en.sigma_re, en.sigma_im, yu.sigma_re.take(dH.pairs), yu.sigma_im.take(dH.pairs))
+    return dH.squared_product(np.concatenate(stds) ** 2)
 
-    # The pattern: the (nonslack r, node n) pairs where Y_rn or its noise
-    # is nonzero.  Every channel below vanishes exactly elsewhere.
-    nz = (Ym[ns] != 0) | (yu.sigma_re[ns] != 0) | (yu.sigma_im[ns] != 0)
-    k, node = np.nonzero(nz)  # row-major: by row r = ns[k], then by node n
-    r = ns[k]
-    # inputs enter squared: e^2 var(y) + y^2 var(e) per bilinear channel
-    er2, ei2 = E.real**2, E.imag**2
-    y = Ym[r, node]
-    yr2, yi2 = y.real**2, y.imag**2
-    vYr, vYi = yu.sigma_re[r, node] ** 2, yu.sigma_im[r, node] ** 2
 
-    var = np.zeros((2 * n, 2 * n))
-
-    # Off-diagonal node pairs (r != c, both nonslack): only the A-term
-    # A_rc = conj(E_r) Y_rc contributes.
-    #   Re(A) = er_r yr_rc + ei_r yi_rc ; Im(A) = er_r yi_rc - ei_r yr_rc
-    col = np.full(m, -1)
-    col[ns] = np.arange(n)
-    c = col[node]
-    off = (c >= 0) & (c != k)
-    kr, kc, rr = k[off], c[off], r[off]
-    yr2_o, yi2_o, vYr_o, vYi_o = yr2[off], yi2[off], vYr[off], vYi[off]
-    er2_r, ei2_r, vEr_r, vEi_r = er2[rr], ei2[rr], vEr[rr], vEi[rr]
-
-    v_reA = er2_r * vYr_o + ei2_r * vYi_o + yr2_o * vEr_r + yi2_o * vEi_r
-    v_imA = er2_r * vYi_o + ei2_r * vYr_o + yi2_o * vEr_r + yr2_o * vEi_r
-
-    var[2 * kr, 2 * kc] = v_reA
-    var[2 * kr, 2 * kc + 1] = v_imA
-    var[2 * kr + 1, 2 * kc] = v_imA
-    var[2 * kr + 1, 2 * kc + 1] = v_reA
-
-    # Diagonal node pairs (r == c): the K-term K_r = sum_n Y_rn E_n shares
-    # inputs with A_rr, so gradients are combined before squaring.
-    #
-    # Each entry is a signed sum of Re/Im(A_rr) and Re/Im(K_r); its bilinear
-    # pair coefficient on a product channel (E part, Y_rn part) is 1 +- 1 at
-    # n = r, where A_rr adds to K_r, and +-1 elsewhere:
-    #   Re(A_rr): (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) +1, at n = r only
-    #   Im(A_rr): (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) -1, at n = r only
-    #   Re(K_r):  (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) -1, at every n
-    #   Im(K_r):  (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) +1, at every n
-    # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e)).
-    # Over the pattern, c^2 is 1 except at n = r, where it is (1 + 1)^2 = 4
-    # on an "up" channel and (1 - 1)^2 = 0 on a "down" one.
-    er2_n, ei2_n, vEr_n, vEi_n = er2[node], ei2[node], vEr[node], vEi[node]
-    ch_rr = er2_n * vYr + yr2 * vEr_n  # (Re E_n, Re Y_rn)
-    ch_ii = ei2_n * vYi + yi2 * vEi_n  # (Im E_n, Im Y_rn)
-    ch_ri = er2_n * vYi + yi2 * vEr_n  # (Re E_n, Im Y_rn)
-    ch_ir = ei2_n * vYr + yr2 * vEi_n  # (Im E_n, Re Y_rn)
-    at_r = node == r
-
-    def weighted_sum(up, down):
-        """Row sums of c^2 up + c^2 down: c^2 = 1, except 4 and 0 at n = r."""
-        both = up + down
-        both[at_r] = 4.0 * up[at_r]
-        return np.bincount(k, weights=both, minlength=n)
-
-    # H_rr entries: Re A + Re K | -Im A + Im K | Im A + Im K | Re A - Re K
-    re, im = 2 * np.arange(n), 2 * np.arange(n) + 1
-    var[re, re] = weighted_sum(ch_rr, ch_ii)
-    var[re, im] = weighted_sum(ch_ir, ch_ri)
-    var[im, re] = weighted_sum(ch_ri, ch_ir)
-    var[im, im] = weighted_sum(ch_ii, ch_rr)
-    return var
+def _cached_derivative(problem, Ym, E, yu):
+    """``problem.dH`` when (Ym, E) is the problem's point and every nonzero
+    admittance std of a non-slack row is one of its inputs; else None."""
+    if problem.point is None or problem.point[0] is not Ym or problem.point[1] is not E:
+        return None
+    dH = problem.dH
+    slack = problem.network.slack_flat_indices()
+    for sigma in (yu.sigma_re, yu.sigma_im):
+        # counting a bool mask is the fast count over the whole matrix
+        in_rows = np.count_nonzero(sigma != 0) - np.count_nonzero(sigma[slack])
+        if in_rows != np.count_nonzero(sigma.take(dH.pairs)):
+            return None
+    return dH
 
 
 # -- variance of H^-1 --------------------------------------------------------

@@ -39,13 +39,14 @@ def two_bus():
     return make_two_bus()
 
 
-def make_random_network(n_bus, seed, radial=True):
-    """Random connected PQ network with moderate impedances and loads."""
+def make_random_network(n_bus, seed, radial=True, scale=1.0):
+    """Random connected PQ network with moderate impedances and loads,
+    the loads scaled by ``scale``."""
     rng = np.random.default_rng(seed)
     buses = [Bus(1, "slack")]
     for i in range(2, n_bus + 1):
-        p = rng.uniform(-300.0, 300.0)
-        q = rng.uniform(-150.0, 150.0)
+        p = rng.uniform(-300.0, 300.0) * scale
+        q = rng.uniform(-150.0, 150.0) * scale
         buses.append(Bus(i, "pq", (p,), (q,)))
     branches = []
     for i in range(2, n_bus + 1):
@@ -61,6 +62,13 @@ def make_random_network(n_bus, seed, radial=True):
         base_power_va=1e6,
         base_voltage_v=1e3,
     )
+
+
+def make_feeder(n_bus, seed):
+    """The benchmark's seeded tree feeder of ``n_bus`` buses: a non-radial
+    random network whose loads shrink as min(1, 15 / (n_bus - 1)), so that
+    large feeders stay within 0.9-1.1 pu."""
+    return make_random_network(n_bus, seed, radial=False, scale=min(1.0, 15.0 / (n_bus - 1)))
 
 
 def make_three_phase_balanced(mutual=0.35):

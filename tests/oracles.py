@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 Each is an oracle for a quantity the package computes another way (or
-not at all): the literal loop forms of the inverse variance, single
-cross terms of cov(H^-1), the coefficient variance for any z, the
-magnitude derivative, the refuted repeated-sign projection and the QQ
-normality check.  Tests import them as they import ``conftest`` helpers.
+not at all): a trial's random stream built one trial at a time, the
+hand-derived channel form of var(H), the literal loop forms of the
+inverse variance, single cross terms of cov(H^-1), the coefficient
+variance for any z, the magnitude derivative, the refuted repeated-sign
+projection and the QQ normality check.  Tests import them as they import
+``conftest`` helpers.
 """
 
 import csv
@@ -13,8 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from pfsc.coefficients import P
-from pfsc.uncertainty import CartesianNoiseSpec
+from pfsc.coefficients import P, SensitivityProblem
+from pfsc.loadflow import GridState
+from pfsc.network import AdmittanceMatrix
+from pfsc.uncertainty import AdmittanceUncertainty, CartesianNoiseSpec
+
+
+def trial_rng(seed, k):
+    """Trial k's own generator, built from ``SeedSequence((seed, k))``: the
+    per-trial reference of the Monte-Carlo engine's batched streams."""
+    return np.random.default_rng(np.random.SeedSequence((seed, k)))
 
 
 def inverse_self_variance_reference(H_inv: np.ndarray, var_H: np.ndarray) -> np.ndarray:
@@ -119,3 +129,101 @@ def qq_normality_check(samples) -> QQReport:
     theoretical = stats.norm.ppf(positions)
     corr = float(np.corrcoef(theoretical, empirical)[0, 1])
     return QQReport(theoretical=theoretical, empirical=empirical, correlation=corr)
+
+
+def channel_variance(
+    problem: SensitivityProblem,
+    Y: AdmittanceMatrix,
+    state: GridState,
+    yu: AdmittanceUncertainty,
+    en: CartesianNoiseSpec,
+) -> np.ndarray:
+    """Per-entry variance of H from hand-derived channel formulas: the
+    reference for ``propagate_to_H``, which derives the same sums from one
+    operator, dH/d(input).
+
+    Every H entry is a sum of bilinear products of one voltage part and
+    one admittance part; the variance of each entry is the quadratic form
+    sum_v (dH/dv)^2 var(v) over the independent inputs v (first order:
+    the var(a)var(b) product-rule term of each bilinear pairing is left
+    out).
+
+    The channel formulas are evaluated on H's structural pattern only:
+    the node pairs where Y or its noise is nonzero, plus the 2x2 diagonal
+    blocks, whose K-term sums run over that pattern of each row.  Every
+    other entry of the returned dense array is exactly zero.
+    """
+    Ym = Y.matrix
+    E = state.voltages
+    ns = np.array(problem.nonslack, dtype=np.intp)
+    n = len(ns)
+    m = E.size
+    vEr, vEi = en.sigma_re**2, en.sigma_im**2
+    if vEr.shape != (m,) or yu.sigma_re.shape != (m, m):
+        raise ValueError("noise spec dimensions do not match the network")
+
+    # The pattern: the (nonslack r, node n) pairs where Y_rn or its noise
+    # is nonzero.  Every channel below vanishes exactly elsewhere.
+    nz = (Ym[ns] != 0) | (yu.sigma_re[ns] != 0) | (yu.sigma_im[ns] != 0)
+    k, node = np.nonzero(nz)  # row-major: by row r = ns[k], then by node n
+    r = ns[k]
+    # inputs enter squared: e^2 var(y) + y^2 var(e) per bilinear channel
+    er2, ei2 = E.real**2, E.imag**2
+    y = Ym[r, node]
+    yr2, yi2 = y.real**2, y.imag**2
+    vYr, vYi = yu.sigma_re[r, node] ** 2, yu.sigma_im[r, node] ** 2
+
+    var = np.zeros((2 * n, 2 * n))
+
+    # Off-diagonal node pairs (r != c, both nonslack): only the A-term
+    # A_rc = conj(E_r) Y_rc contributes.
+    #   Re(A) = er_r yr_rc + ei_r yi_rc ; Im(A) = er_r yi_rc - ei_r yr_rc
+    col = np.full(m, -1)
+    col[ns] = np.arange(n)
+    c = col[node]
+    off = (c >= 0) & (c != k)
+    kr, kc, rr = k[off], c[off], r[off]
+    yr2_o, yi2_o, vYr_o, vYi_o = yr2[off], yi2[off], vYr[off], vYi[off]
+    er2_r, ei2_r, vEr_r, vEi_r = er2[rr], ei2[rr], vEr[rr], vEi[rr]
+
+    v_reA = er2_r * vYr_o + ei2_r * vYi_o + yr2_o * vEr_r + yi2_o * vEi_r
+    v_imA = er2_r * vYi_o + ei2_r * vYr_o + yi2_o * vEr_r + yr2_o * vEi_r
+
+    var[2 * kr, 2 * kc] = v_reA
+    var[2 * kr, 2 * kc + 1] = v_imA
+    var[2 * kr + 1, 2 * kc] = v_imA
+    var[2 * kr + 1, 2 * kc + 1] = v_reA
+
+    # Diagonal node pairs (r == c): the K-term K_r = sum_n Y_rn E_n shares
+    # inputs with A_rr, so gradients are combined before squaring.
+    #
+    # Each entry is a signed sum of Re/Im(A_rr) and Re/Im(K_r); its bilinear
+    # pair coefficient on a product channel (E part, Y_rn part) is 1 +- 1 at
+    # n = r, where A_rr adds to K_r, and +-1 elsewhere:
+    #   Re(A_rr): (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) +1, at n = r only
+    #   Im(A_rr): (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) -1, at n = r only
+    #   Re(K_r):  (Re E_n, Re Y_rn) +1, (Im E_n, Im Y_rn) -1, at every n
+    #   Im(K_r):  (Re E_n, Im Y_rn) +1, (Im E_n, Re Y_rn) +1, at every n
+    # A channel with coefficient c contributes c^2 (e^2 var(y) + y^2 var(e)).
+    # Over the pattern, c^2 is 1 except at n = r, where it is (1 + 1)^2 = 4
+    # on an "up" channel and (1 - 1)^2 = 0 on a "down" one.
+    er2_n, ei2_n, vEr_n, vEi_n = er2[node], ei2[node], vEr[node], vEi[node]
+    ch_rr = er2_n * vYr + yr2 * vEr_n  # (Re E_n, Re Y_rn)
+    ch_ii = ei2_n * vYi + yi2 * vEi_n  # (Im E_n, Im Y_rn)
+    ch_ri = er2_n * vYi + yi2 * vEr_n  # (Re E_n, Im Y_rn)
+    ch_ir = ei2_n * vYr + yr2 * vEi_n  # (Im E_n, Re Y_rn)
+    at_r = node == r
+
+    def weighted_sum(up, down):
+        """Row sums of c^2 up + c^2 down: c^2 = 1, except 4 and 0 at n = r."""
+        both = up + down
+        both[at_r] = 4.0 * up[at_r]
+        return np.bincount(k, weights=both, minlength=n)
+
+    # H_rr entries: Re A + Re K | -Im A + Im K | Im A + Im K | Re A - Re K
+    re, im = 2 * np.arange(n), 2 * np.arange(n) + 1
+    var[re, re] = weighted_sum(ch_rr, ch_ii)
+    var[re, im] = weighted_sum(ch_ir, ch_ri)
+    var[im, re] = weighted_sum(ch_ri, ch_ir)
+    var[im, im] = weighted_sum(ch_ii, ch_rr)
+    return var

@@ -385,6 +385,54 @@ def test_nonfinite_admittance_level_is_one_line(capsys, tmp_path, argv, level):
     assert list(tmp_path.iterdir()) == []
 
 
+def unreachable_load_flow(monkeypatch):
+    """Make every load flow the CLI could start fail the test."""
+    def load_flow(*args, **kwargs):
+        raise AssertionError("the load flow ran before the options were checked")
+
+    monkeypatch.setattr(cli, "solve_load_flow", load_flow)
+    monkeypatch.setattr(pfsc.report, "solve_load_flow", load_flow)
+
+
+OUTPUTS = {
+    "report": ("--out", "{dir}/rep"),
+    "propagate": ("--out", "{dir}/sigma.csv"),
+    "mc": ("--out", "{dir}/mc.csv", "--dump-trials", "{dir}/trials.csv"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("report", ("--sigma-y-pct", "nan"),
+         "admittance noise level must be a finite, nonnegative percentage, not nan"),
+        ("report", ("--nmc", "0"), "n_trials must be >= 1, got 0"),
+        ("report", ("--seed", "-1"), "seed must be a nonnegative integer, not -1"),
+        ("propagate", ("--sigma-y-pct", "nan"),
+         "admittance noise level must be a finite, nonnegative percentage, not nan"),
+        ("mc", ("--sigma-y-pct", "nan"),
+         "admittance noise level must be a finite, nonnegative percentage, not nan"),
+        ("mc", ("--nmc", "0"), "n_trials must be >= 1, got 0"),
+        ("mc", ("--seed", "-1"), "seed must be a nonnegative integer, not -1"),
+        *((command, ("--it-class", "9.9"),
+           "unknown IT class '9.9' (known: 0.1, 0.2, 0.5, 1.0)")
+          for command in ("report", "propagate", "mc")),
+    ],
+    ids=["report-level", "report-nmc", "report-seed", "propagate-level", "mc-level",
+         "mc-nmc", "mc-seed", "report-it-class", "propagate-it-class", "mc-it-class"],
+)
+def test_run_options_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
+                                                   command, options, message):
+    unreachable_load_flow(monkeypatch)
+    argv = [command, "--network", NETWORK, *options]
+    argv += [a.format(dir=tmp_path) for a in OUTPUTS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc {command}: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_import_leaves_scipy_stats_out():
     # scipy.stats costs about half a second of every CLI call; only the
     # tests' QQ oracle needs it

@@ -21,7 +21,8 @@ from pfsc.montecarlo import (
 from pfsc.network import Branch, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
 
-from oracles import qq_normality_check
+from conftest import make_three_phase_balanced
+from oracles import qq_normality_check, trial_rng
 
 MODES = (INDEPENDENT_ELEMENTS, SYMMETRIC_PAIRS, BRANCH_PARAMETER)
 
@@ -130,7 +131,7 @@ def serial_trials(network, Y, state, cfg):
     m = E0.size
     samples = []
     for k in range(cfg.n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
+        rng = trial_rng(cfg.seed, k)
         n_rho = rng.normal(0.0, 1.0, m)
         n_theta = rng.normal(0.0, 1.0, m)
         if polar.sigma_rho == 0.0 and polar.sigma_theta == 0.0:
@@ -301,15 +302,57 @@ def test_shared_pass_equals_separate_runs(ieee4_solved, seven_trial_chunks,
         assert np.array_equal(got.std, alone.std)
 
 
+def reference_draws(seed, trials, width):
+    """``_draws`` one trial at a time, each from its own generator."""
+    draws = np.empty((len(trials), width))
+    for row, k in zip(draws, trials):
+        trial_rng(seed, k).standard_normal(out=row)
+    return draws
+
+
+def mode_widths(network):
+    """Draw widths of the symmetry modes; the two element-wise modes share one."""
+    m = network.n_nodes
+    return {2 * m + 2 * m * m, 2 * m + sum(2 * br.z_ohm.size for br in network.branches)}
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 3, 57, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**200 + 12345]
+)
+def test_batched_streams_equal_per_trial_streams(ieee4, seed):
+    # 250..261 crosses the boundary of the first 256-trial chunk; trial
+    # indices from 2**32 on take a second entropy word
+    three_phase = make_three_phase_balanced()
+    for trials in (range(250, 262), range(2**32 - 2, 2**32 + 2)):
+        for width in mode_widths(ieee4) | mode_widths(three_phase):
+            got = montecarlo._draws(seed, trials, width)
+            assert np.array_equal(got, reference_draws(seed, trials, width))
+
+
+def test_chunked_run_reads_the_per_trial_streams(ieee4_solved):
+    # 300 trials: a full 256-trial chunk and part of the next
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    cfg = MCConfig(n_trials=300, seed=11, polar=polar, yu=yu, store_trials=True)
+    assert np.array_equal(run_monte_carlo(net, Y, state, cfg).trials,
+                          serial_trials(net, Y, state, cfg))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "1", None])
+def test_seed_must_be_a_nonnegative_integer(ieee4_solved, seed):
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        MCConfig(n_trials=10, seed=seed, polar=polar, yu=yu)
+
+
 def test_report_builds_each_trial_stream_once(monkeypatch):
     streams = []
 
-    def counted(seed, k):
-        streams.append(k)
-        return rng(seed, k)
+    def counted(seed, trials, width):
+        streams.extend(trials)
+        return draws(seed, trials, width)
 
-    rng = montecarlo._trial_rng
-    monkeypatch.setattr(montecarlo, "_trial_rng", counted)
+    draws = montecarlo._draws
+    monkeypatch.setattr(montecarlo, "_draws", counted)
     cfg = pfsc.RunConfig(network=str(pfsc.bundled_network_path()), mode="mc",
                          n_mc=(20, 50), sigma_y_pct=(0.5, 1.0, 2.0))
     report = pfsc.run_pipeline(cfg)

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 import pfsc
+from pfsc import network as network_module
 from pfsc.errors import (
     DegenerateBranchError,
     NetworkParseError,
@@ -12,7 +14,7 @@ from pfsc.errors import (
 )
 from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network
 
-from conftest import make_random_network, make_three_phase_balanced
+from conftest import make_feeder, make_random_network, make_three_phase_balanced
 
 
 def _admittance_per_branch(network):
@@ -318,6 +320,25 @@ branches:
         path.write_text("phases: 1\n")
         with pytest.raises(NetworkParseError, match="missing section"):
             load_network(path)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pfsc.load_network(pfsc.bundled_network_path()),
+            make_three_phase_balanced,
+            lambda: make_random_network(12, 5, radial=False),
+            lambda: make_feeder(60, 3),
+            lambda: make_feeder(300, 3),
+        ],
+        ids=["ieee4", "three-phase", "random12", "feeder60", "feeder300"],
+    )
+    def test_emit_writes_the_bytes_of_safe_dump(self, make, tmp_path, monkeypatch):
+        net = make()
+        fast, pure = tmp_path / "fast.yaml", tmp_path / "pure.yaml"
+        emit_network(net, fast)
+        monkeypatch.setattr(network_module, "_YAML_DUMPER", yaml.SafeDumper)
+        emit_network(net, pure)
+        assert fast.read_bytes() == pure.read_bytes()
 
     def test_round_trip(self, ieee4, tmp_path):
         out = tmp_path / "rt.yaml"

@@ -67,6 +67,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown report format 'jsn'"):
             small_cfg(formats=("csv", "jsn"))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": -1}, "seed must be a nonnegative integer, not -1"),
+            ({"seed": True}, "seed must be a nonnegative integer, not True"),
+            ({"seed": 1.0}, "seed must be a nonnegative integer, not 1.0"),
+            ({"n_mc": (100, 0)}, "n_trials must be >= 1, got 0"),
+            ({"n_mc": (2.5,)}, "n_trials must be an integer, not 2.5"),
+            ({"sigma_y_pct": (1.0, float("nan"))}, "not nan"),
+            ({"sigma_y_pct": (-1.0,)}, "not -1.0"),
+            ({"sigma_y_pct": ("1",)}, "not '1'"),
+        ],
+        ids=["negative-seed", "bool-seed", "float-seed", "zero-trials", "float-trials",
+             "nan-level", "negative-level", "str-level"],
+    )
+    def test_run_options_checked_at_construction(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_cfg(**change)
+
 
 class TestCoefficientKey:
     def test_single_phase_label(self):

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfsc
+from pfsc import coefficients, uncertainty
 from pfsc.coefficients import assemble_problem, solve_coefficients
 from pfsc.errors import ConfigError
+from pfsc.loadflow import jacobian
+from pfsc.network import AdmittanceMatrix
 from pfsc.uncertainty import (
     AdmittanceUncertainty,
     CartesianNoiseSpec,
@@ -21,8 +24,9 @@ from pfsc.uncertainty import (
     propagate_to_H,
 )
 
-from conftest import make_random_network, make_three_phase_balanced, make_two_bus
+from conftest import make_feeder, make_random_network, make_three_phase_balanced, make_two_bus
 from oracles import (
+    channel_variance,
     general_variance,
     inverse_cross_covariance,
     inverse_self_variance_reference,
@@ -206,6 +210,139 @@ def diagonal_blocks_reference(problem, Y, state, yu, en):
     return out
 
 
+NETWORKS = {
+    "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
+    "three-phase": make_three_phase_balanced,
+    "random12": lambda: make_random_network(12, 5, radial=False),
+    "feeder300": lambda: make_feeder(300, 3),
+}
+
+
+def solved(which):
+    net = NETWORKS[which]()
+    Y = pfsc.build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    return net, Y, state, assemble_problem(Y, state, net)
+
+
+def random_noise(net, Y, seed):
+    """Admittance noise on a random third of the entries, at least one of
+    them a structural zero of a non-slack row, and random voltage noise."""
+    m = net.n_nodes
+    rng = np.random.default_rng(seed)
+    sigma = [rng.uniform(0, 1e-2, (m, m)) * (rng.uniform(size=(m, m)) < 1 / 3) for _ in "ri"]
+    r = net.nonslack_flat_indices()[-1]
+    sigma[1][r, np.flatnonzero(Y.matrix[r] == 0)[0]] = 3e-3
+    en = CartesianNoiseSpec(rng.uniform(0, 1e-3, m), rng.uniform(0, 1e-3, m))
+    return AdmittanceUncertainty(*sigma), en
+
+
+def assert_matches_channels(got, ref):
+    """The same zero pattern, and within 1e-14 relative elsewhere (the
+    same terms, summed in another order)."""
+    assert np.array_equal(got != 0, ref != 0)
+    on = ref != 0
+    assert np.max(np.abs(got[on] - ref[on]) / ref[on]) <= 1e-14
+
+
+def terms(dH):
+    """(position, input) of each coefficient of ``dH``, in its shape."""
+    shape = dH.coefficient.shape
+    return (np.broadcast_to(dH.position[:, None], shape),
+            np.broadcast_to(dH.input[None], shape))
+
+
+def counted_derivatives(monkeypatch):
+    """Count the derivations of dH/d(input): (cached, per call)."""
+    calls = {"cached": 0, "per call": 0}
+
+    def counting(name, module):
+        build = module.jacobian_derivative
+
+        def counted(*args):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(module, "jacobian_derivative", counted)
+
+    counting("cached", coefficients)
+    counting("per call", uncertainty)
+    return calls
+
+
+class TestJacobianDerivative:
+    @pytest.mark.parametrize("noise", ["relative", "random"])
+    @pytest.mark.parametrize("which", list(NETWORKS))
+    def test_matches_channel_reference(self, which, noise):
+        net, Y, state, problem = solved(which)
+        if noise == "relative":
+            yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+            en = project_polar_noise(state, it_class_to_polar("0.5"))
+        else:
+            yu, en = random_noise(net, Y, 11)
+        assert_matches_channels(propagate_to_H(problem, Y, state, yu, en),
+                                channel_variance(problem, Y, state, yu, en))
+
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase"])
+    def test_coefficients_are_the_derivatives_of_jacobian(self, which):
+        # H is linear in each real input alone, so a central difference
+        # is exact up to rounding; this checks the signs that var(H) squares
+        net, Y, state, problem = solved(which)
+        Ym, E, ns = Y.matrix, state.voltages, problem.nonslack
+        m = E.size
+        dH = problem.dH
+        dense = np.zeros((dH.dim**2, 2 * m + 2 * len(dH.pairs)))
+        np.add.at(dense, terms(dH), dH.coefficient)
+        h = 1e-3
+        for v in range(dense.shape[1]):
+            dE, dY = np.zeros(m, complex), np.zeros(m * m, complex)
+            if v < 2 * m:
+                dE[v % m] = h if v < m else 1j * h
+            else:
+                q = (v - 2 * m) % len(dH.pairs)
+                dY[dH.pairs[q]] = h if v < 2 * m + len(dH.pairs) else 1j * h
+            dY = dY.reshape(m, m)
+            diff = jacobian(Ym + dY, E + dE, ns) - jacobian(Ym - dY, E - dE, ns)
+            np.testing.assert_allclose(dense[:, v], diff.ravel() / (2 * h), atol=1e-9)
+
+    def test_one_term_per_entry_and_input(self):
+        dH = solved("three-phase")[3].dH
+        position, inputs = (a.ravel() for a in terms(dH))
+        flat = position * (inputs.max() + 1) + inputs
+        assert len(np.unique(flat)) == len(flat)
+
+    def test_pipeline_derives_once(self, monkeypatch):
+        calls = counted_derivatives(monkeypatch)
+        cfg = pfsc.RunConfig(network=str(pfsc.bundled_network_path()), mode="analytical",
+                             sigma_y_pct=(0.5, 1.0, 2.0))
+        report = pfsc.run_pipeline(cfg)
+        assert sorted(report.analytical) == [0.5, 1.0, 2.0]
+        assert calls == {"cached": 1, "per call": 0}
+
+    def test_edited_copy_of_Y_is_derived_again(self, monkeypatch):
+        net, Y, state, problem = solved("ieee4")
+        en = project_polar_noise(state, it_class_to_polar("0.5"))
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        propagate_to_H(problem, Y, state, yu, en)  # derives the cached operator
+        calls = counted_derivatives(monkeypatch)
+        edited = AdmittanceMatrix(Y.matrix.copy())
+        i, j = net.flat_index(2), net.flat_index(3)
+        edited.matrix[i, j] *= 1.5
+        got = propagate_to_H(problem, edited, state, yu, en)
+        assert calls == {"cached": 0, "per call": 1}
+        assert_matches_channels(got, channel_variance(problem, edited, state, yu, en))
+        assert not np.allclose(got, propagate_to_H(problem, Y, state, yu, en))
+
+    def test_noise_off_the_pattern_is_derived_again(self, monkeypatch):
+        net, Y, state, problem = solved("ieee4")
+        yu, en = random_noise(net, Y, 5)
+        problem.dH  # the cached operator, on Y's pattern
+        calls = counted_derivatives(monkeypatch)
+        propagate_to_H(problem, Y, state, yu, en)
+        propagate_to_H(problem, Y, state, AdmittanceUncertainty.from_relative(Y, 1.0), en)
+        assert calls == {"cached": 0, "per call": 1}
+
+
 class TestPropagateToH:
     @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random12"])
     def test_diagonal_blocks_match_loop_reference(self, which):
@@ -337,6 +474,13 @@ class TestPropagateToH:
         )
         sampled = entries.var(axis=0, ddof=1).reshape(2, 2)
         np.testing.assert_allclose(hv, sampled, rtol=0.03)
+
+    def test_relative_stds_are_one_read_only_array(self, ieee4_solved):
+        _, Y, _ = ieee4_solved
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        assert yu.sigma_im is yu.sigma_re
+        with pytest.raises(ValueError, match="read-only"):
+            yu.sigma_re[0, 0] = 1.0
 
     def test_negative_variance_input_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
