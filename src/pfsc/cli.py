@@ -152,7 +152,7 @@ def _cmd_propagate(args):
     result = solve_coefficients(problem)
     yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
     en = project_polar_noise(state, polar)
-    sigma = analytical_sigma(result, Y, state, yu, en)
+    sigma = analytical_sigma(result, yu, en)
     _write_table(_coeff_table(network, sigma, "sigma"), args.out, args.format)
     return 0
 

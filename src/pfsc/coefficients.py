@@ -18,8 +18,8 @@ Columns of z: P-injection of node k at 2k, Q-injection at 2k+1.
 Every column of z is a signed unit vector (+1 in the real row for a
 P-injection, -1 in the imaginary row for a Q-injection), so z = diag(s)
 for a sign vector s of alternating +1/-1.  The problem carries only s;
-the solve is the column scaling x = H^-1 diag(s), and the dense z is
-derived on request.
+the solve is the column scaling x = H^-1 diag(s) and forms no z (the
+dense z is derived on request, for the Monte-Carlo stacks).
 
 Full table and targeted solves.  Given the positions in x of the
 requested coefficients, ``solve_coefficients`` holds only the rows R and
@@ -29,12 +29,12 @@ of the dense H.  When they leave out a row or a column, it takes the
 targeted path, which never forms a dense H: H is assembled as a CSC
 matrix on Y's pattern (``SensitivityProblem.H_csc``), factored once by
 sparse LU (``scipy.sparse.linalg.splu``), then H^-1[:, C] is solved with
-H and H^-1[R, :] with H^T.  Each block passes the residual check
-max |H B - I| <= RESIDUAL_RTOL, with one step of iterative refinement
-when it does not.  The factors clear H only when ||H||_1 (its largest
-column sum) times the 1-norm estimate of H^-1 (``onenormest`` with
-t = 1, which draws no random numbers) is at least ESTIMATE_MARGIN times
-below COND_MAX / dim.  Any other H takes the full-table path, whose
+H and H^-1[R, :] with H^T.  Each block, as the full table's H^-1, passes
+the residual check max |H B - I| <= RESIDUAL_RTOL, with one step of
+iterative refinement when it does not.  The factors clear H only when
+||H||_1 (its largest column sum) times the 1-norm estimate of H^-1
+(``onenormest`` with t = 1, which draws no random numbers) is at least
+ESTIMATE_MARGIN times below COND_MAX / dim.  Any other H takes the full-table path, whose
 dense decision and checks are the reference, and the result keeps the
 requested block.  The two paths agree to rounding (about 1e-14
 relative at 300 buses).
@@ -299,22 +299,13 @@ def solve_coefficients(
             raise SingularSystemError(
                 f"Jacobian not invertible (condition number {cond:.3e})"
             )
+    full = np.arange(dim)
+    H_inv = _refined(H, functools.partial(np.matmul, H_inv), full, H_inv)
     # H^-1 diag(s) as a column scaling; adding 0.0 turns the -0.0 of a zero
     # entry times -1 into +0.0, as the matrix product did
     x = H_inv * s + 0.0
-    z = problem.z
-    residual = np.max(np.abs(H @ x - z))
-    if residual > RESIDUAL_RTOL * np.max(np.abs(z)):
-        # one step of iterative refinement keeps the residual bound honest
-        x += H_inv @ (z - H @ x)
-        residual = np.max(np.abs(H @ x - z))
-        if residual > RESIDUAL_RTOL * np.max(np.abs(z)):
-            raise SingularSystemError(
-                f"solve residual {residual:.3e} exceeds tolerance"
-            )
     if targeted:  # H the estimate could not clear: keep the requested block
         return SensitivityResult(x[np.ix_(R, C)], H_inv[R], H_inv[:, C], R, C, problem)
-    full = np.arange(dim)
     return SensitivityResult(x, H_inv, H_inv, full, full, problem)
 
 
@@ -342,36 +333,38 @@ def _inverse_blocks(A, R, C):
         lu = splu(A)
     except RuntimeError:  # SuperLU met an exactly zero pivot
         return None
-    inverse = LinearOperator(
-        A.shape,
-        matvec=lu.solve,
-        rmatvec=lambda b: lu.solve(b, trans="T"),
-        dtype=A.dtype,
-    )
+    solve_T = lambda b: lu.solve(b, trans="T")  # noqa: E731
+    inverse = LinearOperator(A.shape, matvec=lu.solve, rmatvec=solve_T, dtype=A.dtype)
     norm_1 = abs(A).sum(axis=0).max()  # largest column sum of |H|
     cond_est = norm_1 * onenormest(inverse, t=1)
     if not cond_est <= COND_MAX / (ESTIMATE_MARGIN * dim):
         return None
-    cols = _refined_solve(A, lu.solve, C)
-    rows = _refined_solve(A.T, lambda b: lu.solve(b, trans="T"), R).T
-    return rows, cols
+    return _refined(A.T, solve_T, R).T, _refined(A, lu.solve, C)
 
 
-def _refined_solve(A, solve, idx):
-    """Columns ``idx`` of A^-1 by ``solve``, under the residual bound."""
-    unit = np.zeros((A.shape[0], len(idx)))
-    unit[idx, np.arange(len(idx))] = 1.0
-    B = solve(unit)
-    residual = np.max(np.abs(A @ B - unit), initial=0.0)
-    if residual > RESIDUAL_RTOL:
-        # one step of iterative refinement, as on the full table
-        B += solve(unit - A @ B)
-        residual = np.max(np.abs(A @ B - unit), initial=0.0)
-        if residual > RESIDUAL_RTOL:
-            raise SingularSystemError(
-                f"solve residual {residual:.3e} exceeds tolerance"
-            )
-    return B
+def _refined(A, solve, idx, B=None):
+    """Columns ``idx`` of A^-1 under the residual bound: ``B``, or by
+    default ``solve`` (a solve with A, or a product with an approximate
+    A^-1) of those identity columns.
+
+    The residual A B - I[:, idx] is formed in place on the identity
+    entries of A B; above RESIDUAL_RTOL, one refinement step updates B in
+    place, and a residual still above it raises SingularSystemError.
+    """
+    diagonal = idx, np.arange(len(idx))
+    if B is None:
+        B = np.zeros((A.shape[0], len(idx)))
+        B[diagonal] = 1.0
+        B = solve(B)
+    for refine in (True, False):
+        residual = A @ B
+        residual[diagonal] -= 1.0
+        worst = np.max(np.abs(residual), initial=0.0)
+        if worst <= RESIDUAL_RTOL:
+            return B
+        if refine:
+            B -= solve(residual)
+    raise SingularSystemError(f"solve residual {worst:.3e} exceeds tolerance")
 
 
 def finite_difference_oracle(

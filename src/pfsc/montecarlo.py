@@ -35,14 +35,14 @@ that of the set run alone (``run_monte_carlo``, the one-set case).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
 from .loadflow import GridState
-from .network import AdmittanceMatrix, Branch, NetworkModel, build_admittance
+from .network import AdmittanceMatrix, NetworkModel, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
 INDEPENDENT_ELEMENTS = "independent-elements"
@@ -138,23 +138,11 @@ def _perturb_branches(network, frac, noise):
     Each row of ``noise`` holds, branch by branch, the real and then the
     imaginary standard-normal draws of the branch's impedance entries.
     """
-    z_k = []
-    offset = 0
-    for br in network.branches:
-        z = br.z_ohm
-        n_re, n_im = (
-            noise[:, offset + i * z.size : offset + (i + 1) * z.size].reshape((-1,) + z.shape)
-            for i in (0, 1)
-        )
-        offset += 2 * z.size
-        z_k.append(z + (n_re * frac * np.abs(z) + 1j * (n_im * frac * np.abs(z))))
-    return np.stack([
-        build_admittance(replace(network, branches=tuple(
-            Branch(br.from_bus, br.to_bus, z[j], br.shunt_b_s, br.length_km)
-            for br, z in zip(network.branches, z_k)
-        ))).matrix
-        for j in range(len(noise))
-    ])
+    p = network.phase_count
+    z = np.reshape([br.z_ohm for br in network.branches], (-1, p, p))
+    n = noise.reshape(len(noise), len(z), 2, p, p)
+    z_k = z + (n[:, :, 0] * frac * np.abs(z) + 1j * (n[:, :, 1] * frac * np.abs(z)))
+    return stamp_admittance(network, z_k)
 
 
 # The hash of ``numpy.random.SeedSequence`` (pool of 4 words) and the

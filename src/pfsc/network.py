@@ -269,15 +269,25 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
 
     Each branch contributes ``inv(z_pu)`` to its two diagonal blocks and
     ``-inv(z_pu)`` to the off-diagonal blocks; half the branch shunt
-    susceptance is added at each end.
+    susceptance is added at each end.  The one-matrix case of
+    ``stamp_admittance``.
     """
+    p = network.phase_count
+    z_ohm = np.reshape([br.z_ohm for br in network.branches], (-1, p, p))
+    return AdmittanceMatrix(matrix=stamp_admittance(network, z_ohm))
+
+
+def stamp_admittance(network: NetworkModel, z_ohm) -> np.ndarray:
+    """Admittance matrices (..., m, m) of ``network`` with the series
+    impedances ``z_ohm`` (..., B, p, p, in ohms) in place of its branches';
+    each matrix is bitwise the ``build_admittance`` of its own network."""
     p = network.phase_count
     m = network.n_nodes
     branches = network.branches
-    z_pu = np.array([network.branch_z_pu(br) for br in branches]).reshape(-1, p, p)
+    z_pu = z_ohm / network.z_base_ohm
     degenerate = np.abs(np.linalg.det(z_pu)) < 1e-300
     if np.any(degenerate):
-        br = branches[int(np.argmax(degenerate))]
+        br = branches[int(np.argmax(degenerate.reshape(-1))) % len(branches)]
         raise DegenerateBranchError(
             f"degenerate branch {br.from_bus}-{br.to_bus}: singular "
             f"series impedance matrix"
@@ -295,10 +305,13 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
     ph = np.arange(p)
     rows = first + ph[:, None]
     cols = second + ph
-    blocks = np.stack([y + ysh, y + ysh, -y, -y], axis=1)
-    Y = np.zeros((m, m), dtype=complex)
-    np.add.at(Y.reshape(-1), rows * m + cols, blocks)
-    return AdmittanceMatrix(matrix=Y)
+    blocks = np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
+    stack = blocks.shape[:-4]
+    Y = np.zeros(stack + (m, m), dtype=complex)
+    # matrix k's entries start at k m^2 of the flat stack
+    start = np.arange(Y.size, step=m * m).reshape(stack + (1, 1, 1, 1))
+    np.add.at(Y.reshape(-1), start + rows * m + cols, blocks)
+    return Y
 
 
 # -- file input / output ----------------------------------------------------

@@ -63,9 +63,9 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("analytical", "mc", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        _check_formats(self.formats)
         for level in self.sigma_y_pct:
             check_level(level)
+        _check_outputs(self.formats, self.sigma_y_pct)
         for n in self.n_mc:
             check_trials(n)
         check_seed(self.seed)
@@ -77,12 +77,35 @@ class RunConfig:
                 raise ConfigError(f"{what} not found: {path}")
             if Path(path).is_dir():
                 raise ConfigError(f"{what} is a directory: {path}")
+        if self.out_dir is not None:
+            out = Path(self.out_dir)
+            # the nearest path that exists must be a directory: out_dir itself,
+            # or the ancestor that mkdir would create it under
+            held = next(p for p in (out, *out.parents) if p.exists())
+            if not held.is_dir():
+                where = "is" if held == out else "lies under"
+                raise ConfigError(f"output directory {where} a file: {held}")
 
 
-def _check_formats(formats):
+def _check_outputs(formats, levels):
+    """Raise ConfigError for an unknown format, or for two different levels
+    whose CSV tables would be written to one file."""
     for fmt in formats:
         if fmt not in FORMATS:
             raise ConfigError(f"unknown report format {fmt!r} (choose from {FORMATS})")
+    if "csv" in formats:
+        first = {}
+        for lvl in levels:
+            name = _csv_name(lvl)
+            other = first.setdefault(name, lvl)
+            if other != lvl:
+                raise ConfigError(
+                    f"admittance noise levels {other!r} and {lvl!r} would both write {name}"
+                )
+
+
+def _csv_name(lvl):
+    return f"report_sigmaY_{lvl:g}pct.csv"
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,12 +249,12 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
 
     analytical, mc_stds, mc_failed = {}, {}, {}
     mc_sets, mc_cfgs = [], []
+    en = project_polar_noise(state, polar) if cfg.mode != "mc" else None
     for lvl in cfg.sigma_y_pct:
         yu = AdmittanceUncertainty.from_relative(Y, lvl)
         if cfg.mode in ("analytical", "both"):
             t0 = time.perf_counter()
-            en = project_polar_noise(state, polar)
-            sigma = analytical_sigma(result, Y, state, yu, en)
+            sigma = analytical_sigma(result, yu, en)
             timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
             analytical[lvl] = sigma[at]
         if cfg.mode in ("mc", "both"):
@@ -294,7 +317,8 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     """Write the report in the requested formats; returns the paths written.
 
     CSV: one file per admittance-std level with columns
-    {coefficient, nominal_pu, std_analytical, std_mc_<n>..., time_s}.
+    {coefficient, nominal_pu, std_analytical, std_mc_<n>..., time_s}; two
+    different levels named alike by ``_csv_name`` raise ConfigError.
     JSON: a single file carrying all levels plus percents and timings; a
     value that is not finite, such as the percent of a zero nominal, is
     written as null.
@@ -304,13 +328,13 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     reads back to the same double.  Each column is formatted once per call
     and shared by the formats that need it.
     """
-    _check_formats(formats)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     levels = sorted(
         set(report.analytical) | {lvl for lvl, _ in report.mc}
     )
+    _check_outputs(formats, levels)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
     n_mcs = sorted({n for _, n in report.mc})
     nominal = _Column(report.nominal)
     # (n_mc, stds, percent of nominal) of each std column of a level, n_mc
@@ -325,7 +349,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     for fmt in formats:
         if fmt == "csv":
             for lvl, cols in columns.items():
-                path = out_dir / f"report_sigmaY_{lvl:g}pct.csv"
+                path = out_dir / _csv_name(lvl)
                 summed = {"load_flow_s", "coefficients_s"}
                 summed.add(_timing_key("analytical_s", lvl))
                 summed.update(_timing_key("mc_s", lvl, n) for n in n_mcs)

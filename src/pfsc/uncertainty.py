@@ -16,9 +16,10 @@ R = C = every row, with H^-1 on both sides.
 var(H) = (J o J) var(inputs) is the first-order law of the GUM (JCGM
 100:2008, 5.1), with J = dH/d(input) the exact derivative of the
 bilinear H with respect to Re and Im of each voltage and of each
-admittance entry (``loadflow.JacobianDerivative``).  J is derived once
-per ``SensitivityProblem`` (its ``dH``), so each noise level costs one
-gather of the input variances and one product with J o J.  var(H) is
+admittance entry (``loadflow.JacobianDerivative``), at the point (Y, E)
+the ``SensitivityProblem`` holds.  J is derived once per problem (its
+``dH``), so each noise level costs one gather of the input variances and
+one product with J o J.  var(H) is
 nonzero only on H's structural pattern (the node pairs where Y or its
 noise is nonzero, and the 2x2 diagonal blocks) and is returned dense.
 
@@ -230,12 +231,10 @@ def project_polar_noise(
 
 def propagate_to_H(
     problem: SensitivityProblem,
-    Y: AdmittanceMatrix,
-    state: GridState,
     yu: AdmittanceUncertainty,
     en: CartesianNoiseSpec,
 ) -> np.ndarray:
-    """Per-entry variance of H, (J o J) var(inputs), returned dense.
+    """Dense per-entry variance of H at the problem's point: (J o J) var(inputs).
 
     J = dH/d(input) (``loadflow.JacobianDerivative``) holds the exact
     derivative of each H entry with respect to each independent real
@@ -247,16 +246,17 @@ def propagate_to_H(
     are exactly zero.
 
     J is derived once per problem (``SensitivityProblem.dH``) and reused
-    while ``Y`` and ``state`` are the problem's own point and the
-    admittance noise lies on Y's pattern; otherwise it is derived for this
-    call, on the pattern of Y and the noise together.
+    while the admittance noise lies on Y's pattern; otherwise it is derived
+    for this call, on the pattern of Y and the noise together.  A problem
+    without a point (``assemble_from_raw``) raises ValueError.
     """
-    Ym = Y.matrix
-    E = state.voltages
+    if problem.point is None:
+        raise ValueError("the problem holds no (Y, E) point to propagate at")
+    Ym, E = problem.point
     m = E.size
     if en.sigma_re.shape != (m,) or yu.sigma_re.shape != (m, m):
         raise ValueError("noise spec dimensions do not match the network")
-    dH = _cached_derivative(problem, Ym, E, yu)
+    dH = _cached_derivative(problem, yu)
     if dH is None:
         linked = structural_nonzero(Ym) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
         dH = jacobian_derivative(Ym, E, problem.nonslack, linked)
@@ -264,11 +264,9 @@ def propagate_to_H(
     return dH.squared_product(np.concatenate(stds) ** 2)
 
 
-def _cached_derivative(problem, Ym, E, yu):
-    """``problem.dH`` when (Ym, E) is the problem's point and every nonzero
-    admittance std of a non-slack row is one of its inputs; else None."""
-    if problem.point is None or problem.point[0] is not Ym or problem.point[1] is not E:
-        return None
+def _cached_derivative(problem, yu):
+    """``problem.dH`` when every nonzero admittance std of a non-slack row
+    is one of its inputs; else None."""
     dH = problem.dH
     slack = problem.network.slack_flat_indices()
     for sigma in (yu.sigma_re, yu.sigma_im):
@@ -316,10 +314,10 @@ def coefficient_variance(var_Hinv: np.ndarray, signs: np.ndarray) -> np.ndarray:
 # -- end-to-end convenience --------------------------------------------------
 
 
-def analytical_sigma(result, Y, state, yu, en):
-    """Coefficient stds from the full analytical chain, aligned with
-    ``result.x``: the rows and columns of x the result holds."""
+def analytical_sigma(result, yu, en):
+    """Coefficient stds from the full analytical chain at the problem's point,
+    aligned with ``result.x``: the rows and columns of x the result holds."""
     problem = result.problem
-    var_H = propagate_to_H(problem, Y, state, yu, en)
+    var_H = propagate_to_H(problem, yu, en)
     var_Hinv = inverse_self_variance(result.H_inv_rows, var_H, result.H_inv_cols)
     return np.sqrt(coefficient_variance(var_Hinv, problem.signs[result.cols]))

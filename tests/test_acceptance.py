@@ -121,7 +121,7 @@ def test_std_agreement_reference_case(case, mc_10k):
     t0 = time.perf_counter()
     en = project_polar_noise(state, it_class_to_polar("0.5"))
     yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-    unc = analytical_sigma(result, Y, state, yu, en)
+    unc = analytical_sigma(result, yu, en)
     gap = np.max(np.abs(unc - mc_10k.std) / mc_10k.std)
     nominal = np.array(
         [result.x[r, c] for r, c in _reference_indices(problem)]
@@ -159,7 +159,7 @@ def test_admittance_sweep_trend(case):
     al, mc, gap = {}, {}, {}
     for lvl in (0.5, 1.0, 2.0):
         yu = AdmittanceUncertainty.from_relative(Y, lvl)
-        unc = analytical_sigma(result, Y, state, yu, no_en)
+        unc = analytical_sigma(result, yu, no_en)
         run = run_monte_carlo(
             net,
             Y,
@@ -218,7 +218,7 @@ def test_speed_ratio(case):
     mc_cfg = MCConfig(n_trials=100, seed=SEED, polar=polar, yu=yu)
 
     def analytical():
-        analytical_sigma(result, Y, state, yu, en)
+        analytical_sigma(result, yu, en)
 
     def monte_carlo():
         run_monte_carlo(net, Y, state, mc_cfg)
@@ -288,8 +288,6 @@ def test_property_suite(case):
 
     zero_unc = analytical_sigma(
         result,
-        Y,
-        state,
         AdmittanceUncertainty.zero(net.n_nodes),
         CartesianNoiseSpec.zero(net.n_nodes),
     )
@@ -310,7 +308,7 @@ def test_property_suite(case):
 
     en = project_polar_noise(state, it_class_to_polar("1.0"))
     yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-    hv = propagate_to_H(problem, Y, state, yu, en)
+    hv = propagate_to_H(problem, yu, en)
     iv = inverse_self_variance(result.H_inv, hv)
     reduced = np.sqrt(coefficient_variance(iv, problem.signs))
     full = np.sqrt(general_variance(
@@ -332,7 +330,7 @@ def test_property_suite(case):
     checks["accelerated-kernel"] = np.max(np.abs(fast - slow) / slow) <= 1e-12
 
     def endtoend():
-        unc = analytical_sigma(result, Y, state, yu, en)
+        unc = analytical_sigma(result, yu, en)
         mc = run_monte_carlo(
             net,
             Y,

@@ -157,7 +157,7 @@ def test_table_bytes(capsys, tmp_path, name, command):
         x, column, extra = result.x, "value", []
     elif command == "propagate":
         en = pfsc.project_polar_noise(state, polar)
-        x, column, extra = pfsc.analytical_sigma(result, Y, state, yu, en), "sigma", []
+        x, column, extra = pfsc.analytical_sigma(result, yu, en), "sigma", []
     else:
         cfg = pfsc.MCConfig(n_trials=5, seed=4, polar=polar, yu=yu)
         x = pfsc.run_monte_carlo(network, Y, state, cfg).std
@@ -408,6 +408,10 @@ OUTPUTS = {
          "admittance noise level must be a finite, nonnegative percentage, not nan"),
         ("report", ("--nmc", "0"), "n_trials must be >= 1, got 0"),
         ("report", ("--seed", "-1"), "seed must be a nonnegative integer, not -1"),
+        ("report", ("--mode", "analytical", "--format", "csv",
+                    "--sigma-y-pct", "1", "1.0000001"),
+         "admittance noise levels 1.0 and 1.0000001 would both write "
+         "report_sigmaY_1pct.csv"),
         ("propagate", ("--sigma-y-pct", "nan"),
          "admittance noise level must be a finite, nonnegative percentage, not nan"),
         ("mc", ("--sigma-y-pct", "nan"),
@@ -418,8 +422,9 @@ OUTPUTS = {
            "unknown IT class '9.9' (known: 0.1, 0.2, 0.5, 1.0)")
           for command in ("report", "propagate", "mc")),
     ],
-    ids=["report-level", "report-nmc", "report-seed", "propagate-level", "mc-level",
-         "mc-nmc", "mc-seed", "report-it-class", "propagate-it-class", "mc-it-class"],
+    ids=["report-level", "report-nmc", "report-seed", "report-csv-name", "propagate-level",
+         "mc-level", "mc-nmc", "mc-seed", "report-it-class", "propagate-it-class",
+         "mc-it-class"],
 )
 def test_run_options_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
                                                    command, options, message):
@@ -431,6 +436,32 @@ def test_run_options_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
     assert out == ""
     assert err == f"pfsc {command}: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out_dir, message", [
+    ("{dir}/file", "output directory is a file: {dir}/file"),
+    ("{dir}/file/rep", "output directory lies under a file: {dir}/file"),
+], ids=["is-a-file", "under-a-file"])
+def test_report_out_on_a_file_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
+                                                           out_dir, message):
+    unreachable_load_flow(monkeypatch)
+    (tmp_path / "file").write_text("kept\n")
+    code, out, err = run(capsys, "report", "--network", NETWORK,
+                         "--out", out_dir.format(dir=tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc report: {message.format(dir=tmp_path)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_report_equal_levels_write_one_csv(capsys, tmp_path):
+    out = tmp_path / "rep"
+    code, stdout, _ = run(capsys, "report", "--network", NETWORK, "--out", str(out),
+                          "--mode", "analytical", "--sigma-y-pct", "1", "1.0")
+    assert code == 0
+    assert stdout == f"{out / 'report_sigmaY_1pct.csv'}\n"
+    assert [p.name for p in out.iterdir()] == ["report_sigmaY_1pct.csv"]
 
 
 def test_import_leaves_scipy_stats_out():

@@ -141,6 +141,34 @@ class TestSolve:
                 assert abs(d - base) / abs(base) < 1e-9
 
 
+    @pytest.mark.parametrize("scale, refined", [(1 + 1e-7, True), (2.0, False)])
+    def test_full_table_residual_check_and_refinement(self, ieee4_solved, monkeypatch,
+                                                      scale, refined):
+        # a dense inverse off by a relative ``scale - 1`` meets the same
+        # refinement step as the targeted blocks: 1e-7 is repaired, 100 % is not
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        exact = np.linalg.inv(problem.H)
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: inv(A) * scale)
+        if refined:
+            res = solve_coefficients(problem)
+            np.testing.assert_allclose(res.x, exact * problem.signs, rtol=1e-10)
+            np.testing.assert_allclose(res.H_inv, exact, rtol=1e-10)
+        else:
+            with pytest.raises(SingularSystemError, match="solve residual"):
+                solve_coefficients(problem)
+
+    def test_full_table_forms_no_z(self, monkeypatch):
+        net = make_random_network(12, 3, radial=False)
+        Y = pfsc.build_admittance(net)
+        problem = assemble_problem(Y, pfsc.solve_load_flow(net, Y), net)
+        with monkeypatch.context() as patch:
+            patch.setattr(SensitivityProblem, "z", property(lambda _: pytest.fail("dense z")))
+            res = solve_coefficients(problem)
+        residual = np.max(np.abs(problem.H @ res.x - problem.z))
+        assert residual <= 1e-10
+
     def test_x_is_inverse_times_z(self, ieee4_solved):
         # the column scaling H^-1 diag(s) equals the product H^-1 @ z bitwise
         for net in (ieee4_solved[0], make_random_network(12, 3, radial=False)):

@@ -9,7 +9,7 @@ import pytest
 import pfsc
 from pfsc import montecarlo
 from pfsc.coefficients import assemble_from_raw
-from pfsc.errors import ConfigError
+from pfsc.errors import ConfigError, DegenerateBranchError
 from pfsc.montecarlo import (
     BRANCH_PARAMETER,
     INDEPENDENT_ELEMENTS,
@@ -18,7 +18,7 @@ from pfsc.montecarlo import (
     run_monte_carlo,
     run_monte_carlo_sets,
 )
-from pfsc.network import Branch, build_admittance
+from pfsc.network import Branch, Bus, NetworkModel, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
 
 from conftest import make_three_phase_balanced
@@ -192,6 +192,30 @@ def test_batched_equals_serial(ieee4_solved, seven_trial_chunks, mode):
     # the first 20 trials end inside the third chunk of 7
     short = run_monte_carlo(net, Y, state, replace(cfg, n_trials=20))
     assert np.array_equal(short.trials, out.trials[..., :20])
+
+
+def test_singular_perturbed_impedance_names_its_branch(monkeypatch):
+    # at a 100 % level, a reactance draw of exactly -1 cancels the purely
+    # reactive impedance of branch 2-3 in trial 3 of the chunk
+    net = NetworkModel(
+        buses=(Bus(1, "slack"), Bus(2, "pq", (50.0,), (10.0,)), Bus(3, "pq", (30.0,), (5.0,))),
+        branches=(Branch(1, 2, complex(0.03, 0.1)), Branch(2, 3, complex(0.0, 0.2))),
+        phase_count=1, slack_bus=1, base_power_va=1e6, base_voltage_v=1e3,
+    )
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+
+    def draws(seed, trials, width):
+        out = np.zeros((len(trials), width))
+        out[3, 2 * net.n_nodes + 3] = -1.0  # after (re, im) of branch 1-2, im of 2-3
+        return out
+
+    monkeypatch.setattr(montecarlo, "_draws", draws)
+    cfg = MCConfig(n_trials=5, seed=1, polar=PolarNoiseSpec(0.0, 0.0),
+                   yu=AdmittanceUncertainty.from_relative(Y, 100.0),
+                   symmetry_mode=BRANCH_PARAMETER)
+    with pytest.raises(DegenerateBranchError, match="^degenerate branch 2-3: singular"):
+        run_monte_carlo(net, Y, state, cfg)
 
 
 def test_zero_voltage_noise_keeps_streams_aligned(ieee4_solved, seven_trial_chunks):

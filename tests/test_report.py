@@ -67,6 +67,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown report format 'jsn'"):
             small_cfg(formats=("csv", "jsn"))
 
+    def test_levels_sharing_a_csv_name(self):
+        message = ("admittance noise levels 1.0 and 1.0000001 would both write "
+                   "report_sigmaY_1pct.csv")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_cfg(sigma_y_pct=(1.0, 2.0, 1.0000001))
+        # equal repeats, and the formats that write no CSV, are kept
+        small_cfg(sigma_y_pct=(1, 1.0))
+        small_cfg(sigma_y_pct=(1.0, 1.0000001), formats=("json", "pretty-text"))
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -470,6 +479,15 @@ class TestEmission:
     def test_unknown_format(self, report, tmp_path):
         with pytest.raises(ConfigError, match="unknown report format"):
             emit_report(report, ("xml",), tmp_path)
+
+    def test_levels_sharing_a_csv_name(self, tmp_path):
+        report = run_pipeline(small_cfg(mode="analytical", sigma_y_pct=(1.0000001, 1.0),
+                                        formats=("json",)))
+        with pytest.raises(ConfigError, match="1.0 and 1.0000001 would both write"):
+            emit_report(report, ("json", "csv"), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+        (path,) = emit_report(report, ("json",), tmp_path / "out")
+        assert sorted(json.loads(path.read_text())["analytical"]) == ["1.0", "1.0000001"]
 
     def test_empty_report_headers_only(self, tmp_path):
         cfg = small_cfg(coefficients=(), mode="analytical")

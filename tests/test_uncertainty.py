@@ -280,7 +280,7 @@ class TestJacobianDerivative:
             en = project_polar_noise(state, it_class_to_polar("0.5"))
         else:
             yu, en = random_noise(net, Y, 11)
-        assert_matches_channels(propagate_to_H(problem, Y, state, yu, en),
+        assert_matches_channels(propagate_to_H(problem, yu, en),
                                 channel_variance(problem, Y, state, yu, en))
 
     @pytest.mark.parametrize("which", ["ieee4", "three-phase"])
@@ -319,27 +319,41 @@ class TestJacobianDerivative:
         assert sorted(report.analytical) == [0.5, 1.0, 2.0]
         assert calls == {"cached": 1, "per call": 0}
 
-    def test_edited_copy_of_Y_is_derived_again(self, monkeypatch):
+    def test_edited_Y_gets_its_own_problem(self, monkeypatch):
         net, Y, state, problem = solved("ieee4")
         en = project_polar_noise(state, it_class_to_polar("0.5"))
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        propagate_to_H(problem, Y, state, yu, en)  # derives the cached operator
+        before = propagate_to_H(problem, yu, en)  # derives the cached operator
         calls = counted_derivatives(monkeypatch)
         edited = AdmittanceMatrix(Y.matrix.copy())
         i, j = net.flat_index(2), net.flat_index(3)
         edited.matrix[i, j] *= 1.5
-        got = propagate_to_H(problem, edited, state, yu, en)
-        assert calls == {"cached": 0, "per call": 1}
+        got = propagate_to_H(assemble_problem(edited, state, net), yu, en)
+        assert calls == {"cached": 1, "per call": 0}
         assert_matches_channels(got, channel_variance(problem, edited, state, yu, en))
-        assert not np.allclose(got, propagate_to_H(problem, Y, state, yu, en))
+        assert not np.allclose(got, before)
+        # the first problem keeps its own point and operator
+        assert np.array_equal(propagate_to_H(problem, yu, en), before)
+        assert calls == {"cached": 1, "per call": 0}
+
+    def test_problem_without_a_point_is_refused(self):
+        net, Y, state, _ = solved("ieee4")
+        raw = coefficients.assemble_from_raw(Y.matrix, state.voltages, net)
+        res = solve_coefficients(raw)
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        en = project_polar_noise(state, it_class_to_polar("0.5"))
+        for call in (lambda: propagate_to_H(raw, yu, en), lambda: analytical_sigma(res, yu, en)):
+            with pytest.raises(ValueError, match="no \\(Y, E\\) point") as info:
+                call()
+            assert "\n" not in str(info.value)
 
     def test_noise_off_the_pattern_is_derived_again(self, monkeypatch):
         net, Y, state, problem = solved("ieee4")
         yu, en = random_noise(net, Y, 5)
         problem.dH  # the cached operator, on Y's pattern
         calls = counted_derivatives(monkeypatch)
-        propagate_to_H(problem, Y, state, yu, en)
-        propagate_to_H(problem, Y, state, AdmittanceUncertainty.from_relative(Y, 1.0), en)
+        propagate_to_H(problem, yu, en)
+        propagate_to_H(problem, AdmittanceUncertainty.from_relative(Y, 1.0), en)
         assert calls == {"cached": 0, "per call": 1}
 
 
@@ -362,7 +376,7 @@ class TestPropagateToH:
         en = CartesianNoiseSpec(
             rng.uniform(0, 1e-3, net.n_nodes), rng.uniform(0, 1e-3, net.n_nodes)
         )
-        hv = propagate_to_H(problem, Y, state, yu, en)
+        hv = propagate_to_H(problem, yu, en)
         ref = diagonal_blocks_reference(problem, Y, state, yu, en)
         # same terms summed in another order: float64 rounding only
         for (r, c), v in ref.items():
@@ -374,8 +388,6 @@ class TestPropagateToH:
         problem = assemble_problem(Y, state, net)
         hv = propagate_to_H(
             problem,
-            Y,
-            state,
             AdmittanceUncertainty.zero(net.n_nodes),
             CartesianNoiseSpec.zero(net.n_nodes),
         )
@@ -394,7 +406,7 @@ class TestPropagateToH:
         en_re = np.zeros(4)
         en_re[i2] = s_e
         en = CartesianNoiseSpec(en_re, np.zeros(4))
-        hv = propagate_to_H(problem, Y, state, yu, en)
+        hv = propagate_to_H(problem, yu, en)
         e2 = state.voltages[i2]
         y23 = Y.matrix[i2, i3]
         expected = e2.real**2 * s_y**2 + y23.real**2 * s_e**2
@@ -413,7 +425,7 @@ class TestPropagateToH:
         yu_im = np.zeros((4, 4))
         yu_im[i2, i4] = s_y
         yu = AdmittanceUncertainty(np.zeros((4, 4)), yu_im)
-        hv = propagate_to_H(problem, Y, state, yu, CartesianNoiseSpec.zero(4))
+        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(4))
         e2 = state.voltages[i2]
         r = problem.row(2, part="re")
         c = 2 * problem.nonslack.index(i4)
@@ -424,7 +436,7 @@ class TestPropagateToH:
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
         en = CartesianNoiseSpec.zero(2)
-        hv = propagate_to_H(problem, Y, state, yu, en)
+        hv = propagate_to_H(problem, yu, en)
 
         # vectorized re-derivation of the 2x2 H from its definition
         rng = np.random.default_rng(123)
@@ -452,7 +464,7 @@ class TestPropagateToH:
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.zero(2)
         en = CartesianNoiseSpec(np.array([1e-3, 2e-3]), np.array([2e-3, 1e-3]))
-        hv = propagate_to_H(problem, Y, state, yu, en)
+        hv = propagate_to_H(problem, yu, en)
 
         rng = np.random.default_rng(321)
         n = 10**5
@@ -521,7 +533,7 @@ class TestInverseVariance:
     def test_matches_inversion_sampling(self):
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        hv = propagate_to_H(problem, Y, state, yu, CartesianNoiseSpec.zero(2))
+        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2))
         H_inv = np.linalg.inv(problem.H)
         iv = inverse_self_variance(H_inv, hv)
 
@@ -543,7 +555,7 @@ class TestInverseVariance:
     def test_cross_covariance_definition_consistency(self):
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        hv = propagate_to_H(problem, Y, state, yu, CartesianNoiseSpec.zero(2))
+        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2))
         H_inv = np.linalg.inv(problem.H)
         iv = inverse_self_variance(H_inv, hv)
         for mn in [(0, 0), (0, 1), (1, 1)]:
@@ -564,7 +576,7 @@ class TestInverseVariance:
     def test_cross_covariance_matches_sampling(self):
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        hv = propagate_to_H(problem, Y, state, yu, CartesianNoiseSpec.zero(2))
+        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2))
         H_inv = np.linalg.inv(problem.H)
 
         rng = np.random.default_rng(55)
@@ -601,7 +613,7 @@ class TestCoefficientVariance:
         res = solve_coefficients(problem)
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
         en = project_polar_noise(state, it_class_to_polar("0.5"))
-        hv = propagate_to_H(problem, Y, state, yu, en)
+        hv = propagate_to_H(problem, yu, en)
         iv = inverse_self_variance(res.H_inv, hv)
         a = np.sqrt(coefficient_variance(iv, problem.signs))
         b = np.sqrt(general_variance(res.H_inv, iv, problem.z, np.zeros_like(problem.z)))
@@ -650,7 +662,7 @@ class TestCoefficientVariance:
         enk = CartesianNoiseSpec(k * en1.sigma_re, k * en1.sigma_im)
 
         def sigma_x(yu, en):
-            hv = propagate_to_H(problem, Y, state, yu, en)
+            hv = propagate_to_H(problem, yu, en)
             iv = inverse_self_variance(res.H_inv, hv)
             return np.sqrt(coefficient_variance(iv, problem.signs))
 
@@ -678,7 +690,7 @@ class TestChannelFidelity:
         res = solve_coefficients(problem)
         yu = AdmittanceUncertainty.from_relative(Y, 0.5)
         unc = analytical_sigma(
-            res, Y, state, yu, CartesianNoiseSpec.zero(net.n_nodes)
+            res, yu, CartesianNoiseSpec.zero(net.n_nodes)
         )
         mc = self._mc_std(net, Y, state, PolarNoiseSpec(0.0, 0.0), yu)
         assert np.max(np.abs(unc - mc) / mc) < 0.05
@@ -694,7 +706,7 @@ class TestChannelFidelity:
         polar = it_class_to_polar("1.0")
         en = project_polar_noise(state, polar)
         unc = analytical_sigma(
-            res, Y, state,
+            res,
             AdmittanceUncertainty.zero(net.n_nodes), en,
         )
         mc = self._mc_std(net, Y, state, polar,
