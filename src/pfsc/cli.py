@@ -23,7 +23,9 @@ from .errors import LoadFlowError, PfscError, SingularSystemError
 from .loadflow import solve_load_flow
 from .montecarlo import MCConfig, check_seed, check_trials, run_monte_carlo
 from .network import build_admittance, load_network
-from .report import FORMATS, RunConfig, coefficient_keys, emit_report, run_pipeline
+from .report import (
+    FORMATS, RunConfig, coefficient_columns, coefficient_positions, emit_report, run_pipeline
+)
 from .uncertainty import (
     AdmittanceUncertainty,
     analytical_sigma,
@@ -69,16 +71,12 @@ def _prepare(args):
 def _coeff_table(network, x, name):
     """Columns of the table of x: the key (i, phase, l, phase, P|Q, Re|Im)
     of each coefficient, and its value under ``name``."""
-    keys, rows, cols = coefficient_keys(network)
-    return {
-        "bus_i": [key.bus_i for key in keys],
-        "phase_i": [key.phase_i for key in keys],
-        "bus_l": [key.bus_l for key in keys],
-        "phase_l": [key.phase_l for key in keys],
-        "wrt": [key.wrt for key in keys],
-        "part": [key.part.capitalize() for key in keys],
-        name: x[rows, cols].tolist(),
-    }
+    rows, cols = coefficient_positions(network)
+    key = coefficient_columns(network.nonslack_nodes(), rows, cols)
+    table = {f: key[f] for f in ("bus_i", "phase_i", "bus_l", "phase_l", "wrt")}
+    table["part"] = list(map(str.capitalize, key["part"]))
+    table[name] = x[rows, cols].tolist()
+    return table
 
 
 #: how ``json`` spells the floats that a JSON number cannot hold

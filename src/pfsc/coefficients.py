@@ -261,7 +261,7 @@ def solve_coefficients(
     request needs) for error propagation.
 
     ``rows`` and ``cols`` are the positions in x of the requested
-    coefficients, as ``report.coefficient_keys`` returns them; None
+    coefficients, as ``report.coefficient_positions`` returns them; None
     requests every row (column).  The result holds the rows R and columns
     C those positions touch.  When R or C leaves out a row or a column of
     x, the targeted path runs: one sparse LU of H gives H^-1[R, :] and

@@ -35,7 +35,7 @@ that of the set run alone (``run_monte_carlo``, the one-set case).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -364,13 +364,6 @@ def _readers(sets, start, end):
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 
-def _agree(a, b):
-    """Whether two config values are equal; dataclass fields may be arrays."""
-    if is_dataclass(a) and type(a) is type(b):
-        return all(_agree(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    return bool(np.array_equal(a, b))
-
-
 def _solve_level(network, Ym, E_k, noise, yu, mode):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
     level's ``yu``, and which of them are usable.
@@ -411,7 +404,7 @@ def run_monte_carlo_sets(
     clock = _Clock()
     for cfg in cfgs[1:]:
         for name in SHARED_FIELDS:
-            if not _agree(getattr(cfg, name), getattr(cfgs[0], name)):
+            if getattr(cfg, name) != getattr(cfgs[0], name):
                 raise ConfigError(f"the Monte-Carlo sets of one pass differ in {name}")
     sets = [_Set(cfg) for cfg in cfgs]
     levels = {}  # id(yu) -> the sets that share it

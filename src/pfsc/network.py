@@ -13,7 +13,8 @@ where buses keep the order they appear in the file.  The unknowns of the
 sensitivity system are the non-slack nodes in that order
 (``nonslack_flat_indices``).  ``NetworkModel`` owns this table:
 ``flat_index`` maps a (bus index, phase) pair to its flat index and
-``node`` maps it back; no other module computes a position itself.
+``node`` maps it back (``nonslack_nodes`` for every unknown); no other
+module computes a position itself.
 """
 
 from __future__ import annotations
@@ -174,6 +175,12 @@ class NetworkModel:
         base = self.flat_index(self.slack_bus)
         return tuple(range(base)) + tuple(range(base + self.phase_count, self.n_nodes))
 
+    def nonslack_nodes(self):
+        """(bus index, phase) of each non-slack node, in the order of H's
+        unknowns: the k-th owns rows and columns 2k and 2k + 1 of H and of
+        the coefficient table x."""
+        return [self.node(flat) for flat in self.nonslack_flat_indices()]
+
     def slack_voltage_phasors(self):
         """Per-phase slack voltages; phases are spaced 120 degrees apart."""
         v = complex(self.slack_voltage_pu)
@@ -181,9 +188,6 @@ class NetworkModel:
             return np.array([v])
         a = np.exp(2j * np.pi / 3.0)
         return v * np.array([1.0 + 0j, a**2, a])
-
-    def branch_z_pu(self, branch):
-        return branch.z_ohm / self.z_base_ohm
 
     def injections_pu(self):
         """Complex net injections S = P + jQ per node/phase, in per-unit."""

@@ -6,7 +6,7 @@ import csv
 import json
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -63,6 +63,12 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("analytical", "mc", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for entry in self.coefficients or ():
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 4):
+                raise ConfigError(
+                    f"coefficient filter entry {entry!r} is not a "
+                    f"(bus_i, bus_l, part, wrt) tuple"
+                )
         for level in self.sigma_y_pct:
             check_level(level)
         _check_outputs(self.formats, self.sigma_y_pct)
@@ -119,33 +125,15 @@ class CoefficientKey:
     phase_l: int
     wrt: str  # "P" | "Q"
 
-    def label(self, phase_count=1):
-        row = _row_label(self.bus_i, self.phase_i, self.part, phase_count)
-        return row + _column_label(self.bus_l, self.phase_l, self.wrt, phase_count)
-
-
-# A label joins a row half, "Re(dE4", to a column half, "/dP2)"; with more
-# than one phase each bus number is followed by its phase letter.
-def _row_label(bus, phase, part, phase_count):
-    ph = "" if phase_count == 1 else "abc"[phase]
-    return f"{'Re' if part == 're' else 'Im'}(dE{bus}{ph}"
-
-
-def _column_label(bus, phase, wrt, phase_count):
-    ph = "" if phase_count == 1 else "abc"[phase]
-    return f"/d{wrt}{bus}{ph})"
-
-
-#: the slot setter of each CoefficientKey field, in field order
-_KEY_SETTERS = tuple(getattr(CoefficientKey, f.name).__set__ for f in fields(CoefficientKey))
-
 
 @dataclass
 class ComparisonReport:
-    """Per-coefficient nominal values and stds from both methods."""
+    """Per-coefficient nominal values and stds from both methods; their
+    keys and labels are built when first read."""
 
-    keys: list[CoefficientKey]
-    labels: list[str]  # keys[i].label(phase_count)
+    nodes: list[tuple[int, int]]  # NetworkModel.nonslack_nodes: node k of x
+    rows: np.ndarray  # the coefficients are x[rows, cols]
+    cols: np.ndarray
     nominal: np.ndarray
     analytical: dict = field(default_factory=dict)  # sigma_pct -> stds
     mc: dict = field(default_factory=dict)  # (sigma_pct, n_mc) -> stds
@@ -153,76 +141,83 @@ class ComparisonReport:
     timings: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def keys(self) -> list[CoefficientKey]:
+        columns = coefficient_columns(self.nodes, self.rows, self.cols)
+        return list(map(CoefficientKey, *columns.values()))
+
+    @cached_property
+    def labels(self) -> list[str]:
+        """Each coefficient's name: ``Re(dE4/dP2)``, or ``Im(dE3b/dQ2c)``
+        with each bus number followed by its phase letter when polyphase.
+        A label joins its row's half, "Re(dE4", to its column's, "/dP2)";
+        each half is formatted once."""
+        every = np.arange(2 * len(self.nodes))
+        name = coefficient_columns(self.nodes, every, every)
+        # a polyphase network has nodes of every phase
+        letter = "abc" if any(name["phase_i"]) else ("",) * 3
+        row = [
+            f"{part.capitalize()}(dE{bus}{letter[ph]}"
+            for bus, ph, part in zip(name["bus_i"], name["phase_i"], name["part"])
+        ]
+        col = [
+            f"/d{wrt}{bus}{letter[ph]})"
+            for bus, ph, wrt in zip(name["bus_l"], name["phase_l"], name["wrt"])
+        ]
+        return [row[r] + col[c] for r, c in zip(self.rows.tolist(), self.cols.tolist())]
+
     def percent_of_nominal(self, stds):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 100.0 * stds / np.abs(self.nominal)
 
 
-def coefficient_keys(network, coefficients=None):
-    """Keys and positions in x of the coefficients to report.
+def coefficient_positions(network, coefficients=None):
+    """Positions in x of the coefficients to report.
 
-    Returns ``(keys, rows, cols)`` with ``x[rows, cols]`` the coefficients
-    of ``keys``, row-major over x, whose node k is the k-th non-slack node
-    of ``network`` (see ``pfsc.network`` for the ordering).
+    Returns ``(rows, cols)``, row-major over x, whose node k is the k-th
+    non-slack node of ``network`` (see ``NetworkModel.nonslack_nodes``).
     ``coefficients`` keeps only the ``(bus_i, bus_l, part, wrt)`` tuples it
     lists, for every phase pair of those buses; None keeps the whole
     table.  An entry that selects nothing (a slack or unknown bus, a part
     other than "re"/"im", a ``wrt`` other than "P"/"Q") raises ConfigError.
     """
-    nodes = [network.node(f) for f in network.nonslack_flat_indices()]
+    nodes = network.nonslack_nodes()
     dim = 2 * len(nodes)
     if coefficients is None:
-        keep = np.ones((dim, dim), dtype=bool)
-    else:
-        nodes_of = {}
-        for k, (bus, _) in enumerate(nodes):
-            nodes_of.setdefault(bus, []).append(k)
-        keep = np.zeros((dim, dim), dtype=bool)
-        for entry in coefficients:
-            bus_i, bus_l, part, wrt = entry
-            r = c = ()
-            if part in PARTS and wrt in INJECTIONS:
-                r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
-                c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
-            if not (r and c):
-                raise ConfigError(
-                    f"coefficient filter entry {tuple(entry)!r} selects nothing: "
-                    f"buses must be non-slack buses of the network, part one "
-                    f"of {PARTS}, wrt one of {INJECTIONS}"
-                )
-            keep[np.ix_(r, c)] = True
-    rows, cols = np.nonzero(keep)
-    # The slots are set directly: the frozen __init__, one
-    # object.__setattr__ per field, is most of the cost of a large table.
-    set_bus_i, set_phase_i, set_part, set_bus_l, set_phase_l, set_wrt = _KEY_SETTERS
-    keys = []
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        key = object.__new__(CoefficientKey)
-        bus, ph = nodes[r // 2]
-        set_bus_i(key, bus)
-        set_phase_i(key, ph)
-        set_part(key, PARTS[r % 2])
-        bus, ph = nodes[c // 2]
-        set_bus_l(key, bus)
-        set_phase_l(key, ph)
-        set_wrt(key, INJECTIONS[c % 2])
-        keys.append(key)
-    return keys, rows, cols
+        return np.nonzero(np.ones((dim, dim), dtype=bool))
+    nodes_of = {}
+    for k, (bus, _) in enumerate(nodes):
+        nodes_of.setdefault(bus, []).append(k)
+    keep = np.zeros((dim, dim), dtype=bool)
+    for entry in coefficients:
+        bus_i, bus_l, part, wrt = entry
+        r = c = ()
+        if part in PARTS and wrt in INJECTIONS:
+            r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
+            c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
+        if not (r and c):
+            raise ConfigError(
+                f"coefficient filter entry {tuple(entry)!r} selects nothing: "
+                f"buses must be non-slack buses of the network, part one "
+                f"of {PARTS}, wrt one of {INJECTIONS}"
+            )
+        keep[np.ix_(r, c)] = True
+    return np.nonzero(keep)
 
 
-def _coefficient_labels(network, rows, cols):
-    """``key.label(phase_count)`` of each ``coefficient_keys`` entry at ``rows, cols``."""
-    p = network.phase_count
-    flat = network.nonslack_flat_indices()
-    row = {
-        r: _row_label(*network.node(flat[r // 2]), PARTS[r % 2], p)
-        for r in np.unique(rows).tolist()
+def coefficient_columns(nodes, rows, cols):
+    """The ``CoefficientKey`` fields, ``{name: list}`` in field order, of
+    the coefficients at ``rows, cols`` of x, whose node k is ``nodes[k]``."""
+    bus, phase = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    (node_r, part), (node_c, wrt) = np.divmod(rows, 2), np.divmod(cols, 2)
+    return {
+        "bus_i": bus[node_r].tolist(),
+        "phase_i": phase[node_r].tolist(),
+        "part": np.array(PARTS)[part].tolist(),
+        "bus_l": bus[node_c].tolist(),
+        "phase_l": phase[node_c].tolist(),
+        "wrt": np.array(INJECTIONS)[wrt].tolist(),
     }
-    col = {
-        c: _column_label(*network.node(flat[c // 2]), INJECTIONS[c % 2], p)
-        for c in np.unique(cols).tolist()
-    }
-    return [row[r] + col[c] for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 def _timing_key(name, *args):
@@ -236,21 +231,22 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     timings = {}
     t0 = time.perf_counter()
     network = load_network(cfg.network)
+    # a filter entry that selects nothing is refused before the load flow
+    rows, cols = coefficient_positions(network, cfg.coefficients)
     Y = build_admittance(network)
     state = solve_load_flow(network, Y)
     timings["load_flow_s"] = time.perf_counter() - t0
 
-    keys, rows, cols = coefficient_keys(network, cfg.coefficients)
     t0 = time.perf_counter()
     problem = assemble_problem(Y, state, network)
     result = solve_coefficients(problem, rows, cols)
     timings["coefficients_s"] = time.perf_counter() - t0
-    at = result.block_index(rows, cols)  # the keys' entries of x-aligned tables
+    at = result.block_index(rows, cols)  # the coefficients' entries of x-aligned tables
 
     analytical, mc_stds, mc_failed = {}, {}, {}
     mc_sets, mc_cfgs = [], []
     en = project_polar_noise(state, polar) if cfg.mode != "mc" else None
-    for lvl in cfg.sigma_y_pct:
+    for lvl in dict.fromkeys(cfg.sigma_y_pct):  # an equal repeated level runs once
         yu = AdmittanceUncertainty.from_relative(Y, lvl)
         if cfg.mode in ("analytical", "both"):
             t0 = time.perf_counter()
@@ -267,9 +263,9 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
         mc_stds[key] = mc.std[rows, cols]
         mc_failed[key] = mc.trials_failed
     return ComparisonReport(
-        keys=keys,
-        # made last, so that they are not held through the Monte-Carlo runs
-        labels=_coefficient_labels(network, rows, cols),
+        nodes=network.nonslack_nodes(),
+        rows=rows,
+        cols=cols,
         nominal=result.x[at],
         analytical=analytical,
         mc=mc_stds,

@@ -5,8 +5,9 @@ not at all): a trial's random stream built one trial at a time, the
 hand-derived channel form of var(H), the literal loop forms of the
 inverse variance, single cross terms of cov(H^-1), the coefficient
 variance for any z, the magnitude derivative, the refuted repeated-sign
-projection and the QQ normality check.  Tests import them as they import
-``conftest`` helpers.
+projection, the QQ normality check, and the nested-loop enumeration and
+spelled-out labels of the report's coefficients.  Tests import them as
+they import ``conftest`` helpers.
 """
 
 import csv
@@ -18,6 +19,7 @@ from scipy import stats
 from pfsc.coefficients import P, SensitivityProblem
 from pfsc.loadflow import GridState
 from pfsc.network import AdmittanceMatrix
+from pfsc.report import CoefficientKey
 from pfsc.uncertainty import AdmittanceUncertainty, CartesianNoiseSpec
 
 
@@ -227,3 +229,37 @@ def channel_variance(
     var[im, re] = weighted_sum(ch_ri, ch_ir)
     var[im, im] = weighted_sum(ch_ii, ch_rr)
     return var
+
+
+def brute_force_keys(problem, coefficients=None):
+    """Nested-loop enumeration of the report keys, row-major over x, with
+    their positions from ``problem.row`` and ``problem.column``."""
+    net = problem.network
+    pairs = [
+        (bus.index, ph)
+        for bus in net.buses
+        if bus.index != net.slack_bus
+        for ph in range(net.phase_count)
+    ]
+    wanted = None if coefficients is None else {tuple(c) for c in coefficients}
+    keys, rows, cols = [], [], []
+    for bus_i, ph_i in pairs:
+        for part in ("re", "im"):
+            for bus_l, ph_l in pairs:
+                for wrt in ("P", "Q"):
+                    if wanted is not None and (bus_i, bus_l, part, wrt) not in wanted:
+                        continue
+                    keys.append(CoefficientKey(bus_i, ph_i, part, bus_l, ph_l, wrt))
+                    rows.append(problem.row(bus_i, ph_i, part))
+                    cols.append(problem.column(bus_l, ph_l, wrt))
+    return keys, rows, cols
+
+
+def coefficient_label(key, phase_count=1):
+    """The report label of ``key`` spelled out: ``Re(dE4/dP2)``, and with
+    more than one phase each bus number followed by its phase letter,
+    ``Im(dE3b/dQ2c)``."""
+    ph_i = "" if phase_count == 1 else "abc"[key.phase_i]
+    ph_l = "" if phase_count == 1 else "abc"[key.phase_l]
+    part = "Re" if key.part == "re" else "Im"
+    return f"{part}(dE{key.bus_i}{ph_i}/d{key.wrt}{key.bus_l}{ph_l})"

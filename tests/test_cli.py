@@ -11,9 +11,9 @@ import pytest
 import pfsc
 from pfsc import cli
 from pfsc.cli import main
-from pfsc.report import coefficient_keys
 
 from conftest import make_random_network, make_three_phase_balanced
+from oracles import brute_force_keys
 
 NETWORK = str(pfsc.bundled_network_path("ieee4_balanced"))
 
@@ -105,10 +105,10 @@ def test_pfsc_json_stdout(capsys):
     assert {"bus_i", "bus_l", "wrt", "part", "value"} <= set(rows[0])
 
 
-def reference_rows(network, x, name):
+def reference_rows(problem, x, name):
     """One dict per coefficient of x, in table order: the rows that the
     tables' CSV and JSON bytes are checked against."""
-    keys, rows, cols = coefficient_keys(network)
+    keys, rows, cols = brute_force_keys(problem)
     return [
         {
             "bus_i": key.bus_i,
@@ -150,7 +150,8 @@ def test_table_bytes(capsys, tmp_path, name, command):
     network = pfsc.load_network(path)
     Y = pfsc.build_admittance(network)
     state = pfsc.solve_load_flow(network, Y)
-    result = pfsc.solve_coefficients(pfsc.assemble_problem(Y, state, network))
+    problem = pfsc.assemble_problem(Y, state, network)
+    result = pfsc.solve_coefficients(problem)
     polar = pfsc.it_class_to_polar("0.5")
     yu = pfsc.AdmittanceUncertainty.from_relative(Y, 1.0)
     if command == "pfsc":
@@ -162,7 +163,7 @@ def test_table_bytes(capsys, tmp_path, name, command):
         cfg = pfsc.MCConfig(n_trials=5, seed=4, polar=polar, yu=yu)
         x = pfsc.run_monte_carlo(network, Y, state, cfg).std
         column, extra = "sigma_mc", ["--nmc", "5", "--seed", "4"]
-    rows = reference_rows(network, x, column)
+    rows = reference_rows(problem, x, column)
     for fmt in ("json", "csv"):
         code, out, _ = run(capsys, command, "--network", str(path), "--format", fmt, *extra)
         assert code == 0

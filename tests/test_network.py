@@ -23,7 +23,7 @@ def _admittance_per_branch(network):
     m = network.n_nodes
     Y = np.zeros((m, m), dtype=complex)
     for br in network.branches:
-        y = np.linalg.inv(network.branch_z_pu(br))
+        y = np.linalg.inv(br.z_ohm / network.z_base_ohm)
         ysh = 1j * br.shunt_b_s * network.z_base_ohm / 2.0
         f = network.flat_index(br.from_bus)
         t = network.flat_index(br.to_bus)

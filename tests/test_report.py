@@ -14,10 +14,10 @@ from pfsc.network import Branch
 from pfsc.report import (
     FORMATS,
     CoefficientKey,
+    ComparisonReport,
     RunConfig,
-    _coefficient_labels,
     _timing_key,
-    coefficient_keys,
+    coefficient_positions,
     emit_report,
     run_pipeline,
 )
@@ -25,6 +25,7 @@ from pfsc.report import (
 from pfsc.coefficients import INJECTIONS, PARTS
 
 from conftest import make_random_network, make_three_phase_balanced
+from oracles import brute_force_keys, coefficient_label
 
 NETWORK = pfsc.bundled_network_path("ieee4_balanced")
 
@@ -96,43 +97,32 @@ class TestRunConfig:
             small_cfg(**change)
 
 
-class TestCoefficientKey:
-    def test_single_phase_label(self):
-        key = CoefficientKey(4, 0, "re", 2, 0, "P")
-        assert key.label() == "Re(dE4/dP2)"
-
-    def test_three_phase_label(self):
-        key = CoefficientKey(3, 1, "im", 2, 2, "Q")
-        assert key.label(phase_count=3) == "Im(dE3b/dQ2c)"
-
-
-def brute_force_keys(problem, coefficients=None):
-    """Nested-loop enumeration of the report keys, row-major over x."""
-    net = problem.network
-    pairs = [
-        (bus.index, ph)
-        for bus in net.buses
-        if bus.index != net.slack_bus
-        for ph in range(net.phase_count)
-    ]
-    wanted = None if coefficients is None else {tuple(c) for c in coefficients}
-    keys, rows, cols = [], [], []
-    for bus_i, ph_i in pairs:
-        for part in ("re", "im"):
-            for bus_l, ph_l in pairs:
-                for wrt in ("P", "Q"):
-                    if wanted is not None and (bus_i, bus_l, part, wrt) not in wanted:
-                        continue
-                    keys.append(CoefficientKey(bus_i, ph_i, part, bus_l, ph_l, wrt))
-                    rows.append(problem.row(bus_i, ph_i, part))
-                    cols.append(problem.column(bus_l, ph_l, wrt))
-    return keys, rows, cols
+def _report_at(net, rows, cols):
+    """A report of the coefficients of ``net`` at ``rows, cols`` of x, all zero."""
+    return ComparisonReport(net.nonslack_nodes(), rows, cols, np.zeros(len(rows)))
 
 
 def _problem(network):
     Y = pfsc.build_admittance(network)
     state = pfsc.solve_load_flow(network, Y)
     return pfsc.assemble_problem(Y, state, network)
+
+
+class TestCoefficientKey:
+    def test_single_phase_label(self, ieee4):
+        problem = _problem(ieee4)
+        rows, cols = [problem.row(4, 0, "re")], [problem.column(2, 0, "P")]
+        report = _report_at(ieee4, np.array(rows), np.array(cols))
+        assert report.keys == [CoefficientKey(4, 0, "re", 2, 0, "P")]
+        assert report.labels == ["Re(dE4/dP2)"]
+
+    def test_three_phase_label(self):
+        net = make_three_phase_balanced()
+        problem = _problem(net)
+        rows, cols = [problem.row(3, 1, "im")], [problem.column(2, 2, "Q")]
+        report = _report_at(net, np.array(rows), np.array(cols))
+        assert report.keys == [CoefficientKey(3, 1, "im", 2, 2, "Q")]
+        assert report.labels == ["Im(dE3b/dQ2c)"]
 
 
 class TestCoefficientKeys:
@@ -149,24 +139,24 @@ class TestCoefficientKeys:
     def test_matches_brute_force(self, ieee4, three_phase, coefficients):
         net = make_three_phase_balanced() if three_phase else ieee4
         problem = _problem(net)
-        keys, rows, cols = coefficient_keys(net, coefficients)
+        rows, cols = coefficient_positions(net, coefficients)
         ref_keys, ref_rows, ref_cols = brute_force_keys(problem, coefficients)
-        assert keys == ref_keys
+        assert _report_at(net, rows, cols).keys == ref_keys
         assert rows.tolist() == ref_rows
         assert cols.tolist() == ref_cols
 
     @pytest.mark.parametrize("three_phase", [False, True])
     def test_keys_and_labels_match_brute_force(self, ieee4, three_phase):
-        # the keys' slots are set without CoefficientKey.__init__, and the
-        # labels are joined from per-row and per-column halves
+        # the keys and the labels are built from columns of field values
         net = make_three_phase_balanced() if three_phase else ieee4
-        keys, rows, cols = coefficient_keys(net)
+        report = _report_at(net, *coefficient_positions(net))
+        keys = report.keys
         ref_keys, _, _ = brute_force_keys(_problem(net))
         assert [astuple(k) for k in keys] == [astuple(k) for k in ref_keys]
         assert [hash(k) for k in keys] == [hash(k) for k in ref_keys]
         assert len(set(keys)) == len(keys)
-        labels = _coefficient_labels(net, rows, cols)
-        assert labels == [k.label(net.phase_count) for k in ref_keys]
+        labels = report.labels
+        assert labels == [coefficient_label(k, net.phase_count) for k in ref_keys]
         with pytest.raises(FrozenInstanceError):
             keys[0].bus_i = 9
         assert replace(keys[0], bus_i=9) == CoefficientKey(9, *astuple(keys[0])[1:])
@@ -183,12 +173,38 @@ class TestCoefficientKeys:
     )
     def test_entry_selecting_nothing_raises(self, ieee4, entry):
         with pytest.raises(ConfigError, match=re.escape(repr(entry))):
-            coefficient_keys(ieee4, ((2, 3, "re", "Q"), entry))
+            coefficient_positions(ieee4, ((2, 3, "re", "Q"), entry))
 
-    def test_pipeline_rejects_entry_selecting_nothing(self):
+    def test_pipeline_rejects_entry_selecting_nothing(self, monkeypatch):
+        _no_load_flow(monkeypatch)
         cfg = small_cfg(coefficients=((99, 2, "re", "P"),), mode="analytical")
         with pytest.raises(ConfigError, match="selects nothing"):
             run_pipeline(cfg)
+
+
+def _no_load_flow(monkeypatch):
+    monkeypatch.setattr(
+        pfsc.report, "solve_load_flow", lambda *args: pytest.fail("load flow ran")
+    )
+
+
+class TestFilterCheckedBeforeLoadFlow:
+    @pytest.mark.parametrize(
+        "entry",
+        [(2, 3, "re"), (2, 3, "re", "P", 0), "23rP", 4, None],
+        ids=["3-tuple", "5-tuple", "str", "int", "none"],
+    )
+    def test_malformed_entry(self, monkeypatch, entry):
+        _no_load_flow(monkeypatch)
+        with pytest.raises(ConfigError) as excinfo:
+            run_pipeline(small_cfg(coefficients=((2, 3, "re", "Q"), entry)))
+        message = str(excinfo.value)
+        assert repr(entry) in message
+        assert len(message.splitlines()) == 1
+
+    def test_four_item_list_entry_is_kept(self):
+        cfg = small_cfg(coefficients=([4, 2, "re", "P"],), mode="analytical")
+        assert run_pipeline(cfg).labels == ["Re(dE4/dP2)"]
 
 
 def _renumbered(net, numbers):
@@ -246,7 +262,8 @@ class TestBusOrder:
         Y = pfsc.build_admittance(moved)
         state = pfsc.solve_load_flow(moved, Y)
         problem = pfsc.assemble_problem(Y, state, moved)
-        keys, rows, cols = coefficient_keys(moved)
+        rows, cols = coefficient_positions(moved)
+        keys = _report_at(moved, rows, cols).keys
         for key, r, c in zip(keys, rows.tolist(), cols.tolist()):
             assert r == problem.row(key.bus_i, key.phase_i, key.part)
             assert c == problem.column(key.bus_l, key.phase_l, key.wrt)
@@ -283,7 +300,7 @@ class TestPipeline:
         cfg = small_cfg(coefficients=((4, 2, "re", "P"),), mode="analytical")
         report = run_pipeline(cfg)
         assert len(report.keys) == 1
-        assert report.keys[0].label() == "Re(dE4/dP2)"
+        assert report.labels[0] == "Re(dE4/dP2)"
 
     def test_empty_filter_gives_empty_report(self):
         cfg = small_cfg(coefficients=(), mode="analytical")
@@ -302,6 +319,39 @@ class TestPipeline:
             r = problem.row(key.bus_i, key.phase_i, key.part)
             c = problem.column(key.bus_l, key.phase_l, key.wrt)
             assert val == res.x[r, c]
+
+    def test_equal_repeated_level_runs_once(self, monkeypatch):
+        from pfsc import montecarlo
+
+        calls = {"analytical": 0, "mc": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pfsc.report, "analytical_sigma", counted("analytical", pfsc.report.analytical_sigma)
+        )
+        monkeypatch.setattr(montecarlo, "_solve_level", counted("mc", montecarlo._solve_level))
+        once = run_pipeline(small_cfg(sigma_y_pct=(1,)))
+        one_level = dict(calls)
+        assert one_level["analytical"] == 1 and one_level["mc"] >= 1
+        calls.update(analytical=0, mc=0)
+        twice = run_pipeline(small_cfg(sigma_y_pct=(1, 1.0)))
+        assert calls == one_level
+        assert sorted(twice.timings) == sorted(once.timings)
+        assert set(twice.analytical) == {1} and set(twice.mc) == {(1, 50)}
+        assert np.array_equal(twice.analytical[1], once.analytical[1])
+        assert np.array_equal(twice.mc[(1, 50)], once.mc[(1, 50)])
+
+    def test_keys_not_built_by_a_report_op(self, tmp_path):
+        report = run_pipeline(small_cfg())
+        emit_report(report, FORMATS, tmp_path)
+        assert "keys" not in report.__dict__
+        assert "labels" in report.__dict__
 
     def test_deterministic_modulo_timing(self):
         a = run_pipeline(small_cfg())
@@ -340,7 +390,7 @@ class TestFilteredReport:
         cfg = small_cfg(network=str(path), mode="analytical")
         full = run_pipeline(cfg)
         filtered = run_pipeline(replace(cfg, coefficients=self._filter(net)))
-        _, rows, cols = coefficient_keys(net, self._filter(net))
+        rows, cols = coefficient_positions(net, self._filter(net))
         dim = 2 * len(net.nonslack_flat_indices())
         assert len(set(rows.tolist())) < dim and len(set(cols.tolist())) < dim
         index = {k: i for i, k in enumerate(full.keys)}
@@ -448,7 +498,7 @@ class TestEmission:
     def test_pretty_text_rows(self, report, tmp_path):
         (path,) = emit_report(report, ("pretty-text",), tmp_path)
         lines = path.read_text().splitlines()
-        labels = [k.label() for k in report.keys]
+        labels = [coefficient_label(k) for k in report.keys]
         width = max([len(s) for s in labels] + [24])
         columns = [report.analytical[1.0], report.mc[(1.0, 20)], report.mc[(1.0, 50)]]
         for i, label in enumerate(labels):
@@ -520,7 +570,7 @@ def _reference_emit_report(report, formats, out_dir):
     )
     n_mcs = sorted({n for _, n in report.mc})
     p = report.meta.get("phase_count", 1)
-    labels = [k.label(p) for k in report.keys]
+    labels = [coefficient_label(k, p) for k in report.keys]
 
     for fmt in formats:
         if fmt == "csv":
