@@ -1,8 +1,10 @@
 """Network data model and compound admittance matrix assembly.
 
 Buses, branches and per-unit bases are read from a YAML description file
-(see ``load_network`` for the schema).  All electrical quantities are kept
-in SI units on the data classes and converted to per-unit on demand, so a
+(see ``load_network`` for the schema).  ``emit_network`` writes the JSON
+form of that schema, which is YAML too, and ``read_yaml`` reads such a
+file with the ``json`` module.  All electrical quantities are kept in SI
+units on the data classes and converted to per-unit on demand, so a
 load/emit round trip is lossless.
 
 Node ordering.  Every per-node vector and matrix of the package (voltages,
@@ -19,6 +21,7 @@ module computes a position itself.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,21 +34,34 @@ from .errors import (
     yaml_error_line,
 )
 
-#: libyaml's C parser and emitter when PyYAML was built with them; the
-#: same safe constructor and representer
+#: libyaml's C parser when PyYAML was built with it; the same safe
+#: constructor
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def read_yaml(path, error):
-    """The document of the YAML file ``path``, read with ``_YAML_LOADER``.
+    """The document of the YAML file ``path``.
 
-    A syntax error raises ``error`` with one line: the path, the line and
-    column where the parser stopped, and its problem.
+    A file whose first non-blank character is ``{`` is first read as JSON
+    (RFC 8259, which YAML 1.2 contains), as ``emit_network`` writes it;
+    ``NaN`` and ``Infinity`` are not JSON.  Any other text, and text that
+    is not JSON, is read with ``_YAML_LOADER``.  A YAML syntax error raises
+    ``error`` with one line: the path, the line and column where the
+    parser stopped, and its problem.
     """
+    with open(path) as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text, parse_constant=_refuse_constant)
+        except ValueError:
+            pass
     try:
-        with open(path) as fh:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise error(f"{path}: {yaml_error_line(exc)}") from exc
 
@@ -83,7 +99,8 @@ class Branch:
     The series impedance is a ``p x p`` complex matrix in ohms (scalar for
     the single-phase equivalent).  ``shunt_b_s`` is the total shunt
     susceptance in siemens, split evenly between the two ends; it defaults
-    to zero.  The bus ends are whole numbers, checked as ``Bus.index`` is.
+    to zero.  The bus ends are whole numbers, checked as ``Bus.index`` is,
+    and ``length_km``, when given, is a float.
     """
 
     def __init__(self, from_bus, to_bus, z_ohm, shunt_b_s=None, length_km=None):
@@ -94,6 +111,8 @@ class Branch:
             self.shunt_b_s = np.zeros_like(self.z_ohm, dtype=float)
         else:
             self.shunt_b_s = np.atleast_2d(np.asarray(shunt_b_s, dtype=float))
+        if length_km is not None:
+            length_km = _numeric(length_km, float, "branch length_km")
         self.length_km = length_km
 
     def __eq__(self, other):
@@ -382,9 +401,10 @@ def _entries(raw, section, keys, path):
 
 
 def load_network(path) -> NetworkModel:
-    """Load a network description file.
+    """Load a network description file, read by ``read_yaml``.
 
-    Schema (YAML)::
+    Schema (YAML; the JSON that ``emit_network`` writes holds the same
+    keys)::
 
         name: my-feeder          # optional
         phases: 1                # 1 or 3
@@ -406,7 +426,9 @@ def load_network(path) -> NetworkModel:
     positive.  Either the load/gen split or the net ``p_kw``/``q_kvar``
     may be given per bus, not both; an omitted field is zero on every
     phase.  Bus indices, branch ends and ``phases`` are integers; a
-    fraction or a bool is refused, not truncated.
+    fraction or a bool is refused, not truncated.  Every other number may
+    also be written as a string that Python's ``float`` reads, such as the
+    ``1e-05`` that YAML 1.1 leaves a string.
     """
     raw = read_yaml(path, NetworkParseError)
     if not isinstance(raw, dict):
@@ -473,13 +495,16 @@ def load_network(path) -> NetworkModel:
         shunt = entry.get("shunt_b_s")
         if shunt is not None:
             shunt = _numeric(shunt, _matrix, f"{what} shunt_b_s")
+        length = entry.get("length_km")
+        if length is not None:
+            length = _numeric(length, float, f"{what} length_km")
         branches.append(
             Branch(
                 from_bus=_integer(entry["from"], f"{what} from"),
                 to_bus=_integer(entry["to"], f"{what} to"),
                 z_ohm=z,
                 shunt_b_s=shunt,
-                length_km=entry.get("length_km"),
+                length_km=length,
             )
         )
 
@@ -496,8 +521,11 @@ def load_network(path) -> NetworkModel:
 
 
 def emit_network(network: NetworkModel, path):
-    """Write a network back to the YAML schema accepted by load_network,
-    through ``_YAML_DUMPER``: the bytes of ``yaml.safe_dump``."""
+    """Write a network in the schema accepted by load_network, as the
+    JSON document ``json.dumps(doc, indent=2)``.  JSON is YAML flow syntax,
+    so any YAML reader loads the file too.  A NaN or infinite value is
+    written as ``NaN``/``Infinity``, which are not JSON: ``read_yaml``
+    reads such a file as YAML."""
     p = network.phase_count
 
     def scalar_or_list(vals):
@@ -536,7 +564,7 @@ def emit_network(network: NetworkModel, path):
             entry["length_km"] = br.length_km
         doc["branches"].append(entry)
     with open(path, "w") as fh:
-        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=False)
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def with_injections(network: NetworkModel, s_pu) -> NetworkModel:

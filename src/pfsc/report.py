@@ -64,11 +64,7 @@ class RunConfig:
         if self.mode not in ("analytical", "mc", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         for entry in self.coefficients or ():
-            if not (isinstance(entry, (tuple, list)) and len(entry) == 4):
-                raise ConfigError(
-                    f"coefficient filter entry {entry!r} is not a "
-                    f"(bus_i, bus_l, part, wrt) tuple"
-                )
+            _filter_fields(entry)
         for level in self.sigma_y_pct:
             check_level(level)
         _check_outputs(self.formats, self.sigma_y_pct)
@@ -171,6 +167,17 @@ class ComparisonReport:
             return 100.0 * stds / np.abs(self.nominal)
 
 
+def _filter_fields(entry):
+    """The ``(bus_i, bus_l, part, wrt)`` of a coefficient filter entry;
+    ConfigError unless it is a 4-item tuple or list."""
+    if not (isinstance(entry, (tuple, list)) and len(entry) == 4):
+        raise ConfigError(
+            f"coefficient filter entry {entry!r} is not a "
+            f"(bus_i, bus_l, part, wrt) tuple"
+        )
+    return entry
+
+
 def coefficient_positions(network, coefficients=None):
     """Positions in x of the coefficients to report.
 
@@ -178,8 +185,9 @@ def coefficient_positions(network, coefficients=None):
     non-slack node of ``network`` (see ``NetworkModel.nonslack_nodes``).
     ``coefficients`` keeps only the ``(bus_i, bus_l, part, wrt)`` tuples it
     lists, for every phase pair of those buses; None keeps the whole
-    table.  An entry that selects nothing (a slack or unknown bus, a part
-    other than "re"/"im", a ``wrt`` other than "P"/"Q") raises ConfigError.
+    table.  An entry that is not a 4-item tuple or list, or that selects
+    nothing (a slack or unknown bus, a part other than "re"/"im", a ``wrt``
+    other than "P"/"Q"), raises ConfigError.
     """
     nodes = network.nonslack_nodes()
     dim = 2 * len(nodes)
@@ -190,11 +198,14 @@ def coefficient_positions(network, coefficients=None):
         nodes_of.setdefault(bus, []).append(k)
     keep = np.zeros((dim, dim), dtype=bool)
     for entry in coefficients:
-        bus_i, bus_l, part, wrt = entry
+        bus_i, bus_l, part, wrt = _filter_fields(entry)
         r = c = ()
-        if part in PARTS and wrt in INJECTIONS:
-            r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
-            c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
+        try:  # an unhashable bus, such as a list, is no bus of the network
+            if part in PARTS and wrt in INJECTIONS:
+                r = [2 * k + PARTS.index(part) for k in nodes_of.get(bus_i, ())]
+                c = [2 * k + INJECTIONS.index(wrt) for k in nodes_of.get(bus_l, ())]
+        except TypeError:
+            pass
         if not (r and c):
             raise ConfigError(
                 f"coefficient filter entry {tuple(entry)!r} selects nothing: "

@@ -1,5 +1,7 @@
+import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +13,15 @@ from pfsc.errors import (
     DegenerateBranchError,
     NetworkParseError,
     NetworkValidationError,
+    yaml_error_line,
 )
 from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network
 
 from conftest import make_feeder, make_random_network, make_three_phase_balanced
+
+
+def _no_json(text, **kwargs):
+    raise ValueError("JSON read switched off")
 
 
 def _admittance_per_branch(network):
@@ -255,9 +262,13 @@ branches:
              "[{index: 1, kind: slack}, {index: 2}]",
              "[{from: 1, to: two, r_ohm: 0.1, x_ohm: 0.2}]",
              "branches[0] to must be numeric, not 'two'"),
+            ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}, {index: 2}]",
+             "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, length_km: abc}]",
+             "branches[0] length_km must be numeric, not 'abc'"),
         ],
         ids=["index", "p_kw", "load_kvar", "phases", "base", "impedance",
-             "shunt", "branch-end"],
+             "shunt", "branch-end", "length"],
     )
     def test_non_numeric_value(self, tmp_path, phases, bases, buses, branches, message):
         path = tmp_path / "bad.yaml"
@@ -269,6 +280,21 @@ branches:
 
     _BUSES = "[{index: 1, kind: slack}, {index: 2}]"
     _BRANCHES = "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]"
+
+    def test_length_is_a_float(self, tmp_path):
+        # YAML 1.1 reads an exponent without a dot as a string
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            f"buses: {self._BUSES}\n"
+            "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, length_km: 1e-3}]\n"
+        )
+        (branch,) = load_network(path).branches
+        assert type(branch.length_km) is float
+        assert branch.length_km == 1e-3
+        assert Branch(1, 2, 0.1j, length_km=np.int64(2)).length_km == 2.0
+        with pytest.raises(NetworkParseError, match="branch length_km must be numeric"):
+            Branch(1, 2, 0.1j, length_km="abc")
 
     @pytest.mark.parametrize(
         "phases, buses, branches, message",
@@ -300,7 +326,7 @@ branches:
         path = tmp_path / "net.yaml"
         emit_network(ieee4, path)
         text = path.read_text()
-        path.write_text(re.sub(r"index: (\d+)", r"index: \1.0", text))
+        path.write_text(re.sub(r'"index": (\d+)', r'"index": \1.0', text))
         assert path.read_text() != text
         assert load_network(path).buses == ieee4.buses
 
@@ -332,13 +358,62 @@ branches:
         ],
         ids=["ieee4", "three-phase", "random12", "feeder60", "feeder300"],
     )
-    def test_emit_writes_the_bytes_of_safe_dump(self, make, tmp_path, monkeypatch):
+    def test_emitted_json_loads_as_its_yaml(self, make, tmp_path, monkeypatch):
         net = make()
-        fast, pure = tmp_path / "fast.yaml", tmp_path / "pure.yaml"
-        emit_network(net, fast)
-        monkeypatch.setattr(network_module, "_YAML_DUMPER", yaml.SafeDumper)
-        emit_network(net, pure)
-        assert fast.read_bytes() == pure.read_bytes()
+        path = tmp_path / "net.yaml"
+        emit_network(net, path)
+        parsed = []
+
+        def json_loads(text, **kwargs):
+            parsed.append(text)
+            return json.loads(text, **kwargs)
+
+        monkeypatch.setattr(network_module, "json", SimpleNamespace(loads=json_loads))
+        through_json = load_network(path)
+        assert parsed == [path.read_text()]
+        monkeypatch.setattr(network_module, "json", SimpleNamespace(loads=_no_json))
+        through_yaml = load_network(path)
+        assert through_json == through_yaml == net
+        assert np.array_equal(
+            pfsc.build_admittance(through_json).matrix,
+            pfsc.build_admittance(through_yaml).matrix,
+        )
+
+    def test_flow_yaml_with_plain_keys_loads(self, tmp_path):
+        path = tmp_path / "flow.yaml"
+        path.write_text(
+            "  {phases: 1, bases: {s_base_va: 1.0e6, v_base_v: 1000.0},\n"
+            f"   buses: {self._BUSES}, branches: {self._BRANCHES}}}\n"
+        )
+        net = load_network(path)
+        assert [bus.index for bus in net.buses] == [1, 2]
+        assert net.branches == (Branch(1, 2, 0.1 + 0.2j),)
+
+    def test_truncated_json_gives_the_yaml_error(self, ieee4, tmp_path):
+        path = tmp_path / "cut.yaml"
+        emit_network(ieee4, path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(yaml.YAMLError) as parsed:
+            yaml.load(path.read_text(), Loader=network_module._YAML_LOADER)
+        with pytest.raises(NetworkParseError) as excinfo:
+            load_network(path)
+        message = str(excinfo.value)
+        assert message == f"{path}: {yaml_error_line(parsed.value)}"
+        assert message.startswith(f"{path}: line ")
+        assert "\n" not in message
+
+    def test_nan_injection_round_trips(self, ieee4, tmp_path):
+        # NaN is not JSON: the file is read as YAML, where NaN is a string
+        bus = replace(ieee4.buses[1], p_kw=(float("nan"),))
+        net = replace(ieee4, buses=(ieee4.buses[0], bus, *ieee4.buses[2:]))
+        path = tmp_path / "nan.yaml"
+        emit_network(net, path)
+        assert '"p_kw": NaN' in path.read_text()
+        again = load_network(path)
+        np.testing.assert_array_equal(again.injections_pu(), net.injections_pu())
+        assert np.isnan(again.buses[1].p_kw[0])
+        assert again.buses[2:] == net.buses[2:]
 
     def test_round_trip(self, ieee4, tmp_path):
         out = tmp_path / "rt.yaml"

@@ -169,11 +169,25 @@ class TestCoefficientKeys:
             (99, 2, "re", "P"),  # unknown bus
             (1, 2, "re", "P"),  # the slack bus
             (2, 1, "re", "P"),
+            ([2], 2, "re", "P"),  # an unhashable bus
+            (2, [2], "re", "P"),
         ],
     )
     def test_entry_selecting_nothing_raises(self, ieee4, entry):
         with pytest.raises(ConfigError, match=re.escape(repr(entry))):
             coefficient_positions(ieee4, ((2, 3, "re", "Q"), entry))
+
+    @pytest.mark.parametrize(
+        "entry", [(2, 3, "re"), 5, (2, 3, "re", "P", 0)], ids=["3-tuple", "int", "5-tuple"]
+    )
+    def test_malformed_entry_raises_the_config_error(self, ieee4, entry):
+        with pytest.raises(ConfigError) as expected:
+            small_cfg(coefficients=(entry,))
+        with pytest.raises(ConfigError) as excinfo:
+            coefficient_positions(ieee4, ((2, 3, "re", "Q"), entry))
+        assert str(excinfo.value) == str(expected.value)
+        assert repr(entry) in str(excinfo.value)
+        assert len(str(excinfo.value).splitlines()) == 1
 
     def test_pipeline_rejects_entry_selecting_nothing(self, monkeypatch):
         _no_load_flow(monkeypatch)
