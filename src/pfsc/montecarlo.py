@@ -1,9 +1,13 @@
 """Monte-Carlo validation of the analytical uncertainty propagation.
 
 Each trial perturbs the voltage phasors in polar coordinates and the
-admittance matrix element-wise, reassembles the sensitivity system and
-solves it; the empirical per-coefficient std over trials is the oracle
-the analytical propagation is compared against.
+admittance, reassembles the sensitivity system and solves it; the
+empirical per-coefficient std over trials is the oracle the analytical
+propagation is compared against.  The admittance noise follows one of
+two models (``MCConfig.symmetry_mode``): ``independent-elements``, the
+model of the analytical propagation, draws every real and imaginary
+part of the matrix on its own; ``branch-parameter`` perturbs each
+branch's series impedance and stamps the matrix from it.
 
 Trials run in chunks of a fixed size (see ``_chunk_trials``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
@@ -29,7 +33,9 @@ sets that differ only in their admittance noise ``yu`` and in
 levels and trial counts): each trial's stream and perturbed voltages are
 built once, each level's stack is assembled and solved once per chunk,
 and each set merges its own prefix of the rows.  Every result is bitwise
-that of the set run alone (``run_monte_carlo``, the one-set case).
+that of the set run alone (``run_monte_carlo``, the one-set case).  The
+pass reads the clock at its start and at its end, and each set's
+``runtime_s`` is that time split in proportion to the sets' trials.
 """
 
 from __future__ import annotations
@@ -46,9 +52,8 @@ from .network import AdmittanceMatrix, NetworkModel, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
 INDEPENDENT_ELEMENTS = "independent-elements"
-SYMMETRIC_PAIRS = "symmetric-pairs"
 BRANCH_PARAMETER = "branch-parameter"
-_MODES = (INDEPENDENT_ELEMENTS, SYMMETRIC_PAIRS, BRANCH_PARAMETER)
+_MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 
 #: a chunk holds at most this many trials ...
 CHUNK_TRIALS = 256
@@ -94,7 +99,7 @@ class MCResult:
     mean: np.ndarray
     std: np.ndarray
     trials: np.ndarray | None = field(repr=False, default=None)
-    runtime_s: float = 0.0  # the set's share of its pass's wall time
+    runtime_s: float = 0.0  # its pass's wall time x n_trials / the pass's trials
     trials_failed: int = 0
     n_trials: int = 0
 
@@ -116,20 +121,6 @@ def _perturb_voltages(E, polar: PolarNoiseSpec, n_rho, n_theta):
     d_rho = n_rho * sig_rho
     d_theta = n_theta * polar.sigma_theta
     return (rho + d_rho) * np.exp(1j * (theta + d_theta))
-
-
-def _mirror_upper(d):
-    """Each (m, m) slice made symmetric from its upper triangle."""
-    return np.triu(d) + np.swapaxes(np.triu(d, 1), -1, -2)
-
-
-def _perturb_elements(Ym, yu: AdmittanceUncertainty, mode, n_re, n_im):
-    """Admittance stack of a chunk from its standard-normal draws, (k, m, m) each."""
-    d_re = n_re * yu.sigma_re
-    d_im = n_im * yu.sigma_im
-    if mode == SYMMETRIC_PAIRS:
-        d_re, d_im = _mirror_upper(d_re), _mirror_upper(d_im)
-    return Ym + d_re + 1j * d_im
 
 
 def _perturb_branches(network, frac, noise):
@@ -301,14 +292,13 @@ class _Moments:
 
 
 class _Set:
-    """What a pass has gathered for one set: moments, failures, seconds."""
+    """What a pass has gathered for one set: moments and failures."""
 
     def __init__(self, cfg: MCConfig):
         self.cfg = cfg
         self.moments = _Moments()
         self.kept = [] if cfg.store_trials else None
         self.failed = 0
-        self.seconds = 0.0
 
     def add(self, x, ok):
         """Merge the set's solutions of a chunk, ``ok`` marking the usable ones."""
@@ -320,38 +310,20 @@ class _Set:
             if self.kept is not None:
                 self.kept.extend(x)
 
-    def result(self, clock):
-        """The set's MCResult, its own seconds charged to it by ``clock``."""
+    def result(self, runtime_s):
+        """The set's MCResult, ``runtime_s`` its share of the pass."""
         if self.moments.count == 0:
             raise ConfigError("all Monte-Carlo trials failed (singular systems)")
         mean, std = self.moments.result()
         trials = None if self.kept is None else np.stack(self.kept, axis=-1)
-        clock.charge([(self, 1)])
         return MCResult(
             mean=mean,
             std=std,
             trials=trials,
-            runtime_s=self.seconds,
+            runtime_s=runtime_s,
             trials_failed=self.failed,
             n_trials=self.cfg.n_trials,
         )
-
-
-class _Clock:
-    """Charges a pass's wall time to its sets, so that their seconds add
-    up to the pass's."""
-
-    def __init__(self):
-        self.last = time.perf_counter()
-
-    def charge(self, shares):
-        """Split the seconds since the last charge among ``(set, trials)``
-        pairs, in proportion to their trials."""
-        now = time.perf_counter()
-        elapsed, self.last = now - self.last, now
-        total = sum(k for _, k in shares)
-        for s, k in shares:
-            s.seconds += elapsed * k / total
 
 
 def _readers(sets, start, end):
@@ -376,7 +348,7 @@ def _solve_level(network, Ym, E_k, noise, yu, mode):
     else:
         m = len(Ym)
         n = noise.reshape(rows, 2, m, m)
-        Y_k = _perturb_elements(Ym, yu, mode, n[:, 0], n[:, 1])
+        Y_k = Ym + n[:, 0] * yu.sigma_re + 1j * (n[:, 1] * yu.sigma_im)
     problem = assemble_from_raw(Y_k, E_k[:rows], network)
     return _solve_chunk(problem.H, problem.z)
 
@@ -396,12 +368,13 @@ def run_monte_carlo_sets(
     trials of the longest set in the same chunks, builds each trial's
     stream and perturbed voltages once, and, per chunk, perturbs, assembles
     and solves the rows of each distinct ``yu`` object once for all the
-    sets that share it.  A set's ``runtime_s`` is its share of the pass's
-    wall time (see ``_Clock``), and the shares add up to that time.
+    sets that share it.  A set's ``runtime_s`` is the pass's wall time
+    times the set's share of all the sets' trials, so the values add up
+    to that time.
     """
     if not cfgs:
         return []
-    clock = _Clock()
+    t0 = time.perf_counter()
     for cfg in cfgs[1:]:
         for name in SHARED_FIELDS:
             if getattr(cfg, name) != getattr(cfgs[0], name):
@@ -429,7 +402,6 @@ def run_monte_carlo_sets(
         draws = _draws(cfg.seed, range(start, end), width)
         E_k = _perturb_voltages(E0, cfg.polar, draws[:, :m], draws[:, m : 2 * m])
         noise = draws[:, 2 * m :]
-        clock.charge(_readers(sets, start, end))
         for level in levels.values():
             shares = _readers(level, start, end)
             if not shares:
@@ -442,8 +414,9 @@ def run_monte_carlo_sets(
                                  cfg.symmetry_mode)
             for s, k in shares:
                 s.add(x[:k], ok[:k])
-            clock.charge(shares)
-    return [s.result(clock) for s in sets]
+    seconds = time.perf_counter() - t0
+    total = sum(s.cfg.n_trials for s in sets)
+    return [s.result(seconds * s.cfg.n_trials / total) for s in sets]
 
 
 def run_monte_carlo(

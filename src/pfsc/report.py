@@ -265,10 +265,11 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
             timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
             analytical[lvl] = sigma[at]
         if cfg.mode in ("mc", "both"):
-            for n in cfg.n_mc:
+            for n in dict.fromkeys(cfg.n_mc):  # a repeated count runs once too
                 mc_sets.append((lvl, n))
                 mc_cfgs.append(MCConfig(n_trials=n, seed=cfg.seed, polar=polar, yu=yu))
-    # one pass for every set: a set's seconds are its share of the pass
+    # one pass for every set: a set's seconds are the pass's, split in
+    # proportion to the sets' trials
     for key, mc in zip(mc_sets, run_monte_carlo_sets(network, Y, state, mc_cfgs)):
         timings[_timing_key("mc_s", *key)] = mc.runtime_s
         mc_stds[key] = mc.std[rows, cols]
@@ -353,7 +354,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
             (n, _Column(stds), _Column(report.percent_of_nominal(stds)))
         )
 
-    for fmt in formats:
+    for fmt in dict.fromkeys(formats):  # a repeated format is written once
         if fmt == "csv":
             for lvl, cols in columns.items():
                 path = out_dir / _csv_name(lvl)

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,7 +12,6 @@ from pfsc.errors import ConfigError, DegenerateBranchError
 from pfsc.montecarlo import (
     BRANCH_PARAMETER,
     INDEPENDENT_ELEMENTS,
-    SYMMETRIC_PAIRS,
     MCConfig,
     run_monte_carlo,
     run_monte_carlo_sets,
@@ -24,7 +22,7 @@ from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_
 from conftest import make_three_phase_balanced
 from oracles import qq_normality_check, trial_rng
 
-MODES = (INDEPENDENT_ELEMENTS, SYMMETRIC_PAIRS, BRANCH_PARAMETER)
+MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 
 
 def estimate_stats(trials: np.ndarray):
@@ -98,20 +96,22 @@ def test_invalid_config():
         MCConfig(
             n_trials=0, seed=0, polar=PolarNoiseSpec(), yu=AdmittanceUncertainty.zero(2)
         )
-    with pytest.raises(ConfigError, match="symmetry_mode"):
-        MCConfig(
-            n_trials=1,
-            seed=0,
-            polar=PolarNoiseSpec(),
-            yu=AdmittanceUncertainty.zero(2),
-            symmetry_mode="bogus",
-        )
+    # symmetric-pairs, a retired mode, is refused like any unknown name
+    for mode in ("bogus", "symmetric-pairs"):
+        with pytest.raises(ConfigError, match=f"^unknown symmetry_mode '{mode}'"):
+            MCConfig(
+                n_trials=1,
+                seed=0,
+                polar=PolarNoiseSpec(),
+                yu=AdmittanceUncertainty.zero(2),
+                symmetry_mode=mode,
+            )
 
 
-@pytest.mark.parametrize("mode", [SYMMETRIC_PAIRS, BRANCH_PARAMETER])
-def test_alternative_symmetry_modes_run(ieee4_solved, mode):
+def test_alternative_symmetry_modes_run(ieee4_solved):
     net, Y, state, polar, yu = mc_setup(ieee4_solved)
-    cfg = MCConfig(n_trials=100, seed=5, polar=polar, yu=yu, symmetry_mode=mode)
+    cfg = MCConfig(n_trials=100, seed=5, polar=polar, yu=yu,
+                   symmetry_mode=BRANCH_PARAMETER)
     out = run_monte_carlo(net, Y, state, cfg)
     assert out.std.shape == (6, 6)
     assert np.all(out.std > 0.0)
@@ -155,12 +155,6 @@ def serial_trials(network, Y, state, cfg):
         else:
             d_re = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_re
             d_im = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_im
-            if cfg.symmetry_mode == SYMMETRIC_PAIRS:
-                upper = np.triu_indices(m)
-                for d in (d_re, d_im):
-                    full = np.zeros_like(d)
-                    full[upper] = d[upper]
-                    d[:] = full + np.triu(full, 1).T
             Y_k = Ym + d_re + 1j * d_im
         problem = assemble_from_raw(Y_k, E, network)
         try:
@@ -335,7 +329,7 @@ def reference_draws(seed, trials, width):
 
 
 def mode_widths(network):
-    """Draw widths of the symmetry modes; the two element-wise modes share one."""
+    """Draw widths of the two symmetry modes."""
     m = network.n_nodes
     return {2 * m + 2 * m * m, 2 * m + sum(2 * br.z_ohm.size for br in network.branches)}
 
@@ -387,23 +381,23 @@ def test_report_builds_each_trial_stream_once(monkeypatch):
 
 def test_shared_pass_seconds_add_up_to_its_wall_time(ieee4_solved, seven_trial_chunks,
                                                     monkeypatch):
-    ticks = itertools.count()
+    # the pass reads the clock once at its start and once at its end
+    ticks = iter([2.0, 9.5])
     monkeypatch.setattr(montecarlo, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     net, Y, state, polar, yu = mc_setup(ieee4_solved)
     yu2 = AdmittanceUncertainty.from_relative(Y, 2.0)
     cfgs = [MCConfig(n_trials=n, seed=1, polar=polar, yu=y)
             for y in (yu, yu2) for n in (7, 20)]
     results = run_monte_carlo_sets(net, Y, state, cfgs)
-    # the first tick starts the pass, the last is the last one charged
-    assert sum(r.runtime_s for r in results) == pytest.approx(next(ticks) - 1, rel=1e-12)
-    # the 7-trial sets read one of the three chunks
-    assert results[0].runtime_s < results[1].runtime_s
+    assert next(ticks, None) is None
+    assert sum(r.runtime_s for r in results) == pytest.approx(7.5, rel=1e-12)
+    assert [r.runtime_s for r in results] == [7.5 * n / 54 for n in (7, 20, 7, 20)]
 
 
 @pytest.mark.parametrize(
     "change",
     [{"seed": 8}, {"polar": PolarNoiseSpec(0.0, 0.0)},
-     {"symmetry_mode": SYMMETRIC_PAIRS}, {"store_trials": True}],
+     {"symmetry_mode": BRANCH_PARAMETER}, {"store_trials": True}],
     ids=["seed", "polar", "symmetry_mode", "store_trials"],
 )
 def test_shared_pass_refuses_sets_that_differ_in_their_draws(ieee4_solved, change):

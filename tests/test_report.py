@@ -361,6 +361,25 @@ class TestPipeline:
         assert np.array_equal(twice.analytical[1], once.analytical[1])
         assert np.array_equal(twice.mc[(1, 50)], once.mc[(1, 50)])
 
+    def test_equal_repeated_count_runs_once(self, monkeypatch):
+        passes = []
+
+        def recorded(network, Y, state, cfgs):
+            passes.append(cfgs)
+            return run_monte_carlo_sets(network, Y, state, cfgs)
+
+        run_monte_carlo_sets = pfsc.report.run_monte_carlo_sets
+        monkeypatch.setattr(pfsc.report, "run_monte_carlo_sets", recorded)
+        once = run_pipeline(small_cfg(n_mc=(100,)))
+        twice = run_pipeline(small_cfg(n_mc=(100, 100)))
+        assert [[c.n_trials for c in cfgs] for cfgs in passes] == [[100], [100]]
+        assert sorted(twice.timings) == sorted(once.timings)
+        assert twice.mc_failed == once.mc_failed
+        assert set(twice.mc) == set(once.mc) == {(1.0, 100)}
+        assert np.array_equal(twice.mc[(1.0, 100)], once.mc[(1.0, 100)])
+        assert np.array_equal(twice.analytical[1.0], once.analytical[1.0])
+        assert np.array_equal(twice.nominal, once.nominal)
+
     def test_keys_not_built_by_a_report_op(self, tmp_path):
         report = run_pipeline(small_cfg())
         emit_report(report, FORMATS, tmp_path)
@@ -457,7 +476,8 @@ class TestEmission:
             assert float(row["std_mc_50"]) == report.mc[(1.0, 50)][i]
 
     def test_json_matches_csv_values(self, report, tmp_path):
-        csv_path, json_path = emit_report(report, ("csv", "json"), tmp_path)
+        # a repeated format is written and listed once
+        csv_path, json_path = emit_report(report, ("csv", "csv", "json"), tmp_path)
         doc = json.loads(json_path.read_text())
         with open(csv_path) as fh:
             rows = list(csv.DictReader(fh))
