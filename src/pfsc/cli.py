@@ -2,8 +2,10 @@
 
 Subcommands: solve (load flow), pfsc (coefficients), propagate
 (analytical stds), mc (Monte-Carlo stds), report (full comparison
-pipeline).  Exit codes: 0 success, 1 usage/configuration error,
-2 numerical failure.
+pipeline).  The pfsc and propagate tables are one column each of a
+``report.run_pipeline`` report; mc makes its own ``run_monte_carlo``
+call, the one call that keeps the trials for ``--dump-trials``.  Exit
+codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,22 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import assemble_problem, solve_coefficients
 from .errors import LoadFlowError, PfscError, SingularSystemError
 from .loadflow import solve_load_flow
-from .montecarlo import MCConfig, check_seed, check_trials, run_monte_carlo
+from .montecarlo import MCConfig, run_monte_carlo
 from .network import build_admittance, load_network
 from .report import (
-    FORMATS, RunConfig, coefficient_columns, coefficient_positions, emit_report, run_pipeline
+    FORMATS, MODES, RunConfig, coefficient_columns, coefficient_positions, emit_report,
+    run_pipeline,
 )
-from .uncertainty import (
-    AdmittanceUncertainty,
-    analytical_sigma,
-    check_level,
-    it_class_to_polar,
-    load_noise_config,
-    project_polar_noise,
-)
+from .uncertainty import AdmittanceUncertainty, it_class_to_polar, load_noise_config
 
 CONFIG_DIR_ENV = "PFSC_CONFIG_DIR"
 
@@ -57,25 +52,14 @@ def _resolve_config(path):
     return path
 
 
-def _noise_cfg(args):
-    return load_noise_config(_resolve_config(args.noise_config))
-
-
-def _prepare(args):
-    network = load_network(args.network)
-    Y = build_admittance(network)
-    state = solve_load_flow(network, Y)
-    return network, Y, state
-
-
-def _coeff_table(network, x, name):
-    """Columns of the table of x: the key (i, phase, l, phase, P|Q, Re|Im)
-    of each coefficient, and its value under ``name``."""
-    rows, cols = coefficient_positions(network)
-    key = coefficient_columns(network.nonslack_nodes(), rows, cols)
+def _coeff_table(nodes, rows, cols, values, name):
+    """Columns of a table: the key (i, phase, l, phase, P|Q, Re|Im) of the
+    coefficient at each position ``rows, cols`` of x, whose node k is
+    ``nodes[k]``, and its value in ``values`` under ``name``."""
+    key = coefficient_columns(nodes, rows, cols)
     table = {f: key[f] for f in ("bus_i", "phase_i", "bus_l", "phase_l", "wrt")}
     table["part"] = list(map(str.capitalize, key["part"]))
-    table[name] = x[rows, cols].tolist()
+    table[name] = values.tolist()
     return table
 
 
@@ -120,7 +104,8 @@ def _write_table(table, out, fmt):
 
 
 def _cmd_solve(args):
-    network, Y, state = _prepare(args)
+    network = load_network(args.network)
+    state = solve_load_flow(network, build_admittance(network))
     for flat, e in enumerate(state.voltages):
         bus, ph = network.node(flat)
         print(
@@ -135,42 +120,44 @@ def _cmd_solve(args):
 
 
 def _cmd_pfsc(args):
-    network, Y, state = _prepare(args)
-    problem = assemble_problem(Y, state, network)
-    result = solve_coefficients(problem)
-    _write_table(_coeff_table(network, result.x, "value"), args.out, args.format)
+    report = run_pipeline(RunConfig(network=args.network, sigma_y_pct=()))
+    table = _coeff_table(report.nodes, report.rows, report.cols, report.nominal, "value")
+    _write_table(table, args.out, args.format)
     return 0
 
 
 def _cmd_propagate(args):
-    check_level(args.sigma_y_pct)
-    polar = it_class_to_polar(args.it_class, _noise_cfg(args))
-    network, Y, state = _prepare(args)
-    problem = assemble_problem(Y, state, network)
-    result = solve_coefficients(problem)
-    yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
-    en = project_polar_noise(state, polar)
-    sigma = analytical_sigma(result, yu, en)
-    _write_table(_coeff_table(network, sigma, "sigma"), args.out, args.format)
+    cfg = RunConfig(
+        network=args.network,
+        noise_config=_resolve_config(args.noise_config),
+        mode="analytical",
+        sigma_y_pct=(args.sigma_y_pct,),
+        it_class=args.it_class,
+    )
+    report = run_pipeline(cfg)
+    sigma = report.analytical[args.sigma_y_pct]
+    table = _coeff_table(report.nodes, report.rows, report.cols, sigma, "sigma")
+    _write_table(table, args.out, args.format)
     return 0
 
 
 def _cmd_mc(args):
-    check_level(args.sigma_y_pct)
-    check_trials(args.nmc)
-    check_seed(args.seed)
-    polar = it_class_to_polar(args.it_class, _noise_cfg(args))
-    network, Y, state = _prepare(args)
-    yu = AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct)
+    # the constructors check the level, trial count and seed before the load flow
+    network = load_network(args.network)
+    Y = build_admittance(network)
     cfg = MCConfig(
         n_trials=args.nmc,
         seed=args.seed,
-        polar=polar,
-        yu=yu,
+        polar=it_class_to_polar(
+            args.it_class, load_noise_config(_resolve_config(args.noise_config))
+        ),
+        yu=AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct),
         store_trials=args.dump_trials is not None,
     )
-    mc = run_monte_carlo(network, Y, state, cfg)
-    _write_table(_coeff_table(network, mc.std, "sigma_mc"), args.out, args.format)
+    mc = run_monte_carlo(network, Y, solve_load_flow(network, Y), cfg)
+    rows, cols = coefficient_positions(network)
+    table = _coeff_table(network.nonslack_nodes(), rows, cols, mc.std[rows, cols], "sigma_mc")
+    _write_table(table, args.out, args.format)
     if args.dump_trials:
         n_rows = mc.trials.shape[0] * mc.trials.shape[1]
         flat = mc.trials.reshape(n_rows, -1)
@@ -263,9 +250,7 @@ def build_parser():
         nargs="+",
         default=[1.0],
     )
-    p.add_argument(
-        "--mode", choices=("analytical", "mc", "both"), default="both"
-    )
+    p.add_argument("--mode", choices=MODES, default="both")
     return parser
 
 

@@ -22,6 +22,8 @@ module computes a position itself.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -226,6 +228,8 @@ class NetworkModel:
             raise NetworkValidationError(
                 f"phase_count must be 1 or 3, got {self.phase_count}"
             )
+        for name in ("base_power_va", "base_voltage_v"):
+            _check_base(getattr(self, name), name, NetworkValidationError)
         if len(self._position) != len(self.buses):
             raise NetworkValidationError("duplicate bus indices")
         slacks = [b.index for b in self.buses if b.kind == SLACK]
@@ -258,6 +262,8 @@ class NetworkModel:
                     f"branch {br.from_bus}-{br.to_bus}: impedance block is "
                     f"{br.z_ohm.shape}, expected ({p}, {p})"
                 )
+            _check_shunt(br.shunt_b_s, p, f"branch {br.from_bus}-{br.to_bus}",
+                         NetworkValidationError)
         self._check_connected()
 
     def _check_connected(self):
@@ -362,6 +368,23 @@ def _matrix(value):
     return np.atleast_2d(np.asarray(value, dtype=float))
 
 
+def _check_base(value, what, error):
+    """Raise ``error`` naming ``what`` unless ``value`` is a finite positive
+    number (not a bool): every per-unit quantity divides by a base."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        0 < value < math.inf
+    ):
+        raise error(f"{what} must be a finite positive number, not {value!r}")
+
+
+def _check_shunt(shunt, p, what, error):
+    """Raise ``error`` naming ``what`` unless the shunt block is 1x1, which
+    ``stamp_admittance`` broadcasts to p x p, or p x p."""
+    if shunt.shape not in ((1, 1), (p, p)):
+        expected = "(1, 1)" if p == 1 else f"(1, 1) or ({p}, {p})"
+        raise error(f"{what}: shunt block is {shunt.shape}, expected {expected}")
+
+
 def _per_phase(value, p, what):
     if not isinstance(value, (list, tuple)):
         if p != 1:
@@ -422,13 +445,15 @@ def load_network(path) -> NetworkModel:
 
     Powers are in kW/kVar per phase (scalars for ``phases: 1``, length-p
     lists otherwise); branch impedances in ohms (p x p nested lists for
-    ``phases: 3``).  Net injection = generation - load; generation
-    positive.  Either the load/gen split or the net ``p_kw``/``q_kvar``
-    may be given per bus, not both; an omitted field is zero on every
-    phase.  Bus indices, branch ends and ``phases`` are integers; a
-    fraction or a bool is refused, not truncated.  Every other number may
-    also be written as a string that Python's ``float`` reads, such as the
-    ``1e-05`` that YAML 1.1 leaves a string.
+    ``phases: 3``); an optional branch ``shunt_b_s`` in siemens, a scalar
+    (1x1) or p x p.  Both bases are finite positive numbers.  Net
+    injection = generation - load; generation positive.  Either the
+    load/gen split or the net ``p_kw``/``q_kvar`` may be given per bus,
+    not both; an omitted field is zero on every phase.  Bus indices,
+    branch ends and ``phases`` are integers; a fraction or a bool is
+    refused, not truncated.  Every other number may also be written as a
+    string that Python's ``float`` reads, such as the ``1e-05`` that YAML
+    1.1 leaves a string.
     """
     raw = read_yaml(path, NetworkParseError)
     if not isinstance(raw, dict):
@@ -443,6 +468,8 @@ def load_network(path) -> NetworkModel:
         raise NetworkParseError(f"{path}: bases needs s_base_va and v_base_v")
     s_base = _numeric(bases["s_base_va"], float, f"{path}: bases s_base_va")
     v_base = _numeric(bases["v_base_v"], float, f"{path}: bases v_base_v")
+    _check_base(s_base, f"{path}: bases s_base_va", NetworkParseError)
+    _check_base(v_base, f"{path}: bases v_base_v", NetworkParseError)
 
     slack_v = raw.get("slack_voltage_pu", 1.0)
     what = f"{path}: slack_voltage_pu"
@@ -495,6 +522,7 @@ def load_network(path) -> NetworkModel:
         shunt = entry.get("shunt_b_s")
         if shunt is not None:
             shunt = _numeric(shunt, _matrix, f"{what} shunt_b_s")
+            _check_shunt(shunt, p, what, NetworkParseError)
         length = entry.get("length_km")
         if length is not None:
             length = _numeric(length, float, f"{what} length_km")

@@ -43,6 +43,8 @@ from .uncertainty import (
 PRETTY_DECIMALS = 4
 #: the formats ``emit_report`` writes
 FORMATS = ("csv", "json", "pretty-text")
+#: the ``RunConfig.mode`` values: which stds ``run_pipeline`` computes
+MODES = ("analytical", "mc", "both")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class RunConfig:
 
     network: str
     noise_config: str | None = None
-    mode: str = "both"  # analytical | mc | both
+    mode: str = "both"  # one of MODES
     n_mc: tuple[int, ...] = (1000,)
     sigma_y_pct: tuple[float, ...] = (1.0,)
     it_class: str = "0.5"
@@ -61,7 +63,7 @@ class RunConfig:
     coefficients: tuple | None = None  # (bus_i, bus_l, part, wrt) filter
 
     def __post_init__(self):
-        if self.mode not in ("analytical", "mc", "both"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         for entry in self.coefficients or ():
             _filter_fields(entry)
@@ -286,7 +288,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
         meta={
             "network": str(cfg.network),
             "it_class": str(cfg.it_class),
-            "seed": cfg.seed,
+            "seed": int(cfg.seed),  # a numpy integer is no JSON number
             "mode": cfg.mode,
             "phase_count": network.phase_count,
         },

@@ -339,6 +339,7 @@ def test_malformed_noise_config_is_one_line(capsys, tmp_path, text, message):
 
 _NET_HEAD = "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
 _NET_TAIL = "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]\n"
+_NET_BUSES = "buses: [{index: 1, kind: slack}, {index: 2}]\n"
 
 
 @pytest.mark.parametrize(
@@ -352,8 +353,21 @@ _NET_TAIL = "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]\n"
         (_NET_HEAD + "buses: [{index: 1, kind: slack}, {index: 2.7}]\n"
          + "branches: [{from: 1, to: 2.7, r_ohm: 0.1, x_ohm: 0.2}]\n",
          "buses[1] index must be an integer, not 2.7"),
+        ("phases: 3\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+         "buses: [{index: 1, kind: slack}, {index: 2, p_kw: [0, 0, 0], q_kvar: [0, 0, 0]}]\n"
+         "branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]],\n"
+         "            x_ohm: [[0.2, 0, 0], [0, 0.2, 0], [0, 0, 0.2]],\n"
+         "            shunt_b_s: [[1e-4, 0], [0, 1e-4]]}]\n",
+         "branches[0]: shunt block is (2, 2), expected (1, 1) or (3, 3)"),
+        ("phases: 1\nbases: {s_base_va: 0, v_base_v: 1000.0}\n" + _NET_BUSES + _NET_TAIL,
+         "bases s_base_va must be a finite positive number, not 0.0"),
+        ("phases: 1\nbases: {s_base_va: -1.0e6, v_base_v: 1000.0}\n" + _NET_BUSES + _NET_TAIL,
+         "bases s_base_va must be a finite positive number, not -1000000.0"),
+        ("phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 0}\n" + _NET_BUSES + _NET_TAIL,
+         "bases v_base_v must be a finite positive number, not 0.0"),
     ],
-    ids=["index", "p_kw", "yaml-syntax", "non-integral-index"],
+    ids=["index", "p_kw", "yaml-syntax", "non-integral-index", "shunt-shape",
+         "s-base-zero", "s-base-negative", "v-base-zero"],
 )
 def test_malformed_network_is_one_line(capsys, tmp_path, text, message):
     net = tmp_path / "net.yaml"
@@ -495,9 +509,29 @@ def test_network_without_nonslack_node_is_one_line(capsys, tmp_path, command):
     )
 
 
+def test_pfsc_and_propagate_are_run_pipeline_runs(capsys, monkeypatch):
+    calls = []
+
+    def pipeline(cfg):
+        calls.append(cfg)
+        return pfsc.report.run_pipeline(cfg)
+
+    monkeypatch.setattr(cli, "run_pipeline", pipeline)
+    code, out, _ = run(capsys, "pfsc", "--network", NETWORK)
+    assert code == 0 and out
+    (cfg,) = calls
+    assert cfg.sigma_y_pct == ()
+    calls.clear()
+    code, out, _ = run(capsys, "propagate", "--network", NETWORK, "--sigma-y-pct", "2.5")
+    assert code == 0 and out
+    (cfg,) = calls
+    assert cfg.mode == "analytical" and cfg.sigma_y_pct == (2.5,)
+
+
 def test_subcommands_agree_with_report(capsys, tmp_path):
-    # pfsc, propagate and mc run their own orchestration beside run_pipeline;
-    # on one seed, level and trial count their columns equal the report's
+    # pfsc and propagate print a column of a run_pipeline report, and mc
+    # makes its own run_monte_carlo call; on one seed, level and trial
+    # count their columns equal those of pfsc report
     level, seed, nmc = "2.0", "5", "40"
 
     def table(*argv):

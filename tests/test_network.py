@@ -177,6 +177,61 @@ branches:
         with pytest.raises(NetworkParseError, match="impedance block"):
             load_network(path)
 
+    _THREE_PHASE = (
+        "phases: 3\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+        "buses: [{index: 1, kind: slack}, {index: 2, p_kw: [0, 0, 0], q_kvar: [0, 0, 0]}]\n"
+        "branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]],\n"
+        "            x_ohm: [[0.2, 0, 0], [0, 0.2, 0], [0, 0, 0.2]], shunt_b_s: %s}]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_THREE_PHASE % "[[1e-4, 0], [0, 1e-4]]",
+             "branches[0]: shunt block is (2, 2), expected (1, 1) or (3, 3)"),
+            # three entries used to load as three equal rows, mutual
+            # susceptances included
+            (_THREE_PHASE % "[1e-4, 2e-4, 3e-4]",
+             "branches[0]: shunt block is (1, 3), expected (1, 1) or (3, 3)"),
+            ("phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+             "buses: [{index: 1, kind: slack}, {index: 2}]\n"
+             "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, shunt_b_s: [1e-4, 1e-4]}]\n",
+             "branches[0]: shunt block is (1, 2), expected (1, 1)"),
+            ("phases: 1\nbases: {s_base_va: 0, v_base_v: 1000.0}\n"
+             "buses: [{index: 1, kind: slack}]\nbranches: []\n",
+             "bases s_base_va must be a finite positive number, not 0.0"),
+            ("phases: 1\nbases: {s_base_va: -1.0e6, v_base_v: 1000.0}\n"
+             "buses: [{index: 1, kind: slack}]\nbranches: []\n",
+             "bases s_base_va must be a finite positive number, not -1000000.0"),
+            ("phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 0}\n"
+             "buses: [{index: 1, kind: slack}]\nbranches: []\n",
+             "bases v_base_v must be a finite positive number, not 0.0"),
+            ("phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: .inf}\n"
+             "buses: [{index: 1, kind: slack}]\nbranches: []\n",
+             "bases v_base_v must be a finite positive number, not inf"),
+        ],
+        ids=["shunt-2x2", "shunt-row", "shunt-1x2", "s-base-zero", "s-base-negative",
+             "v-base-zero", "v-base-inf"],
+    )
+    def test_shunt_shape_and_bases(self, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(NetworkParseError, match=re.escape(f"{path}: {message}")):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "shunt", ["1e-4", "[[1e-4]]", "[[1e-4, 0, 0], [0, 2e-4, 0], [0, 0, 3e-4]]"],
+        ids=["scalar", "1x1", "3x3"],
+    )
+    def test_square_shunt_loads(self, tmp_path, shunt):
+        path = tmp_path / "net.yaml"
+        path.write_text(self._THREE_PHASE % shunt)
+        net = load_network(path)
+        (branch,) = net.branches
+        assert branch.shunt_b_s.shape in ((1, 1), (3, 3))
+        Y = pfsc.build_admittance(net).matrix
+        assert Y.tobytes() == _admittance_per_branch(net).tobytes()
+
     @pytest.mark.parametrize(
         "buses, branches, message",
         [
@@ -431,6 +486,33 @@ branches:
         s = ieee4.injections_pu()
         i4 = ieee4.flat_index(4)
         assert s[i4] == pytest.approx((-300e3 - 150e3j) / 1e7)
+
+
+def _with_shunt(net, shunt):
+    first, *rest = net.branches
+    return (Branch(first.from_bus, first.to_bus, first.z_ohm, shunt), *rest)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda net: {"base_power_va": 0.0},
+         "base_power_va must be a finite positive number, not 0.0"),
+        (lambda net: {"base_power_va": -1e6},
+         "base_power_va must be a finite positive number, not -1000000.0"),
+        (lambda net: {"base_voltage_v": float("nan")},
+         "base_voltage_v must be a finite positive number, not nan"),
+        (lambda net: {"base_voltage_v": True},
+         "base_voltage_v must be a finite positive number, not True"),
+        (lambda net: {"branches": _with_shunt(net, [1e-4, 1e-4])},
+         "branch 1-2: shunt block is (1, 2), expected (1, 1)"),
+    ],
+    ids=["s-base-zero", "s-base-negative", "v-base-nan", "v-base-bool", "shunt-1x2"],
+)
+def test_validate_refuses_bad_bases_and_shunts(ieee4, change, message):
+    # a network built in code gets the checks that load_network applies
+    with pytest.raises(NetworkValidationError, match=re.escape(message)):
+        replace(ieee4, **change(ieee4))
 
 
 #: each constructor argument that names a bus, and what its error calls it

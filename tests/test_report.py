@@ -560,6 +560,18 @@ class TestEmission:
             "report_sigmaY_0.55pct.csv": {"11.0"},
         }
 
+    def test_numpy_integer_seed(self, tmp_path):
+        # the seed checks accept a numpy integer; report.json holds it as a number
+        texts = []
+        for seed in (np.int64(3), 3):
+            report = run_pipeline(small_cfg(seed=seed, n_mc=(5,)))
+            report.timings = dict.fromkeys(report.timings, 0.0)
+            out = tmp_path / type(seed).__name__
+            emit_report(report, ("csv", "json"), out)
+            texts.append((out / "report.json").read_bytes())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["meta"]["seed"] == 3
+
     def test_unknown_format(self, report, tmp_path):
         with pytest.raises(ConfigError, match="unknown report format"):
             emit_report(report, ("xml",), tmp_path)
