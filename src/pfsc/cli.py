@@ -25,8 +25,8 @@ from .loadflow import solve_load_flow
 from .montecarlo import MCConfig, run_monte_carlo
 from .network import build_admittance, load_network
 from .report import (
-    FORMATS, MODES, RunConfig, coefficient_columns, coefficient_positions, emit_report,
-    run_pipeline,
+    FORMATS, MODES, RunConfig, check_input_paths, coefficient_columns, coefficient_positions,
+    emit_report, run_pipeline,
 )
 from .uncertainty import AdmittanceUncertainty, it_class_to_polar, load_noise_config
 
@@ -104,6 +104,7 @@ def _write_table(table, out, fmt):
 
 
 def _cmd_solve(args):
+    check_input_paths(args.network)
     network = load_network(args.network)
     state = solve_load_flow(network, build_admittance(network))
     for flat, e in enumerate(state.voltages):
@@ -142,15 +143,15 @@ def _cmd_propagate(args):
 
 
 def _cmd_mc(args):
+    noise_config = _resolve_config(args.noise_config)
+    check_input_paths(args.network, noise_config)
     # the constructors check the level, trial count and seed before the load flow
     network = load_network(args.network)
     Y = build_admittance(network)
     cfg = MCConfig(
         n_trials=args.nmc,
         seed=args.seed,
-        polar=it_class_to_polar(
-            args.it_class, load_noise_config(_resolve_config(args.noise_config))
-        ),
+        polar=it_class_to_polar(args.it_class, load_noise_config(noise_config)),
         yu=AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct),
         store_trials=args.dump_trials is not None,
     )

@@ -130,7 +130,7 @@ def _perturb_branches(network, frac, noise):
     imaginary standard-normal draws of the branch's impedance entries.
     """
     p = network.phase_count
-    z = np.reshape([br.z_ohm for br in network.branches], (-1, p, p))
+    z = network.branch_table.z_ohm
     n = noise.reshape(len(noise), len(z), 2, p, p)
     z_k = z + (n[:, :, 0] * frac * np.abs(z) + 1j * (n[:, :, 1] * frac * np.abs(z)))
     return stamp_admittance(network, z_k)
@@ -389,7 +389,7 @@ def run_monte_carlo_sets(
     E0 = state.voltages
     m = E0.size
     if cfg.symmetry_mode == BRANCH_PARAMETER:
-        width = 2 * m + sum(2 * br.z_ohm.size for br in network.branches)
+        width = 2 * m + 2 * network.branch_table.z_ohm.size
     else:
         width = 2 * m + 2 * m * m
 

@@ -17,6 +17,13 @@ sensitivity system are the non-slack nodes in that order
 ``flat_index`` maps a (bus index, phase) pair to its flat index and
 ``node`` maps it back (``nonslack_nodes`` for every unknown); no other
 module computes a position itself.
+
+Branch table.  A ``NetworkModel`` also holds its branches as arrays, in
+branch order: the ``BranchTable`` of the flat index of each end, the
+series impedances ``(B, p, p)`` and the shunt susceptances ``(B, p, p)``,
+where a 1x1 shunt of a polyphase branch is ``b·I``.  It is built once,
+when the model is, and ``stamp_admittance`` and the branch-parameter
+Monte-Carlo mode read it instead of the ``Branch`` objects.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ class Branch:
         self.to_bus = _integer(to_bus, "branch to_bus")
         self.z_ohm = np.atleast_2d(np.asarray(z_ohm, dtype=complex))
         if shunt_b_s is None:
-            self.shunt_b_s = np.zeros_like(self.z_ohm, dtype=float)
+            self.shunt_b_s = np.zeros(self.z_ohm.shape)
         else:
             self.shunt_b_s = np.atleast_2d(np.asarray(shunt_b_s, dtype=float))
         if length_km is not None:
@@ -132,12 +139,54 @@ class Branch:
         return f"Branch({self.from_bus}->{self.to_bus}, z={self.z_ohm!r})"
 
 
+@dataclass(frozen=True)
+class BranchTable:
+    """The branches of a network as arrays, in branch order.
+
+    ``from_flat``/``to_flat`` (B,) are the flat indices of phase 0 at the
+    two ends, ``z_ohm`` (B, p, p) the series impedances and ``shunt_b_s``
+    (B, p, p) the total shunt susceptances; a 1x1 shunt of a polyphase
+    branch is per phase, ``b·I``.
+    """
+
+    from_flat: np.ndarray
+    to_flat: np.ndarray
+    z_ohm: np.ndarray
+    shunt_b_s: np.ndarray
+
+    @classmethod
+    def of(cls, branches, position, p):
+        """The table of ``branches``, whose ends are keys of ``position``
+        (bus index -> bus position) and whose impedances are p x p."""
+        def flat(buses):
+            return np.array([position[b] for b in buses], dtype=np.intp) * p
+
+        z_ohm = np.array([br.z_ohm for br in branches], dtype=complex).reshape(-1, p, p)
+        blocks = [br.shunt_b_s for br in branches]
+        sizes = [b.size for b in blocks]
+        full = [k for k, size in enumerate(sizes) if size == p * p]
+        one = [k for k, size in enumerate(sizes) if size != p * p]
+        shunt = np.zeros(z_ohm.shape)
+        if full:
+            shunt[full] = np.array([blocks[k] for k in full]).reshape(-1, p, p)
+        if one:
+            ph = np.arange(p)
+            shunt[np.array(one)[:, None], ph, ph] = np.array([blocks[k] for k in one])[:, 0]
+        return cls(
+            flat([br.from_bus for br in branches]),
+            flat([br.to_bus for br in branches]),
+            z_ohm,
+            shunt,
+        )
+
+
 @dataclass
 class NetworkModel:
     """A polyphase network with one slack bus and PQ buses elsewhere.
 
-    The bus -> position table is built once, at construction; change a
-    network with ``dataclasses.replace``, which builds a new one.
+    The bus -> position table and the ``branch_table`` are built once, at
+    construction; change a network with ``dataclasses.replace``, which
+    builds a new one.
     """
 
     buses: tuple[Bus, ...]
@@ -224,6 +273,8 @@ class NetworkModel:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        """Raise NetworkValidationError for the first fault found, else set
+        ``branch_table`` from the checked branches."""
         if self.phase_count not in (1, 3):
             raise NetworkValidationError(
                 f"phase_count must be 1 or 3, got {self.phase_count}"
@@ -248,23 +299,38 @@ class NetworkModel:
                 raise NetworkValidationError(
                     f"bus {bus.index}: injection needs {p} per-phase entries"
                 )
-        for br in self.branches:
-            if br.from_bus == br.to_bus:
-                raise NetworkValidationError(
-                    f"branch {br.from_bus}-{br.to_bus} connects a bus to itself"
-                )
-            if br.from_bus not in self._position or br.to_bus not in self._position:
-                raise NetworkValidationError(
-                    f"branch {br.from_bus}-{br.to_bus} references unknown bus"
-                )
-            if br.z_ohm.shape != (p, p):
-                raise NetworkValidationError(
-                    f"branch {br.from_bus}-{br.to_bus}: impedance block is "
-                    f"{br.z_ohm.shape}, expected ({p}, {p})"
-                )
-            _check_shunt(br.shunt_b_s, p, f"branch {br.from_bus}-{br.to_bus}",
-                         NetworkValidationError)
+        # a branch's values are checked for finiteness once its ends and
+        # shapes are: a fault in an earlier branch is reported first
+        checked, fault = self.branches, None
+        for pos, br in enumerate(self.branches):
+            fault = self._branch_fault(br)
+            if fault is not None:
+                checked = self.branches[:pos]
+                break
+        table = BranchTable.of(checked, self._position, p)
+        bad = _first_nonfinite(table.z_ohm, table.shunt_b_s)
+        if bad is not None:
+            br = checked[bad[0]]
+            what = ("series impedance", "shunt susceptance")[bad[1]]
+            raise NetworkValidationError(
+                f"branch {br.from_bus}-{br.to_bus}: {what} must be finite"
+            )
+        if fault is not None:
+            raise NetworkValidationError(fault)
         self._check_connected()
+        self.branch_table = table
+
+    def _branch_fault(self, br):
+        """The message of the first check that branch ``br`` fails, or None."""
+        p = self.phase_count
+        name = f"branch {br.from_bus}-{br.to_bus}"
+        if br.from_bus == br.to_bus:
+            return f"{name} connects a bus to itself"
+        if br.from_bus not in self._position or br.to_bus not in self._position:
+            return f"{name} references unknown bus"
+        if br.z_ohm.shape != (p, p):
+            return f"{name}: impedance block is {br.z_ohm.shape}, expected ({p}, {p})"
+        return _shunt_fault(br.shunt_b_s.shape, p, name)
 
     def _check_connected(self):
         adjacency = {i: set() for i in self._position}
@@ -301,8 +367,7 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
     susceptance is added at each end.  The one-matrix case of
     ``stamp_admittance``.
     """
-    p = network.phase_count
-    z_ohm = np.reshape([br.z_ohm for br in network.branches], (-1, p, p))
+    z_ohm = network.branch_table.z_ohm
     return AdmittanceMatrix(matrix=stamp_admittance(network, z_ohm))
 
 
@@ -313,6 +378,7 @@ def stamp_admittance(network: NetworkModel, z_ohm) -> np.ndarray:
     p = network.phase_count
     m = network.n_nodes
     branches = network.branches
+    table = network.branch_table
     z_pu = z_ohm / network.z_base_ohm
     degenerate = np.abs(np.linalg.det(z_pu)) < 1e-300
     if np.any(degenerate):
@@ -322,11 +388,8 @@ def stamp_admittance(network: NetworkModel, z_ohm) -> np.ndarray:
             f"series impedance matrix"
         )
     y = np.linalg.inv(z_pu)
-    shunts = np.array([np.broadcast_to(br.shunt_b_s, (p, p)) for br in branches])
-    shunts = shunts.reshape(-1, p, p)
-    ysh = 1j * shunts * network.z_base_ohm / 2.0
-    f = np.array([network.flat_index(br.from_bus) for br in branches], dtype=np.intp)
-    t = np.array([network.flat_index(br.to_bus) for br in branches], dtype=np.intp)
+    ysh = 1j * table.shunt_b_s * network.z_base_ohm / 2.0
+    f, t = table.from_flat, table.to_flat
     # blocks (f, f), (t, t), (f, t), (t, f) of each branch, branch by branch:
     # an entry shared by several branches sums them in branch order
     first = np.stack([f, t, f, t], axis=1)[:, :, None, None]
@@ -377,36 +440,108 @@ def _check_base(value, what, error):
         raise error(f"{what} must be a finite positive number, not {value!r}")
 
 
-def _check_shunt(shunt, p, what, error):
-    """Raise ``error`` naming ``what`` unless the shunt block is 1x1, which
-    ``stamp_admittance`` broadcasts to p x p, or p x p."""
-    if shunt.shape not in ((1, 1), (p, p)):
-        expected = "(1, 1)" if p == 1 else f"(1, 1) or ({p}, {p})"
-        raise error(f"{what}: shunt block is {shunt.shape}, expected {expected}")
+def _shunt_fault(shape, p, what):
+    """The message naming ``what`` unless a shunt block of ``shape`` is 1x1,
+    which is per phase (``b·I``), or p x p; None if it is."""
+    if shape in ((1, 1), (p, p)):
+        return None
+    expected = "(1, 1)" if p == 1 else f"(1, 1) or ({p}, {p})"
+    return f"{what}: shunt block is {shape}, expected {expected}"
 
 
-def _per_phase(value, p, what):
+def _first_nonfinite(*stacks):
+    """``(branch, stack)`` of the first branch with a non-finite entry in
+    one of ``stacks`` (each (B, p, p)), and the first such stack of it;
+    None if every entry is finite."""
+    bad = np.stack([~np.isfinite(s).all(axis=(1, 2)) for s in stacks], axis=1)
+    hits = np.flatnonzero(bad)
+    return divmod(int(hits[0]), len(stacks)) if hits.size else None
+
+
+def _per_phase(entry, key, p, what):
+    """The per-phase values of ``entry[key]``; zero on every phase if the
+    key is omitted."""
+    if key not in entry:
+        return (0.0,) * p
+    value = entry[key]
     if not isinstance(value, (list, tuple)):
         if p != 1:
-            raise NetworkParseError(f"{what}: scalar given but phases={p}")
+            raise NetworkParseError(f"{what} {key}: scalar given but phases={p}")
+        if isinstance(value, (int, float)):
+            return (float(value),)
         value = [value]
     if len(value) != p:
-        raise NetworkParseError(f"{what}: expected {p} entries, got {len(value)}")
-    return tuple(_numeric(v, float, what) for v in value)
+        raise NetworkParseError(f"{what} {key}: expected {p} entries, got {len(value)}")
+    return tuple(_numeric(v, float, f"{what} {key}") for v in value)
 
 
-def _impedance_block(entry, key_r, key_x, p, what):
-    r = entry.get(key_r)
-    x = entry.get(key_x)
+def _block(value, what):
+    """A branch matrix: a float if it is 1x1, else a 2-D float array."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    block = _numeric(value, _matrix, what)
+    return float(block[0, 0]) if block.shape == (1, 1) else block
+
+
+def _shape(block):
+    return (1, 1) if isinstance(block, float) else block.shape
+
+
+def _branch_fields(entry, p, what):
+    """``(from, to, r_ohm, x_ohm, shunt_b_s, length_km)`` of a branch entry,
+    with every check but finiteness made, in the order ``load_network``
+    makes them; each matrix as ``_block`` returns it."""
+    r = entry.get("r_ohm")
+    x = entry.get("x_ohm")
     if r is None or x is None:
-        raise NetworkParseError(f"{what}: missing {key_r}/{key_x}")
-    r = _numeric(r, _matrix, f"{what} {key_r}")
-    x = _numeric(x, _matrix, f"{what} {key_x}")
-    if r.shape != (p, p) or x.shape != (p, p):
+        raise NetworkParseError(f"{what}: missing r_ohm/x_ohm")
+    r = _block(r, f"{what} r_ohm")
+    x = _block(x, f"{what} x_ohm")
+    if _shape(r) != (p, p) or _shape(x) != (p, p):
         raise NetworkParseError(
-            f"{what}: impedance block is {r.shape}/{x.shape}, expected ({p}, {p})"
+            f"{what}: impedance block is {_shape(r)}/{_shape(x)}, expected ({p}, {p})"
         )
-    return r + 1j * x
+    shunt = entry.get("shunt_b_s")
+    if shunt is not None:
+        shunt = _block(shunt, f"{what} shunt_b_s")
+        fault = _shunt_fault(_shape(shunt), p, what)
+        if fault is not None:
+            raise NetworkParseError(fault)
+    length = entry.get("length_km")
+    if length is not None:
+        length = _numeric(length, float, f"{what} length_km")
+    from_bus = _integer(entry["from"], f"{what} from")
+    to_bus = _integer(entry["to"], f"{what} to")
+    return from_bus, to_bus, r, x, shunt, length
+
+
+def _branch_values(fields, p):
+    """The r_ohm, x_ohm and shunt_b_s stacks (B, p, p) of ``_branch_fields``
+    rows, in the order they are checked; an omitted shunt is zero."""
+    r = np.array([f[2] for f in fields], dtype=float).reshape(-1, p, p)
+    x = np.array([f[3] for f in fields], dtype=float).reshape(-1, p, p)
+    shunt = np.zeros(r.shape)
+    for k, f in enumerate(fields):
+        if f[4] is not None:
+            shunt[k] = f[4]
+    return {"r_ohm": r, "x_ohm": x, "shunt_b_s": shunt}
+
+
+def _refuse_nonfinite(path, values):
+    """NetworkParseError naming the first branch, and its first key, with a
+    non-finite entry in ``values`` (``_branch_values``)."""
+    bad = _first_nonfinite(*values.values())
+    if bad is not None:
+        pos, key = bad[0], list(values)[bad[1]]
+        block = values[key][pos]
+        value = float(block[~np.isfinite(block)][0])
+        raise NetworkParseError(
+            f"{path}: branches[{pos}] {key} must be finite, not {value!r}"
+        )
+
+
+#: the fields of a bus that gives its load and generation apart
+_SPLIT_KEYS = frozenset(("load_kw", "load_kvar", "gen_kw", "gen_kvar"))
 
 
 def _entries(raw, section, keys, path):
@@ -445,8 +580,11 @@ def load_network(path) -> NetworkModel:
 
     Powers are in kW/kVar per phase (scalars for ``phases: 1``, length-p
     lists otherwise); branch impedances in ohms (p x p nested lists for
-    ``phases: 3``); an optional branch ``shunt_b_s`` in siemens, a scalar
-    (1x1) or p x p.  Both bases are finite positive numbers.  Net
+    ``phases: 3``); an optional branch ``shunt_b_s`` in siemens, p x p or a
+    scalar (1x1), which is per phase: ``b·I``.  ``r_ohm``, ``x_ohm`` and
+    ``shunt_b_s`` are finite; a branch's values are checked for that after
+    its other checks, and the first branch in file order with a fault is
+    the one named.  Both bases are finite positive numbers.  Net
     injection = generation - load; generation positive.  Either the
     load/gen split or the net ``p_kw``/``q_kvar`` may be given per bus,
     not both; an omitted field is zero on every phase.  Bus indices,
@@ -483,7 +621,6 @@ def load_network(path) -> NetworkModel:
 
     buses = []
     slack_index = None
-    zeros = 0.0 if p == 1 else [0.0] * p  # an omitted power field, per phase
     for pos, entry in enumerate(_entries(raw, "buses", ("index",), path)):
         what = f"{path}: buses[{pos}]"
         idx = _integer(entry["index"], f"{what} index")
@@ -493,21 +630,18 @@ def load_network(path) -> NetworkModel:
             buses.append(Bus(index=idx, kind=SLACK))
             continue
         has_net = "p_kw" in entry or "q_kvar" in entry
-        has_split = any(
-            k in entry for k in ("load_kw", "load_kvar", "gen_kw", "gen_kvar")
-        )
-        if has_net and has_split:
+        if has_net and not _SPLIT_KEYS.isdisjoint(entry):
             raise NetworkParseError(
                 f"bus {idx}: give either p_kw/q_kvar or load/gen fields, not both"
             )
         if has_net:
-            p_kw = _per_phase(entry.get("p_kw", zeros), p, f"{what} p_kw")
-            q_kvar = _per_phase(entry.get("q_kvar", zeros), p, f"{what} q_kvar")
+            p_kw = _per_phase(entry, "p_kw", p, what)
+            q_kvar = _per_phase(entry, "q_kvar", p, what)
         else:
-            load_p = _per_phase(entry.get("load_kw", zeros), p, f"{what} load_kw")
-            load_q = _per_phase(entry.get("load_kvar", zeros), p, f"{what} load_kvar")
-            gen_p = _per_phase(entry.get("gen_kw", zeros), p, f"{what} gen_kw")
-            gen_q = _per_phase(entry.get("gen_kvar", zeros), p, f"{what} gen_kvar")
+            load_p = _per_phase(entry, "load_kw", p, what)
+            load_q = _per_phase(entry, "load_kvar", p, what)
+            gen_p = _per_phase(entry, "gen_kw", p, what)
+            gen_q = _per_phase(entry, "gen_kvar", p, what)
             p_kw = tuple(g - l for g, l in zip(gen_p, load_p))
             q_kvar = tuple(g - l for g, l in zip(gen_q, load_q))
         buses.append(Bus(index=idx, kind=PQ, p_kw=p_kw, q_kvar=q_kvar))
@@ -515,26 +649,22 @@ def load_network(path) -> NetworkModel:
     if slack_index is None:
         raise NetworkValidationError("exactly one slack bus required, found 0")
 
-    branches = []
-    for pos, entry in enumerate(_entries(raw, "branches", ("from", "to"), path)):
-        what = f"{path}: branches[{pos}]"
-        z = _impedance_block(entry, "r_ohm", "x_ohm", p, what)
-        shunt = entry.get("shunt_b_s")
-        if shunt is not None:
-            shunt = _numeric(shunt, _matrix, f"{what} shunt_b_s")
-            _check_shunt(shunt, p, what, NetworkParseError)
-        length = entry.get("length_km")
-        if length is not None:
-            length = _numeric(length, float, f"{what} length_km")
-        branches.append(
-            Branch(
-                from_bus=_integer(entry["from"], f"{what} from"),
-                to_bus=_integer(entry["to"], f"{what} to"),
-                z_ohm=z,
-                shunt_b_s=shunt,
-                length_km=length,
-            )
-        )
+    entries = _entries(raw, "branches", ("from", "to"), path)
+    fields = []
+    try:
+        for pos, entry in enumerate(entries):
+            fields.append(_branch_fields(entry, p, f"{path}: branches[{pos}]"))
+    except NetworkParseError:
+        # a non-finite value of an earlier branch is the first fault
+        _refuse_nonfinite(path, _branch_values(fields, p))
+        raise
+    values = _branch_values(fields, p)
+    _refuse_nonfinite(path, values)
+    z_ohm = values["r_ohm"] + 1j * values["x_ohm"]
+    branches = [
+        Branch(from_bus, to_bus, z, shunt, length)
+        for (from_bus, to_bus, _, _, shunt, length), z in zip(fields, z_ohm)
+    ]
 
     return NetworkModel(
         buses=tuple(buses),

@@ -73,14 +73,7 @@ class RunConfig:
         for n in self.n_mc:
             check_trials(n)
         check_seed(self.seed)
-        paths = (("network file", self.network), ("noise config", self.noise_config))
-        for what, path in paths:
-            if path is None:
-                continue
-            if not Path(path).exists():
-                raise ConfigError(f"{what} not found: {path}")
-            if Path(path).is_dir():
-                raise ConfigError(f"{what} is a directory: {path}")
+        check_input_paths(self.network, self.noise_config)
         if self.out_dir is not None:
             out = Path(self.out_dir)
             # the nearest path that exists must be a directory: out_dir itself,
@@ -89,6 +82,18 @@ class RunConfig:
             if not held.is_dir():
                 where = "is" if held == out else "lies under"
                 raise ConfigError(f"output directory {where} a file: {held}")
+
+
+def check_input_paths(network, noise_config=None):
+    """Raise ConfigError unless the network file, and the noise config when
+    one is given, exist and are not directories."""
+    for what, path in (("network file", network), ("noise config", noise_config)):
+        if path is None:
+            continue
+        if not Path(path).exists():
+            raise ConfigError(f"{what} not found: {path}")
+        if Path(path).is_dir():
+            raise ConfigError(f"{what} is a directory: {path}")
 
 
 def _check_outputs(formats, levels):
@@ -194,11 +199,11 @@ def coefficient_positions(network, coefficients=None):
     nodes = network.nonslack_nodes()
     dim = 2 * len(nodes)
     if coefficients is None:
-        return np.nonzero(np.ones((dim, dim), dtype=bool))
+        return np.divmod(np.arange(dim * dim), dim)
     nodes_of = {}
     for k, (bus, _) in enumerate(nodes):
         nodes_of.setdefault(bus, []).append(k)
-    keep = np.zeros((dim, dim), dtype=bool)
+    flat = []  # r * dim + c of each selected position
     for entry in coefficients:
         bus_i, bus_l, part, wrt = _filter_fields(entry)
         r = c = ()
@@ -214,8 +219,9 @@ def coefficient_positions(network, coefficients=None):
                 f"buses must be non-slack buses of the network, part one "
                 f"of {PARTS}, wrt one of {INJECTIONS}"
             )
-        keep[np.ix_(r, c)] = True
-    return np.nonzero(keep)
+        flat += [i * dim + j for i in r for j in c]
+    # sorted and deduplicated: row-major, each position once
+    return np.divmod(np.unique(np.array(flat, dtype=np.intp)), dim)
 
 
 def coefficient_columns(nodes, rows, cols):

@@ -5,8 +5,9 @@ not at all): a trial's random stream built one trial at a time, the
 hand-derived channel form of var(H), the literal loop forms of the
 inverse variance, single cross terms of cov(H^-1), the coefficient
 variance for any z, the magnitude derivative, the refuted repeated-sign
-projection, the QQ normality check, and the nested-loop enumeration and
-spelled-out labels of the report's coefficients.  Tests import them as
+projection, the QQ normality check, the nested-loop enumeration and
+spelled-out labels of the report's coefficients, and their positions
+read off a ``dim x dim`` mask.  Tests import them as
 they import ``conftest`` helpers.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from pfsc.coefficients import P, SensitivityProblem
+from pfsc.coefficients import INJECTIONS, PARTS, P, SensitivityProblem
 from pfsc.loadflow import GridState
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import CoefficientKey
@@ -253,6 +254,21 @@ def brute_force_keys(problem, coefficients=None):
                     rows.append(problem.row(bus_i, ph_i, part))
                     cols.append(problem.column(bus_l, ph_l, wrt))
     return keys, rows, cols
+
+
+def positions_by_mask(network, coefficients=None):
+    """``report.coefficient_positions`` of well-formed filter entries, as
+    the ``np.nonzero`` of a ``dim x dim`` mask that each entry sets."""
+    nodes = network.nonslack_nodes()
+    dim = 2 * len(nodes)
+    keep = np.zeros((dim, dim), dtype=bool)
+    if coefficients is None:
+        keep[:] = True
+    for bus_i, bus_l, part, wrt in coefficients or ():
+        r = [2 * k + PARTS.index(part) for k, (bus, _) in enumerate(nodes) if bus == bus_i]
+        c = [2 * k + INJECTIONS.index(wrt) for k, (bus, _) in enumerate(nodes) if bus == bus_l]
+        keep[np.ix_(r, c)] = True
+    return np.nonzero(keep)
 
 
 def coefficient_label(key, phase_count=1):

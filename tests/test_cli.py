@@ -67,6 +67,49 @@ def test_directory_path_is_config_error(capsys, tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+_TABLE_ARGS = {
+    "solve": (),
+    "pfsc": (),
+    "propagate": (),
+    "mc": ("--nmc", "5"),
+    "report": ("--out", "{out}"),
+}
+
+
+@pytest.mark.parametrize("command", _TABLE_ARGS)
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("{missing}", "network file not found: {missing}"),
+        ("{dir}", "network file is a directory: {dir}"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_bad_network_path_reads_alike_on_every_subcommand(
+    capsys, tmp_path, command, path, message
+):
+    # solve and mc used to print the operating system's own text
+    names = {"missing": tmp_path / "no-such.yaml", "dir": tmp_path, "out": tmp_path / "out"}
+    argv = [command, "--network", path, *_TABLE_ARGS[command]]
+    code, out, err = run(capsys, *[a.format(**names) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc {command}: {message.format(**names)}\n"
+    assert not names["out"].exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "mc", "report"])
+def test_missing_noise_config_reads_alike(capsys, tmp_path, command, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_DIR_ENV, raising=False)
+    missing = tmp_path / "no-such-noise.yaml"
+    argv = [command, "--network", NETWORK, "--noise-config", str(missing)]
+    argv += [a.format(out=tmp_path / "out") for a in _TABLE_ARGS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc {command}: noise config not found: {missing}\n"
+
+
 def test_report_unknown_format_before_any_work(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_pipeline", lambda cfg: pytest.fail("pipeline ran"))
     out = tmp_path / "out"
@@ -365,10 +408,18 @@ _NET_BUSES = "buses: [{index: 1, kind: slack}, {index: 2}]\n"
          "bases s_base_va must be a finite positive number, not -1000000.0"),
         ("phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 0}\n" + _NET_BUSES + _NET_TAIL,
          "bases v_base_v must be a finite positive number, not 0.0"),
+        # a non-finite impedance used to reach the load flow, warn from
+        # numpy and fail there as a singular Jacobian
+        (_NET_HEAD + _NET_BUSES + "branches: [{from: 1, to: 2, r_ohm: .nan, x_ohm: 0.2}]\n",
+         "branches[0] r_ohm must be finite, not nan"),
+        (_NET_HEAD + _NET_BUSES
+         + "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, shunt_b_s: .inf}]\n",
+         "branches[0] shunt_b_s must be finite, not inf"),
     ],
     ids=["index", "p_kw", "yaml-syntax", "non-integral-index", "shunt-shape",
-         "s-base-zero", "s-base-negative", "v-base-zero"],
+         "s-base-zero", "s-base-negative", "v-base-zero", "r-nan", "shunt-inf"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_network_is_one_line(capsys, tmp_path, text, message):
     net = tmp_path / "net.yaml"
     net.write_text(text)

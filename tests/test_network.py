@@ -31,7 +31,10 @@ def _admittance_per_branch(network):
     Y = np.zeros((m, m), dtype=complex)
     for br in network.branches:
         y = np.linalg.inv(br.z_ohm / network.z_base_ohm)
-        ysh = 1j * br.shunt_b_s * network.z_base_ohm / 2.0
+        shunt = br.shunt_b_s
+        if shunt.shape != (p, p):  # a 1x1 shunt is per phase: b·I
+            shunt = np.diag(np.repeat(shunt[0, 0], p))
+        ysh = 1j * shunt * network.z_base_ohm / 2.0
         f = network.flat_index(br.from_bus)
         t = network.flat_index(br.to_bus)
         Y[f : f + p, f : f + p] += y + ysh
@@ -108,13 +111,17 @@ class TestBuildAdmittance:
         )
 
 
-    @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random40"])
-    def test_batched_equals_per_branch_loop(self, ieee4, which):
-        net = {
-            "ieee4": ieee4,
-            "three-phase": make_three_phase_balanced(),
-            "random40": make_random_network(40, 2, radial=False),
-        }[which]
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random40", "feeder300-file"])
+    def test_batched_equals_per_branch_loop(self, ieee4, which, tmp_path):
+        if which == "feeder300-file":  # branches read from the emitted file
+            emit_network(make_feeder(300, 1), tmp_path / "feeder.yaml")
+            net = load_network(tmp_path / "feeder.yaml")
+        else:
+            net = {
+                "ieee4": ieee4,
+                "three-phase": make_three_phase_balanced(),
+                "random40": make_random_network(40, 2, radial=False),
+            }[which]
         if which == "three-phase":  # shunts on shared nodes, in branch order
             net = replace(net, branches=tuple(
                 Branch(br.from_bus, br.to_bus, br.z_ohm, 1e-4 * (k + 1) * np.eye(3))
@@ -122,6 +129,32 @@ class TestBuildAdmittance:
             ))
         Y = pfsc.build_admittance(net).matrix
         assert Y.tobytes() == _admittance_per_branch(net).tobytes()
+
+    def test_replaced_branches_are_stamped(self, ieee4):
+        halved = tuple(Branch(br.from_bus, br.to_bus, br.z_ohm / 2) for br in ieee4.branches)
+        net = replace(ieee4, branches=halved)
+        Y = pfsc.build_admittance(net).matrix
+        assert Y.tobytes() == _admittance_per_branch(net).tobytes()
+        np.testing.assert_allclose(Y, 2 * pfsc.build_admittance(ieee4).matrix, rtol=1e-14)
+
+    def test_scalar_shunt_is_per_phase(self, tmp_path):
+        # a scalar shunt on a polyphase branch is b·I, not b on every entry
+        b = 1e-4
+        path = tmp_path / "net.yaml"
+        path.write_text(TestLoadNetwork._THREE_PHASE % b)
+        net = load_network(path)
+        Y = pfsc.build_admittance(net).matrix
+        series = pfsc.build_admittance(replace(net, branches=(
+            Branch(1, 2, net.branches[0].z_ohm),
+        ))).matrix
+        for bus in (1, 2):
+            f = net.flat_index(bus)
+            block = Y[f : f + 3, f : f + 3] - series[f : f + 3, f : f + 3]
+            assert Y[f, f + 1] == 0 and Y[f + 1, f + 2] == 0
+            # the difference cancels the series admittance: a few ulps of it
+            np.testing.assert_allclose(
+                block, 1j * b * net.z_base_ohm / 2 * np.eye(3), rtol=1e-9, atol=0
+            )
 
     def test_degenerate_branch_named_in_branch_order(self):
         net = make_random_network(6, 1)
@@ -231,6 +264,81 @@ branches:
         assert branch.shunt_b_s.shape in ((1, 1), (3, 3))
         Y = pfsc.build_admittance(net).matrix
         assert Y.tobytes() == _admittance_per_branch(net).tobytes()
+
+    def test_impedance_spellings_load_alike(self, tmp_path):
+        # a plain number, [x], [[x]], the string YAML 1.1 leaves 1e-05 and
+        # an int: each loads to the block the general path gives
+        spellings = ["0.01", "[0.02]", "[[0.03]]", "1e-05", "2"]
+        values = [0.01, [0.02], [[0.03]], "1e-05", 2]
+        branches = ", ".join(
+            f"{{from: {k + 1}, to: {k + 2}, r_ohm: {s}, x_ohm: {s}}}"
+            for k, s in enumerate(spellings)
+        )
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            "buses: [{index: 1, kind: slack}, "
+            + ", ".join(f"{{index: {k}}}" for k in range(2, 7)) + "]\n"
+            f"branches: [{branches}]\n"
+        )
+        net = load_network(path)
+        for br, value in zip(net.branches, values):
+            block = np.atleast_2d(np.asarray(value, dtype=float))
+            expected = block + 1j * block
+            assert br.z_ohm.shape == (1, 1)
+            assert br.z_ohm.tobytes() == expected.tobytes()
+        Y = pfsc.build_admittance(net).matrix
+        assert Y.tobytes() == _admittance_per_branch(net).tobytes()
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("key", ["r_ohm", "x_ohm", "shunt_b_s"])
+    def test_nonfinite_branch_value_refused(self, tmp_path, key, value):
+        entry = {"r_ohm": "0.1", "x_ohm": "0.2", "shunt_b_s": "1e-4", key: value}
+        fields = ", ".join(f"{k}: {v}" for k, v in entry.items())
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            "buses: [{index: 1, kind: slack}, {index: 2}, {index: 3}]\n"
+            f"branches: [{{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}}, {{from: 2, to: 3, {fields}}}]\n"
+        )
+        shown = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
+        with pytest.raises(
+            NetworkParseError,
+            match=re.escape(f"{path}: branches[1] {key} must be finite, not {shown}"),
+        ):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "branches, message",
+        [
+            # the non-finite branch comes first
+            ("[{from: 1, to: 2, r_ohm: 0.1, x_ohm: .nan},"
+             " {from: 2, to: 3, r_ohm: [0.1, 0.2], x_ohm: 0.2}]",
+             "branches[0] x_ohm must be finite, not nan"),
+            ("[{from: 1, to: 2, r_ohm: 0.1, x_ohm: .nan}, {from: 2, to: 3, r_ohm: 0.1}]",
+             "branches[0] x_ohm must be finite, not nan"),
+            # the malformed branch comes first
+            ("[{from: 1, to: 2, r_ohm: [0.1, 0.2], x_ohm: 0.2},"
+             " {from: 2, to: 3, r_ohm: .nan, x_ohm: 0.2}]",
+             "branches[0]: impedance block is (1, 2)/(1, 1), expected (1, 1)"),
+            # on one branch, the checks of its shape and ends come first
+            ("[{from: 1, to: 2, r_ohm: .inf, x_ohm: 0.2, shunt_b_s: [1, 2]}]",
+             "branches[0]: shunt block is (1, 2), expected (1, 1)"),
+            ("[{from: 1, to: 2, r_ohm: 0.1, x_ohm: .inf, shunt_b_s: .nan}]",
+             "branches[0] x_ohm must be finite, not inf"),
+        ],
+        ids=["nonfinite-then-shape", "nonfinite-then-missing", "shape-then-nonfinite",
+             "shunt-shape-before-nonfinite", "x-before-shunt"],
+    )
+    def test_first_bad_branch_in_file_order(self, tmp_path, branches, message):
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            "buses: [{index: 1, kind: slack}, {index: 2}, {index: 3}]\n"
+            f"branches: {branches}\n"
+        )
+        with pytest.raises(NetworkParseError, match=re.escape(f"{path}: {message}")):
+            load_network(path)
 
     @pytest.mark.parametrize(
         "buses, branches, message",
@@ -506,8 +614,20 @@ def _with_shunt(net, shunt):
          "base_voltage_v must be a finite positive number, not True"),
         (lambda net: {"branches": _with_shunt(net, [1e-4, 1e-4])},
          "branch 1-2: shunt block is (1, 2), expected (1, 1)"),
+        (lambda net: {"branches": _with_shunt(net, float("inf"))},
+         "branch 1-2: shunt susceptance must be finite"),
+        (lambda net: {"branches": (Branch(1, 2, complex(float("nan"), 0.1)), *net.branches[1:])},
+         "branch 1-2: series impedance must be finite"),
+        # the first bad branch is named, whatever its fault
+        (lambda net: {"branches": (*net.branches[:2], Branch(3, 3, 0.1j),
+                                   Branch(3, 4, complex(0.1, float("inf"))))},
+         "branch 3-3 connects a bus to itself"),
+        (lambda net: {"branches": (*net.branches[:2], Branch(3, 4, complex(0.1, float("inf"))),
+                                   Branch(3, 3, 0.1j))},
+         "branch 3-4: series impedance must be finite"),
     ],
-    ids=["s-base-zero", "s-base-negative", "v-base-nan", "v-base-bool", "shunt-1x2"],
+    ids=["s-base-zero", "s-base-negative", "v-base-nan", "v-base-bool", "shunt-1x2",
+         "shunt-inf", "impedance-nan", "self-loop-first", "nonfinite-first"],
 )
 def test_validate_refuses_bad_bases_and_shunts(ieee4, change, message):
     # a network built in code gets the checks that load_network applies

@@ -25,7 +25,7 @@ from pfsc.report import (
 from pfsc.coefficients import INJECTIONS, PARTS
 
 from conftest import make_random_network, make_three_phase_balanced
-from oracles import brute_force_keys, coefficient_label
+from oracles import brute_force_keys, coefficient_label, positions_by_mask
 
 NETWORK = pfsc.bundled_network_path("ieee4_balanced")
 
@@ -144,6 +144,29 @@ class TestCoefficientKeys:
         assert _report_at(net, rows, cols).keys == ref_keys
         assert rows.tolist() == ref_rows
         assert cols.tolist() == ref_cols
+
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random12"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_positions_match_mask_reference(self, ieee4, which, seed):
+        net = {
+            "ieee4": ieee4,
+            "three-phase": make_three_phase_balanced(),
+            "random12": make_random_network(12, 5, radial=False),
+        }[which]
+        buses = [bus for bus, _ in net.nonslack_nodes()]
+        rng = np.random.default_rng(seed)
+        # random entries, drawn with replacement: duplicates included
+        entries = [
+            (int(rng.choice(buses)), int(rng.choice(buses)),
+             str(rng.choice(PARTS)), str(rng.choice(INJECTIONS)))
+            for _ in range(rng.integers(1, 3 * len(buses)))
+        ]
+        for coefficients in (None, (), tuple(entries), tuple(entries + entries[:2])):
+            rows, cols = coefficient_positions(net, coefficients)
+            ref_rows, ref_cols = positions_by_mask(net, coefficients)
+            assert rows.dtype == ref_rows.dtype and cols.dtype == ref_cols.dtype
+            assert rows.tolist() == ref_rows.tolist()
+            assert cols.tolist() == ref_cols.tolist()
 
     @pytest.mark.parametrize("three_phase", [False, True])
     def test_keys_and_labels_match_brute_force(self, ieee4, three_phase):
