@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LoadFlowError, PfscError, SingularSystemError
+from .errors import ConfigError, LoadFlowError, PfscError, SingularSystemError
 from .loadflow import solve_load_flow
 from .montecarlo import MCConfig, run_monte_carlo
 from .network import build_admittance, load_network
@@ -50,6 +50,24 @@ def _resolve_config(path):
     if base and (Path(base) / path).exists():
         return str(Path(base) / path)
     return path
+
+
+def _check_output_files(*paths):
+    """Raise ConfigError unless each output file can be written where it
+    is named: it is not a directory, and its directory exists.  None or an
+    empty path names no file."""
+    for path in paths:
+        if not path:
+            continue
+        out = Path(path)
+        if out.is_dir():
+            raise ConfigError(f"output file is a directory: {out}")
+        # the nearest path that exists must be its directory
+        held = next(p for p in out.parents if p.exists())
+        if not held.is_dir():
+            raise ConfigError(f"output file lies under a file: {held}")
+        if held != out.parent:
+            raise ConfigError(f"output directory not found: {out.parent}")
 
 
 def _coeff_table(nodes, rows, cols, values, name):
@@ -121,7 +139,9 @@ def _cmd_solve(args):
 
 
 def _cmd_pfsc(args):
-    report = run_pipeline(RunConfig(network=args.network, sigma_y_pct=()))
+    cfg = RunConfig(network=args.network, sigma_y_pct=())
+    _check_output_files(args.out)
+    report = run_pipeline(cfg)
     table = _coeff_table(report.nodes, report.rows, report.cols, report.nominal, "value")
     _write_table(table, args.out, args.format)
     return 0
@@ -135,6 +155,7 @@ def _cmd_propagate(args):
         sigma_y_pct=(args.sigma_y_pct,),
         it_class=args.it_class,
     )
+    _check_output_files(args.out)
     report = run_pipeline(cfg)
     sigma = report.analytical[args.sigma_y_pct]
     table = _coeff_table(report.nodes, report.rows, report.cols, sigma, "sigma")
@@ -145,6 +166,7 @@ def _cmd_propagate(args):
 def _cmd_mc(args):
     noise_config = _resolve_config(args.noise_config)
     check_input_paths(args.network, noise_config)
+    _check_output_files(args.out, args.dump_trials)
     # the constructors check the level, trial count and seed before the load flow
     network = load_network(args.network)
     Y = build_admittance(network)

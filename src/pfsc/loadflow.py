@@ -28,11 +28,15 @@ H is real-bilinear in (E, Y), so its derivative with respect to each
 real input is exact and sparse: ``jacobian_derivative`` lays it out once
 per point as a table of signed terms (``JacobianDerivative``), which the
 analytical uncertainty propagation squares and weights by the input
-variances.
+variances.  The result lives on H's structural pattern, as a
+``PatternArray``: CSC arrays held by numpy alone, since at a few buses
+building and multiplying a scipy sparse matrix costs more than the whole
+propagation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +112,52 @@ def structural_nonzero(Ym):
 
 
 @dataclass(frozen=True, eq=False)
+class PatternArray:
+    """A dense-shaped array stored on a sparsity pattern, in CSC form.
+
+    Column j holds ``data[indptr[j]:indptr[j + 1]]`` at the rows
+    ``indices[indptr[j]:indptr[j + 1]]``, sorted; every other entry is
+    zero.  The pattern may store explicit zeros, and every column holds at
+    least one entry.  Numpy arrays only: this is the per-level currency of
+    the analytical chain.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_dense(cls, a):
+        """Every entry of the 2-D array ``a`` stored, zeros included."""
+        rows, cols = a.shape
+        return cls(
+            np.ravel(a, order="F"),
+            np.tile(np.arange(rows), cols),
+            np.arange(cols + 1) * rows,
+            a.shape,
+        )
+
+    def toarray(self):
+        """The dense array."""
+        out = np.zeros(self.shape)
+        out[self.indices, np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))] = self.data
+        return out
+
+    def premultiply(self, a):
+        """``a @ self`` as a dense array, for a 2-D ``a``.
+
+        Column j of the product sums the columns ``a[:, indices]`` of the
+        entries stored in column j, each scaled by its value: one gather,
+        one scaling in place and one segment sum, and nothing of the size
+        of ``self`` dense.
+        """
+        terms = a.take(self.indices, axis=1)
+        terms *= self.data
+        return np.add.reduceat(terms, self.indptr[:-1], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class JacobianDerivative:
     """dH/d(input) of ``jacobian`` at one point, as groups of signed terms.
 
@@ -129,14 +179,32 @@ class JacobianDerivative:
     input: np.ndarray  # (4, G)
     coefficient: np.ndarray  # (4, 4, G): entry, input, group
 
+    @functools.cached_property
+    def pattern(self):
+        """H's structural pattern in CSC form, worked out once per operator:
+        ``(slot, indices, indptr)``, with ``slot`` (4, G) the data offset
+        of each term's entry.  The pattern is every entry that a term
+        lands on, and the 2x2 diagonal blocks."""
+        dim = self.dim
+        block = np.array([[0], [1], [dim], [dim + 1]])  # entry within a 2x2 block
+        diagonal = block + np.arange(dim // 2) * (2 * dim + 2)
+        row, col = np.divmod(np.concatenate([self.position.ravel(), diagonal.ravel()]), dim)
+        keys, slot = np.unique(col * dim + row, return_inverse=True)  # column-major
+        indptr = np.zeros(dim + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // dim, minlength=dim), out=indptr[1:])
+        return slot[: self.position.size].reshape(self.position.shape), keys % dim, indptr
+
     def squared_product(self, values):
-        """(J o J) @ values, as a dense (dim, dim) array: entry p sums
-        coefficient^2 * values[input] over the terms at p."""
+        """(J o J) @ values on H's structural pattern, as a
+        ``PatternArray``: entry p sums coefficient^2 * values[input] over
+        the terms at p.  Each entry receives its terms in the order of the
+        dense (dim, dim) bincount over flat positions, so every stored
+        value is bitwise that dense entry; entries off the pattern are
+        zero."""
+        slot, indices, indptr = self.pattern
         per_entry = (self.coefficient**2 * values[self.input]).sum(axis=1)
-        flat = np.bincount(
-            self.position.ravel(), weights=per_entry.ravel(), minlength=self.dim**2
-        )
-        return flat.reshape(self.dim, self.dim)
+        data = np.bincount(slot.ravel(), weights=per_entry.ravel(), minlength=len(indices))
+        return PatternArray(data, indices, indptr, (self.dim, self.dim))
 
 
 def jacobian_derivative(Ym, E, nonslack, linked=None):

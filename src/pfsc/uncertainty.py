@@ -2,8 +2,10 @@
 
 Chain: polar measurement noise -> Cartesian voltage stds -> per-entry
 variances of H -> per-entry variances of H^-1 -> per-coefficient stds.
-The three variance stages (propagate_to_H, inverse_self_variance,
-coefficient_variance) each take and return plain arrays.
+The three variance stages are propagate_to_H, inverse_self_variance and
+coefficient_variance.  var(H) passes between the first two on H's
+structural pattern (``loadflow.PatternArray``, CSC arrays); every other
+stage takes and returns plain dense arrays.
 
 A solve that holds only rows R and columns C of x (see
 ``solve_coefficients``) takes the restricted form of the same formula,
@@ -11,7 +13,10 @@ A solve that holds only rows R and columns C of x (see
     var(x)[R, C] = ((H^-1[R, :])o2 var(H)) (H^-1[:, C])o2 * s[C]^2,
 
 with o2 the entrywise square and s the signs of z; the full table is
-R = C = every row, with H^-1 on both sides.
+R = C = every row, with H^-1 on both sides.  The left product gathers
+the columns of (H^-1[R, :])o2 at the row indices of var(H)'s stored
+entries and sums them per column of var(H): it is |R| x dim, and no
+dim x dim variance is formed.
 
 var(H) = (J o J) var(inputs) is the first-order law of the GUM (JCGM
 100:2008, 5.1), with J = dH/d(input) the exact derivative of the
@@ -19,9 +24,10 @@ bilinear H with respect to Re and Im of each voltage and of each
 admittance entry (``loadflow.JacobianDerivative``), at the point (Y, E)
 the ``SensitivityProblem`` holds.  J is derived once per problem (its
 ``dH``), so each noise level costs one gather of the input variances and
-one product with J o J.  var(H) is
-nonzero only on H's structural pattern (the node pairs where Y or its
-noise is nonzero, and the 2x2 diagonal blocks) and is returned dense.
+one product with J o J.  var(H) is nonzero only on H's structural
+pattern (the node pairs where Y or its noise is nonzero, and the 2x2
+diagonal blocks), and it is returned there: J lays out that pattern once,
+and the product bins each term straight into its stored entry.
 
 Variances (not stds) are the internal currency; only analytical_sigma,
 the end-to-end call, returns stds.  All cross-covariances between
@@ -43,7 +49,7 @@ import numpy as np
 
 from .coefficients import SensitivityProblem
 from .errors import ConfigError
-from .loadflow import GridState, jacobian_derivative, structural_nonzero
+from .loadflow import GridState, PatternArray, jacobian_derivative, structural_nonzero
 from .network import AdmittanceMatrix, read_yaml
 
 
@@ -101,9 +107,17 @@ class AdmittanceUncertainty:
     level_pct: float | None = None  # set when built via from_relative
 
     def __post_init__(self):
-        for sigma in (self.sigma_re, self.sigma_im):
+        for sigma in self.distinct_stds:
             if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
                 raise ConfigError("admittance stds must be finite and nonnegative")
+
+    @property
+    def distinct_stds(self):
+        """The std arrays, each once: ``from_relative`` shares one array
+        between both parts, and a check of it need not scan it twice."""
+        if self.sigma_im is self.sigma_re:
+            return (self.sigma_re,)
+        return (self.sigma_re, self.sigma_im)
 
     @classmethod
     def from_relative(cls, Y: AdmittanceMatrix, level_pct: float):
@@ -233,17 +247,20 @@ def propagate_to_H(
     problem: SensitivityProblem,
     yu: AdmittanceUncertainty,
     en: CartesianNoiseSpec,
-) -> np.ndarray:
-    """Dense per-entry variance of H at the problem's point: (J o J) var(inputs).
+) -> PatternArray:
+    """Per-entry variance of H at the problem's point, (J o J) var(inputs),
+    on H's structural pattern.
 
     J = dH/d(input) (``loadflow.JacobianDerivative``) holds the exact
     derivative of each H entry with respect to each independent real
     input: Re and Im of every voltage, and of every admittance entry of a
     non-slack row where Y or its noise is nonzero.  This is the first-order
     law var(H_p) = sum_v J_pv^2 var(v) (GUM, JCGM 100:2008, 5.1); the
-    var(a)var(b) term of each bilinear product is left out.  Entries off
-    H's structural pattern (those node pairs, and the 2x2 diagonal blocks)
-    are exactly zero.
+    var(a)var(b) term of each bilinear product is left out.  The result
+    stores H's structural pattern (those node pairs, and the 2x2 diagonal
+    blocks) in CSC form (``loadflow.PatternArray``), and every stored
+    value is bitwise the entry of the dense (J o J) product; entries off
+    the pattern are exactly zero.  ``toarray()`` gives the dense array.
 
     J is derived once per problem (``SensitivityProblem.dH``) and reused
     while the admittance noise lies on Y's pattern; otherwise it is derived
@@ -269,7 +286,7 @@ def _cached_derivative(problem, yu):
     is one of its inputs; else None."""
     dH = problem.dH
     slack = problem.network.slack_flat_indices()
-    for sigma in (yu.sigma_re, yu.sigma_im):
+    for sigma in yu.distinct_stds:
         # counting a bool mask is the fast count over the whole matrix
         in_rows = np.count_nonzero(sigma != 0) - np.count_nonzero(sigma[slack])
         if in_rows != np.count_nonzero(sigma.take(dH.pairs)):
@@ -281,22 +298,31 @@ def _cached_derivative(problem, yu):
 
 
 def inverse_self_variance(
-    H_inv: np.ndarray, var_H: np.ndarray, H_inv_cols: np.ndarray | None = None
+    H_inv: np.ndarray,
+    var_H: PatternArray | np.ndarray,
+    H_inv_cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-entry variance of H^-1: (H^-1 o H^-1) var(H) (H^-1 o H^-1).
 
     ``o`` is the entrywise square.  ``H_inv`` may be a block of
     rows H^-1[R, :] and ``H_inv_cols`` a block of columns H^-1[:, C]; the
     result is then the block var(H^-1)[R, C].  ``H_inv_cols`` None (or the
-    same array as ``H_inv``) is the full H^-1 on both sides.  The full
-    cross-covariance of H^-1 would be (2n)^2 x (2n)^2 and is never
-    materialized.
+    same array as ``H_inv``) is the full H^-1 on both sides.
+
+    ``var_H`` is the ``PatternArray`` that ``propagate_to_H`` returns, or a
+    dense array, which is stored whole in that form.  The left product
+    (H^-1[R, :])o2 var(H) gathers columns of the squared rows at the
+    stored entries (``PatternArray.premultiply``), so it is |R| x dim, and
+    the dense product with (H^-1[:, C])o2 follows.  Neither a dense var(H)
+    nor the (2n)^2 x (2n)^2 cross-covariance of H^-1 is materialized.
     """
+    if isinstance(var_H, np.ndarray):
+        var_H = PatternArray.from_dense(var_H)
     sq = H_inv**2
     sq_cols = sq if H_inv_cols is None or H_inv_cols is H_inv else H_inv_cols**2
     if sq.shape[1:] != var_H.shape[:1] or var_H.shape[1:] != sq_cols.shape[:1]:
         raise ValueError("shape mismatch between H^-1 and its variance")
-    return sq @ var_H @ sq_cols
+    return var_H.premultiply(sq) @ sq_cols
 
 
 # -- coefficient variance ----------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each is an oracle for a quantity the package computes another way (or
 not at all): a trial's random stream built one trial at a time, the
-hand-derived channel form of var(H), the literal loop forms of the
+hand-derived channel form of var(H), var(H) as one dense bincount and the
+coefficient stds of its dense product chain, the literal loop forms of the
 inverse variance, single cross terms of cov(H^-1), the coefficient
 variance for any z, the magnitude derivative, the refuted repeated-sign
 projection, the QQ normality check, the nested-loop enumeration and
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from pfsc.coefficients import INJECTIONS, PARTS, P, SensitivityProblem
-from pfsc.loadflow import GridState
+from pfsc.loadflow import GridState, jacobian_derivative, structural_nonzero
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import CoefficientKey
 from pfsc.uncertainty import AdmittanceUncertainty, CartesianNoiseSpec
@@ -42,6 +43,27 @@ def inverse_self_variance_reference(H_inv: np.ndarray, var_H: np.ndarray) -> np.
                     acc += H_inv[a, i] ** 2 * var_H[i, j] * H_inv[j, b] ** 2
             out[a, b] = acc
     return out
+
+
+def dense_var_H(problem: SensitivityProblem, yu, en) -> np.ndarray:
+    """var(H) = (J o J) var(inputs) as one dense (dim, dim) bincount over
+    the flat positions of J's terms: the bitwise reference of the values
+    that ``propagate_to_H`` stores on H's pattern.  J takes its admittance
+    inputs where Y or its noise is nonzero, as ``propagate_to_H`` does."""
+    Ym, E = problem.point
+    linked = structural_nonzero(Ym) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
+    dH = jacobian_derivative(Ym, E, problem.nonslack, linked)
+    stds = (en.sigma_re, en.sigma_im, yu.sigma_re.take(dH.pairs), yu.sigma_im.take(dH.pairs))
+    per_entry = (dH.coefficient**2 * (np.concatenate(stds) ** 2)[dH.input]).sum(axis=1)
+    flat = np.bincount(dH.position.ravel(), weights=per_entry.ravel(), minlength=dH.dim**2)
+    return flat.reshape(dH.dim, dH.dim)
+
+
+def dense_chain_sigma(result, var_H: np.ndarray) -> np.ndarray:
+    """Coefficient stds aligned with ``result.x``, from the dense products
+    ((H^-1[R, :])o2 var(H)) (H^-1[:, C])o2 with a dense var(H)."""
+    var = result.H_inv_rows**2 @ var_H @ result.H_inv_cols**2
+    return np.sqrt(var * result.problem.signs[result.cols] ** 2)
 
 
 def inverse_cross_covariance(H_inv: np.ndarray, var_H: np.ndarray, mn, ab) -> float:

@@ -318,7 +318,7 @@ def test_property_suite(case):
 
     # the two sides take different BLAS summation paths, so the identity
     # is checked at close to machine precision rather than bitwise
-    cov = inverse_cross_covariance(result.H_inv, hv, (1, 2), (1, 2))
+    cov = inverse_cross_covariance(result.H_inv, hv.toarray(), (1, 2), (1, 2))
     checks["self-covariance"] = abs(cov - iv[1, 2]) <= 1e-12 * iv[1, 2]
 
     rng = np.random.default_rng(SEED)

@@ -521,6 +521,31 @@ def test_report_out_on_a_file_checked_before_the_load_flow(capsys, tmp_path, mon
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("pfsc", "--out", "{out}"),
+    ("propagate", "--out", "{out}"),
+    ("mc", "--nmc", "5", "--out", "{out}"),
+    ("mc", "--nmc", "5", "--dump-trials", "{out}"),
+], ids=["pfsc", "propagate", "mc-out", "mc-dump-trials"])
+@pytest.mark.parametrize("out, message", [
+    ("{dir}/no/such/x.csv", "output directory not found: {dir}/no/such"),
+    ("{dir}", "output file is a directory: {dir}"),
+    ("{dir}/file/x.csv", "output file lies under a file: {dir}/file"),
+], ids=["missing-directory", "directory", "under-a-file"])
+def test_table_out_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
+                                                argv, out, message):
+    unreachable_load_flow(monkeypatch)
+    (tmp_path / "file").write_text("kept\n")
+    argv = [argv[0], "--network", NETWORK,
+            *(a.format(out=out.format(dir=tmp_path)) for a in argv[1:])]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"pfsc {argv[0]}: {message.format(dir=tmp_path)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_report_equal_levels_write_one_csv(capsys, tmp_path):
     out = tmp_path / "rep"
     code, stdout, _ = run(capsys, "report", "--network", NETWORK, "--out", str(out),

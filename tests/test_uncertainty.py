@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pfsc.coefficients import assemble_problem, solve_coefficients
 from pfsc.errors import ConfigError
 from pfsc.loadflow import jacobian
 from pfsc.network import AdmittanceMatrix
+from pfsc.report import coefficient_positions
 from pfsc.uncertainty import (
     AdmittanceUncertainty,
     CartesianNoiseSpec,
@@ -27,6 +29,8 @@ from pfsc.uncertainty import (
 from conftest import make_feeder, make_random_network, make_three_phase_balanced, make_two_bus
 from oracles import (
     channel_variance,
+    dense_chain_sigma,
+    dense_var_H,
     general_variance,
     inverse_cross_covariance,
     inverse_self_variance_reference,
@@ -280,7 +284,7 @@ class TestJacobianDerivative:
             en = project_polar_noise(state, it_class_to_polar("0.5"))
         else:
             yu, en = random_noise(net, Y, 11)
-        assert_matches_channels(propagate_to_H(problem, yu, en),
+        assert_matches_channels(propagate_to_H(problem, yu, en).toarray(),
                                 channel_variance(problem, Y, state, yu, en))
 
     @pytest.mark.parametrize("which", ["ieee4", "three-phase"])
@@ -323,17 +327,17 @@ class TestJacobianDerivative:
         net, Y, state, problem = solved("ieee4")
         en = project_polar_noise(state, it_class_to_polar("0.5"))
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        before = propagate_to_H(problem, yu, en)  # derives the cached operator
+        before = propagate_to_H(problem, yu, en).toarray()  # derives the cached operator
         calls = counted_derivatives(monkeypatch)
         edited = AdmittanceMatrix(Y.matrix.copy())
         i, j = net.flat_index(2), net.flat_index(3)
         edited.matrix[i, j] *= 1.5
-        got = propagate_to_H(assemble_problem(edited, state, net), yu, en)
+        got = propagate_to_H(assemble_problem(edited, state, net), yu, en).toarray()
         assert calls == {"cached": 1, "per call": 0}
         assert_matches_channels(got, channel_variance(problem, edited, state, yu, en))
         assert not np.allclose(got, before)
         # the first problem keeps its own point and operator
-        assert np.array_equal(propagate_to_H(problem, yu, en), before)
+        assert np.array_equal(propagate_to_H(problem, yu, en).toarray(), before)
         assert calls == {"cached": 1, "per call": 0}
 
     def test_problem_without_a_point_is_refused(self):
@@ -376,7 +380,7 @@ class TestPropagateToH:
         en = CartesianNoiseSpec(
             rng.uniform(0, 1e-3, net.n_nodes), rng.uniform(0, 1e-3, net.n_nodes)
         )
-        hv = propagate_to_H(problem, yu, en)
+        hv = propagate_to_H(problem, yu, en).toarray()
         ref = diagonal_blocks_reference(problem, Y, state, yu, en)
         # same terms summed in another order: float64 rounding only
         for (r, c), v in ref.items():
@@ -390,7 +394,7 @@ class TestPropagateToH:
             problem,
             AdmittanceUncertainty.zero(net.n_nodes),
             CartesianNoiseSpec.zero(net.n_nodes),
-        )
+        ).toarray()
         assert np.all(hv == 0.0)
 
     def test_single_term_product_rule(self, ieee4_solved):
@@ -406,7 +410,7 @@ class TestPropagateToH:
         en_re = np.zeros(4)
         en_re[i2] = s_e
         en = CartesianNoiseSpec(en_re, np.zeros(4))
-        hv = propagate_to_H(problem, yu, en)
+        hv = propagate_to_H(problem, yu, en).toarray()
         e2 = state.voltages[i2]
         y23 = Y.matrix[i2, i3]
         expected = e2.real**2 * s_y**2 + y23.real**2 * s_e**2
@@ -425,7 +429,7 @@ class TestPropagateToH:
         yu_im = np.zeros((4, 4))
         yu_im[i2, i4] = s_y
         yu = AdmittanceUncertainty(np.zeros((4, 4)), yu_im)
-        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(4))
+        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(4)).toarray()
         e2 = state.voltages[i2]
         r = problem.row(2, part="re")
         c = 2 * problem.nonslack.index(i4)
@@ -436,7 +440,7 @@ class TestPropagateToH:
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
         en = CartesianNoiseSpec.zero(2)
-        hv = propagate_to_H(problem, yu, en)
+        hv = propagate_to_H(problem, yu, en).toarray()
 
         # vectorized re-derivation of the 2x2 H from its definition
         rng = np.random.default_rng(123)
@@ -464,7 +468,7 @@ class TestPropagateToH:
         net, Y, state, problem = loaded_two_bus()
         yu = AdmittanceUncertainty.zero(2)
         en = CartesianNoiseSpec(np.array([1e-3, 2e-3]), np.array([2e-3, 1e-3]))
-        hv = propagate_to_H(problem, yu, en)
+        hv = propagate_to_H(problem, yu, en).toarray()
 
         rng = np.random.default_rng(321)
         n = 10**5
@@ -494,6 +498,12 @@ class TestPropagateToH:
         with pytest.raises(ValueError, match="read-only"):
             yu.sigma_re[0, 0] = 1.0
 
+    def test_shared_stds_are_scanned_once(self, ieee4_solved):
+        _, Y, _ = ieee4_solved
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        assert len(yu.distinct_stds) == 1 and yu.distinct_stds[0] is yu.sigma_re
+        assert len(AdmittanceUncertainty.zero(4).distinct_stds) == 2
+
     def test_negative_variance_input_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
             AdmittanceUncertainty(-np.ones((2, 2)), np.ones((2, 2)))
@@ -504,6 +514,95 @@ class TestPropagateToH:
         sigma[0, 1] = bad
         with pytest.raises(ConfigError, match="finite and nonnegative"):
             AdmittanceUncertainty(np.ones((2, 2)), sigma)
+
+
+def monitored(net, every):
+    """Positions of the driving-point re/P and im/Q coefficients of every
+    ``every``-th bus, as a filtered report keeps them."""
+    wanted = tuple((bus, bus, part, wrt) for bus in range(every, net.n_bus + 1, every)
+                   for part, wrt in (("re", "P"), ("im", "Q")))
+    return coefficient_positions(net, wanted)
+
+
+class TestPatternForm:
+    """var(H) lives on H's structural pattern, in CSC form."""
+
+    @pytest.mark.parametrize("noise", ["relative", "random"])
+    @pytest.mark.parametrize("which", list(NETWORKS))
+    def test_dense_bincount_bitwise_on_H_pattern(self, which, noise):
+        # "random" puts noise on structural zeros of Y: J is derived again
+        net, Y, state, problem = solved(which)
+        if noise == "relative":
+            yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+            en = project_polar_noise(state, it_class_to_polar("0.5"))
+        else:
+            yu, en = random_noise(net, Y, 11)
+        hv = propagate_to_H(problem, yu, en)
+        assert hv.toarray().tobytes() == dense_var_H(problem, yu, en).tobytes()
+
+        ns = np.array(problem.nonslack)
+        linked = (Y.matrix != 0) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
+        blocks = linked[np.ix_(ns, ns)] | np.eye(len(ns), dtype=bool)
+        pattern = np.kron(blocks, np.ones((2, 2), dtype=bool))
+        cols = np.repeat(np.arange(problem.dim), np.diff(hv.indptr))
+        assert np.all(pattern[hv.indices, cols])
+        assert np.all(np.diff(hv.indptr) > 0)  # every column holds an entry
+        for j in range(problem.dim):  # rows sorted and distinct within a column
+            assert np.all(np.diff(hv.indices[hv.indptr[j]:hv.indptr[j + 1]]) > 0)
+        if noise == "relative":  # on Y's pattern: the one H is assembled on
+            assert np.array_equal(hv.indices, problem.H_csc.indices)
+            assert np.array_equal(hv.indptr, problem.H_csc.indptr)
+
+    def test_unlinked_node_keeps_its_diagonal_block(self):
+        # no term lands on the block of a node that Y leaves unlinked; its
+        # stored zeros keep every column nonempty, which the column sums
+        # of inverse_self_variance rely on
+        net, Y, state, _ = solved("ieee4")
+        edited = AdmittanceMatrix(Y.matrix.copy())
+        i = net.flat_index(4)
+        edited.matrix[i, :] = edited.matrix[:, i] = 0
+        problem = assemble_problem(edited, state, net)
+        yu = AdmittanceUncertainty.from_relative(edited, 1.0)
+        hv = propagate_to_H(problem, yu, project_polar_noise(state, it_class_to_polar("0.5")))
+        assert np.all(np.diff(hv.indptr) > 0)
+        assert np.all(hv.toarray()[:, -2:] == 0)
+        H_inv = np.random.default_rng(2).normal(size=(problem.dim, problem.dim))
+        np.testing.assert_allclose(inverse_self_variance(H_inv, hv),
+                                   H_inv**2 @ hv.toarray() @ H_inv**2, rtol=1e-13)
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["full", "filtered"])
+    @pytest.mark.parametrize("n_bus", [60, 300])
+    def test_stds_match_dense_product_chain(self, n_bus, filtered):
+        net = make_feeder(n_bus, 1)
+        Y = pfsc.build_admittance(net)
+        state = pfsc.solve_load_flow(net, Y)
+        problem = assemble_problem(Y, state, net)
+        result = solve_coefficients(problem, *(monitored(net, 10) if filtered else ()))
+        assert (len(result.rows) < problem.dim) == filtered
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        en = project_polar_noise(state, it_class_to_polar("0.5"))
+        got = analytical_sigma(result, yu, en)
+        ref = dense_chain_sigma(result, propagate_to_H(problem, yu, en).toarray())
+        assert np.array_equal(got == 0, ref == 0)
+        on = ref != 0
+        assert np.max(np.abs(got[on] - ref[on]) / ref[on]) <= 1e-13
+
+    def test_filtered_chain_peaks_below_one_dense_var_H(self):
+        net = make_feeder(300, 1)
+        Y = pfsc.build_admittance(net)
+        state = pfsc.solve_load_flow(net, Y)
+        result = solve_coefficients(assemble_problem(Y, state, net), *monitored(net, 30))
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        en = project_polar_noise(state, it_class_to_polar("0.5"))
+        dense_bytes = result.problem.dim**2 * 8  # 598^2 float64: 2.86 MB
+        tracemalloc.start()
+        try:
+            analytical_sigma(result, yu, en)  # the first call derives J too
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.problem.dim == 598
+        assert peak < dense_bytes
 
 
 class TestInverseVariance:
@@ -540,7 +639,7 @@ class TestInverseVariance:
         rng = np.random.default_rng(77)
         n = 10**5
         Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
-            hv
+            hv.toarray()
         )
         # analytic 2x2 inverse, vectorized
         det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
@@ -559,7 +658,7 @@ class TestInverseVariance:
         H_inv = np.linalg.inv(problem.H)
         iv = inverse_self_variance(H_inv, hv)
         for mn in [(0, 0), (0, 1), (1, 1)]:
-            cov = inverse_cross_covariance(H_inv, hv, mn, mn)
+            cov = inverse_cross_covariance(H_inv, hv.toarray(), mn, mn)
             assert cov == pytest.approx(iv[mn], rel=1e-12)
 
     def test_cross_covariance_zero_noise(self):
@@ -582,7 +681,7 @@ class TestInverseVariance:
         rng = np.random.default_rng(55)
         n = 10**5
         Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
-            hv
+            hv.toarray()
         )
         det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
         inv = np.empty_like(Hs)
@@ -593,7 +692,7 @@ class TestInverseVariance:
         # pairs with appreciable correlation; weakly correlated pairs are
         # dominated by second-order sampling noise and are not comparable
         for mn, ab in [((0, 0), (0, 1)), ((1, 0), (1, 1))]:
-            cov = inverse_cross_covariance(H_inv, hv, mn, ab)
+            cov = inverse_cross_covariance(H_inv, hv.toarray(), mn, ab)
             sampled = np.cov(inv[:, mn[0], mn[1]], inv[:, ab[0], ab[1]], ddof=1)[0, 1]
             assert cov == pytest.approx(sampled, rel=0.10)
 
