@@ -81,17 +81,18 @@ class SensitivityProblem:
     """The real linear system H x = z for all voltage sensitivities.
 
     Made from a dense ``H``, or (by ``assemble_problem``) from the ``point``
-    (Ym, E) that H is the Newton matrix at.  Such a problem assembles H
-    when first read, in the form read: ``H`` dense by
-    ``loadflow.jacobian``, ``H_csc`` on Y's pattern by
-    ``loadflow.SparseJacobian``.  The two agree entry by entry under ==.
-    It also derives ``dH``, the derivative of H with respect to its inputs,
-    once, when first read.
+    (Y, E) that H is the Newton matrix at, with Y an ``AdmittanceMatrix``
+    on its pattern.  Such a problem assembles H when first read, in the
+    form read: ``H`` dense by ``loadflow.jacobian``, ``H_csc`` on Y's
+    pattern by ``loadflow.SparseJacobian``.  The two agree entry by entry
+    under ==.  Each builds the dense Y for the product Y E and frees it
+    when H is assembled.  A problem also derives ``dH``, the derivative of
+    H with respect to its inputs, once, when first read.
     """
 
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
     network: NetworkModel  # owner of the node ordering
-    point: tuple | None = field(default=None, repr=False)  # (Ym, E), or None
+    point: tuple | None = field(default=None, repr=False)  # (Y, E), or None
 
     def __init__(self, H, signs, network, point=None):
         if H is None and point is None:
@@ -105,8 +106,8 @@ class SensitivityProblem:
     @functools.cached_property
     def H(self):
         """Dense H, (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack."""
-        Ym, E = self.point
-        return jacobian(Ym, E, self.nonslack)
+        Y, E = self.point
+        return jacobian(Y.matrix, E, self.nonslack)
 
     @functools.cached_property
     def H_csc(self):
@@ -114,15 +115,15 @@ class SensitivityProblem:
         the nonzeros of the dense H."""
         if self.point is None:
             return csc_matrix(self.H)
-        Ym, E = self.point
-        return SparseJacobian(Ym, self.nonslack)(Ym, E)
+        Y, E = self.point
+        return SparseJacobian(Y, self.nonslack)(E, (Y.matrix @ E[:, None])[:, 0])
 
     @functools.cached_property
     def dH(self):
         """dH/d(input) at the point (``loadflow.JacobianDerivative``), with
-        the structural nonzeros of Y as the admittance inputs."""
-        Ym, E = self.point
-        return jacobian_derivative(Ym, E, self.nonslack)
+        the stored entries of Y as the admittance inputs."""
+        Y, E = self.point
+        return jacobian_derivative(Y, E, self.nonslack)
 
     @property
     def dim(self):
@@ -210,9 +211,9 @@ def assemble_problem(
     H is assembled when the solve reads it: as CSC on Y's pattern for a
     targeted solve, dense for the full table (see ``SensitivityProblem``).
     """
-    Ym, E = Y.matrix, state.voltages
-    n = len(_checked_nonslack(Ym, E, network))
-    return SensitivityProblem(None, _rhs_signs(n), network, point=(Ym, E))
+    E = state.voltages
+    n = len(_checked_nonslack(Y.shape, E, network))
+    return SensitivityProblem(None, _rhs_signs(n), network, point=(Y, E))
 
 
 def assemble_from_raw(
@@ -226,7 +227,7 @@ def assemble_from_raw(
     gives a stack of H of shape (..., 2n, 2n), each slice bitwise equal to
     its own assembly.
     """
-    nonslack = _checked_nonslack(Ym, E, network)
+    nonslack = _checked_nonslack(Ym.shape, E, network)
     return SensitivityProblem(
         H=jacobian(Ym, E, nonslack),
         signs=_rhs_signs(len(nonslack)),
@@ -234,12 +235,13 @@ def assemble_from_raw(
     )
 
 
-def _checked_nonslack(Ym, E, network):
-    """The non-slack flat indices, once the shapes are checked against them."""
+def _checked_nonslack(shape, E, network):
+    """The non-slack flat indices, once the ``shape`` of Y (or of a stack
+    of Y) and that of E are checked against them."""
     m = network.n_nodes
-    if Ym.shape[-2:] != (m, m) or E.shape[-1:] != (m,):
+    if shape[-2:] != (m, m) or E.shape[-1:] != (m,):
         raise ValueError(
-            f"dimension mismatch: Y {Ym.shape}, E {E.shape}, nodes {m}"
+            f"dimension mismatch: Y {shape}, E {E.shape}, nodes {m}"
         )
     return network.nonslack_flat_indices()
 

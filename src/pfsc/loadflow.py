@@ -16,13 +16,16 @@ forms that evaluate the same expressions:
 
 - ``SparseJacobian``: a CSC matrix on Y's pattern (node pair (i, n) is
   a 2x2 block, stored where Y_in is nonzero and on the diagonal), laid
-  out once and refilled for each (Y, E).  The Newton loop and the
-  targeted coefficient solve factor it with SuperLU
-  (``scipy.sparse.linalg.splu``).
+  out once per Y from its stored entries and refilled for each E and
+  product Y E.  The Newton loop and the targeted coefficient solve
+  factor it with SuperLU (``scipy.sparse.linalg.splu``).
 - ``jacobian``: dense and batched over stacks of (Y, E), for the
   Monte-Carlo trials and the full-table inverse.
 
-Every stored entry of the first equals the second's under ==.
+Every stored entry of the first equals the second's under ==.  Both
+read the product Y E from the dense Y, since a product over Y's pattern
+rounds differently; the Newton loop forms it once per iterate, for the
+power mismatch and the refill.
 
 H is real-bilinear in (E, Y), so its derivative with respect to each
 real input is exact and sparse: ``jacobian_derivative`` lays it out once
@@ -65,13 +68,12 @@ class GridState:
 
 def nodal_power(voltages, Y: AdmittanceMatrix):
     """Apparent power injected at each node/phase: S_i = E_i * conj((Y E)_i)."""
-    Ym = Y.matrix
     E = np.asarray(voltages, dtype=complex)
-    if Ym.shape != (E.size, E.size):
+    if Y.shape != (E.size, E.size):
         raise ValueError(
-            f"dimension mismatch: Y is {Ym.shape}, voltages length {E.size}"
+            f"dimension mismatch: Y is {Y.shape}, voltages length {E.size}"
         )
-    return E * np.conj(Ym @ E)
+    return E * np.conj(Y.matrix @ E)
 
 
 def jacobian(Ym, E, nonslack):
@@ -101,14 +103,6 @@ def jacobian(Ym, E, nonslack):
     flat[..., 2 * n :: step] += K.imag
     flat[..., 2 * n + 1 :: step] -= K.real
     return H
-
-
-def structural_nonzero(Ym):
-    """(m, m) mask of the nonzero entries of the complex matrix ``Ym``."""
-    # (Re, Im) != 0 of each entry side by side; read as one uint16, the
-    # pair is nonzero where either is (faster than a complex compare)
-    nonzero = np.ascontiguousarray(Ym).view(np.float64) != 0
-    return nonzero.view(np.uint16) != 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,26 +201,24 @@ class JacobianDerivative:
         return PatternArray(data, indices, indptr, (self.dim, self.dim))
 
 
-def jacobian_derivative(Ym, E, nonslack, linked=None):
-    """The ``JacobianDerivative`` of ``jacobian(Ym, E, nonslack)``.
+def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
+    """The ``JacobianDerivative`` of ``jacobian(Y.matrix, E, nonslack)``.
 
-    The admittance inputs are the entries of the non-slack rows where the
-    (m, m) mask ``linked`` is set; by default where Y is nonzero.  Any
-    other entry is taken as a zero that has no noise: it has no input, and
-    the voltage it multiplies has a zero derivative through it.
+    The admittance inputs are the entries of the non-slack rows at the
+    sorted flat ``positions`` of Y; by default Y's own pattern.  Any other
+    entry is taken as a zero that has no noise: it has no input, and the
+    voltage it multiplies has a zero derivative through it.
     """
     ns = np.asarray(nonslack, dtype=np.intp)
     n, m = len(ns), len(E)
     dim = 2 * n
     at = np.full(m, -1)
     at[ns] = np.arange(n)
-    if linked is None:
-        linked = structural_nonzero(Ym)
-    pairs = np.flatnonzero(linked)
+    pairs = Y.positions if positions is None else positions
     pairs = pairs[at[pairs // m] >= 0]
+    y = Y.take(pairs)
     r, node = np.divmod(pairs, m)
     k, c = at[r], at[node]
-    y = Ym.take(pairs)
     yr, yi = y.real, y.imag
     er_n, ei_n, er_r, ei_r = E.real[node], E.imag[node], E.real[r], E.imag[r]
     q = np.arange(len(pairs))
@@ -264,20 +256,20 @@ def jacobian_derivative(Ym, E, nonslack, linked=None):
 class SparseJacobian:
     """``jacobian`` on the pattern of Y, as a CSC matrix refilled per call.
 
-    The pattern is fixed by the structural nonzeros of ``Ym`` among the
-    ``nonslack`` nodes, plus the diagonal.  Calling the object with an
-    admittance matrix of that pattern and voltages E writes H(Y, E) into
-    the data of ``matrix`` (the same object each call) and returns it.
+    The pattern is fixed by the stored entries of the ``AdmittanceMatrix``
+    ``Y`` among the ``nonslack`` nodes, plus the diagonal, and the object
+    keeps Y's entries there.  Calling it with voltages E and the product
+    ``YE = Y E`` (computed by the caller, which holds the dense Y) writes
+    H(Y, E) into the data of ``matrix`` (the same object each call) and
+    returns it.
     """
 
-    def __init__(self, Ym, nonslack):
+    def __init__(self, Y: AdmittanceMatrix, nonslack):
         ns = np.asarray(nonslack, dtype=np.intp)
-        n, m = len(ns), Ym.shape[0]
-        linked = structural_nonzero(Ym)
-        linked.flat[:: m + 1] = True
-        i, j = np.divmod(np.flatnonzero(linked), m)
+        n, m = len(ns), Y.n_nodes
         position = np.full(m, -1)
         position[ns] = np.arange(n)
+        i, j = np.divmod(np.union1d(Y.positions, ns * (m + 1)), m)
         k, c = position[i], position[j]
         both = (k >= 0) & (c >= 0)
         # node pairs column-major: by column node c, then row node k
@@ -291,7 +283,8 @@ class SparseJacobian:
         second = first + 2 * counts[c]
         self._at = np.stack((first, first + 1, second, second + 1))
         self._at_diag = self._at[:, k == c]  # one pair per column, node order
-        self._row, self._col, self._ns = ns[k], ns[c], ns
+        self._row, self._ns = ns[k], ns
+        self._y = Y.take(ns[k] * m + ns[c])
         indices = np.empty(4 * len(c), dtype=np.int32)
         indices[self._at] = 2 * k + np.array([[0], [1], [0], [1]])
         indptr = np.zeros(2 * n + 1, dtype=np.int32)
@@ -300,10 +293,10 @@ class SparseJacobian:
             (np.zeros(4 * len(c)), indices, indptr), shape=(2 * n, 2 * n)
         )
 
-    def __call__(self, Ym, E):
+    def __call__(self, E, YE):
         # the expressions of ``jacobian``, evaluated on the pattern only
-        A = np.conj(E[self._row]) * Ym[self._row, self._col]
-        K = (Ym @ E[:, None])[:, 0][self._ns]
+        A = np.conj(E[self._row]) * self._y
+        K = YE[self._ns]
         data = self.matrix.data
         rr, ir, ri, ii = self._at
         data[rr] = A.real
@@ -326,12 +319,13 @@ def solve_load_flow(
     """Newton-Raphson load flow with PQ buses and one slack bus.
 
     Each step factors H with SuperLU on the pattern that one
-    ``SparseJacobian`` lays out per call.  Converged once the largest
+    ``SparseJacobian`` lays out per call.  The loop holds one dense Y, for
+    the product Y E, and frees it on return.  Converged once the largest
     power mismatch is at most DEFAULT_TOL.  Raises LoadFlowError on
     non-convergence within DEFAULT_MAX_ITER iterations (carrying the last
     mismatch) or on a Jacobian that SuperLU finds exactly singular.
     """
-    Ym = Y.matrix
+    Ym = Y.matrix  # the one dense Y of the load flow, for Y E
     slack = network.slack_flat_indices()
     pq = np.array(network.nonslack_flat_indices(), dtype=np.intp)
     s_spec = network.injections_pu()
@@ -342,25 +336,26 @@ def solve_load_flow(
         E = initial.voltages.astype(complex).copy()
     E[slack] = phasors
 
-    mismatch = s_spec - nodal_power(E, Y)
-    mismatch[slack] = 0.0
-    H = SparseJacobian(Ym, pq)
-    for it in range(1, DEFAULT_MAX_ITER + 1):
+    H = SparseJacobian(Y, pq)
+    for it in range(1, DEFAULT_MAX_ITER + 2):
+        YE = Ym @ E  # once per iterate: the mismatch and H both read it
+        mismatch = s_spec - E * np.conj(YE)
+        mismatch[slack] = 0.0
+        if it > DEFAULT_MAX_ITER:  # the last step's mismatch is reported, not tested
+            break
         if np.max(np.abs(mismatch)) <= DEFAULT_TOL:
             return GridState(voltages=E, mismatch=mismatch, iterations=it - 1)
         rhs = np.empty(2 * len(pq))  # realified conj(mismatch)
         rhs[0::2] = mismatch[pq].real
         rhs[1::2] = -mismatch[pq].imag
         try:
-            lu = splu(H(Ym, E))
+            lu = splu(H(E, YE))
         except RuntimeError as exc:  # SuperLU met an exactly zero pivot
             raise LoadFlowError(
                 f"singular load-flow Jacobian at iteration {it}", mismatch=mismatch
             ) from exc
         step = lu.solve(rhs)
         E[pq] += step[0::2] + 1j * step[1::2]
-        mismatch = s_spec - nodal_power(E, Y)
-        mismatch[slack] = 0.0
 
     raise LoadFlowError(
         f"load flow did not converge in {DEFAULT_MAX_ITER} iterations "

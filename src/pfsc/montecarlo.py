@@ -346,9 +346,14 @@ def _solve_level(network, Ym, E_k, noise, yu, mode):
     if mode == BRANCH_PARAMETER:
         Y_k = _perturb_branches(network, yu.level_pct / 100.0, noise)
     else:
-        m = len(Ym)
-        n = noise.reshape(rows, 2, m, m)
-        Y_k = Ym + n[:, 0] * yu.sigma_re + 1j * (n[:, 1] * yu.sigma_im)
+        # Y + n_re sigma_re + 1j (n_im sigma_im) on the stds' pattern; an
+        # element with zero stds keeps Y's entry, which is what that sum
+        # gives there bitwise (Y's stamped entries hold no -0.0)
+        m, at = len(Ym), yu.positions
+        n = noise.reshape(rows, 2, m * m)
+        Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
+        Y_k[:, at] = Ym.take(at) + n[:, 0, at] * yu.re + 1j * (n[:, 1, at] * yu.im)
+        Y_k = Y_k.reshape(rows, m, m)
     problem = assemble_from_raw(Y_k, E_k[:rows], network)
     return _solve_chunk(problem.H, problem.z)
 
@@ -387,6 +392,7 @@ def run_monte_carlo_sets(
         levels.setdefault(id(s.cfg.yu), []).append(s)
     cfg = cfgs[0]
     E0 = state.voltages
+    Ym = Y.matrix
     m = E0.size
     if cfg.symmetry_mode == BRANCH_PARAMETER:
         width = 2 * m + 2 * network.branch_table.z_ohm.size
@@ -410,7 +416,7 @@ def run_monte_carlo_sets(
             # with Y_k and H, it let malloc hand the heap top back to the
             # system, and every chunk faulted those pages in again
             rows = max(k for _, k in shares)
-            x, ok = _solve_level(network, Y.matrix, E_k, noise[:rows], level[0].cfg.yu,
+            x, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
                                  cfg.symmetry_mode)
             for s, k in shares:
                 s.add(x[:k], ok[:k])

@@ -22,8 +22,15 @@ Branch table.  A ``NetworkModel`` also holds its branches as arrays, in
 branch order: the ``BranchTable`` of the flat index of each end, the
 series impedances ``(B, p, p)`` and the shunt susceptances ``(B, p, p)``,
 where a 1x1 shunt of a polyphase branch is ``b·I``.  It is built once,
-when the model is, and ``stamp_admittance`` and the branch-parameter
-Monte-Carlo mode read it instead of the ``Branch`` objects.
+when the model is, and ``build_admittance``, ``stamp_admittance`` and the
+branch-parameter Monte-Carlo mode read it instead of the ``Branch``
+objects.
+
+Admittance pattern.  ``build_admittance`` returns Y on its structural
+pattern (``AdmittanceMatrix``): the sorted flat positions ``r m + c`` of
+its nonzero entries and the entries there.  A dense Y is an ``(m, m)``
+array that only the product Y E needs; ``AdmittanceMatrix.matrix``
+builds it on each read.
 """
 
 from __future__ import annotations
@@ -348,15 +355,72 @@ class NetworkModel:
             raise NetworkValidationError("graph not connected")
 
 
-@dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Dense compound admittance matrix in per-unit.
+    """The compound admittance matrix Y in per-unit, stored on its pattern.
 
-    ``matrix`` is ``(p*N_b) x (p*N_b)`` complex, indexed by the flat node
-    ordering of :class:`NetworkModel` (see the module docstring).
+    Y is ``(m, m)`` complex, ``m = p*N_b``, indexed by the flat node
+    ordering of :class:`NetworkModel` (see the module docstring).  It
+    stores its structural nonzeros only: ``positions`` holds their sorted
+    flat positions ``r m + c`` and ``values`` the entries there, both
+    read-only.  An entry that is exactly zero is not stored, since the
+    sparse LU orderings read the pattern.  ``matrix`` is the dense array,
+    built afresh on each read, for the steps that need it whole (the
+    product Y E); read it once per step.
     """
 
-    matrix: np.ndarray
+    def __init__(self, matrix):
+        """Y from the dense ``(m, m)`` array ``matrix``: its nonzero
+        entries are stored."""
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"an admittance matrix is square, not {matrix.shape}")
+        positions = np.flatnonzero(matrix)
+        self._set(positions, matrix.reshape(-1)[positions], len(matrix))
+
+    @classmethod
+    def on_pattern(cls, positions, values, n_nodes):
+        """Y of ``n_nodes`` nodes holding ``values`` at the sorted distinct
+        flat ``positions`` and zero elsewhere; a zero value is dropped."""
+        Y = cls.__new__(cls)
+        keep = values != 0
+        Y._set(positions[keep], values[keep], n_nodes)
+        return Y
+
+    def _set(self, positions, values, n_nodes):
+        for array in (positions, values):
+            array.flags.writeable = False
+        self.positions, self.values, self.n_nodes = positions, values, n_nodes
+        self._padded = np.append(values, 0)
+
+    @property
+    def shape(self):
+        return (self.n_nodes, self.n_nodes)
+
+    @property
+    def matrix(self):
+        """The dense ``(m, m)`` complex array, a new one on each read."""
+        return dense(self.positions, self.values, self.n_nodes)
+
+    def take(self, flat):
+        """The entries at the flat positions ``flat``; zero off the pattern."""
+        return take(self.positions, self._padded, flat)
+
+
+def dense(positions, values, m):
+    """The ``(m, m)`` array of ``values`` at the flat ``positions``, zero
+    elsewhere."""
+    out = np.zeros(m * m, dtype=values.dtype)
+    out[positions] = values
+    return out.reshape(m, m)
+
+
+def take(positions, padded, flat):
+    """The entries at the flat positions ``flat`` of an array stored at the
+    sorted, distinct ``positions``: ``padded`` holds the stored values
+    along its last axis, then a zero, which a position not stored reads."""
+    at = np.searchsorted(positions, flat)
+    at[np.append(positions, -1)[at] != flat] = len(positions)
+    return padded[..., at]
 
 
 def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
@@ -364,17 +428,38 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
 
     Each branch contributes ``inv(z_pu)`` to its two diagonal blocks and
     ``-inv(z_pu)`` to the off-diagonal blocks; half the branch shunt
-    susceptance is added at each end.  The one-matrix case of
-    ``stamp_admittance``.
+    susceptance is added at each end.  The terms are summed on Y's
+    pattern in the order ``stamp_admittance`` sums them, so every entry
+    is bitwise that of the dense stamp.
     """
-    z_ohm = network.branch_table.z_ohm
-    return AdmittanceMatrix(matrix=stamp_admittance(network, z_ohm))
+    flat, blocks = _stamp_terms(network, network.branch_table.z_ohm)
+    positions = np.unique(flat)
+    values = np.zeros(len(positions), dtype=complex)
+    np.add.at(values, np.searchsorted(positions, flat), blocks)
+    return AdmittanceMatrix.on_pattern(positions, values, network.n_nodes)
 
 
 def stamp_admittance(network: NetworkModel, z_ohm) -> np.ndarray:
-    """Admittance matrices (..., m, m) of ``network`` with the series
+    """Dense admittance matrices (..., m, m) of ``network`` with the series
     impedances ``z_ohm`` (..., B, p, p, in ohms) in place of its branches';
-    each matrix is bitwise the ``build_admittance`` of its own network."""
+    each matrix is bitwise the dense ``build_admittance(...).matrix`` of its
+    own network."""
+    m = network.n_nodes
+    flat, blocks = _stamp_terms(network, z_ohm)
+    stack = blocks.shape[:-4]
+    Y = np.zeros(stack + (m, m), dtype=complex)
+    # matrix k's entries start at k m^2 of the flat stack
+    start = np.arange(Y.size, step=m * m).reshape(stack + (1, 1, 1, 1))
+    np.add.at(Y.reshape(-1), start + flat, blocks)
+    return Y
+
+
+def _stamp_terms(network, z_ohm):
+    """The flat positions (B, 4, p, p) in Y of the branch terms and the
+    terms themselves (..., B, 4, p, p), for the series impedances
+    ``z_ohm`` (..., B, p, p, in ohms): blocks (f, f), (t, t), (f, t),
+    (t, f) of each branch, branch by branch, so that an entry shared by
+    several branches sums them in branch order."""
     p = network.phase_count
     m = network.n_nodes
     branches = network.branches
@@ -390,20 +475,11 @@ def stamp_admittance(network: NetworkModel, z_ohm) -> np.ndarray:
     y = np.linalg.inv(z_pu)
     ysh = 1j * table.shunt_b_s * network.z_base_ohm / 2.0
     f, t = table.from_flat, table.to_flat
-    # blocks (f, f), (t, t), (f, t), (t, f) of each branch, branch by branch:
-    # an entry shared by several branches sums them in branch order
     first = np.stack([f, t, f, t], axis=1)[:, :, None, None]
     second = np.stack([f, t, t, f], axis=1)[:, :, None, None]
     ph = np.arange(p)
-    rows = first + ph[:, None]
-    cols = second + ph
-    blocks = np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
-    stack = blocks.shape[:-4]
-    Y = np.zeros(stack + (m, m), dtype=complex)
-    # matrix k's entries start at k m^2 of the flat stack
-    start = np.arange(Y.size, step=m * m).reshape(stack + (1, 1, 1, 1))
-    np.add.at(Y.reshape(-1), start + rows * m + cols, blocks)
-    return Y
+    flat = (first + ph[:, None]) * m + second + ph
+    return flat, np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
 
 
 # -- file input / output ----------------------------------------------------

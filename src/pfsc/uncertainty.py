@@ -24,7 +24,9 @@ bilinear H with respect to Re and Im of each voltage and of each
 admittance entry (``loadflow.JacobianDerivative``), at the point (Y, E)
 the ``SensitivityProblem`` holds.  J is derived once per problem (its
 ``dH``), so each noise level costs one gather of the input variances and
-one product with J o J.  var(H) is nonzero only on H's structural
+one product with J o J.  The admittance stds are stored on a pattern
+(``AdmittanceUncertainty``), Y's for ``from_relative``, and are gathered
+at J's admittance inputs from there.  var(H) is nonzero only on H's structural
 pattern (the node pairs where Y or its noise is nonzero, and the 2x2
 diagonal blocks), and it is returned there: J lays out that pattern once,
 and the product bins each term straight into its stored entry.
@@ -49,8 +51,8 @@ import numpy as np
 
 from .coefficients import SensitivityProblem
 from .errors import ConfigError
-from .loadflow import GridState, PatternArray, jacobian_derivative, structural_nonzero
-from .network import AdmittanceMatrix, read_yaml
+from .loadflow import GridState, PatternArray, jacobian_derivative
+from .network import AdmittanceMatrix, dense, read_yaml, take
 
 
 # -- noise specifications ----------------------------------------------------
@@ -98,45 +100,92 @@ def check_level(level_pct):
         )
 
 
-@dataclass(frozen=True)
 class AdmittanceUncertainty:
-    """Per-element stds of Re(Y) and Im(Y), same shape as Y."""
+    """Per-element stds of Re(Y) and Im(Y), stored on a pattern.
 
-    sigma_re: np.ndarray
-    sigma_im: np.ndarray
-    level_pct: float | None = None  # set when built via from_relative
+    ``positions`` holds sorted flat positions ``r m + c`` of the (m, m)
+    admittance matrix, and ``re`` and ``im`` the two stds there, all
+    read-only; every other element has zero std.  ``sigma_re`` and
+    ``sigma_im`` are the dense (m, m) arrays, built afresh on each read.
 
-    def __post_init__(self):
-        for sigma in self.distinct_stds:
+    The constructor takes the two stds as dense (m, m) arrays of finite,
+    nonnegative real numbers (nested lists too) and stores the elements
+    where either is nonzero; anything else raises ConfigError.
+    ``from_relative`` stores Y's pattern.
+    """
+
+    def __init__(self, sigma_re, sigma_im, level_pct=None):
+        re, im = (_std_array(sigma, name) for sigma, name in
+                  ((sigma_re, "sigma_re"), (sigma_im, "sigma_im")))
+        if re.ndim != 2 or re.shape[0] != re.shape[1]:
+            raise ConfigError(f"admittance stds must be a square matrix, not {re.shape}")
+        if im.shape != re.shape:
+            raise ConfigError(
+                f"admittance stds sigma_re {re.shape} and sigma_im {im.shape} differ in shape"
+            )
+        for sigma in (re, im):
             if not np.all(np.isfinite(sigma)) or np.any(sigma < 0):
                 raise ConfigError("admittance stds must be finite and nonnegative")
+        positions = np.flatnonzero((re != 0) | (im != 0))
+        self._set(positions, re.reshape(-1)[positions], im.reshape(-1)[positions],
+                  len(re), level_pct)
+
+    def _set(self, positions, re, im, n_nodes, level_pct):
+        for array in (positions, re, im):
+            array.flags.writeable = False
+        self.positions, self.re, self.im = positions, re, im
+        self.n_nodes, self.level_pct = n_nodes, level_pct
+        #: the positions where either std is nonzero
+        self.noisy = positions[(re != 0) | (im != 0)]
+        self._padded = np.append(np.stack([re, im]), np.zeros((2, 1)), axis=1)
 
     @property
-    def distinct_stds(self):
-        """The std arrays, each once: ``from_relative`` shares one array
-        between both parts, and a check of it need not scan it twice."""
-        if self.sigma_im is self.sigma_re:
-            return (self.sigma_re,)
-        return (self.sigma_re, self.sigma_im)
+    def sigma_re(self):
+        """The dense (m, m) std of Re(Y), a new array on each read."""
+        return dense(self.positions, self.re, self.n_nodes)
+
+    @property
+    def sigma_im(self):
+        """The dense (m, m) std of Im(Y), a new array on each read."""
+        return dense(self.positions, self.im, self.n_nodes)
+
+    def take(self, flat):
+        """The stds at the flat positions ``flat``, (2, len(flat)): the
+        real parts' and the imaginary parts'."""
+        return take(self.positions, self._padded, flat)
 
     @classmethod
     def from_relative(cls, Y: AdmittanceMatrix, level_pct: float):
-        """Both stds set to ``level_pct`` percent of |element|.
-
-        Structurally zero elements keep zero std.  A level that is not a
-        finite, nonnegative number raises ConfigError.  The two stds are
-        one read-only array.
+        """Both stds set to ``level_pct`` percent of |element|, on Y's
+        pattern: the other elements, zero in Y, keep zero std.  A level
+        that is not a finite, nonnegative number raises ConfigError.  The
+        two stds are one array.
         """
         # checked before the product: 0 * inf would warn and give nan
         check_level(level_pct)
-        sigma = np.abs(Y.matrix) * (level_pct / 100.0)
-        sigma.flags.writeable = False
-        return cls(sigma_re=sigma, sigma_im=sigma, level_pct=level_pct)
+        sigma = np.abs(Y.values) * (level_pct / 100.0)
+        yu = cls.__new__(cls)
+        yu._set(Y.positions, sigma, sigma, Y.n_nodes, level_pct)
+        return yu
 
     @classmethod
     def zero(cls, n_nodes):
-        z = np.zeros((n_nodes, n_nodes))
-        return cls(z, z.copy(), level_pct=0.0)
+        yu = cls.__new__(cls)
+        yu._set(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), n_nodes, 0.0)
+        return yu
+
+
+def _std_array(sigma, name):
+    """``sigma`` as a float array; ConfigError unless it holds real numbers."""
+    try:
+        array = np.asarray(sigma)
+    except ValueError:  # a ragged nested list
+        raise ConfigError(f"admittance std {name} must be numeric") from None
+    if array.dtype.kind == "c":
+        raise ConfigError(f"admittance std {name} must be real, not complex")
+    if array.dtype.kind not in "iuf":
+        raise ConfigError(f"admittance std {name} must be numeric, not {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 # -- IT class table ----------------------------------------------------------
@@ -269,29 +318,21 @@ def propagate_to_H(
     """
     if problem.point is None:
         raise ValueError("the problem holds no (Y, E) point to propagate at")
-    Ym, E = problem.point
+    Y, E = problem.point
     m = E.size
-    if en.sigma_re.shape != (m,) or yu.sigma_re.shape != (m, m):
+    if en.sigma_re.shape != (m,) or yu.n_nodes != m:
         raise ValueError("noise spec dimensions do not match the network")
-    dH = _cached_derivative(problem, yu)
-    if dH is None:
-        linked = structural_nonzero(Ym) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
-        dH = jacobian_derivative(Ym, E, problem.nonslack, linked)
-    stds = (en.sigma_re, en.sigma_im, yu.sigma_re.take(dH.pairs), yu.sigma_im.take(dH.pairs))
-    return dH.squared_product(np.concatenate(stds) ** 2)
-
-
-def _cached_derivative(problem, yu):
-    """``problem.dH`` when every nonzero admittance std of a non-slack row
-    is one of its inputs; else None."""
-    dH = problem.dH
+    # the noisy elements of the non-slack rows (the slack's rows are one
+    # stretch of flat positions) are all inputs of J, or J is derived again
     slack = problem.network.slack_flat_indices()
-    for sigma in yu.distinct_stds:
-        # counting a bool mask is the fast count over the whole matrix
-        in_rows = np.count_nonzero(sigma != 0) - np.count_nonzero(sigma[slack])
-        if in_rows != np.count_nonzero(sigma.take(dH.pairs)):
-            return None
-    return dH
+    in_slack = np.searchsorted(yu.noisy, [slack[0] * m, (slack[-1] + 1) * m])
+    in_rows = len(yu.noisy) - (in_slack[1] - in_slack[0])
+    dH = problem.dH
+    stds = yu.take(dH.pairs)
+    if np.count_nonzero(stds.any(axis=0)) != in_rows:  # noise where Y is zero
+        dH = jacobian_derivative(Y, E, problem.nonslack, np.union1d(Y.positions, yu.noisy))
+        stds = yu.take(dH.pairs)
+    return dH.squared_product(np.concatenate((en.sigma_re, en.sigma_im, *stds)) ** 2)
 
 
 # -- variance of H^-1 --------------------------------------------------------

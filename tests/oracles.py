@@ -7,9 +7,9 @@ coefficient stds of its dense product chain, the literal loop forms of the
 inverse variance, single cross terms of cov(H^-1), the coefficient
 variance for any z, the magnitude derivative, the refuted repeated-sign
 projection, the QQ normality check, the nested-loop enumeration and
-spelled-out labels of the report's coefficients, and their positions
-read off a ``dim x dim`` mask.  Tests import them as
-they import ``conftest`` helpers.
+spelled-out labels of the report's coefficients, their positions
+read off a ``dim x dim`` mask, and the nonzero mask of a dense matrix.
+Tests import them as they import ``conftest`` helpers.
 """
 
 import csv
@@ -19,10 +19,19 @@ import numpy as np
 from scipy import stats
 
 from pfsc.coefficients import INJECTIONS, PARTS, P, SensitivityProblem
-from pfsc.loadflow import GridState, jacobian_derivative, structural_nonzero
+from pfsc.loadflow import GridState, jacobian_derivative
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import CoefficientKey
 from pfsc.uncertainty import AdmittanceUncertainty, CartesianNoiseSpec
+
+
+def structural_nonzero(Ym):
+    """(m, m) mask of the nonzero entries of the complex matrix ``Ym``: the
+    pattern that ``AdmittanceMatrix`` stores."""
+    # (Re, Im) != 0 of each entry side by side; read as one uint16, the
+    # pair is nonzero where either is
+    nonzero = np.ascontiguousarray(Ym).view(np.float64) != 0
+    return nonzero.view(np.uint16) != 0
 
 
 def trial_rng(seed, k):
@@ -50,9 +59,9 @@ def dense_var_H(problem: SensitivityProblem, yu, en) -> np.ndarray:
     the flat positions of J's terms: the bitwise reference of the values
     that ``propagate_to_H`` stores on H's pattern.  J takes its admittance
     inputs where Y or its noise is nonzero, as ``propagate_to_H`` does."""
-    Ym, E = problem.point
-    linked = structural_nonzero(Ym) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
-    dH = jacobian_derivative(Ym, E, problem.nonslack, linked)
+    Y, E = problem.point
+    linked = structural_nonzero(Y.matrix) | (yu.sigma_re != 0) | (yu.sigma_im != 0)
+    dH = jacobian_derivative(Y, E, problem.nonslack, np.flatnonzero(linked))
     stds = (en.sigma_re, en.sigma_im, yu.sigma_re.take(dH.pairs), yu.sigma_im.take(dH.pairs))
     per_entry = (dH.coefficient**2 * (np.concatenate(stds) ** 2)[dH.input]).sum(axis=1)
     flat = np.bincount(dH.position.ravel(), weights=per_entry.ravel(), minlength=dH.dim**2)

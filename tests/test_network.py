@@ -18,6 +18,7 @@ from pfsc.errors import (
 from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network
 
 from conftest import make_feeder, make_random_network, make_three_phase_balanced
+from oracles import structural_nonzero
 
 
 def _no_json(text, **kwargs):
@@ -163,6 +164,71 @@ class TestBuildAdmittance:
             branches[k] = Branch(branches[k].from_bus, branches[k].to_bus, 0.0)
         with pytest.raises(DegenerateBranchError, match="branch 3-4"):
             pfsc.build_admittance(replace(net, branches=tuple(branches)))
+
+
+def _pattern_network(which):
+    if which == "feeder60":
+        return make_feeder(60, 1)
+    if which == "feeder300":
+        return make_feeder(300, 1)
+    if which == "random40":
+        return make_random_network(40, 2, radial=False)
+    net = load_network(pfsc.bundled_network_path()) if which == "ieee4" else make_three_phase_balanced()
+    if which.startswith("three-phase-"):  # shunts on shared nodes, in branch order
+        square = which.endswith("square")
+        net = replace(net, branches=tuple(
+            Branch(br.from_bus, br.to_bus, br.z_ohm,
+                   1e-4 * (k + 1) * (np.eye(3) if square else 1.0))
+            for k, br in enumerate(net.branches)
+        ))
+    return net
+
+
+class TestAdmittancePattern:
+    """Y is stored on its structural pattern; the dense view is the stamp."""
+
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase-scalar", "three-phase-square",
+                                       "random40", "feeder60", "feeder300"])
+    def test_dense_view_is_the_dense_stamp(self, which):
+        net = _pattern_network(which)
+        Y = pfsc.build_admittance(net)
+        stamp = _admittance_per_branch(net)
+        assert Y.matrix.tobytes() == stamp.tobytes()
+        assert np.array_equal(Y.positions, np.flatnonzero(structural_nonzero(stamp)))
+        assert np.all(np.diff(Y.positions) > 0)
+        assert Y.matrix is not Y.matrix  # built on each read, not kept
+        again = pfsc.AdmittanceMatrix(stamp)
+        assert np.array_equal(again.positions, Y.positions)
+        assert again.values.tobytes() == Y.values.tobytes()
+
+    def test_entry_that_stamps_to_zero_is_not_stored(self):
+        # branches z and -z in parallel between buses 1 and 2 cancel exactly
+        z = 0.1 + 0.2j
+        net = NetworkModel(
+            buses=(Bus(1, "slack"), Bus(2, "pq", (0.0,), (0.0,)), Bus(3, "pq", (0.0,), (0.0,))),
+            branches=(Branch(1, 2, z), Branch(1, 2, -z), Branch(2, 3, 0.1 + 0.3j)),
+            phase_count=1,
+            slack_bus=1,
+            base_power_va=1e6,
+            base_voltage_v=1e3,
+        )
+        stamp = _admittance_per_branch(net)
+        assert stamp[0, 0] == 0 and stamp[0, 1] == 0 and stamp[1, 0] == 0
+        Y = pfsc.build_admittance(net)
+        assert Y.matrix.tobytes() == stamp.tobytes()
+        assert np.array_equal(Y.positions, np.flatnonzero(structural_nonzero(stamp)))
+        assert not np.isin([0, 1, 3], Y.positions).any()
+
+    def test_stored_arrays_are_read_only(self, ieee4):
+        Y = pfsc.build_admittance(ieee4)
+        for array in (Y.positions, Y.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_dense_constructor_takes_a_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"square, not {shape}")):
+            pfsc.AdmittanceMatrix(np.ones(shape))
 
 
 class TestLoadNetwork:

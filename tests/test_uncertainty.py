@@ -329,9 +329,10 @@ class TestJacobianDerivative:
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
         before = propagate_to_H(problem, yu, en).toarray()  # derives the cached operator
         calls = counted_derivatives(monkeypatch)
-        edited = AdmittanceMatrix(Y.matrix.copy())
+        dense = Y.matrix
         i, j = net.flat_index(2), net.flat_index(3)
-        edited.matrix[i, j] *= 1.5
+        dense[i, j] *= 1.5
+        edited = AdmittanceMatrix(dense)
         got = propagate_to_H(assemble_problem(edited, state, net), yu, en).toarray()
         assert calls == {"cached": 1, "per call": 0}
         assert_matches_channels(got, channel_variance(problem, edited, state, yu, en))
@@ -492,17 +493,51 @@ class TestPropagateToH:
         np.testing.assert_allclose(hv, sampled, rtol=0.03)
 
     def test_relative_stds_are_one_read_only_array(self, ieee4_solved):
+        # stored on Y's pattern; the dense views are new arrays on each read
         _, Y, _ = ieee4_solved
         yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        assert yu.sigma_im is yu.sigma_re
+        assert yu.im is yu.re and yu.positions is Y.positions
         with pytest.raises(ValueError, match="read-only"):
-            yu.sigma_re[0, 0] = 1.0
+            yu.re[0] = 1.0
+        assert yu.sigma_re is not yu.sigma_re
+        assert np.array_equal(yu.sigma_re, yu.sigma_im)
 
-    def test_shared_stds_are_scanned_once(self, ieee4_solved):
-        _, Y, _ = ieee4_solved
-        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        assert len(yu.distinct_stds) == 1 and yu.distinct_stds[0] is yu.sigma_re
-        assert len(AdmittanceUncertainty.zero(4).distinct_stds) == 2
+    @pytest.mark.parametrize("level", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("which", list(NETWORKS))
+    def test_relative_stds_are_the_dense_product(self, which, level):
+        net = NETWORKS[which]()
+        Y = pfsc.build_admittance(net)
+        yu = AdmittanceUncertainty.from_relative(Y, level)
+        dense = np.abs(Y.matrix) * (level / 100.0)
+        assert yu.sigma_re.tobytes() == dense.tobytes()
+        assert yu.sigma_im.tobytes() == dense.tobytes()
+
+    def test_dense_stds_are_stored_where_nonzero(self):
+        rng = np.random.default_rng(3)
+        re = rng.uniform(size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.4)
+        im = rng.uniform(size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.4)
+        yu = AdmittanceUncertainty(re, im)
+        assert np.array_equal(yu.positions, np.flatnonzero((re != 0) | (im != 0)))
+        assert np.array_equal(yu.sigma_re, re) and np.array_equal(yu.sigma_im, im)
+        listed = AdmittanceUncertainty(re.tolist(), im.tolist())
+        assert np.array_equal(listed.sigma_re, re) and np.array_equal(listed.sigma_im, im)
+
+    @pytest.mark.parametrize("sigma_re, sigma_im, message", [
+        (np.ones((3, 3)), np.zeros((4, 4)),
+         "admittance stds sigma_re (3, 3) and sigma_im (4, 4) differ in shape"),
+        (np.ones((3, 3)), np.ones(3), "differ in shape"),
+        (np.ones(3), np.ones(3), "admittance stds must be a square matrix, not (3,)"),
+        (np.ones((2, 3)), np.ones((2, 3)), "must be a square matrix, not (2, 3)"),
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2)), "must be a square matrix, not (2, 2, 2)"),
+        (np.ones((2, 2)), np.ones((2, 2)) * 1j, "admittance std sigma_im must be real, not complex"),
+        ([["a", "b"], ["c", "d"]], np.ones((2, 2)), "admittance std sigma_re must be numeric"),
+        ([[0.1, 0.2], [0.1]], np.ones((2, 2)), "admittance std sigma_re must be numeric"),
+        (np.ones((2, 2), dtype=bool), np.ones((2, 2)), "must be numeric, not bool"),
+    ])
+    def test_bad_stds_are_one_config_error(self, sigma_re, sigma_im, message):
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            AdmittanceUncertainty(sigma_re, sigma_im)
+        assert "\n" not in str(info.value)
 
     def test_negative_variance_input_rejected(self):
         with pytest.raises(ConfigError, match="nonnegative"):
@@ -558,9 +593,10 @@ class TestPatternForm:
         # stored zeros keep every column nonempty, which the column sums
         # of inverse_self_variance rely on
         net, Y, state, _ = solved("ieee4")
-        edited = AdmittanceMatrix(Y.matrix.copy())
+        dense = Y.matrix
         i = net.flat_index(4)
-        edited.matrix[i, :] = edited.matrix[:, i] = 0
+        dense[i, :] = dense[:, i] = 0
+        edited = AdmittanceMatrix(dense)
         problem = assemble_problem(edited, state, net)
         yu = AdmittanceUncertainty.from_relative(edited, 1.0)
         hv = propagate_to_H(problem, yu, project_polar_noise(state, it_class_to_polar("0.5")))
@@ -603,6 +639,35 @@ class TestPatternForm:
             tracemalloc.stop()
         assert result.problem.dim == 598
         assert peak < dense_bytes
+
+    def test_1000_bus_pipeline_holds_no_dense_Y_at_the_chain(self, tmp_path, monkeypatch):
+        # every 50th bus monitored, three levels, analytical only: a dense
+        # complex Y is 16 MB at 1000 buses, and only the load flow and the
+        # targeted refill build one, each for its own step
+        net = make_feeder(1000, 1)
+        path = tmp_path / "feeder.json"
+        pfsc.emit_network(net, path)
+        wanted = tuple((bus, bus, part, wrt) for bus in range(50, net.n_bus + 1, 50)
+                       for part, wrt in (("re", "P"), ("im", "Q")))
+        cfg = pfsc.RunConfig(network=str(path), mode="analytical",
+                             sigma_y_pct=(0.5, 1.0, 2.0), coefficients=wanted)
+        entered = []
+
+        def recording(*args):
+            entered.append(tracemalloc.get_traced_memory()[0])
+            return analytical_sigma(*args)
+
+        monkeypatch.setattr(pfsc.report, "analytical_sigma", recording)
+        dense_Y = net.n_nodes**2 * 16
+        tracemalloc.start()
+        try:
+            pfsc.run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entered) == 3
+        assert max(entered) < 4e6
+        assert peak < 1.5 * dense_Y
 
 
 class TestInverseVariance:
