@@ -179,7 +179,9 @@ class SensitivityResult:
 
     def block_index(self, rows, cols):
         """Positions in x (and in every table aligned with x) of the
-        full-table positions ``rows``, ``cols``."""
+        full-table positions ``rows``, ``cols``.  A position outside
+        [0, dim), or one that a targeted solve does not hold, raises
+        ValueError."""
         dim = self.problem.dim
         return _positions(self.rows, rows, dim), _positions(self.cols, cols, dim)
 
@@ -193,11 +195,12 @@ class SensitivityResult:
 
 def _positions(held, wanted, dim):
     """Positions within the sorted ``held`` of the entries of ``wanted``."""
+    wanted = _in_range(wanted, dim)
     if len(held) == dim:  # every position held: the identity
-        return np.asarray(wanted, dtype=np.intp)
+        return wanted
     where = np.full(dim, -1)
     where[held] = np.arange(len(held))
-    out = where[np.asarray(wanted, dtype=np.intp)]
+    out = where[wanted]
     if np.any(out < 0):
         raise ValueError("coefficient not held by this targeted solve")
     return out
@@ -264,8 +267,9 @@ def solve_coefficients(
 
     ``rows`` and ``cols`` are the positions in x of the requested
     coefficients, as ``report.coefficient_positions`` returns them; None
-    requests every row (column).  The result holds the rows R and columns
-    C those positions touch.  When R or C leaves out a row or a column of
+    requests every row (column); a position outside [0, dim) raises
+    ValueError.  The result holds the rows R and columns C those
+    positions touch.  When R or C leaves out a row or a column of
     x, the targeted path runs: one sparse LU of H gives H^-1[R, :] and
     H^-1[:, C], each within the residual bound RESIDUAL_RTOL (after one
     refinement step if needed), and H is cleared when ||H||_1 times the
@@ -322,8 +326,16 @@ def _held(positions, dim):
     if positions is None:
         return np.arange(dim)
     held = np.zeros(dim, dtype=bool)
-    held[np.asarray(positions, dtype=np.intp)] = True
+    held[_in_range(positions, dim)] = True
     return np.flatnonzero(held)
+
+
+def _in_range(positions, dim):
+    """``positions`` as an index array; ValueError unless each is in [0, dim)."""
+    positions = np.asarray(positions, dtype=np.intp)
+    if np.any((positions < 0) | (positions >= dim)):
+        raise ValueError(f"coefficient position outside [0, {dim})")
+    return positions
 
 
 def _inverse_blocks(A, R, C):

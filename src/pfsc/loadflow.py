@@ -14,11 +14,10 @@ imaginary part at 2k + 1.  The load flow, the sensitivity system
 H x = z and the Monte-Carlo trials all assemble H here, in one of two
 forms that evaluate the same expressions:
 
-- ``SparseJacobian``: a CSC matrix on Y's pattern (node pair (i, n) is
-  a 2x2 block, stored where Y_in is nonzero and on the diagonal), laid
-  out once per Y from its stored entries and refilled for each E and
-  product Y E.  The Newton loop and the targeted coefficient solve
-  factor it with SuperLU (``scipy.sparse.linalg.splu``).
+- ``SparseJacobian``: a CSC matrix on Y's pattern, laid out once per Y
+  and refilled for each E and product Y E.  The Newton loop and the
+  targeted coefficient solve factor it with SuperLU
+  (``scipy.sparse.linalg.splu``).
 - ``jacobian``: dense and batched over stacks of (Y, E), for the
   Monte-Carlo trials and the full-table inverse.
 
@@ -35,11 +34,18 @@ variances.  The result lives on H's structural pattern, as a
 ``PatternArray``: CSC arrays held by numpy alone, since at a few buses
 building and multiplying a scipy sparse matrix costs more than the whole
 propagation.
+
+One routine, ``_block_layout``, lays out H's structural pattern for both:
+the 2x2 blocks (k, c) of the non-slack node pairs that a stored
+admittance position links, and every diagonal block, as CSC arrays and
+the data offsets of each block.  ``SparseJacobian`` reads it for Y's
+positions and refills the blocks; ``jacobian_derivative`` reads it for
+the positions of its admittance inputs, and each term carries the data
+offset of its entry.  On Y's pattern the two get the same arrays.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +157,48 @@ class PatternArray:
         return np.add.reduceat(terms, self.indptr[:-1], axis=1)
 
 
+def _block_layout(positions, nonslack, m):
+    """H's structural pattern, in 2x2 blocks, for the Y entries at the
+    distinct flat ``positions`` r m + n of an (m, m) Y.
+
+    Unknown k is node ``nonslack[k]``.  A position links block (k, c)
+    when r is unknown k and n is unknown c, c != k.  The blocks are every
+    diagonal block (k, k), in node order, then each linked block, in the
+    order of ``positions``.  Returns ``(k, c, at, indices, indptr)``:
+
+    - per position, k the unknown of r (-1 for a slack node) and c that
+      of n when the position links a block, else -1;
+    - ``at`` (4, blocks), the data offsets of each block's entries
+      (2k, 2c), (2k, 2c + 1), (2k + 1, 2c), (2k + 1, 2c + 1);
+    - ``indices`` and ``indptr``, the CSC arrays of the (2n, 2n) pattern,
+      with rows sorted within each column.
+    """
+    n = len(nonslack)
+    diagonal = np.arange(n)
+    unknown = np.full(m, -1)
+    unknown[nonslack] = diagonal
+    r, node = np.divmod(positions, m)
+    k, c = unknown[r], unknown[node]
+    c[(k < 0) | (c == k)] = -1
+    linked = c >= 0
+    row = np.concatenate([diagonal, k[linked]])
+    col = np.concatenate([diagonal, c[linked]])
+    rank = np.empty(len(row), dtype=np.intp)
+    rank[np.argsort(col * n + row)] = np.arange(len(row))  # column-major
+    counts = np.bincount(col, minlength=n)
+    # node column c holds CSC columns 2c and 2c + 1, each with rows 2k and
+    # 2k + 1 of every block (k, c), after four entries of each block before c
+    before = (np.cumsum(counts) - counts)[col]
+    first = 2 * (rank + before)
+    second = first + 2 * counts[col]
+    at = np.array((first, second, first + 1, second + 1))
+    indices = np.empty(4 * len(row), dtype=np.int32)
+    indices[at] = 2 * row + np.array([[0], [0], [1], [1]])
+    indptr = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.repeat(2 * counts, 2), out=indptr[1:])
+    return k, c, at, indices, indptr
+
+
 @dataclass(frozen=True, eq=False)
 class JacobianDerivative:
     """dH/d(input) of ``jacobian`` at one point, as groups of signed terms.
@@ -165,28 +213,20 @@ class JacobianDerivative:
     (entry, input) pair occurs twice: an input that enters one entry more
     than once (E_r and Y_rr in the diagonal blocks, through both
     conj(E_r) Y_rr and (Y E)_r) has the sum of its coefficients.
+
+    H's structural pattern is laid out in CSC form, as ``SparseJacobian``
+    lays it out for the same positions: ``indices`` and ``indptr``, and
+    the data offset ``slot[e, g]`` of entry ``position[e, g]``.
     """
 
     dim: int
     pairs: np.ndarray
     position: np.ndarray  # (4, G)
+    slot: np.ndarray  # (4, G)
+    indices: np.ndarray
+    indptr: np.ndarray
     input: np.ndarray  # (4, G)
     coefficient: np.ndarray  # (4, 4, G): entry, input, group
-
-    @functools.cached_property
-    def pattern(self):
-        """H's structural pattern in CSC form, worked out once per operator:
-        ``(slot, indices, indptr)``, with ``slot`` (4, G) the data offset
-        of each term's entry.  The pattern is every entry that a term
-        lands on, and the 2x2 diagonal blocks."""
-        dim = self.dim
-        block = np.array([[0], [1], [dim], [dim + 1]])  # entry within a 2x2 block
-        diagonal = block + np.arange(dim // 2) * (2 * dim + 2)
-        row, col = np.divmod(np.concatenate([self.position.ravel(), diagonal.ravel()]), dim)
-        keys, slot = np.unique(col * dim + row, return_inverse=True)  # column-major
-        indptr = np.zeros(dim + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys // dim, minlength=dim), out=indptr[1:])
-        return slot[: self.position.size].reshape(self.position.shape), keys % dim, indptr
 
     def squared_product(self, values):
         """(J o J) @ values on H's structural pattern, as a
@@ -195,10 +235,10 @@ class JacobianDerivative:
         dense (dim, dim) bincount over flat positions, so every stored
         value is bitwise that dense entry; entries off the pattern are
         zero."""
-        slot, indices, indptr = self.pattern
         per_entry = (self.coefficient**2 * values[self.input]).sum(axis=1)
-        data = np.bincount(slot.ravel(), weights=per_entry.ravel(), minlength=len(indices))
-        return PatternArray(data, indices, indptr, (self.dim, self.dim))
+        data = np.bincount(self.slot.ravel(), weights=per_entry.ravel(),
+                           minlength=len(self.indices))
+        return PatternArray(data, self.indices, self.indptr, (self.dim, self.dim))
 
 
 def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
@@ -212,13 +252,12 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
     ns = np.asarray(nonslack, dtype=np.intp)
     n, m = len(ns), len(E)
     dim = 2 * n
-    at = np.full(m, -1)
-    at[ns] = np.arange(n)
     pairs = Y.positions if positions is None else positions
-    pairs = pairs[at[pairs // m] >= 0]
-    y = Y.take(pairs)
+    k, c, at, indices, indptr = _block_layout(pairs, ns, m)
+    keep = k >= 0
+    y = (Y.values if positions is None else Y.take(positions))[keep]
+    pairs, k, c = pairs[keep], k[keep], c[keep]
     r, node = np.divmod(pairs, m)
-    k, c = at[r], at[node]
     yr, yi = y.real, y.imag
     er_n, ei_n, er_r, ei_r = E.real[node], E.imag[node], E.real[r], E.imag[r]
     q = np.arange(len(pairs))
@@ -228,15 +267,15 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
     # (k, c), for n non-slack, and in K = (Y E)_r on block (k, k).  The
     # gradients of Re and Im of each over the inputs (Re Y_rn, Im Y_rn,
     # Re E, Im E), with E = E_r for A and E = E_n for K:
-    g_a = np.stack([er_r, ei_r, yr, yi, -ei_r, er_r, yi, -yr]).reshape(2, 4, -1)
-    g_k = np.stack([er_n, -ei_n, yr, -yi, ei_n, er_n, yi, yr]).reshape(2, 4, -1)
+    g_a = np.array([er_r, ei_r, yr, yi, -ei_r, er_r, yi, -yr]).reshape(2, 4, -1)
+    g_k = np.array([er_n, -ei_n, yr, -yi, ei_n, er_n, yi, yr]).reshape(2, 4, -1)
     # and of the four entries of a block, (re, re), (re, im), (im, re),
     # (im, im): Re A, -Im A, Im A, Re A plus Re K, Im K, Im K, -Re K
-    coef_a = np.stack([g_a[0], -g_a[1], g_a[1], g_a[0]])  # (entry, input, pair)
-    coef_k = np.stack([g_k[0], g_k[1], g_k[1], -g_k[0]])
+    coef_a = np.array([g_a[0], -g_a[1], g_a[1], g_a[0]])  # (entry, input, pair)
+    coef_k = np.array([g_k[0], g_k[1], g_k[1], -g_k[0]])
     diag = node == r  # both on block (k, k), with the same inputs: summed
     coef_k[:, :, diag] += coef_a[:, :, diag]
-    off = (c >= 0) & ~diag
+    off = c >= 0
 
     # the K group of every pair, then the A group of each off-diagonal one
     offset = np.array([0, 1, dim, dim + 1])[:, None]  # entry within a block
@@ -245,8 +284,11 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
         dim=dim,
         pairs=pairs,
         position=offset + corner,
+        slot=np.concatenate([at[:, k], at[:, n:]], axis=1),
+        indices=indices,
+        indptr=indptr,
         input=np.concatenate(
-            [np.stack([i_yr, i_yi, node, m + node]), np.stack([i_yr, i_yi, r, m + r])[:, off]],
+            [np.array([i_yr, i_yi, node, m + node]), np.array([i_yr, i_yi, r, m + r])[:, off]],
             axis=1,
         ),
         coefficient=np.concatenate([coef_k, coef_a[:, :, off]], axis=2),
@@ -257,8 +299,8 @@ class SparseJacobian:
     """``jacobian`` on the pattern of Y, as a CSC matrix refilled per call.
 
     The pattern is fixed by the stored entries of the ``AdmittanceMatrix``
-    ``Y`` among the ``nonslack`` nodes, plus the diagonal, and the object
-    keeps Y's entries there.  Calling it with voltages E and the product
+    ``Y`` among the ``nonslack`` nodes, plus the diagonal blocks
+    (``_block_layout``), and the object keeps Y's entries there.  Calling it with voltages E and the product
     ``YE = Y E`` (computed by the caller, which holds the dense Y) writes
     H(Y, E) into the data of ``matrix`` (the same object each call) and
     returns it.
@@ -267,30 +309,14 @@ class SparseJacobian:
     def __init__(self, Y: AdmittanceMatrix, nonslack):
         ns = np.asarray(nonslack, dtype=np.intp)
         n, m = len(ns), Y.n_nodes
-        position = np.full(m, -1)
-        position[ns] = np.arange(n)
-        i, j = np.divmod(np.union1d(Y.positions, ns * (m + 1)), m)
-        k, c = position[i], position[j]
-        both = (k >= 0) & (c >= 0)
-        # node pairs column-major: by column node c, then row node k
-        c, k = np.divmod(np.sort(c[both] * n + k[both]), n)
-        counts = np.bincount(c, minlength=n)
-        starts = np.cumsum(counts) - counts
-        # Node column c holds CSC columns 2c and 2c + 1, each with rows
-        # 2k, 2k + 1 of every k linked to c.  Data offsets of pair p's
-        # entries (2k, 2c), (2k + 1, 2c), (2k, 2c + 1), (2k + 1, 2c + 1):
-        first = 2 * np.arange(len(c)) + 2 * starts[c]
-        second = first + 2 * counts[c]
-        self._at = np.stack((first, first + 1, second, second + 1))
-        self._at_diag = self._at[:, k == c]  # one pair per column, node order
-        self._row, self._ns = ns[k], ns
-        self._y = Y.take(ns[k] * m + ns[c])
-        indices = np.empty(4 * len(c), dtype=np.int32)
-        indices[self._at] = 2 * k + np.array([[0], [1], [0], [1]])
-        indptr = np.zeros(2 * n + 1, dtype=np.int32)
-        np.cumsum(np.repeat(2 * counts, 2), out=indptr[1:])
+        _, c, self._at, indices, indptr = _block_layout(Y.positions, ns, m)
+        linked = c >= 0
+        # the diagonal blocks, then the linked ones: row node and Y entry
+        self._row = np.concatenate([ns, Y.positions[linked] // m])
+        self._y = np.concatenate([Y.take(ns * (m + 1)), Y.values[linked]])
+        self._ns = ns
         self.matrix = csc_matrix(
-            (np.zeros(4 * len(c)), indices, indptr), shape=(2 * n, 2 * n)
+            (np.zeros(len(indices)), indices, indptr), shape=(2 * n, 2 * n)
         )
 
     def __call__(self, E, YE):
@@ -298,16 +324,8 @@ class SparseJacobian:
         A = np.conj(E[self._row]) * self._y
         K = YE[self._ns]
         data = self.matrix.data
-        rr, ir, ri, ii = self._at
-        data[rr] = A.real
-        data[ir] = A.imag
-        data[ri] = -A.imag
-        data[ii] = A.real
-        rr, ir, ri, ii = self._at_diag
-        data[rr] += K.real
-        data[ir] += K.imag
-        data[ri] += K.imag
-        data[ii] -= K.real
+        data[self._at] = np.array((A.real, -A.imag, A.imag, A.real))
+        data[self._at[:, : len(K)]] += np.array((K.real, K.imag, K.imag, -K.real))
         return self.matrix
 
 

@@ -26,10 +26,14 @@ the ``SensitivityProblem`` holds.  J is derived once per problem (its
 ``dH``), so each noise level costs one gather of the input variances and
 one product with J o J.  The admittance stds are stored on a pattern
 (``AdmittanceUncertainty``), Y's for ``from_relative``, and are gathered
-at J's admittance inputs from there.  var(H) is nonzero only on H's structural
-pattern (the node pairs where Y or its noise is nonzero, and the 2x2
-diagonal blocks), and it is returned there: J lays out that pattern once,
-and the product bins each term straight into its stored entry.
+at J's admittance inputs from there.  Noise where Y is zero in a
+non-slack row is an input that the problem's J lacks, and J is derived
+again for that call.  var(H) is nonzero only on H's structural pattern
+(the node pairs where Y or its noise is nonzero, and the 2x2 diagonal
+blocks), and it is returned there: J carries that pattern in CSC form,
+from the layout routine that ``loadflow.SparseJacobian`` reads too, and
+the data offset of each term, so the product bins each term straight
+into its stored entry.
 
 Variances (not stds) are the internal currency; only analytical_sigma,
 the end-to-end call, returns stds.  All cross-covariances between
@@ -65,7 +69,8 @@ class PolarNoiseSpec:
     ``sigma_rho`` is the magnitude std; with ``relative=True`` (the
     default, matching instrument-transformer class semantics) it is a
     fraction of the nominal magnitude.  ``sigma_theta`` is the phase std
-    in radians.  Scalars broadcast over all nodes.
+    in radians.  Each is one finite, nonnegative real number (not a bool),
+    applied at every node; anything else raises ConfigError.
     """
 
     sigma_rho: float = 0.0
@@ -73,8 +78,8 @@ class PolarNoiseSpec:
     relative: bool = True
 
     def __post_init__(self):
-        if self.sigma_rho < 0 or self.sigma_theta < 0:
-            raise ConfigError("polar noise stds must be nonnegative")
+        if not (_is_std(self.sigma_rho) and _is_std(self.sigma_theta)):
+            raise ConfigError("polar noise stds must be finite, nonnegative real numbers")
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,14 @@ class CartesianNoiseSpec:
         return cls(np.zeros(n_nodes), np.zeros(n_nodes))
 
 
+def _is_std(value):
+    """Whether ``value`` is a finite, nonnegative real number; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 <= value < math.inf
+
+
 def check_level(level_pct):
     """Raise ConfigError unless ``level_pct`` is a finite, nonnegative number."""
-    if isinstance(level_pct, bool) or not isinstance(level_pct, numbers.Real) or not (
-        0 <= level_pct < math.inf
-    ):
+    if not _is_std(level_pct):
         raise ConfigError(
             f"admittance noise level must be a finite, nonnegative "
             f"percentage, not {level_pct!r}"
@@ -135,8 +143,6 @@ class AdmittanceUncertainty:
             array.flags.writeable = False
         self.positions, self.re, self.im = positions, re, im
         self.n_nodes, self.level_pct = n_nodes, level_pct
-        #: the positions where either std is nonzero
-        self.noisy = positions[(re != 0) | (im != 0)]
         self._padded = np.append(np.stack([re, im]), np.zeros((2, 1)), axis=1)
 
     @property
@@ -312,26 +318,26 @@ def propagate_to_H(
     the pattern are exactly zero.  ``toarray()`` gives the dense array.
 
     J is derived once per problem (``SensitivityProblem.dH``) and reused
-    while the admittance noise lies on Y's pattern; otherwise it is derived
-    for this call, on the pattern of Y and the noise together.  A problem
-    without a point (``assemble_from_raw``) raises ValueError.
+    unless a nonzero std sits where Y is zero in a non-slack row (the
+    stds' positions that Y does not store, in those rows); J is then
+    derived for this call, on the pattern of Y and the noise together.
+    Noise in the slack's rows enters no entry of H.  A problem without a
+    point (``assemble_from_raw``) raises ValueError, and voltage stds of
+    another length than the nodes' ValueError too.
     """
     if problem.point is None:
         raise ValueError("the problem holds no (Y, E) point to propagate at")
     Y, E = problem.point
     m = E.size
-    if en.sigma_re.shape != (m,) or yu.n_nodes != m:
+    if en.sigma_re.shape != (m,) or en.sigma_im.shape != (m,) or yu.n_nodes != m:
         raise ValueError("noise spec dimensions do not match the network")
-    # the noisy elements of the non-slack rows (the slack's rows are one
-    # stretch of flat positions) are all inputs of J, or J is derived again
-    slack = problem.network.slack_flat_indices()
-    in_slack = np.searchsorted(yu.noisy, [slack[0] * m, (slack[-1] + 1) * m])
-    in_rows = len(yu.noisy) - (in_slack[1] - in_slack[0])
+    # noise where Y is zero (Y stores no zero) in a non-slack row is an
+    # input that the problem's J lacks: J is derived again, with it
+    off_Y = yu.positions[Y.take(yu.positions) == 0]
     dH = problem.dH
+    if off_Y.size and np.isin(off_Y // m, problem.nonslack).any():
+        dH = jacobian_derivative(Y, E, problem.nonslack, np.union1d(Y.positions, off_Y))
     stds = yu.take(dH.pairs)
-    if np.count_nonzero(stds.any(axis=0)) != in_rows:  # noise where Y is zero
-        dH = jacobian_derivative(Y, E, problem.nonslack, np.union1d(Y.positions, yu.noisy))
-        stds = yu.take(dH.pairs)
     return dH.squared_product(np.concatenate((en.sigma_re, en.sigma_im, *stds)) ** 2)
 
 

@@ -350,6 +350,20 @@ class TestTargetedSolve:
             atol=1e-14 * np.max(np.abs(full.H_inv)),
         )
 
+    @pytest.mark.parametrize("rows, cols", [([-1], [0]), ([6], [0]), ([0], [-7]), ([0], [6])])
+    def test_position_outside_the_table_is_refused(self, ieee4_solved, rows, cols):
+        # dim H is 6 on ieee4: -1 would wrap to row 5, and 6 would index past the end
+        net, Y, state = ieee4_solved
+        problem = assemble_problem(Y, state, net)
+        full = solve_coefficients(problem)
+        targeted = solve_coefficients(problem, rows=[0, 5], cols=[0, 5])
+        for call in (lambda: solve_coefficients(problem, rows=rows, cols=cols),
+                     lambda: full.block_index(rows, cols),
+                     lambda: targeted.block_index(rows, cols)):
+            with pytest.raises(ValueError, match=r"outside \[0, 6\)") as info:
+                call()
+            assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("scale, refined", [(1 + 1e-7, True), (2.0, False)])
     def test_residual_check_and_refinement(self, ieee4_solved, monkeypatch, scale, refined):
         # a factorisation whose solves are off by a relative ``scale - 1``:

@@ -10,7 +10,7 @@ import pfsc
 from pfsc import coefficients, uncertainty
 from pfsc.coefficients import assemble_problem, solve_coefficients
 from pfsc.errors import ConfigError
-from pfsc.loadflow import jacobian
+from pfsc.loadflow import SparseJacobian, jacobian
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import coefficient_positions
 from pfsc.uncertainty import (
@@ -89,6 +89,19 @@ class TestProjection:
         lit = repeated_sign_projection(e, spec)
         _, sim = sample_polar_projection(1.0, 0.0, 0.005 / 3, 0.006 / 3, 10**5, 3)
         assert lit.sigma_im[0] > 100 * sim
+
+
+class TestPolarNoiseSpec:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3, True, 1e-3j, "0.001", None])
+    @pytest.mark.parametrize("field", ["sigma_rho", "sigma_theta"])
+    def test_std_that_is_not_a_finite_nonnegative_real_is_refused(self, field, bad):
+        with pytest.raises(ConfigError, match="finite, nonnegative real") as info:
+            PolarNoiseSpec(**{field: bad})
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("good", [0, 0.0, 1e-3, np.float64(2e-3), np.int64(1)])
+    def test_finite_nonnegative_reals_are_accepted(self, good):
+        assert PolarNoiseSpec(good, good).sigma_rho == good
 
 
 class TestITClass:
@@ -361,8 +374,42 @@ class TestJacobianDerivative:
         propagate_to_H(problem, AdmittanceUncertainty.from_relative(Y, 1.0), en)
         assert calls == {"cached": 0, "per call": 1}
 
+    def test_noise_off_the_pattern_in_the_slack_rows_only_is_no_input(self, monkeypatch):
+        # the slack's rows are no equations of H, so their noise enters no
+        # entry: J is not derived again, and var(H) is that without it
+        net, Y, state, problem = solved("ieee4")
+        en = project_polar_noise(state, it_class_to_polar("0.5"))
+        on_Y = AdmittanceUncertainty.from_relative(Y, 1.0)
+        sigma_re, sigma_im = on_Y.sigma_re, on_Y.sigma_im
+        slack = net.slack_flat_indices()[0]
+        zero = np.flatnonzero(Y.matrix[slack] == 0)
+        assert len(zero) > 0
+        sigma_re[slack, zero] = 4e-3
+        sigma_im[slack, zero[0]] = 2e-3
+        off_Y = AdmittanceUncertainty(sigma_re, sigma_im)
+        assert len(np.setdiff1d(off_Y.positions, Y.positions)) == len(zero)
+        want = propagate_to_H(problem, on_Y, en)
+        calls = counted_derivatives(monkeypatch)
+        got = propagate_to_H(problem, off_Y, en)
+        assert calls == {"cached": 0, "per call": 0}
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.toarray().tobytes() == want.toarray().tobytes()
+
 
 class TestPropagateToH:
+    @pytest.mark.parametrize("length", [2, 6, 3])
+    def test_voltage_stds_of_another_length_are_refused(self, length):
+        # ieee4 has m = 4 nodes: 6 used to shift every admittance variance,
+        # 3 to fail with a bare IndexError; both stds are checked, alike
+        net, Y, state, problem = solved("ieee4")
+        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+        en = project_polar_noise(state, it_class_to_polar("0.5"))
+        for bad in (CartesianNoiseSpec(en.sigma_re, np.ones(length)),
+                    CartesianNoiseSpec(np.ones(length), en.sigma_im)):
+            with pytest.raises(ValueError, match="noise spec dimensions") as info:
+                propagate_to_H(problem, yu, bad)
+            assert "\n" not in str(info.value)
+
     @pytest.mark.parametrize("which", ["ieee4", "three-phase", "random12"])
     def test_diagonal_blocks_match_loop_reference(self, which):
         net = {
@@ -587,6 +634,24 @@ class TestPatternForm:
         if noise == "relative":  # on Y's pattern: the one H is assembled on
             assert np.array_equal(hv.indices, problem.H_csc.indices)
             assert np.array_equal(hv.indptr, problem.H_csc.indptr)
+
+    @pytest.mark.parametrize("which", list(NETWORKS))
+    def test_derivative_and_sparse_jacobian_share_one_layout(self, which):
+        # on Y's pattern: both lay out the same CSC arrays, which store each
+        # entry of Y's node pairs among the unknowns and of the diagonal
+        # blocks once, and each term's slot is the stored entry at its position
+        net, Y, state, problem = solved(which)
+        dH = problem.dH
+        H = SparseJacobian(Y, problem.nonslack).matrix
+        assert np.array_equal(dH.indices, H.indices)
+        assert np.array_equal(dH.indptr, H.indptr)
+        ns = np.array(problem.nonslack)
+        blocks = (Y.matrix != 0)[np.ix_(ns, ns)] | np.eye(len(ns), dtype=bool)
+        cols = np.repeat(np.arange(problem.dim), np.diff(dH.indptr))
+        stored = np.zeros((problem.dim, problem.dim), dtype=int)
+        np.add.at(stored, (dH.indices, cols), 1)
+        assert np.array_equal(stored, np.kron(blocks, np.ones((2, 2), dtype=int)))
+        assert np.array_equal(dH.indices[dH.slot] * dH.dim + cols[dH.slot], dH.position)
 
     def test_unlinked_node_keeps_its_diagonal_block(self):
         # no term lands on the block of a node that Y leaves unlinked; its
