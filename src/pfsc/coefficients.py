@@ -10,9 +10,10 @@ with K_i = (Y E)_i, rhs = 1 for a P-injection and -j for a Q-injection.
 Splitting every complex equation and unknown into real and imaginary parts
 gives the square real system  H x = z  solved here.  Its left-hand side is
 the linearisation of conj(S) that the load flow's Newton iteration
-inverts, so H is ``loadflow.jacobian`` at the operating point; the
-realified ordering of rows and columns is stated there, and node k is the
-k-th non-slack node of the ordering that ``pfsc.network`` states.
+inverts, so H is ``loadflow.SparseJacobian`` at the operating point;
+the realified ordering of rows and columns is stated in
+``pfsc.loadflow``, and node k is the k-th non-slack node of the
+ordering that ``pfsc.network`` states.
 Columns of z: P-injection of node k at 2k, Q-injection at 2k+1.
 
 Every column of z is a signed unit vector (+1 in the real row for a
@@ -23,21 +24,22 @@ dense z is derived on request, for the Monte-Carlo stacks).
 
 Full table and targeted solves.  Given the positions in x of the
 requested coefficients, ``solve_coefficients`` holds only the rows R and
-columns C of x behind them.  When R and C cover every row and column (or
-no positions are given) it solves the whole table from a dense inverse
-of the dense H.  When they leave out a row or a column, it takes the
-targeted path, which never forms a dense H: H is assembled as a CSC
-matrix on Y's pattern (``SensitivityProblem.H_csc``), factored once by
-sparse LU (``scipy.sparse.linalg.splu``), then H^-1[:, C] is solved with
-H and H^-1[R, :] with H^T.  Each block, as the full table's H^-1, passes
+columns C of x behind them.  A point's H is assembled once, as a CSC
+matrix on Y's pattern (``SensitivityProblem.H_csc``).  When R and C
+cover every row and column (or no positions are given) it solves the
+whole table from a dense inverse of that H made dense.  When they leave
+out a row or a column, it takes the targeted path, which never forms a
+dense H: the CSC H is factored once by sparse LU
+(``scipy.sparse.linalg.splu``), then H^-1[:, C] is solved with H and
+H^-1[R, :] with H^T.  Each block, as the full table's H^-1, passes
 the residual check max |H B - I| <= RESIDUAL_RTOL, with one step of
 iterative refinement when it does not.  The factors clear H only when
 ||H||_1 (its largest column sum) times the 1-norm estimate of H^-1
 (``onenormest`` with t = 1, which draws no random numbers) is at least
-ESTIMATE_MARGIN times below COND_MAX / dim.  Any other H takes the full-table path, whose
-dense decision and checks are the reference, and the result keeps the
-requested block.  The two paths agree to rounding (about 1e-14
-relative at 300 buses).
+ESTIMATE_MARGIN times below COND_MAX / dim.  Any other H takes the
+full-table path from the same CSC H, whose dense decision and checks are
+the reference, and the result keeps the requested block.  The two paths
+agree to rounding (about 1e-14 relative at 300 buses).
 """
 
 from __future__ import annotations
@@ -80,14 +82,14 @@ def _offset(name, value, allowed):
 class SensitivityProblem:
     """The real linear system H x = z for all voltage sensitivities.
 
-    Made from a dense ``H``, or (by ``assemble_problem``) from the ``point``
-    (Y, E) that H is the Newton matrix at, with Y an ``AdmittanceMatrix``
-    on its pattern.  Such a problem assembles H when first read, in the
-    form read: ``H`` dense by ``loadflow.jacobian``, ``H_csc`` on Y's
-    pattern by ``loadflow.SparseJacobian``.  The two agree entry by entry
-    under ==.  Each builds the dense Y for the product Y E and frees it
-    when H is assembled.  A problem also derives ``dH``, the derivative of
-    H with respect to its inputs, once, when first read.
+    Made from a dense ``H`` (by ``assemble_from_raw``, for a stack too), or
+    (by ``assemble_problem``) from the ``point`` (Y, E) that H is the
+    Newton matrix at, with Y an ``AdmittanceMatrix`` on its pattern.  Such
+    a problem assembles H once, when first read: ``H_csc`` on Y's pattern
+    by ``loadflow.SparseJacobian``, which builds the dense Y for the
+    product Y E and frees it, and ``H`` is that matrix made dense.  A
+    problem also derives ``dH``, the derivative of H with respect to its
+    inputs, once, when first read.
     """
 
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
@@ -105,9 +107,9 @@ class SensitivityProblem:
 
     @functools.cached_property
     def H(self):
-        """Dense H, (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack."""
-        Y, E = self.point
-        return jacobian(Y.matrix, E, self.nonslack)
+        """Dense H, (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack.
+        A point's H is ``H_csc`` made dense."""
+        return self.H_csc.toarray()
 
     @functools.cached_property
     def H_csc(self):
@@ -211,8 +213,8 @@ def assemble_problem(
 ) -> SensitivityProblem:
     """H and z at the load-flow operating point ``state``.
 
-    H is assembled when the solve reads it: as CSC on Y's pattern for a
-    targeted solve, dense for the full table (see ``SensitivityProblem``).
+    H is assembled when the solve reads it, as CSC on Y's pattern (see
+    ``SensitivityProblem``).
     """
     E = state.voltages
     n = len(_checked_nonslack(Y.shape, E, network))

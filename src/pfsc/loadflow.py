@@ -10,16 +10,19 @@ voltages, d conj(S_i) = conj(E_i) (Y dE)_i + (Y E)_i conj(dE_i).
 Realified ordering, for rows and columns alike and throughout the package:
 the nodes of ``NetworkModel.nonslack_flat_indices`` (node ordering as
 stated in ``pfsc.network``), the real part of node k at 2k and the
-imaginary part at 2k + 1.  The load flow, the sensitivity system
-H x = z and the Monte-Carlo trials all assemble H here, in one of two
-forms that evaluate the same expressions:
+imaginary part at 2k + 1.  A term c dE of d conj(S) fills the 2x2 block
+of its pair of nodes by one rule (``_term_block``), and a term
+c conj(dE) by another (``_conj_term_block``).  The load flow, the
+sensitivity system H x = z and the Monte-Carlo trials all assemble H
+here, by those rules, in one of two forms:
 
 - ``SparseJacobian``: a CSC matrix on Y's pattern, laid out once per Y
-  and refilled for each E and product Y E.  The Newton loop and the
-  targeted coefficient solve factor it with SuperLU
-  (``scipy.sparse.linalg.splu``).
+  and refilled for each E and product Y E.  It assembles the H of one
+  point: the Newton loop and the targeted coefficient solve factor it
+  with SuperLU (``scipy.sparse.linalg.splu``), and the full table
+  inverts it made dense.
 - ``jacobian``: dense and batched over stacks of (Y, E), for the
-  Monte-Carlo trials and the full-table inverse.
+  Monte-Carlo trials.
 
 Every stored entry of the first equals the second's under ==.  Both
 read the product Y E from the dense Y, since a product over Y's pattern
@@ -57,6 +60,8 @@ from .network import AdmittanceMatrix, NetworkModel
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
+#: (row, column) within a 2x2 block of the entries that the block rules list
+_BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,18 @@ def nodal_power(voltages, Y: AdmittanceMatrix):
     return E * np.conj(Y.matrix @ E)
 
 
+def _term_block(re, im):
+    """The 2x2 block of a term c dE, c = re + j im, in H's realified
+    ordering (dE = dr + j di): its entries (re, re), (re, im), (im, re),
+    (im, im)."""
+    return re, -im, im, re
+
+
+def _conj_term_block(re, im):
+    """The block of a term c conj(dE), as ``_term_block`` gives that of c dE."""
+    return re, im, im, -re
+
+
 def jacobian(Ym, E, nonslack):
     """Newton matrix H of conj(S) w.r.t. the non-slack voltages, (..., 2n, 2n).
 
@@ -94,20 +111,15 @@ def jacobian(Ym, E, nonslack):
     K = (Ym @ E[..., None])[..., 0][..., ns]  # (Y E)_i, multiplies conj(dE_i)
     A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies dE_n
 
-    # d conj(S) = A dE + diag(K) conj(dE); realify with dE = dr + j di
+    # d conj(S) = A dE + diag(K) conj(dE)
     H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
-    H[..., 0::2, 0::2] = A.real
-    H[..., 0::2, 1::2] = -A.imag
-    H[..., 1::2, 0::2] = A.imag
-    H[..., 1::2, 1::2] = A.real
+    for (a, b), entry in zip(_BLOCK_ENTRIES, _term_block(A.real, A.imag)):
+        H[..., a::2, b::2] = entry
     # diag(K) touches only the 2x2 diagonal blocks: entry (2k + a, 2k + b)
     # sits at offset k (4n + 2) + 2n a + b of each flattened slice
     flat = H.reshape(H.shape[:-2] + (-1,))
-    step = 4 * n + 2
-    flat[..., ::step] += K.real
-    flat[..., 1::step] += K.imag
-    flat[..., 2 * n :: step] += K.imag
-    flat[..., 2 * n + 1 :: step] -= K.real
+    for (a, b), entry in zip(_BLOCK_ENTRIES, _conj_term_block(K.real, K.imag)):
+        flat[..., 2 * n * a + b :: 4 * n + 2] += entry
     return H
 
 
@@ -269,16 +281,15 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
     # Re E, Im E), with E = E_r for A and E = E_n for K:
     g_a = np.array([er_r, ei_r, yr, yi, -ei_r, er_r, yi, -yr]).reshape(2, 4, -1)
     g_k = np.array([er_n, -ei_n, yr, -yi, ei_n, er_n, yi, yr]).reshape(2, 4, -1)
-    # and of the four entries of a block, (re, re), (re, im), (im, re),
-    # (im, im): Re A, -Im A, Im A, Re A plus Re K, Im K, Im K, -Re K
-    coef_a = np.array([g_a[0], -g_a[1], g_a[1], g_a[0]])  # (entry, input, pair)
-    coef_k = np.array([g_k[0], g_k[1], g_k[1], -g_k[0]])
+    # and of the four entries of a block: A multiplies dE, K conj(dE)
+    coef_a = np.array(_term_block(*g_a))  # (entry, input, pair)
+    coef_k = np.array(_conj_term_block(*g_k))
     diag = node == r  # both on block (k, k), with the same inputs: summed
     coef_k[:, :, diag] += coef_a[:, :, diag]
     off = c >= 0
 
     # the K group of every pair, then the A group of each off-diagonal one
-    offset = np.array([0, 1, dim, dim + 1])[:, None]  # entry within a block
+    offset = np.array([dim * a + b for a, b in _BLOCK_ENTRIES])[:, None]
     corner = np.concatenate([2 * k * (dim + 1), (2 * k * dim + 2 * c)[off]])
     return JacobianDerivative(
         dim=dim,
@@ -324,8 +335,8 @@ class SparseJacobian:
         A = np.conj(E[self._row]) * self._y
         K = YE[self._ns]
         data = self.matrix.data
-        data[self._at] = np.array((A.real, -A.imag, A.imag, A.real))
-        data[self._at[:, : len(K)]] += np.array((K.real, K.imag, K.imag, -K.real))
+        data[self._at] = np.array(_term_block(A.real, A.imag))
+        data[self._at[:, : len(K)]] += np.array(_conj_term_block(K.real, K.imag))
         return self.matrix
 
 

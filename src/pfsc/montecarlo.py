@@ -7,13 +7,17 @@ propagation is compared against.  The admittance noise follows one of
 two models (``MCConfig.symmetry_mode``): ``independent-elements``, the
 model of the analytical propagation, draws every real and imaginary
 part of the matrix on its own; ``branch-parameter`` perturbs each
-branch's series impedance and stamps the matrix from it.
+branch's series impedance and stamps the matrix from it with the
+package's one stamp, ``network.stamp_admittance``, whose values on Y's
+pattern ``network.dense`` scatters into the chunk's stack.  A set's
+admittance noise must be made for the network's node count.
 
 Trials run in chunks of a fixed size (see ``_chunk_trials``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
-builds the stack of H, and one batched ``np.linalg.solve`` solves it.
+builds the stack of H (the batched dense ``loadflow.jacobian``), and one
+batched ``np.linalg.solve`` solves it.
 
 The streams are NumPy's own (NEP 19), built for a whole chunk at once.
 ``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
@@ -48,7 +52,7 @@ import numpy as np
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
 from .loadflow import GridState
-from .network import AdmittanceMatrix, NetworkModel, stamp_admittance
+from .network import AdmittanceMatrix, NetworkModel, dense, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
 INDEPENDENT_ELEMENTS = "independent-elements"
@@ -133,7 +137,7 @@ def _perturb_branches(network, frac, noise):
     z = network.branch_table.z_ohm
     n = noise.reshape(len(noise), len(z), 2, p, p)
     z_k = z + (n[:, :, 0] * frac * np.abs(z) + 1j * (n[:, :, 1] * frac * np.abs(z)))
-    return stamp_admittance(network, z_k)
+    return dense(*stamp_admittance(network, z_k), network.n_nodes)
 
 
 # The hash of ``numpy.random.SeedSequence`` (pool of 4 words) and the
@@ -367,7 +371,9 @@ def run_monte_carlo_sets(
     """Results of several Monte-Carlo sets from one pass over their trials.
 
     The configs agree on ``SHARED_FIELDS`` and may differ in ``yu`` and
-    ``n_trials``; any other difference raises ConfigError.  Trial k draws
+    ``n_trials``; any other difference raises ConfigError, and a ``yu``
+    made for another node count than the network's raises ValueError, as
+    the analytical chain does.  Trial k draws
     from the same stream in every set, so each result equals, bit for bit,
     that of ``run_monte_carlo`` on its config alone: the pass walks the
     trials of the longest set in the same chunks, builds each trial's
@@ -387,6 +393,8 @@ def run_monte_carlo_sets(
     sets = [_Set(cfg) for cfg in cfgs]
     levels = {}  # id(yu) -> the sets that share it
     for s in sets:
+        if s.cfg.yu.n_nodes != network.n_nodes:
+            raise ValueError("noise spec dimensions do not match the network")
         if s.cfg.symmetry_mode == BRANCH_PARAMETER and s.cfg.yu.level_pct is None:
             raise ConfigError("branch-parameter mode needs a relative level_pct")
         levels.setdefault(id(s.cfg.yu), []).append(s)

@@ -22,19 +22,27 @@ Branch table.  A ``NetworkModel`` also holds its branches as arrays, in
 branch order: the ``BranchTable`` of the flat index of each end, the
 series impedances ``(B, p, p)`` and the shunt susceptances ``(B, p, p)``,
 where a 1x1 shunt of a polyphase branch is ``b·I``.  It is built once,
-when the model is, and ``build_admittance``, ``stamp_admittance`` and the
-branch-parameter Monte-Carlo mode read it instead of the ``Branch``
-objects.
+when the model is, and ``stamp_admittance`` reads it instead of the
+``Branch`` objects.
 
-Admittance pattern.  ``build_admittance`` returns Y on its structural
-pattern (``AdmittanceMatrix``): the sorted flat positions ``r m + c`` of
-its nonzero entries and the entries there.  A dense Y is an ``(m, m)``
-array that only the product Y E needs; ``AdmittanceMatrix.matrix``
-builds it on each read.
+Admittance pattern.  ``stamp_admittance`` is the one stamp: it sums the
+branch terms of a stack of series impedances on Y's pattern, the sorted
+flat positions ``r m + c`` that the branches reach.  ``build_admittance``
+is its call on the network's own impedances and returns Y as an
+``AdmittanceMatrix``; the branch-parameter Monte-Carlo trials call it on
+perturbed impedances and scatter the values with ``dense``.  A dense Y
+is an ``(m, m)`` array that only the product Y E needs;
+``AdmittanceMatrix.matrix`` builds it on each read.
+
+The bases, the slack voltage, the bus injections and the branch values
+of a network are finite: ``load_network`` refuses a non-finite one with
+the entry and key that hold it, and ``NetworkModel.validate`` refuses one
+in a network built in code.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -300,12 +308,18 @@ class NetworkModel:
                 f"slack_bus={self.slack_bus} does not match the bus marked "
                 f"slack ({slacks[0]})"
             )
+        if not cmath.isfinite(complex(self.slack_voltage_pu)):
+            raise NetworkValidationError(
+                f"slack_voltage_pu must be finite, not {self.slack_voltage_pu!r}"
+            )
         p = self.phase_count
         for bus in self.buses:
             if bus.kind == PQ and (len(bus.p_kw) != p or len(bus.q_kvar) != p):
                 raise NetworkValidationError(
                     f"bus {bus.index}: injection needs {p} per-phase entries"
                 )
+            if not all(map(math.isfinite, bus.p_kw + bus.q_kvar)):
+                raise NetworkValidationError(f"bus {bus.index}: injection must be finite")
         # a branch's values are checked for finiteness once its ends and
         # shapes are: a fault in an earlier branch is reported first
         checked, fault = self.branches, None
@@ -407,11 +421,11 @@ class AdmittanceMatrix:
 
 
 def dense(positions, values, m):
-    """The ``(m, m)`` array of ``values`` at the flat ``positions``, zero
-    elsewhere."""
-    out = np.zeros(m * m, dtype=values.dtype)
-    out[positions] = values
-    return out.reshape(m, m)
+    """The ``(..., m, m)`` array of ``values`` (..., L) at the flat
+    ``positions`` (L,), zero elsewhere."""
+    out = np.zeros(values.shape[:-1] + (m * m,), dtype=values.dtype)
+    out[..., positions] = values
+    return out.reshape(values.shape[:-1] + (m, m))
 
 
 def take(positions, padded, flat):
@@ -428,38 +442,24 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
 
     Each branch contributes ``inv(z_pu)`` to its two diagonal blocks and
     ``-inv(z_pu)`` to the off-diagonal blocks; half the branch shunt
-    susceptance is added at each end.  The terms are summed on Y's
-    pattern in the order ``stamp_admittance`` sums them, so every entry
-    is bitwise that of the dense stamp.
+    susceptance is added at each end (``stamp_admittance`` of the
+    network's own impedances).
     """
-    flat, blocks = _stamp_terms(network, network.branch_table.z_ohm)
-    positions = np.unique(flat)
-    values = np.zeros(len(positions), dtype=complex)
-    np.add.at(values, np.searchsorted(positions, flat), blocks)
+    positions, values = stamp_admittance(network, network.branch_table.z_ohm)
     return AdmittanceMatrix.on_pattern(positions, values, network.n_nodes)
 
 
-def stamp_admittance(network: NetworkModel, z_ohm) -> np.ndarray:
-    """Dense admittance matrices (..., m, m) of ``network`` with the series
-    impedances ``z_ohm`` (..., B, p, p, in ohms) in place of its branches';
-    each matrix is bitwise the dense ``build_admittance(...).matrix`` of its
-    own network."""
-    m = network.n_nodes
-    flat, blocks = _stamp_terms(network, z_ohm)
-    stack = blocks.shape[:-4]
-    Y = np.zeros(stack + (m, m), dtype=complex)
-    # matrix k's entries start at k m^2 of the flat stack
-    start = np.arange(Y.size, step=m * m).reshape(stack + (1, 1, 1, 1))
-    np.add.at(Y.reshape(-1), start + flat, blocks)
-    return Y
+def stamp_admittance(network: NetworkModel, z_ohm):
+    """Y of ``network`` with the series impedances ``z_ohm`` (..., B, p, p,
+    in ohms) in place of its branches', on Y's pattern: ``(positions,
+    values)``, the sorted flat positions (L,) of the branch terms in the
+    ``(m, m)`` Y and the entries there (..., L).
 
-
-def _stamp_terms(network, z_ohm):
-    """The flat positions (B, 4, p, p) in Y of the branch terms and the
-    terms themselves (..., B, 4, p, p), for the series impedances
-    ``z_ohm`` (..., B, p, p, in ohms): blocks (f, f), (t, t), (f, t),
-    (t, f) of each branch, branch by branch, so that an entry shared by
-    several branches sums them in branch order."""
+    The terms are the blocks (f, f), (t, t), (f, t), (t, f) of each
+    branch, branch by branch, so that an entry shared by several branches
+    sums them in branch order.  ``dense`` scatters the values into dense
+    matrices.  An entry may sum to zero, which is kept.
+    """
     p = network.phase_count
     m = network.n_nodes
     branches = network.branches
@@ -478,8 +478,16 @@ def _stamp_terms(network, z_ohm):
     first = np.stack([f, t, f, t], axis=1)[:, :, None, None]
     second = np.stack([f, t, t, f], axis=1)[:, :, None, None]
     ph = np.arange(p)
-    flat = (first + ph[:, None]) * m + second + ph
-    return flat, np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
+    flat = ((first + ph[:, None]) * m + second + ph).reshape(-1)
+    terms = np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
+    stack = terms.shape[:-4]
+    terms = terms.reshape(stack + (-1,))
+    positions = np.unique(flat)
+    values = np.zeros(stack + (len(positions),), dtype=complex)
+    # stack k's entries start at k L of the flat values
+    start = len(positions) * np.arange(math.prod(stack)).reshape(stack + (1,))
+    np.add.at(values.reshape(-1), start + np.searchsorted(positions, flat), terms)
+    return positions, values
 
 
 # -- file input / output ----------------------------------------------------
@@ -535,20 +543,28 @@ def _first_nonfinite(*stacks):
 
 
 def _per_phase(entry, key, p, what):
-    """The per-phase values of ``entry[key]``; zero on every phase if the
-    key is omitted."""
+    """The per-phase values of ``entry[key]``, each a finite float; zero on
+    every phase if the key is omitted."""
     if key not in entry:
         return (0.0,) * p
     value = entry[key]
     if not isinstance(value, (list, tuple)):
         if p != 1:
             raise NetworkParseError(f"{what} {key}: scalar given but phases={p}")
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and math.isfinite(value):  # the usual case
             return (float(value),)
         value = [value]
     if len(value) != p:
         raise NetworkParseError(f"{what} {key}: expected {p} entries, got {len(value)}")
-    return tuple(_numeric(v, float, f"{what} {key}") for v in value)
+    name = f"{what} {key}"
+    return tuple(_finite(_numeric(v, float, name), name) for v in value)
+
+
+def _finite(value, what):
+    """``value``; NetworkParseError naming ``what`` unless it is finite."""
+    if not cmath.isfinite(value):
+        raise NetworkParseError(f"{what} must be finite, not {value!r}")
+    return value
 
 
 def _block(value, what):
@@ -660,7 +676,9 @@ def load_network(path) -> NetworkModel:
     scalar (1x1), which is per phase: ``b·I``.  ``r_ohm``, ``x_ohm`` and
     ``shunt_b_s`` are finite; a branch's values are checked for that after
     its other checks, and the first branch in file order with a fault is
-    the one named.  Both bases are finite positive numbers.  Net
+    the one named.  Every power field of a bus is finite, and so are the
+    slack voltage's magnitude and angle, each checked before their
+    product is formed.  Both bases are finite positive numbers.  Net
     injection = generation - load; generation positive.  Either the
     load/gen split or the net ``p_kw``/``q_kvar`` may be given per bus,
     not both; an omitted field is zero on every phase.  Bus indices,
@@ -690,10 +708,12 @@ def load_network(path) -> NetworkModel:
     if isinstance(slack_v, (list, tuple)):
         if len(slack_v) != 2:
             raise NetworkParseError(f"{what} must be a number or [magnitude, angle_rad]")
-        mag, angle = (_numeric(v, float, what) for v in slack_v)
+        # both checked before their product, which would warn
+        mag, angle = (_finite(_numeric(v, float, what), f"{what}[{k}]")
+                      for k, v in enumerate(slack_v))
         slack_v = mag * np.exp(1j * angle)
     else:
-        slack_v = _numeric(slack_v, complex, what)
+        slack_v = _finite(_numeric(slack_v, complex, what), what)
 
     buses = []
     slack_index = None

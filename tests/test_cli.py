@@ -415,9 +415,15 @@ _NET_BUSES = "buses: [{index: 1, kind: slack}, {index: 2}]\n"
         (_NET_HEAD + _NET_BUSES
          + "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, shunt_b_s: .inf}]\n",
          "branches[0] shunt_b_s must be finite, not inf"),
+        # so did a non-finite injection; an infinite slack magnitude warned
+        (_NET_HEAD + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: .nan}]\n" + _NET_TAIL,
+         "buses[1] p_kw must be finite, not nan"),
+        (_NET_HEAD + "slack_voltage_pu: [.inf, 0.0]\n" + _NET_BUSES + _NET_TAIL,
+         "slack_voltage_pu[0] must be finite, not inf"),
     ],
     ids=["index", "p_kw", "yaml-syntax", "non-integral-index", "shunt-shape",
-         "s-base-zero", "s-base-negative", "v-base-zero", "r-nan", "shunt-inf"],
+         "s-base-zero", "s-base-negative", "v-base-zero", "r-nan", "shunt-inf",
+         "p_kw-nan", "slack-inf"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_network_is_one_line(capsys, tmp_path, text, message):

@@ -60,6 +60,23 @@ class TestAssemble:
         with pytest.raises(ConfigError, match=repr(wrt)):
             res.derivative(2, 3, wrt=wrt)
 
+    @pytest.mark.parametrize("three_phase", [False, True], ids=["ieee4", "three-phase"])
+    def test_point_H_is_its_csc_H_made_dense(self, ieee4, three_phase, monkeypatch):
+        # a point's H is assembled once, by SparseJacobian; the dense
+        # jacobian assembles raw stacks only, and agrees entry by entry
+        from pfsc import coefficients
+
+        net = make_three_phase_balanced() if three_phase else ieee4
+        Y = pfsc.build_admittance(net)
+        state = pfsc.solve_load_flow(net, Y)
+        problem = assemble_problem(Y, state, net)
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, "jacobian", lambda *a: pytest.fail("dense jacobian"))
+            solve_coefficients(problem)
+        assert np.array_equal(problem.H, problem.H_csc.toarray())
+        raw = coefficients.assemble_from_raw(Y.matrix, state.voltages, net)
+        assert np.array_equal(problem.H, raw.H)
+
     def test_ieee4_H_well_conditioned(self, ieee4_solved):
         net, Y, state = ieee4_solved
         problem = assemble_problem(Y, state, net)

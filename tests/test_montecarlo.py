@@ -19,7 +19,7 @@ from pfsc.montecarlo import (
 from pfsc.network import Branch, Bus, NetworkModel, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
 
-from conftest import make_three_phase_balanced
+from conftest import make_feeder, make_three_phase_balanced
 from oracles import qq_normality_check, trial_rng
 
 MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
@@ -406,6 +406,19 @@ def test_shared_pass_refuses_sets_that_differ_in_their_draws(ieee4_solved, chang
     (field,) = change
     with pytest.raises(ConfigError, match=f"differ in {field}"):
         run_monte_carlo_sets(net, Y, state, [cfg, replace(cfg, **change)])
+
+
+@pytest.mark.parametrize("n_bus", [3, 6])
+@pytest.mark.parametrize("mode", MODES)
+def test_admittance_noise_of_another_network_is_refused(ieee4_solved, n_bus, mode):
+    # ieee4 has 4 nodes: a 3-node noise was read at the wrong positions,
+    # a 6-node one failed with a bare IndexError
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    other = AdmittanceUncertainty.from_relative(build_admittance(make_feeder(n_bus, 1)), 1.0)
+    cfg = MCConfig(n_trials=10, seed=7, polar=polar, yu=yu, symmetry_mode=mode)
+    with pytest.raises(ValueError, match="noise spec dimensions") as info:
+        run_monte_carlo_sets(net, Y, state, [cfg, replace(cfg, yu=other)])
+    assert "\n" not in str(info.value)
 
 
 def traced_peak(run):

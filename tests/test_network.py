@@ -374,6 +374,52 @@ branches:
         ):
             load_network(path)
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("key", ["p_kw", "q_kvar", "load_kw", "load_kvar",
+                                     "gen_kw", "gen_kvar"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_injection_refused(self, tmp_path, key, value):
+        # such a value used to load and fail in the load flow as a
+        # singular Jacobian
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            f"buses: [{{index: 1, kind: slack}}, {{index: 2}}, {{index: 3, {key}: {value}}}]\n"
+            "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2},"
+            " {from: 2, to: 3, r_ohm: 0.1, x_ohm: 0.2}]\n"
+        )
+        shown = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
+        with pytest.raises(
+            NetworkParseError,
+            match=re.escape(f"{path}: buses[2] {key} must be finite, not {shown}"),
+        ):
+            load_network(path)
+
+    @pytest.mark.parametrize(
+        "slack, message",
+        [
+            ("[.inf, 0.0]", "slack_voltage_pu[0] must be finite, not inf"),
+            ("[1.0, .nan]", "slack_voltage_pu[1] must be finite, not nan"),
+            (".nan", "slack_voltage_pu must be finite, not (nan+0j)"),
+            ("-.inf", "slack_voltage_pu must be finite, not (-inf+0j)"),
+        ],
+        ids=["magnitude-inf", "angle-nan", "scalar-nan", "scalar-inf"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_slack_voltage_refused(self, tmp_path, slack, message):
+        # the magnitude and angle are checked before their product, which
+        # warned for an infinite magnitude
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 3\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            f"slack_voltage_pu: {slack}\n"
+            "buses: [{index: 1, kind: slack}, {index: 2}]\n"
+            "branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]],"
+            " x_ohm: [[0.2, 0, 0], [0, 0.2, 0], [0, 0, 0.2]]}]\n"
+        )
+        with pytest.raises(NetworkParseError, match=re.escape(f"{path}: {message}")):
+            load_network(path)
+
     @pytest.mark.parametrize(
         "branches, message",
         [
@@ -632,17 +678,22 @@ branches:
         assert message.startswith(f"{path}: line ")
         assert "\n" not in message
 
-    def test_nan_injection_round_trips(self, ieee4, tmp_path):
+    def test_nan_is_read_as_yaml(self, ieee4, tmp_path):
         # NaN is not JSON: the file is read as YAML, where NaN is a string
-        bus = replace(ieee4.buses[1], p_kw=(float("nan"),))
-        net = replace(ieee4, buses=(ieee4.buses[0], bus, *ieee4.buses[2:]))
+        first = ieee4.branches[0]
+        nan_length = Branch(first.from_bus, first.to_bus, first.z_ohm, length_km=float("nan"))
+        net = replace(ieee4, branches=(nan_length, *ieee4.branches[1:]))
         path = tmp_path / "nan.yaml"
         emit_network(net, path)
-        assert '"p_kw": NaN' in path.read_text()
+        assert '"length_km": NaN' in path.read_text()
         again = load_network(path)
-        np.testing.assert_array_equal(again.injections_pu(), net.injections_pu())
-        assert np.isnan(again.buses[1].p_kw[0])
-        assert again.buses[2:] == net.buses[2:]
+        assert np.isnan(again.branches[0].length_km)
+        assert again.buses == net.buses and again.branches[1:] == net.branches[1:]
+        # an injection must be finite, and is refused there
+        path.write_text(re.sub(r'"p_kw": [^,\n]+', '"p_kw": NaN', path.read_text(), count=1))
+        with pytest.raises(NetworkParseError,
+                           match=re.escape(f"{path}: buses[1] p_kw must be finite, not nan")):
+            load_network(path)
 
     def test_round_trip(self, ieee4, tmp_path):
         out = tmp_path / "rt.yaml"
@@ -691,9 +742,17 @@ def _with_shunt(net, shunt):
         (lambda net: {"branches": (*net.branches[:2], Branch(3, 4, complex(0.1, float("inf"))),
                                    Branch(3, 3, 0.1j))},
          "branch 3-4: series impedance must be finite"),
+        (lambda net: {"slack_voltage_pu": complex(float("inf"), 0.0)},
+         "slack_voltage_pu must be finite, not (inf+0j)"),
+        (lambda net: {"buses": (*net.buses[:2], replace(net.buses[2], p_kw=(float("nan"),)),
+                                *net.buses[3:])},
+         "bus 3: injection must be finite"),
+        (lambda net: {"buses": (*net.buses[:3], replace(net.buses[3], q_kvar=(-float("inf"),)))},
+         "bus 4: injection must be finite"),
     ],
     ids=["s-base-zero", "s-base-negative", "v-base-nan", "v-base-bool", "shunt-1x2",
-         "shunt-inf", "impedance-nan", "self-loop-first", "nonfinite-first"],
+         "shunt-inf", "impedance-nan", "self-loop-first", "nonfinite-first", "slack-inf",
+         "p-nan", "q-inf"],
 )
 def test_validate_refuses_bad_bases_and_shunts(ieee4, change, message):
     # a network built in code gets the checks that load_network applies

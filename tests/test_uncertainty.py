@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 
@@ -709,13 +710,19 @@ class TestPatternForm:
         # every 50th bus monitored, three levels, analytical only: a dense
         # complex Y is 16 MB at 1000 buses, and only the load flow and the
         # targeted refill build one, each for its own step
+        def config(net):
+            path = tmp_path / f"feeder{net.n_bus}.json"
+            pfsc.emit_network(net, path)
+            wanted = tuple((bus, bus, part, wrt) for bus in range(50, net.n_bus + 1, 50)
+                           for part, wrt in (("re", "P"), ("im", "Q")))
+            return pfsc.RunConfig(network=str(path), mode="analytical",
+                                  sigma_y_pct=(0.5, 1.0, 2.0), coefficients=wanted)
+
+        # what a first run in the process allocates once (lazy imports,
+        # caches) is not the chain's: a 100-bus run takes it first
+        pfsc.run_pipeline(config(make_feeder(100, 1)))
         net = make_feeder(1000, 1)
-        path = tmp_path / "feeder.json"
-        pfsc.emit_network(net, path)
-        wanted = tuple((bus, bus, part, wrt) for bus in range(50, net.n_bus + 1, 50)
-                       for part, wrt in (("re", "P"), ("im", "Q")))
-        cfg = pfsc.RunConfig(network=str(path), mode="analytical",
-                             sigma_y_pct=(0.5, 1.0, 2.0), coefficients=wanted)
+        cfg = config(net)
         entered = []
 
         def recording(*args):
@@ -724,6 +731,10 @@ class TestPatternForm:
 
         monkeypatch.setattr(pfsc.report, "analytical_sigma", recording)
         dense_Y = net.n_nodes**2 * 16
+        # a full collection empties CPython's free lists, which earlier
+        # tests leave filled to different levels: every tuple and float of
+        # the run is then allocated, and traced, whatever ran before
+        gc.collect()
         tracemalloc.start()
         try:
             pfsc.run_pipeline(cfg)
