@@ -19,8 +19,9 @@ Columns of z: P-injection of node k at 2k, Q-injection at 2k+1.
 Every column of z is a signed unit vector (+1 in the real row for a
 P-injection, -1 in the imaginary row for a Q-injection), so z = diag(s)
 for a sign vector s of alternating +1/-1.  The problem carries only s;
-the solve is the column scaling x = H^-1 diag(s) and forms no z (the
-dense z is derived on request, for the Monte-Carlo stacks).
+the solve is the column scaling x = H^-1 diag(s) and forms no z.  The
+Monte-Carlo stacks, assembled from raw perturbed inputs rather than at
+a point, are solved against the dense z (``assemble_from_raw``).
 
 Full table and targeted solves.  Given the positions in x of the
 requested coefficients, ``solve_coefficients`` holds only the rows R and
@@ -46,9 +47,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import ConfigError, SingularSystemError
@@ -78,45 +79,31 @@ def _offset(name, value, allowed):
     return allowed.index(value)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SensitivityProblem:
-    """The real linear system H x = z for all voltage sensitivities.
+    """The real linear system H x = z for all voltage sensitivities, at
+    the ``point`` (Y, E) that H is the Newton matrix at, with Y an
+    ``AdmittanceMatrix`` on its pattern.
 
-    Made from a dense ``H`` (by ``assemble_from_raw``, for a stack too), or
-    (by ``assemble_problem``) from the ``point`` (Y, E) that H is the
-    Newton matrix at, with Y an ``AdmittanceMatrix`` on its pattern.  Such
-    a problem assembles H once, when first read: ``H_csc`` on Y's pattern
-    by ``loadflow.SparseJacobian``, which builds the dense Y for the
-    product Y E and frees it, and ``H`` is that matrix made dense.  A
-    problem also derives ``dH``, the derivative of H with respect to its
-    inputs, once, when first read.
+    H is assembled once, when first read: ``H_csc`` on Y's pattern by
+    ``loadflow.SparseJacobian``, which builds the dense Y for the product
+    Y E and frees it, and ``H`` is that matrix made dense.  ``dH``, the
+    derivative of H with respect to its inputs, is derived once, when
+    first read.  ``assemble_problem`` makes a problem.
     """
 
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
     network: NetworkModel  # owner of the node ordering
-    point: tuple | None = field(default=None, repr=False)  # (Y, E), or None
-
-    def __init__(self, H, signs, network, point=None):
-        if H is None and point is None:
-            raise ValueError("a SensitivityProblem needs H or the point to assemble it at")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "network", network)
-        object.__setattr__(self, "point", None if H is not None else point)
-        if H is not None:
-            self.__dict__["H"] = H  # the cached value of the property below
+    point: tuple = field(repr=False)  # (Y, E)
 
     @functools.cached_property
     def H(self):
-        """Dense H, (2n, 2n) with n = p*(N_b - 1); (..., 2n, 2n) for a stack.
-        A point's H is ``H_csc`` made dense."""
+        """Dense H, (2n, 2n) with n = p*(N_b - 1): ``H_csc`` made dense."""
         return self.H_csc.toarray()
 
     @functools.cached_property
     def H_csc(self):
-        """H as a CSC matrix: on Y's pattern when made from a point, else
-        the nonzeros of the dense H."""
-        if self.point is None:
-            return csc_matrix(self.H)
+        """H as a CSC matrix on Y's pattern."""
         Y, E = self.point
         return SparseJacobian(Y, self.nonslack)(E, (Y.matrix @ E[:, None])[:, 0])
 
@@ -218,26 +205,26 @@ def assemble_problem(
     """
     E = state.voltages
     n = len(_checked_nonslack(Y.shape, E, network))
-    return SensitivityProblem(None, _rhs_signs(n), network, point=(Y, E))
+    return SensitivityProblem(_rhs_signs(n), network, (Y, E))
 
 
-def assemble_from_raw(
-    Ym: np.ndarray, E: np.ndarray, network: NetworkModel
-) -> SensitivityProblem:
-    """Pack the dense ``loadflow.jacobian`` and the signs of z into a
-    SensitivityProblem.
+class RawSystem(NamedTuple):
+    """A dense H (or stack of H) and the dense z it is solved against."""
+
+    H: np.ndarray
+    z: np.ndarray
+
+
+def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel) -> RawSystem:
+    """The dense ``loadflow.jacobian`` H at raw inputs, and z = diag(signs).
 
     Used, with perturbed inputs, by the Monte-Carlo trials.  Leading axes
     of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of inputs
     gives a stack of H of shape (..., 2n, 2n), each slice bitwise equal to
-    its own assembly.
+    its own assembly; z is the one (2n, 2n) array every slice shares.
     """
     nonslack = _checked_nonslack(Ym.shape, E, network)
-    return SensitivityProblem(
-        H=jacobian(Ym, E, nonslack),
-        signs=_rhs_signs(len(nonslack)),
-        network=network,
-    )
+    return RawSystem(jacobian(Ym, E, nonslack), np.diag(_rhs_signs(len(nonslack))))
 
 
 def _checked_nonslack(shape, E, network):

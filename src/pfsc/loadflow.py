@@ -218,22 +218,19 @@ class JacobianDerivative:
     The real inputs are numbered: Re E_n at n and Im E_n at m + n for
     every node n, then Re Y at 2m + q and Im Y at 2m + L + q for the L
     admittance entries ``pairs`` (flat positions r m + n in Y, row r a
-    non-slack node).  Group g holds four entries of H, at the flat
-    positions ``position[:, g]`` of the dim x dim matrix, and four
-    inputs ``input[:, g]``: entry ``position[e, g]`` has the derivative
-    ``coefficient[e, v, g]`` with respect to input ``input[v, g]``.  No
-    (entry, input) pair occurs twice: an input that enters one entry more
-    than once (E_r and Y_rr in the diagonal blocks, through both
-    conj(E_r) Y_rr and (Y E)_r) has the sum of its coefficients.
-
-    H's structural pattern is laid out in CSC form, as ``SparseJacobian``
-    lays it out for the same positions: ``indices`` and ``indptr``, and
-    the data offset ``slot[e, g]`` of entry ``position[e, g]``.
+    non-slack node).  H's structural pattern is laid out in CSC form, as
+    ``SparseJacobian`` lays it out for the same positions: ``indices``
+    and ``indptr``.  Group g holds four entries of H, at the data offsets
+    ``slot[:, g]`` of that layout, and four inputs ``input[:, g]``: entry
+    ``slot[e, g]`` has the derivative ``coefficient[e, v, g]`` with
+    respect to input ``input[v, g]``.  No (entry, input) pair occurs
+    twice: an input that enters one entry more than once (E_r and Y_rr in
+    the diagonal blocks, through both conj(E_r) Y_rr and (Y E)_r) has the
+    sum of its coefficients.
     """
 
     dim: int
     pairs: np.ndarray
-    position: np.ndarray  # (4, G)
     slot: np.ndarray  # (4, G)
     indices: np.ndarray
     indptr: np.ndarray
@@ -289,12 +286,9 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
     off = c >= 0
 
     # the K group of every pair, then the A group of each off-diagonal one
-    offset = np.array([dim * a + b for a, b in _BLOCK_ENTRIES])[:, None]
-    corner = np.concatenate([2 * k * (dim + 1), (2 * k * dim + 2 * c)[off]])
     return JacobianDerivative(
         dim=dim,
         pairs=pairs,
-        position=offset + corner,
         slot=np.concatenate([at[:, k], at[:, n:]], axis=1),
         indices=indices,
         indptr=indptr,

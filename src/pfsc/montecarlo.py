@@ -16,8 +16,8 @@ Trials run in chunks of a fixed size (see ``_chunk_trials``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
-builds the stack of H (the batched dense ``loadflow.jacobian``), and one
-batched ``np.linalg.solve`` solves it.
+builds the stack of H (the batched dense ``loadflow.jacobian``) and the
+z it shares, and one batched ``np.linalg.solve`` solves it.
 
 The streams are NumPy's own (NEP 19), built for a whole chunk at once.
 ``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
@@ -358,8 +358,8 @@ def _solve_level(network, Ym, E_k, noise, yu, mode):
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
         Y_k[:, at] = Ym.take(at) + n[:, 0, at] * yu.re + 1j * (n[:, 1, at] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
-    problem = assemble_from_raw(Y_k, E_k[:rows], network)
-    return _solve_chunk(problem.H, problem.z)
+    system = assemble_from_raw(Y_k, E_k[:rows], network)
+    return _solve_chunk(system.H, system.z)
 
 
 def run_monte_carlo_sets(

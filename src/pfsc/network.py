@@ -329,10 +329,11 @@ class NetworkModel:
                 checked = self.branches[:pos]
                 break
         table = BranchTable.of(checked, self._position, p)
-        bad = _first_nonfinite(table.z_ohm, table.shunt_b_s)
+        lengths = np.array([br.length_km or 0.0 for br in checked]).reshape(-1, 1, 1)
+        bad = _first_nonfinite(table.z_ohm, table.shunt_b_s, lengths)
         if bad is not None:
             br = checked[bad[0]]
-            what = ("series impedance", "shunt susceptance")[bad[1]]
+            what = ("series impedance", "shunt susceptance", "length_km")[bad[1]]
             raise NetworkValidationError(
                 f"branch {br.from_bus}-{br.to_bus}: {what} must be finite"
             )
@@ -608,15 +609,17 @@ def _branch_fields(entry, p, what):
 
 
 def _branch_values(fields, p):
-    """The r_ohm, x_ohm and shunt_b_s stacks (B, p, p) of ``_branch_fields``
-    rows, in the order they are checked; an omitted shunt is zero."""
+    """The r_ohm, x_ohm and shunt_b_s stacks (B, p, p) and the length_km
+    stack (B, 1, 1) of ``_branch_fields`` rows, in the order they are
+    checked; an omitted shunt or length is zero."""
     r = np.array([f[2] for f in fields], dtype=float).reshape(-1, p, p)
     x = np.array([f[3] for f in fields], dtype=float).reshape(-1, p, p)
     shunt = np.zeros(r.shape)
     for k, f in enumerate(fields):
         if f[4] is not None:
             shunt[k] = f[4]
-    return {"r_ohm": r, "x_ohm": x, "shunt_b_s": shunt}
+    length = np.array([f[5] or 0.0 for f in fields]).reshape(-1, 1, 1)
+    return {"r_ohm": r, "x_ohm": x, "shunt_b_s": shunt, "length_km": length}
 
 
 def _refuse_nonfinite(path, values):
@@ -673,8 +676,9 @@ def load_network(path) -> NetworkModel:
     Powers are in kW/kVar per phase (scalars for ``phases: 1``, length-p
     lists otherwise); branch impedances in ohms (p x p nested lists for
     ``phases: 3``); an optional branch ``shunt_b_s`` in siemens, p x p or a
-    scalar (1x1), which is per phase: ``b·I``.  ``r_ohm``, ``x_ohm`` and
-    ``shunt_b_s`` are finite; a branch's values are checked for that after
+    scalar (1x1), which is per phase: ``b·I``.  A bus ``kind`` is
+    ``slack`` or ``pq``, the default.  ``r_ohm``, ``x_ohm``, ``shunt_b_s``
+    and ``length_km`` are finite; a branch's values are checked for that after
     its other checks, and the first branch in file order with a fault is
     the one named.  Every power field of a bus is finite, and so are the
     slack voltage's magnitude and angle, each checked before their
@@ -721,6 +725,8 @@ def load_network(path) -> NetworkModel:
         what = f"{path}: buses[{pos}]"
         idx = _integer(entry["index"], f"{what} index")
         kind = entry.get("kind", PQ)
+        if kind not in (SLACK, PQ):
+            raise NetworkParseError(f"{what} kind must be 'slack' or 'pq', not {kind!r}")
         if kind == SLACK:
             slack_index = idx
             buses.append(Bus(index=idx, kind=SLACK))
@@ -777,9 +783,7 @@ def load_network(path) -> NetworkModel:
 def emit_network(network: NetworkModel, path):
     """Write a network in the schema accepted by load_network, as the
     JSON document ``json.dumps(doc, indent=2)``.  JSON is YAML flow syntax,
-    so any YAML reader loads the file too.  A NaN or infinite value is
-    written as ``NaN``/``Infinity``, which are not JSON: ``read_yaml``
-    reads such a file as YAML."""
+    so any YAML reader loads the file too."""
     p = network.phase_count
 
     def scalar_or_list(vals):

@@ -22,7 +22,7 @@ var(H) = (J o J) var(inputs) is the first-order law of the GUM (JCGM
 100:2008, 5.1), with J = dH/d(input) the exact derivative of the
 bilinear H with respect to Re and Im of each voltage and of each
 admittance entry (``loadflow.JacobianDerivative``), at the point (Y, E)
-the ``SensitivityProblem`` holds.  J is derived once per problem (its
+that every ``SensitivityProblem`` holds.  J is derived once per problem (its
 ``dH``), so each noise level costs one gather of the input variances and
 one product with J o J.  The admittance stds are stored on a pattern
 (``AdmittanceUncertainty``), Y's for ``from_relative``, and are gathered
@@ -119,10 +119,11 @@ class AdmittanceUncertainty:
     The constructor takes the two stds as dense (m, m) arrays of finite,
     nonnegative real numbers (nested lists too) and stores the elements
     where either is nonzero; anything else raises ConfigError.
-    ``from_relative`` stores Y's pattern.
+    ``from_relative`` stores Y's pattern.  ``level_pct`` is the relative
+    level that ``from_relative`` was given (0 for ``zero``), else None.
     """
 
-    def __init__(self, sigma_re, sigma_im, level_pct=None):
+    def __init__(self, sigma_re, sigma_im):
         re, im = (_std_array(sigma, name) for sigma, name in
                   ((sigma_re, "sigma_re"), (sigma_im, "sigma_im")))
         if re.ndim != 2 or re.shape[0] != re.shape[1]:
@@ -136,7 +137,7 @@ class AdmittanceUncertainty:
                 raise ConfigError("admittance stds must be finite and nonnegative")
         positions = np.flatnonzero((re != 0) | (im != 0))
         self._set(positions, re.reshape(-1)[positions], im.reshape(-1)[positions],
-                  len(re), level_pct)
+                  len(re), None)
 
     def _set(self, positions, re, im, n_nodes, level_pct):
         for array in (positions, re, im):
@@ -321,12 +322,9 @@ def propagate_to_H(
     unless a nonzero std sits where Y is zero in a non-slack row (the
     stds' positions that Y does not store, in those rows); J is then
     derived for this call, on the pattern of Y and the noise together.
-    Noise in the slack's rows enters no entry of H.  A problem without a
-    point (``assemble_from_raw``) raises ValueError, and voltage stds of
-    another length than the nodes' ValueError too.
+    Noise in the slack's rows enters no entry of H.  Voltage stds of
+    another length than the nodes' raise ValueError.
     """
-    if problem.point is None:
-        raise ValueError("the problem holds no (Y, E) point to propagate at")
     Y, E = problem.point
     m = E.size
     if en.sigma_re.shape != (m,) or en.sigma_im.shape != (m,) or yu.n_nodes != m:

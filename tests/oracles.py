@@ -54,6 +54,14 @@ def inverse_self_variance_reference(H_inv: np.ndarray, var_H: np.ndarray) -> np.
     return out
 
 
+def term_positions(dH) -> np.ndarray:
+    """Flat position ``row * dim + column`` in the dim x dim H of each
+    term of ``dH`` (``loadflow.JacobianDerivative``), shaped as its
+    ``slot``: the stored entry at that data offset of its CSC layout."""
+    cols = np.repeat(np.arange(dH.dim), np.diff(dH.indptr))
+    return dH.indices[dH.slot] * dH.dim + cols[dH.slot]
+
+
 def dense_var_H(problem: SensitivityProblem, yu, en) -> np.ndarray:
     """var(H) = (J o J) var(inputs) as one dense (dim, dim) bincount over
     the flat positions of J's terms: the bitwise reference of the values
@@ -64,7 +72,8 @@ def dense_var_H(problem: SensitivityProblem, yu, en) -> np.ndarray:
     dH = jacobian_derivative(Y, E, problem.nonslack, np.flatnonzero(linked))
     stds = (en.sigma_re, en.sigma_im, yu.sigma_re.take(dH.pairs), yu.sigma_im.take(dH.pairs))
     per_entry = (dH.coefficient**2 * (np.concatenate(stds) ** 2)[dH.input]).sum(axis=1)
-    flat = np.bincount(dH.position.ravel(), weights=per_entry.ravel(), minlength=dH.dim**2)
+    flat = np.bincount(term_positions(dH).ravel(), weights=per_entry.ravel(),
+                       minlength=dH.dim**2)
     return flat.reshape(dH.dim, dH.dim)
 
 

@@ -591,6 +591,25 @@ def test_network_without_nonslack_node_is_one_line(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["solve", "report"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_load_flow_failure_is_exit_2(capsys, tmp_path, command):
+    # a load that the 2-bus feeder cannot carry: the load flow diverges
+    net = tmp_path / "net.yaml"
+    net.write_text(_NET_HEAD + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: -900000}]\n"
+                   + _NET_TAIL)
+    argv = [command, "--network", str(net)]
+    argv += ["--out", str(tmp_path / "out")] if command == "report" else []
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"pfsc {command}: numerical failure: load flow did not converge in 50 "
+        "iterations (last max mismatch 2.680e+05 pu)\n"
+    )
+    assert list(tmp_path.iterdir()) == [net]
+
+
 def test_pfsc_and_propagate_are_run_pipeline_runs(capsys, monkeypatch):
     calls = []
 

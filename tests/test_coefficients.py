@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from pfsc.coefficients import (
     solve_coefficients,
 )
 from pfsc.errors import ConfigError, SingularSystemError
-from pfsc.network import Bus, NetworkModel
+from pfsc.network import AdmittanceMatrix, Bus, NetworkModel
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from conftest import make_random_network, make_three_phase_balanced, make_two_bus
@@ -60,6 +63,24 @@ class TestAssemble:
         with pytest.raises(ConfigError, match=repr(wrt)):
             res.derivative(2, 3, wrt=wrt)
 
+    @pytest.mark.parametrize(
+        "other, message",
+        [("Y", "dimension mismatch: Y (2, 2), E (4,), nodes 4"),
+         ("state", "dimension mismatch: Y (4, 4), E (2,), nodes 4")],
+    )
+    def test_dimension_mismatch_refused(self, ieee4_solved, other, message):
+        # Y or the voltages of the 2-bus network, at the 4-bus one
+        net, Y, state = ieee4_solved
+        two_bus = make_two_bus()
+        Y_2 = pfsc.build_admittance(two_bus)
+        if other == "Y":
+            Y = Y_2
+        else:
+            state = pfsc.solve_load_flow(two_bus, Y_2)
+        with pytest.raises(ValueError) as info:
+            assemble_problem(Y, state, net)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("three_phase", [False, True], ids=["ieee4", "three-phase"])
     def test_point_H_is_its_csc_H_made_dense(self, ieee4, three_phase, monkeypatch):
         # a point's H is assembled once, by SparseJacobian; the dense
@@ -76,6 +97,10 @@ class TestAssemble:
         assert np.array_equal(problem.H, problem.H_csc.toarray())
         raw = coefficients.assemble_from_raw(Y.matrix, state.voltages, net)
         assert np.array_equal(problem.H, raw.H)
+        assert np.array_equal(raw.z, problem.z)
+        # a dense Y reaches a point problem through its AdmittanceMatrix
+        again = assemble_problem(AdmittanceMatrix(Y.matrix), state, net)
+        assert np.array_equal(again.H, problem.H)
 
     def test_ieee4_H_well_conditioned(self, ieee4_solved):
         net, Y, state = ieee4_solved
@@ -130,11 +155,9 @@ class TestSolve:
                 solve_coefficients(problem, **request)
 
     def test_singular_H_raises(self, ieee4_solved):
-        from dataclasses import replace
-
         net, Y, state = ieee4_solved
         problem = assemble_problem(Y, state, net)
-        singular = replace(problem, H=np.zeros_like(problem.H))
+        singular = _GateProblem(np.zeros_like(problem.H))
         with pytest.raises(SingularSystemError, match="not invertible"):
             solve_coefficients(singular)
 
@@ -207,10 +230,24 @@ def _svd_matrix(singular_values, seed=None):
     return U @ np.diag(singular_values) @ V.T
 
 
-def _problem_of(H):
-    n = H.shape[0] // 2
-    # the gate reads H and the signs only; no node position is looked up
-    return SensitivityProblem(H=H, signs=np.tile([1.0, -1.0], n), network=None)
+@dataclass(frozen=True)
+class _GateProblem:
+    """An arbitrary H with the signs of z: what ``solve_coefficients``
+    reads of a problem, which looks up no node position."""
+
+    H: np.ndarray
+
+    @property
+    def H_csc(self):
+        return csc_matrix(self.H)
+
+    @property
+    def signs(self):
+        return np.tile([1.0, -1.0], len(self.H) // 2)
+
+    @property
+    def dim(self):
+        return len(self.H)
 
 
 #: matrices on both sides of the cond_2 > COND_MAX gate and of the
@@ -246,7 +283,7 @@ class TestConditionGate:
         )
         rejected = cond(H) > COND_MAX
         try:
-            solve_coefficients(_problem_of(H))
+            solve_coefficients(_GateProblem(H))
         except SingularSystemError as exc:
             gate_raised = "not invertible" in str(exc)
         else:
@@ -264,7 +301,7 @@ class TestConditionGate:
         # signed-permutation SVD factors: H^-1 is exact, so the residual
         # check passes and the solve returns on both sides of the limit
         H = _svd_matrix(np.geomspace(1.0, 1 / (factor * self.KAPPA_1_LIMIT), 6))
-        res = solve_coefficients(_problem_of(H))
+        res = solve_coefficients(_GateProblem(H))
         np.testing.assert_array_equal(res.x, np.linalg.inv(H) * res.problem.signs)
 
 
@@ -323,7 +360,7 @@ class TestTargetedSolve:
     def test_same_decision_as_full_table(self, H):
         def outcome(**request):
             try:
-                return solve_coefficients(_problem_of(H), **request)
+                return solve_coefficients(_GateProblem(H), **request)
             except SingularSystemError as exc:
                 return "gate" if "not invertible" in str(exc) else "residual"
 
@@ -336,8 +373,6 @@ class TestTargetedSolve:
         assert (res == "gate") == (np.linalg.cond(H) > COND_MAX)
 
     def test_empty_request(self, ieee4_solved):
-        from dataclasses import replace
-
         net, Y, state = ieee4_solved
         problem = assemble_problem(Y, state, net)
         res = solve_coefficients(problem, rows=[], cols=[])
@@ -345,7 +380,7 @@ class TestTargetedSolve:
         assert res.H_inv_rows.shape == (0, 6) and res.H_inv_cols.shape == (6, 0)
         # the request does not skip the conditioning decision
         with pytest.raises(SingularSystemError, match="not invertible"):
-            solve_coefficients(replace(problem, H=np.zeros((6, 6))), rows=[], cols=[])
+            solve_coefficients(_GateProblem(np.zeros((6, 6))), rows=[], cols=[])
 
     def test_no_dense_jacobian_at_300_buses(self, monkeypatch):
         # the targeted path reads H as CSC on Y's pattern only; the

@@ -108,6 +108,30 @@ def test_invalid_config():
             )
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_one_trial_has_zero_std(ieee4_solved, mode):
+    # a single trial is its own mean, with a std of exactly 0
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    cfg = MCConfig(n_trials=1, seed=4, polar=polar, yu=yu, symmetry_mode=mode,
+                   store_trials=True)
+    out = run_monte_carlo(net, Y, state, cfg)
+    assert np.array_equal(out.mean, out.trials[..., 0])
+    assert np.array_equal(out.std, np.zeros((6, 6)))
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.0], ids=["relative", "zero"])
+def test_branch_parameter_noise_needs_a_level(ieee4_solved, scale):
+    # stds given element by element carry no relative level to scale the
+    # branch impedances by
+    net, Y, state, polar, _ = mc_setup(ieee4_solved)
+    sigma = np.abs(Y.matrix) * scale
+    cfg = MCConfig(n_trials=10, seed=7, polar=polar, yu=AdmittanceUncertainty(sigma, sigma),
+                   symmetry_mode=BRANCH_PARAMETER)
+    with pytest.raises(ConfigError) as info:
+        run_monte_carlo(net, Y, state, cfg)
+    assert str(info.value) == "branch-parameter mode needs a relative level_pct"
+
+
 def test_alternative_symmetry_modes_run(ieee4_solved):
     net, Y, state, polar, yu = mc_setup(ieee4_solved)
     cfg = MCConfig(n_trials=100, seed=5, polar=polar, yu=yu,

@@ -357,7 +357,7 @@ branches:
         assert Y.tobytes() == _admittance_per_branch(net).tobytes()
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
-    @pytest.mark.parametrize("key", ["r_ohm", "x_ohm", "shunt_b_s"])
+    @pytest.mark.parametrize("key", ["r_ohm", "x_ohm", "shunt_b_s", "length_km"])
     def test_nonfinite_branch_value_refused(self, tmp_path, key, value):
         entry = {"r_ohm": "0.1", "x_ohm": "0.2", "shunt_b_s": "1e-4", key: value}
         fields = ", ".join(f"{k}: {v}" for k, v in entry.items())
@@ -630,8 +630,13 @@ branches:
             lambda: make_random_network(12, 5, radial=False),
             lambda: make_feeder(60, 3),
             lambda: make_feeder(300, 3),
+            lambda: _shunted(pfsc.load_network(pfsc.bundled_network_path()), 2e-4),
+            lambda: _shunted(make_three_phase_balanced(),
+                             [[1e-4, 2e-5, 0.0], [2e-5, 1e-4, 0.0], [0.0, 0.0, 3e-4]]),
+            lambda: _shunted(make_three_phase_balanced(), 1e-4),
         ],
-        ids=["ieee4", "three-phase", "random12", "feeder60", "feeder300"],
+        ids=["ieee4", "three-phase", "random12", "feeder60", "feeder300", "ieee4-shunt",
+             "three-phase-3x3-shunt", "three-phase-scalar-shunt"],
     )
     def test_emitted_json_loads_as_its_yaml(self, make, tmp_path, monkeypatch):
         net = make()
@@ -679,21 +684,22 @@ branches:
         assert "\n" not in message
 
     def test_nan_is_read_as_yaml(self, ieee4, tmp_path):
-        # NaN is not JSON: the file is read as YAML, where NaN is a string
-        first = ieee4.branches[0]
-        nan_length = Branch(first.from_bus, first.to_bus, first.z_ohm, length_km=float("nan"))
-        net = replace(ieee4, branches=(nan_length, *ieee4.branches[1:]))
+        # NaN is not JSON: emitted text with a NaN written in by hand is
+        # read as YAML, where NaN is a string
         path = tmp_path / "nan.yaml"
-        emit_network(net, path)
-        assert '"length_km": NaN' in path.read_text()
+        emit_network(ieee4, path)
+        emitted = path.read_text()
+        path.write_text(emitted.replace('"name": "ieee4-balanced"', '"name": NaN', 1))
+        assert path.read_text() != emitted
         again = load_network(path)
-        assert np.isnan(again.branches[0].length_km)
-        assert again.buses == net.buses and again.branches[1:] == net.branches[1:]
-        # an injection must be finite, and is refused there
-        path.write_text(re.sub(r'"p_kw": [^,\n]+', '"p_kw": NaN', path.read_text(), count=1))
-        with pytest.raises(NetworkParseError,
-                           match=re.escape(f"{path}: buses[1] p_kw must be finite, not nan")):
-            load_network(path)
+        assert again.name == "NaN"
+        assert again.buses == ieee4.buses and again.branches == ieee4.branches
+        # a number must be finite, and is refused there
+        for key, where in (("p_kw", "buses[1]"), ("r_ohm", "branches[0]")):
+            path.write_text(re.sub(f'"{key}": [^,\\n]+', f'"{key}": NaN', emitted, count=1))
+            with pytest.raises(NetworkParseError,
+                               match=re.escape(f"{path}: {where} {key} must be finite, not nan")):
+                load_network(path)
 
     def test_round_trip(self, ieee4, tmp_path):
         out = tmp_path / "rt.yaml"
@@ -718,6 +724,11 @@ def _with_shunt(net, shunt):
     return (Branch(first.from_bus, first.to_bus, first.z_ohm, shunt), *rest)
 
 
+def _shunted(net, shunt):
+    """``net`` with ``shunt`` on its first branch."""
+    return replace(net, branches=_with_shunt(net, shunt))
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -735,6 +746,8 @@ def _with_shunt(net, shunt):
          "branch 1-2: shunt susceptance must be finite"),
         (lambda net: {"branches": (Branch(1, 2, complex(float("nan"), 0.1)), *net.branches[1:])},
          "branch 1-2: series impedance must be finite"),
+        (lambda net: {"branches": (*net.branches[:2], Branch(3, 4, 0.1j, length_km="-inf"))},
+         "branch 3-4: length_km must be finite"),
         # the first bad branch is named, whatever its fault
         (lambda net: {"branches": (*net.branches[:2], Branch(3, 3, 0.1j),
                                    Branch(3, 4, complex(0.1, float("inf"))))},
@@ -749,15 +762,85 @@ def _with_shunt(net, shunt):
          "bus 3: injection must be finite"),
         (lambda net: {"buses": (*net.buses[:3], replace(net.buses[3], q_kvar=(-float("inf"),)))},
          "bus 4: injection must be finite"),
+        (lambda net: {"buses": (*net.buses, net.buses[3])}, "duplicate bus indices"),
+        (lambda net: {"slack_bus": 2}, "slack_bus=2 does not match the bus marked slack (1)"),
+        (lambda net: {"buses": (*net.buses[:3], Bus(4, "pq", (1.0, 2.0), (0.0, 0.0)))},
+         "bus 4: injection needs 1 per-phase entries"),
+        (lambda net: {"branches": (*net.branches, Branch(4, 9, 0.1j))},
+         "branch 4-9 references unknown bus"),
+        (lambda net: {"branches": (Branch(1, 2, 0.1j * np.eye(3)), *net.branches[1:])},
+         "branch 1-2: impedance block is (3, 3), expected (1, 1)"),
     ],
     ids=["s-base-zero", "s-base-negative", "v-base-nan", "v-base-bool", "shunt-1x2",
-         "shunt-inf", "impedance-nan", "self-loop-first", "nonfinite-first", "slack-inf",
-         "p-nan", "q-inf"],
+         "shunt-inf", "impedance-nan", "length-inf", "self-loop-first", "nonfinite-first",
+         "slack-inf", "p-nan", "q-inf", "duplicate", "slack-mismatch", "injection-length",
+         "branch-to-unknown-bus", "impedance-shape"],
 )
 def test_validate_refuses_bad_bases_and_shunts(ieee4, change, message):
     # a network built in code gets the checks that load_network applies
     with pytest.raises(NetworkValidationError, match=re.escape(message)):
         replace(ieee4, **change(ieee4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda net: net.flat_index(9), "no bus with index 9"),
+        (lambda net: net.flat_index(2, phase=1), "phase 1 out of range"),
+    ],
+    ids=["unknown-bus", "phase"],
+)
+def test_lookup_refusals(ieee4, call, message):
+    with pytest.raises(NetworkValidationError) as info:
+        call(ieee4)
+    assert str(info.value) == message
+
+
+_FILE_BASES = "bases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+_FILE_BRANCH = "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]\n"
+_FILE_3PH_BRANCH = ("branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]],"
+                    " x_ohm: [[0.2, 0, 0], [0, 0.2, 0], [0, 0, 0.2]]}]\n")
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("phases: 2\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}]\nbranches: []\n",
+         NetworkValidationError, "phase_count must be 1 or 3, got 2"),
+        ("phases: 3\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: 5}]\n"
+         + _FILE_3PH_BRANCH,
+         NetworkParseError, "{path}: buses[1] p_kw: scalar given but phases=3"),
+        ("phases: 3\n" + _FILE_BASES
+         + "buses: [{index: 1, kind: slack}, {index: 2, load_kw: [1, 2]}]\n" + _FILE_3PH_BRANCH,
+         NetworkParseError, "{path}: buses[1] load_kw: expected 3 entries, got 2"),
+        ("[1, 2]\n", NetworkParseError, "{path}: top level must be a mapping"),
+        ("phases: 1\nbases: {s_base_va: 1.0e6}\nbuses: []\nbranches: []\n",
+         NetworkParseError, "{path}: bases needs s_base_va and v_base_v"),
+        ("phases: 1\n" + _FILE_BASES + "slack_voltage_pu: [1.0, 0.0, 0.0]\n"
+         "buses: [{index: 1, kind: slack}, {index: 2}]\n" + _FILE_BRANCH,
+         NetworkParseError, "{path}: slack_voltage_pu must be a number or [magnitude, angle_rad]"),
+        ("phases: 1\n" + _FILE_BASES
+         + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: 5, load_kw: 5}]\n" + _FILE_BRANCH,
+         NetworkParseError, "bus 2: give either p_kw/q_kvar or load/gen fields, not both"),
+        ("phases: 1\n" + _FILE_BASES + "buses: [{index: 1}, {index: 2}]\n" + _FILE_BRANCH,
+         NetworkValidationError, "exactly one slack bus required, found 0"),
+        # any kind but slack used to load as a PQ bus with the given injection
+        *(("phases: 1\n" + _FILE_BASES
+           + f"buses: [{{index: 1, kind: slack}}, {{index: 2, kind: {kind}, p_kw: 100}}]\n"
+           + _FILE_BRANCH,
+           NetworkParseError, f"{{path}}: buses[1] kind must be 'slack' or 'pq', not {kind!r}")
+          for kind in ("pv", "Slack", "PQ", 1)),
+    ],
+    ids=["phases-2", "scalar-for-three-phases", "per-phase-count", "top-level-list",
+         "bases-key-missing", "slack-voltage-3-items", "net-and-split", "no-slack",
+         "kind-pv", "kind-Slack", "kind-PQ", "kind-1"],
+)
+def test_file_refusals(tmp_path, text, error, message):
+    path = tmp_path / "net.yaml"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        load_network(path)
+    assert str(info.value) == message.format(path=path)
 
 
 #: each constructor argument that names a bus, and what its error calls it

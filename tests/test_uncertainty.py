@@ -36,6 +36,7 @@ from oracles import (
     inverse_cross_covariance,
     inverse_self_variance_reference,
     repeated_sign_projection,
+    term_positions,
 )
 
 
@@ -266,7 +267,7 @@ def assert_matches_channels(got, ref):
 def terms(dH):
     """(position, input) of each coefficient of ``dH``, in its shape."""
     shape = dH.coefficient.shape
-    return (np.broadcast_to(dH.position[:, None], shape),
+    return (np.broadcast_to(term_positions(dH)[:, None], shape),
             np.broadcast_to(dH.input[None], shape))
 
 
@@ -354,17 +355,6 @@ class TestJacobianDerivative:
         # the first problem keeps its own point and operator
         assert np.array_equal(propagate_to_H(problem, yu, en).toarray(), before)
         assert calls == {"cached": 1, "per call": 0}
-
-    def test_problem_without_a_point_is_refused(self):
-        net, Y, state, _ = solved("ieee4")
-        raw = coefficients.assemble_from_raw(Y.matrix, state.voltages, net)
-        res = solve_coefficients(raw)
-        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        en = project_polar_noise(state, it_class_to_polar("0.5"))
-        for call in (lambda: propagate_to_H(raw, yu, en), lambda: analytical_sigma(res, yu, en)):
-            with pytest.raises(ValueError, match="no \\(Y, E\\) point") as info:
-                call()
-            assert "\n" not in str(info.value)
 
     def test_noise_off_the_pattern_is_derived_again(self, monkeypatch):
         net, Y, state, problem = solved("ieee4")
@@ -640,7 +630,7 @@ class TestPatternForm:
     def test_derivative_and_sparse_jacobian_share_one_layout(self, which):
         # on Y's pattern: both lay out the same CSC arrays, which store each
         # entry of Y's node pairs among the unknowns and of the diagonal
-        # blocks once, and each term's slot is the stored entry at its position
+        # blocks once
         net, Y, state, problem = solved(which)
         dH = problem.dH
         H = SparseJacobian(Y, problem.nonslack).matrix
@@ -652,7 +642,6 @@ class TestPatternForm:
         stored = np.zeros((problem.dim, problem.dim), dtype=int)
         np.add.at(stored, (dH.indices, cols), 1)
         assert np.array_equal(stored, np.kron(blocks, np.ones((2, 2), dtype=int)))
-        assert np.array_equal(dH.indices[dH.slot] * dH.dim + cols[dH.slot], dH.position)
 
     def test_unlinked_node_keeps_its_diagonal_block(self):
         # no term lands on the block of a node that Y leaves unlinked; its
@@ -747,6 +736,17 @@ class TestPatternForm:
 
 
 class TestInverseVariance:
+    @pytest.mark.parametrize(
+        "rows, var_H, cols",
+        [((3, 4), (3, 3), None), ((3, 4), (4, 4), (3, 2))],
+        ids=["var_H-of-another-size", "columns-of-another-size"],
+    )
+    def test_shape_mismatch_refused(self, rows, var_H, cols):
+        H_inv_cols = None if cols is None else np.ones(cols)
+        with pytest.raises(ValueError) as info:
+            inverse_self_variance(np.ones(rows), np.ones(var_H), H_inv_cols)
+        assert str(info.value) == "shape mismatch between H^-1 and its variance"
+
     def test_zero_in_zero_out(self):
         H_inv = np.linalg.inv(np.array([[2.0, 1.0], [0.5, 3.0]]))
         iv = inverse_self_variance(H_inv, np.zeros((2, 2)))
