@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .montecarlo import MCConfig, run_monte_carlo
 from .network import build_admittance, load_network
 from .report import (
     FORMATS, MODES, RunConfig, check_input_paths, coefficient_columns, coefficient_positions,
-    emit_report, run_pipeline,
+    emit_report, run_pipeline, write_joined,
 )
 from .uncertainty import AdmittanceUncertainty, it_class_to_polar, load_noise_config
 
@@ -94,28 +94,31 @@ def _json_items(values):
 
 def _write_table(table, out, fmt):
     """Write the columns of ``table`` as CSV, or as the list of row objects
-    that ``json.dumps(rows, indent=2)`` writes.
+    that ``json.dumps(rows, indent=2)`` writes, to the file ``out`` or to
+    stdout, a block of rows at a time.
 
     That encoder runs in pure Python, one call per item, with an indent;
     here each value is formatted once, and each row fills one template.
     """
-    if fmt == "json":
-        fields = ",\n".join(
-            f"    {json.encoder.encode_basestring_ascii(name)}: %s" for name in table
-        )
-        row = f"  {{\n{fields}\n  }}"
-        items = zip(*map(_json_items, table.values()))
-        text = "[\n" + ",\n".join(map(row.__mod__, items)) + "\n]\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(table)
-        writer.writerows(zip(*table.values()))
-        text = buf.getvalue()
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            fields = ",\n".join(
+                f"    {json.encoder.encode_basestring_ascii(name)}: %s" for name in table
+            )
+            row = f"  {{\n{fields}\n  }}"
+            columns = list(table.values())
+
+            def rows(start, stop):
+                items = zip(*(_json_items(c[start:stop]) for c in columns))
+                return map(row.__mod__, items)
+
+            fh.write("[\n")
+            write_joined(fh, len(columns[0]), rows, ",\n")
+            fh.write("\n]\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(table)
+            writer.writerows(zip(*table.values()))
 
 
 # -- subcommand handlers -----------------------------------------------------

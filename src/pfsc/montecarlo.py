@@ -12,7 +12,14 @@ package's one stamp, ``network.stamp_admittance``, whose values on Y's
 pattern ``network.dense`` scatters into the chunk's stack.  A set's
 admittance noise must be made for the network's node count.
 
-Trials run in chunks of a fixed size (see ``_chunk_trials``).  Every
+Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
+``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
+trial works in about 4.5 times its 8 dim² bytes of H (H, x, the centred
+copy of x, its Y and its draw row), about 0.5 MB at dim H 118, so a
+chunk there holds 9 trials and a 200-trial pass peaks at 4.7 MB under
+``tracemalloc`` (17.7 MB in 4 MiB chunks of 37).  The smaller chunk costs
+no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
+and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
@@ -61,8 +68,14 @@ _MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 
 #: a chunk holds at most this many trials ...
 CHUNK_TRIALS = 256
-#: ... and an H stack of at most this many bytes
-CHUNK_BYTES = 4 * 2**20
+#: ... and an H stack of at most this many bytes.  A trial's working set
+#: is about 4.5 times its 8 dim² bytes of H, so at dim H 118 a 1 MiB chunk
+#: of 9 trials works in about 4.7 MB.  ``run_pipeline`` medians of the
+#: 60-bus full table with 200 trials, 12 interleaved repeats on one Xeon
+#: core (2 MiB of L2) with one BLAS thread: 150.9 ms at 4 MiB (37 trials),
+#: 139.4 at 2 MiB, 137.8 at 1 MiB (9), 137.3 at 768 KiB, 146.4 at 512 KiB
+#: and 168.9 at 256 KiB (2).
+CHUNK_BYTES = 2**20
 
 
 def check_seed(seed):

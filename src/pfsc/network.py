@@ -734,7 +734,7 @@ def load_network(path) -> NetworkModel:
         has_net = "p_kw" in entry or "q_kvar" in entry
         if has_net and not _SPLIT_KEYS.isdisjoint(entry):
             raise NetworkParseError(
-                f"bus {idx}: give either p_kw/q_kvar or load/gen fields, not both"
+                f"{what} give either p_kw/q_kvar or load/gen fields, not both"
             )
         if has_net:
             p_kw = _per_phase(entry, "p_kw", p, what)
@@ -749,7 +749,7 @@ def load_network(path) -> NetworkModel:
         buses.append(Bus(index=idx, kind=PQ, p_kw=p_kw, q_kvar=q_kvar))
 
     if slack_index is None:
-        raise NetworkValidationError("exactly one slack bus required, found 0")
+        raise NetworkParseError(f"{path}: exactly one slack bus required, found 0")
 
     entries = _entries(raw, "branches", ("from", "to"), path)
     fields = []

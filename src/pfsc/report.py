@@ -7,7 +7,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -308,6 +308,31 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
 _JSON_SLOT = re.compile(r'^( *)(".*": )"\\u0000(\d+)"', re.M)
 
 
+#: rows that emission formats and writes at once
+_BLOCK_ROWS = 2048
+
+
+def write_joined(fh, n, items, sep):
+    """Write ``sep.join`` of n items to ``fh`` a block of rows at a time;
+    ``items(start, stop)`` formats items start..stop-1."""
+    for start in range(0, n, _BLOCK_ROWS):
+        if start:
+            fh.write(sep)
+        fh.write(sep.join(items(start, min(start + _BLOCK_ROWS, n))))
+
+
+def _json_numbers(values, start, stop, reprs=None):
+    """Items start..stop-1 of ``values`` as JSON numbers: their ``reprs``,
+    formatted here when not given, with null for each value that is not
+    finite (RFC 8259 JSON has no NaN or Infinity)."""
+    block = values[start:stop]
+    items = list(map(repr, block.tolist())) if reprs is None else reprs[start:stop]
+    finite = np.isfinite(block)
+    if finite.all():
+        return items
+    return [r if ok else "null" for r, ok in zip(items, finite.tolist())]
+
+
 class _Column:
     """One column of report values, formatted at most once per emission."""
 
@@ -319,14 +344,9 @@ class _Column:
         """``repr`` of each value: a float's text in CSV and in JSON."""
         return list(map(repr, self.values.tolist()))
 
-    @cached_property
-    def json_items(self):
-        """``reprs`` with null for each value that is not finite (RFC 8259
-        JSON has no NaN or Infinity)."""
-        finite = np.isfinite(self.values)
-        if finite.all():
-            return self.reprs
-        return [r if ok else "null" for r, ok in zip(self.reprs, finite.tolist())]
+    def json_items(self, start, stop):
+        """Items start..stop-1 as JSON numbers, from ``reprs``."""
+        return _json_numbers(self.values, start, stop, self.reprs)
 
 
 def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
@@ -341,8 +361,10 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     Pretty text: fixed-point table, 4 decimals; the percent of a zero
     nominal reads ``nan%`` or ``inf%``.
     CSV and JSON write a float as its ``repr``, the shortest text that
-    reads back to the same double.  Each column is formatted once per call
-    and shared by the formats that need it.
+    reads back to the same double.  The nominal and std columns are
+    formatted once per call and shared by CSV and JSON; JSON and pretty
+    text format and write their rows a block at a time, so no file's
+    whole text is held at once.
     """
     levels = sorted(
         set(report.analytical) | {lvl for lvl, _ in report.mc}
@@ -358,9 +380,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     columns = {lvl: [] for lvl in levels}
     for lvl, n in [(lvl, None) for lvl in report.analytical] + sorted(report.mc):
         stds = report.analytical[lvl] if n is None else report.mc[(lvl, n)]
-        columns[lvl].append(
-            (n, _Column(stds), _Column(report.percent_of_nominal(stds)))
-        )
+        columns[lvl].append((n, _Column(stds), report.percent_of_nominal(stds)))
 
     for fmt in dict.fromkeys(formats):  # a repeated format is written once
         if fmt == "csv":
@@ -387,32 +407,40 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
                 written.append(path)
         elif fmt == "json":
             path = out_dir / "report.json"
-            path.write_text(_json_text(report, nominal, columns))
+            with open(path, "w") as fh:
+                _write_json(fh, report, nominal, columns)
             written.append(path)
         else:  # pretty-text
             path = out_dir / "report.txt"
-            written.append(_emit_pretty(report, nominal, columns, path))
+            with open(path, "w") as fh:
+                _write_pretty(fh, report, nominal, columns)
+            written.append(path)
     return written
 
 
-def _json_text(report, nominal, columns):
-    """``json.dumps(doc, indent=2, sort_keys=True)`` of the report document,
-    with a final newline.
+def _write_json(fh, report, nominal, columns):
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` of the report
+    document, with a final newline.
 
     With an indent, ``json`` runs its pure-Python encoder, one call per
     item.  Only the skeleton goes through it, with a slot in place of each
-    array; the arrays, already formatted, are joined into their slots.
+    array; each array's items are formatted and written into their slot a
+    block at a time.
     """
-    arrays = []
+    arrays = []  # items(start, stop) of each array, in slot order
 
     def slot(items):
         arrays.append(items)
         return f"\0{len(arrays) - 1}"
 
+    labels = report.labels
     analytical, monte_carlo = {}, {}
     for lvl, cols in columns.items():
         for n, stds, pct in cols:
-            entry = {"std": slot(stds.json_items), "pct_of_nominal": slot(pct.json_items)}
+            entry = {
+                "std": slot(stds.json_items),
+                "pct_of_nominal": slot(partial(_json_numbers, pct)),
+            }
             if n is None:
                 analytical[str(lvl)] = entry
             else:
@@ -421,43 +449,51 @@ def _json_text(report, nominal, columns):
     doc = {
         "meta": report.meta,
         "timings": report.timings,
-        "coefficients": slot(list(map(json.encoder.encode_basestring_ascii, report.labels))),
+        "coefficients": slot(
+            lambda start, stop: list(map(json.encoder.encode_basestring_ascii, labels[start:stop]))
+        ),
         "nominal_pu": slot(nominal.json_items),
         "analytical": analytical,
         "monte_carlo": monte_carlo,
     }
     skeleton = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    def fill(match):
+    n = len(labels)
+    done = 0
+    for match in _JSON_SLOT.finditer(skeleton):
         indent, head, items = match[1], match[2], arrays[int(match[3])]
-        if not items:
-            return f"{indent}{head}[]"
-        inner = f"\n{indent}  "
-        return f"{indent}{head}[{inner}{f',{inner}'.join(items)}\n{indent}]"
+        fh.write(skeleton[done : match.start()])
+        if n:
+            inner = f"\n{indent}  "
+            fh.write(f"{indent}{head}[{inner}")
+            write_joined(fh, n, items, f",{inner}")
+            fh.write(f"\n{indent}]")
+        else:
+            fh.write(f"{indent}{head}[]")
+        done = match.end()
+    fh.write(skeleton[done:])
 
-    return _JSON_SLOT.sub(fill, skeleton)
 
-
-def _emit_pretty(report, nominal, columns, path):
+def _write_pretty(fh, report, nominal, columns):
     d = PRETTY_DECIMALS
     labels = report.labels
     width = max(max(map(len, labels), default=0), 24)
-    nominal = nominal.values.tolist()
-    lines = []
     for lvl, cols in columns.items():
-        lines.append(f"sigma_Y = {lvl:g}% of |element|")
+        fh.write(f"sigma_Y = {lvl:g}% of |element|\n")
         head = f"{'coefficient':<{width}} {'nominal':>12}"
         row = f"%-{width}s %12.{d}f"
-        values = [labels, nominal]
+        values = [nominal.values]
         for n, stds, pct in cols:
             head += f" {'analytical' if n is None else f'MC n={n}':>16}"
             row += f" %9.{d}f (%4.1f%%)"
-            values += [stds.values.tolist(), pct.values.tolist()]
-        lines.append(head)
-        lines.extend(map(row.__mod__, zip(*values)))
-        lines.append("")
-    lines.append("timings (s):")
+            values += [stds.values, pct]
+        fh.write(head + "\n")
+
+        def rows(start, stop):
+            block = [v[start:stop].tolist() for v in values]
+            return map(f"{row}\n".__mod__, zip(labels[start:stop], *block))
+
+        write_joined(fh, len(labels), rows, "")
+        fh.write("\n")
+    fh.write("timings (s):\n")
     for k in sorted(report.timings):
-        lines.append(f"  {k}: {report.timings[k]:.3f}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        fh.write(f"  {k}: {report.timings[k]:.3f}\n")

@@ -481,6 +481,51 @@ def test_memory_bounded_in_n_trials(ieee4_solved):
     assert large <= 1.1 * small, (small, large)
 
 
+@pytest.fixture(scope="module")
+def feeder60():
+    """``make_feeder(60, 1)`` solved, with its 1 % admittance noise: dim H 118."""
+    net = make_feeder(60, 1)
+    Y = build_admittance(net)
+    polar = it_class_to_polar("0.5")
+    return net, Y, pfsc.solve_load_flow(net, Y), polar, AdmittanceUncertainty.from_relative(Y, 1.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
+    """Chunks of 37 trials (4 MiB at dim H 118), 9 (1 MiB) and 7 store the
+    same trials bitwise; the streamed moments merge other groups, so they
+    agree to rounding: a std within 1e-13 of itself, a mean within 1e-13 of
+    its own size or of the std, whichever is larger (a mean near zero holds
+    rounding of the trials' spread)."""
+    net, Y, state, polar, yu = feeder60
+    cfg = MCConfig(n_trials=40, seed=5, polar=polar, yu=yu, symmetry_mode=mode,
+                   store_trials=True)
+    runs = []
+    for chunk_bytes, size in ((4 * 2**20, 37), (2**20, 9)):
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES", chunk_bytes)
+        assert montecarlo._chunk_trials(118) == size
+        runs.append(run_monte_carlo(net, Y, state, cfg))
+    monkeypatch.setattr(montecarlo, "_chunk_trials", lambda dim: 7)
+    runs.append(run_monte_carlo(net, Y, state, cfg))
+    first = runs[0]
+    for other in runs[1:]:
+        assert np.array_equal(other.trials, first.trials)
+        scale = np.maximum(np.abs(first.mean), first.std)
+        assert np.all(np.abs(other.mean - first.mean) <= 1e-13 * scale)
+        np.testing.assert_allclose(other.std, first.std, rtol=1e-13, atol=0.0)
+
+
+def test_full_table_monte_carlo_peak_memory(feeder60):
+    """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
+    full-table report, peaks at about 4.7 MB under ``tracemalloc`` in
+    1 MiB chunks of 9 trials (17.7 MB in 4 MiB chunks of 37)."""
+    net, Y, state, polar, yu = feeder60
+    cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
+    run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
+    peak = traced_peak(lambda: run_monte_carlo_sets(net, Y, state, [cfg]))
+    assert peak <= 7e6, peak
+
+
 class TestEstimateStats:
     def test_constant_rows(self):
         trials = np.ones((3, 10))

@@ -821,9 +821,10 @@ _FILE_3PH_BRANCH = ("branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0
          NetworkParseError, "{path}: slack_voltage_pu must be a number or [magnitude, angle_rad]"),
         ("phases: 1\n" + _FILE_BASES
          + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: 5, load_kw: 5}]\n" + _FILE_BRANCH,
-         NetworkParseError, "bus 2: give either p_kw/q_kvar or load/gen fields, not both"),
+         NetworkParseError,
+         "{path}: buses[1] give either p_kw/q_kvar or load/gen fields, not both"),
         ("phases: 1\n" + _FILE_BASES + "buses: [{index: 1}, {index: 2}]\n" + _FILE_BRANCH,
-         NetworkValidationError, "exactly one slack bus required, found 0"),
+         NetworkParseError, "{path}: exactly one slack bus required, found 0"),
         # any kind but slack used to load as a PQ bus with the given injection
         *(("phases: 1\n" + _FILE_BASES
            + f"buses: [{{index: 1, kind: slack}}, {{index: 2, kind: {kind}, p_kw: 100}}]\n"
