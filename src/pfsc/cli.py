@@ -31,6 +31,8 @@ from .report import (
 from .uncertainty import AdmittanceUncertainty, it_class_to_polar, load_noise_config
 
 CONFIG_DIR_ENV = "PFSC_CONFIG_DIR"
+#: trial values that ``mc --dump-trials`` turns into Python floats at once
+_DUMP_BLOCK_VALUES = 2**16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,9 +189,13 @@ def _cmd_mc(args):
     if args.dump_trials:
         n_rows = mc.trials.shape[0] * mc.trials.shape[1]
         flat = mc.trials.reshape(n_rows, -1)
+        # a block of rows at a time: a whole-array tolist() holds every
+        # trial again as Python floats, about 4 times the array's bytes
+        step = max(1, _DUMP_BLOCK_VALUES // flat.shape[1])
         with open(args.dump_trials, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerows(flat.tolist())
+            for start in range(0, n_rows, step):
+                writer.writerows(flat[start : start + step].tolist())
     print(
         f"# {cfg.n_trials} trials, {mc.trials_failed} failed, "
         f"{mc.runtime_s:.2f} s",

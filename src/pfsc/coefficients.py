@@ -21,7 +21,8 @@ P-injection, -1 in the imaginary row for a Q-injection), so z = diag(s)
 for a sign vector s of alternating +1/-1.  The problem carries only s;
 the solve is the column scaling x = H^-1 diag(s) and forms no z.  The
 Monte-Carlo stacks, assembled from raw perturbed inputs rather than at
-a point, are solved against the dense z (``assemble_from_raw``).
+a point, are filled on H's pattern by ``loadflow.JacobianStack`` and
+solved against the dense z (``assemble_from_raw``).
 
 Full table and targeted solves.  Given the positions in x of the
 requested coefficients, ``solve_coefficients`` holds only the rows R and
@@ -55,8 +56,8 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from .errors import ConfigError, SingularSystemError
 from .loadflow import (
     GridState,
+    JacobianStack,
     SparseJacobian,
-    jacobian,
     jacobian_derivative,
     solve_load_flow,
 )
@@ -215,16 +216,23 @@ class RawSystem(NamedTuple):
     z: np.ndarray
 
 
-def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel) -> RawSystem:
-    """The dense ``loadflow.jacobian`` H at raw inputs, and z = diag(signs).
+def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel, fill=None) -> RawSystem:
+    """H at raw inputs, filled on its pattern by ``loadflow.JacobianStack``,
+    and z = diag(signs).
 
-    Used, with perturbed inputs, by the Monte-Carlo trials.  Leading axes
-    of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of inputs
-    gives a stack of H of shape (..., 2n, 2n), each slice bitwise equal to
-    its own assembly; z is the one (2n, 2n) array every slice shares.
+    Used, with perturbed inputs, by the Monte-Carlo trials, which lay out
+    one ``fill`` for the positions where their Y may be nonzero; by
+    default it is laid out for the entries nonzero in any slice of
+    ``Ym``.  Leading axes of ``Ym`` (..., m, m) and ``E`` (..., m)
+    broadcast: a stack of inputs gives a stack of H of shape
+    (..., 2n, 2n), each slice equal to its own assembly; z is the one
+    (2n, 2n) array every slice shares.
     """
     nonslack = _checked_nonslack(Ym.shape, E, network)
-    return RawSystem(jacobian(Ym, E, nonslack), np.diag(_rhs_signs(len(nonslack))))
+    if fill is None:
+        nonzero = (Ym != 0).reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
+        fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
+    return RawSystem(fill(Ym, E), np.diag(_rhs_signs(len(nonslack))))
 
 
 def _checked_nonslack(shape, E, network):

@@ -21,13 +21,16 @@ here, by those rules, in one of two forms:
   point: the Newton loop and the targeted coefficient solve factor it
   with SuperLU (``scipy.sparse.linalg.splu``), and the full table
   inverts it made dense.
-- ``jacobian``: dense and batched over stacks of (Y, E), for the
-  Monte-Carlo trials.
+- ``JacobianStack``: dense and batched over stacks of (Y, E), for the
+  Monte-Carlo trials.  It is laid out once for the positions where any
+  Y of the stacks may be nonzero, and fills each stack's blocks into a
+  zeroed (..., 2n, 2n) array.
 
-Every stored entry of the first equals the second's under ==.  Both
-read the product Y E from the dense Y, since a product over Y's pattern
-rounds differently; the Newton loop forms it once per iterate, for the
-power mismatch and the refill.
+Both write their blocks by one routine (``_write_blocks``), and every
+stored entry equals that of H assembled densely over every entry of Y
+under ==.  Both read the product Y E from the dense Y, since a product
+over Y's pattern rounds differently; the Newton loop forms it once per
+iterate, for the power mismatch and the refill.
 
 H is real-bilinear in (E, Y), so its derivative with respect to each
 real input is exact and sparse: ``jacobian_derivative`` lays it out once
@@ -38,13 +41,15 @@ variances.  The result lives on H's structural pattern, as a
 building and multiplying a scipy sparse matrix costs more than the whole
 propagation.
 
-One routine, ``_block_layout``, lays out H's structural pattern for both:
-the 2x2 blocks (k, c) of the non-slack node pairs that a stored
+One routine, ``_block_layout``, lays out H's structural pattern for all
+three: the 2x2 blocks (k, c) of the non-slack node pairs that a stored
 admittance position links, and every diagonal block, as CSC arrays and
 the data offsets of each block.  ``SparseJacobian`` reads it for Y's
-positions and refills the blocks; ``jacobian_derivative`` reads it for
-the positions of its admittance inputs, and each term carries the data
-offset of its entry.  On Y's pattern the two get the same arrays.
+positions and refills the blocks; ``JacobianStack`` reads it for the
+positions of a stack and writes the blocks at their dense offsets;
+``jacobian_derivative`` reads it for the positions of its admittance
+inputs, and each term carries the data offset of its entry.  On Y's
+pattern they get the same arrays.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ from .network import AdmittanceMatrix, NetworkModel
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
-#: (row, column) within a 2x2 block of the entries that the block rules list
-_BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -99,28 +102,19 @@ def _conj_term_block(re, im):
     return re, im, im, -re
 
 
-def jacobian(Ym, E, nonslack):
-    """Newton matrix H of conj(S) w.r.t. the non-slack voltages, (..., 2n, 2n).
-
-    Leading axes of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a
-    stack of inputs gives a stack of H, each slice bitwise equal to its
-    own assembly.  See the module docstring for the realified ordering.
+def _write_blocks(out, at, A, K):
+    """Write H's blocks along the last axis of ``out``, at the offsets
+    ``at`` (4, blocks) of each block's entries, in ``_block_layout``'s
+    entry order: the block of the term A dE of each block, then, added to
+    the first ``K.shape[-1]`` blocks (the diagonal ones), that of the term
+    diag(K) conj(dE).  ``A`` (..., blocks) and ``K`` (..., n) are complex.
+    One entry at a time, so that no temporary holds all four entries of
+    a stack's blocks.
     """
-    ns = np.asarray(nonslack, dtype=np.intp)
-    n = len(ns)
-    K = (Ym @ E[..., None])[..., 0][..., ns]  # (Y E)_i, multiplies conj(dE_i)
-    A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies dE_n
-
-    # d conj(S) = A dE + diag(K) conj(dE)
-    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
-    for (a, b), entry in zip(_BLOCK_ENTRIES, _term_block(A.real, A.imag)):
-        H[..., a::2, b::2] = entry
-    # diag(K) touches only the 2x2 diagonal blocks: entry (2k + a, 2k + b)
-    # sits at offset k (4n + 2) + 2n a + b of each flattened slice
-    flat = H.reshape(H.shape[:-2] + (-1,))
-    for (a, b), entry in zip(_BLOCK_ENTRIES, _conj_term_block(K.real, K.imag)):
-        flat[..., 2 * n * a + b :: 4 * n + 2] += entry
-    return H
+    for entry, value in zip(at, _term_block(A.real, A.imag)):
+        out[..., entry] = value
+    for entry, value in zip(at[:, : K.shape[-1]], _conj_term_block(K.real, K.imag)):
+        out[..., entry] += value
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +207,7 @@ def _block_layout(positions, nonslack, m):
 
 @dataclass(frozen=True, eq=False)
 class JacobianDerivative:
-    """dH/d(input) of ``jacobian`` at one point, as groups of signed terms.
+    """dH/d(input) of H at one point, as groups of signed terms.
 
     The real inputs are numbered: Re E_n at n and Im E_n at m + n for
     every node n, then Re Y at 2m + q and Im Y at 2m + L + q for the L
@@ -251,7 +245,7 @@ class JacobianDerivative:
 
 
 def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
-    """The ``JacobianDerivative`` of ``jacobian(Y.matrix, E, nonslack)``.
+    """The ``JacobianDerivative`` of H at the point (Y, E).
 
     The admittance inputs are the entries of the non-slack rows at the
     sorted flat ``positions`` of Y; by default Y's own pattern.  Any other
@@ -301,14 +295,14 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
 
 
 class SparseJacobian:
-    """``jacobian`` on the pattern of Y, as a CSC matrix refilled per call.
+    """H on the pattern of Y, as a CSC matrix refilled per call.
 
     The pattern is fixed by the stored entries of the ``AdmittanceMatrix``
     ``Y`` among the ``nonslack`` nodes, plus the diagonal blocks
-    (``_block_layout``), and the object keeps Y's entries there.  Calling it with voltages E and the product
-    ``YE = Y E`` (computed by the caller, which holds the dense Y) writes
-    H(Y, E) into the data of ``matrix`` (the same object each call) and
-    returns it.
+    (``_block_layout``), and the object keeps Y's entries there.  Calling
+    it with voltages E and the product ``YE = Y E`` (computed by the
+    caller, which holds the dense Y) writes H(Y, E) into the data of
+    ``matrix`` (the same object each call) and returns it.
     """
 
     def __init__(self, Y: AdmittanceMatrix, nonslack):
@@ -325,13 +319,44 @@ class SparseJacobian:
         )
 
     def __call__(self, E, YE):
-        # the expressions of ``jacobian``, evaluated on the pattern only
+        # d conj(S) = A dE + diag(K) conj(dE), on the pattern only
         A = np.conj(E[self._row]) * self._y
-        K = YE[self._ns]
-        data = self.matrix.data
-        data[self._at] = np.array(_term_block(A.real, A.imag))
-        data[self._at[:, : len(K)]] += np.array(_conj_term_block(K.real, K.imag))
+        _write_blocks(self.matrix.data, self._at, A, YE[self._ns])
         return self.matrix
+
+
+class JacobianStack:
+    """H over stacks of raw (Y, E), dense, filled on H's pattern.
+
+    Laid out once (``_block_layout``) for the sorted, distinct flat
+    ``positions`` of an (m, m) Y that hold every entry any Y of the
+    stacks may have nonzero.  Calling it with ``Ym`` (..., m, m) and
+    ``E`` (..., m), whose leading axes broadcast, returns the stack of H,
+    (..., 2n, 2n): each block is written at its dense offsets into a
+    zeroed array, and K = Y E is the dense batched product.  Every entry
+    equals that of H assembled over every entry of Y under ==, and is
+    the same in any stack; an entry off the pattern is +0.0, where the
+    dense assembly may give -0.0.
+    """
+
+    def __init__(self, positions, nonslack, m):
+        ns = np.asarray(nonslack, dtype=np.intp)
+        self._ns, self.dim = ns, 2 * len(ns)
+        _, c, at, indices, indptr = _block_layout(positions, ns, m)
+        # the diagonal blocks, then the linked ones: flat Y position and row node
+        self._y = np.concatenate([ns * (m + 1), positions[c >= 0]])
+        self._row = self._y // m
+        # each CSC data offset's offset in the row-major dense H
+        column = np.repeat(np.arange(self.dim), np.diff(indptr))
+        self._at = (indices * self.dim + column)[at]
+
+    def __call__(self, Ym, E):
+        K = (Ym @ E[..., None])[..., 0][..., self._ns]
+        A = np.conj(E[..., self._row]) * Ym.reshape(Ym.shape[:-2] + (-1,))[..., self._y]
+        stack = A.shape[:-1]
+        H = np.zeros(stack + (self.dim * self.dim,))
+        _write_blocks(H, self._at, A, K)
+        return H.reshape(stack + (self.dim, self.dim))
 
 
 def solve_load_flow(

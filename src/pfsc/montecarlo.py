@@ -16,24 +16,31 @@ Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
 ``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
 trial works in about 4.5 times its 8 dim² bytes of H (H, x, the centred
 copy of x, its Y and its draw row), about 0.5 MB at dim H 118, so a
-chunk there holds 9 trials and a 200-trial pass peaks at 4.7 MB under
-``tracemalloc`` (17.7 MB in 4 MiB chunks of 37).  The smaller chunk costs
+chunk there holds 9 trials and a 200-trial pass peaks at 4.2 MB under
+``tracemalloc`` (17.7 MB in 4 MiB chunks of 37); a level's Y stack is
+freed once its H is filled, before the solve.  The smaller chunk costs
 no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
 and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
-builds the stack of H (the batched dense ``loadflow.jacobian``) and the
-z it shares, and one batched ``np.linalg.solve`` solves it.
+builds the stack of H and the z it shares, and one batched
+``np.linalg.solve`` solves it.  The stack is filled on H's pattern by a
+``loadflow.JacobianStack`` laid out once per level per pass, for the
+positions where the level's perturbed Y may be nonzero: those of Y and
+of the level's stds, or, for ``branch-parameter``, those of the stamp,
+which keeps an entry whose branch terms sum to zero in Y.
 
-The streams are NumPy's own (NEP 19), built for a whole chunk at once.
+The streams are NumPy's own (NEP 19), built for many trials at once.
 ``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
 then those of ``k``, into a pool of four words, and ``PCG64`` seeds from
 four 64-bit words that the pool generates; ``_stream_states`` runs that
-hash as uint32 array arithmetic over the chunk's trials and turns the
-words into each stream's PCG64 ``state`` and ``inc``.  ``_draws`` then
-sets them on one reused generator before each trial's draws, which are
-bitwise those of ``default_rng(SeedSequence((seed, k)))``.
+hash as uint32 array arithmetic over up to ``CHUNK_TRIALS`` trials at a
+time, whole chunks of them (252 trials at dim H 118, where it ran once
+per 9-trial chunk).  ``_draws`` turns a chunk's words into each stream's
+PCG64 ``state`` and ``inc`` and sets them on one reused generator before
+each trial's draws, which are bitwise those of
+``default_rng(SeedSequence((seed, k)))``.
 The mean and std are streamed across chunks (Chan, Golub & LeVeque
 1979), so memory is bounded by one chunk whatever ``n_trials`` is;
 only ``store_trials`` (the CLI's ``--dump-trials``) keeps every trial.
@@ -58,7 +65,7 @@ import numpy as np
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
-from .loadflow import GridState
+from .loadflow import GridState, JacobianStack
 from .network import AdmittanceMatrix, NetworkModel, dense, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
@@ -70,7 +77,7 @@ _MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 CHUNK_TRIALS = 256
 #: ... and an H stack of at most this many bytes.  A trial's working set
 #: is about 4.5 times its 8 dim² bytes of H, so at dim H 118 a 1 MiB chunk
-#: of 9 trials works in about 4.7 MB.  ``run_pipeline`` medians of the
+#: of 9 trials works in about 4.2 MB.  ``run_pipeline`` medians of the
 #: 60-bus full table with 200 trials, 12 interleaved repeats on one Xeon
 #: core (2 MiB of L2) with one BLAS thread: 150.9 ms at 4 MiB (37 trials),
 #: 139.4 at 2 MiB, 137.8 at 1 MiB (9), 137.3 at 768 KiB, 146.4 at 512 KiB
@@ -201,15 +208,18 @@ def _pool(entropy):
 
 
 def _stream_states(seed, trials):
-    """PCG64 ``(state, inc)`` of each trial's ``SeedSequence((seed, k))`` stream.
+    """PCG64 seed words of each trial's ``SeedSequence((seed, k))``
+    stream, (trials, 4) uint64: the high and low halves of its seed, then
+    those of its increment.
 
     Trials whose index takes the same number of 32-bit words share one
-    array evaluation of the hash.
+    array evaluation of the hash.  The words take 32 bytes a trial, where
+    the Python ints of a PCG64 state take about 110.
     """
     k = np.array(trials, dtype=np.uint64)
     seed_words = _words(int(seed))
     wide = k > _MASK32  # a second entropy word (indices below 2**64)
-    states = [None] * len(k)
+    states = np.empty((len(k), 4), dtype=np.uint64)
     for rows, n_words in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
         if not len(rows):
             continue
@@ -228,15 +238,14 @@ def _stream_states(seed, trials):
             out.append((value ^ (value >> 16)).astype(np.uint64))
         # little-endian pairs; PCG64 takes words 0, 1 as the high and low
         # halves of its seed and 2, 3 as those of its increment
-        w = [out[2 * i] | (out[2 * i + 1] << np.uint64(32)) for i in range(4)]
-        for j, (s_hi, s_lo, i_hi, i_lo) in zip(rows.tolist(), zip(*(a.tolist() for a in w))):
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            states[j] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+        for i in range(4):
+            states[rows, i] = out[2 * i] | (out[2 * i + 1] << np.uint64(32))
     return states
 
 
-def _draws(seed, trials, width):
-    """Standard-normal draws of the given trials, one row of ``width`` each.
+def _draws(states, width):
+    """Standard-normal draws of trials, one row of ``width`` each, from
+    their PCG64 seed words ``states`` as ``_stream_states`` gives them.
 
     Each trial's stream fills its row: magnitude and phase noise of the m
     voltages, then the admittance noise, element-wise the real and
@@ -244,13 +253,15 @@ def _draws(seed, trials, width):
     of each branch impedance (see ``_perturb_branches``).  The rows are
     bitwise those of ``default_rng(SeedSequence((seed, k)))``.
     """
-    draws = np.empty((len(trials), width))
+    draws = np.empty((len(states), width))
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (pcg_state, inc) in zip(draws, _stream_states(seed, trials)):
-        pcg["state"], pcg["inc"] = pcg_state, inc
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(draws, states.tolist()):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        pcg["state"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        pcg["inc"] = inc
         bit_generator.state = state
         generator.standard_normal(out=row)
     return draws
@@ -353,11 +364,13 @@ def _readers(sets, start, end):
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 
-def _solve_level(network, Ym, E_k, noise, yu, mode):
+def _solve_level(network, Ym, E_k, noise, yu, mode, fill):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
-    level's ``yu``, and which of them are usable.
+    level's ``yu``, and which of them are usable; ``fill`` is the level's
+    ``JacobianStack``.
 
-    The level's admittance and H stacks are freed on return.
+    The level's admittance stack is freed once H is filled, before the
+    solve, and H on return.
     """
     rows = len(noise)
     if mode == BRANCH_PARAMETER:
@@ -371,7 +384,8 @@ def _solve_level(network, Ym, E_k, noise, yu, mode):
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
         Y_k[:, at] = Ym.take(at) + n[:, 0, at] * yu.re + 1j * (n[:, 1, at] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
-    system = assemble_from_raw(Y_k, E_k[:rows], network)
+    system = assemble_from_raw(Y_k, E_k[:rows], network, fill)
+    del Y_k
     return _solve_chunk(system.H, system.z)
 
 
@@ -419,17 +433,29 @@ def run_monte_carlo_sets(
         width = 2 * m + 2 * network.branch_table.z_ohm.size
     else:
         width = 2 * m + 2 * m * m
+    # a level's Y may be nonzero where Y is, at its stds' positions and, for
+    # branch-parameter, at a stamp position whose terms sum to zero in Y
+    held = np.union1d(Y.positions, stamp_admittance(network, network.branch_table.z_ohm)[0])
+    nonslack = network.nonslack_flat_indices()
+    fills = [JacobianStack(np.union1d(held, level[0].cfg.yu.positions), nonslack, m)
+             for level in levels.values()]
 
-    dim = 2 * len(network.nonslack_flat_indices())
+    dim = 2 * len(nonslack)
     check_nonempty(dim)
     size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
+    hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
     for start in range(0, n_max, size):
         end = min(start + size, n_max)
-        draws = _draws(cfg.seed, range(start, end), width)
+        at = start % hashed
+        if at == 0:
+            states = _stream_states(cfg.seed, range(start, min(start + hashed, n_max)))
+        draws = _draws(states[at : at + end - start], width)
+        if at + end - start == len(states):
+            del states  # the last chunk of its hash: not held through the solves
         E_k = _perturb_voltages(E0, cfg.polar, draws[:, :m], draws[:, m : 2 * m])
         noise = draws[:, 2 * m :]
-        for level in levels.values():
+        for level, fill in zip(levels.values(), fills):
             shares = _readers(level, start, end)
             if not shares:
                 continue
@@ -438,7 +464,7 @@ def run_monte_carlo_sets(
             # system, and every chunk faulted those pages in again
             rows = max(k for _, k in shares)
             x, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
-                                 cfg.symmetry_mode)
+                                 cfg.symmetry_mode, fill)
             for s, k in shares:
                 s.add(x[:k], ok[:k])
     seconds = time.perf_counter() - t0

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -362,9 +360,11 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     nominal reads ``nan%`` or ``inf%``.
     CSV and JSON write a float as its ``repr``, the shortest text that
     reads back to the same double.  The nominal and std columns are
-    formatted once per call and shared by CSV and JSON; JSON and pretty
-    text format and write their rows a block at a time, so no file's
-    whole text is held at once.
+    formatted once per call and shared by CSV and JSON; every format
+    formats and writes its rows a block at a time, so no file's whole text
+    is held at once.  A CSV row fills one ``"%s,...\\r\\n"`` template:
+    no label or float text holds a comma, a quote or a line break, so the
+    bytes are those of ``csv.writer``.
     """
     levels = sorted(
         set(report.analytical) | {lvl for lvl, _ in report.mc}
@@ -397,13 +397,17 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
                     "std_analytical" if n is None else f"std_mc_{n}" for n, _, _ in cols
                 ]
                 header.append("time_s")
-                values = [stds.reprs for _, stds, _ in cols]
+                # csv.writer's bytes: no label, header or float repr holds
+                # a comma, a quote or a line break, so none is quoted
+                row = "%s," * (len(header) - 1) + repr(float(total)) + "\r\n"
+                values = [report.labels, nominal.reprs] + [stds.reprs for _, stds, _ in cols]
+
+                def rows(start, stop):
+                    return map(row.__mod__, zip(*(v[start:stop] for v in values)))
+
                 with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(header)
-                    writer.writerows(
-                        zip(report.labels, nominal.reprs, *values, repeat(repr(float(total))))
-                    )
+                    fh.write(",".join(header) + "\r\n")
+                    write_joined(fh, len(report.labels), rows, "")
                 written.append(path)
         elif fmt == "json":
             path = out_dir / "report.json"

@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
 Each is an oracle for a quantity the package computes another way (or
-not at all): a trial's random stream built one trial at a time, the
+not at all): the Newton matrix H assembled densely over every entry of
+Y, batched over stacks, a trial's random stream built one trial at a time, the
 hand-derived channel form of var(H), var(H) as one dense bincount and the
 coefficient stds of its dense product chain, the literal loop forms of the
 inverse variance, single cross terms of cov(H^-1), the coefficient
@@ -19,10 +20,40 @@ import numpy as np
 from scipy import stats
 
 from pfsc.coefficients import INJECTIONS, PARTS, P, SensitivityProblem
-from pfsc.loadflow import GridState, jacobian_derivative
+from pfsc.loadflow import GridState, _conj_term_block, _term_block, jacobian_derivative
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import CoefficientKey
 from pfsc.uncertainty import AdmittanceUncertainty, CartesianNoiseSpec
+
+
+#: (row, column) within a 2x2 block of the entries that the block rules list
+_BLOCK_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def jacobian(Ym, E, nonslack):
+    """Newton matrix H of conj(S) w.r.t. the non-slack voltages, (..., 2n, 2n),
+    assembled over every entry of Y: the bitwise oracle of the package's
+    ``SparseJacobian`` and ``JacobianStack``, which fill H's pattern only.
+
+    Leading axes of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a
+    stack of inputs gives a stack of H, each slice bitwise equal to its
+    own assembly.  An entry off the pattern may be -0.0.
+    """
+    ns = np.asarray(nonslack, dtype=np.intp)
+    n = len(ns)
+    K = (Ym @ E[..., None])[..., 0][..., ns]  # (Y E)_i, multiplies conj(dE_i)
+    A = np.conj(E[..., ns, None]) * Ym[..., ns[:, None], ns]  # multiplies dE_n
+
+    # d conj(S) = A dE + diag(K) conj(dE)
+    H = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    for (a, b), entry in zip(_BLOCK_ENTRIES, _term_block(A.real, A.imag)):
+        H[..., a::2, b::2] = entry
+    # diag(K) touches only the 2x2 diagonal blocks: entry (2k + a, 2k + b)
+    # sits at offset k (4n + 2) + 2n a + b of each flattened slice
+    flat = H.reshape(H.shape[:-2] + (-1,))
+    for (a, b), entry in zip(_BLOCK_ENTRIES, _conj_term_block(K.real, K.imag)):
+        flat[..., 2 * n * a + b :: 4 * n + 2] += entry
+    return H
 
 
 def structural_nonzero(Ym):

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pfsc
 from pfsc import cli
 from pfsc.cli import main
 
-from conftest import make_random_network, make_three_phase_balanced
+from conftest import make_feeder, make_random_network, make_three_phase_balanced
 from oracles import brute_force_keys
 
 NETWORK = str(pfsc.bundled_network_path("ieee4_balanced"))
@@ -277,6 +278,45 @@ def test_mc_with_trial_dump(capsys, tmp_path):
     trial_rows = dump.read_text().splitlines()
     assert len(trial_rows) == 36
     assert len(trial_rows[0].split(",")) == 25
+
+
+def test_trial_dump_in_blocks_is_the_whole_arrays_bytes(capsys, tmp_path, monkeypatch):
+    # 36 rows of 25 trials in blocks of 7 rows, the last one partial:
+    # the bytes csv.writer gives the whole store at once
+    monkeypatch.setattr(cli, "_DUMP_BLOCK_VALUES", 7 * 25 + 3)
+    dump = tmp_path / "trials.csv"
+    code, _, _ = run(capsys, "mc", "--network", NETWORK, "--nmc", "25", "--seed", "7",
+                     "--out", str(tmp_path / "mc.csv"), "--dump-trials", str(dump))
+    assert code == 0
+    net = pfsc.load_network(NETWORK)
+    Y = pfsc.build_admittance(net)
+    cfg = pfsc.MCConfig(n_trials=25, seed=7, polar=pfsc.it_class_to_polar("0.5"),
+                        yu=pfsc.AdmittanceUncertainty.from_relative(Y, 1.0), store_trials=True)
+    trials = pfsc.run_monte_carlo(net, Y, pfsc.solve_load_flow(net, Y), cfg).trials
+    whole = io.StringIO(newline="")
+    csv.writer(whole).writerows(trials.reshape(36, 25).tolist())
+    assert dump.read_bytes() == whole.getvalue().encode()
+
+
+def test_trial_dump_peak_memory(capsys, tmp_path):
+    """``pfsc mc --dump-trials`` on ``make_feeder(60, 1)`` with 30 trials:
+    the 13,924 x 30 trial store is 3.3 MB.  Written a block of rows at a
+    time, the run peaks at about 8.1 MB under ``tracemalloc``, most of it
+    the store held twice by the pass; the whole-array ``tolist()`` took it
+    to 20.1 MB.  The bound is 1.5 times the measured peak."""
+    network = tmp_path / "feeder60.yaml"
+    pfsc.emit_network(make_feeder(60, 1), network)
+    argv = ["mc", "--network", str(network), "--seed", "3", "--out", str(tmp_path / "mc.csv")]
+    assert run(capsys, *argv, "--nmc", "2")[0] == 0  # lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main([*argv, "--nmc", "30", "--dump-trials", str(tmp_path / "trials.csv")])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 12e6, peak
 
 
 def test_mc_deterministic_for_fixed_seed(capsys, tmp_path):

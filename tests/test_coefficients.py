@@ -83,8 +83,8 @@ class TestAssemble:
 
     @pytest.mark.parametrize("three_phase", [False, True], ids=["ieee4", "three-phase"])
     def test_point_H_is_its_csc_H_made_dense(self, ieee4, three_phase, monkeypatch):
-        # a point's H is assembled once, by SparseJacobian; the dense
-        # jacobian assembles raw stacks only, and agrees entry by entry
+        # a point's H is assembled once, by SparseJacobian; the stack
+        # fill assembles raw stacks only, and agrees entry by entry
         from pfsc import coefficients
 
         net = make_three_phase_balanced() if three_phase else ieee4
@@ -92,7 +92,7 @@ class TestAssemble:
         state = pfsc.solve_load_flow(net, Y)
         problem = assemble_problem(Y, state, net)
         with monkeypatch.context() as patch:
-            patch.setattr(coefficients, "jacobian", lambda *a: pytest.fail("dense jacobian"))
+            patch.setattr(coefficients, "JacobianStack", lambda *a: pytest.fail("stack fill"))
             solve_coefficients(problem)
         assert np.array_equal(problem.H, problem.H_csc.toarray())
         raw = coefficients.assemble_from_raw(Y.matrix, state.voltages, net)
@@ -393,7 +393,7 @@ class TestTargetedSolve:
         problem = assemble_problem(Y, state, net)
         rows, cols = self._request(problem, every=30)
         with monkeypatch.context() as patch:
-            patch.setattr(coefficients, "jacobian", lambda *a: pytest.fail("dense H"))
+            patch.setattr(coefficients, "JacobianStack", lambda *a: pytest.fail("dense H"))
             res = solve_coefficients(problem, rows, cols)
         assert "H" not in vars(problem)  # the dense H was never assembled
         full = solve_coefficients(assemble_problem(Y, state, net))

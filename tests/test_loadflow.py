@@ -8,13 +8,15 @@ import pfsc
 from pfsc.errors import LoadFlowError
 from pfsc.loadflow import (
     GridState,
+    JacobianStack,
     SparseJacobian,
-    jacobian,
     nodal_power,
     solve_load_flow,
 )
+from pfsc.network import dense, stamp_admittance
 
-from conftest import make_random_network, make_three_phase_balanced, make_two_bus
+from conftest import make_feeder, make_random_network, make_three_phase_balanced, make_two_bus
+from oracles import jacobian
 
 FEEDERS = {
     "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
@@ -250,6 +252,51 @@ def test_sparse_jacobian_equals_dense(feeder):
         assert np.array_equal(H.toarray(), jacobian(Y.matrix, E_, ns))
     linked = Y.matrix[np.ix_(ns, ns)] != 0
     assert H.nnz == 4 * np.count_nonzero(linked | np.eye(len(ns), dtype=bool))
+
+
+STACK_FEEDERS = {
+    "ieee4": FEEDERS["ieee4"],
+    "mesh12-seed3": FEEDERS["mesh12-seed3"],
+    "feeder60-seed1": lambda: make_feeder(60, 1),
+}
+
+
+def _perturbed_stacks(net, Y, rng, k=3):
+    """``(positions, Y stack)`` of the three kinds of Monte-Carlo stack:
+    Y's entries perturbed on its pattern, Y stamped from perturbed branch
+    impedances on the stamp's positions, and every entry perturbed, the
+    zeros of Y too."""
+    m = net.n_nodes
+    z = net.branch_table.z_ohm
+    noise = rng.standard_normal((2, k, m, m))
+    every = Y.matrix + 1e-3 * (noise[0] + 1j * noise[1])
+    elements = np.where(Y.matrix != 0, every, 0.0)
+    stamped = stamp_admittance(net, z * (1 + 1e-2 * rng.standard_normal((k,) + z.shape)))
+    return {
+        "elements": (Y.positions, elements),
+        "branches": (stamped[0], dense(*stamped, m)),
+        "every-entry": (np.arange(m * m), every),
+    }
+
+
+@pytest.mark.parametrize("feeder", sorted(STACK_FEEDERS))
+def test_stack_fill_equals_dense_oracle(feeder):
+    # every entry under ==, for stacks of Y with a stack of E, with one E
+    # for the whole stack, and for one slice; entries off the pattern are
+    # +0.0 in the fill, where the dense oracle may write -0.0
+    net = STACK_FEEDERS[feeder]()
+    Y = pfsc.build_admittance(net)
+    E = solve_load_flow(net, Y).voltages
+    ns = net.nonslack_flat_indices()
+    rng = np.random.default_rng(6)
+    noise = rng.standard_normal((2, 3) + E.shape)
+    E_k = E + 1e-3 * (noise[0] + 1j * noise[1])
+    for kind, (positions, Y_k) in _perturbed_stacks(net, Y, rng).items():
+        fill = JacobianStack(positions, ns, net.n_nodes)
+        for Ym, E_ in ((Y_k, E_k), (Y_k, E), (Y_k[0], E_k[0])):
+            got, want = fill(Ym, E_), jacobian(Ym, E_, ns)
+            assert np.array_equal(got, want), kind
+            assert got.tobytes() == (want + 0.0).tobytes(), kind
 
 
 def _dense_load_flow(net, Y, tol=1e-8, max_iter=50):

@@ -19,8 +19,8 @@ from pfsc.montecarlo import (
 from pfsc.network import Branch, Bus, NetworkModel, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
 
-from conftest import make_feeder, make_three_phase_balanced
-from oracles import qq_normality_check, trial_rng
+from conftest import make_feeder, make_random_network, make_three_phase_balanced
+from oracles import jacobian, qq_normality_check, trial_rng
 
 MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 
@@ -148,11 +148,14 @@ def serial_trials(network, Y, state, cfg):
     """Trial store of the one-trial-at-a-time loop: the reference engine.
 
     Draws every trial's inputs with ``normal`` calls in the order the
-    batched engine's draw rows encode, assembles and solves one trial at
-    a time, and drops singular or non-finite trials.
+    batched engine's draw rows encode, assembles H densely over every
+    entry of Y (the ``jacobian`` oracle) and solves one trial at a time,
+    and drops singular or non-finite trials.
     """
     E0, Ym, polar = state.voltages, Y.matrix, cfg.polar
     m = E0.size
+    nonslack = network.nonslack_flat_indices()
+    rhs = np.diag(np.tile([1.0, -1.0], len(nonslack)))  # +1 for P, -1 for Q
     samples = []
     for k in range(cfg.n_trials):
         rng = trial_rng(cfg.seed, k)
@@ -180,14 +183,54 @@ def serial_trials(network, Y, state, cfg):
             d_re = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_re
             d_im = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_im
             Y_k = Ym + d_re + 1j * d_im
-        problem = assemble_from_raw(Y_k, E, network)
         try:
-            x = np.linalg.solve(problem.H, problem.z)
+            x = np.linalg.solve(jacobian(Y_k, E, nonslack), rhs)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(x)):
             samples.append(x)
     return np.stack(samples, axis=-1)
+
+
+#: feeders on which the engine's stacks are checked byte for byte
+ORACLE_FEEDERS = {
+    "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
+    "mesh12-seed3": lambda: make_random_network(12, 3, radial=False),
+    "feeder60-seed1": lambda: make_feeder(60, 1),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("feeder", sorted(ORACLE_FEEDERS))
+def test_trials_are_the_dense_oracle_loop_bytes(feeder, mode):
+    # H filled on its pattern solves to the bytes of H assembled over every
+    # entry of Y, signed zeros included: tobytes, since array_equal takes
+    # -0.0 for +0.0 (the oracle writes -0.0 off the pattern, the fill +0.0)
+    net = ORACLE_FEEDERS[feeder]()
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    cfg = MCConfig(n_trials=12, seed=3, polar=it_class_to_polar("0.5"),
+                   yu=AdmittanceUncertainty.from_relative(Y, 1.0), symmetry_mode=mode,
+                   store_trials=True)
+    got = run_monte_carlo(net, Y, state, cfg).trials
+    assert got.tobytes() == serial_trials(net, Y, state, cfg).tobytes()
+
+
+@pytest.mark.parametrize("feeder", ["ieee4", "mesh12-seed3"])
+def test_noise_where_Y_is_zero_fills_those_entries(feeder):
+    # stds given densely, nonzero on every element: the level's stacks are
+    # laid out on Y's pattern and the stds', so element noise where Y is
+    # zero reaches H
+    net = ORACLE_FEEDERS[feeder]()
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    sigma = np.abs(Y.matrix) * 0.01 + 1e-3
+    yu = AdmittanceUncertainty(sigma, sigma)
+    assert len(yu.positions) > len(Y.positions)
+    cfg = MCConfig(n_trials=12, seed=3, polar=it_class_to_polar("0.5"), yu=yu,
+                   store_trials=True)
+    got = run_monte_carlo(net, Y, state, cfg).trials
+    assert got.tobytes() == serial_trials(net, Y, state, cfg).tobytes()
 
 
 @pytest.fixture
@@ -223,8 +266,8 @@ def test_singular_perturbed_impedance_names_its_branch(monkeypatch):
     Y = build_admittance(net)
     state = pfsc.solve_load_flow(net, Y)
 
-    def draws(seed, trials, width):
-        out = np.zeros((len(trials), width))
+    def draws(states, width):
+        out = np.zeros((len(states), width))
         out[3, 2 * net.n_nodes + 3] = -1.0  # after (re, im) of branch 1-2, im of 2-3
         return out
 
@@ -248,8 +291,8 @@ def poisoned_assembly(monkeypatch, poison):
     """Route the engine's assembly through ``poison(H_stack, call_index)``."""
     calls = []
 
-    def assemble(Ym, E, network):
-        problem = assemble_from_raw(Ym, E, network)
+    def assemble(Ym, E, network, fill):
+        problem = assemble_from_raw(Ym, E, network, fill)
         poison(problem.H, len(calls))
         calls.append(len(problem.H))
         return problem
@@ -302,12 +345,12 @@ def poisoned_trial(monkeypatch, network, state, cfg, trial):
     shares, so the batched solve of its chunk raises at each level.
     """
     m = state.voltages.size
-    d = montecarlo._draws(cfg.seed, range(trial, trial + 1), 2 * m)
+    d = montecarlo._draws(montecarlo._stream_states(cfg.seed, [trial]), 2 * m)
     target = montecarlo._perturb_voltages(state.voltages, cfg.polar, d[:, :m], d[:, m:])
     hits = []
 
-    def assemble(Ym, E, network):
-        problem = assemble_from_raw(Ym, E, network)
+    def assemble(Ym, E, network, fill):
+        problem = assemble_from_raw(Ym, E, network, fill)
         hit = (E == target).all(axis=-1)
         problem.H[hit] = 0.0
         hits.append(int(hit.sum()))
@@ -367,7 +410,7 @@ def test_batched_streams_equal_per_trial_streams(ieee4, seed):
     three_phase = make_three_phase_balanced()
     for trials in (range(250, 262), range(2**32 - 2, 2**32 + 2)):
         for width in mode_widths(ieee4) | mode_widths(three_phase):
-            got = montecarlo._draws(seed, trials, width)
+            got = montecarlo._draws(montecarlo._stream_states(seed, trials), width)
             assert np.array_equal(got, reference_draws(seed, trials, width))
 
 
@@ -389,12 +432,12 @@ def test_seed_must_be_a_nonnegative_integer(ieee4_solved, seed):
 def test_report_builds_each_trial_stream_once(monkeypatch):
     streams = []
 
-    def counted(seed, trials, width):
+    def counted(seed, trials):
         streams.extend(trials)
-        return draws(seed, trials, width)
+        return stream_states(seed, trials)
 
-    draws = montecarlo._draws
-    monkeypatch.setattr(montecarlo, "_draws", counted)
+    stream_states = montecarlo._stream_states
+    monkeypatch.setattr(montecarlo, "_stream_states", counted)
     cfg = pfsc.RunConfig(network=str(pfsc.bundled_network_path()), mode="mc",
                          n_mc=(20, 50), sigma_y_pct=(0.5, 1.0, 2.0))
     report = pfsc.run_pipeline(cfg)
@@ -517,7 +560,7 @@ def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
 
 def test_full_table_monte_carlo_peak_memory(feeder60):
     """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
-    full-table report, peaks at about 4.7 MB under ``tracemalloc`` in
+    full-table report, peaks at about 4.2 MB under ``tracemalloc`` in
     1 MiB chunks of 9 trials (17.7 MB in 4 MiB chunks of 37)."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)

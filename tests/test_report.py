@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 import tracemalloc
@@ -527,8 +528,8 @@ class TestEmission:
 
         real = montecarlo.assemble_from_raw
 
-        def one_singular_trial(Ym, E, network):
-            problem = real(Ym, E, network)
+        def one_singular_trial(Ym, E, network, fill):
+            problem = real(Ym, E, network, fill)
             problem.H[0] = 0.0
             return problem
 
@@ -787,10 +788,25 @@ class TestEmissionBytes:
             assert doc["coefficients"] == [] and doc["nominal_pu"] == []
             assert doc["analytical"]["1.0"]["std"] == []
 
+    @pytest.mark.parametrize("case", ["ieee4", "three-phase"])
+    def test_csv_is_csv_writers_bytes(self, tmp_path, case):
+        # each row fills one "%s,...\r\n" template unquoted: csv.writer
+        # writes the same bytes for the fields read back, polyphase labels
+        # such as Im(dE3b/dQ2c) included
+        report = run_pipeline(self.CASES[case](tmp_path))
+        if case == "three-phase":
+            assert "Im(dE3b/dQ2c)" in report.labels
+        for path in emit_report(report, ("csv",), tmp_path / "out"):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            again = io.StringIO(newline="")
+            csv.writer(again).writerows(rows)
+            assert path.read_bytes() == again.getvalue().encode()
+
     @pytest.mark.parametrize("block", [1, 5, 36])
     def test_same_bytes_whatever_the_block_size(self, tmp_path, monkeypatch, block):
-        # ieee4's 36 coefficients in blocks of one row, of 5 and a
-        # partial block, and in one whole block
+        # ieee4's 36 coefficients, in every format, CSV too, in blocks of
+        # one row, of 5 and a partial block, and in one whole block
         report = run_pipeline(small_cfg(n_mc=(20,)))
         want = [p.read_bytes() for p in emit_report(report, FORMATS, tmp_path / "want")]
         monkeypatch.setattr(pfsc.report, "_BLOCK_ROWS", block)

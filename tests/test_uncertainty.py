@@ -11,7 +11,7 @@ import pfsc
 from pfsc import coefficients, uncertainty
 from pfsc.coefficients import assemble_problem, solve_coefficients
 from pfsc.errors import ConfigError
-from pfsc.loadflow import SparseJacobian, jacobian
+from pfsc.loadflow import SparseJacobian
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import coefficient_positions
 from pfsc.uncertainty import (
@@ -35,6 +35,7 @@ from oracles import (
     general_variance,
     inverse_cross_covariance,
     inverse_self_variance_reference,
+    jacobian,
     repeated_sign_projection,
     term_positions,
 )
