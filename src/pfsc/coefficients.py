@@ -216,22 +216,19 @@ class RawSystem(NamedTuple):
     z: np.ndarray
 
 
-def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel, fill=None) -> RawSystem:
+def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel) -> RawSystem:
     """H at raw inputs, filled on its pattern by ``loadflow.JacobianStack``,
     and z = diag(signs).
 
-    Used, with perturbed inputs, by the Monte-Carlo trials, which lay out
-    one ``fill`` for the positions where their Y may be nonzero; by
-    default it is laid out for the entries nonzero in any slice of
-    ``Ym``.  Leading axes of ``Ym`` (..., m, m) and ``E`` (..., m)
-    broadcast: a stack of inputs gives a stack of H of shape
-    (..., 2n, 2n), each slice equal to its own assembly; z is the one
-    (2n, 2n) array every slice shares.
+    Used, with perturbed inputs, by the Monte-Carlo trials.  The pattern
+    is laid out for the entries nonzero in any slice of ``Ym``.  Leading
+    axes of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of
+    inputs gives a stack of H of shape (..., 2n, 2n), each slice equal to
+    its own assembly; z is the one (2n, 2n) array every slice shares.
     """
     nonslack = _checked_nonslack(Ym.shape, E, network)
-    if fill is None:
-        nonzero = (Ym != 0).reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
-        fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
+    nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
+    fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
     return RawSystem(fill(Ym, E), np.diag(_rhs_signs(len(nonslack))))
 
 

@@ -22,9 +22,9 @@ here, by those rules, in one of two forms:
   with SuperLU (``scipy.sparse.linalg.splu``), and the full table
   inverts it made dense.
 - ``JacobianStack``: dense and batched over stacks of (Y, E), for the
-  Monte-Carlo trials.  It is laid out once for the positions where any
-  Y of the stacks may be nonzero, and fills each stack's blocks into a
-  zeroed (..., 2n, 2n) array.
+  Monte-Carlo trials.  It is laid out for the positions where the Y of
+  a stack may be nonzero, and fills the blocks into a zeroed
+  (..., 2n, 2n) array.
 
 Both write their blocks by one routine (``_write_blocks``), and every
 stored entry equals that of H assembled densely over every entry of Y
@@ -41,15 +41,15 @@ variances.  The result lives on H's structural pattern, as a
 building and multiplying a scipy sparse matrix costs more than the whole
 propagation.
 
-One routine, ``_block_layout``, lays out H's structural pattern for all
-three: the 2x2 blocks (k, c) of the non-slack node pairs that a stored
-admittance position links, and every diagonal block, as CSC arrays and
-the data offsets of each block.  ``SparseJacobian`` reads it for Y's
-positions and refills the blocks; ``JacobianStack`` reads it for the
-positions of a stack and writes the blocks at their dense offsets;
+One routine, ``_blocks``, lists H's structural pattern for all three:
+the 2x2 blocks (k, c) of the non-slack node pairs that a stored
+admittance position links, and every diagonal block.  ``_block_layout``
+lays them out as CSC arrays and the data offsets of each block.
+``SparseJacobian`` reads that for Y's positions and refills the blocks;
 ``jacobian_derivative`` reads it for the positions of its admittance
 inputs, and each term carries the data offset of its entry.  On Y's
-pattern they get the same arrays.
+pattern they get the same arrays.  ``JacobianStack`` reads the blocks
+for the positions of a stack and writes them at their dense offsets.
 """
 
 from __future__ import annotations
@@ -105,16 +105,17 @@ def _conj_term_block(re, im):
 def _write_blocks(out, at, A, K):
     """Write H's blocks along the last axis of ``out``, at the offsets
     ``at`` (4, blocks) of each block's entries, in ``_block_layout``'s
-    entry order: the block of the term A dE of each block, then, added to
-    the first ``K.shape[-1]`` blocks (the diagonal ones), that of the term
+    entry order: the block of the term A dE of each block, plus, on the
+    first ``K.shape[-1]`` blocks (the diagonal ones), that of the term
     diag(K) conj(dE).  ``A`` (..., blocks) and ``K`` (..., n) are complex.
     One entry at a time, so that no temporary holds all four entries of
     a stack's blocks.
     """
-    for entry, value in zip(at, _term_block(A.real, A.imag)):
-        out[..., entry] = value
-    for entry, value in zip(at[:, : K.shape[-1]], _conj_term_block(K.real, K.imag)):
-        out[..., entry] += value
+    n = K.shape[-1]
+    for entry, value, diagonal in zip(at, _term_block(A.real, A.imag),
+                                      _conj_term_block(K.real, K.imag)):
+        out[..., entry[n:]] = value[..., n:]
+        out[..., entry[:n]] = value[..., :n] + diagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,32 +164,40 @@ class PatternArray:
         return np.add.reduceat(terms, self.indptr[:-1], axis=1)
 
 
-def _block_layout(positions, nonslack, m):
-    """H's structural pattern, in 2x2 blocks, for the Y entries at the
+def _blocks(positions, nonslack, m):
+    """The 2x2 blocks of H's structural pattern for the Y entries at the
     distinct flat ``positions`` r m + n of an (m, m) Y.
 
     Unknown k is node ``nonslack[k]``.  A position links block (k, c)
     when r is unknown k and n is unknown c, c != k.  The blocks are every
     diagonal block (k, k), in node order, then each linked block, in the
-    order of ``positions``.  Returns ``(k, c, at, indices, indptr)``:
-
-    - per position, k the unknown of r (-1 for a slack node) and c that
-      of n when the position links a block, else -1;
-    - ``at`` (4, blocks), the data offsets of each block's entries
-      (2k, 2c), (2k, 2c + 1), (2k + 1, 2c), (2k + 1, 2c + 1);
-    - ``indices`` and ``indptr``, the CSC arrays of the (2n, 2n) pattern,
-      with rows sorted within each column.
+    order of ``positions``.  Returns ``(k, c, row, col)``: per position,
+    k the unknown of r (-1 for a slack node) and c that of n when the
+    position links a block, else -1; per block, its unknowns k and c.
     """
-    n = len(nonslack)
-    diagonal = np.arange(n)
+    diagonal = np.arange(len(nonslack))
     unknown = np.full(m, -1)
     unknown[nonslack] = diagonal
     r, node = np.divmod(positions, m)
     k, c = unknown[r], unknown[node]
     c[(k < 0) | (c == k)] = -1
     linked = c >= 0
-    row = np.concatenate([diagonal, k[linked]])
-    col = np.concatenate([diagonal, c[linked]])
+    return k, c, np.concatenate([diagonal, k[linked]]), np.concatenate([diagonal, c[linked]])
+
+
+def _block_layout(positions, nonslack, m):
+    """H's structural pattern as CSC arrays, for the blocks of ``_blocks``.
+
+    Returns ``(k, c, at, indices, indptr)``: k and c per position as
+    ``_blocks`` gives them;
+
+    - ``at`` (4, blocks), the data offsets of each block's entries
+      (2k, 2c), (2k, 2c + 1), (2k + 1, 2c), (2k + 1, 2c + 1);
+    - ``indices`` and ``indptr``, the CSC arrays of the (2n, 2n) pattern,
+      with rows sorted within each column.
+    """
+    n = len(nonslack)
+    k, c, row, col = _blocks(positions, nonslack, m)
     rank = np.empty(len(row), dtype=np.intp)
     rank[np.argsort(col * n + row)] = np.arange(len(row))  # column-major
     counts = np.bincount(col, minlength=n)
@@ -328,10 +337,10 @@ class SparseJacobian:
 class JacobianStack:
     """H over stacks of raw (Y, E), dense, filled on H's pattern.
 
-    Laid out once (``_block_layout``) for the sorted, distinct flat
-    ``positions`` of an (m, m) Y that hold every entry any Y of the
-    stacks may have nonzero.  Calling it with ``Ym`` (..., m, m) and
-    ``E`` (..., m), whose leading axes broadcast, returns the stack of H,
+    Laid out (``_blocks``) for the sorted, distinct flat ``positions``
+    of an (m, m) Y that hold every entry any Y of a stack may have
+    nonzero.  Calling it with ``Ym`` (..., m, m) and ``E`` (..., m),
+    whose leading axes broadcast, returns the stack of H,
     (..., 2n, 2n): each block is written at its dense offsets into a
     zeroed array, and K = Y E is the dense batched product.  Every entry
     equals that of H assembled over every entry of Y under ==, and is
@@ -342,13 +351,14 @@ class JacobianStack:
     def __init__(self, positions, nonslack, m):
         ns = np.asarray(nonslack, dtype=np.intp)
         self._ns, self.dim = ns, 2 * len(ns)
-        _, c, at, indices, indptr = _block_layout(positions, ns, m)
+        _, c, row, col = _blocks(positions, ns, m)
         # the diagonal blocks, then the linked ones: flat Y position and row node
         self._y = np.concatenate([ns * (m + 1), positions[c >= 0]])
-        self._row = self._y // m
-        # each CSC data offset's offset in the row-major dense H
-        column = np.repeat(np.arange(self.dim), np.diff(indptr))
-        self._at = (indices * self.dim + column)[at]
+        self._row = ns[row]
+        # the offsets of each block's entries in the row-major dense H, in
+        # the order of _block_layout's
+        corner = 2 * self.dim * row + 2 * col
+        self._at = corner + np.array([[0], [1], [self.dim], [self.dim + 1]])
 
     def __call__(self, Ym, E):
         K = (Ym @ E[..., None])[..., 0][..., self._ns]

@@ -25,11 +25,9 @@ trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
 builds the stack of H and the z it shares, and one batched
-``np.linalg.solve`` solves it.  The stack is filled on H's pattern by a
-``loadflow.JacobianStack`` laid out once per level per pass, for the
-positions where the level's perturbed Y may be nonzero: those of Y and
-of the level's stds, or, for ``branch-parameter``, those of the stamp,
-which keeps an entry whose branch terms sum to zero in Y.
+``np.linalg.solve`` solves it.  The stack is filled on H's pattern, laid
+out for the entries nonzero in the chunk's perturbed Y, so element noise
+where Y is zero reaches H.
 
 The streams are NumPy's own (NEP 19), built for many trials at once.
 ``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
@@ -65,7 +63,7 @@ import numpy as np
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
-from .loadflow import GridState, JacobianStack
+from .loadflow import GridState
 from .network import AdmittanceMatrix, NetworkModel, dense, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
@@ -364,10 +362,9 @@ def _readers(sets, start, end):
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 
-def _solve_level(network, Ym, E_k, noise, yu, mode, fill):
+def _solve_level(network, Ym, E_k, noise, yu, mode):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
-    level's ``yu``, and which of them are usable; ``fill`` is the level's
-    ``JacobianStack``.
+    level's ``yu``, and which of them are usable.
 
     The level's admittance stack is freed once H is filled, before the
     solve, and H on return.
@@ -384,7 +381,7 @@ def _solve_level(network, Ym, E_k, noise, yu, mode, fill):
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
         Y_k[:, at] = Ym.take(at) + n[:, 0, at] * yu.re + 1j * (n[:, 1, at] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
-    system = assemble_from_raw(Y_k, E_k[:rows], network, fill)
+    system = assemble_from_raw(Y_k, E_k[:rows], network)
     del Y_k
     return _solve_chunk(system.H, system.z)
 
@@ -433,14 +430,8 @@ def run_monte_carlo_sets(
         width = 2 * m + 2 * network.branch_table.z_ohm.size
     else:
         width = 2 * m + 2 * m * m
-    # a level's Y may be nonzero where Y is, at its stds' positions and, for
-    # branch-parameter, at a stamp position whose terms sum to zero in Y
-    held = np.union1d(Y.positions, stamp_admittance(network, network.branch_table.z_ohm)[0])
-    nonslack = network.nonslack_flat_indices()
-    fills = [JacobianStack(np.union1d(held, level[0].cfg.yu.positions), nonslack, m)
-             for level in levels.values()]
 
-    dim = 2 * len(nonslack)
+    dim = 2 * len(network.nonslack_flat_indices())
     check_nonempty(dim)
     size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
@@ -455,7 +446,7 @@ def run_monte_carlo_sets(
             del states  # the last chunk of its hash: not held through the solves
         E_k = _perturb_voltages(E0, cfg.polar, draws[:, :m], draws[:, m : 2 * m])
         noise = draws[:, 2 * m :]
-        for level, fill in zip(levels.values(), fills):
+        for level in levels.values():
             shares = _readers(level, start, end)
             if not shares:
                 continue
@@ -464,7 +455,7 @@ def run_monte_carlo_sets(
             # system, and every chunk faulted those pages in again
             rows = max(k for _, k in shares)
             x, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
-                                 cfg.symmetry_mode, fill)
+                                 cfg.symmetry_mode)
             for s, k in shares:
                 s.add(x[:k], ok[:k])
     seconds = time.perf_counter() - t0

@@ -218,9 +218,9 @@ def test_trials_are_the_dense_oracle_loop_bytes(feeder, mode):
 
 @pytest.mark.parametrize("feeder", ["ieee4", "mesh12-seed3"])
 def test_noise_where_Y_is_zero_fills_those_entries(feeder):
-    # stds given densely, nonzero on every element: the level's stacks are
-    # laid out on Y's pattern and the stds', so element noise where Y is
-    # zero reaches H
+    # stds given densely, nonzero on every element: each chunk's stack is
+    # laid out on the entries nonzero in its perturbed Y, so element noise
+    # where Y is zero reaches H
     net = ORACLE_FEEDERS[feeder]()
     Y = build_admittance(net)
     state = pfsc.solve_load_flow(net, Y)
@@ -291,8 +291,8 @@ def poisoned_assembly(monkeypatch, poison):
     """Route the engine's assembly through ``poison(H_stack, call_index)``."""
     calls = []
 
-    def assemble(Ym, E, network, fill):
-        problem = assemble_from_raw(Ym, E, network, fill)
+    def assemble(Ym, E, network):
+        problem = assemble_from_raw(Ym, E, network)
         poison(problem.H, len(calls))
         calls.append(len(problem.H))
         return problem
@@ -349,8 +349,8 @@ def poisoned_trial(monkeypatch, network, state, cfg, trial):
     target = montecarlo._perturb_voltages(state.voltages, cfg.polar, d[:, :m], d[:, m:])
     hits = []
 
-    def assemble(Ym, E, network, fill):
-        problem = assemble_from_raw(Ym, E, network, fill)
+    def assemble(Ym, E, network):
+        problem = assemble_from_raw(Ym, E, network)
         hit = (E == target).all(axis=-1)
         problem.H[hit] = 0.0
         hits.append(int(hit.sum()))

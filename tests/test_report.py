@@ -528,8 +528,8 @@ class TestEmission:
 
         real = montecarlo.assemble_from_raw
 
-        def one_singular_trial(Ym, E, network, fill):
-            problem = real(Ym, E, network, fill)
+        def one_singular_trial(Ym, E, network):
+            problem = real(Ym, E, network)
             problem.H[0] = 0.0
             return problem
 
