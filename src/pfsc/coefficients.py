@@ -87,10 +87,10 @@ class SensitivityProblem:
     ``AdmittanceMatrix`` on its pattern.
 
     H is assembled once, when first read: ``H_csc`` on Y's pattern by
-    ``loadflow.SparseJacobian``, which builds the dense Y for the product
-    Y E and frees it, and ``H`` is that matrix made dense.  ``dH``, the
-    derivative of H with respect to its inputs, is derived once, when
-    first read.  ``assemble_problem`` makes a problem.
+    ``loadflow.SparseJacobian``, with the product Y E summed over that
+    pattern (``AdmittanceMatrix.dot``), and ``H`` is that matrix made
+    dense.  ``dH``, the derivative of H with respect to its inputs, is
+    derived once, when first read.  ``assemble_problem`` makes a problem.
     """
 
     signs: np.ndarray  # (2n,); diagonal of z: +1 at 2k (P), -1 at 2k+1 (Q)
@@ -106,7 +106,7 @@ class SensitivityProblem:
     def H_csc(self):
         """H as a CSC matrix on Y's pattern."""
         Y, E = self.point
-        return SparseJacobian(Y, self.nonslack)(E, (Y.matrix @ E[:, None])[:, 0])
+        return SparseJacobian(Y, self.nonslack)(E, Y.dot(E))
 
     @functools.cached_property
     def dH(self):

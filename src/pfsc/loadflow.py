@@ -26,11 +26,14 @@ here, by those rules, in one of two forms:
   a stack may be nonzero, and fills the blocks into a zeroed
   (..., 2n, 2n) array.
 
-Both write their blocks by one routine (``_write_blocks``), and every
-stored entry equals that of H assembled densely over every entry of Y
-under ==.  Both read the product Y E from the dense Y, since a product
-over Y's pattern rounds differently; the Newton loop forms it once per
-iterate, for the power mismatch and the refill.
+Both write their blocks by one routine (``_write_blocks``), and, given
+the same product Y E, every stored entry equals that of H assembled
+densely over every entry of Y under ==.  At a point, Y E is summed over
+Y's pattern (``AdmittanceMatrix.dot``): the Newton loop forms it once per
+iterate, for the power mismatch and the refill, and no dense Y is built.
+``JacobianStack`` forms K = Y E as the dense batched product of its
+stack, which on the four-bus feeder costs less than half of a sum over
+the pattern of each stack.
 
 H is real-bilinear in (E, Y), so its derivative with respect to each
 real input is exact and sparse: ``jacobian_derivative`` lays it out once
@@ -81,13 +84,10 @@ class GridState:
 
 
 def nodal_power(voltages, Y: AdmittanceMatrix):
-    """Apparent power injected at each node/phase: S_i = E_i * conj((Y E)_i)."""
+    """Apparent power injected at each node/phase: S_i = E_i * conj((Y E)_i),
+    with Y E summed over Y's pattern (``AdmittanceMatrix.dot``)."""
     E = np.asarray(voltages, dtype=complex)
-    if Y.shape != (E.size, E.size):
-        raise ValueError(
-            f"dimension mismatch: Y is {Y.shape}, voltages length {E.size}"
-        )
-    return E * np.conj(Y.matrix @ E)
+    return E * np.conj(Y.dot(E))
 
 
 def _term_block(re, im):
@@ -247,7 +247,9 @@ class JacobianDerivative:
         dense (dim, dim) bincount over flat positions, so every stored
         value is bitwise that dense entry; entries off the pattern are
         zero."""
-        per_entry = (self.coefficient**2 * values[self.input]).sum(axis=1)
+        terms = np.square(self.coefficient)
+        terms *= values[self.input]
+        per_entry = terms.sum(axis=1)
         data = np.bincount(self.slot.ravel(), weights=per_entry.ravel(),
                            minlength=len(self.indices))
         return PatternArray(data, self.indices, self.indptr, (self.dim, self.dim))
@@ -274,6 +276,8 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
     er_n, ei_n, er_r, ei_r = E.real[node], E.imag[node], E.real[r], E.imag[r]
     q = np.arange(len(pairs))
     i_yr, i_yi = 2 * m + q, 2 * m + len(pairs) + q
+    diag = node == r  # both on block (k, k), with the same inputs: summed
+    off = c >= 0
 
     # Each pair's Y_rn enters H twice: in A = conj(E_r) Y_rn on block
     # (k, c), for n non-slack, and in K = (Y E)_r on block (k, k).  The
@@ -281,14 +285,15 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
     # Re E, Im E), with E = E_r for A and E = E_n for K:
     g_a = np.array([er_r, ei_r, yr, yi, -ei_r, er_r, yi, -yr]).reshape(2, 4, -1)
     g_k = np.array([er_n, -ei_n, yr, -yi, ei_n, er_n, yi, yr]).reshape(2, 4, -1)
-    # and of the four entries of a block: A multiplies dE, K conj(dE)
-    coef_a = np.array(_term_block(*g_a))  # (entry, input, pair)
-    coef_k = np.array(_conj_term_block(*g_k))
-    diag = node == r  # both on block (k, k), with the same inputs: summed
-    coef_k[:, :, diag] += coef_a[:, :, diag]
-    off = c >= 0
+    # and of the four entries of a block (A multiplies dE, K conj(dE)),
+    # (entry, input, group), written into place: the K group of every
+    # pair, then the A group of each off-diagonal one
+    coefficient = np.empty((4, 4, len(pairs) + np.count_nonzero(off)))
+    coef_k, coef_a = coefficient[..., : len(pairs)], coefficient[..., len(pairs) :]
+    coef_k[...] = _conj_term_block(*g_k)
+    coef_k[:, :, diag] += _term_block(*g_a[:, :, diag])
+    coef_a[...] = _term_block(*g_a[:, :, off])
 
-    # the K group of every pair, then the A group of each off-diagonal one
     return JacobianDerivative(
         dim=dim,
         pairs=pairs,
@@ -299,7 +304,7 @@ def jacobian_derivative(Y: AdmittanceMatrix, E, nonslack, positions=None):
             [np.array([i_yr, i_yi, node, m + node]), np.array([i_yr, i_yi, r, m + r])[:, off]],
             axis=1,
         ),
-        coefficient=np.concatenate([coef_k, coef_a[:, :, off]], axis=2),
+        coefficient=coefficient,
     )
 
 
@@ -310,7 +315,7 @@ class SparseJacobian:
     ``Y`` among the ``nonslack`` nodes, plus the diagonal blocks
     (``_block_layout``), and the object keeps Y's entries there.  Calling
     it with voltages E and the product ``YE = Y E`` (computed by the
-    caller, which holds the dense Y) writes H(Y, E) into the data of
+    caller, ``Y.dot(E)`` at a point) writes H(Y, E) into the data of
     ``matrix`` (the same object each call) and returns it.
     """
 
@@ -377,13 +382,13 @@ def solve_load_flow(
     """Newton-Raphson load flow with PQ buses and one slack bus.
 
     Each step factors H with SuperLU on the pattern that one
-    ``SparseJacobian`` lays out per call.  The loop holds one dense Y, for
-    the product Y E, and frees it on return.  Converged once the largest
-    power mismatch is at most DEFAULT_TOL.  Raises LoadFlowError on
-    non-convergence within DEFAULT_MAX_ITER iterations (carrying the last
-    mismatch) or on a Jacobian that SuperLU finds exactly singular.
+    ``SparseJacobian`` lays out per call.  The product Y E is summed over
+    Y's pattern (``AdmittanceMatrix.dot``), so the loop holds no dense Y.
+    Converged once the largest power mismatch is at most DEFAULT_TOL.
+    Raises LoadFlowError on non-convergence within DEFAULT_MAX_ITER
+    iterations (carrying the last mismatch) or on a Jacobian that SuperLU
+    finds exactly singular.
     """
-    Ym = Y.matrix  # the one dense Y of the load flow, for Y E
     slack = network.slack_flat_indices()
     pq = np.array(network.nonslack_flat_indices(), dtype=np.intp)
     s_spec = network.injections_pu()
@@ -396,7 +401,7 @@ def solve_load_flow(
 
     H = SparseJacobian(Y, pq)
     for it in range(1, DEFAULT_MAX_ITER + 2):
-        YE = Ym @ E  # once per iterate: the mismatch and H both read it
+        YE = Y.dot(E)  # once per iterate: the mismatch and H both read it
         mismatch = s_spec - E * np.conj(YE)
         mismatch[slack] = 0.0
         if it > DEFAULT_MAX_ITER:  # the last step's mismatch is reported, not tested

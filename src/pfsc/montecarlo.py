@@ -318,12 +318,14 @@ class _Moments:
 
 
 class _Set:
-    """What a pass has gathered for one set: moments and failures."""
+    """What a pass has gathered for one set: moments and failures, and
+    with ``store_trials`` the usable trials, along the last axis of one
+    store of ``n_trials`` allocated by the first chunk."""
 
     def __init__(self, cfg: MCConfig):
         self.cfg = cfg
         self.moments = _Moments()
-        self.kept = [] if cfg.store_trials else None
+        self.store = None
         self.failed = 0
 
     def add(self, x, ok):
@@ -332,16 +334,19 @@ class _Set:
             self.failed += int(np.count_nonzero(~ok))
             x = x[ok]
         if len(x):
+            kept = self.moments.count
             self.moments.add(x)
-            if self.kept is not None:
-                self.kept.extend(x)
+            if self.cfg.store_trials:
+                if self.store is None:
+                    self.store = np.empty(x.shape[1:] + (self.cfg.n_trials,))
+                self.store[..., kept : kept + len(x)] = np.moveaxis(x, 0, -1)
 
     def result(self, runtime_s):
         """The set's MCResult, ``runtime_s`` its share of the pass."""
         if self.moments.count == 0:
             raise ConfigError("all Monte-Carlo trials failed (singular systems)")
         mean, std = self.moments.result()
-        trials = None if self.kept is None else np.stack(self.kept, axis=-1)
+        trials = None if self.store is None else self.store[..., : self.moments.count]
         return MCResult(
             mean=mean,
             std=std,

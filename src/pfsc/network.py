@@ -30,9 +30,11 @@ branch terms of a stack of series impedances on Y's pattern, the sorted
 flat positions ``r m + c`` that the branches reach.  ``build_admittance``
 is its call on the network's own impedances and returns Y as an
 ``AdmittanceMatrix``; the branch-parameter Monte-Carlo trials call it on
-perturbed impedances and scatter the values with ``dense``.  A dense Y
-is an ``(m, m)`` array that only the product Y E needs;
-``AdmittanceMatrix.matrix`` builds it on each read.
+perturbed impedances and scatter the values with ``dense``.  The
+product Y E at a point is summed over the pattern
+(``AdmittanceMatrix.dot``); a dense Y is an ``(m, m)`` array that only
+the Monte-Carlo stacks need, and ``AdmittanceMatrix.matrix`` builds it
+on each read.
 
 The bases, the slack voltage, the bus injections and the branch values
 of a network are finite: ``load_network`` refuses a non-finite one with
@@ -378,9 +380,10 @@ class AdmittanceMatrix:
     stores its structural nonzeros only: ``positions`` holds their sorted
     flat positions ``r m + c`` and ``values`` the entries there, both
     read-only.  An entry that is exactly zero is not stored, since the
-    sparse LU orderings read the pattern.  ``matrix`` is the dense array,
-    built afresh on each read, for the steps that need it whole (the
-    product Y E); read it once per step.
+    sparse LU orderings read the pattern.  ``dot`` is the product Y E on
+    the pattern.  ``matrix`` is the dense array, built afresh on each
+    read, for the Monte-Carlo stacks, whose batched product K = Y E is
+    dense; read it once per step.
     """
 
     def __init__(self, matrix):
@@ -415,6 +418,21 @@ class AdmittanceMatrix:
     def matrix(self):
         """The dense ``(m, m)`` complex array, a new one on each read."""
         return dense(self.positions, self.values, self.n_nodes)
+
+    def dot(self, E):
+        """The product Y E, (m,) complex: each row sums ``values * E[col]``
+        over its stored entries in position order, so a row that stores
+        none gives 0.  An ``E`` of another shape than ``(m,)`` raises
+        ValueError."""
+        E = np.asarray(E)
+        if E.shape != (self.n_nodes,):
+            raise ValueError(f"dimension mismatch: Y is {self.shape}, voltages {E.shape}")
+        rows, cols = np.divmod(self.positions, self.n_nodes)
+        terms = self.values * E[cols]
+        out = np.empty(self.n_nodes, dtype=complex)
+        out.real = np.bincount(rows, terms.real, self.n_nodes)
+        out.imag = np.bincount(rows, terms.imag, self.n_nodes)
+        return out
 
     def take(self, flat):
         """The entries at the flat positions ``flat``; zero off the pattern."""

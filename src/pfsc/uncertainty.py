@@ -15,8 +15,9 @@ A solve that holds only rows R and columns C of x (see
 with o2 the entrywise square and s the signs of z; the full table is
 R = C = every row, with H^-1 on both sides.  The left product gathers
 the columns of (H^-1[R, :])o2 at the row indices of var(H)'s stored
-entries and sums them per column of var(H): it is |R| x dim, and no
-dim x dim variance is formed.
+entries and sums them per column of var(H), one block of R's rows at a
+time, and the block is multiplied on: no dim x dim variance is formed,
+and no gather of every row of R.
 
 var(H) = (J o J) var(inputs) is the first-order law of the GUM (JCGM
 100:2008, 5.1), with J = dH/d(input) the exact derivative of the
@@ -341,6 +342,16 @@ def propagate_to_H(
 
 # -- variance of H^-1 --------------------------------------------------------
 
+#: bytes of the gather of var(H)'s stored entries that one block of rows
+#: of H^-1 may take in ``inverse_self_variance`` (at least one row).  On
+#: ``mesh300-analytical`` (20 rows, 3,580 stored entries) 128 KiB blocks
+#: of 4 rows peak at 1.17 MB under ``tracemalloc``, and one 1 MiB block
+#: at 1.74 MB.  A filtered 4000-bus report (80 rows of 47,932 entries, a
+#: row per block) takes about 7 % longer than in 1 MiB blocks, since
+#: each block reads all of (H^-1[:, C])o2 again (one CPU, one BLAS
+#: thread).
+_BLOCK_BYTES = 2**17
+
 
 def inverse_self_variance(
     H_inv: np.ndarray,
@@ -357,17 +368,26 @@ def inverse_self_variance(
     ``var_H`` is the ``PatternArray`` that ``propagate_to_H`` returns, or a
     dense array, which is stored whole in that form.  The left product
     (H^-1[R, :])o2 var(H) gathers columns of the squared rows at the
-    stored entries (``PatternArray.premultiply``), so it is |R| x dim, and
-    the dense product with (H^-1[:, C])o2 follows.  Neither a dense var(H)
-    nor the (2n)^2 x (2n)^2 cross-covariance of H^-1 is materialized.
+    stored entries (``PatternArray.premultiply``), and the dense product
+    with (H^-1[:, C])o2 follows.  Both run on one block of R's rows at a
+    time, whose gather of nnz(var H) values a row takes at most
+    ``_BLOCK_BYTES``.  Neither a dense var(H), nor the |R| x nnz(var H)
+    gather, nor the (2n)^2 x (2n)^2 cross-covariance of H^-1 is
+    materialized.
     """
     if isinstance(var_H, np.ndarray):
         var_H = PatternArray.from_dense(var_H)
-    sq = H_inv**2
-    sq_cols = sq if H_inv_cols is None or H_inv_cols is H_inv else H_inv_cols**2
-    if sq.shape[1:] != var_H.shape[:1] or var_H.shape[1:] != sq_cols.shape[:1]:
+    full = H_inv_cols is None or H_inv_cols is H_inv
+    sq_cols = H_inv**2 if full else H_inv_cols**2
+    if H_inv.shape[1:] != var_H.shape[:1] or var_H.shape[1:] != sq_cols.shape[:1]:
         raise ValueError("shape mismatch between H^-1 and its variance")
-    return var_H.premultiply(sq) @ sq_cols
+    out = np.empty((len(H_inv), sq_cols.shape[1]))
+    step = max(1, _BLOCK_BYTES // (8 * len(var_H.data)))
+    for start in range(0, len(H_inv), step):
+        block = slice(start, start + step)
+        sq = sq_cols[block] if full else H_inv[block] ** 2
+        np.matmul(var_H.premultiply(sq), sq_cols, out=out[block])
+    return out
 
 
 # -- coefficient variance ----------------------------------------------------

@@ -84,7 +84,9 @@ class TestAssemble:
     @pytest.mark.parametrize("three_phase", [False, True], ids=["ieee4", "three-phase"])
     def test_point_H_is_its_csc_H_made_dense(self, ieee4, three_phase, monkeypatch):
         # a point's H is assembled once, by SparseJacobian; the stack
-        # fill assembles raw stacks only, and agrees entry by entry
+        # fill assembles raw stacks only, and agrees entry by entry: bitwise
+        # off the diagonal blocks, and within the rounding of K = Y E on
+        # them (summed over Y's pattern at a point, dense in a stack)
         from pfsc import coefficients
 
         net = make_three_phase_balanced() if three_phase else ieee4
@@ -96,7 +98,9 @@ class TestAssemble:
             solve_coefficients(problem)
         assert np.array_equal(problem.H, problem.H_csc.toarray())
         raw = coefficients.assemble_from_raw(Y.matrix, state.voltages, net)
-        assert np.array_equal(problem.H, raw.H)
+        diagonal = np.kron(np.eye(problem.dim // 2), np.ones((2, 2))) == 1
+        assert np.array_equal(problem.H[~diagonal], raw.H[~diagonal])
+        np.testing.assert_array_max_ulp(problem.H[diagonal], raw.H[diagonal], maxulp=4)
         assert np.array_equal(raw.z, problem.z)
         # a dense Y reaches a point problem through its AdmittanceMatrix
         again = assemble_problem(AdmittanceMatrix(Y.matrix), state, net)

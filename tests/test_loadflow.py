@@ -185,10 +185,19 @@ def test_jacobian_matches_dense_b_form(feeder):
         assert np.array_equal(jacobian(Ym, E_, ns), _jacobian_dense_b(Ym, E_, ns))
 
 
-def _reference_jacobian(E, Ym, pq):
-    """Jacobian of [Re S; Im S] w.r.t. [Re E; Im E], built apart from ``jacobian``."""
+def _sequential_product(Y, E):
+    """Y E summed one stored entry of Y at a time, in position order."""
+    m = Y.n_nodes
+    YE = np.zeros(m, dtype=complex)
+    for r, term in zip(Y.positions // m, Y.values * E[Y.positions % m]):
+        YE[r] += term
+    return YE
+
+
+def _reference_jacobian(E, Ym, K, pq):
+    """Jacobian of [Re S; Im S] w.r.t. [Re E; Im E], built apart from
+    ``jacobian``, with K = Y E."""
     n = len(pq)
-    K = Ym @ E
     A = np.conj(K[pq, None]) * np.eye(len(E))[pq][:, pq]
     B = E[pq, None] * np.conj(Ym[np.ix_(pq, pq)])
     J = np.empty((2 * n, 2 * n))
@@ -206,18 +215,17 @@ def _reference_load_flow(net, Y, tol=1e-8, max_iter=50):
     pq = [i for i in range(net.n_nodes) if i not in slack]
     s_spec = net.injections_pu()
     E = np.tile(net.slack_voltage_phasors(), net.n_bus)
-    mismatch = s_spec - nodal_power(E, Y)
-    mismatch[slack] = 0.0
     for it in range(1, max_iter + 1):
+        YE = _sequential_product(Y, E)
+        mismatch = s_spec - E * np.conj(YE)
+        mismatch[slack] = 0.0
         if np.max(np.abs(mismatch)) <= tol:
             return E, it - 1, mismatch
         rhs = np.empty(2 * len(pq))
         rhs[0::2] = mismatch[pq].real
         rhs[1::2] = mismatch[pq].imag
-        step = splu(csc_matrix(_reference_jacobian(E, Ym, pq))).solve(rhs)
+        step = splu(csc_matrix(_reference_jacobian(E, Ym, YE, pq))).solve(rhs)
         E[pq] += step[0::2] + 1j * step[1::2]
-        mismatch = s_spec - nodal_power(E, Y)
-        mismatch[slack] = 0.0
     raise AssertionError("reference load flow did not converge")
 
 

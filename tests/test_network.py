@@ -201,6 +201,34 @@ class TestAdmittancePattern:
         assert np.array_equal(again.positions, Y.positions)
         assert again.values.tobytes() == Y.values.tobytes()
 
+    @pytest.mark.parametrize("which", ["ieee4", "three-phase-square", "feeder300"])
+    def test_product_on_the_pattern_is_the_dense_product(self, which):
+        # within a few units of rounding of each row's terms, at the load
+        # flow's voltages and at random ones
+        net = _pattern_network(which)
+        Y = pfsc.build_admittance(net)
+        rng = np.random.default_rng(5)
+        random = rng.standard_normal(net.n_nodes) + 1j * rng.standard_normal(net.n_nodes)
+        for E in (pfsc.solve_load_flow(net, Y).voltages, random):
+            Ym = Y.matrix
+            terms = np.abs(Ym) @ np.abs(E)
+            assert np.all(np.abs(Y.dot(E) - Ym @ E) <= 4 * np.finfo(float).eps * terms)
+
+    def test_product_of_a_row_without_entries_is_zero(self, ieee4):
+        dense = pfsc.build_admittance(ieee4).matrix
+        i = ieee4.flat_index(4)
+        dense[i, :] = dense[:, i] = 0
+        E = np.array([1, 1j]) @ np.random.default_rng(6).standard_normal((2, 4))
+        YE = pfsc.AdmittanceMatrix(dense).dot(E)
+        assert YE[i] == 0 and not np.signbit(YE[i].real) and not np.signbit(YE[i].imag)
+        assert np.all(YE[:i] != 0)
+
+    def test_product_refuses_voltages_of_another_length(self, ieee4):
+        Y = pfsc.build_admittance(ieee4)
+        for E in (np.ones(3, dtype=complex), np.ones((4, 1), dtype=complex)):
+            with pytest.raises(ValueError, match="dimension mismatch: Y is"):
+                Y.dot(E)
+
     def test_entry_that_stamps_to_zero_is_not_stored(self):
         # branches z and -z in parallel between buses 1 and 2 cancel exactly
         z = 0.1 + 0.2j
