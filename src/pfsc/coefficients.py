@@ -22,7 +22,8 @@ for a sign vector s of alternating +1/-1.  The problem carries only s;
 the solve is the column scaling x = H^-1 diag(s) and forms no z.  The
 Monte-Carlo stacks, assembled from raw perturbed inputs rather than at
 a point, are filled on H's pattern by ``loadflow.JacobianStack`` and
-solved against the dense z (``assemble_from_raw``).
+solved against the dense z (``assemble_from_raw``), one independent
+block of H at a time (``pfsc.montecarlo``).
 
 Full table and targeted solves.  Given the positions in x of the
 requested coefficients, ``solve_coefficients`` holds only the rows R and
@@ -216,7 +217,9 @@ class RawSystem(NamedTuple):
     z: np.ndarray
 
 
-def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel) -> RawSystem:
+def assemble_from_raw(
+    Ym: np.ndarray, E: np.ndarray, network: NetworkModel, nodes=None
+) -> RawSystem:
     """H at raw inputs, filled on its pattern by ``loadflow.JacobianStack``,
     and z = diag(signs).
 
@@ -225,10 +228,13 @@ def assemble_from_raw(Ym: np.ndarray, E: np.ndarray, network: NetworkModel) -> R
     axes of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of
     inputs gives a stack of H of shape (..., 2n, 2n), each slice equal to
     its own assembly; z is the one (2n, 2n) array every slice shares.
+    ``nodes``, the non-slack flat indices in the order of H's unknowns,
+    defaults to the network's order; z is the same in any order.
     """
     nonslack = _checked_nonslack(Ym.shape, E, network)
     nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
-    fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
+    order = nonslack if nodes is None else nodes
+    fill = JacobianStack(np.flatnonzero(nonzero), order, network.n_nodes)
     return RawSystem(fill(Ym, E), np.diag(_rhs_signs(len(nonslack))))
 
 

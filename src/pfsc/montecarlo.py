@@ -14,20 +14,45 @@ admittance noise must be made for the network's node count.
 
 Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
 ``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
-trial works in about 4.5 times its 8 dim² bytes of H (H, x, the centred
-copy of x, its Y and its draw row), about 0.5 MB at dim H 118, so a
-chunk there holds 9 trials and a 200-trial pass peaks at 4.2 MB under
-``tracemalloc`` (17.7 MB in 4 MiB chunks of 37); a level's Y stack is
-freed once its H is filled, before the solve.  The smaller chunk costs
+trial works in at most about 4.5 times its 8 dim² bytes of H (H, the
+solution of its largest block, the centred copy of x, its Y and its
+draw row), about 0.5 MB at dim H 118, so a chunk there holds 9 trials
+and a 200-trial pass on ``make_feeder(60, 1)`` peaks at 3.6 MB under
+``tracemalloc`` (4.2 MB when each chunk was solved whole, 17.7 MB in
+4 MiB chunks of 37); a level's Y stack is freed once its H is filled,
+before the solve.  The smaller chunk costs
 no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
 and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
 builds the stack of H and the z it shares, and one batched
-``np.linalg.solve`` solves it.  The stack is filled on H's pattern, laid
-out for the entries nonzero in the chunk's perturbed Y, so element noise
-where Y is zero reaches H.
+``np.linalg.solve`` per block of H solves it.  The stack is filled on
+H's pattern, laid out for the entries nonzero in the chunk's perturbed
+Y, so element noise where Y is zero reaches H.
+
+H does not couple nodes that no entry of any trial's Y links: on a
+radial feeder, each branch leaving the slack starts a subtree of its
+own.  ``_partition`` takes, once per pass for each noise pattern, the
+connected components of the non-slack nodes over Y's positions and the
+level's noise positions (a branch's stamp links every phase of its two
+buses), and the stack is laid out with its unknowns in that block order,
+so each trial's H is block-diagonal and each block is a slice of it.  Each block
+is solved on its own, batched over the chunk, and its solution written
+back into H's buffer, whose entries off the blocks are +0.0, as those
+of x are (``_solve_chunk``); a trial with a singular or non-finite block
+is dropped and counted once.  The moments and the trial store stay in
+block order, and each set's mean, std and store are put back in network
+order once, at its result, the store in place.  A network whose nodes
+all link has one block, solved by ``np.linalg.solve(H, z)`` of the whole
+H, so its trials are bitwise those of the whole solve.  On a decoupled
+network the blocks' LAPACK calls group their sums otherwise: on
+``make_feeder(60, 1)`` the blocks are 70, 46 and 2 of the 118 rows, the
+solve does 0.27 of the whole solve's cubic work, and the trials move in
+their last bits (12 trials: by at most 3.9e-14 of each column's largest
+value), with the same exact zeros: a coefficient of one block's node
+with respect to another block's injection is exactly 0 in every trial,
+and so is its std.
 
 The streams are NumPy's own (NEP 19), built for many trials at once.
 ``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
@@ -48,7 +73,8 @@ sets that differ only in their admittance noise ``yu`` and in
 ``n_trials`` (``run_monte_carlo_sets``, which a report uses for all its
 levels and trial counts): each trial's stream and perturbed voltages are
 built once, each level's stack is assembled and solved once per chunk,
-and each set merges its own prefix of the rows.  Every result is bitwise
+in the level's own blocks, and each set merges its own prefix of the
+rows.  Every result is bitwise
 that of the set run alone (``run_monte_carlo``, the one-set case).  The
 pass reads the clock at its start and at its end, and each set's
 ``runtime_s`` is that time split in proportion to the sets' trials.
@@ -56,8 +82,10 @@ pass reads the clock at its start and at its end, and each set's
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,10 +102,11 @@ _MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 #: a chunk holds at most this many trials ...
 CHUNK_TRIALS = 256
 #: ... and an H stack of at most this many bytes.  A trial's working set
-#: is about 4.5 times its 8 dim² bytes of H, so at dim H 118 a 1 MiB chunk
-#: of 9 trials works in about 4.2 MB.  ``run_pipeline`` medians of the
-#: 60-bus full table with 200 trials, 12 interleaved repeats on one Xeon
-#: core (2 MiB of L2) with one BLAS thread: 150.9 ms at 4 MiB (37 trials),
+#: is at most about 4.5 times its 8 dim² bytes of H, so at dim H 118 a
+#: 1 MiB chunk of 9 trials works in at most about 4.2 MB.
+#: ``run_pipeline`` medians of the 60-bus full table with 200 trials, 12
+#: interleaved repeats on one Xeon core (2 MiB of L2) with one BLAS
+#: thread, with each chunk solved whole: 150.9 ms at 4 MiB (37 trials),
 #: 139.4 at 2 MiB, 137.8 at 1 MiB (9), 137.3 at 768 KiB, 146.4 at 512 KiB
 #: and 168.9 at 256 KiB (2).
 CHUNK_BYTES = 2**20
@@ -265,12 +294,61 @@ def _draws(states, width):
     return draws
 
 
-def _solve_chunk(H, z):
-    """Solutions of a stack of H x = z, and which of them are usable."""
+class _Partition(NamedTuple):
+    """The blocks of H that no trial couples (``_partition``)."""
+
+    nodes: np.ndarray  # the non-slack flat indices in block order
+    blocks: list  # per block, the slice of H's rows (and columns) in that order
+    back: np.ndarray | None  # each network-order row's row in block order; None if alike
+
+
+def _partition(network, positions):
+    """The non-slack nodes in the blocks that H does not couple.
+
+    Two nodes are linked when the flat ``positions`` of the (m, m) Y hold
+    the entry of their row and column: those where a level's trials may
+    have Y nonzero, Y's own, where a branch's stamp holds every phase
+    pair of its two buses, and those of the level's admittance noise.  A
+    block is a connected component of the links, its nodes in network
+    order; the blocks are ordered by their first node.  H with its
+    unknowns in that order is block-diagonal: one block on a network
+    whose nodes all link, one per subtree of the slack on a radial feeder.
+    """
+    nonslack = network.nonslack_flat_indices()
+    n, m = len(nonslack), network.n_nodes
+    unknown = np.full(m, -1)
+    unknown[list(nonslack)] = np.arange(n)
+    r, c = unknown[positions // m], unknown[positions % m]
+    link = (r >= 0) & (c >= 0) & (r != c)
+    root = list(range(n))  # union-find; a block's root is its first node
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    for a, b in zip(r[link].tolist(), c[link].tolist()):
+        a, b = find(a), find(b)
+        root[max(a, b)] = min(a, b)
+    blocks = {}  # root -> its nodes, inserted in the order of the roots
+    for k in range(n):
+        blocks.setdefault(find(k), []).append(k)
+    order = [k for nodes in blocks.values() for k in nodes]
+    ends = list(itertools.accumulate(2 * len(nodes) for nodes in blocks.values()))
+    back = None
+    if order != list(range(n)):
+        back = np.argsort((2 * np.array(order)[:, None] + [0, 1]).ravel())
+    return _Partition(np.take(nonslack, order),
+                      [slice(a, b) for a, b in zip([0] + ends, ends)], back)
+
+
+def _solve(H, z):
+    """Solutions of a stack of H x = z, NaN where a trial is singular."""
     try:
-        x = np.linalg.solve(H, z)
+        return np.linalg.solve(H, z)
     except np.linalg.LinAlgError:
-        # one singular trial fails the batched call: solve this chunk
+        # one singular trial fails the batched call: solve this stack
         # trial by trial, leaving NaN where a trial is singular
         x = np.full(H.shape[:-1] + z.shape[-1:], np.nan)
         for j, H_j in enumerate(H):
@@ -278,7 +356,32 @@ def _solve_chunk(H, z):
                 x[j] = np.linalg.solve(H_j, z)
             except np.linalg.LinAlgError:
                 pass
-    return x, np.isfinite(x).all(axis=(-2, -1))
+        return x
+
+
+def _solve_chunk(H, z, blocks):
+    """Solutions of a stack of block-diagonal H x = z, and which of them
+    are usable.
+
+    Each diagonal block, a slice of H, is solved on its own, and its
+    solution overwrites it in H's buffer, whose entries off the blocks are
+    +0.0 and stay so: the solutions are H's buffer.  A trial with a
+    singular or non-finite block is not usable.
+    """
+    for s in blocks:
+        H[:, s, s] = _solve(H[:, s, s], z[s, s])
+    return H, np.isfinite(H).all(axis=(-2, -1))
+
+
+def _unpermute(store, back):
+    """Reorder the first two axes of ``store`` in place, entry (i, j)
+    taking the one at (back[i], back[j]): row by row and then column by
+    column, so the only copy is one row or column."""
+    for row in store:
+        row[...] = row[back]
+    for j in range(store.shape[1]):
+        column = store[:, j]
+        column[...] = column[back]
 
 
 class _Moments:
@@ -320,10 +423,13 @@ class _Moments:
 class _Set:
     """What a pass has gathered for one set: moments and failures, and
     with ``store_trials`` the usable trials, along the last axis of one
-    store of ``n_trials`` allocated by the first chunk."""
+    store of ``n_trials`` allocated by the first chunk; both in the
+    block order of ``part``, the ``_Partition`` of the set's level, which
+    the pass sets."""
 
     def __init__(self, cfg: MCConfig):
         self.cfg = cfg
+        self.part = None
         self.moments = _Moments()
         self.store = None
         self.failed = 0
@@ -342,11 +448,17 @@ class _Set:
                 self.store[..., kept : kept + len(x)] = np.moveaxis(x, 0, -1)
 
     def result(self, runtime_s):
-        """The set's MCResult, ``runtime_s`` its share of the pass."""
+        """The set's MCResult, ``runtime_s`` its share of the pass, with
+        rows and columns put back in network order."""
         if self.moments.count == 0:
             raise ConfigError("all Monte-Carlo trials failed (singular systems)")
         mean, std = self.moments.result()
         trials = None if self.store is None else self.store[..., : self.moments.count]
+        back = self.part.back
+        if back is not None:
+            mean, std = mean[np.ix_(back, back)], std[np.ix_(back, back)]
+            if trials is not None:
+                _unpermute(trials, back)
         return MCResult(
             mean=mean,
             std=std,
@@ -367,12 +479,13 @@ def _readers(sets, start, end):
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 
-def _solve_level(network, Ym, E_k, noise, yu, mode):
+def _solve_level(network, Ym, E_k, noise, yu, mode, part):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
-    level's ``yu``, and which of them are usable.
+    level's ``yu``, and which of them are usable, with the unknowns in
+    the block order of ``part``.
 
     The level's admittance stack is freed once H is filled, before the
-    solve, and H on return.
+    solve, whose solutions overwrite H.
     """
     rows = len(noise)
     if mode == BRANCH_PARAMETER:
@@ -386,9 +499,9 @@ def _solve_level(network, Ym, E_k, noise, yu, mode):
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
         Y_k[:, at] = Ym.take(at) + n[:, 0, at] * yu.re + 1j * (n[:, 1, at] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
-    system = assemble_from_raw(Y_k, E_k[:rows], network)
+    system = assemble_from_raw(Y_k, E_k[:rows], network, part.nodes)
     del Y_k
-    return _solve_chunk(system.H, system.z)
+    return _solve_chunk(system.H, system.z, part.blocks)
 
 
 def run_monte_carlo_sets(
@@ -438,6 +551,17 @@ def run_monte_carlo_sets(
 
     dim = 2 * len(network.nonslack_flat_indices())
     check_nonempty(dim)
+    # each set's blocks, from the positions where its level's Y may be
+    # nonzero, so that they are the same alone as in the pass; sets on
+    # one noise pattern share them (``from_relative`` levels share Y's
+    # positions array), and the lookup is not held through the chunks
+    parts = {}
+    for s in sets:
+        at = s.cfg.yu.positions
+        if id(at) not in parts:
+            parts[id(at)] = _partition(network, np.union1d(Y.positions, at))
+        s.part = parts[id(at)]
+    del parts
     size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
     hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
@@ -460,7 +584,7 @@ def run_monte_carlo_sets(
             # system, and every chunk faulted those pages in again
             rows = max(k for _, k in shares)
             x, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
-                                 cfg.symmetry_mode)
+                                 cfg.symmetry_mode, level[0].part)
             for s, k in shares:
                 s.add(x[:k], ok[:k])
     seconds = time.perf_counter() - t0

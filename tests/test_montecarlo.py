@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import pfsc
 from pfsc import montecarlo
@@ -144,19 +145,17 @@ def test_alternative_symmetry_modes_run(ieee4_solved):
 # -- batched engine against the serial per-trial loop ------------------------
 
 
-def serial_trials(network, Y, state, cfg):
-    """Trial store of the one-trial-at-a-time loop: the reference engine.
+def oracle_systems(network, Y, state, cfg):
+    """Each trial's H and right-hand side, the reference engine's.
 
     Draws every trial's inputs with ``normal`` calls in the order the
-    batched engine's draw rows encode, assembles H densely over every
-    entry of Y (the ``jacobian`` oracle) and solves one trial at a time,
-    and drops singular or non-finite trials.
+    batched engine's draw rows encode and assembles H densely over every
+    entry of Y (the ``jacobian`` oracle), in network order.
     """
     E0, Ym, polar = state.voltages, Y.matrix, cfg.polar
     m = E0.size
     nonslack = network.nonslack_flat_indices()
     rhs = np.diag(np.tile([1.0, -1.0], len(nonslack)))  # +1 for P, -1 for Q
-    samples = []
     for k in range(cfg.n_trials):
         rng = trial_rng(cfg.seed, k)
         n_rho = rng.normal(0.0, 1.0, m)
@@ -183,8 +182,37 @@ def serial_trials(network, Y, state, cfg):
             d_re = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_re
             d_im = rng.normal(0.0, 1.0, (m, m)) * cfg.yu.sigma_im
             Y_k = Ym + d_re + 1j * d_im
+        yield jacobian(Y_k, E, nonslack), rhs
+
+
+def components(H):
+    """The rows of each connected component of H's nonzeros, ascending,
+    ordered by their first row."""
+    _, labels = connected_components(H != 0, directed=False)
+    return [np.flatnonzero(labels == label) for label in np.unique(labels)]
+
+
+def solve_per_component(H, rhs):
+    """``np.linalg.solve`` on each connected component of H on its own,
+    +0.0 off the components: the per-block loop's solve."""
+    x = np.zeros(np.shape(rhs))
+    for rows in components(H):
+        block = np.ix_(rows, rows)
+        x[block] = np.linalg.solve(H[block], rhs[block])
+    return x
+
+
+def serial_trials(network, Y, state, cfg, solve=np.linalg.solve):
+    """Trial store of the one-trial-at-a-time loop: the reference engine.
+
+    Solves each trial of ``oracle_systems`` by ``solve``, the dense
+    solve of the whole H by default, and drops singular or non-finite
+    trials.
+    """
+    samples = []
+    for H, rhs in oracle_systems(network, Y, state, cfg):
         try:
-            x = np.linalg.solve(jacobian(Y_k, E, nonslack), rhs)
+            x = solve(H, rhs)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(x)):
@@ -192,12 +220,26 @@ def serial_trials(network, Y, state, cfg):
     return np.stack(samples, axis=-1)
 
 
-#: feeders on which the engine's stacks are checked byte for byte
+#: feeders on which the engine's stacks are checked byte for byte, with
+#: the sizes of the blocks of their H
 ORACLE_FEEDERS = {
-    "ieee4": lambda: pfsc.load_network(pfsc.bundled_network_path()),
-    "mesh12-seed3": lambda: make_random_network(12, 3, radial=False),
-    "feeder60-seed1": lambda: make_feeder(60, 1),
+    "ieee4": (lambda: pfsc.load_network(pfsc.bundled_network_path()), [6]),
+    "three-phase": (make_three_phase_balanced, [18]),
+    "mesh12-seed3": (lambda: make_random_network(12, 3, radial=False), [12, 10]),
+    "feeder60-seed1": (lambda: make_feeder(60, 1), [70, 46, 2]),
 }
+#: largest difference between the trials solved block by block and those
+#: of the dense loop, relative to the largest |x| in each column of a
+#: trial.  Measured on the two decoupled feeders above, 12 trials, both
+#: modes: at most 3.9e-14 (``make_feeder(60, 1)``, element noise) and
+#: 1.7e-15 (``make_random_network(12, 3)``); the partial-pivoting LU of a
+#: block-diagonal H works within blocks, and the difference is how LAPACK
+#: groups the sums at another size.
+BLOCK_SOLVE_RTOL = 1e-12
+#: the engine's streamed stds against the two-pass stds of the dense
+#: loop's trials: at most 2.3e-13 relative on those feeders (12 trials,
+#: ``make_feeder(60, 1)``, branch noise), 2.9e-16 on the one-block ones
+STD_RTOL = 1e-11
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -205,15 +247,34 @@ ORACLE_FEEDERS = {
 def test_trials_are_the_dense_oracle_loop_bytes(feeder, mode):
     # H filled on its pattern solves to the bytes of H assembled over every
     # entry of Y, signed zeros included: tobytes, since array_equal takes
-    # -0.0 for +0.0 (the oracle writes -0.0 off the pattern, the fill +0.0)
-    net = ORACLE_FEEDERS[feeder]()
+    # -0.0 for +0.0 (the oracle writes -0.0 off the pattern, the fill +0.0).
+    # Where H is one block, the oracle solves it whole; where it splits,
+    # the oracle solves each component of its own H on its own, and the
+    # trials stay within BLOCK_SOLVE_RTOL of the whole solve's, with the
+    # same exact zeros.  Either way the stds, put back in network order,
+    # are those of the whole solve's trials within STD_RTOL.
+    load, sizes = ORACLE_FEEDERS[feeder]
+    net = load()
     Y = build_admittance(net)
     state = pfsc.solve_load_flow(net, Y)
     cfg = MCConfig(n_trials=12, seed=3, polar=it_class_to_polar("0.5"),
                    yu=AdmittanceUncertainty.from_relative(Y, 1.0), symmetry_mode=mode,
                    store_trials=True)
-    got = run_monte_carlo(net, Y, state, cfg).trials
-    assert got.tobytes() == serial_trials(net, Y, state, cfg).tobytes()
+    out = run_monte_carlo(net, Y, state, cfg)
+    got = out.trials
+    H, _ = next(oracle_systems(net, Y, state, cfg))
+    assert [len(rows) for rows in components(H)] == sizes
+    dense = serial_trials(net, Y, state, cfg)
+    _, std = estimate_stats(dense)
+    assert np.array_equal(out.std == 0, std == 0)
+    np.testing.assert_allclose(out.std, std, rtol=STD_RTOL, atol=0.0)
+    if len(sizes) == 1:
+        assert got.tobytes() == dense.tobytes()
+        return
+    assert got.tobytes() == serial_trials(net, Y, state, cfg, solve_per_component).tobytes()
+    assert np.array_equal(got == 0, dense == 0)
+    scale = np.abs(dense).max(axis=0)
+    assert np.all(np.abs(got - dense) <= BLOCK_SOLVE_RTOL * scale)
 
 
 @pytest.mark.parametrize("feeder", ["ieee4", "mesh12-seed3"])
@@ -221,7 +282,7 @@ def test_noise_where_Y_is_zero_fills_those_entries(feeder):
     # stds given densely, nonzero on every element: each chunk's stack is
     # laid out on the entries nonzero in its perturbed Y, so element noise
     # where Y is zero reaches H
-    net = ORACLE_FEEDERS[feeder]()
+    net = ORACLE_FEEDERS[feeder][0]()
     Y = build_admittance(net)
     state = pfsc.solve_load_flow(net, Y)
     sigma = np.abs(Y.matrix) * 0.01 + 1e-3
@@ -291,8 +352,8 @@ def poisoned_assembly(monkeypatch, poison):
     """Route the engine's assembly through ``poison(H_stack, call_index)``."""
     calls = []
 
-    def assemble(Ym, E, network):
-        problem = assemble_from_raw(Ym, E, network)
+    def assemble(Ym, E, network, *order):
+        problem = assemble_from_raw(Ym, E, network, *order)
         poison(problem.H, len(calls))
         calls.append(len(problem.H))
         return problem
@@ -349,8 +410,8 @@ def poisoned_trial(monkeypatch, network, state, cfg, trial):
     target = montecarlo._perturb_voltages(state.voltages, cfg.polar, d[:, :m], d[:, m:])
     hits = []
 
-    def assemble(Ym, E, network):
-        problem = assemble_from_raw(Ym, E, network)
+    def assemble(Ym, E, network, *order):
+        problem = assemble_from_raw(Ym, E, network, *order)
         hit = (E == target).all(axis=-1)
         problem.H[hit] = 0.0
         hits.append(int(hit.sum()))
@@ -560,8 +621,9 @@ def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
 
 def test_full_table_monte_carlo_peak_memory(feeder60):
     """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
-    full-table report, peaks at about 4.2 MB under ``tracemalloc`` in
-    1 MiB chunks of 9 trials (17.7 MB in 4 MiB chunks of 37)."""
+    full-table report, peaks at about 3.6 MB under ``tracemalloc`` in
+    1 MiB chunks of 9 trials, each solved block by block (4.2 MB when
+    each chunk was solved whole, 17.7 MB in 4 MiB chunks of 37)."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
@@ -572,14 +634,156 @@ def test_full_table_monte_carlo_peak_memory(feeder60):
 def test_stored_trials_peak_memory(feeder60):
     """The pass of ``test_full_table_monte_carlo_peak_memory`` with
     ``store_trials`` holds its 22.3 MB trial store once, filled chunk by
-    chunk: it peaks at about 26.5 MB under ``tracemalloc`` (45.4 MB when
-    it kept each chunk's trials and stacked them at the end).  The bound
-    is 1.5 times the measured peak."""
+    chunk in block order and put back in network order in place: it
+    peaks at about 25.9 MB under ``tracemalloc`` (26.5 MB when each chunk
+    was solved whole, 45.4 MB when it kept each chunk's trials and stacked
+    them at the end).  The bound is 1.5 times the 26.5 MB."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu, store_trials=True)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
     peak = traced_peak(lambda: run_monte_carlo_sets(net, Y, state, [cfg]))
     assert peak <= 40e6, peak
+
+
+# -- independent blocks of H ---------------------------------------------------
+
+
+def two_feeder_three_phase():
+    """The three-phase fixture's buses on two feeders off the slack, 1-2-3
+    and 1-4, with mutually coupled phases."""
+    base = make_three_phase_balanced()
+    z = [br.z_ohm for br in base.branches]
+    branches = (Branch(1, 2, z[0]), Branch(2, 3, z[1]), Branch(1, 4, z[2]))
+    return replace(base, branches=branches)
+
+
+def engine_blocks(monkeypatch, net, Y, state, cfg):
+    """The blocks that a pass over ``cfg`` solves, each as the rows of H
+    in network order, ascending."""
+    parts = []
+
+    def record(network, positions):
+        parts.append(partition(network, positions))
+        return parts[-1]
+
+    partition = montecarlo._partition
+    monkeypatch.setattr(montecarlo, "_partition", record)
+    run_monte_carlo(net, Y, state, cfg)
+    (part,) = parts
+    k = np.searchsorted(net.nonslack_flat_indices(), part.nodes)
+    rows = (2 * k[:, None] + [0, 1]).ravel()
+    return [np.sort(rows[s]) for s in part.blocks]
+
+
+PARTITION_FEEDERS = {
+    "ieee4": ORACLE_FEEDERS["ieee4"][0],
+    "three-phase": make_three_phase_balanced,
+    "two-feeder-three-phase": two_feeder_three_phase,
+    "mesh12-seed3": ORACLE_FEEDERS["mesh12-seed3"][0],
+    **{f"feeder60-seed{s}": (lambda s=s: make_feeder(60, s)) for s in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("noise", ["relative", "dense", BRANCH_PARAMETER])
+@pytest.mark.parametrize("feeder", sorted(PARTITION_FEEDERS))
+def test_blocks_are_the_components_of_the_oracle_H(feeder, noise, monkeypatch):
+    # the engine's blocks come from Y's pattern and the noise's; the
+    # oracle's from the nonzeros of each trial's dense H
+    net = PARTITION_FEEDERS[feeder]()
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+    if noise == "dense":
+        sigma = np.abs(Y.matrix) * 0.01 + 1e-3
+        yu = AdmittanceUncertainty(sigma, sigma)
+    mode = BRANCH_PARAMETER if noise == BRANCH_PARAMETER else INDEPENDENT_ELEMENTS
+    cfg = MCConfig(n_trials=3, seed=3, polar=it_class_to_polar("0.5"), yu=yu,
+                   symmetry_mode=mode)
+    got = engine_blocks(monkeypatch, net, Y, state, cfg)
+    for H, _ in oracle_systems(net, Y, state, cfg):
+        assert [rows.tolist() for rows in got] == [rows.tolist() for rows in components(H)]
+    if noise == "dense":
+        assert len(got) == 1
+    if net.phase_count > 1:  # every phase of a bus in the block of its phase 0
+        flat = np.array(net.nonslack_flat_indices())[np.concatenate(got) // 2]
+        bus = flat // net.phase_count
+        block = np.repeat(np.arange(len(got)), [len(rows) for rows in got])
+        assert all(len(set(block[bus == b])) == 1 for b in set(bus.tolist()))
+    if feeder == "two-feeder-three-phase" and noise != "dense":
+        assert [len(rows) for rows in got] == [12, 6]
+
+
+def test_a_singular_block_drops_its_trial_once(feeder60, seven_trial_chunks, monkeypatch):
+    # one row of one block of trial 10 zeroed: that block alone is singular,
+    # so its batched solve falls back to trial by trial, and the other
+    # blocks of the trial solve
+    net, Y, state, polar, yu = feeder60
+    cfg = MCConfig(n_trials=14, seed=2, polar=polar, yu=yu, store_trials=True)
+    clean = run_monte_carlo(net, Y, state, cfg)
+
+    def poison(H, call):
+        if call == 1:  # trials 7-13
+            H[3, 0] = 0.0
+
+    calls = poisoned_assembly(monkeypatch, poison)
+    out = run_monte_carlo(net, Y, state, cfg)
+    assert calls == [7, 7]
+    assert out.trials_failed == 1
+    kept = np.delete(clean.trials, 10, axis=-1)
+    assert out.trials.tobytes() == kept.tobytes()
+    _, std = estimate_stats(kept)
+    np.testing.assert_allclose(out.std, std, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shared_pass_equals_separate_runs_on_a_decoupled_feeder(feeder60, seven_trial_chunks,
+                                                                 mode):
+    net, Y, state, polar, _ = feeder60
+    sigma = np.abs(Y.matrix) * 0.01 + 1e-3  # dense noise: one block at its level
+    levels = [AdmittanceUncertainty.from_relative(Y, lvl) for lvl in (0.5, 2.0)]
+    if mode == INDEPENDENT_ELEMENTS:
+        levels.append(AdmittanceUncertainty(sigma, sigma))
+    cfgs = [MCConfig(n_trials=n, seed=7, polar=polar, yu=yu, symmetry_mode=mode,
+                     store_trials=True)
+            for yu in levels for n in (5, 12)]
+    shared = run_monte_carlo_sets(net, Y, state, cfgs)
+    for cfg, got in zip(cfgs, shared):
+        alone = run_monte_carlo(net, Y, state, cfg)
+        assert got.trials.tobytes() == alone.trials.tobytes()
+        assert got.mean.tobytes() == alone.mean.tobytes()
+        assert got.std.tobytes() == alone.std.tobytes()
+
+
+def solve_shapes(monkeypatch):
+    """Record the shape of every matrix stack ``np.linalg.solve`` gets."""
+    shapes = []
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    return shapes
+
+
+def test_decoupled_feeder_solves_no_whole_H(feeder60, monkeypatch):
+    # each chunk of 9 trials solves the 70, 46 and 2 rows of its three
+    # blocks: a fallback to the dense solve would show a 118 x 118 system
+    net, Y, state, polar, yu = feeder60
+    shapes = solve_shapes(monkeypatch)
+    run_monte_carlo(net, Y, state, MCConfig(n_trials=20, seed=3, polar=polar, yu=yu))
+    assert shapes == [(k, d, d) for k in (9, 9, 2) for d in (70, 46, 2)]
+
+
+def test_one_block_network_solves_H_whole(ieee4_solved, seven_trial_chunks, monkeypatch):
+    # one call per chunk and level, on the whole H
+    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+    shapes = solve_shapes(monkeypatch)
+    cfgs = [MCConfig(n_trials=20, seed=3, polar=polar, yu=y)
+            for y in (yu, AdmittanceUncertainty.from_relative(Y, 2.0))]
+    run_monte_carlo_sets(net, Y, state, cfgs)
+    assert shapes == [(k, 6, 6) for k in (7, 7, 6) for _ in cfgs]
 
 
 class TestEstimateStats:

@@ -528,8 +528,8 @@ class TestEmission:
 
         real = montecarlo.assemble_from_raw
 
-        def one_singular_trial(Ym, E, network):
-            problem = real(Ym, E, network)
+        def one_singular_trial(Ym, E, network, *order):
+            problem = real(Ym, E, network, *order)
             problem.H[0] = 0.0
             return problem
 
