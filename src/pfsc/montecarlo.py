@@ -15,12 +15,14 @@ admittance noise must be made for the network's node count.
 Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
 ``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
 trial works in at most about 4.5 times its 8 dim² bytes of H (H, the
-solution of its largest block, the centred copy of x, its Y and its
-draw row), about 0.5 MB at dim H 118, so a chunk there holds 9 trials
-and a 200-trial pass on ``make_feeder(60, 1)`` peaks at 3.6 MB under
-``tracemalloc`` (4.2 MB when each chunk was solved whole, 17.7 MB in
-4 MiB chunks of 37); a level's Y stack is freed once its H is filled,
-before the solve.  The smaller chunk costs
+solution and the centred copy of each block, its Y and its draw row),
+about 0.5 MB at dim H 118, so a chunk there holds 9 trials and a
+200-trial pass on ``make_feeder(60, 1)`` peaks at 2.4 MB under
+``tracemalloc`` (3.6 MB when each block's solution was written back into
+H, 4.2 MB when each chunk was solved whole, 17.7 MB in 4 MiB chunks of
+37); a level's Y stack is freed once its H is filled, before the solve,
+H once it is solved, and the solutions once the sets have merged them.
+The smaller chunk costs
 no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
 and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
@@ -38,13 +40,15 @@ connected components of the non-slack nodes over Y's positions and the
 level's noise positions (a branch's stamp links every phase of its two
 buses), and the stack is laid out with its unknowns in that block order,
 so each trial's H is block-diagonal and each block is a slice of it.  Each block
-is solved on its own, batched over the chunk, and its solution written
-back into H's buffer, whose entries off the blocks are +0.0, as those
-of x are (``_solve_chunk``); a trial with a singular or non-finite block
-is dropped and counted once.  The moments and the trial store stay in
-block order, and each set's mean, std and store are put back in network
-order once, at its result, the store in place.  A network whose nodes
-all link has one block, solved by ``np.linalg.solve(H, z)`` of the whole
+is solved on its own, batched over the chunk (``_solve_chunk``), and a
+trial with a singular or non-finite block is dropped and counted once.
+The solutions stay in blocks: a set merges its moments block by block,
+on the sum of the blocks' squared sizes, not dim², a trial, and writes
+each block's trials into their rows and columns of the trial store, in
+network order.  Its mean and std are put in their blocks of a +0.0
+table once, at its result.  Off the blocks, the store, the mean and the
+std hold +0.0, the value of x there.  A network whose nodes all link
+has one block, solved by ``np.linalg.solve(H, z)`` of the whole
 H, so its trials are bitwise those of the whole solve.  On a decoupled
 network the blocks' LAPACK calls group their sums otherwise: on
 ``make_feeder(60, 1)`` the blocks are 70, 46 and 2 of the 118 rows, the
@@ -299,7 +303,7 @@ class _Partition(NamedTuple):
 
     nodes: np.ndarray  # the non-slack flat indices in block order
     blocks: list  # per block, the slice of H's rows (and columns) in that order
-    back: np.ndarray | None  # each network-order row's row in block order; None if alike
+    at: list  # per block, the ``np.ix_`` of its rows and columns of x in network order
 
 
 def _partition(network, positions):
@@ -336,11 +340,10 @@ def _partition(network, positions):
         blocks.setdefault(find(k), []).append(k)
     order = [k for nodes in blocks.values() for k in nodes]
     ends = list(itertools.accumulate(2 * len(nodes) for nodes in blocks.values()))
-    back = None
-    if order != list(range(n)):
-        back = np.argsort((2 * np.array(order)[:, None] + [0, 1]).ravel())
+    rows = [(2 * np.array(nodes)[:, None] + [0, 1]).ravel() for nodes in blocks.values()]
     return _Partition(np.take(nonslack, order),
-                      [slice(a, b) for a, b in zip([0] + ends, ends)], back)
+                      [slice(a, b) for a, b in zip([0] + ends, ends)],
+                      [np.ix_(r, r) for r in rows])
 
 
 def _solve(H, z):
@@ -360,28 +363,17 @@ def _solve(H, z):
 
 
 def _solve_chunk(H, z, blocks):
-    """Solutions of a stack of block-diagonal H x = z, and which of them
-    are usable.
+    """Solutions of each diagonal block of a stack of block-diagonal
+    H x = z, one stack per block, and which trials are usable.
 
-    Each diagonal block, a slice of H, is solved on its own, and its
-    solution overwrites it in H's buffer, whose entries off the blocks are
-    +0.0 and stay so: the solutions are H's buffer.  A trial with a
-    singular or non-finite block is not usable.
+    Each block, a slice of H, is solved on its own, batched over the
+    stack; a trial with a singular or non-finite block is not usable.
     """
-    for s in blocks:
-        H[:, s, s] = _solve(H[:, s, s], z[s, s])
-    return H, np.isfinite(H).all(axis=(-2, -1))
-
-
-def _unpermute(store, back):
-    """Reorder the first two axes of ``store`` in place, entry (i, j)
-    taking the one at (back[i], back[j]): row by row and then column by
-    column, so the only copy is one row or column."""
-    for row in store:
-        row[...] = row[back]
-    for j in range(store.shape[1]):
-        column = store[:, j]
-        column[...] = column[back]
+    xs = [_solve(H[:, s, s], z[s, s]) for s in blocks]
+    ok = np.isfinite(xs[0]).all(axis=(-2, -1))
+    for x in xs[1:]:
+        ok &= np.isfinite(x).all(axis=(-2, -1))
+    return xs, ok
 
 
 class _Moments:
@@ -421,48 +413,54 @@ class _Moments:
 
 
 class _Set:
-    """What a pass has gathered for one set: moments and failures, and
-    with ``store_trials`` the usable trials, along the last axis of one
-    store of ``n_trials`` allocated by the first chunk; both in the
-    block order of ``part``, the ``_Partition`` of the set's level, which
-    the pass sets."""
+    """What a pass has gathered for one set, block by block of ``part``,
+    the ``_Partition`` of the set's level: moments and failures, and with
+    ``store_trials`` the usable trials, along the last axis of one store
+    of ``n_trials`` in network order, allocated by the first chunk."""
 
-    def __init__(self, cfg: MCConfig):
+    def __init__(self, cfg: MCConfig, part: _Partition):
         self.cfg = cfg
-        self.part = None
-        self.moments = _Moments()
+        self.part = part
+        self.moments = [_Moments() for _ in part.blocks]
         self.store = None
         self.failed = 0
 
-    def add(self, x, ok):
-        """Merge the set's solutions of a chunk, ``ok`` marking the usable ones."""
+    def add(self, xs, ok, k):
+        """Merge the first ``k`` trials of a chunk's solutions ``xs``, one
+        stack per block, ``ok`` marking the usable trials."""
+        ok = ok[:k]
+        keep = slice(k)
         if not ok.all():
-            self.failed += int(np.count_nonzero(~ok))
-            x = x[ok]
-        if len(x):
-            kept = self.moments.count
-            self.moments.add(x)
+            failed = int(np.count_nonzero(~ok))
+            self.failed += failed
+            if failed == k:
+                return
+            keep = ok
+        kept = self.moments[0].count
+        for x, moments, at in zip(xs, self.moments, self.part.at):
+            x = x[keep]
+            moments.add(x)
             if self.cfg.store_trials:
                 if self.store is None:
-                    self.store = np.empty(x.shape[1:] + (self.cfg.n_trials,))
-                self.store[..., kept : kept + len(x)] = np.moveaxis(x, 0, -1)
+                    # +0.0 off the blocks, where no trial couples its nodes
+                    dim = 2 * len(self.part.nodes)
+                    self.store = np.zeros((dim, dim, self.cfg.n_trials))
+                self.store[at + (slice(kept, kept + len(x)),)] = np.moveaxis(x, 0, -1)
 
     def result(self, runtime_s):
-        """The set's MCResult, ``runtime_s`` its share of the pass, with
-        rows and columns put back in network order."""
-        if self.moments.count == 0:
+        """The set's MCResult, ``runtime_s`` its share of the pass: each
+        block's mean and std put in its rows and columns of a +0.0 table."""
+        count = self.moments[0].count
+        if count == 0:
             raise ConfigError("all Monte-Carlo trials failed (singular systems)")
-        mean, std = self.moments.result()
-        trials = None if self.store is None else self.store[..., : self.moments.count]
-        back = self.part.back
-        if back is not None:
-            mean, std = mean[np.ix_(back, back)], std[np.ix_(back, back)]
-            if trials is not None:
-                _unpermute(trials, back)
+        dim = 2 * len(self.part.nodes)
+        mean, std = np.zeros((dim, dim)), np.zeros((dim, dim))
+        for moments, at in zip(self.moments, self.part.at):
+            mean[at], std[at] = moments.result()
         return MCResult(
             mean=mean,
             std=std,
-            trials=trials,
+            trials=None if self.store is None else self.store[..., :count],
             runtime_s=runtime_s,
             trials_failed=self.failed,
             n_trials=self.cfg.n_trials,
@@ -481,11 +479,11 @@ SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 def _solve_level(network, Ym, E_k, noise, yu, mode, part):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
-    level's ``yu``, and which of them are usable, with the unknowns in
-    the block order of ``part``.
+    level's ``yu``, one stack per block of ``part``, and which trials are
+    usable.
 
     The level's admittance stack is freed once H is filled, before the
-    solve, whose solutions overwrite H.
+    solve, and H once it is solved.
     """
     rows = len(noise)
     if mode == BRANCH_PARAMETER:
@@ -532,14 +530,11 @@ def run_monte_carlo_sets(
         for name in SHARED_FIELDS:
             if getattr(cfg, name) != getattr(cfgs[0], name):
                 raise ConfigError(f"the Monte-Carlo sets of one pass differ in {name}")
-    sets = [_Set(cfg) for cfg in cfgs]
-    levels = {}  # id(yu) -> the sets that share it
-    for s in sets:
-        if s.cfg.yu.n_nodes != network.n_nodes:
+    for cfg in cfgs:
+        if cfg.yu.n_nodes != network.n_nodes:
             raise ValueError("noise spec dimensions do not match the network")
-        if s.cfg.symmetry_mode == BRANCH_PARAMETER and s.cfg.yu.level_pct is None:
+        if cfg.symmetry_mode == BRANCH_PARAMETER and cfg.yu.level_pct is None:
             raise ConfigError("branch-parameter mode needs a relative level_pct")
-        levels.setdefault(id(s.cfg.yu), []).append(s)
     cfg = cfgs[0]
     E0 = state.voltages
     Ym = Y.matrix
@@ -556,12 +551,15 @@ def run_monte_carlo_sets(
     # one noise pattern share them (``from_relative`` levels share Y's
     # positions array), and the lookup is not held through the chunks
     parts = {}
-    for s in sets:
-        at = s.cfg.yu.positions
+    for c in cfgs:
+        at = c.yu.positions
         if id(at) not in parts:
             parts[id(at)] = _partition(network, np.union1d(Y.positions, at))
-        s.part = parts[id(at)]
+    sets = [_Set(c, parts[id(c.yu.positions)]) for c in cfgs]
     del parts
+    levels = {}  # id(yu) -> the sets that share it
+    for s in sets:
+        levels.setdefault(id(s.cfg.yu), []).append(s)
     size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
     hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
@@ -579,14 +577,17 @@ def run_monte_carlo_sets(
             shares = _readers(level, start, end)
             if not shares:
                 continue
-            # x lives until the next level's replaces it: freed together
-            # with Y_k and H, it let malloc hand the heap top back to the
-            # system, and every chunk faulted those pages in again
             rows = max(k for _, k in shares)
-            x, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
-                                 cfg.symmetry_mode, level[0].part)
+            xs, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
+                                  cfg.symmetry_mode, level[0].part)
             for s, k in shares:
-                s.add(x[:k], ok[:k])
+                s.add(xs, ok, k)
+            # the solutions are freed here, as H was after the solve, so
+            # the next chunk's stack reuses their room: held through its
+            # assembly, they grew the heap, which malloc then handed back
+            # to the system, and a 200-trial pass at dim H 118 took about
+            # 4,800 minor page faults instead of 470
+            del xs
     seconds = time.perf_counter() - t0
     total = sum(s.cfg.n_trials for s in sets)
     return [s.result(seconds * s.cfg.n_trials / total) for s in sets]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -321,14 +323,19 @@ def write_joined(fh, n, items, sep):
 
 def _json_numbers(values, start, stop, reprs=None):
     """Items start..stop-1 of ``values`` as JSON numbers: their ``reprs``,
-    formatted here when not given, with null for each value that is not
-    finite (RFC 8259 JSON has no NaN or Infinity)."""
+    formatted here for the finite values when not given, with null for
+    each value that is not finite (RFC 8259 JSON has no NaN or Infinity)."""
     block = values[start:stop]
-    items = list(map(repr, block.tolist())) if reprs is None else reprs[start:stop]
     finite = np.isfinite(block)
+    if reprs is not None:
+        items = reprs[start:stop]
+        if finite.all():
+            return items
+        return [r if ok else "null" for r, ok in zip(items, finite.tolist())]
     if finite.all():
-        return items
-    return [r if ok else "null" for r, ok in zip(items, finite.tolist())]
+        return list(map(repr, block.tolist()))
+    items = map(repr, block[finite].tolist())
+    return [next(items) if ok else "null" for ok in finite.tolist()]
 
 
 class _Column:
@@ -477,24 +484,53 @@ def _write_json(fh, report, nominal, columns):
     fh.write(skeleton[done:])
 
 
+def _with_zero_rows(row, tail, width, names, block, zero):
+    """The text rows of a block of the pretty table, ``zero`` marking
+    those whose nominal and stds are all +0.0: each of those is its label
+    padded to ``width`` and one text of ``tail``, the template after the
+    label, formatted here once; every other row fills ``row``."""
+    zero_tail = tail % (0.0, *(0.0, math.nan) * (len(block) // 2)) + "\n"
+    other = ~zero
+    filled = map(row.__mod__, zip(itertools.compress(names, other.tolist()),
+                                  *(v[other].tolist() for v in block)))
+    return [name.ljust(width) + zero_tail if z else next(filled)
+            for name, z in zip(names, zero.tolist())]
+
+
 def _write_pretty(fh, report, nominal, columns):
+    """Write the fixed-point table of each level, then the timings.
+
+    A row fills one ``%`` template.  A row whose nominal and every std are
+    +0.0, a coefficient between nodes in blocks of H that no trial
+    couples, reads the same after its label every time: those zeros and
+    their NaN percents are formatted once per block of rows
+    (``_with_zero_rows``).
+    """
     d = PRETTY_DECIMALS
     labels = report.labels
     width = max(max(map(len, labels), default=0), 24)
     for lvl, cols in columns.items():
         fh.write(f"sigma_Y = {lvl:g}% of |element|\n")
         head = f"{'coefficient':<{width}} {'nominal':>12}"
-        row = f"%-{width}s %12.{d}f"
+        tail = f" %12.{d}f"
         values = [nominal.values]
         for n, stds, pct in cols:
             head += f" {'analytical' if n is None else f'MC n={n}':>16}"
-            row += f" %9.{d}f (%4.1f%%)"
+            tail += f" %9.{d}f (%4.1f%%)"
             values += [stds.values, pct]
         fh.write(head + "\n")
+        row = f"%-{width}s{tail}\n"
 
         def rows(start, stop):
-            block = [v[start:stop].tolist() for v in values]
-            return map(f"{row}\n".__mod__, zip(labels[start:stop], *block))
+            block = [v[start:stop] for v in values]
+            names = labels[start:stop]
+            if np.count_nonzero(block[0]) < len(names):  # a zero nominal
+                zero = np.ones(len(names), dtype=bool)
+                for v in block[:1] + block[1::2]:
+                    zero &= (v == 0) & ~np.signbit(v)
+                if zero.any():
+                    return _with_zero_rows(row, tail, width, names, block, zero)
+            return map(row.__mod__, zip(names, *(v.tolist() for v in block)))
 
         write_joined(fh, len(labels), rows, "")
         fh.write("\n")

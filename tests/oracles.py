@@ -9,7 +9,8 @@ inverse variance, single cross terms of cov(H^-1), the coefficient
 variance for any z, the magnitude derivative, the refuted repeated-sign
 projection, the QQ normality check, the nested-loop enumeration and
 spelled-out labels of the report's coefficients, their positions
-read off a ``dim x dim`` mask, and the nonzero mask of a dense matrix.
+read off a ``dim x dim`` mask, the pretty-text table one ``%`` template
+a row, and the nonzero mask of a dense matrix.
 Tests import them as they import ``conftest`` helpers.
 """
 
@@ -350,3 +351,31 @@ def coefficient_label(key, phase_count=1):
     ph_l = "" if phase_count == 1 else "abc"[key.phase_l]
     part = "Re" if key.part == "re" else "Im"
     return f"{part}(dE{key.bus_i}{ph_i}/d{key.wrt}{key.bus_l}{ph_l})"
+
+
+def pretty_text(report, decimals=4):
+    """The pretty-text report, every coefficient row filling one ``%``
+    template: the row-by-row emission whose bytes ``emit_report`` keeps
+    while it formats all-zero rows once."""
+    labels = report.labels
+    width = max(max(map(len, labels), default=0), 24)
+    levels = sorted(set(report.analytical) | {lvl for lvl, _ in report.mc})
+    text = []
+    for lvl in levels:
+        text.append(f"sigma_Y = {lvl:g}% of |element|\n")
+        head = f"{'coefficient':<{width}} {'nominal':>12}"
+        row = f"%-{width}s %12.{decimals}f"
+        columns = [(None, report.analytical[lvl])] if lvl in report.analytical else []
+        columns += [(n, stds) for (at, n), stds in sorted(report.mc.items()) if at == lvl]
+        values = [report.nominal]
+        for n, stds in columns:
+            head += f" {'analytical' if n is None else f'MC n={n}':>16}"
+            row += f" %9.{decimals}f (%4.1f%%)"
+            values += [stds, report.percent_of_nominal(stds)]
+        text.append(head + "\n")
+        for i, label in enumerate(labels):
+            text.append(row % (label, *(float(v[i]) for v in values)) + "\n")
+        text.append("\n")
+    text.append("timings (s):\n")
+    text += [f"  {k}: {report.timings[k]:.3f}\n" for k in sorted(report.timings)]
+    return "".join(text)

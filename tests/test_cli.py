@@ -38,6 +38,24 @@ def test_solve_prints_profile(capsys):
     assert "converged in" in out
 
 
+def test_report_on_two_subtrees(capsys, tmp_path):
+    # the feeder CI runs from the installed package: H has one block of
+    # buses 2 and 4 and one of bus 3, and each of the 16 rows between them
+    # reads +0.0 with 0/0 percents, null in JSON
+    network = Path(__file__).parent / "data" / "two_subtrees.yaml"
+    code, _, _ = run(capsys, "report", "--network", str(network), "--nmc", "50",
+                     "--format", "pretty-text,json", "--out", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert len(lines) == 2 + 36 + 1 + 1 + 4  # 4 timings
+    zero = [line for line in lines if line.endswith("    0.0000 ( nan%)" * 2)]
+    assert len(zero) == 16
+    assert zero[0].split()[0] == "Re(dE2/dP3)"
+    doc = json.loads((tmp_path / "report.json").read_text())
+    for column in (doc["analytical"]["1.0"], doc["monte_carlo"]["1.0|50"]):
+        assert column["pct_of_nominal"].count(None) == 16
+
+
 def test_missing_network_file(capsys):
     code, _, err = run(capsys, "solve", "--network", "/no/such.yaml")
     assert code == 1

@@ -621,9 +621,10 @@ def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
 
 def test_full_table_monte_carlo_peak_memory(feeder60):
     """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
-    full-table report, peaks at about 3.6 MB under ``tracemalloc`` in
-    1 MiB chunks of 9 trials, each solved block by block (4.2 MB when
-    each chunk was solved whole, 17.7 MB in 4 MiB chunks of 37)."""
+    full-table report, peaks at about 2.4 MB under ``tracemalloc`` in
+    1 MiB chunks of 9 trials, each solved and merged block by block
+    (3.6 MB when each block's solution was written back into H, 4.2 MB
+    when each chunk was solved whole, 17.7 MB in 4 MiB chunks of 37)."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
@@ -633,11 +634,13 @@ def test_full_table_monte_carlo_peak_memory(feeder60):
 
 def test_stored_trials_peak_memory(feeder60):
     """The pass of ``test_full_table_monte_carlo_peak_memory`` with
-    ``store_trials`` holds its 22.3 MB trial store once, filled chunk by
-    chunk in block order and put back in network order in place: it
-    peaks at about 25.9 MB under ``tracemalloc`` (26.5 MB when each chunk
-    was solved whole, 45.4 MB when it kept each chunk's trials and stacked
-    them at the end).  The bound is 1.5 times the 26.5 MB."""
+    ``store_trials`` holds its 22.3 MB trial store once, each chunk's
+    blocks written into their rows and columns in network order: it
+    peaks at about 24.7 MB under ``tracemalloc`` (25.9 MB when the store
+    was filled in block order and put back in network order in place,
+    26.5 MB when each chunk was solved whole, 45.4 MB when it kept each
+    chunk's trials and stacked them at the end).  The bound is 1.5 times
+    the 26.5 MB."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu, store_trials=True)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
@@ -733,6 +736,33 @@ def test_a_singular_block_drops_its_trial_once(feeder60, seven_trial_chunks, mon
     assert out.trials.tobytes() == kept.tobytes()
     _, std = estimate_stats(kept)
     np.testing.assert_allclose(out.std, std, rtol=1e-12, atol=0.0)
+
+
+def test_moments_and_trials_are_kept_per_block(feeder60, monkeypatch):
+    # each chunk merges the 70, 46 and 2 rows of its blocks, sum d_b^2 =
+    # 7020 entries a trial where H has 118^2 = 13924; off the blocks the
+    # mean, the std and every stored trial are +0.0, with no sign bit
+    net, Y, state, polar, yu = feeder60
+    merged = []
+    add = montecarlo._Moments.add
+
+    def recorded(self, x):
+        merged.append(x.shape)
+        return add(self, x)
+
+    monkeypatch.setattr(montecarlo._Moments, "add", recorded)
+    cfg = MCConfig(n_trials=20, seed=3, polar=polar, yu=yu, store_trials=True)
+    out = run_monte_carlo(net, Y, state, cfg)
+    assert merged == [(k, d, d) for k in (9, 9, 2) for d in (70, 46, 2)]
+    H, _ = next(oracle_systems(net, Y, state, cfg))
+    inside = np.zeros(H.shape, dtype=bool)
+    for rows in components(H):
+        inside[np.ix_(rows, rows)] = True
+    assert np.count_nonzero(inside) == 70**2 + 46**2 + 2**2
+    for table in (out.mean, out.std, out.trials):
+        off = table[~inside]
+        assert not off.any() and not np.signbit(off).any()
+    assert np.all(out.std[inside] > 0)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -18,6 +18,8 @@ from pfsc.report import (
     CoefficientKey,
     ComparisonReport,
     RunConfig,
+    _Column,
+    _json_numbers,
     _timing_key,
     coefficient_positions,
     emit_report,
@@ -27,7 +29,7 @@ from pfsc.report import (
 from pfsc.coefficients import INJECTIONS, PARTS
 
 from conftest import make_feeder, make_random_network, make_three_phase_balanced
-from oracles import brute_force_keys, coefficient_label, positions_by_mask
+from oracles import brute_force_keys, coefficient_label, positions_by_mask, pretty_text
 
 NETWORK = pfsc.bundled_network_path("ieee4_balanced")
 
@@ -826,6 +828,71 @@ class TestEmissionBytes:
         assert [v is None for v in pct] == zero.tolist()
         (path,) = emit_report(report, ("pretty-text",), tmp_path / "out")
         assert "nan%)" in path.read_text()
+
+
+#: networks of the pretty-text oracle test: two whose H is one block, and
+#: ``make_feeder(60, 1)``, whose H splits into blocks of 70, 46 and 2 rows
+PRETTY_NETWORKS = {
+    "ieee4": None,
+    "three-phase": make_three_phase_balanced,
+    "feeder60-seed1": lambda: make_feeder(60, 1),
+}
+
+
+def _set_edge_rows(report):
+    """Set eight rows of ``report`` with nonzero values to the rows the
+    pretty table must write as the per-row template does; returns how
+    many rows are then all +0.0."""
+    columns = [*report.analytical.values(), *report.mc.values()]
+    nominal = report.nominal
+    usable = nominal != 0
+    for stds in columns:
+        usable &= stds > 0
+    r = np.flatnonzero(usable)[:8]
+    nominal[r[:2]] = 0.0  # two all +0.0 rows
+    nominal[r[2]] = -0.0  # -0.0 nominal, +0.0 stds
+    nominal[r[3]] = 0.0  # +0.0 nominal, one -0.0 std
+    nominal[r[4]] = 0.0  # zero nominal, nonzero stds: inf%
+    nominal[r[6]] = 0.0  # NaN stds of a zero nominal; r[5]: of a nonzero one
+    for stds in columns:
+        stds[r[:4]] = 0.0
+        stds[r[5:7]] = np.nan
+        stds[r[7]] = 0.0  # +0.0 stds of a nonzero nominal
+    columns[-1][r[3]] = -0.0
+    zero = np.signbit(nominal) | (nominal != 0)
+    for stds in columns:
+        zero |= np.signbit(stds) | (stds != 0)
+    return np.count_nonzero(~zero)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("network", list(PRETTY_NETWORKS))
+def test_pretty_text_is_the_per_row_template(tmp_path, monkeypatch, network, block):
+    # all +0.0 rows take a shortcut; -0.0, inf% and NaN rows fill the
+    # template, in blocks of rows that mix both (3) and in whole blocks
+    make = PRETTY_NETWORKS[network]
+    cfg = small_cfg(n_mc=(20, 30)) if make is None else _network_cfg(
+        tmp_path, make(), n_mc=(20,))
+    report = run_pipeline(cfg)
+    report.timings = {k: 0.125 * (i + 1) for i, k in enumerate(report.timings)}
+    zeros = _set_edge_rows(report)
+    if block is not None:
+        monkeypatch.setattr(pfsc.report, "_BLOCK_ROWS", block)
+    (path,) = emit_report(report, ("pretty-text",), tmp_path / "out")
+    text = path.read_text()
+    assert text == pretty_text(report)
+    for part in ("     -0.0000 ", " -0.0000 (", "( inf%)", "    nan ( nan%)"):
+        assert part in text
+    assert zeros == (6_906 if network == "feeder60-seed1" else 2)
+
+
+def test_json_numbers_format_finite_values_only():
+    values = np.array([1.5, -0.0, np.inf, 0.0, np.nan, -np.inf, 1e-300, -2.5, np.nan])
+    for start, stop in ((0, 9), (2, 7), (3, 4), (4, 5), (0, 0)):
+        want = [repr(v) if np.isfinite(v) else "null" for v in values[start:stop].tolist()]
+        assert _json_numbers(values, start, stop) == want
+        assert _Column(values).json_items(start, stop) == want
+    assert _json_numbers(values, 0, 2) == ["1.5", "-0.0"]
 
 
 def test_full_table_emission_peak_memory(tmp_path):
