@@ -284,14 +284,19 @@ def project_polar_noise(
 
     sa = polar.sigma_rho if polar.relative else polar.sigma_rho / rho
     sb = polar.sigma_theta
-    damp2 = np.exp(-2.0 * sb**2)
-    damp_half = np.exp(-0.5 * sb**2)
-    common = 0.5 * (1.0 + sa**2) * rho**2
-    tail = 1.0 - 2.0 * damp_half
-
-    var_re = common * (1.0 + damp2 * np.cos(2 * theta)) + rho**2 * np.cos(theta) ** 2 * tail
-    var_im = common * (1.0 - damp2 * np.cos(2 * theta)) + rho**2 * np.sin(theta) ** 2 * tail
-    # cancellation can leave tiny negative residue at very small noise
+    # with D = exp(-2 sb^2) and h = exp(-sb^2 / 2), the variances are
+    #   (1 + sa^2) rho^2 / 2 (1 +- D cos 2theta) + rho^2 (cos^2|sin^2) (1 - 2h),
+    # sums of O(rho^2) terms that cancel to O(sigma^2 rho^2).  With
+    # 1 +- D cos 2theta = (1 - D) + 2D (cos^2|sin^2) they are
+    #   base + rho^2 (sa^2 D - (1 - D) + 2 (1 - h)) (cos^2|sin^2),
+    # each term O(sigma^2 rho^2), 1 - D and 1 - h taken by expm1
+    one_minus_d = -np.expm1(-2.0 * sb**2)
+    one_minus_h = -np.expm1(-0.5 * sb**2)
+    base = 0.5 * (1.0 + sa**2) * rho**2 * one_minus_d
+    slope = rho**2 * (sa**2 * (1.0 - one_minus_d) - one_minus_d + 2.0 * one_minus_h)
+    var_re = base + slope * np.cos(theta) ** 2
+    var_im = base + slope * np.sin(theta) ** 2
+    # rounding can leave a tiny negative residue where a variance is ~0
     var_re = np.maximum(var_re, 0.0)
     var_im = np.maximum(var_im, 0.0)
     return CartesianNoiseSpec(sigma_re=np.sqrt(var_re), sigma_im=np.sqrt(var_im))

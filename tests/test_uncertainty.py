@@ -84,6 +84,46 @@ class TestProjection:
         assert out.sigma_re[0] == pytest.approx(sre, rel=0.02)
         assert out.sigma_im[0] == pytest.approx(sim, rel=0.02)
 
+    @pytest.mark.parametrize("it_class", ["0.1", "0.5", "1.0"])
+    def test_one_ulp_of_E_moves_the_stds_by_rounding_only(self, it_class):
+        # no O(rho^2) terms cancel: one ulp of Re E, either way, moves
+        # each std by at most 1e-14 of itself (1.8e-11 when the variances
+        # were differences of O(rho^2) terms)
+        net = make_three_phase_balanced()
+        state = pfsc.solve_load_flow(net, pfsc.build_admittance(net))
+        spec = it_class_to_polar(it_class)
+        E = state.voltages
+        base = project_polar_noise(E, spec)
+        for k in range(E.size):
+            for way in (np.inf, -np.inf):
+                moved = E.copy()
+                moved[k] = complex(np.nextafter(E[k].real, way), E[k].imag)
+                got = project_polar_noise(moved, spec)
+                for a, b in ((got.sigma_re, base.sigma_re), (got.sigma_im, base.sigma_im)):
+                    assert np.all(np.abs(a - b) <= 1e-14 * b)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="no extended precision")
+    def test_equals_the_differences_in_extended_precision(self):
+        # the closed form as differences of O(rho^2) terms, in extended
+        # precision, agrees with the cancellation-free form
+        net = make_three_phase_balanced()
+        E = pfsc.solve_load_flow(net, pfsc.build_admittance(net)).voltages
+        E = np.concatenate([E, [1.0 + 0j, 1j, 0.9 + 0.1j, -0.5 - 0.8j]])
+        for spec in (it_class_to_polar("0.5"), PolarNoiseSpec(0.01, 0.02, relative=False)):
+            got = project_polar_noise(E, spec)
+            rho = np.abs(E).astype(np.longdouble)
+            theta = np.angle(E).astype(np.longdouble)
+            sa = np.longdouble(spec.sigma_rho) / (1 if spec.relative else rho)
+            sb = np.longdouble(spec.sigma_theta)
+            common = (1 + sa**2) * rho**2 / 2
+            tail = 1 - 2 * np.exp(-sb**2 / 2)
+            d2 = np.exp(-2 * sb**2) * np.cos(2 * theta)
+            var_re = common * (1 + d2) + rho**2 * np.cos(theta) ** 2 * tail
+            var_im = common * (1 - d2) + rho**2 * np.sin(theta) ** 2 * tail
+            np.testing.assert_allclose(got.sigma_re, np.sqrt(var_re).astype(float), rtol=1e-10)
+            np.testing.assert_allclose(got.sigma_im, np.sqrt(var_im).astype(float), rtol=1e-10)
+
     def test_literal_form_fails_near_axis(self):
         # the repeated-sign variant overstates the imaginary-part std by
         # orders of magnitude for small angles, so the package does not carry it
