@@ -327,15 +327,12 @@ def _json_numbers(values, start, stop, reprs=None):
     each value that is not finite (RFC 8259 JSON has no NaN or Infinity)."""
     block = values[start:stop]
     finite = np.isfinite(block)
-    if reprs is not None:
-        items = reprs[start:stop]
-        if finite.all():
-            return items
-        return [r if ok else "null" for r, ok in zip(items, finite.tolist())]
     if finite.all():
-        return list(map(repr, block.tolist()))
-    items = map(repr, block[finite].tolist())
-    return [next(items) if ok else "null" for ok in finite.tolist()]
+        return list(map(repr, block.tolist())) if reprs is None else reprs[start:stop]
+    keep = finite.tolist()
+    items = (map(repr, block[finite].tolist()) if reprs is None
+             else itertools.compress(reprs[start:stop], keep))
+    return [next(items) if ok else "null" for ok in keep]
 
 
 class _Column:
