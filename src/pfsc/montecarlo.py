@@ -303,7 +303,7 @@ class _Partition(NamedTuple):
 
     nodes: np.ndarray  # the non-slack flat indices in block order
     blocks: list  # per block, the slice of H's rows (and columns) in that order
-    at: list  # per block, the ``np.ix_`` of its rows and columns of x in network order
+    at: list  # per block, the index of its rows and columns of x in network order
 
 
 def _partition(network, positions):
@@ -340,10 +340,10 @@ def _partition(network, positions):
         blocks.setdefault(find(k), []).append(k)
     order = [k for nodes in blocks.values() for k in nodes]
     ends = list(itertools.accumulate(2 * len(nodes) for nodes in blocks.values()))
-    rows = [(2 * np.array(nodes)[:, None] + [0, 1]).ravel() for nodes in blocks.values()]
-    return _Partition(np.take(nonslack, order),
-                      [slice(a, b) for a, b in zip([0] + ends, ends)],
-                      [np.ix_(r, r) for r in rows])
+    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    rows = (2 * np.array(order)[:, None] + [0, 1]).ravel()  # of x, in block order
+    return _Partition(np.take(nonslack, order), spans,
+                      [(rows[s, np.newaxis], rows[s]) for s in spans])
 
 
 def _solve(H, z):
