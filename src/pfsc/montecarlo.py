@@ -341,7 +341,7 @@ def _partition(network, positions):
     order = [k for nodes in blocks.values() for k in nodes]
     ends = list(itertools.accumulate(2 * len(nodes) for nodes in blocks.values()))
     spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-    rows = (2 * np.array(order)[:, None] + [0, 1]).ravel()  # of x, in block order
+    rows = (2 * np.array(order)[:, None] + [0, 1]).ravel()  # x's row of each row of H
     return _Partition(np.take(nonslack, order), spans,
                       [(rows[s, np.newaxis], rows[s]) for s in spans])
 
