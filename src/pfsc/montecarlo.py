@@ -18,12 +18,9 @@ trial works in at most about 4.5 times its 8 dim² bytes of H (H, the
 solution and the centred copy of each block, its Y and its draw row),
 about 0.5 MB at dim H 118, so a chunk there holds 9 trials and a
 200-trial pass on ``make_feeder(60, 1)`` peaks at 2.4 MB under
-``tracemalloc`` (3.6 MB when each block's solution was written back into
-H, 4.2 MB when each chunk was solved whole, 17.7 MB in 4 MiB chunks of
-37); a level's Y stack is freed once its H is filled, before the solve,
-H once it is solved, and the solutions once the sets have merged them.
-The smaller chunk costs
-no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
+``tracemalloc``; a level's Y stack is freed once its H is filled, before
+the solve, H once it is solved, and the solutions once the sets have
+merged them.  The smaller chunk costs no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
 and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
@@ -435,7 +432,7 @@ class _Set:
             self.failed += failed
             if failed == k:
                 return
-            keep = ok
+            keep = np.flatnonzero(ok)  # the chunk may hold more rows than k
         kept = self.moments[0].count
         for x, moments, at in zip(xs, self.moments, self.part.at):
             x = x[keep]
@@ -582,11 +579,9 @@ def run_monte_carlo_sets(
                                   cfg.symmetry_mode, level[0].part)
             for s, k in shares:
                 s.add(xs, ok, k)
-            # the solutions are freed here, as H was after the solve, so
-            # the next chunk's stack reuses their room: held through its
-            # assembly, they grew the heap, which malloc then handed back
-            # to the system, and a 200-trial pass at dim H 118 took about
-            # 4,800 minor page faults instead of 470
+            # freed before the next chunk's assembly, so that the
+            # allocator reuses their room instead of trimming the heap
+            # and faulting it in again
             del xs
     seconds = time.perf_counter() - t0
     total = sum(s.cfg.n_trials for s in sets)

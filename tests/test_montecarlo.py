@@ -421,7 +421,11 @@ def poisoned_trial(monkeypatch, network, state, cfg, trial):
     return hits
 
 
-@pytest.mark.parametrize("poison", [False, True], ids=["clean", "singular-trial"])
+# the pass solves trials 14-20 as one chunk for the 60-trial sets, of
+# which the 20-trial sets read 14-19: trial 15 fails inside their part of
+# the chunk, trial 20 outside it
+@pytest.mark.parametrize("poison", [None, 15, 20],
+                         ids=["clean", "singular-read-trial", "singular-trial"])
 @pytest.mark.parametrize("mode", MODES)
 def test_shared_pass_equals_separate_runs(ieee4_solved, seven_trial_chunks,
                                           monkeypatch, mode, poison):
@@ -432,17 +436,16 @@ def test_shared_pass_equals_separate_runs(ieee4_solved, seven_trial_chunks,
         for yu in (AdmittanceUncertainty.from_relative(Y, lvl) for lvl in (0.5, 1.0, 2.0))
         for n in (7, 20, 60)
     ]
-    if poison:
-        # trial 20 is outside the 20-trial sets but inside the chunk of
-        # 14-20 that the pass solves for the 60-trial ones
-        hits = poisoned_trial(monkeypatch, net, state, cfgs[0], 20)
+    if poison is not None:
+        hits = poisoned_trial(monkeypatch, net, state, cfgs[0], poison)
     shared = run_monte_carlo_sets(net, Y, state, cfgs)
-    if poison:
+    if poison is not None:
         assert sum(hits) == 3  # once per level
     for cfg, got in zip(cfgs, shared):
         alone = run_monte_carlo(net, Y, state, cfg)
         assert got.n_trials == cfg.n_trials
-        assert got.trials_failed == alone.trials_failed == int(poison and cfg.n_trials > 20)
+        failed = int(poison is not None and cfg.n_trials > poison)
+        assert got.trials_failed == alone.trials_failed == failed
         assert np.array_equal(got.trials, alone.trials)
         assert np.array_equal(got.mean, alone.mean)
         assert np.array_equal(got.std, alone.std)
@@ -622,9 +625,7 @@ def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
 def test_full_table_monte_carlo_peak_memory(feeder60):
     """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
     full-table report, peaks at about 2.4 MB under ``tracemalloc`` in
-    1 MiB chunks of 9 trials, each solved and merged block by block
-    (3.6 MB when each block's solution was written back into H, 4.2 MB
-    when each chunk was solved whole, 17.7 MB in 4 MiB chunks of 37)."""
+    1 MiB chunks of 9 trials, each solved and merged block by block."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
@@ -636,11 +637,8 @@ def test_stored_trials_peak_memory(feeder60):
     """The pass of ``test_full_table_monte_carlo_peak_memory`` with
     ``store_trials`` holds its 22.3 MB trial store once, each chunk's
     blocks written into their rows and columns in network order: it
-    peaks at about 24.7 MB under ``tracemalloc`` (25.9 MB when the store
-    was filled in block order and put back in network order in place,
-    26.5 MB when each chunk was solved whole, 45.4 MB when it kept each
-    chunk's trials and stacked them at the end).  The bound is 1.5 times
-    the 26.5 MB."""
+    peaks at about 24.7 MB under ``tracemalloc``, well below a second
+    copy of the store."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu, store_trials=True)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up

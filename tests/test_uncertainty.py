@@ -87,8 +87,7 @@ class TestProjection:
     @pytest.mark.parametrize("it_class", ["0.1", "0.5", "1.0"])
     def test_one_ulp_of_E_moves_the_stds_by_rounding_only(self, it_class):
         # no O(rho^2) terms cancel: one ulp of Re E, either way, moves
-        # each std by at most 1e-14 of itself (1.8e-11 when the variances
-        # were differences of O(rho^2) terms)
+        # each std by at most 1e-14 of itself
         net = make_three_phase_balanced()
         state = pfsc.solve_load_flow(net, pfsc.build_admittance(net))
         spec = it_class_to_polar(it_class)
