@@ -112,7 +112,7 @@ def _write_table(table, out, fmt):
 
             def rows(start, stop):
                 items = zip(*(_json_items(c[start:stop]) for c in columns))
-                return map(row.__mod__, items)
+                return ",\n".join(map(row.__mod__, items))
 
             fh.write("[\n")
             write_joined(fh, len(columns[0]), rows, ",\n")

@@ -152,22 +152,37 @@ class ComparisonReport:
     @cached_property
     def labels(self) -> list[str]:
         """Each coefficient's name: ``Re(dE4/dP2)``, or ``Im(dE3b/dQ2c)``
-        with each bus number followed by its phase letter when polyphase.
-        A label joins its row's half, "Re(dE4", to its column's, "/dP2)";
-        each half is formatted once."""
-        every = np.arange(2 * len(self.nodes))
-        name = coefficient_columns(self.nodes, every, every)
+        with each bus number followed by its phase letter when polyphase."""
+        return self._label_list(0, len(self.rows))
+
+    def _label_list(self, start, stop) -> list[str]:
+        """The labels of coefficients start..stop-1.  A label joins its
+        row's half, "Re(dE4", to its column's, "/dP2)" (``_label_halves``)."""
+        row, col = self._label_halves
+        return [row[r] + col[c]
+                for r, c in zip(self.rows[start:stop].tolist(), self.cols[start:stop].tolist())]
+
+    @cached_property
+    def _label_halves(self) -> tuple[list[str], list[str]]:
+        """The labels' row halves and column halves, each list indexed by
+        the row or column of x: formatted once for each row in ``rows``
+        and each column in ``cols``, "" elsewhere."""
+        dim = 2 * len(self.nodes)
         # a polyphase network has nodes of every phase
-        letter = "abc" if any(name["phase_i"]) else ("",) * 3
-        row = [
-            f"{part.capitalize()}(dE{bus}{letter[ph]}"
-            for bus, ph, part in zip(name["bus_i"], name["phase_i"], name["part"])
-        ]
-        col = [
-            f"/d{wrt}{bus}{letter[ph]})"
-            for bus, ph, wrt in zip(name["bus_l"], name["phase_l"], name["wrt"])
-        ]
-        return [row[r] + col[c] for r, c in zip(self.rows.tolist(), self.cols.tolist())]
+        letter = "abc" if any(ph for _, ph in self.nodes) else ("",) * 3
+        used = [np.flatnonzero(np.bincount(at, minlength=dim)) for at in (self.rows, self.cols)]
+        name = coefficient_columns(self.nodes, *used)
+        texts = (
+            [f"{part.capitalize()}(dE{bus}{letter[ph]}"
+             for bus, ph, part in zip(name["bus_i"], name["phase_i"], name["part"])],
+            [f"/d{wrt}{bus}{letter[ph]})"
+             for bus, ph, wrt in zip(name["bus_l"], name["phase_l"], name["wrt"])],
+        )
+        halves = ([""] * dim, [""] * dim)
+        for half, at, text in zip(halves, used, texts):
+            for k, t in zip(at.tolist(), text):
+                half[k] = t
+        return halves
 
     def percent_of_nominal(self, stds):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -312,43 +327,54 @@ _JSON_SLOT = re.compile(r'^( *)(".*": )"\\u0000(\d+)"', re.M)
 _BLOCK_ROWS = 2048
 
 
-def write_joined(fh, n, items, sep):
-    """Write ``sep.join`` of n items to ``fh`` a block of rows at a time;
-    ``items(start, stop)`` formats items start..stop-1."""
+def write_joined(fh, n, text, sep):
+    """Write the text of n rows to ``fh`` a block of rows at a time, with
+    ``sep`` between blocks; ``text(start, stop)`` formats rows start..stop-1."""
     for start in range(0, n, _BLOCK_ROWS):
         if start:
             fh.write(sep)
-        fh.write(sep.join(items(start, min(start + _BLOCK_ROWS, n))))
+        fh.write(text(start, min(start + _BLOCK_ROWS, n)))
 
 
-def _json_numbers(values, start, stop, reprs=None):
-    """Items start..stop-1 of ``values`` as JSON numbers: their ``reprs``,
-    formatted here for the finite values when not given, with null for
-    each value that is not finite (RFC 8259 JSON has no NaN or Infinity)."""
+def _json_numbers(values, start, stop, sep, text=None):
+    """Items start..stop-1 of ``values`` as JSON numbers joined by ``sep``:
+    the lines of their ``repr`` ``text``, formatted here for the finite
+    values when not given, with null for each value that is not finite
+    (RFC 8259 JSON has no NaN or Infinity)."""
     block = values[start:stop]
     finite = np.isfinite(block)
     if finite.all():
-        return list(map(repr, block.tolist())) if reprs is None else reprs[start:stop]
+        return sep.join(map(repr, block.tolist())) if text is None else text.replace("\n", sep)
     keep = finite.tolist()
-    items = (map(repr, block[finite].tolist()) if reprs is None
-             else itertools.compress(reprs[start:stop], keep))
-    return [next(items) if ok else "null" for ok in keep]
+    items = (map(repr, block[finite].tolist()) if text is None
+             else itertools.compress(text.split("\n"), keep))
+    return sep.join([next(items) if ok else "null" for ok in keep])
 
 
 class _Column:
-    """One column of report values, formatted at most once per emission."""
+    """One column of the report as text, its rows one a line.
 
-    def __init__(self, values):
+    ``format(start, stop)`` gives the text of rows start..stop-1; each
+    range asked for, a block of ``_BLOCK_ROWS`` rows in emission, is
+    formatted at most once and kept, so the formats share it.  A column
+    of floats, ``values``, writes each as its ``repr``, a float's text in
+    CSV and in JSON.
+    """
+
+    def __init__(self, values=None, format=None):
         self.values = values
+        self.format = format or (lambda start, stop: "\n".join(map(repr, values[start:stop].tolist())))
+        self.texts = {}
 
-    @cached_property
-    def reprs(self):
-        """``repr`` of each value: a float's text in CSV and in JSON."""
-        return list(map(repr, self.values.tolist()))
+    def text(self, start, stop):
+        """Rows start..stop-1, one a line."""
+        if (start, stop) not in self.texts:
+            self.texts[start, stop] = self.format(start, stop)
+        return self.texts[start, stop]
 
-    def json_items(self, start, stop):
-        """Items start..stop-1 as JSON numbers, from ``reprs``."""
-        return _json_numbers(self.values, start, stop, self.reprs)
+    def json_items(self, start, stop, sep):
+        """Items start..stop-1 as JSON numbers joined by ``sep``, from ``text``."""
+        return _json_numbers(self.values, start, stop, sep, self.text(start, stop))
 
 
 def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
@@ -363,12 +389,13 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     Pretty text: fixed-point table, 4 decimals; the percent of a zero
     nominal reads ``nan%`` or ``inf%``.
     CSV and JSON write a float as its ``repr``, the shortest text that
-    reads back to the same double.  The nominal and std columns are
-    formatted once per call and shared by CSV and JSON; every format
-    formats and writes its rows a block at a time, so no file's whole text
-    is held at once.  A CSV row fills one ``"%s,...\\r\\n"`` template:
-    no label or float text holds a comma, a quote or a line break, so the
-    bytes are those of ``csv.writer``.
+    reads back to the same double.  The labels and the nominal and std
+    columns are formatted once per call, a block of rows at a time, and
+    each block's text is kept and shared by the formats; every format
+    writes its rows a block at a time, so no file's whole text is held at
+    once.  A CSV row is its fields joined by commas: no label or float
+    text holds a comma, a quote or a line break, so the bytes are those of
+    ``csv.writer``.
     """
     levels = sorted(
         set(report.analytical) | {lvl for lvl, _ in report.mc}
@@ -378,6 +405,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     n_mcs = sorted({n for _, n in report.mc})
+    labels = _Column(format=lambda start, stop: "\n".join(report._label_list(start, stop)))
     nominal = _Column(report.nominal)
     # (n_mc, stds, percent of nominal) of each std column of a level, n_mc
     # None for the analytical one, in report column order
@@ -401,47 +429,54 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
                     "std_analytical" if n is None else f"std_mc_{n}" for n, _, _ in cols
                 ]
                 header.append("time_s")
-                # csv.writer's bytes: no label, header or float repr holds
-                # a comma, a quote or a line break, so none is quoted
-                row = "%s," * (len(header) - 1) + repr(float(total)) + "\r\n"
-                values = [report.labels, nominal.reprs] + [stds.reprs for _, stds, _ in cols]
-
-                def rows(start, stop):
-                    return map(row.__mod__, zip(*(v[start:stop] for v in values)))
-
+                texts = [labels, nominal] + [stds for _, stds, _ in cols]
                 with open(path, "w", newline="") as fh:
                     fh.write(",".join(header) + "\r\n")
-                    write_joined(fh, len(report.labels), rows, "")
+                    write_joined(fh, len(report.nominal),
+                                 partial(_csv_rows, texts, repr(float(total))), "")
                 written.append(path)
         elif fmt == "json":
             path = out_dir / "report.json"
             with open(path, "w") as fh:
-                _write_json(fh, report, nominal, columns)
+                _write_json(fh, report, labels, nominal, columns)
             written.append(path)
         else:  # pretty-text
             path = out_dir / "report.txt"
             with open(path, "w") as fh:
-                _write_pretty(fh, report, nominal, columns)
+                _write_pretty(fh, report, labels, nominal, columns)
             written.append(path)
     return written
 
 
-def _write_json(fh, report, nominal, columns):
+def _csv_rows(texts, last, start, stop):
+    """CSV rows start..stop-1 of the columns ``texts``, each row's fields
+    and then ``last`` joined by commas.  The fields fill every other slot
+    of one list of the rows' commas and line ends, column by column."""
+    k = len(texts)
+    cells = [None, ","] * (k - 1) + [None, f",{last}\r\n"]
+    cells *= stop - start
+    for j, column in enumerate(texts):
+        cells[2 * j :: 2 * k] = column.text(start, stop).split("\n")
+    return "".join(cells)
+
+
+def _write_json(fh, report, labels, nominal, columns):
     """Write ``json.dumps(doc, indent=2, sort_keys=True)`` of the report
     document, with a final newline.
 
     With an indent, ``json`` runs its pure-Python encoder, one call per
     item.  Only the skeleton goes through it, with a slot in place of each
-    array; each array's items are formatted and written into their slot a
-    block at a time.
+    array; each array's items are written into their slot a block at a
+    time: a block of a shared column is its text with each line break
+    made the array's separator, and no label needs a JSON escape, so a
+    block of labels is quoted by one ``replace``.
     """
-    arrays = []  # items(start, stop) of each array, in slot order
+    arrays = []  # items(start, stop, sep) of each array, in slot order
 
     def slot(items):
         arrays.append(items)
         return f"\0{len(arrays) - 1}"
 
-    labels = report.labels
     analytical, monte_carlo = {}, {}
     for lvl, cols in columns.items():
         for n, stds, pct in cols:
@@ -458,14 +493,14 @@ def _write_json(fh, report, nominal, columns):
         "meta": report.meta,
         "timings": report.timings,
         "coefficients": slot(
-            lambda start, stop: list(map(json.encoder.encode_basestring_ascii, labels[start:stop]))
+            lambda start, stop, sep: '"' + labels.text(start, stop).replace("\n", f'"{sep}"') + '"'
         ),
         "nominal_pu": slot(nominal.json_items),
         "analytical": analytical,
         "monte_carlo": monte_carlo,
     }
     skeleton = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    n = len(labels)
+    n = len(report.nominal)
     done = 0
     for match in _JSON_SLOT.finditer(skeleton):
         indent, head, items = match[1], match[2], arrays[int(match[3])]
@@ -473,7 +508,8 @@ def _write_json(fh, report, nominal, columns):
         if n:
             inner = f"\n{indent}  "
             fh.write(f"{indent}{head}[{inner}")
-            write_joined(fh, n, items, f",{inner}")
+            sep = f",{inner}"
+            write_joined(fh, n, partial(items, sep=sep), sep)
             fh.write(f"\n{indent}]")
         else:
             fh.write(f"{indent}{head}[]")
@@ -494,7 +530,7 @@ def _with_zero_rows(row, tail, width, names, block, zero):
             for name, z in zip(names, zero.tolist())]
 
 
-def _write_pretty(fh, report, nominal, columns):
+def _write_pretty(fh, report, labels, nominal, columns):
     """Write the fixed-point table of each level, then the timings.
 
     A row fills one ``%`` template.  A row whose nominal and every std are
@@ -504,8 +540,10 @@ def _write_pretty(fh, report, nominal, columns):
     (``_with_zero_rows``).
     """
     d = PRETTY_DECIMALS
-    labels = report.labels
-    width = max(max(map(len, labels), default=0), 24)
+    # the longest label, from the lengths of its two halves
+    row_len, col_len = (np.fromiter(map(len, half), np.intp, len(half))
+                        for half in report._label_halves)
+    width = max(int((row_len[report.rows] + col_len[report.cols]).max(initial=0)), 24)
     for lvl, cols in columns.items():
         fh.write(f"sigma_Y = {lvl:g}% of |element|\n")
         head = f"{'coefficient':<{width}} {'nominal':>12}"
@@ -520,16 +558,16 @@ def _write_pretty(fh, report, nominal, columns):
 
         def rows(start, stop):
             block = [v[start:stop] for v in values]
-            names = labels[start:stop]
+            names = labels.text(start, stop).split("\n")
             if np.count_nonzero(block[0]) < len(names):  # a zero nominal
                 zero = np.ones(len(names), dtype=bool)
                 for v in block[:1] + block[1::2]:
                     zero &= (v == 0) & ~np.signbit(v)
                 if zero.any():
-                    return _with_zero_rows(row, tail, width, names, block, zero)
-            return map(row.__mod__, zip(names, *(v.tolist() for v in block)))
+                    return "".join(_with_zero_rows(row, tail, width, names, block, zero))
+            return "".join(map(row.__mod__, zip(names, *(v.tolist() for v in block))))
 
-        write_joined(fh, len(labels), rows, "")
+        write_joined(fh, len(report.nominal), rows, "")
         fh.write("\n")
     fh.write("timings (s):\n")
     for k in sorted(report.timings):

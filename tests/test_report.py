@@ -411,7 +411,7 @@ class TestPipeline:
         report = run_pipeline(small_cfg())
         emit_report(report, FORMATS, tmp_path)
         assert "keys" not in report.__dict__
-        assert "labels" in report.__dict__
+        assert "labels" not in report.__dict__
 
     def test_deterministic_modulo_timing(self):
         a = run_pipeline(small_cfg())
@@ -675,39 +675,43 @@ def _reference_emit_report(report, formats, out_dir):
                 written.append(path)
         elif fmt == "json":
             path = out_dir / "report.json"
-            doc = {
-                "meta": report.meta,
-                "timings": report.timings,
-                "coefficients": labels,
-                "nominal_pu": [float(v) for v in report.nominal],
-                "analytical": {
-                    str(lvl): {
-                        "std": [float(v) for v in stds],
-                        "pct_of_nominal": [
-                            float(v) for v in report.percent_of_nominal(stds)
-                        ],
-                    }
-                    for lvl, stds in sorted(report.analytical.items())
-                },
-                "monte_carlo": {
-                    f"{lvl}|{n}": {
-                        "std": [float(v) for v in stds],
-                        "pct_of_nominal": [
-                            float(v) for v in report.percent_of_nominal(stds)
-                        ],
-                        "trials_failed": report.mc_failed[(lvl, n)],
-                    }
-                    for (lvl, n), stds in sorted(report.mc.items())
-                },
-            }
             with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+                json.dump(_reference_document(report, labels), fh, indent=2, sort_keys=True)
                 fh.write("\n")
             written.append(path)
         else:  # pretty-text
             path = out_dir / "report.txt"
             written.append(_reference_emit_pretty(report, labels, levels, n_mcs, path))
     return written
+
+
+def _reference_document(report, labels, number=float):
+    """The report's JSON document, each array value as ``number`` of it."""
+
+    def numbers(values):
+        return [number(v) for v in values.tolist()]
+
+    return {
+        "meta": report.meta,
+        "timings": report.timings,
+        "coefficients": labels,
+        "nominal_pu": numbers(report.nominal),
+        "analytical": {
+            str(lvl): {
+                "std": numbers(stds),
+                "pct_of_nominal": numbers(report.percent_of_nominal(stds)),
+            }
+            for lvl, stds in sorted(report.analytical.items())
+        },
+        "monte_carlo": {
+            f"{lvl}|{n}": {
+                "std": numbers(stds),
+                "pct_of_nominal": numbers(report.percent_of_nominal(stds)),
+                "trials_failed": report.mc_failed[(lvl, n)],
+            }
+            for (lvl, n), stds in sorted(report.mc.items())
+        },
+    }
 
 
 def _reference_emit_pretty(report, labels, levels, n_mcs, path):
@@ -789,6 +793,30 @@ class TestEmissionBytes:
             doc = json.loads(got[-2].read_text())
             assert doc["coefficients"] == [] and doc["nominal_pu"] == []
             assert doc["analytical"]["1.0"]["std"] == []
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_edge_values_at_any_block_size(self, tmp_path, monkeypatch, block):
+        # NaN, +inf, -inf and -0.0 in the nominal and std columns, in rows
+        # of blocks of 1 and 3 rows that mix them with finite blocks, and
+        # in one block of the whole table (None)
+        report = run_pipeline(small_cfg(n_mc=(20,), sigma_y_pct=(0.5, 1.0)))
+        report.timings = {k: 0.125 * (i + 1) for i, k in enumerate(report.timings)}
+        edge = [np.nan, np.inf, -np.inf, -0.0]
+        report.nominal[[0, 5, 10, 17]] = edge
+        for stds in [*report.analytical.values(), *report.mc.values()]:
+            stds[[1, 5, 12, 35]] = edge[::-1]
+        monkeypatch.setattr(pfsc.report, "_BLOCK_ROWS", block or len(report.nominal))
+        got = emit_report(report, FORMATS, tmp_path / "got")
+        want = _reference_emit_report(report, FORMATS, tmp_path / "want")
+        assert [p.name for p in got] == [p.name for p in want]
+        for g, w in zip(got, want):
+            if g.suffix != ".json":  # csv.writer of repr rows, and the text
+                assert g.read_bytes() == w.read_bytes(), g.name
+        labels = [coefficient_label(k) for k in report.keys]
+        doc = _reference_document(report, labels, lambda v: v if np.isfinite(v) else None)
+        json_text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "got" / "report.json").read_text() == json_text
+        assert '"nominal_pu": [\n    null,' in json_text and "\n    -0.0," in json_text
 
     @pytest.mark.parametrize("case", ["ieee4", "three-phase"])
     def test_csv_is_csv_writers_bytes(self, tmp_path, case):
@@ -887,26 +915,43 @@ def test_pretty_text_is_the_per_row_template(tmp_path, monkeypatch, network, blo
 
 
 def test_json_numbers_format_finite_values_only():
+    # the items, one a line, of arbitrary ranges, not only of whole blocks
     values = np.array([1.5, -0.0, np.inf, 0.0, np.nan, -np.inf, 1e-300, -2.5, np.nan])
     for start, stop in ((0, 9), (2, 7), (3, 4), (4, 5), (0, 0)):
         want = [repr(v) if np.isfinite(v) else "null" for v in values[start:stop].tolist()]
-        assert _json_numbers(values, start, stop) == want
-        assert _Column(values).json_items(start, stop) == want
-    assert _json_numbers(values, 0, 2) == ["1.5", "-0.0"]
+        assert _json_numbers(values, start, stop, ", ") == ", ".join(want)
+        assert _Column(values).json_items(start, stop, ", ") == ", ".join(want)
+    assert _json_numbers(values, 0, 2, ", ") == "1.5, -0.0"
+
+
+def _emission_peak(report, out_dir):
+    """Peak traced bytes that ``emit_report`` of ``report`` in every format adds."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        emit_report(report, FORMATS, out_dir)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_full_table_emission_peak_memory(tmp_path):
     """``emit_report`` of the 13,924-row table of ``make_feeder(60, 1)`` in
-    every format, labels built on the way, peaks at about 4.7 MB under
-    ``tracemalloc``: JSON and pretty text are formatted and written a block
-    of rows at a time (12.5 MB when each file's text was built whole)."""
+    every format peaks at about 1.6 MB under ``tracemalloc``: the labels
+    and the shared columns are kept as one text per block of rows, and
+    every file is written a block of rows at a time."""
     report = run_pipeline(_network_cfg(tmp_path, make_feeder(60, 1), n_mc=(20,)))
     assert len(report.nominal) == 13_924
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        emit_report(report, FORMATS, tmp_path / "out")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 7e6, peak
+    peak = _emission_peak(report, tmp_path / "out")
+    assert peak <= 3e6, peak
+
+
+def test_150_bus_analytical_emission_peak_memory(tmp_path):
+    """The 88,804-row analytical table of ``make_feeder(150, 1)`` in every
+    format peaks at about 5.5 MB under ``tracemalloc``, most of it the
+    text of the labels and of the two shared columns."""
+    report = run_pipeline(
+        _network_cfg(tmp_path, make_feeder(150, 1), mode="analytical"))
+    assert len(report.nominal) == 88_804
+    peak = _emission_peak(report, tmp_path / "out")
+    assert peak <= 8e6, peak
