@@ -14,13 +14,16 @@ admittance noise must be made for the network's node count.
 
 Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
 ``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
-trial works in at most about 4.5 times its 8 dim² bytes of H (H, the
-solution and the centred copy of each block, its Y and its draw row),
-about 0.5 MB at dim H 118, so a chunk there holds 9 trials and a
-200-trial pass on ``make_feeder(60, 1)`` peaks at 2.4 MB under
-``tracemalloc``; a level's Y stack is freed once its H is filled, before
-the solve, H once it is solved, and the solutions once the sets have
-merged them.  The smaller chunk costs no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
+trial works in at most about 4 times its 8 dim² bytes of H (H, the
+solution and the centred copy of each block, and its Y), about 0.45 MB
+at dim H 118, so a chunk there holds 9 trials and a 200-trial pass on
+``make_feeder(60, 1)`` peaks at 1.9 MB under ``tracemalloc``.  In
+independent-elements mode a level reads a trial's admittance draws only
+at its noise positions: those normals are gathered once per chunk for
+each noise pattern, and the draw rows are freed before any stack is
+built.  A level's Y stack is freed once its H is filled, before the
+solve, H once it is solved, and the solutions once the sets have merged
+them.  The smaller chunk costs no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
 and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
@@ -103,8 +106,8 @@ _MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 #: a chunk holds at most this many trials ...
 CHUNK_TRIALS = 256
 #: ... and an H stack of at most this many bytes.  A trial's working set
-#: is at most about 4.5 times its 8 dim² bytes of H, so at dim H 118 a
-#: 1 MiB chunk of 9 trials works in at most about 4.2 MB.
+#: is at most about 4 times its 8 dim² bytes of H, so at dim H 118 a
+#: 1 MiB chunk of 9 trials works in at most about 4.0 MB.
 #: ``run_pipeline`` medians of the 60-bus full table with 200 trials, 12
 #: interleaved repeats on one Xeon core (2 MiB of L2) with one BLAS
 #: thread, with each chunk solved whole: 150.9 ms at 4 MiB (37 trials),
@@ -477,7 +480,9 @@ SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 def _solve_level(network, Ym, E_k, noise, yu, mode, part):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
     level's ``yu``, one stack per block of ``part``, and which trials are
-    usable.
+    usable.  ``noise`` holds the trials' admittance draws: in
+    branch-parameter mode their rows, in independent-elements mode the
+    real and imaginary normals at ``yu.positions``, (rows, 2, L).
 
     The level's admittance stack is freed once H is filled, before the
     solve, and H once it is solved.
@@ -490,9 +495,8 @@ def _solve_level(network, Ym, E_k, noise, yu, mode, part):
         # element with zero stds keeps Y's entry, which is what that sum
         # gives there bitwise (Y's stamped entries hold no -0.0)
         m, at = len(Ym), yu.positions
-        n = noise.reshape(rows, 2, m * m)
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
-        Y_k[:, at] = Ym.take(at) + n[:, 0, at] * yu.re + 1j * (n[:, 1, at] * yu.im)
+        Y_k[:, at] = Ym.take(at) + noise[:, 0] * yu.re + 1j * (noise[:, 1] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
     system = assemble_from_raw(Y_k, E_k[:rows], network, part.nodes)
     del Y_k
@@ -555,8 +559,10 @@ def run_monte_carlo_sets(
     sets = [_Set(c, parts[id(c.yu.positions)]) for c in cfgs]
     del parts
     levels = {}  # id(yu) -> the sets that share it
+    patterns = {}  # id(yu.positions) -> the positions of the sets' noise
     for s in sets:
         levels.setdefault(id(s.cfg.yu), []).append(s)
+        patterns[id(s.cfg.yu.positions)] = s.cfg.yu.positions
     size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
     hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
@@ -569,13 +575,21 @@ def run_monte_carlo_sets(
         if at + end - start == len(states):
             del states  # the last chunk of its hash: not held through the solves
         E_k = _perturb_voltages(E0, cfg.polar, draws[:, :m], draws[:, m : 2 * m])
-        noise = draws[:, 2 * m :]
+        if cfg.symmetry_mode == BRANCH_PARAMETER:
+            noise = dict.fromkeys(patterns, draws[:, 2 * m :])
+        else:
+            # each noise pattern's normals, (rows, 2, L); the draw rows,
+            # mostly never read, are freed before any level builds a stack
+            elements = draws[:, 2 * m :].reshape(len(draws), 2, m * m)
+            noise = {key: elements[:, :, at] for key, at in patterns.items()}
+            del elements, draws
         for level in levels.values():
             shares = _readers(level, start, end)
             if not shares:
                 continue
             rows = max(k for _, k in shares)
-            xs, ok = _solve_level(network, Ym, E_k, noise[:rows], level[0].cfg.yu,
+            yu = level[0].cfg.yu
+            xs, ok = _solve_level(network, Ym, E_k, noise[id(yu.positions)][:rows], yu,
                                   cfg.symmetry_mode, level[0].part)
             for s, k in shares:
                 s.add(xs, ok, k)
