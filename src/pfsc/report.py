@@ -354,22 +354,22 @@ def _json_numbers(values, start, stop, sep, text=None):
 class _Column:
     """One column of the report as text, its rows one a line.
 
-    ``format(start, stop)`` gives the text of rows start..stop-1; each
+    ``lines(start, stop)`` gives the text of rows start..stop-1; each
     range asked for, a block of ``_BLOCK_ROWS`` rows in emission, is
     formatted at most once and kept, so the formats share it.  A column
     of floats, ``values``, writes each as its ``repr``, a float's text in
     CSV and in JSON.
     """
 
-    def __init__(self, values=None, format=None):
+    def __init__(self, values=None, lines=None):
         self.values = values
-        self.format = format or (lambda start, stop: "\n".join(map(repr, values[start:stop].tolist())))
+        self.lines = lines or (lambda start, stop: "\n".join(map(repr, values[start:stop].tolist())))
         self.texts = {}
 
     def text(self, start, stop):
         """Rows start..stop-1, one a line."""
         if (start, stop) not in self.texts:
-            self.texts[start, stop] = self.format(start, stop)
+            self.texts[start, stop] = self.lines(start, stop)
         return self.texts[start, stop]
 
     def json_items(self, start, stop, sep):
@@ -405,7 +405,7 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     n_mcs = sorted({n for _, n in report.mc})
-    labels = _Column(format=lambda start, stop: "\n".join(report._label_list(start, stop)))
+    labels = _Column(lines=lambda start, stop: "\n".join(report._label_list(start, stop)))
     nominal = _Column(report.nominal)
     # (n_mc, stds, percent of nominal) of each std column of a level, n_mc
     # None for the analytical one, in report column order

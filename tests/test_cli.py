@@ -321,10 +321,10 @@ def test_trial_dump_peak_memory(capsys, tmp_path):
     the 13,924 x 30 trial store is 3.3 MB.  Written a block of rows at a
     time, the run peaks at about 8.1 MB under ``tracemalloc``: the store,
     the 13,924-row sigma table and one block of the dump as Python floats
-    (7.6 MB while the pass fills the store, beside its 1 MiB chunks); the
-    whole-array ``tolist()`` took it to 20.1 MB.  That the pass holds the
-    store once is bounded by ``test_stored_trials_peak_memory``, at a
-    trial count where the store dominates."""
+    (5.4 MB while the pass fills the store, beside its 1 MiB chunks).
+    That the pass holds the store once is bounded by
+    ``test_stored_trials_peak_memory``, at a trial count where the store
+    dominates."""
     network = tmp_path / "feeder60.yaml"
     pfsc.emit_network(make_feeder(60, 1), network)
     argv = ["mc", "--network", str(network), "--seed", "3", "--out", str(tmp_path / "mc.csv")]

@@ -638,7 +638,7 @@ def test_stored_trials_peak_memory(feeder60):
     """The pass of ``test_full_table_monte_carlo_peak_memory`` with
     ``store_trials`` holds its 22.3 MB trial store once, each chunk's
     blocks written into their rows and columns in network order: it
-    peaks at about 24.7 MB under ``tracemalloc``, well below a second
+    peaks at about 24.2 MB under ``tracemalloc``, well below a second
     copy of the store."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu, store_trials=True)

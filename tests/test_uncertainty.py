@@ -720,9 +720,8 @@ class TestPatternForm:
 
     def test_filtered_chain_peaks_below_one_dense_var_H(self):
         """The chain of 20 monitored rows and columns at 300 buses, J
-        derived too, peaks at about 0.64 MB under ``tracemalloc`` (1.19 MB
-        when the gather of var(H)'s entries took all 20 rows at once),
-        well below the 2.86 MB of one dense var(H).  The bound is 1.5
+        derived too, peaks at about 0.64 MB under ``tracemalloc``, well
+        below the 2.86 MB of one dense var(H).  The bound is 1.5
         times the measured peak."""
         net = make_feeder(300, 1)
         Y = pfsc.build_admittance(net)
@@ -742,8 +741,7 @@ class TestPatternForm:
     def test_1000_bus_pipeline_holds_no_dense_Y(self, tmp_path, monkeypatch):
         """Every 50th bus monitored, three levels, analytical only.  A
         dense complex Y would be 16 MB at 1000 buses; the run builds none,
-        and peaks at about 4.8 MB under ``tracemalloc`` (17.6 MB when the
-        load flow and the targeted refill each built one).  The bound is
+        and peaks at about 4.8 MB under ``tracemalloc``.  The bound is
         1.5 times the measured peak."""
         def config(net):
             path = tmp_path / f"feeder{net.n_bus}.json"
