@@ -56,12 +56,12 @@ def _resolve_config(path):
 
 def _check_output_files(*paths):
     """Raise ConfigError unless each output file can be written where it
-    is named: it is not a directory, and its directory exists.  None or an
-    empty path names no file."""
-    for path in paths:
-        if not path:
-            continue
-        out = Path(path)
+    is named: it is not a directory, its directory exists, and no other
+    of the paths resolves to it.  None or an empty path names no file."""
+    files = [Path(path) for path in paths if path]
+    for i, out in enumerate(files):
+        if out.resolve() in {earlier.resolve() for earlier in files[:i]}:
+            raise ConfigError(f"two outputs name one file: {out}")
         if out.is_dir():
             raise ConfigError(f"output file is a directory: {out}")
         # the nearest path that exists must be its directory
@@ -180,7 +180,7 @@ def _cmd_mc(args):
         seed=args.seed,
         polar=it_class_to_polar(args.it_class, load_noise_config(noise_config)),
         yu=AdmittanceUncertainty.from_relative(Y, args.sigma_y_pct),
-        store_trials=args.dump_trials is not None,
+        store_trials=bool(args.dump_trials),  # an empty path names no file, as below
     )
     mc = run_monte_carlo(network, Y, solve_load_flow(network, Y), cfg)
     rows, cols = coefficient_positions(network)

@@ -218,23 +218,25 @@ class RawSystem(NamedTuple):
 
 
 def assemble_from_raw(
-    Ym: np.ndarray, E: np.ndarray, network: NetworkModel, nodes=None
+    Ym: np.ndarray, E: np.ndarray, network: NetworkModel, fill: JacobianStack | None = None
 ) -> RawSystem:
     """H at raw inputs, filled on its pattern by ``loadflow.JacobianStack``,
     and z = diag(signs).
 
-    Used, with perturbed inputs, by the Monte-Carlo trials.  The pattern
-    is laid out for the entries nonzero in any slice of ``Ym``.  Leading
-    axes of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of
-    inputs gives a stack of H of shape (..., 2n, 2n), each slice equal to
-    its own assembly; z is the one (2n, 2n) array every slice shares.
-    ``nodes``, the non-slack flat indices in the order of H's unknowns,
-    defaults to the network's order; z is the same in any order.
+    Used, with perturbed inputs, by the Monte-Carlo trials.  Leading axes
+    of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of inputs
+    gives a stack of H of shape (..., 2n, 2n), each slice equal to its
+    own assembly; z is the one (2n, 2n) array every slice shares.
+    ``fill`` is a stack laid out for positions that hold every entry any
+    slice of ``Ym`` has nonzero, its unknowns in any order (z is the same
+    in every order); a Monte-Carlo pass lays one out per noise pattern.
+    By default one is laid out for the entries nonzero in some slice of
+    ``Ym``, in the network's order.
     """
     nonslack = _checked_nonslack(Ym.shape, E, network)
-    nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
-    order = nonslack if nodes is None else nodes
-    fill = JacobianStack(np.flatnonzero(nonzero), order, network.n_nodes)
+    if fill is None:
+        nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
+        fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
     return RawSystem(fill(Ym, E), np.diag(_rhs_signs(len(nonslack))))
 
 

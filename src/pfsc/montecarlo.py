@@ -8,9 +8,9 @@ two models (``MCConfig.symmetry_mode``): ``independent-elements``, the
 model of the analytical propagation, draws every real and imaginary
 part of the matrix on its own; ``branch-parameter`` perturbs each
 branch's series impedance and stamps the matrix from it with the
-package's one stamp, ``network.stamp_admittance``, whose values on Y's
-pattern ``network.dense`` scatters into the chunk's stack.  A set's
-admittance noise must be made for the network's node count.
+package's one stamp, ``network.stamp_admittance``, whose values at the
+positions it writes ``network.dense`` scatters into the chunk's stack.
+A set's admittance noise must be made for the network's node count.
 
 Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
 ``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
@@ -29,17 +29,22 @@ trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
 builds the stack of H and the z it shares, and one batched
-``np.linalg.solve`` per block of H solves it.  The stack is filled on
-H's pattern, laid out for the entries nonzero in the chunk's perturbed
-Y, so element noise where Y is zero reaches H.
+``np.linalg.solve`` per block of H solves it.
 
-H does not couple nodes that no entry of any trial's Y links: on a
-radial feeder, each branch leaving the slack starts a subtree of its
-own.  ``_partition`` takes, once per pass for each noise pattern, the
-connected components of the non-slack nodes over Y's positions and the
-level's noise positions (a branch's stamp links every phase of its two
-buses), and the stack is laid out with its unknowns in that block order,
-so each trial's H is block-diagonal and each block is a slice of it.  Each block
+A level's noise pattern is the set of flat positions its trials' Y can
+hold.  In independent-elements mode that is Y's positions and those of
+the level's noise, so element noise where Y is zero reaches H.  In
+branch-parameter mode it is every position ``stamp_admittance`` writes:
+Y does not store an entry where parallel branches' admittances cancel,
+such as a series-compensated pair at +-j x, but a perturbed stamp
+fills it.  H does not couple nodes that no position of the pattern
+links: on a radial feeder, each branch leaving the slack starts a
+subtree of its own.  ``_partition`` lays out, once per pass for each
+noise pattern, the connected components of the non-slack nodes over the
+blocks that ``loadflow._blocks`` lists for the pattern, and one
+``JacobianStack`` on the pattern with its unknowns in that block order,
+which fills that pattern's H in every chunk.  Each trial's H is then
+block-diagonal and each block is a slice of it.  Each block
 is solved on its own, batched over the chunk (``_solve_chunk``), and a
 trial with a singular or non-finite block is dropped and counted once.
 The solutions stay in blocks: a set merges its moments block by block,
@@ -95,7 +100,7 @@ import numpy as np
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
-from .loadflow import GridState
+from .loadflow import GridState, JacobianStack, _blocks
 from .network import AdmittanceMatrix, NetworkModel, dense, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
@@ -299,31 +304,31 @@ def _draws(states, width):
 
 
 class _Partition(NamedTuple):
-    """The blocks of H that no trial couples (``_partition``)."""
+    """The blocks of H that no trial couples, and the stack H is filled by
+    (``_partition``)."""
 
     nodes: np.ndarray  # the non-slack flat indices in block order
     blocks: list  # per block, the slice of H's rows (and columns) in that order
     at: list  # per block, the index of its rows and columns of x in network order
+    fill: JacobianStack  # H's stack on the pattern, its unknowns in block order
 
 
 def _partition(network, positions):
-    """The non-slack nodes in the blocks that H does not couple.
+    """The non-slack nodes in the blocks that H does not couple, and one
+    ``JacobianStack`` laid out for them.
 
-    Two nodes are linked when the flat ``positions`` of the (m, m) Y hold
-    the entry of their row and column: those where a level's trials may
-    have Y nonzero, Y's own, where a branch's stamp holds every phase
-    pair of its two buses, and those of the level's admittance noise.  A
-    block is a connected component of the links, its nodes in network
+    ``positions`` is a noise pattern: the flat positions of the (m, m) Y
+    that any of its trials' Y may hold (see ``run_monte_carlo_sets``).
+    Two nodes are linked when H has a block for their pair on that
+    pattern, the rule of ``loadflow._blocks``, which the stack reads too.
+    A block is a connected component of the links, its nodes in network
     order; the blocks are ordered by their first node.  H with its
     unknowns in that order is block-diagonal: one block on a network
     whose nodes all link, one per subtree of the slack on a radial feeder.
     """
-    nonslack = network.nonslack_flat_indices()
+    nonslack = np.array(network.nonslack_flat_indices())
     n, m = len(nonslack), network.n_nodes
-    unknown = np.full(m, -1)
-    unknown[list(nonslack)] = np.arange(n)
-    r, c = unknown[positions // m], unknown[positions % m]
-    link = (r >= 0) & (c >= 0) & (r != c)
+    _, _, r, c = _blocks(positions, nonslack, m)  # the diagonal blocks, then the links
     root = list(range(n))  # union-find; a block's root is its first node
 
     def find(k):
@@ -332,7 +337,7 @@ def _partition(network, positions):
             k = root[k]
         return k
 
-    for a, b in zip(r[link].tolist(), c[link].tolist()):
+    for a, b in zip(r[n:].tolist(), c[n:].tolist()):
         a, b = find(a), find(b)
         root[max(a, b)] = min(a, b)
     blocks = {}  # root -> its nodes, inserted in the order of the roots
@@ -342,8 +347,9 @@ def _partition(network, positions):
     ends = list(itertools.accumulate(2 * len(nodes) for nodes in blocks.values()))
     spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
     rows = (2 * np.array(order)[:, None] + [0, 1]).ravel()  # x's row of each row of H
-    return _Partition(np.take(nonslack, order), spans,
-                      [(rows[s, np.newaxis], rows[s]) for s in spans])
+    nodes = np.take(nonslack, order)
+    return _Partition(nodes, spans, [(rows[s, np.newaxis], rows[s]) for s in spans],
+                      JacobianStack(positions, nodes, m))
 
 
 def _solve(H, z):
@@ -498,7 +504,7 @@ def _solve_level(network, Ym, E_k, noise, yu, mode, part):
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
         Y_k[:, at] = Ym.take(at) + noise[:, 0] * yu.re + 1j * (noise[:, 1] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
-    system = assemble_from_raw(Y_k, E_k[:rows], network, part.nodes)
+    system = assemble_from_raw(Y_k, E_k[:rows], network, part.fill)
     del Y_k
     return _solve_chunk(system.H, system.z, part.blocks)
 
@@ -547,22 +553,22 @@ def run_monte_carlo_sets(
 
     dim = 2 * len(network.nonslack_flat_indices())
     check_nonempty(dim)
-    # each set's blocks, from the positions where its level's Y may be
-    # nonzero, so that they are the same alone as in the pass; sets on
-    # one noise pattern share them (``from_relative`` levels share Y's
-    # positions array), and the lookup is not held through the chunks
-    parts = {}
+    # one record per noise pattern, the positions a level's trials' Y can
+    # hold: Y's and the noise's, or every position the stamp writes, which
+    # Y lacks where parallel branches cancel.  Its blocks and stack are the
+    # same alone as in the pass; sets on one pattern share them
+    # (``from_relative`` levels share Y's positions array)
+    patterns = {}  # id(yu.positions) -> (the positions of its noise, its _Partition)
     for c in cfgs:
         at = c.yu.positions
-        if id(at) not in parts:
-            parts[id(at)] = _partition(network, np.union1d(Y.positions, at))
-    sets = [_Set(c, parts[id(c.yu.positions)]) for c in cfgs]
-    del parts
+        if id(at) not in patterns:
+            pattern = (stamp_admittance(network, network.branch_table.z_ohm)[0]
+                       if c.symmetry_mode == BRANCH_PARAMETER else np.union1d(Y.positions, at))
+            patterns[id(at)] = at, _partition(network, pattern)
+    sets = [_Set(c, patterns[id(c.yu.positions)][1]) for c in cfgs]
     levels = {}  # id(yu) -> the sets that share it
-    patterns = {}  # id(yu.positions) -> the positions of the sets' noise
     for s in sets:
         levels.setdefault(id(s.cfg.yu), []).append(s)
-        patterns[id(s.cfg.yu.positions)] = s.cfg.yu.positions
     size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
     hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
@@ -581,7 +587,7 @@ def run_monte_carlo_sets(
             # each noise pattern's normals, (rows, 2, L); the draw rows,
             # mostly never read, are freed before any level builds a stack
             elements = draws[:, 2 * m :].reshape(len(draws), 2, m * m)
-            noise = {key: elements[:, :, at] for key, at in patterns.items()}
+            noise = {key: elements[:, :, at] for key, (at, _) in patterns.items()}
             del elements, draws
         for level in levels.values():
             shares = _readers(level, start, end)

@@ -26,11 +26,13 @@ when the model is, and ``stamp_admittance`` reads it instead of the
 ``Branch`` objects.
 
 Admittance pattern.  ``stamp_admittance`` is the one stamp: it sums the
-branch terms of a stack of series impedances on Y's pattern, the sorted
-flat positions ``r m + c`` that the branches reach.  ``build_admittance``
+branch terms of a stack of series impedances on the sorted flat
+positions ``r m + c`` that the branches reach.  ``build_admittance``
 is its call on the network's own impedances and returns Y as an
-``AdmittanceMatrix``; the branch-parameter Monte-Carlo trials call it on
-perturbed impedances and scatter the values with ``dense``.  The
+``AdmittanceMatrix``, whose pattern drops an entry that sums to zero,
+as where parallel branches' admittances cancel; the branch-parameter
+Monte-Carlo trials call it on perturbed impedances and scatter the
+values with ``dense``.  The
 product Y E at a point is summed over the pattern
 (``AdmittanceMatrix.dot``); a dense Y is an ``(m, m)`` array that only
 the Monte-Carlo stacks need, and ``AdmittanceMatrix.matrix`` builds it
@@ -470,9 +472,9 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
 
 def stamp_admittance(network: NetworkModel, z_ohm):
     """Y of ``network`` with the series impedances ``z_ohm`` (..., B, p, p,
-    in ohms) in place of its branches', on Y's pattern: ``(positions,
-    values)``, the sorted flat positions (L,) of the branch terms in the
-    ``(m, m)`` Y and the entries there (..., L).
+    in ohms) in place of its branches': ``(positions, values)``, the
+    sorted flat positions (L,) of the branch terms in the ``(m, m)`` Y
+    and the entries there (..., L).
 
     The terms are the blocks (f, f), (t, t), (f, t), (t, f) of each
     branch, branch by branch, so that an entry shared by several branches

@@ -613,6 +613,40 @@ def test_table_out_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("dump", ["{dir}/same.csv", "{dir}/sub/../same.csv"],
+                         ids=["same-path", "same-file"])
+def test_mc_table_and_dump_on_one_file_checked_before_the_load_flow(
+        capsys, tmp_path, monkeypatch, dump):
+    # the dump would overwrite the table after it was written, with exit 0
+    unreachable_load_flow(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    dump = dump.format(dir=tmp_path)
+    code, out, err = run(capsys, "mc", "--network", NETWORK, "--nmc", "5",
+                         "--out", str(tmp_path / "same.csv"), "--dump-trials", dump)
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc mc: two outputs name one file: {dump}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+def test_mc_empty_dump_path_keeps_no_trials(capsys, tmp_path, monkeypatch):
+    # an empty --dump-trials names no file, as for the write, so the pass
+    # keeps no trial store either
+    cfgs = []
+    real = cli.run_monte_carlo
+
+    def recorded(network, Y, state, cfg):
+        cfgs.append(cfg)
+        return real(network, Y, state, cfg)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", recorded)
+    code, _, _ = run(capsys, "mc", "--network", NETWORK, "--nmc", "5",
+                     "--out", str(tmp_path / "mc.csv"), "--dump-trials", "")
+    assert code == 0
+    assert [cfg.store_trials for cfg in cfgs] == [False]
+    assert [p.name for p in tmp_path.iterdir()] == ["mc.csv"]
+
+
 def test_report_equal_levels_write_one_csv(capsys, tmp_path):
     out = tmp_path / "rep"
     code, stdout, _ = run(capsys, "report", "--network", NETWORK, "--out", str(out),

@@ -659,6 +659,18 @@ def two_feeder_three_phase():
     return replace(base, branches=branches)
 
 
+def cancelled_stamp():
+    """Buses 2 and 3 off the slack, joined by two parallel branches at
+    +-0.1j ohm: their admittances cancel, so Y stores no 2-3 entry, but
+    every perturbed stamp fills it and couples the two buses in H."""
+    return NetworkModel(
+        buses=(Bus(1, "slack"), Bus(2, "pq", (50.0,), (10.0,)), Bus(3, "pq", (30.0,), (5.0,))),
+        branches=(Branch(1, 2, complex(0.01, 0.03)), Branch(1, 3, complex(0.01, 0.03)),
+                  Branch(2, 3, 0.1j), Branch(2, 3, -0.1j)),
+        phase_count=1, slack_bus=1, base_power_va=1e6, base_voltage_v=1e3,
+    )
+
+
 def engine_blocks(monkeypatch, net, Y, state, cfg):
     """The blocks that a pass over ``cfg`` solves, each as the rows of H
     in network order, ascending."""
@@ -682,6 +694,7 @@ PARTITION_FEEDERS = {
     "three-phase": make_three_phase_balanced,
     "two-feeder-three-phase": two_feeder_three_phase,
     "mesh12-seed3": ORACLE_FEEDERS["mesh12-seed3"][0],
+    "cancelled-stamp": cancelled_stamp,
     **{f"feeder60-seed{s}": (lambda s=s: make_feeder(60, s)) for s in range(1, 6)},
 }
 
@@ -713,6 +726,72 @@ def test_blocks_are_the_components_of_the_oracle_H(feeder, noise, monkeypatch):
         assert all(len(set(block[bus == b])) == 1 for b in set(bus.tolist()))
     if feeder == "two-feeder-three-phase" and noise != "dense":
         assert [len(rows) for rows in got] == [12, 6]
+
+
+def test_cancelled_stamp_trials_are_the_dense_oracle_loop_bytes():
+    # Y lacks the 2-3 entry that every perturbed stamp fills, so the
+    # branch-parameter blocks come from the stamp's positions: H is one
+    # block, solved whole, and the cross coefficients vary.  Split by Y's
+    # positions, the trials were off by up to 3.6e-4 (largest |x| 3.1e-2)
+    # and the std of x[0, 2] read 0 where the oracle's is 1.4e-4
+    net = cancelled_stamp()
+    Y = build_admittance(net)
+    assert Y.positions.tolist() == [0, 1, 2, 3, 4, 6, 8]  # no 2-3 entry at 5 or 7
+    state = pfsc.solve_load_flow(net, Y)
+    cfg = MCConfig(n_trials=50, seed=3, polar=PolarNoiseSpec(0.0, 0.0),
+                   yu=AdmittanceUncertainty.from_relative(Y, 1.0),
+                   symmetry_mode=BRANCH_PARAMETER, store_trials=True)
+    out = run_monte_carlo(net, Y, state, cfg)
+    dense = serial_trials(net, Y, state, cfg)
+    assert out.trials.tobytes() == dense.tobytes()
+    _, std = estimate_stats(dense)
+    assert std[0, 2] > 0.0
+    np.testing.assert_allclose(out.std, std, rtol=STD_RTOL, atol=0.0)
+
+
+@pytest.fixture
+def stacks_made(monkeypatch):
+    """The positions each ``JacobianStack`` is laid out for, in order."""
+    made = []
+    init = pfsc.loadflow.JacobianStack.__init__
+
+    def counted(self, positions, nonslack, m):
+        made.append(positions.tolist())
+        init(self, positions, nonslack, m)
+
+    monkeypatch.setattr(pfsc.loadflow.JacobianStack, "__init__", counted)
+    return made
+
+
+def test_a_report_pass_lays_out_one_stack(stacks_made):
+    # the README's ieee4 report runs 3 levels of 100 and 1000 trials in
+    # chunks of 256, 12 level chunks; its levels share Y's positions, so
+    # one stack fills them all
+    report = pfsc.run_pipeline(pfsc.RunConfig(network=str(pfsc.bundled_network_path()),
+                                              n_mc=(100, 1000), sigma_y_pct=(0.5, 1.0, 2.0)))
+    assert len(report.mc) == 6
+    Y = build_admittance(pfsc.load_network(pfsc.bundled_network_path()))
+    assert stacks_made == [Y.positions.tolist()]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_pass_lays_out_one_stack_per_noise_pattern(stacks_made, mode):
+    # element stds on every position are a noise pattern of their own;
+    # in branch-parameter mode the pattern is every position the stamp
+    # writes, a superset of Y's where the parallel branches cancel
+    net = cancelled_stamp()
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    levels = [AdmittanceUncertainty.from_relative(Y, lvl) for lvl in (0.5, 1.0, 2.0)]
+    if mode == INDEPENDENT_ELEMENTS:
+        levels.insert(1, AdmittanceUncertainty(np.full((3, 3), 1e-3), np.full((3, 3), 1e-3)))
+    run_monte_carlo_sets(net, Y, state, [
+        MCConfig(n_trials=300, seed=1, polar=it_class_to_polar("0.5"), yu=yu,
+                 symmetry_mode=mode) for yu in levels])
+    if mode == INDEPENDENT_ELEMENTS:
+        assert stacks_made == [Y.positions.tolist(), list(range(9))]
+    else:
+        assert stacks_made == [list(range(9))]  # Y lacks the 2-3 entries 5 and 7
 
 
 def test_a_singular_block_drops_its_trial_once(feeder60, seven_trial_chunks, monkeypatch):
