@@ -34,14 +34,17 @@ builds the stack of H and the z it shares, and one batched
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
 the level's noise, so element noise where Y is zero reaches H.  In
-branch-parameter mode it is every position ``stamp_admittance`` writes:
-Y does not store an entry where parallel branches' admittances cancel,
-such as a series-compensated pair at +-j x, but a perturbed stamp
-fills it.  H does not couple nodes that no position of the pattern
-links: on a radial feeder, each branch leaving the slack starts a
-subtree of its own.  ``_partition`` lays out, once per pass for each
-noise pattern, the connected components of the non-slack nodes over the
-blocks that ``loadflow._blocks`` lists for the pattern, and one
+branch-parameter mode it is every position ``stamp_admittance`` writes,
+those where some branch term is nonzero: Y does not store an entry
+where parallel branches' admittances cancel, such as a
+series-compensated pair at +-j x, but a perturbed stamp fills it, and
+no stamp writes between two phases that no branch couples.  H does not
+couple nodes that no position of the pattern links: on a radial
+feeder, each branch leaving the slack starts a subtree of its own, and
+with uncoupled phases each phase is a network of its own.
+``_partition`` lays out, once per pass for each noise pattern, the
+connected components of the non-slack nodes over the blocks that
+``loadflow._blocks`` lists for the pattern, and one
 ``JacobianStack`` on the pattern with its unknowns in that block order,
 which fills that pattern's H in every chunk.  Each trial's H is then
 block-diagonal and each block is a slice of it.  Each block
@@ -69,9 +72,9 @@ then those of ``k``, into a pool of four words, and ``PCG64`` seeds from
 four 64-bit words that the pool generates; ``_stream_states`` runs that
 hash as uint32 array arithmetic over up to ``CHUNK_TRIALS`` trials at a
 time, whole chunks of them (252 trials at dim H 118, where it ran once
-per 9-trial chunk).  ``_draws`` turns a chunk's words into each stream's
-PCG64 ``state`` and ``inc`` and sets them on one reused generator before
-each trial's draws, which are bitwise those of
+per 9-trial chunk).  ``_draws`` hands each trial's words to
+``default_rng`` through ``_SeedWords``, a NumPy ``ISeedSequence``, so
+each trial's draws are bitwise those of
 ``default_rng(SeedSequence((seed, k)))``.
 The mean and std are streamed across chunks (Chan, Golub & LeVeque
 1979), so memory is bounded by one chunk whatever ``n_trials`` is;
@@ -97,6 +100,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
@@ -196,15 +200,13 @@ def _perturb_branches(network, frac, noise):
     return dense(*stamp_admittance(network, z_k), network.n_nodes)
 
 
-# The hash of ``numpy.random.SeedSequence`` (pool of 4 words) and the
-# seeding of ``PCG64``; the 32-bit constants are Python ints, masked
+# The hash of ``numpy.random.SeedSequence`` (pool of 4 words); the
+# 32-bit constants are Python ints, masked
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _words(n):
@@ -244,13 +246,12 @@ def _pool(entropy):
 
 
 def _stream_states(seed, trials):
-    """PCG64 seed words of each trial's ``SeedSequence((seed, k))``
-    stream, (trials, 4) uint64: the high and low halves of its seed, then
-    those of its increment.
+    """Seed words of each trial's ``SeedSequence((seed, k))`` stream,
+    (trials, 4) uint64: each row is its sequence's ``generate_state(4,
+    np.uint64)``, the one call a ``PCG64`` makes of its seed sequence.
 
     Trials whose index takes the same number of 32-bit words share one
-    array evaluation of the hash.  The words take 32 bytes a trial, where
-    the Python ints of a PCG64 state take about 110.
+    array evaluation of the hash.
     """
     k = np.array(trials, dtype=np.uint64)
     seed_words = _words(int(seed))
@@ -271,35 +272,35 @@ def _stream_states(seed, trials):
             value = pool[i % _POOL_SIZE] ^ hash_const
             hash_const = (hash_const * _MULT_B) & _MASK32
             value = value * hash_const
-            out.append((value ^ (value >> 16)).astype(np.uint64))
-        # little-endian pairs; PCG64 takes words 0, 1 as the high and low
-        # halves of its seed and 2, 3 as those of its increment
-        for i in range(4):
-            states[rows, i] = out[2 * i] | (out[2 * i + 1] << np.uint64(32))
+            out.append(value ^ (value >> 16))
+        states[rows] = np.stack(out, axis=-1).astype("<u4").view("<u8")
     return states
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands out one trial's precomputed seed words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _draws(states, width):
     """Standard-normal draws of trials, one row of ``width`` each, from
-    their PCG64 seed words ``states`` as ``_stream_states`` gives them.
+    their seed words ``states`` as ``_stream_states`` gives them.
 
     Each trial's stream fills its row: magnitude and phase noise of the m
     voltages, then the admittance noise, element-wise the real and
     imaginary noise of the m x m matrix, or in branch-parameter mode that
-    of each branch impedance (see ``_perturb_branches``).  The rows are
-    bitwise those of ``default_rng(SeedSequence((seed, k)))``.
+    of each branch impedance (see ``_perturb_branches``).  Each row comes
+    from ``default_rng`` of the trial's words, so the rows are bitwise
+    those of ``default_rng(SeedSequence((seed, k)))``.
     """
     draws = np.empty((len(states), width))
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(draws, states.tolist()):
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        pcg["state"] = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        bit_generator.state = state
-        generator.standard_normal(out=row)
+    for row, words in zip(draws, states):
+        np.random.default_rng(_SeedWords(words)).standard_normal(out=row)
     return draws
 
 
@@ -553,19 +554,23 @@ def run_monte_carlo_sets(
 
     dim = 2 * len(network.nonslack_flat_indices())
     check_nonempty(dim)
-    # one record per noise pattern, the positions a level's trials' Y can
-    # hold: Y's and the noise's, or every position the stamp writes, which
-    # Y lacks where parallel branches cancel.  Its blocks and stack are the
-    # same alone as in the pass; sets on one pattern share them
-    # (``from_relative`` levels share Y's positions array)
-    patterns = {}  # id(yu.positions) -> (the positions of its noise, its _Partition)
+    # one _Partition per noise pattern, the positions a level's trials' Y
+    # can hold: Y's and the noise's, or every position the stamp writes,
+    # which Y lacks where parallel branches cancel.  Its blocks and stack
+    # are the same alone as in the pass; sets on equal patterns share them.
+    # The patterns' bytes are not held through the pass
+    stamped = (stamp_admittance(network, network.branch_table.z_ohm)[0]
+               if cfg.symmetry_mode == BRANCH_PARAMETER else None)
+    parts = {}  # the bytes of a pattern's positions -> its _Partition
+    sets = []
     for c in cfgs:
-        at = c.yu.positions
-        if id(at) not in patterns:
-            pattern = (stamp_admittance(network, network.branch_table.z_ohm)[0]
-                       if c.symmetry_mode == BRANCH_PARAMETER else np.union1d(Y.positions, at))
-            patterns[id(at)] = at, _partition(network, pattern)
-    sets = [_Set(c, patterns[id(c.yu.positions)][1]) for c in cfgs]
+        pattern = np.union1d(Y.positions, c.yu.positions) if stamped is None else stamped
+        if pattern.tobytes() not in parts:
+            parts[pattern.tobytes()] = _partition(network, pattern)
+        sets.append(_Set(c, parts[pattern.tobytes()]))
+    del parts
+    # the bytes of each level's noise positions -> those positions
+    gathers = {c.yu.positions.tobytes(): c.yu.positions for c in cfgs}
     levels = {}  # id(yu) -> the sets that share it
     for s in sets:
         levels.setdefault(id(s.cfg.yu), []).append(s)
@@ -582,12 +587,13 @@ def run_monte_carlo_sets(
             del states  # the last chunk of its hash: not held through the solves
         E_k = _perturb_voltages(E0, cfg.polar, draws[:, :m], draws[:, m : 2 * m])
         if cfg.symmetry_mode == BRANCH_PARAMETER:
-            noise = dict.fromkeys(patterns, draws[:, 2 * m :])
+            noise = dict.fromkeys(gathers, draws[:, 2 * m :])
         else:
-            # each noise pattern's normals, (rows, 2, L); the draw rows,
-            # mostly never read, are freed before any level builds a stack
+            # the normals at each level's noise positions, (rows, 2, L); the
+            # draw rows, mostly never read, are freed before any level
+            # builds a stack
             elements = draws[:, 2 * m :].reshape(len(draws), 2, m * m)
-            noise = {key: elements[:, :, at] for key, (at, _) in patterns.items()}
+            noise = {key: elements[:, :, at] for key, at in gathers.items()}
             del elements, draws
         for level in levels.values():
             shares = _readers(level, start, end)
@@ -595,7 +601,7 @@ def run_monte_carlo_sets(
                 continue
             rows = max(k for _, k in shares)
             yu = level[0].cfg.yu
-            xs, ok = _solve_level(network, Ym, E_k, noise[id(yu.positions)][:rows], yu,
+            xs, ok = _solve_level(network, Ym, E_k, noise[yu.positions.tobytes()][:rows], yu,
                                   cfg.symmetry_mode, level[0].part)
             for s, k in shares:
                 s.add(xs, ok, k)

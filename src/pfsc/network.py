@@ -27,7 +27,8 @@ when the model is, and ``stamp_admittance`` reads it instead of the
 
 Admittance pattern.  ``stamp_admittance`` is the one stamp: it sums the
 branch terms of a stack of series impedances on the sorted flat
-positions ``r m + c`` that the branches reach.  ``build_admittance``
+positions ``r m + c`` that the branches reach with a term nonzero in
+some stamp of the stack.  ``build_admittance``
 is its call on the network's own impedances and returns Y as an
 ``AdmittanceMatrix``, whose pattern drops an entry that sums to zero,
 as where parallel branches' admittances cancel; the branch-parameter
@@ -474,12 +475,15 @@ def stamp_admittance(network: NetworkModel, z_ohm):
     """Y of ``network`` with the series impedances ``z_ohm`` (..., B, p, p,
     in ohms) in place of its branches': ``(positions, values)``, the
     sorted flat positions (L,) of the branch terms in the ``(m, m)`` Y
-    and the entries there (..., L).
+    that are nonzero in some stamp of the stack, and the entries there
+    (..., L).
 
     The terms are the blocks (f, f), (t, t), (f, t), (t, f) of each
     branch, branch by branch, so that an entry shared by several branches
-    sums them in branch order.  ``dense`` scatters the values into dense
-    matrices.  An entry may sum to zero, which is kept.
+    sums them in branch order.  A term that is zero in every stamp, as
+    between the phases of a branch that does not couple them, is left
+    out.  ``dense`` scatters the values into dense matrices.  An entry
+    may sum to zero, which is kept.
     """
     p = network.phase_count
     m = network.n_nodes
@@ -503,6 +507,10 @@ def stamp_admittance(network: NetworkModel, z_ohm):
     terms = np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
     stack = terms.shape[:-4]
     terms = terms.reshape(stack + (-1,))
+    # a term that is zero in every stamp, such as the cross-phase terms of
+    # uncoupled phases, writes no position; the sums lose only +-0.0
+    held = (terms != 0).any(axis=tuple(range(len(stack))))
+    flat, terms = flat[held], terms[..., held]
     positions = np.unique(flat)
     values = np.zeros(stack + (len(positions),), dtype=complex)
     # stack k's entries start at k L of the flat values

@@ -476,6 +476,9 @@ def test_batched_streams_equal_per_trial_streams(ieee4, seed):
         for width in mode_widths(ieee4) | mode_widths(three_phase):
             got = montecarlo._draws(montecarlo._stream_states(seed, trials), width)
             assert np.array_equal(got, reference_draws(seed, trials, width))
+        # the words each trial's generator seeds from
+        words = [np.random.SeedSequence((seed, k)).generate_state(4, np.uint64) for k in trials]
+        assert np.array_equal(montecarlo._stream_states(seed, trials), words)
 
 
 def test_chunked_run_reads_the_per_trial_streams(ieee4_solved):
@@ -728,6 +731,20 @@ def test_blocks_are_the_components_of_the_oracle_H(feeder, noise, monkeypatch):
         assert [len(rows) for rows in got] == [12, 6]
 
 
+def test_uncoupled_phases_are_blocks_of_their_own(monkeypatch):
+    # no mutual impedance: no branch couples two phases, so the stamp
+    # writes no cross-phase position and H is a block of 6 rows per phase
+    net = make_three_phase_balanced(mutual=0.0)
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    cfg = MCConfig(n_trials=3, seed=3, polar=it_class_to_polar("0.5"),
+                   yu=AdmittanceUncertainty.from_relative(Y, 1.0), symmetry_mode=BRANCH_PARAMETER)
+    got = engine_blocks(monkeypatch, net, Y, state, cfg)
+    for H, _ in oracle_systems(net, Y, state, cfg):
+        assert [rows.tolist() for rows in got] == [rows.tolist() for rows in components(H)]
+    assert [len(rows) for rows in got] == [6, 6, 6]
+
+
 def test_cancelled_stamp_trials_are_the_dense_oracle_loop_bytes():
     # Y lacks the 2-3 entry that every perturbed stamp fills, so the
     # branch-parameter blocks come from the stamp's positions: H is one
@@ -792,6 +809,23 @@ def test_a_pass_lays_out_one_stack_per_noise_pattern(stacks_made, mode):
         assert stacks_made == [Y.positions.tolist(), list(range(9))]
     else:
         assert stacks_made == [list(range(9))]  # Y lacks the 2-3 entries 5 and 7
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_levels_on_equal_positions_share_one_stack(ieee4_solved, stacks_made, mode):
+    # noise on Y's positions, on another build's equal positions and on
+    # none (the zero level) is one noise pattern in either mode; the levels
+    # on equal positions share one gather of the element noise
+    net, Y, state = ieee4_solved
+    levels = [AdmittanceUncertainty.from_relative(Y, 1.0),
+              AdmittanceUncertainty.from_relative(build_admittance(net), 2.0),
+              AdmittanceUncertainty.zero(net.n_nodes)]
+    cfgs = [MCConfig(n_trials=20, seed=1, polar=it_class_to_polar("0.5"), yu=yu,
+                     symmetry_mode=mode, store_trials=True) for yu in levels]
+    shared = run_monte_carlo_sets(net, Y, state, cfgs)
+    assert len(stacks_made) == 1
+    for cfg, got in zip(cfgs, shared):
+        assert np.array_equal(got.trials, run_monte_carlo(net, Y, state, cfg).trials)
 
 
 def test_a_singular_block_drops_its_trial_once(feeder60, seven_trial_chunks, monkeypatch):
