@@ -5,7 +5,10 @@ Subcommands: solve (load flow), pfsc (coefficients), propagate
 pipeline).  The pfsc and propagate tables are one column each of a
 ``report.run_pipeline`` report; mc makes its own ``run_monte_carlo``
 call, the one call that keeps the trials for ``--dump-trials``.  Exit
-codes: 0 success, 1 usage/configuration error, 2 numerical failure.
+codes: 0 success, 1 usage/configuration error, 2 numerical failure,
+141 (128 + SIGPIPE, as a shell reports a process that SIGPIPE ends)
+when the reader of stdout closes it early, as ``| head`` does; the rest
+of stdout then goes to ``os.devnull``, and no traceback is printed.
 """
 
 from __future__ import annotations
@@ -289,7 +292,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' note on SIGPIPE: the flush at exit must not
+        # find the closed pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (LoadFlowError, SingularSystemError) as exc:
         print(f"pfsc {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2

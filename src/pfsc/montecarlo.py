@@ -44,7 +44,8 @@ feeder, each branch leaving the slack starts a subtree of its own, and
 with uncoupled phases each phase is a network of its own.
 ``_partition`` lays out, once per pass for each noise pattern, the
 connected components of the non-slack nodes over the blocks that
-``loadflow._blocks`` lists for the pattern, and one
+``loadflow._blocks`` lists for the pattern, found by
+``scipy.sparse.csgraph.connected_components``, and one
 ``JacobianStack`` on the pattern with its unknowns in that block order,
 which fills that pattern's H in every chunk.  Each trial's H is then
 block-diagonal and each block is a slice of it.  Each block
@@ -94,13 +95,14 @@ pass reads the clock at its start and at its end, and each set's
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
@@ -322,33 +324,22 @@ def _partition(network, positions):
     that any of its trials' Y may hold (see ``run_monte_carlo_sets``).
     Two nodes are linked when H has a block for their pair on that
     pattern, the rule of ``loadflow._blocks``, which the stack reads too.
-    A block is a connected component of the links, its nodes in network
-    order; the blocks are ordered by their first node.  H with its
+    A block is a connected component of the links, as SciPy's
+    ``connected_components`` labels them, its nodes in network order; the
+    blocks are ordered by their first node.  H with its
     unknowns in that order is block-diagonal: one block on a network
     whose nodes all link, one per subtree of the slack on a radial feeder.
     """
     nonslack = np.array(network.nonslack_flat_indices())
     n, m = len(nonslack), network.n_nodes
-    _, _, r, c = _blocks(positions, nonslack, m)  # the diagonal blocks, then the links
-    root = list(range(n))  # union-find; a block's root is its first node
-
-    def find(k):
-        while root[k] != k:
-            root[k] = root[root[k]]
-            k = root[k]
-        return k
-
-    for a, b in zip(r[n:].tolist(), c[n:].tolist()):
-        a, b = find(a), find(b)
-        root[max(a, b)] = min(a, b)
-    blocks = {}  # root -> its nodes, inserted in the order of the roots
-    for k in range(n):
-        blocks.setdefault(find(k), []).append(k)
-    order = [k for nodes in blocks.values() for k in nodes]
-    ends = list(itertools.accumulate(2 * len(nodes) for nodes in blocks.values()))
+    _, _, r, c = _blocks(positions, nonslack, m)  # the pairs of nodes that H couples
+    links = coo_matrix((np.ones(len(r)), (r, c)), shape=(n, n))
+    _, label = connected_components(links, directed=False)  # numbered by first node
+    order = np.argsort(label, kind="stable")  # each block's nodes in network order
+    ends = np.cumsum(2 * np.bincount(label)).tolist()
     spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-    rows = (2 * np.array(order)[:, None] + [0, 1]).ravel()  # x's row of each row of H
-    nodes = np.take(nonslack, order)
+    rows = (2 * order[:, None] + [0, 1]).ravel()  # x's row of each row of H
+    nodes = nonslack[order]
     return _Partition(nodes, spans, [(rows[s, np.newaxis], rows[s]) for s in spans],
                       JacobianStack(positions, nodes, m))
 

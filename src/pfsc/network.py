@@ -511,11 +511,11 @@ def stamp_admittance(network: NetworkModel, z_ohm):
     # uncoupled phases, writes no position; the sums lose only +-0.0
     held = (terms != 0).any(axis=tuple(range(len(stack))))
     flat, terms = flat[held], terms[..., held]
-    positions = np.unique(flat)
+    positions, at = np.unique(flat, return_inverse=True)
     values = np.zeros(stack + (len(positions),), dtype=complex)
     # stack k's entries start at k L of the flat values
     start = len(positions) * np.arange(math.prod(stack)).reshape(stack + (1,))
-    np.add.at(values.reshape(-1), start + np.searchsorted(positions, flat), terms)
+    np.add.at(values.reshape(-1), start + at, terms)
     return positions, values
 
 

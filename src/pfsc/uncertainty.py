@@ -207,9 +207,9 @@ def load_noise_config(path=None):
     """Read a noise configuration file; None reads the bundled table.
 
     The file holds one key, ``it_classes``, mapping string class labels
-    to ``{magnitude_pct, phase_rad}`` worst-case limits given as finite
-    numbers.  A custom class is one more entry.  Any other content raises
-    ConfigError naming the offending key or class.
+    to ``{magnitude_pct, phase_rad}`` worst-case limits given as finite,
+    nonnegative numbers.  A custom class is one more entry.  Any other
+    content raises ConfigError naming the offending key or class.
     """
     if path is None:
         path = resources.files("pfsc.data").joinpath("noise_classes.yaml")
@@ -237,6 +237,8 @@ def load_noise_config(path=None):
             value = entry[key]
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ConfigError(f"{what}: {key} must be a number, not {value!r}")
+            if value < 0:
+                raise ConfigError(f"{what}: {key} must be nonnegative, not {value!r}")
     return raw
 
 

@@ -441,6 +441,26 @@ def test_malformed_noise_config_is_one_line(capsys, tmp_path, text, message):
     assert err.startswith("pfsc propagate: ") and message in err
 
 
+class _ClosedPipe(io.TextIOWrapper):
+    """A stdout whose reader has gone, as ``| head`` leaves it."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_pipe_is_no_traceback(capsys, tmp_path, monkeypatch):
+    fake = _ClosedPipe(open(tmp_path / "stdout", "wb"))
+    monkeypatch.setattr(sys, "stdout", fake)
+    code = main(["pfsc", "--network", NETWORK])
+    monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    # the rest of stdout goes to devnull: the flush at exit raises nothing
+    fake.buffer.write(b"rest")
+    fake.close()
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 _NET_HEAD = "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
 _NET_TAIL = "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}]\n"
 _NET_BUSES = "buses: [{index: 1, kind: slack}, {index: 2}]\n"

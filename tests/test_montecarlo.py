@@ -676,7 +676,7 @@ def cancelled_stamp():
 
 def engine_blocks(monkeypatch, net, Y, state, cfg):
     """The blocks that a pass over ``cfg`` solves, each as the rows of H
-    in network order, ascending."""
+    in network order, in the order the engine lays them out."""
     parts = []
 
     def record(network, positions):
@@ -689,7 +689,10 @@ def engine_blocks(monkeypatch, net, Y, state, cfg):
     (part,) = parts
     k = np.searchsorted(net.nonslack_flat_indices(), part.nodes)
     rows = (2 * k[:, None] + [0, 1]).ravel()
-    return [np.sort(rows[s]) for s in part.blocks]
+    blocks = [rows[s] for s in part.blocks]
+    # ordered by their first node, whatever order the oracle numbers them in
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    return blocks
 
 
 PARTITION_FEEDERS = {

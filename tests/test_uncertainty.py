@@ -197,6 +197,17 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_noise_config(path)
 
+    @pytest.mark.parametrize("key", ["magnitude_pct", "phase_rad"])
+    def test_negative_limit_rejected(self, tmp_path, key):
+        # refused as the file is read, not later by PolarNoiseSpec, whose
+        # message names neither the file nor the class
+        path = tmp_path / "noise.yaml"
+        limits = {"magnitude_pct": 0.5, "phase_rad": 0.006, key: -1.0}
+        path.write_text(f"it_classes:\n  neg: {limits}\n".replace("'", ""))
+        with pytest.raises(ConfigError) as excinfo:
+            load_noise_config(path)
+        assert str(excinfo.value) == f"{path}: IT class 'neg': {key} must be nonnegative, not -1.0"
+
     def test_yaml_syntax_error_is_one_line(self, tmp_path):
         path = tmp_path / "noise.yaml"
         path.write_text("it_classes:\n  '0.5': {magnitude_pct: [\n")
