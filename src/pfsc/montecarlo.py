@@ -17,19 +17,23 @@ Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
 trial works in at most about 4 times its 8 dim² bytes of H (H, the
 solution and the centred copy of each block, and its Y), about 0.45 MB
 at dim H 118, so a chunk there holds 9 trials and a 200-trial pass on
-``make_feeder(60, 1)`` peaks at 1.9 MB under ``tracemalloc``.  In
+``make_feeder(60, 1)`` peaks at 1.96 MB under ``tracemalloc``.  In
 independent-elements mode a level reads a trial's admittance draws only
 at its noise positions: those normals are gathered once per chunk for
 each noise pattern, and the draw rows are freed before any stack is
 built.  A level's Y stack is freed once its H is filled, before the
 solve, H once it is solved, and the solutions once the sets have merged
-them.  The smaller chunk costs no time: a 60-bus full-table ``run_pipeline`` takes 138 ms in 1 MiB chunks
-and 151 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``).  Every
+them.  A 60-bus full-table ``run_pipeline`` takes 63 ms in 1 MiB chunks
+and 59 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``), a quarter of
+the memory for 7 % more time.  Every
 trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
 draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
 perturbations are array expressions, one ``assemble_from_raw`` call
-builds the stack of H and the z it shares, and one batched
-``np.linalg.solve`` per block of H solves it.
+builds the stack of H and the z = diag(s) it shares, and each block of
+H is solved on its own: one of at least ``INVERT_ROWS`` rows is
+inverted trial by trial by LAPACK ``getrf`` and ``getri`` and its
+columns scaled by the signs s, a smaller one solved by one batched
+``np.linalg.solve`` against its z.
 
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
@@ -49,23 +53,24 @@ connected components of the non-slack nodes over the blocks that
 ``JacobianStack`` on the pattern with its unknowns in that block order,
 which fills that pattern's H in every chunk.  Each trial's H is then
 block-diagonal and each block is a slice of it.  Each block
-is solved on its own, batched over the chunk (``_solve_chunk``), and a
-trial with a singular or non-finite block is dropped and counted once.
+is solved on its own (``_solve_chunk``), and a trial with a singular or
+non-finite block is dropped and counted once.
 The solutions stay in blocks: a set merges its moments block by block,
 on the sum of the blocks' squared sizes, not dim², a trial, and writes
 each block's trials into their rows and columns of the trial store, in
 network order.  Its mean and std are put in their blocks of a +0.0
 table once, at its result.  Off the blocks, the store, the mean and the
-std hold +0.0, the value of x there.  A network whose nodes all link
-has one block, solved by ``np.linalg.solve(H, z)`` of the whole
-H, so its trials are bitwise those of the whole solve.  On a decoupled
-network the blocks' LAPACK calls group their sums otherwise: on
+std hold +0.0, the value of x there, and every exact zero of a trial is
+one of those.  A network whose nodes all link has one block; below
+``INVERT_ROWS`` rows (ieee4's 6) it is solved by ``np.linalg.solve(H,
+z)`` of the whole H, so its trials are bitwise those of the whole solve.
+Elsewhere the LAPACK calls group their sums otherwise: on
 ``make_feeder(60, 1)`` the blocks are 70, 46 and 2 of the 118 rows, the
-solve does 0.27 of the whole solve's cubic work, and the trials move in
-their last bits (12 trials: by at most 3.9e-14 of each column's largest
-value), with the same exact zeros: a coefficient of one block's node
-with respect to another block's injection is exactly 0 in every trial,
-and so is its std.
+70 and 46 inverted, and the sum of their cubes is 0.27 of 118³.  The
+trials move in their last bits (12 trials: by at most 3.9e-14
+of each column's largest value), with the same exact zeros: a
+coefficient of one block's node with respect to another block's
+injection is exactly 0 in every trial, and so is its std.
 
 The streams are NumPy's own (NEP 19), built for many trials at once.
 ``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
@@ -101,6 +106,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -119,12 +125,22 @@ CHUNK_TRIALS = 256
 #: ... and an H stack of at most this many bytes.  A trial's working set
 #: is at most about 4 times its 8 dim² bytes of H, so at dim H 118 a
 #: 1 MiB chunk of 9 trials works in at most about 4.0 MB.
-#: ``run_pipeline`` medians of the 60-bus full table with 200 trials, 12
-#: interleaved repeats on one Xeon core (2 MiB of L2) with one BLAS
-#: thread, with each chunk solved whole: 150.9 ms at 4 MiB (37 trials),
-#: 139.4 at 2 MiB, 137.8 at 1 MiB (9), 137.3 at 768 KiB, 146.4 at 512 KiB
-#: and 168.9 at 256 KiB (2).
+#: ``run_pipeline`` medians of the 60-bus full table (seed 1, blocks of
+#: 70, 46 and 2 rows) with 200 trials, 10 interleaved repeats on one Xeon
+#: core (2 MiB of L2) with one BLAS thread, the big blocks inverted:
+#: 58.9 ms at 4 MiB (37 trials), 59.4 at 2 MiB, 63.0 at 1 MiB (9), 62.4 at
+#: 768 KiB, 68.9 at 512 KiB and 79.8 at 256 KiB (2).  The chunk stays at
+#: 1 MiB: it bounds the pass's memory, and its boundaries set the bits of
+#: the streamed moments.
 CHUNK_BYTES = 2**20
+#: a block of H with at least this many rows is inverted one trial at a
+#: time (``_invert``); a smaller one keeps the batched ``np.linalg.solve``,
+#: whose single call beats a Python loop of LAPACK calls on small blocks.
+#: Per trial on one Xeon core with one BLAS thread, random 9-trial stacks,
+#: batched solve -> inverse, µs: 1.6 -> 3.5 at 6 rows, 2.0 -> 3.9 at 8,
+#: 3.9 -> 5.0 at 12, 5.8 -> 6.1 at 16, 7.3 -> 7.3 at 18, 15.8 -> 12.7 at
+#: 28, 38.9 -> 29.8 at 46, 109 -> 72 at 70 and 361 -> 234 at 114.
+INVERT_ROWS = 16
 
 
 def check_seed(seed):
@@ -344,8 +360,27 @@ def _partition(network, positions):
                       JacobianStack(positions, nodes, m))
 
 
+def _invert(H, signs):
+    """H⁻¹ diag(signs) of each trial of a stack, by LAPACK ``getrf`` and
+    then ``getri`` one trial at a time, NaN where a trial is singular."""
+    x = np.empty(H.shape)
+    for H_j, x_j in zip(H, x):
+        lu, piv, info = dgetrf(H_j)
+        if info == 0:
+            inv, info = dgetri(lu, piv, overwrite_lu=True)
+        if info == 0:
+            np.multiply(inv, signs, out=x_j)  # scales column c by signs[c]
+        else:
+            x_j.fill(np.nan)
+    return x
+
+
 def _solve(H, z):
-    """Solutions of a stack of H x = z, NaN where a trial is singular."""
+    """Solutions of a stack of H x = z, z diagonal, NaN where a trial is
+    singular: inverted trial by trial from ``INVERT_ROWS`` rows up,
+    batched below."""
+    if H.shape[-1] >= INVERT_ROWS:
+        return _invert(H, z.diagonal())
     try:
         return np.linalg.solve(H, z)
     except np.linalg.LinAlgError:
@@ -364,8 +399,11 @@ def _solve_chunk(H, z, blocks):
     """Solutions of each diagonal block of a stack of block-diagonal
     H x = z, one stack per block, and which trials are usable.
 
-    Each block, a slice of H, is solved on its own, batched over the
-    stack; a trial with a singular or non-finite block is not usable.
+    Each block, a slice of H, is solved on its own (``_solve``): a block
+    of ``INVERT_ROWS`` rows or more is inverted trial by trial and its
+    columns scaled by the signs on z's diagonal, a smaller one is solved
+    batched over the stack.  A trial with a singular or non-finite block
+    is not usable.
     """
     xs = [_solve(H[:, s, s], z[s, s]) for s in blocks]
     ok = np.isfinite(xs[0]).all(axis=(-2, -1))

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse.csgraph import connected_components
 
 import pfsc
@@ -192,13 +193,27 @@ def components(H):
     return [np.flatnonzero(labels == label) for label in np.unique(labels)]
 
 
+def invert_and_sign(H, rhs):
+    """H⁻¹ rhs for a diagonal ``rhs``: H inverted by LAPACK ``getrf`` and
+    then ``getri``, each column scaled by its entry of ``rhs``."""
+    lu, piv, info = dgetrf(H)
+    if info == 0:
+        inv, info = dgetri(lu, piv)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return inv * np.diagonal(rhs)
+
+
 def solve_per_component(H, rhs):
-    """``np.linalg.solve`` on each connected component of H on its own,
-    +0.0 off the components: the per-block loop's solve."""
+    """Each connected component of H solved on its own, +0.0 off the
+    components: the per-block loop's solve.  A component of
+    ``INVERT_ROWS`` rows or more is inverted (``invert_and_sign``), a
+    smaller one solved by ``np.linalg.solve``."""
     x = np.zeros(np.shape(rhs))
     for rows in components(H):
         block = np.ix_(rows, rows)
-        x[block] = np.linalg.solve(H[block], rhs[block])
+        solve = invert_and_sign if len(rows) >= montecarlo.INVERT_ROWS else np.linalg.solve
+        x[block] = solve(H[block], rhs[block])
     return x
 
 
@@ -228,17 +243,20 @@ ORACLE_FEEDERS = {
     "mesh12-seed3": (lambda: make_random_network(12, 3, radial=False), [12, 10]),
     "feeder60-seed1": (lambda: make_feeder(60, 1), [70, 46, 2]),
 }
-#: largest difference between the trials solved block by block and those
-#: of the dense loop, relative to the largest |x| in each column of a
-#: trial.  Measured on the two decoupled feeders above, 12 trials, both
-#: modes: at most 3.9e-14 (``make_feeder(60, 1)``, element noise) and
-#: 1.7e-15 (``make_random_network(12, 3)``); the partial-pivoting LU of a
+#: largest difference between the trials solved block by block, blocks of
+#: ``INVERT_ROWS`` rows or more inverted, and those of the dense loop,
+#: relative to the largest |x| in each column of a trial.  Measured on the
+#: feeders above, 12 trials, both modes: at most 3.9e-14
+#: (``make_feeder(60, 1)``, element noise), 1.7e-15
+#: (``make_random_network(12, 3)``), 9.2e-16 (the three-phase feeder's
+#: one inverted block of 18) and 0 on ieee4; the partial-pivoting LU of a
 #: block-diagonal H works within blocks, and the difference is how LAPACK
-#: groups the sums at another size.
+#: groups the sums at another size, or in ``getri``'s inverse.
 BLOCK_SOLVE_RTOL = 1e-12
 #: the engine's streamed stds against the two-pass stds of the dense
 #: loop's trials: at most 2.3e-13 relative on those feeders (12 trials,
-#: ``make_feeder(60, 1)``, branch noise), 2.9e-16 on the one-block ones
+#: ``make_feeder(60, 1)``, branch noise), 2.3e-14 on the three-phase one
+#: and 2.1e-16 on ieee4
 STD_RTOL = 1e-11
 
 
@@ -248,11 +266,12 @@ def test_trials_are_the_dense_oracle_loop_bytes(feeder, mode):
     # H filled on its pattern solves to the bytes of H assembled over every
     # entry of Y, signed zeros included: tobytes, since array_equal takes
     # -0.0 for +0.0 (the oracle writes -0.0 off the pattern, the fill +0.0).
-    # Where H is one block, the oracle solves it whole; where it splits,
-    # the oracle solves each component of its own H on its own, and the
-    # trials stay within BLOCK_SOLVE_RTOL of the whole solve's, with the
-    # same exact zeros.  Either way the stds, put back in network order,
-    # are those of the whole solve's trials within STD_RTOL.
+    # The oracle solves each component of its own H on its own, inverting
+    # those of INVERT_ROWS rows or more; a one-block H below that size is
+    # solved whole, to the dense loop's bytes.  Either way the trials stay
+    # within BLOCK_SOLVE_RTOL of the whole solve's, with the same exact
+    # zeros, and the stds, put back in network order, are those of the
+    # whole solve's trials within STD_RTOL.
     load, sizes = ORACLE_FEEDERS[feeder]
     net = load()
     Y = build_admittance(net)
@@ -268,9 +287,8 @@ def test_trials_are_the_dense_oracle_loop_bytes(feeder, mode):
     _, std = estimate_stats(dense)
     assert np.array_equal(out.std == 0, std == 0)
     np.testing.assert_allclose(out.std, std, rtol=STD_RTOL, atol=0.0)
-    if len(sizes) == 1:
+    if len(sizes) == 1 and sizes[0] < montecarlo.INVERT_ROWS:
         assert got.tobytes() == dense.tobytes()
-        return
     assert got.tobytes() == serial_trials(net, Y, state, cfg, solve_per_component).tobytes()
     assert np.array_equal(got == 0, dense == 0)
     scale = np.abs(dense).max(axis=0)
@@ -281,7 +299,8 @@ def test_trials_are_the_dense_oracle_loop_bytes(feeder, mode):
 def test_noise_where_Y_is_zero_fills_those_entries(feeder):
     # stds given densely, nonzero on every element: each chunk's stack is
     # laid out on the entries nonzero in its perturbed Y, so element noise
-    # where Y is zero reaches H
+    # where Y is zero reaches H, and mesh12-seed3's H is one block of 22
+    # rows, which is inverted
     net = ORACLE_FEEDERS[feeder][0]()
     Y = build_admittance(net)
     state = pfsc.solve_load_flow(net, Y)
@@ -291,7 +310,11 @@ def test_noise_where_Y_is_zero_fills_those_entries(feeder):
     cfg = MCConfig(n_trials=12, seed=3, polar=it_class_to_polar("0.5"), yu=yu,
                    store_trials=True)
     got = run_monte_carlo(net, Y, state, cfg).trials
-    assert got.tobytes() == serial_trials(net, Y, state, cfg).tobytes()
+    assert got.tobytes() == serial_trials(net, Y, state, cfg, solve_per_component).tobytes()
+    dense = serial_trials(net, Y, state, cfg)
+    assert np.array_equal(got == 0, dense == 0)
+    scale = np.abs(dense).max(axis=0)
+    assert np.all(np.abs(got - dense) <= BLOCK_SOLVE_RTOL * scale)
 
 
 @pytest.fixture
@@ -383,9 +406,41 @@ def test_failed_trials_dropped_and_counted(ieee4_solved, seven_trial_chunks,
     np.testing.assert_allclose(out.std, std, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("value", [0.0, np.nan])
-def test_all_trials_failed_raises(ieee4_solved, seven_trial_chunks, monkeypatch, value):
-    net, Y, state, polar, yu = mc_setup(ieee4_solved)
+def test_failed_inverted_trials_dropped_and_counted(feeder60, seven_trial_chunks,
+                                                    monkeypatch):
+    # the twin of the above on blocks of INVERT_ROWS rows or more: a NaN in
+    # one trial's 70-row block inverts to non-finite values, a zeroed row
+    # in another's is an exactly singular getrf (info > 0)
+    net, Y, state, polar, yu = feeder60
+    cfg = MCConfig(n_trials=20, seed=9, polar=polar, yu=yu, store_trials=True)
+    clean = run_monte_carlo(net, Y, state, cfg)
+
+    def poison(H, call):
+        if call == 1:  # trials 7-13
+            H[1, 5, 3] = np.nan  # rows and columns 0-69 are the 70-row block
+            H[4, 10] = 0.0
+
+    calls = poisoned_assembly(monkeypatch, poison)
+    out = run_monte_carlo(net, Y, state, cfg)
+    assert calls == [7, 7, 6]
+    assert out.trials_failed == 2
+    kept = np.delete(clean.trials, [8, 11], axis=-1)
+    assert out.trials.tobytes() == kept.tobytes()
+    _, std = estimate_stats(kept)
+    np.testing.assert_allclose(out.std, std, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("network, value",
+                         [("ieee4", 0.0), ("ieee4", np.nan),
+                          ("feeder60", 0.0), ("feeder60", np.nan)],
+                         ids=["0.0", "nan", "feeder60-0.0", "feeder60-nan"])
+def test_all_trials_failed_raises(request, seven_trial_chunks, monkeypatch, network, value):
+    # ieee4's one block of 6 rows is solved batched, feeder60's blocks of 70
+    # and 46 rows are inverted
+    if network == "ieee4":
+        net, Y, state, polar, yu = mc_setup(request.getfixturevalue("ieee4_solved"))
+    else:
+        net, Y, state, polar, yu = request.getfixturevalue("feeder60")
 
     def poison(H, call):
         H[...] = value
@@ -900,25 +955,54 @@ def test_shared_pass_equals_separate_runs_on_a_decoupled_feeder(feeder60, seven_
 
 
 def solve_shapes(monkeypatch):
-    """Record the shape of every matrix stack ``np.linalg.solve`` gets."""
+    """Record the shape of every matrix stack ``np.linalg.solve`` gets,
+    (k, d, d), and of every matrix the engine's LAPACK ``getrf`` factors,
+    (d, d)."""
     shapes = []
 
     def recorded(a, b):
         shapes.append(a.shape)
         return solve(a, b)
 
-    solve = np.linalg.solve
+    def factored(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return getrf(a, *args, **kwargs)
+
+    solve, getrf = np.linalg.solve, montecarlo.dgetrf
     monkeypatch.setattr(np.linalg, "solve", recorded)
+    monkeypatch.setattr(montecarlo, "dgetrf", factored)
     return shapes
 
 
+def block_calls(k, sizes, inverted):
+    """The shapes ``solve_shapes`` records for a chunk of k trials: one
+    factorisation per trial of each block whose size is in ``inverted``,
+    one batched solve of each other block."""
+    return [shape for d in sizes
+            for shape in ([(d, d)] * k if d in inverted else [(k, d, d)])]
+
+
 def test_decoupled_feeder_solves_no_whole_H(feeder60, monkeypatch):
-    # each chunk of 9 trials solves the 70, 46 and 2 rows of its three
-    # blocks: a fallback to the dense solve would show a 118 x 118 system
+    # each chunk of 9 trials inverts the 70 and 46 rows of its two big
+    # blocks trial by trial and solves the 2 rows of the third batched: a
+    # fallback to the dense solve would show a 118 x 118 system
     net, Y, state, polar, yu = feeder60
     shapes = solve_shapes(monkeypatch)
     run_monte_carlo(net, Y, state, MCConfig(n_trials=20, seed=3, polar=polar, yu=yu))
-    assert shapes == [(k, d, d) for k in (9, 9, 2) for d in (70, 46, 2)]
+    assert shapes == [call for k in (9, 9, 2) for call in block_calls(k, (70, 46, 2), (70, 46))]
+
+
+@pytest.mark.parametrize("rows, inverted", [(46, (70, 46)), (47, (70,))])
+def test_blocks_of_invert_rows_and_more_are_inverted(feeder60, monkeypatch, rows, inverted):
+    # the 46-row block is inverted at INVERT_ROWS 46 and solved batched at
+    # 47; either way its trials are the per-component oracle's bytes
+    net, Y, state, polar, yu = feeder60
+    monkeypatch.setattr(montecarlo, "INVERT_ROWS", rows)
+    shapes = solve_shapes(monkeypatch)
+    cfg = MCConfig(n_trials=9, seed=3, polar=polar, yu=yu, store_trials=True)
+    got = run_monte_carlo(net, Y, state, cfg).trials
+    assert shapes == block_calls(9, (70, 46, 2), inverted)
+    assert got.tobytes() == serial_trials(net, Y, state, cfg, solve_per_component).tobytes()
 
 
 def test_one_block_network_solves_H_whole(ieee4_solved, seven_trial_chunks, monkeypatch):
