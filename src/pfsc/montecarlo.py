@@ -12,87 +12,60 @@ package's one stamp, ``network.stamp_admittance``, whose values at the
 positions it writes ``network.dense`` scatters into the chunk's stack.
 A set's admittance noise must be made for the network's node count.
 
-Trials run in chunks of a fixed size (see ``_chunk_trials``): at most
-``CHUNK_TRIALS``, and an H stack of at most ``CHUNK_BYTES``, 1 MiB.  A
-trial works in at most about 4 times its 8 dim² bytes of H (H, the
-solution and the centred copy of each block, and its Y), about 0.45 MB
-at dim H 118, so a chunk there holds 9 trials and a 200-trial pass on
-``make_feeder(60, 1)`` peaks at 1.96 MB under ``tracemalloc``.  In
-independent-elements mode a level reads a trial's admittance draws only
-at its noise positions: those normals are gathered once per chunk for
-each noise pattern, and the draw rows are freed before any stack is
-built.  A level's Y stack is freed once its H is filled, before the
-solve, H once it is solved, and the solutions once the sets have merged
-them.  A 60-bus full-table ``run_pipeline`` takes 63 ms in 1 MiB chunks
-and 59 ms in 4 MiB ones (the timings at ``CHUNK_BYTES``), a quarter of
-the memory for 7 % more time.  Every
-trial draws from its own ``SeedSequence((seed, k))`` stream, so a trial's
-draws do not depend on the chunking or on ``n_trials``.  Per chunk, the
-perturbations are array expressions, one ``assemble_from_raw`` call
+Trial k draws from its own stream, bitwise that of
+``default_rng(SeedSequence((seed, k)))`` (NEP 19), so its draws do not
+depend on the chunking or on ``n_trials``.  ``_stream_states`` runs
+SeedSequence's hash (``_hashmix``, ``_pool``) as uint32 array arithmetic
+over up to ``CHUNK_TRIALS`` trials at a time, and ``_draws`` hands each
+trial's seed words to ``default_rng`` through ``_SeedWords``, a NumPy
+``ISeedSequence``.
+
+Trials run in chunks (``_chunk_trials``) of at most ``CHUNK_TRIALS``
+trials and an H stack of at most ``CHUNK_BYTES``.  Per chunk and level,
+the perturbations are array expressions, one ``assemble_from_raw`` call
 builds the stack of H and the z = diag(s) it shares, and each block of
-H is solved on its own: one of at least ``INVERT_ROWS`` rows is
-inverted trial by trial by LAPACK ``getrf`` and ``getri`` and its
-columns scaled by the signs s, a smaller one solved by one batched
-``np.linalg.solve`` against its z.
+H is solved on its own (``_solve``): one of at least ``INVERT_ROWS``
+rows is inverted trial by trial by LAPACK ``getrf`` and ``getri`` and
+its columns scaled by the signs s, a smaller one solved by one batched
+``np.linalg.solve`` against its z.  A trial with a singular or
+non-finite block is dropped and counted once.  In independent-elements
+mode a level reads a trial's admittance draws only at its noise
+positions: those normals are gathered once per chunk for each noise
+pattern, and the draw rows are freed before any stack is built.  A
+level's Y stack is freed once its H is filled, H once it is solved, and
+the solutions once the sets have merged them.  The mean and std are
+streamed across chunks (Chan, Golub & LeVeque 1979), so memory is
+bounded by one chunk whatever ``n_trials`` is; only ``store_trials``
+(the CLI's ``--dump-trials``) keeps every trial.
 
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
 the level's noise, so element noise where Y is zero reaches H.  In
-branch-parameter mode it is every position ``stamp_admittance`` writes,
-those where some branch term is nonzero: Y does not store an entry
-where parallel branches' admittances cancel, such as a
-series-compensated pair at +-j x, but a perturbed stamp fills it, and
-no stamp writes between two phases that no branch couples.  H does not
-couple nodes that no position of the pattern links: on a radial
-feeder, each branch leaving the slack starts a subtree of its own, and
-with uncoupled phases each phase is a network of its own.
+branch-parameter mode it is every position ``stamp_admittance`` writes:
+Y does not store an entry where parallel branches' admittances cancel,
+such as a series-compensated pair at +-j x, but a perturbed stamp fills
+it.  H does not couple nodes that no position of the pattern links: on
+a radial feeder each branch leaving the slack starts a subtree of its
+own, and with uncoupled phases each phase is a network of its own.
 ``_partition`` lays out, once per pass for each noise pattern, the
-connected components of the non-slack nodes over the blocks that
-``loadflow._blocks`` lists for the pattern, found by
-``scipy.sparse.csgraph.connected_components``, and one
-``JacobianStack`` on the pattern with its unknowns in that block order,
-which fills that pattern's H in every chunk.  Each trial's H is then
-block-diagonal and each block is a slice of it.  Each block
-is solved on its own (``_solve_chunk``), and a trial with a singular or
-non-finite block is dropped and counted once.
-The solutions stay in blocks: a set merges its moments block by block,
-on the sum of the blocks' squared sizes, not dim², a trial, and writes
-each block's trials into their rows and columns of the trial store, in
-network order.  Its mean and std are put in their blocks of a +0.0
-table once, at its result.  Off the blocks, the store, the mean and the
-std hold +0.0, the value of x there, and every exact zero of a trial is
-one of those.  A network whose nodes all link has one block; below
-``INVERT_ROWS`` rows (ieee4's 6) it is solved by ``np.linalg.solve(H,
-z)`` of the whole H, so its trials are bitwise those of the whole solve.
-Elsewhere the LAPACK calls group their sums otherwise: on
-``make_feeder(60, 1)`` the blocks are 70, 46 and 2 of the 118 rows, the
-70 and 46 inverted, and the sum of their cubes is 0.27 of 118³.  The
-trials move in their last bits (12 trials: by at most 3.9e-14
-of each column's largest value), with the same exact zeros: a
-coefficient of one block's node with respect to another block's
-injection is exactly 0 in every trial, and so is its std.
-
-The streams are NumPy's own (NEP 19), built for many trials at once.
-``SeedSequence`` hashes its entropy, the 32-bit words of ``seed`` and
-then those of ``k``, into a pool of four words, and ``PCG64`` seeds from
-four 64-bit words that the pool generates; ``_stream_states`` runs that
-hash as uint32 array arithmetic over up to ``CHUNK_TRIALS`` trials at a
-time, whole chunks of them (252 trials at dim H 118, where it ran once
-per 9-trial chunk).  ``_draws`` hands each trial's words to
-``default_rng`` through ``_SeedWords``, a NumPy ``ISeedSequence``, so
-each trial's draws are bitwise those of
-``default_rng(SeedSequence((seed, k)))``.
-The mean and std are streamed across chunks (Chan, Golub & LeVeque
-1979), so memory is bounded by one chunk whatever ``n_trials`` is;
-only ``store_trials`` (the CLI's ``--dump-trials``) keeps every trial.
+connected components of the non-slack nodes, and one ``JacobianStack``
+with its unknowns in that block order, so each trial's H is
+block-diagonal and each block is a slice of it.  A set merges its
+moments block by block and writes each block's trials into their rows
+and columns of the trial store, in network order; its mean and std are
+put in their blocks of a +0.0 table at its result.  Off the blocks, the
+store, the mean and the std hold +0.0, the value of x there, and every
+exact zero of a trial is one of those.  A network whose nodes all link
+has one block; below ``INVERT_ROWS`` rows its trials are bitwise those
+of ``np.linalg.solve(H, z)`` of the whole H.  Elsewhere they differ from
+the whole solve's in their last bits, with the same exact zeros.
 
 Since trial k reads the same draws in every set, one pass serves several
 sets that differ only in their admittance noise ``yu`` and in
 ``n_trials`` (``run_monte_carlo_sets``, which a report uses for all its
 levels and trial counts): each trial's stream and perturbed voltages are
 built once, each level's stack is assembled and solved once per chunk,
-in the level's own blocks, and each set merges its own prefix of the
-rows.  Every result is bitwise
+and each set merges its own prefix of the rows.  Every result is bitwise
 that of the set run alone (``run_monte_carlo``, the one-set case).  The
 pass reads the clock at its start and at its end, and each set's
 ``runtime_s`` is that time split in proportion to the sets' trials.
@@ -236,16 +209,23 @@ def _words(n):
     return words
 
 
-def _pool(entropy):
-    """SeedSequence's pool of each column of ``entropy``, (L, batch) uint32."""
-    hash_const = _INIT_A
+def _hashmix(hash_const, mult):
+    """SeedSequence's ``hashmix`` of one value a call, its constant starting
+    at ``hash_const`` and multiplied by ``mult`` at each call."""
 
     def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
+        hash_const = (hash_const * mult) & _MASK32
         value = value * hash_const
         return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _pool(entropy):
+    """SeedSequence's pool of each column of ``entropy``, (L, batch) uint32."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
 
     def mix(x, y):
         result = x * _MIX_MULT_L - y * _MIX_MULT_R
@@ -283,14 +263,8 @@ def _stream_states(seed, trials):
         for i in range(n_words):
             entropy[len(seed_words) + i] = (k[rows] >> np.uint64(32 * i)) & np.uint64(_MASK32)
         # generate_state(4, uint64): 8 words from the cycled pool
-        pool = _pool(entropy)
-        hash_const = _INIT_B
-        out = []
-        for i in range(8):
-            value = pool[i % _POOL_SIZE] ^ hash_const
-            hash_const = (hash_const * _MULT_B) & _MASK32
-            value = value * hash_const
-            out.append(value ^ (value >> 16))
+        pool, hashmix = _pool(entropy), _hashmix(_INIT_B, _MULT_B)
+        out = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
         states[rows] = np.stack(out, axis=-1).astype("<u4").view("<u8")
     return states
 
@@ -395,23 +369,6 @@ def _solve(H, z):
         return x
 
 
-def _solve_chunk(H, z, blocks):
-    """Solutions of each diagonal block of a stack of block-diagonal
-    H x = z, one stack per block, and which trials are usable.
-
-    Each block, a slice of H, is solved on its own (``_solve``): a block
-    of ``INVERT_ROWS`` rows or more is inverted trial by trial and its
-    columns scaled by the signs on z's diagonal, a smaller one is solved
-    batched over the stack.  A trial with a singular or non-finite block
-    is not usable.
-    """
-    xs = [_solve(H[:, s, s], z[s, s]) for s in blocks]
-    ok = np.isfinite(xs[0]).all(axis=(-2, -1))
-    for x in xs[1:]:
-        ok &= np.isfinite(x).all(axis=(-2, -1))
-    return xs, ok
-
-
 class _Moments:
     """Mean and std streamed over stacks of trials.
 
@@ -503,12 +460,6 @@ class _Set:
         )
 
 
-def _readers(sets, start, end):
-    """``(set, trials)`` of each set that reads some of trials start..end-1."""
-    shares = [(s, min(s.cfg.n_trials, end) - start) for s in sets]
-    return [(s, k) for s, k in shares if k > 0]
-
-
 #: the fields every set of one pass shares
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
@@ -520,8 +471,10 @@ def _solve_level(network, Ym, E_k, noise, yu, mode, part):
     branch-parameter mode their rows, in independent-elements mode the
     real and imaginary normals at ``yu.positions``, (rows, 2, L).
 
-    The level's admittance stack is freed once H is filled, before the
-    solve, and H once it is solved.
+    Each trial's H is block-diagonal and each block, a slice of it, is
+    solved on its own (``_solve``).  A trial with a singular or non-finite
+    block is not usable.  The level's admittance stack is freed once H is
+    filled, before the solve, and H once it is solved.
     """
     rows = len(noise)
     if mode == BRANCH_PARAMETER:
@@ -536,7 +489,8 @@ def _solve_level(network, Ym, E_k, noise, yu, mode, part):
         Y_k = Y_k.reshape(rows, m, m)
     system = assemble_from_raw(Y_k, E_k[:rows], network, part.fill)
     del Y_k
-    return _solve_chunk(system.H, system.z, part.blocks)
+    xs = [_solve(system.H[:, s, s], system.z[s, s]) for s in part.blocks]
+    return xs, np.all([np.isfinite(x).all(axis=(-2, -1)) for x in xs], axis=0)
 
 
 def run_monte_carlo_sets(
@@ -625,7 +579,9 @@ def run_monte_carlo_sets(
             noise = {key: elements[:, :, at] for key, at in gathers.items()}
             del elements, draws
         for level in levels.values():
-            shares = _readers(level, start, end)
+            # (set, its trials in this chunk) of each set that reads some
+            shares = [(s, min(s.cfg.n_trials, end) - start)
+                      for s in level if s.cfg.n_trials > start]
             if not shares:
                 continue
             rows = max(k for _, k in shares)

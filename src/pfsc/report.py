@@ -65,8 +65,9 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        for entry in self.coefficients or ():
-            _filter_fields(entry)
+        if self.coefficients is not None:
+            for entry in _filter_entries(self.coefficients):
+                _filter_fields(entry)
         for level in self.sigma_y_pct:
             check_level(level)
         _check_outputs(self.formats, self.sigma_y_pct)
@@ -189,6 +190,15 @@ class ComparisonReport:
             return 100.0 * stds / np.abs(self.nominal)
 
 
+def _filter_entries(coefficients):
+    """The entries of a coefficient filter; ConfigError if it has none."""
+    entries = list(coefficients)
+    if not entries:
+        raise ConfigError("the coefficient filter is empty: it selects no coefficient "
+                          "(None keeps the whole table)")
+    return entries
+
+
 def _filter_fields(entry):
     """The ``(bus_i, bus_l, part, wrt)`` of a coefficient filter entry;
     ConfigError unless it is a 4-item tuple or list."""
@@ -207,9 +217,9 @@ def coefficient_positions(network, coefficients=None):
     non-slack node of ``network`` (see ``NetworkModel.nonslack_nodes``).
     ``coefficients`` keeps only the ``(bus_i, bus_l, part, wrt)`` tuples it
     lists, for every phase pair of those buses; None keeps the whole
-    table.  An entry that is not a 4-item tuple or list, or that selects
-    nothing (a slack or unknown bus, a part other than "re"/"im", a ``wrt``
-    other than "P"/"Q"), raises ConfigError.
+    table.  An empty filter, or an entry that is not a 4-item tuple or
+    list, or that selects nothing (a slack or unknown bus, a part other
+    than "re"/"im", a ``wrt`` other than "P"/"Q"), raises ConfigError.
     """
     nodes = network.nonslack_nodes()
     dim = 2 * len(nodes)
@@ -219,7 +229,7 @@ def coefficient_positions(network, coefficients=None):
     for k, (bus, _) in enumerate(nodes):
         nodes_of.setdefault(bus, []).append(k)
     flat = []  # r * dim + c of each selected position
-    for entry in coefficients:
+    for entry in _filter_entries(coefficients):
         bus_i, bus_l, part, wrt = _filter_fields(entry)
         r = c = ()
         try:  # an unhashable bus, such as a list, is no bus of the network
@@ -265,7 +275,8 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
     timings = {}
     t0 = time.perf_counter()
     network = load_network(cfg.network)
-    # a filter entry that selects nothing is refused before the load flow
+    # an empty filter, or an entry that selects nothing, is refused before
+    # the load flow
     rows, cols = coefficient_positions(network, cfg.coefficients)
     Y = build_admittance(network)
     state = solve_load_flow(network, Y)

@@ -208,8 +208,11 @@ def load_noise_config(path=None):
 
     The file holds one key, ``it_classes``, mapping string class labels
     to ``{magnitude_pct, phase_rad}`` worst-case limits given as finite,
-    nonnegative numbers.  A custom class is one more entry.  Any other
-    content raises ConfigError naming the offending key or class.
+    nonnegative numbers.  A limit may also be written as a string that
+    Python's ``float`` reads, such as the ``8e-3`` that YAML 1.1 leaves a
+    string, and is returned as that float.  A custom class is one more
+    entry.  Any other content raises ConfigError naming the offending key
+    or class.
     """
     if path is None:
         path = resources.files("pfsc.data").joinpath("noise_classes.yaml")
@@ -234,11 +237,17 @@ def load_noise_config(path=None):
         for key in CLASS_LIMITS:
             if key not in entry:
                 raise ConfigError(f"{what}: missing {key}")
-            value = entry[key]
-            if type(value) not in (int, float) or not math.isfinite(value):
+            value = number = entry[key]
+            if isinstance(value, str):  # YAML 1.1 leaves 8e-3 a string
+                try:
+                    number = float(value)
+                except ValueError:
+                    pass
+            if type(number) not in (int, float) or not math.isfinite(number):
                 raise ConfigError(f"{what}: {key} must be a number, not {value!r}")
-            if value < 0:
+            if number < 0:
                 raise ConfigError(f"{what}: {key} must be nonnegative, not {value!r}")
+            entry[key] = number
     return raw
 
 

@@ -506,6 +506,33 @@ def test_shared_pass_equals_separate_runs(ieee4_solved, seven_trial_chunks,
         assert np.array_equal(got.std, alone.std)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_chunk_no_set_of_a_level_reads_is_not_solved_at_it(ieee4_solved, seven_trial_chunks,
+                                                              monkeypatch, mode):
+    # the 0.5 % level's one set has 7 trials and the 2 % level's 20: trials
+    # 7-13 and 14-19 are solved at the 2 % level alone
+    net, Y, state, polar, _ = mc_setup(ieee4_solved)
+    levels = [AdmittanceUncertainty.from_relative(Y, lvl) for lvl in (0.5, 2.0)]
+    cfgs = [MCConfig(n_trials=n, seed=7, polar=polar, yu=yu, symmetry_mode=mode,
+                     store_trials=True)
+            for yu, n in zip(levels, (7, 20))]
+    solved = []
+    solve_level = montecarlo._solve_level
+
+    def recorded(network, Ym, E_k, noise, yu, *rest):
+        solved.append((levels.index(yu), len(noise)))
+        return solve_level(network, Ym, E_k, noise, yu, *rest)
+
+    monkeypatch.setattr(montecarlo, "_solve_level", recorded)
+    shared = run_monte_carlo_sets(net, Y, state, cfgs)
+    assert solved == [(0, 7), (1, 7), (1, 7), (1, 6)]
+    for cfg, got in zip(cfgs, shared):
+        alone = run_monte_carlo(net, Y, state, cfg)
+        assert got.trials.tobytes() == alone.trials.tobytes()
+        assert got.mean.tobytes() == alone.mean.tobytes()
+        assert got.std.tobytes() == alone.std.tobytes()
+
+
 def reference_draws(seed, trials, width):
     """``_draws`` one trial at a time, each from its own generator."""
     draws = np.empty((len(trials), width))
@@ -887,9 +914,9 @@ def test_levels_on_equal_positions_share_one_stack(ieee4_solved, stacks_made, mo
 
 
 def test_a_singular_block_drops_its_trial_once(feeder60, seven_trial_chunks, monkeypatch):
-    # one row of one block of trial 10 zeroed: that block alone is singular,
-    # so its batched solve falls back to trial by trial, and the other
-    # blocks of the trial solve
+    # the first row of trial 10 zeroed: its 70-row block alone is singular,
+    # so getrf reports it when that block is inverted trial by trial, and
+    # the other blocks of the trial solve
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=14, seed=2, polar=polar, yu=yu, store_trials=True)
     clean = run_monte_carlo(net, Y, state, cfg)

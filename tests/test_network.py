@@ -896,3 +896,11 @@ def test_constructors_refuse_fractional_or_bool_bus_numbers(what, value):
     with pytest.raises(NetworkParseError,
                        match=re.escape(f"{what} must be an integer, not {value!r}")):
         _BUS_NUMBERS[what](value)
+
+
+def test_bus_of_unknown_kind_refused_in_code():
+    # the file loader names its own refusal first; a Bus built in code
+    # checks its kind itself
+    with pytest.raises(NetworkValidationError) as info:
+        Bus(2, "pv")
+    assert str(info.value) == "bus 2: unknown kind 'pv'"

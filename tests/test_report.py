@@ -165,7 +165,7 @@ class TestCoefficientKeys:
              str(rng.choice(PARTS)), str(rng.choice(INJECTIONS)))
             for _ in range(rng.integers(1, 3 * len(buses)))
         ]
-        for coefficients in (None, (), tuple(entries), tuple(entries + entries[:2])):
+        for coefficients in (None, tuple(entries), tuple(entries + entries[:2])):
             rows, cols = coefficient_positions(net, coefficients)
             ref_rows, ref_cols = positions_by_mask(net, coefficients)
             assert rows.dtype == ref_rows.dtype and cols.dtype == ref_cols.dtype
@@ -343,11 +343,19 @@ class TestPipeline:
         assert len(report.keys) == 1
         assert report.labels[0] == "Re(dE4/dP2)"
 
-    def test_empty_filter_gives_empty_report(self):
-        cfg = small_cfg(coefficients=(), mode="analytical")
-        report = run_pipeline(cfg)
-        assert report.keys == []
-        assert report.nominal.size == 0
+    @pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+    def test_empty_filter_refused(self, ieee4, empty):
+        # refused as the config is built, before any numerical work, and by
+        # coefficient_positions called directly: a report of no coefficient
+        # used to be written in every format
+        message = ("the coefficient filter is empty: it selects no coefficient "
+                   "(None keeps the whole table)")
+        with pytest.raises(ConfigError) as info:
+            small_cfg(coefficients=empty)
+        assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            coefficient_positions(ieee4, empty)
+        assert str(info.value) == message
 
     def test_nominal_matches_direct_solve(self):
         report = run_pipeline(small_cfg(mode="analytical"))
@@ -612,13 +620,6 @@ class TestEmission:
         (path,) = emit_report(report, ("json",), tmp_path / "out")
         assert sorted(json.loads(path.read_text())["analytical"]) == ["1.0", "1.0000001"]
 
-    def test_empty_report_headers_only(self, tmp_path):
-        cfg = small_cfg(coefficients=(), mode="analytical")
-        report = run_pipeline(cfg)
-        (path,) = emit_report(report, ("csv",), tmp_path)
-        lines = path.read_text().splitlines()
-        assert lines == ["coefficient,nominal_pu,std_analytical,time_s"]
-
     def test_csv_values_identical_across_runs(self, tmp_path):
         # everything but the wall-clock column must be byte-identical
         def run(sub):
@@ -766,7 +767,6 @@ class TestEmissionBytes:
     CASES = {
         "ieee4": lambda tmp: small_cfg(n_mc=(20, 50)),
         "three-phase": lambda tmp: _network_cfg(tmp, make_three_phase_balanced()),
-        "empty": lambda tmp: small_cfg(coefficients=()),
         "analytical-two-levels": lambda tmp: small_cfg(
             mode="analytical", sigma_y_pct=(0.5, 0.55)
         ),
@@ -789,10 +789,6 @@ class TestEmissionBytes:
             if w.suffix == ".json":
                 expected = _json_nulls(expected.decode()).encode()
             assert g.read_bytes() == expected, g.name
-        if case == "empty":
-            doc = json.loads(got[-2].read_text())
-            assert doc["coefficients"] == [] and doc["nominal_pu"] == []
-            assert doc["analytical"]["1.0"]["std"] == []
 
     @pytest.mark.parametrize("block", [1, 3, None])
     def test_edge_values_at_any_block_size(self, tmp_path, monkeypatch, block):

@@ -221,6 +221,34 @@ class TestNoiseConfig:
             pfsc.load_network(path)
         assert str(excinfo.value) == message
 
+    def test_exponent_form_limits_read_as_floats(self, tmp_path):
+        # YAML 1.1 leaves 7e-1 and 8e-3 strings (it needs 7.0e-1); the
+        # network loader reads such strings as numbers too
+        path = tmp_path / "noise.yaml"
+        path.write_text("it_classes:\n  lab: {magnitude_pct: 7e-1, phase_rad: 8e-3}\n")
+        config = load_noise_config(path)
+        assert config["it_classes"]["lab"] == {"magnitude_pct": 0.7, "phase_rad": 0.008}
+        assert all(type(v) is float for v in config["it_classes"]["lab"].values())
+        spec = it_class_to_polar("lab", config)
+        assert spec.sigma_rho == 0.7 / 100.0 / 3.0
+        assert spec.sigma_theta == 0.008 / 3.0
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("'nan'", "must be a number, not 'nan'"),
+         ("'-inf'", "must be a number, not '-inf'"),
+         ("'1e400'", "must be a number, not '1e400'"),
+         ("-8e-3", "must be nonnegative, not '-8e-3'"),
+         ("true", "must be a number, not True")],
+        ids=["text-nan", "text-inf", "text-overflow", "negative-exponent", "bool"],
+    )
+    def test_limits_written_as_text_keep_the_refusals(self, tmp_path, value, message):
+        path = tmp_path / "noise.yaml"
+        path.write_text(f"it_classes:\n  lab: {{magnitude_pct: 0.7, phase_rad: {value}}}\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_noise_config(path)
+        assert str(excinfo.value) == f"{path}: IT class 'lab': phase_rad {message}"
+
     def test_custom_class_is_a_file_entry(self, tmp_path):
         path = tmp_path / "noise.yaml"
         path.write_text("it_classes:\n  lab: {magnitude_pct: 1, phase_rad: 0.01}\n")
