@@ -4,8 +4,30 @@ Buses, branches and per-unit bases are read from a YAML description file
 (see ``load_network`` for the schema).  ``emit_network`` writes the JSON
 form of that schema, which is YAML too, and ``read_yaml`` reads such a
 file with the ``json`` module.  All electrical quantities are kept in SI
-units on the data classes and converted to per-unit on demand, so a
-load/emit round trip is lossless.
+units and converted to per-unit on demand, so a load/emit round trip is
+lossless.
+
+Arrays.  A ``NetworkModel`` holds its network as arrays, and they are its
+one truth: the bus numbers ``bus_index`` in bus order, the per-phase net
+injections ``p_kw``/``q_kvar`` (N, p), zero at the slack, and the
+``BranchTable``.  ``load_network`` reads each section of a file column
+by column straight into them, with no object per entry.  A network built
+in code from ``Bus`` and ``Branch`` objects is laid out into the same
+arrays once, and ``buses`` and ``branches`` read such objects back from
+the arrays on first use.
+
+Checks.  Each rule of a network is written once, and ``load_network``
+and ``NetworkModel.validate`` check the same way.  A rule that holds per
+entry is a boolean mask over the entries; ``_raise_first`` stacks the
+masks into one fault table of (entries, rules), in the order of their
+priority, and names the first entry in order that fails one, by the
+first rule it fails.  Both callers share the branch rules
+(``_branch_rules``), finiteness (``_finite_rule``, ``_finite``), the bus
+numbers (``_bus_positions``), the bases and the phase count.  Each names
+its entries its own way: ``{path}: branches[i] r_ohm`` for a file,
+``branch f-t: series impedance`` for a network built in code.  A file's
+own rules come first for each entry: a value is a number (a bool is
+not), a bus number is whole, and a power has one value per phase.
 
 Node ordering.  Every per-node vector and matrix of the package (voltages,
 injections, the rows and columns of Y) is indexed by a flat node index,
@@ -17,13 +39,6 @@ sensitivity system are the non-slack nodes in that order
 ``flat_index`` maps a (bus index, phase) pair to its flat index and
 ``node`` maps it back (``nonslack_nodes`` for every unknown); no other
 module computes a position itself.
-
-Branch table.  A ``NetworkModel`` also holds its branches as arrays, in
-branch order: the ``BranchTable`` of the flat index of each end, the
-series impedances ``(B, p, p)`` and the shunt susceptances ``(B, p, p)``,
-where a 1x1 shunt of a polyphase branch is ``b·I``.  It is built once,
-when the model is, and ``stamp_admittance`` reads it instead of the
-``Branch`` objects.
 
 Admittance pattern.  ``stamp_admittance`` is the one stamp: it sums the
 branch terms of a stack of series impedances on the sorted flat
@@ -38,20 +53,14 @@ product Y E at a point is summed over the pattern
 (``AdmittanceMatrix.dot``); a dense Y is an ``(m, m)`` array that only
 the Monte-Carlo stacks need, and ``AdmittanceMatrix.matrix`` builds it
 on each read.
-
-The bases, the slack voltage, the bus injections and the branch values
-of a network are finite: ``load_network`` refuses a non-finite one with
-the entry and key that hold it, and ``NetworkModel.validate`` refuses one
-in a network built in code.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -141,7 +150,7 @@ class Branch:
         else:
             self.shunt_b_s = np.atleast_2d(np.asarray(shunt_b_s, dtype=float))
         if length_km is not None:
-            length_km = _numeric(length_km, float, "branch length_km")
+            length_km = _number(length_km, "branch length_km")
         self.length_km = length_km
 
     def __eq__(self, other):
@@ -165,48 +174,27 @@ class BranchTable:
 
     ``from_flat``/``to_flat`` (B,) are the flat indices of phase 0 at the
     two ends, ``z_ohm`` (B, p, p) the series impedances and ``shunt_b_s``
-    (B, p, p) the total shunt susceptances; a 1x1 shunt of a polyphase
-    branch is per phase, ``b·I``.
+    (B, p, p) the total shunt susceptances.  ``per_phase`` (B,) marks a
+    shunt given 1x1 on a polyphase branch, which is ``b·I``, and
+    ``length_km`` (B,) is each branch's length, NaN where none is given.
     """
 
     from_flat: np.ndarray
     to_flat: np.ndarray
     z_ohm: np.ndarray
     shunt_b_s: np.ndarray
-
-    @classmethod
-    def of(cls, branches, position, p):
-        """The table of ``branches``, whose ends are keys of ``position``
-        (bus index -> bus position) and whose impedances are p x p."""
-        def flat(buses):
-            return np.array([position[b] for b in buses], dtype=np.intp) * p
-
-        z_ohm = np.array([br.z_ohm for br in branches], dtype=complex).reshape(-1, p, p)
-        blocks = [br.shunt_b_s for br in branches]
-        sizes = [b.size for b in blocks]
-        full = [k for k, size in enumerate(sizes) if size == p * p]
-        one = [k for k, size in enumerate(sizes) if size != p * p]
-        shunt = np.zeros(z_ohm.shape)
-        if full:
-            shunt[full] = np.array([blocks[k] for k in full]).reshape(-1, p, p)
-        if one:
-            ph = np.arange(p)
-            shunt[np.array(one)[:, None], ph, ph] = np.array([blocks[k] for k in one])[:, 0]
-        return cls(
-            flat([br.from_bus for br in branches]),
-            flat([br.to_bus for br in branches]),
-            z_ohm,
-            shunt,
-        )
+    per_phase: np.ndarray
+    length_km: np.ndarray
 
 
 @dataclass
 class NetworkModel:
     """A polyphase network with one slack bus and PQ buses elsewhere.
 
-    The bus -> position table and the ``branch_table`` are built once, at
-    construction; change a network with ``dataclasses.replace``, which
-    builds a new one.
+    The network is held as arrays (see the module docstring), laid out and
+    checked once, at construction; ``buses`` and ``branches`` are built
+    from them on first read.  Change a network with
+    ``dataclasses.replace``, which builds a new one.
     """
 
     buses: tuple[Bus, ...]
@@ -219,16 +207,41 @@ class NetworkModel:
     name: str = ""
 
     def __post_init__(self):
-        self.buses = tuple(self.buses)
-        self.branches = tuple(self.branches)
-        self._position = {bus.index: pos for pos, bus in enumerate(self.buses)}
         self.validate()
+        # the arrays hold the network: the objects are read back from them
+        del self.buses, self.branches
+
+    def _set(self, bus_index, position, p_kw, q_kvar, branch_table):
+        """Hold the checked arrays; NetworkValidationError unless the
+        branches connect every bus to the slack."""
+        self.bus_index, self._position = tuple(bus_index), position
+        self.p_kw, self.q_kvar, self.branch_table = p_kw, q_kvar, branch_table
+        p = self.phase_count
+        _check_connected(self.n_bus, position[self.slack_bus],
+                         branch_table.from_flat // p, branch_table.to_flat // p)
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: ``buses`` and
+        # ``branches``, built from the arrays on first read
+        if name not in ("buses", "branches"):
+            raise AttributeError(name)
+        t = self.branch_table
+        value = tuple(
+            Bus(index, SLACK) if index == self.slack_bus else Bus(index, PQ, tuple(pk), tuple(qk))
+            for index, pk, qk in zip(self.bus_index, self.p_kw.tolist(), self.q_kvar.tolist())
+        ) if name == "buses" else tuple(
+            Branch(self.node(f)[0], self.node(to)[0], z.copy(),
+                   (shunt[:1, :1] if one else shunt).copy(), None if math.isnan(km) else km)
+            for f, to, z, shunt, one, km in zip(t.from_flat, t.to_flat, t.z_ohm, t.shunt_b_s,
+                                                t.per_phase, t.length_km.tolist())
+        )
+        return self.__dict__.setdefault(name, value)
 
     # -- derived quantities -------------------------------------------------
 
     @property
     def n_bus(self):
-        return len(self.buses)
+        return len(self.bus_index)
 
     @property
     def n_nodes(self):
@@ -254,7 +267,7 @@ class NetworkModel:
     def node(self, flat):
         """(bus index, phase) of a flat node index; inverse of flat_index."""
         pos, phase = divmod(flat, self.phase_count)
-        return self.buses[pos].index, phase
+        return self.bus_index[pos], phase
 
     def slack_flat_indices(self):
         base = self.flat_index(self.slack_bus)
@@ -280,99 +293,72 @@ class NetworkModel:
         return v * np.array([1.0 + 0j, a**2, a])
 
     def injections_pu(self):
-        """Complex net injections S = P + jQ per node/phase, in per-unit."""
-        s = np.zeros(self.n_nodes, dtype=complex)
-        s[list(self.nonslack_flat_indices())] = [
-            (p_kw * 1e3 + 1j * q_kvar * 1e3) / self.base_power_va
-            for bus in self.buses
-            if bus.kind == PQ
-            for p_kw, q_kvar in zip(bus.p_kw, bus.q_kvar)
-        ]
+        """Complex net injections S = P + jQ per node/phase, in per-unit;
+        zero at the slack.  A zero injection is +0.0, whatever its sign."""
+        s = np.empty(self.n_nodes, dtype=complex)
+        s.real = (self.p_kw.reshape(-1) * 1e3 + 0.0) / self.base_power_va
+        s.imag = (self.q_kvar.reshape(-1) * 1e3 + 0.0) / self.base_power_va
         return s
 
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Raise NetworkValidationError for the first fault found, else set
-        ``branch_table`` from the checked branches."""
-        if self.phase_count not in (1, 3):
-            raise NetworkValidationError(
-                f"phase_count must be 1 or 3, got {self.phase_count}"
-            )
+        """Raise NetworkValidationError for the first fault of ``buses``
+        and ``branches``, else lay them out as the network's arrays."""
+        p = self.phase_count
+        _check_phases(p)
         for name in ("base_power_va", "base_voltage_v"):
             _check_base(getattr(self, name), name, NetworkValidationError)
-        if len(self._position) != len(self.buses):
-            raise NetworkValidationError("duplicate bus indices")
-        slacks = [b.index for b in self.buses if b.kind == SLACK]
-        if len(slacks) != 1:
-            raise NetworkValidationError(
-                f"exactly one slack bus required, found {len(slacks)}"
-            )
-        if slacks[0] != self.slack_bus:
-            raise NetworkValidationError(
-                f"slack_bus={self.slack_bus} does not match the bus marked "
-                f"slack ({slacks[0]})"
-            )
-        if not cmath.isfinite(complex(self.slack_voltage_pu)):
-            raise NetworkValidationError(
-                f"slack_voltage_pu must be finite, not {self.slack_voltage_pu!r}"
-            )
-        p = self.phase_count
-        for bus in self.buses:
-            if bus.kind == PQ and (len(bus.p_kw) != p or len(bus.q_kvar) != p):
-                raise NetworkValidationError(
-                    f"bus {bus.index}: injection needs {p} per-phase entries"
-                )
-            if not all(map(math.isfinite, bus.p_kw + bus.q_kvar)):
-                raise NetworkValidationError(f"bus {bus.index}: injection must be finite")
-        # a branch's values are checked for finiteness once its ends and
-        # shapes are: a fault in an earlier branch is reported first
-        checked, fault = self.branches, None
-        for pos, br in enumerate(self.branches):
-            fault = self._branch_fault(br)
-            if fault is not None:
-                checked = self.branches[:pos]
-                break
-        table = BranchTable.of(checked, self._position, p)
-        lengths = np.array([br.length_km or 0.0 for br in checked]).reshape(-1, 1, 1)
-        bad = _first_nonfinite(table.z_ohm, table.shunt_b_s, lengths)
-        if bad is not None:
-            br = checked[bad[0]]
-            what = ("series impedance", "shunt susceptance", "length_km")[bad[1]]
-            raise NetworkValidationError(
-                f"branch {br.from_bus}-{br.to_bus}: {what} must be finite"
-            )
-        if fault is not None:
-            raise NetworkValidationError(fault)
-        self._check_connected()
-        self.branch_table = table
+        buses, branches = self.buses, self.branches
+        index = [bus.index for bus in buses]
+        slack = np.array([bus.kind == SLACK for bus in buses], dtype=bool)
+        position = _bus_positions(index, slack, self.slack_bus)
+        _finite(self.slack_voltage_pu, "slack_voltage_pu", NetworkValidationError)
 
-    def _branch_fault(self, br):
-        """The message of the first check that branch ``br`` fails, or None."""
-        p = self.phase_count
-        name = f"branch {br.from_bus}-{br.to_bus}"
-        if br.from_bus == br.to_bus:
-            return f"{name} connects a bus to itself"
-        if br.from_bus not in self._position or br.to_bus not in self._position:
-            return f"{name} references unknown bus"
-        if br.z_ohm.shape != (p, p):
-            return f"{name}: impedance block is {br.z_ohm.shape}, expected ({p}, {p})"
-        return _shunt_fault(br.shunt_b_s.shape, p, name)
+        # a PQ bus gives p values of each, and a slack bus's are read if it does
+        full = np.array([len(bus.p_kw) == len(bus.q_kvar) == p for bus in buses], dtype=bool)
+        power = np.array([bus.p_kw + bus.q_kvar if ok else (0.0,) * 2 * p
+                          for bus, ok in zip(buses, full)], dtype=float).reshape(-1, 2 * p)
+        _raise_first(NetworkValidationError, [
+            (~full & ~slack, lambda k: f"bus {index[k]}: injection needs {p} per-phase entries"),
+            _finite_rule(lambda k: f"bus {index[k]}: injection", power),
+        ])
+        power[slack] = 0.0
 
-    def _check_connected(self):
-        adjacency = {i: set() for i in self._position}
-        for br in self.branches:
-            adjacency[br.from_bus].add(br.to_bus)
-            adjacency[br.to_bus].add(br.from_bus)
-        seen = {self.slack_bus}
-        stack = [self.slack_bus]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(adjacency):
-            raise NetworkValidationError("graph not connected")
+        def name(k):
+            return f"branch {branches[k].from_bus}-{branches[k].to_bus}"
+
+        ends = _ends(position, [br.from_bus for br in branches], [br.to_bus for br in branches])
+        z, z_square, _, _ = _blocks([br.z_ohm for br in branches], p, name,
+                                    lambda v: np.array(v, dtype=complex))
+        shunt, shunt_square, one, _ = _blocks([br.shunt_b_s for br in branches], p, name,
+                                              lambda v: np.array(v, dtype=float))
+        given, length = _given([br.length_km for br in branches])
+        length = np.array(length, dtype=float)
+        _raise_first(NetworkValidationError, _branch_rules(
+            p, name, ends, (z_square, lambda k: branches[k].z_ohm.shape),
+            (shunt_square | one, lambda k: branches[k].shunt_b_s.shape),
+            {": series impedance": z, ": shunt susceptance": shunt, ": length_km": length}))
+        self._set(index, position, power[:, :p], power[:, p:], BranchTable(
+            ends[0] * p, ends[1] * p, z, shunt, one, np.where(given, length, np.nan)))
+
+
+def _check_connected(n_bus, slack, a, b):
+    """NetworkValidationError unless a depth-first walk from bus position
+    ``slack`` along the branches between positions ``a`` and ``b`` (B,)
+    reaches all ``n_bus`` buses."""
+    adjacency = [[] for _ in range(n_bus)]
+    for i, j in zip(a.tolist(), b.tolist()):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    seen, stack = {slack}, [slack]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != n_bus:
+        raise NetworkValidationError("graph not connected")
 
 
 class AdmittanceMatrix:
@@ -487,15 +473,14 @@ def stamp_admittance(network: NetworkModel, z_ohm):
     """
     p = network.phase_count
     m = network.n_nodes
-    branches = network.branches
     table = network.branch_table
     z_pu = z_ohm / network.z_base_ohm
     degenerate = np.abs(np.linalg.det(z_pu)) < 1e-300
     if np.any(degenerate):
-        br = branches[int(np.argmax(degenerate.reshape(-1))) % len(branches)]
+        k = int(np.argmax(degenerate.reshape(-1))) % len(table.from_flat)
         raise DegenerateBranchError(
-            f"degenerate branch {br.from_bus}-{br.to_bus}: singular "
-            f"series impedance matrix"
+            f"degenerate branch {network.node(table.from_flat[k])[0]}-"
+            f"{network.node(table.to_flat[k])[0]}: singular series impedance matrix"
         )
     y = np.linalg.inv(z_pu)
     ysh = 1j * table.shunt_b_s * network.z_base_ohm / 2.0
@@ -519,29 +504,12 @@ def stamp_admittance(network: NetworkModel, z_ohm):
     return positions, values
 
 
-# -- file input / output ----------------------------------------------------
+# -- rules ------------------------------------------------------------------
 
 
-def _numeric(value, cast, what):
-    """``cast(value)``; NetworkParseError naming ``what`` if it is not numeric."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise NetworkParseError(f"{what} must be numeric, not {value!r}") from None
-
-
-def _integer(value, what):
-    """``value`` as an int; NetworkParseError naming ``what`` unless it is a
-    whole number.  A fraction or a bool is refused, not cast."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, (bool, np.bool_)) or not _numeric(value, float, what).is_integer():
-        raise NetworkParseError(f"{what} must be an integer, not {value!r}")
-    return int(float(value))
-
-
-def _matrix(value):
-    return np.atleast_2d(np.asarray(value, dtype=float))
+def _check_phases(p):
+    if p not in (1, 3):
+        raise NetworkValidationError(f"phase_count must be 1 or 3, got {p}")
 
 
 def _check_base(value, what, error):
@@ -553,118 +521,296 @@ def _check_base(value, what, error):
         raise error(f"{what} must be a finite positive number, not {value!r}")
 
 
-def _shunt_fault(shape, p, what):
-    """The message naming ``what`` unless a shunt block of ``shape`` is 1x1,
-    which is per phase (``b·I``), or p x p; None if it is."""
-    if shape in ((1, 1), (p, p)):
-        return None
-    expected = "(1, 1)" if p == 1 else f"(1, 1) or ({p}, {p})"
-    return f"{what}: shunt block is {shape}, expected {expected}"
-
-
-def _first_nonfinite(*stacks):
-    """``(branch, stack)`` of the first branch with a non-finite entry in
-    one of ``stacks`` (each (B, p, p)), and the first such stack of it;
-    None if every entry is finite."""
-    bad = np.stack([~np.isfinite(s).all(axis=(1, 2)) for s in stacks], axis=1)
-    hits = np.flatnonzero(bad)
-    return divmod(int(hits[0]), len(stacks)) if hits.size else None
-
-
-def _per_phase(entry, key, p, what):
-    """The per-phase values of ``entry[key]``, each a finite float; zero on
-    every phase if the key is omitted."""
-    if key not in entry:
-        return (0.0,) * p
-    value = entry[key]
-    if not isinstance(value, (list, tuple)):
-        if p != 1:
-            raise NetworkParseError(f"{what} {key}: scalar given but phases={p}")
-        if isinstance(value, (int, float)) and math.isfinite(value):  # the usual case
-            return (float(value),)
-        value = [value]
-    if len(value) != p:
-        raise NetworkParseError(f"{what} {key}: expected {p} entries, got {len(value)}")
-    name = f"{what} {key}"
-    return tuple(_finite(_numeric(v, float, name), name) for v in value)
-
-
-def _finite(value, what):
-    """``value``; NetworkParseError naming ``what`` unless it is finite."""
-    if not cmath.isfinite(value):
-        raise NetworkParseError(f"{what} must be finite, not {value!r}")
+def _finite(value, what, error):
+    """``value``; ``error`` naming ``what`` unless it is finite."""
+    _raise_first(error, [_finite_rule(lambda k: what, np.array([value]))])
     return value
 
 
-def _block(value, what):
-    """A branch matrix: a float if it is 1x1, else a 2-D float array."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    block = _numeric(value, _matrix, what)
-    return float(block[0, 0]) if block.shape == (1, 1) else block
-
-
-def _shape(block):
-    return (1, 1) if isinstance(block, float) else block.shape
-
-
-def _branch_fields(entry, p, what):
-    """``(from, to, r_ohm, x_ohm, shunt_b_s, length_km)`` of a branch entry,
-    with every check but finiteness made, in the order ``load_network``
-    makes them; each matrix as ``_block`` returns it."""
-    r = entry.get("r_ohm")
-    x = entry.get("x_ohm")
-    if r is None or x is None:
-        raise NetworkParseError(f"{what}: missing r_ohm/x_ohm")
-    r = _block(r, f"{what} r_ohm")
-    x = _block(x, f"{what} x_ohm")
-    if _shape(r) != (p, p) or _shape(x) != (p, p):
-        raise NetworkParseError(
-            f"{what}: impedance block is {_shape(r)}/{_shape(x)}, expected ({p}, {p})"
+def _bus_positions(index, slack, slack_bus):
+    """{bus number: position} of the bus numbers ``index``;
+    NetworkValidationError unless they are distinct and ``slack`` (N,)
+    marks one bus, numbered ``slack_bus``."""
+    position = dict(zip(index, range(len(index))))
+    if len(position) != len(index):
+        raise NetworkValidationError("duplicate bus indices")
+    slacks = [index[k] for k in np.flatnonzero(slack)]
+    if len(slacks) != 1:
+        raise NetworkValidationError(f"exactly one slack bus required, found {len(slacks)}")
+    if slacks[0] != slack_bus:
+        raise NetworkValidationError(
+            f"slack_bus={slack_bus} does not match the bus marked slack ({slacks[0]})"
         )
-    shunt = entry.get("shunt_b_s")
-    if shunt is not None:
-        shunt = _block(shunt, f"{what} shunt_b_s")
-        fault = _shunt_fault(_shape(shunt), p, what)
-        if fault is not None:
-            raise NetworkParseError(fault)
-    length = entry.get("length_km")
-    if length is not None:
-        length = _numeric(length, float, f"{what} length_km")
-    from_bus = _integer(entry["from"], f"{what} from")
-    to_bus = _integer(entry["to"], f"{what} to")
-    return from_bus, to_bus, r, x, shunt, length
+    return position
 
 
-def _branch_values(fields, p):
-    """The r_ohm, x_ohm and shunt_b_s stacks (B, p, p) and the length_km
-    stack (B, 1, 1) of ``_branch_fields`` rows, in the order they are
-    checked; an omitted shunt or length is zero."""
-    r = np.array([f[2] for f in fields], dtype=float).reshape(-1, p, p)
-    x = np.array([f[3] for f in fields], dtype=float).reshape(-1, p, p)
-    shunt = np.zeros(r.shape)
-    for k, f in enumerate(fields):
-        if f[4] is not None:
-            shunt[k] = f[4]
-    length = np.array([f[5] or 0.0 for f in fields]).reshape(-1, 1, 1)
-    return {"r_ohm": r, "x_ohm": x, "shunt_b_s": shunt, "length_km": length}
+def _ends(position, from_bus, to_bus):
+    """The positions (B,) of the branch ends numbered ``from_bus`` and
+    ``to_bus``, keys of ``position``: -1 for an unknown from bus and -2
+    for an unknown to bus."""
+    return [np.array([position.get(bus, unknown) for bus in buses], dtype=np.intp)
+            for buses, unknown in ((from_bus, -1), (to_bus, -2))]
 
 
-def _refuse_nonfinite(path, values):
-    """NetworkParseError naming the first branch, and its first key, with a
-    non-finite entry in ``values`` (``_branch_values``)."""
-    bad = _first_nonfinite(*values.values())
-    if bad is not None:
-        pos, key = bad[0], list(values)[bad[1]]
-        block = values[key][pos]
-        value = float(block[~np.isfinite(block)][0])
-        raise NetworkParseError(
-            f"{path}: branches[{pos}] {key} must be finite, not {value!r}"
-        )
+def _finite_rule(name, values):
+    """The rule that each entry of ``values`` (n, ...) holds finite numbers
+    only; ``name(k)`` names entry k, and its message shows the first
+    number that is not finite."""
+    def message(k):
+        row = np.ravel(values[k])
+        return f"{name(k)} must be finite, not {row[~np.isfinite(row)][0].item()!r}"
+    return ~np.isfinite(values).all(axis=tuple(range(1, np.ndim(values)))), message
 
+
+def _branch_rules(p, name, ends, impedance, shunt, values):
+    """The branch rules, in the order a fault is named: the two ends are one
+    bus; an end is unknown (its position, from ``_ends``, is negative); the
+    impedance block is not p x p; the shunt block is neither 1x1, per phase
+    (``b·I``), nor p x p; each of ``values``, {label: (B, ...)}, is finite.
+    ``impedance`` and ``shunt`` are each the mask (B,) of the blocks of a
+    right shape and the text of block k's shape; ``name(k)`` names branch k.
+    """
+    (from_pos, to_pos), (square, z_shape), (shunt_ok, shunt_shape) = ends, impedance, shunt
+    expected = "(1, 1)" if p == 1 else f"(1, 1) or ({p}, {p})"
+    return [
+        (from_pos == to_pos, lambda k: f"{name(k)} connects a bus to itself"),
+        ((from_pos < 0) | (to_pos < 0), lambda k: f"{name(k)} references unknown bus"),
+        (~square, lambda k: f"{name(k)}: impedance block is {z_shape(k)}, expected ({p}, {p})"),
+        (~shunt_ok, lambda k: f"{name(k)}: shunt block is {shunt_shape(k)}, expected {expected}"),
+        *(_finite_rule(lambda k, label=label: name(k) + label, array)
+          for label, array in values.items()),
+    ]
+
+
+def _raise_first(error, rules):
+    """Raise ``error`` naming the first entry, in order, that fails one of
+    ``rules``, by the first rule it fails; return if none fails.
+
+    ``rules`` are ``(mask, message)`` pairs in the order of their priority:
+    ``mask`` (n,) is set where an entry fails the rule, and ``message(i)``
+    says how entry i fails it; a rule that no entry fails may be None.
+    The masks form the fault table (n, rules).
+    """
+    rules = [rule for rule in rules if rule is not None]
+    table = np.stack([mask for mask, _ in rules], axis=1)
+    if table.any():
+        entry, rule = divmod(int(np.argmax(table)), len(rules))
+        raise error(rules[rule][1](entry))
+
+
+def _stack(blocks, p):
+    """The (B, p, p) layout of ``blocks`` (B, r, c), or (B,) numbers, or
+    (B, c) rows: a p x p block as given, a 1x1 block of a polyphase
+    network as ``b·I``, and a block of any other shape as zeros.  Also the
+    masks (B,) of the p x p blocks and of those 1x1 ones."""
+    if blocks.ndim < 3:
+        blocks = blocks.reshape(len(blocks), 1, blocks.shape[1] if blocks.ndim == 2 else 1)
+    square = blocks.shape[1:] == (p, p)
+    one = blocks.shape[1:] == (1, 1) and not square
+    out = blocks if square else np.zeros((len(blocks), p, p), blocks.dtype)
+    if one:
+        out[:, range(p), range(p)] = blocks[:, 0]
+    return out, np.full(len(blocks), square), np.full(len(blocks), one)
+
+
+def _blocks(values, p, name, read):
+    """The ``_stack`` layout of a column of matrices, ``read(values)``, with
+    its masks, and the ``_raise_first`` rule of the values that ``read``
+    refuses.  Each value is read on its own when the column does not read
+    as one array; ``name(k)`` names value k."""
+    try:
+        return (*_stack(read(values), p), None)
+    except _READ_ERRORS:
+        pass
+    parts, rule = _each(
+        values, lambda k, value: _stack(_number(value, name(k), lambda v: read([v])), p),
+        _stack(np.zeros((1, 0, 0)), p))
+    return (*map(np.concatenate, zip(*parts)), rule)
+
+
+def _given(values):
+    """(n,) mask of the ``values`` that are not None, and the values with
+    0.0 in place of None."""
+    return (np.array([v is not None for v in values], dtype=bool),
+            [0.0 if v is None else v for v in values])
+
+
+# -- file input / output ----------------------------------------------------
+
+#: what reading a number may raise
+_READ_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _number(value, what, cast=float):
+    """``cast(value)``; NetworkParseError naming ``what`` if ``value`` is
+    not numeric: a bool, or a value that ``cast`` refuses."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return cast(value)
+        except _READ_ERRORS:
+            pass
+    raise NetworkParseError(f"{what} must be numeric, not {value!r}")
+
+
+def _integer(value, what):
+    """``value`` as an int; NetworkParseError naming ``what`` unless it is a
+    whole number.  A fraction or a bool is refused, not cast."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, (bool, np.bool_)) or not _number(value, what).is_integer():
+        raise NetworkParseError(f"{what} must be an integer, not {value!r}")
+    return int(float(value))
+
+
+def _floats(values):
+    """``values``, a number or nested lists of numbers, as a float array,
+    each number read as ``_number`` reads it; one of ``_READ_ERRORS``
+    unless each is a number."""
+    values = np.array(values, dtype=object)
+    # NumPy reads a bool as 1.0 or 0.0 and None as NaN: neither is a number
+    if not {bool, type(None)}.isdisjoint(map(type, values.flat)):
+        raise TypeError("not a number")
+    return values.astype(float)
+
+
+def _file_shape(value):
+    """The shape of a file's matrix ``value``: a number is 1x1."""
+    return np.atleast_2d(_floats(value)).shape
+
+
+def _each(values, read, refused):
+    """``read(k, value)`` of each of ``values``, ``refused`` in place of
+    each that it refuses with NetworkParseError, and the ``_raise_first``
+    rule of those."""
+    out, bad = [], {}
+    for k, value in enumerate(values):
+        try:
+            out.append(read(k, value))
+        except NetworkParseError as exc:
+            out.append(refused)
+            bad[k] = str(exc)
+    return out, (np.array([k in bad for k in range(len(values))], dtype=bool), bad.get)
+
+
+def _whole(values, name):
+    """``values`` as whole numbers, None in place of each that is not one,
+    and the ``_raise_first`` rule of those; ``name(k)`` names value k."""
+    if set(map(type, values)) <= {int}:  # the usual case
+        return values, None
+    return _each(values, lambda k, v: _integer(v, name(k)), None)
+
+
+def _numbers(values, shape, read):
+    """The float array (n, *shape) of ``values``, zeros in place of each
+    refused, and the ``_raise_first`` rule of those.  The column is read
+    as one array when each value is a number, or numbers, of ``shape``;
+    else each value with ``read(k, value)``, which returns one of
+    ``shape`` or raises NetworkParseError."""
+    try:
+        out = _floats(values)
+        if out.shape[1:] == shape:
+            return out, None
+    except _READ_ERRORS:
+        pass
+    out, rule = _each(values, read, np.zeros(shape))
+    return np.array(out, dtype=float).reshape(-1, *shape), rule
+
+
+def _per_phase(values, p, name):
+    """(n, p) floats of one power field, one value a bus, and the
+    ``_raise_first`` rule of those refused: a value is a list of p
+    numbers, or one number if ``p`` is 1."""
+
+    def read(k, value):
+        row = value if isinstance(value, (list, tuple)) else [value]
+        if row is not value and p != 1:
+            raise NetworkParseError(f"{name(k)}: scalar given but phases={p}")
+        if len(row) != p:
+            raise NetworkParseError(f"{name(k)}: expected {p} entries, got {len(row)}")
+        return np.reshape([_number(v, name(k)) for v in row], shape)
+
+    shape = () if p == 1 else (p,)
+    out, rule = _numbers(values, shape, read)
+    return out.reshape(-1, p), rule
+
+
+#: the fields of a bus that gives its net injection
+_NET_KEYS = frozenset(("p_kw", "q_kvar"))
 
 #: the fields of a bus that gives its load and generation apart
 _SPLIT_KEYS = frozenset(("load_kw", "load_kvar", "gen_kw", "gen_kvar"))
+
+#: the power fields of a bus, in the order they are checked
+_POWER_KEYS = ("p_kw", "q_kvar", "load_kw", "load_kvar", "gen_kw", "gen_kvar")
+
+
+def _read_buses(entries, p, what):
+    """The bus numbers, the slack mask (N,) and the net injections
+    ``p_kw``, ``q_kvar`` (N, p), zero at the slack, of a file's bus
+    ``entries``; NetworkParseError naming the first at fault, ``what[i]``.
+    The power fields of a slack bus are not read."""
+    n = len(entries)
+    present = set().union(*entries)
+    index, index_rule = _whole([e["index"] for e in entries], lambda k: f"{what}[{k}] index")
+    kinds = [e.get("kind", PQ) for e in entries]
+    is_slack = [kind == SLACK for kind in kinds]
+    slack = np.array(is_slack, dtype=bool)
+    net, split = (np.zeros(n, dtype=bool) if present.isdisjoint(keys)
+                  else np.array([not keys.isdisjoint(e) for e in entries], dtype=bool)
+                  for keys in (_NET_KEYS, _SPLIT_KEYS))
+    rules = [
+        index_rule,
+        (np.array([kind not in (SLACK, PQ) for kind in kinds], dtype=bool),
+         lambda k: f"{what}[{k}] kind must be 'slack' or 'pq', not {kinds[k]!r}"),
+        (~slack & net & split,
+         lambda k: f"{what}[{k}] give either p_kw/q_kvar or load/gen fields, not both"),
+    ]
+    zero = 0.0 if p == 1 else [0.0] * p
+    power = dict.fromkeys(_NET_KEYS | _SPLIT_KEYS, np.zeros((n, p)))
+    for key in filter(present.__contains__, _POWER_KEYS):
+        def name(k, key=key):
+            return f"{what}[{k}] {key}"
+
+        power[key], rule = _per_phase([zero if s else e.get(key, zero)
+                                       for e, s in zip(entries, is_slack)], p, name)
+        rules += [rule, _finite_rule(name, power[key])]
+    _raise_first(NetworkParseError, rules)
+    net = net[:, None]
+    return (index, slack, np.where(net, power["p_kw"], power["gen_kw"] - power["load_kw"]),
+            np.where(net, power["q_kvar"], power["gen_kvar"] - power["load_kvar"]))
+
+
+def _read_branches(entries, position, p, what):
+    """The ``BranchTable`` of a file's branch ``entries``, whose ends are
+    keys of ``position``; NetworkParseError naming the first at fault,
+    ``what[i]``."""
+    def name(k):
+        return f"{what}[{k}]"
+
+    given, values = {}, {}
+    for key in ("r_ohm", "x_ohm", "shunt_b_s", "length_km"):
+        given[key], values[key] = _given([e.get(key) for e in entries])
+    (r, r_square, _, r_rule), (x, x_square, _, x_rule), (shunt, shunt_square, one, shunt_rule) = (
+        _blocks(values[key], p, lambda k, key=key: f"{name(k)} {key}", _floats)
+        for key in ("r_ohm", "x_ohm", "shunt_b_s"))
+    length, length_rule = _numbers(values["length_km"], (),
+                                   lambda k, v: _number(v, f"{name(k)} length_km"))
+    (from_bus, from_rule), (to_bus, to_rule) = (
+        _whole([e[key] for e in entries], lambda k, key=key: f"{name(k)} {key}")
+        for key in ("from", "to"))
+    ends = _ends(position, from_bus, to_bus)
+    _raise_first(NetworkParseError, [
+        (~given["r_ohm"] | ~given["x_ohm"], lambda k: f"{name(k)}: missing r_ohm/x_ohm"),
+        r_rule, x_rule, shunt_rule, length_rule, from_rule, to_rule,
+        *_branch_rules(
+            p, name, ends,
+            (r_square & x_square,
+             lambda k: f"{_file_shape(values['r_ohm'][k])}/{_file_shape(values['x_ohm'][k])}"),
+            (shunt_square | one, lambda k: _file_shape(values["shunt_b_s"][k])),
+            {" r_ohm": r, " x_ohm": x, " shunt_b_s": shunt, " length_km": length}),
+    ])
+    return BranchTable(ends[0] * p, ends[1] * p, r + 1j * x, shunt, one & given["shunt_b_s"],
+                       np.where(given["length_km"], length, np.nan))
 
 
 def _entries(raw, section, keys, path):
@@ -715,9 +861,11 @@ def load_network(path) -> NetworkModel:
     load/gen split or the net ``p_kw``/``q_kvar`` may be given per bus,
     not both; an omitted field is zero on every phase.  Bus indices,
     branch ends and ``phases`` are integers; a fraction or a bool is
-    refused, not truncated.  Every other number may also be written as a
-    string that Python's ``float`` reads, such as the ``1e-05`` that YAML
-    1.1 leaves a string.
+    refused, not truncated, and ``phases`` is 1 or 3.  Every other number
+    may also be written as a string that Python's ``float`` reads, such
+    as the ``1e-05`` that YAML 1.1 leaves a string, but not as a bool.
+
+    Each section is read column by column into the network's arrays.
     """
     raw = read_yaml(path, NetworkParseError)
     if not isinstance(raw, dict):
@@ -727,13 +875,14 @@ def load_network(path) -> NetworkModel:
         if key not in raw:
             raise NetworkParseError(f"{path}: missing section {key!r}")
     p = _integer(raw["phases"], f"{path}: phases")
+    _check_phases(p)
     bases = raw["bases"]
     if not (isinstance(bases, dict) and {"s_base_va", "v_base_v"} <= set(bases)):
         raise NetworkParseError(f"{path}: bases needs s_base_va and v_base_v")
-    s_base = _numeric(bases["s_base_va"], float, f"{path}: bases s_base_va")
-    v_base = _numeric(bases["v_base_v"], float, f"{path}: bases v_base_v")
-    _check_base(s_base, f"{path}: bases s_base_va", NetworkParseError)
-    _check_base(v_base, f"{path}: bases v_base_v", NetworkParseError)
+    s_base, v_base = (_number(bases[key], f"{path}: bases {key}")
+                      for key in ("s_base_va", "v_base_v"))
+    for key, value in (("s_base_va", s_base), ("v_base_v", v_base)):
+        _check_base(value, f"{path}: bases {key}", NetworkParseError)
 
     slack_v = raw.get("slack_voltage_pu", 1.0)
     what = f"{path}: slack_voltage_pu"
@@ -741,114 +890,58 @@ def load_network(path) -> NetworkModel:
         if len(slack_v) != 2:
             raise NetworkParseError(f"{what} must be a number or [magnitude, angle_rad]")
         # both checked before their product, which would warn
-        mag, angle = (_finite(_numeric(v, float, what), f"{what}[{k}]")
+        mag, angle = (_finite(_number(v, what), f"{what}[{k}]", NetworkParseError)
                       for k, v in enumerate(slack_v))
         slack_v = mag * np.exp(1j * angle)
     else:
-        slack_v = _finite(_numeric(slack_v, complex, what), what)
+        slack_v = _finite(_number(slack_v, what, complex), what, NetworkParseError)
 
-    buses = []
-    slack_index = None
-    for pos, entry in enumerate(_entries(raw, "buses", ("index",), path)):
-        what = f"{path}: buses[{pos}]"
-        idx = _integer(entry["index"], f"{what} index")
-        kind = entry.get("kind", PQ)
-        if kind not in (SLACK, PQ):
-            raise NetworkParseError(f"{what} kind must be 'slack' or 'pq', not {kind!r}")
-        if kind == SLACK:
-            slack_index = idx
-            buses.append(Bus(index=idx, kind=SLACK))
-            continue
-        has_net = "p_kw" in entry or "q_kvar" in entry
-        if has_net and not _SPLIT_KEYS.isdisjoint(entry):
-            raise NetworkParseError(
-                f"{what} give either p_kw/q_kvar or load/gen fields, not both"
-            )
-        if has_net:
-            p_kw = _per_phase(entry, "p_kw", p, what)
-            q_kvar = _per_phase(entry, "q_kvar", p, what)
-        else:
-            load_p = _per_phase(entry, "load_kw", p, what)
-            load_q = _per_phase(entry, "load_kvar", p, what)
-            gen_p = _per_phase(entry, "gen_kw", p, what)
-            gen_q = _per_phase(entry, "gen_kvar", p, what)
-            p_kw = tuple(g - l for g, l in zip(gen_p, load_p))
-            q_kvar = tuple(g - l for g, l in zip(gen_q, load_q))
-        buses.append(Bus(index=idx, kind=PQ, p_kw=p_kw, q_kvar=q_kvar))
-
-    if slack_index is None:
+    index, slack, p_kw, q_kvar = _read_buses(
+        _entries(raw, "buses", ("index",), path), p, f"{path}: buses")
+    # a file names its slack bus by its kind: without one there is no
+    # slack_bus for _bus_positions to hold the buses to
+    if not slack.any():
         raise NetworkParseError(f"{path}: exactly one slack bus required, found 0")
-
-    entries = _entries(raw, "branches", ("from", "to"), path)
-    fields = []
-    try:
-        for pos, entry in enumerate(entries):
-            fields.append(_branch_fields(entry, p, f"{path}: branches[{pos}]"))
-    except NetworkParseError:
-        # a non-finite value of an earlier branch is the first fault
-        _refuse_nonfinite(path, _branch_values(fields, p))
-        raise
-    values = _branch_values(fields, p)
-    _refuse_nonfinite(path, values)
-    z_ohm = values["r_ohm"] + 1j * values["x_ohm"]
-    branches = [
-        Branch(from_bus, to_bus, z, shunt, length)
-        for (from_bus, to_bus, _, _, shunt, length), z in zip(fields, z_ohm)
-    ]
-
-    return NetworkModel(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        phase_count=p,
-        slack_bus=slack_index,
-        base_power_va=s_base,
-        base_voltage_v=v_base,
-        slack_voltage_pu=slack_v,
-        name=str(raw.get("name", "")),
-    )
+    slack_bus = index[int(np.argmax(slack))]
+    position = _bus_positions(index, slack, slack_bus)
+    table = _read_branches(
+        _entries(raw, "branches", ("from", "to"), path), position, p, f"{path}: branches")
+    # the arrays are checked: the network is built from them as they are
+    network = NetworkModel.__new__(NetworkModel)
+    network.__dict__.update(phase_count=p, slack_bus=slack_bus, base_power_va=s_base,
+                            base_voltage_v=v_base, slack_voltage_pu=slack_v,
+                            name=str(raw.get("name", "")))
+    network._set(index, position, p_kw, q_kvar, table)
+    return network
 
 
 def emit_network(network: NetworkModel, path):
     """Write a network in the schema accepted by load_network, as the
     JSON document ``json.dumps(doc, indent=2)``.  JSON is YAML flow syntax,
     so any YAML reader loads the file too."""
-    p = network.phase_count
+    p, table = network.phase_count, network.branch_table
 
-    def scalar_or_list(vals):
-        return vals[0] if p == 1 else list(vals)
+    def per_phase(values):  # a number a bus or branch if p is 1, else a list
+        return values.ravel().tolist() if p == 1 else values.tolist()
 
-    doc = {
-        "name": network.name,
-        "phases": p,
-        "bases": {
-            "s_base_va": network.base_power_va,
-            "v_base_v": network.base_voltage_v,
-        },
-        "slack_voltage_pu": [
-            float(abs(network.slack_voltage_pu)),
-            float(np.angle(network.slack_voltage_pu)),
-        ],
-        "buses": [],
-        "branches": [],
-    }
-    for bus in network.buses:
-        entry = {"index": bus.index, "kind": bus.kind}
-        if bus.kind == PQ:
-            entry["p_kw"] = scalar_or_list(bus.p_kw)
-            entry["q_kvar"] = scalar_or_list(bus.q_kvar)
-        doc["buses"].append(entry)
-    for br in network.branches:
-        entry = {
-            "from": br.from_bus,
-            "to": br.to_bus,
-            "r_ohm": float(br.z_ohm[0, 0].real) if p == 1 else br.z_ohm.real.tolist(),
-            "x_ohm": float(br.z_ohm[0, 0].imag) if p == 1 else br.z_ohm.imag.tolist(),
-        }
-        if np.any(br.shunt_b_s):
-            entry["shunt_b_s"] = br.shunt_b_s.tolist()
-        if br.length_km is not None:
-            entry["length_km"] = br.length_km
-        doc["branches"].append(entry)
+    buses = [{"index": index, "kind": SLACK} if index == network.slack_bus
+             else {"index": index, "kind": PQ, "p_kw": p_kw, "q_kvar": q_kvar}
+             for index, p_kw, q_kvar in zip(
+                 network.bus_index, per_phase(network.p_kw), per_phase(network.q_kvar))]
+    branches = [{"from": network.node(f)[0], "to": network.node(t)[0], "r_ohm": r, "x_ohm": x}
+                for f, t, r, x in zip(table.from_flat.tolist(), table.to_flat.tolist(),
+                                      per_phase(table.z_ohm.real), per_phase(table.z_ohm.imag))]
+    for entry, shunt, one, length in zip(
+            branches, table.shunt_b_s, table.per_phase, table.length_km.tolist()):
+        if shunt.any():
+            entry["shunt_b_s"] = (shunt[:1, :1] if one else shunt).tolist()
+        if not math.isnan(length):
+            entry["length_km"] = length
+    v = network.slack_voltage_pu
+    doc = {"name": network.name, "phases": p,
+           "bases": {"s_base_va": network.base_power_va, "v_base_v": network.base_voltage_v},
+           "slack_voltage_pu": [float(abs(v)), float(np.angle(v))],
+           "buses": buses, "branches": branches}
     with open(path, "w") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
@@ -861,14 +954,12 @@ def with_injections(network: NetworkModel, s_pu) -> NetworkModel:
     """
     s_va = np.asarray(s_pu, dtype=complex) * network.base_power_va
     per_bus = s_va.reshape(network.n_bus, network.phase_count)  # row = bus position
-    new_buses = tuple(
-        bus
-        if bus.kind == SLACK
-        else replace(
-            bus,
-            p_kw=tuple(float(v) for v in sl.real / 1e3),
-            q_kvar=tuple(float(v) for v in sl.imag / 1e3),
-        )
-        for bus, sl in zip(network.buses, per_bus)
-    )
-    return replace(network, buses=new_buses)
+    p_kw, q_kvar = per_bus.real / 1e3, per_bus.imag / 1e3
+    slack = network.bus_position(network.slack_bus)
+    p_kw[slack] = q_kvar[slack] = 0.0
+    # the same buses and branches: only the injections change, and with
+    # them the buses read back from the arrays
+    copy = NetworkModel.__new__(NetworkModel)
+    copy.__dict__.update({key: value for key, value in vars(network).items() if key != "buses"},
+                         p_kw=p_kw, q_kvar=q_kvar)
+    return copy

@@ -15,7 +15,7 @@ from pfsc.errors import (
     NetworkValidationError,
     yaml_error_line,
 )
-from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network
+from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network, with_injections
 
 from conftest import make_feeder, make_random_network, make_three_phase_balanced
 from oracles import structural_nonzero
@@ -23,6 +23,17 @@ from oracles import structural_nonzero
 
 def _no_json(text, **kwargs):
     raise ValueError("JSON read switched off")
+
+
+#: a file value that is not a finite number, and how its refusal ends: a
+#: bool used to load as 1.0 or 0.0
+_NOT_FINITE = {
+    ".nan": "must be finite, not nan",
+    ".inf": "must be finite, not inf",
+    "-.inf": "must be finite, not -inf",
+    "true": "must be numeric, not True",
+    "false": "must be numeric, not False",
+}
 
 
 def _admittance_per_branch(network):
@@ -384,7 +395,7 @@ branches:
         Y = pfsc.build_admittance(net).matrix
         assert Y.tobytes() == _admittance_per_branch(net).tobytes()
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("value", _NOT_FINITE)
     @pytest.mark.parametrize("key", ["r_ohm", "x_ohm", "shunt_b_s", "length_km"])
     def test_nonfinite_branch_value_refused(self, tmp_path, key, value):
         entry = {"r_ohm": "0.1", "x_ohm": "0.2", "shunt_b_s": "1e-4", key: value}
@@ -395,14 +406,13 @@ branches:
             "buses: [{index: 1, kind: slack}, {index: 2}, {index: 3}]\n"
             f"branches: [{{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2}}, {{from: 2, to: 3, {fields}}}]\n"
         )
-        shown = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
         with pytest.raises(
             NetworkParseError,
-            match=re.escape(f"{path}: branches[1] {key} must be finite, not {shown}"),
+            match=re.escape(f"{path}: branches[1] {key} {_NOT_FINITE[value]}"),
         ):
             load_network(path)
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("value", _NOT_FINITE)
     @pytest.mark.parametrize("key", ["p_kw", "q_kvar", "load_kw", "load_kvar",
                                      "gen_kw", "gen_kvar"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -416,10 +426,9 @@ branches:
             "branches: [{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2},"
             " {from: 2, to: 3, r_ohm: 0.1, x_ohm: 0.2}]\n"
         )
-        shown = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
         with pytest.raises(
             NetworkParseError,
-            match=re.escape(f"{path}: buses[2] {key} must be finite, not {shown}"),
+            match=re.escape(f"{path}: buses[2] {key} {_NOT_FINITE[value]}"),
         ):
             load_network(path)
 
@@ -430,8 +439,11 @@ branches:
             ("[1.0, .nan]", "slack_voltage_pu[1] must be finite, not nan"),
             (".nan", "slack_voltage_pu must be finite, not (nan+0j)"),
             ("-.inf", "slack_voltage_pu must be finite, not (-inf+0j)"),
+            ("true", "slack_voltage_pu must be numeric, not True"),
+            ("[1.0, false]", "slack_voltage_pu must be numeric, not False"),
         ],
-        ids=["magnitude-inf", "angle-nan", "scalar-nan", "scalar-inf"],
+        ids=["magnitude-inf", "angle-nan", "scalar-nan", "scalar-inf", "scalar-bool",
+             "angle-bool"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_slack_voltage_refused(self, tmp_path, slack, message):
@@ -553,6 +565,9 @@ branches:
             ("1", "{s_base_va: 1.0e6, v_base_v: high}",
              "[{index: 1, kind: slack}]", "[]",
              "bases v_base_v must be numeric, not 'high'"),
+            ("1", "{s_base_va: true, v_base_v: 1000.0}",
+             "[{index: 1, kind: slack}]", "[]",
+             "bases s_base_va must be numeric, not True"),
             ("1", "{s_base_va: 1.0e6, v_base_v: 1000.0}",
              "[{index: 1, kind: slack}, {index: 2}]",
              "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: low}]",
@@ -570,7 +585,7 @@ branches:
              "[{from: 1, to: 2, r_ohm: 0.1, x_ohm: 0.2, length_km: abc}]",
              "branches[0] length_km must be numeric, not 'abc'"),
         ],
-        ids=["index", "p_kw", "load_kvar", "phases", "base", "impedance",
+        ids=["index", "p_kw", "load_kvar", "phases", "base", "base-bool", "impedance",
              "shunt", "branch-end", "length"],
     )
     def test_non_numeric_value(self, tmp_path, phases, bases, buses, branches, message):
@@ -686,6 +701,53 @@ branches:
             pfsc.build_admittance(through_json).matrix,
             pfsc.build_admittance(through_yaml).matrix,
         )
+        # the loaded model writes the bytes it was read from, and a shunt
+        # in the shape it was given, 1x1 or p x p
+        monkeypatch.undo()
+        again = tmp_path / "again.yaml"
+        emit_network(through_json, again)
+        assert again.read_bytes() == path.read_bytes()
+        shunt = net.branches[0].shunt_b_s
+        if shunt.any():
+            emitted = json.loads(path.read_text())["branches"][0]["shunt_b_s"]
+            assert np.shape(emitted) == shunt.shape
+
+    def test_huge_bus_numbers_load_and_solve(self, tmp_path):
+        # bus numbers stay Python ints: one beyond int64 neither overflows
+        # nor is rounded, in YAML or in the JSON that is written back
+        big = 10**30
+        path = tmp_path / "net.yaml"
+        path.write_text(
+            "phases: 1\nbases: {s_base_va: 1.0e6, v_base_v: 1000.0}\n"
+            f"buses: [{{index: 1, kind: slack}}, {{index: {big}, p_kw: -50, q_kvar: -10}}]\n"
+            f"branches: [{{from: 1, to: {big}, r_ohm: 0.1, x_ohm: 0.2}}]\n"
+        )
+        emit_network(load_network(path), tmp_path / "net.json")
+        for net in (load_network(path), load_network(tmp_path / "net.json")):
+            assert [bus.index for bus in net.buses] == [1, big]
+            assert net.branches[0].to_bus == big
+            assert net.nonslack_nodes() == [(big, 0)]
+            state = pfsc.solve_load_flow(net, pfsc.build_admittance(net))
+            assert abs(state.voltages[net.flat_index(big)]) < 1.0
+
+    def test_file_network_builds_no_object_per_entry(self, tmp_path, monkeypatch):
+        # a file's network is held as arrays from the file to Y, the load
+        # flow, new injections and the file written back
+        path = tmp_path / "net.json"
+        emit_network(make_feeder(60, 1), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Bus or Branch was built")
+
+        monkeypatch.setattr(Bus, "__post_init__", refuse)
+        monkeypatch.setattr(Branch, "__init__", refuse)
+        net = load_network(path)
+        state = pfsc.solve_load_flow(net, pfsc.build_admittance(net))
+        moved = with_injections(net, 1.01 * net.injections_pu())
+        pfsc.solve_load_flow(moved, pfsc.build_admittance(moved), initial=state)
+        assert len(net.nonslack_nodes()) == 59
+        emit_network(net, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_flow_yaml_with_plain_keys_loads(self, tmp_path):
         path = tmp_path / "flow.yaml"
@@ -835,6 +897,11 @@ _FILE_3PH_BRANCH = ("branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0
     [
         ("phases: 2\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}]\nbranches: []\n",
          NetworkValidationError, "phase_count must be 1 or 3, got 2"),
+        # each count but 1 and 3 is refused as it is read: 0 and -1 used to
+        # fail in a reshape, and 2 with a branch as a 1x1 impedance block
+        *((f"phases: {count}\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2}]\n"
+           + _FILE_BRANCH, NetworkValidationError, f"phase_count must be 1 or 3, got {count}")
+          for count in (0, -1, 2)),
         ("phases: 3\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2, p_kw: 5}]\n"
          + _FILE_3PH_BRANCH,
          NetworkParseError, "{path}: buses[1] p_kw: scalar given but phases=3"),
@@ -860,7 +927,8 @@ _FILE_3PH_BRANCH = ("branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0
            NetworkParseError, f"{{path}}: buses[1] kind must be 'slack' or 'pq', not {kind!r}")
           for kind in ("pv", "Slack", "PQ", 1)),
     ],
-    ids=["phases-2", "scalar-for-three-phases", "per-phase-count", "top-level-list",
+    ids=["phases-2", "phases-0", "phases-minus-1", "phases-2-with-branch",
+         "scalar-for-three-phases", "per-phase-count", "top-level-list",
          "bases-key-missing", "slack-voltage-3-items", "net-and-split", "no-slack",
          "kind-pv", "kind-Slack", "kind-PQ", "kind-1"],
 )
