@@ -21,8 +21,8 @@ P-injection, -1 in the imaginary row for a Q-injection), so z = diag(s)
 for a sign vector s of alternating +1/-1.  The problem carries only s;
 the solve is the column scaling x = H^-1 diag(s) and forms no z.  The
 Monte-Carlo stacks, assembled from raw perturbed inputs rather than at
-a point, are filled on H's pattern by ``loadflow.JacobianStack`` and
-solved against the dense z (``assemble_from_raw``), one independent
+a point, are filled on H's pattern by ``loadflow.JacobianStack``
+(``assemble_from_raw``) and solved against the signs, one independent
 block of H at a time (``pfsc.montecarlo``).
 
 Full table and targeted solves.  Given the positions in x of the
@@ -211,33 +211,51 @@ def assemble_problem(
 
 
 class RawSystem(NamedTuple):
-    """A dense H (or stack of H) and the dense z it is solved against."""
+    """A stack of H as views of its diagonal blocks (``JacobianStack``),
+    and the signs s of the z = diag(s) it is solved against."""
 
-    H: np.ndarray
-    z: np.ndarray
+    blocks: list
+    signs: np.ndarray
+
+    @property
+    def H(self):
+        """The dense H (or stack of H) of a one-block stack, the default."""
+        (H,) = self.blocks
+        return H
+
+    @property
+    def z(self):
+        """The dense z."""
+        return np.diag(self.signs)
 
 
 def assemble_from_raw(
-    Ym: np.ndarray, E: np.ndarray, network: NetworkModel, fill: JacobianStack | None = None
+    Ym: np.ndarray,
+    E: np.ndarray,
+    network: NetworkModel,
+    fill: JacobianStack | None = None,
+    out: np.ndarray | None = None,
 ) -> RawSystem:
     """H at raw inputs, filled on its pattern by ``loadflow.JacobianStack``,
-    and z = diag(signs).
+    and the signs of z = diag(signs).
 
     Used, with perturbed inputs, by the Monte-Carlo trials.  Leading axes
     of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of inputs
-    gives a stack of H of shape (..., 2n, 2n), each slice equal to its
-    own assembly; z is the one (2n, 2n) array every slice shares.
-    ``fill`` is a stack laid out for positions that hold every entry any
-    slice of ``Ym`` has nonzero, its unknowns in any order (z is the same
-    in every order); a Monte-Carlo pass lays one out per noise pattern.
-    By default one is laid out for the entries nonzero in some slice of
-    ``Ym``, in the network's order.
+    gives a stack of H, each slice equal to its own assembly, held as the
+    diagonal blocks that ``fill`` lays out, each (..., d, d); the signs
+    are shared by every slice.  ``fill`` is a stack laid out for
+    positions that hold every entry any slice of ``Ym`` has nonzero, its
+    unknowns in any order (the signs are the same in every order), and
+    ``out`` the buffer it fills, if any; a Monte-Carlo pass lays one out
+    per noise pattern, in blocks that no trial couples.  By default one
+    is laid out for the entries nonzero in some slice of ``Ym``, in the
+    network's order, with one block: ``H``, (..., 2n, 2n).
     """
     nonslack = _checked_nonslack(Ym.shape, E, network)
     if fill is None:
         nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
         fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
-    return RawSystem(fill(Ym, E), np.diag(_rhs_signs(len(nonslack))))
+    return RawSystem(fill(Ym, E, out), _rhs_signs(len(nonslack)))
 
 
 def _checked_nonslack(shape, E, network):

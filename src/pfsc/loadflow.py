@@ -23,8 +23,9 @@ here, by those rules, in one of two forms:
   inverts it made dense.
 - ``JacobianStack``: dense and batched over stacks of (Y, E), for the
   Monte-Carlo trials.  It is laid out for the positions where the Y of
-  a stack may be nonzero, and fills the blocks into a zeroed
-  (..., 2n, 2n) array.
+  a stack may be nonzero and for diagonal blocks of H that none of them
+  links, and fills the blocks into a zeroed stack that holds only those
+  diagonal blocks, each column-major.
 
 Both write their blocks by one routine (``_write_blocks``), and, given
 the same product Y E, every stored entry equals that of H assembled
@@ -52,7 +53,8 @@ lays them out as CSC arrays and the data offsets of each block.
 ``jacobian_derivative`` reads it for the positions of its admittance
 inputs, and each term carries the data offset of its entry.  On Y's
 pattern they get the same arrays.  ``JacobianStack`` reads the blocks
-for the positions of a stack and writes them at their dense offsets.
+for the positions of a stack and writes them at their offsets in its
+diagonal blocks.
 """
 
 from __future__ import annotations
@@ -340,38 +342,64 @@ class SparseJacobian:
 
 
 class JacobianStack:
-    """H over stacks of raw (Y, E), dense, filled on H's pattern.
+    """The diagonal blocks of H over stacks of raw (Y, E), dense, filled
+    on H's pattern.
 
     Laid out (``_blocks``) for the sorted, distinct flat ``positions``
     of an (m, m) Y that hold every entry any Y of a stack may have
-    nonzero.  Calling it with ``Ym`` (..., m, m) and ``E`` (..., m),
-    whose leading axes broadcast, returns the stack of H,
-    (..., 2n, 2n): each block is written at its dense offsets into a
-    zeroed array, and K = Y E is the dense batched product.  Every entry
-    equals that of H assembled over every entry of Y under ==, and is
-    the same in any stack; an entry off the pattern is +0.0, where the
-    dense assembly may give -0.0.
+    nonzero.  ``sizes`` splits H's rows, in the order of the unknowns
+    ``nonslack``, into consecutive diagonal blocks, each of an even
+    number of rows, that no position links to another (by default one
+    block, the whole H).  Each H of a stack is stored as ``size`` values,
+    its blocks one after another, each column-major, the layout LAPACK
+    factors in place.  Calling it with ``Ym`` (..., m, m) and ``E``
+    (..., m), whose leading axes broadcast, zeroes a stack of H,
+    (..., size), in ``out`` (a flat float array of at least that many
+    values, reused between calls) or in a new array, writes each 2x2
+    block of the pattern at its offsets, and returns a view of each
+    diagonal block of H, (..., d, d).  K = Y E is the dense batched
+    product.  Every entry equals that of H assembled over every entry of
+    Y under ==, and is the same in any stack; an entry off the pattern
+    is +0.0, where the dense assembly may give -0.0.
     """
 
-    def __init__(self, positions, nonslack, m):
+    def __init__(self, positions, nonslack, m, sizes=None):
         ns = np.asarray(nonslack, dtype=np.intp)
-        self._ns, self.dim = ns, 2 * len(ns)
+        self._ns, dim = ns, 2 * len(ns)
+        self.sizes = [dim] if sizes is None else list(sizes)
+        self.size = sum(d**2 for d in self.sizes)
         _, c, row, col = _blocks(positions, ns, m)
         # the diagonal blocks, then the linked ones: flat Y position and row node
         self._y = np.concatenate([ns * (m + 1), positions[c >= 0]])
         self._row = ns[row]
-        # the offsets of each block's entries in the row-major dense H, in
-        # the order of _block_layout's
-        corner = 2 * self.dim * row + 2 * col
-        self._at = corner + np.array([[0], [1], [self.dim], [self.dim + 1]])
+        # per block of the pattern, the rows d of its diagonal block, that
+        # block's first row and its first offset; the offsets of each
+        # block's entries, column-major in the diagonal block, in the order
+        # of _block_layout's
+        sizes = np.array(self.sizes)
+        node_block = np.repeat(np.arange(len(sizes)), sizes // 2)[row]
+        d = sizes[node_block]
+        first = (np.cumsum(sizes) - sizes)[node_block]
+        offset = (np.cumsum(sizes**2) - sizes**2)[node_block]
+        corner = offset + (2 * col - first) * d + 2 * row - first
+        self._at = corner + np.array([np.zeros_like(d), d, np.ones_like(d), d + 1])
 
-    def __call__(self, Ym, E):
+    def __call__(self, Ym, E, out=None):
         K = (Ym @ E[..., None])[..., 0][..., self._ns]
         A = np.conj(E[..., self._row]) * Ym.reshape(Ym.shape[:-2] + (-1,))[..., self._y]
         stack = A.shape[:-1]
-        H = np.zeros(stack + (self.dim * self.dim,))
+        if out is None:
+            H = np.zeros(stack + (self.size,))
+        else:
+            H = out[: self.size * int(np.prod(stack))].reshape(stack + (self.size,))
+            H.fill(0.0)
         _write_blocks(H, self._at, A, K)
-        return H.reshape(stack + (self.dim, self.dim))
+        blocks, at = [], 0
+        for d in self.sizes:
+            # column-major: the C-order (d, d) view is the block's transpose
+            blocks.append(H[..., at : at + d * d].reshape(stack + (d, d)).swapaxes(-1, -2))
+            at += d * d
+        return blocks
 
 
 def solve_load_flow(

@@ -21,22 +21,30 @@ trial's seed words to ``default_rng`` through ``_SeedWords``, a NumPy
 ``ISeedSequence``.
 
 Trials run in chunks (``_chunk_trials``) of at most ``CHUNK_TRIALS``
-trials and an H stack of at most ``CHUNK_BYTES``.  Per chunk and level,
-the perturbations are array expressions, one ``assemble_from_raw`` call
-builds the stack of H and the z = diag(s) it shares, and each block of
-H is solved on its own (``_solve``): one of at least ``INVERT_ROWS``
-rows is inverted trial by trial by LAPACK ``getrf`` and ``getri`` and
-its columns scaled by the signs s, a smaller one solved by one batched
-``np.linalg.solve`` against its z.  A trial with a singular or
-non-finite block is dropped and counted once.  In independent-elements
-mode a level reads a trial's admittance draws only at its noise
-positions: those normals are gathered once per chunk for each noise
-pattern, and the draw rows are freed before any stack is built.  A
-level's Y stack is freed once its H is filled, H once it is solved, and
-the solutions once the sets have merged them.  The mean and std are
-streamed across chunks (Chan, Golub & LeVeque 1979), so memory is
-bounded by one chunk whatever ``n_trials`` is; only ``store_trials``
-(the CLI's ``--dump-trials``) keeps every trial.
+trials and at most ``CHUNK_BYTES`` of a dense stack of H.  Per chunk
+and level, the perturbations are array expressions, and one
+``assemble_from_raw`` call fills the diagonal blocks of each trial's H,
+and nothing off them, each block column-major (``JacobianStack``), with
+the signs s of the z = diag(s) they share.  Each block is solved on its
+own (``_solve``) and its solutions written over it: one of at least
+``INVERT_ROWS`` rows is factored and inverted trial by trial in its own
+memory by LAPACK ``getrf`` and ``getri``, and its columns scaled by s;
+a smaller one is solved by one batched ``np.linalg.solve`` against its
+z.  A trial with a singular or non-finite block is dropped and counted
+once.  When a block is inverted, the blocks go into one buffer that the
+pass allocates once and every chunk and level refills; otherwise each
+chunk's stack is allocated and freed, so that it is not held beside
+the next chunk's draws.  In independent-elements mode a level reads a
+trial's admittance draws only at its noise positions: those normals are
+gathered once per chunk for each noise pattern, and the draw rows are
+freed before any stack is filled.  A level's Y stack is freed once the
+blocks are filled.  The sets merge each block's trials as rows of its
+values in the stack's column-major order, one contiguous run a trial,
+and the last set to read a chunk merges them in the stack's own memory,
+with no temporary of a block's stack.  The mean and std are streamed
+across chunks (Chan, Golub & LeVeque 1979), so memory is bounded by one
+chunk whatever ``n_trials`` is; only ``store_trials`` (the CLI's
+``--dump-trials``) keeps every trial.
 
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
@@ -95,9 +103,12 @@ _MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 
 #: a chunk holds at most this many trials ...
 CHUNK_TRIALS = 256
-#: ... and an H stack of at most this many bytes.  A trial's working set
-#: is at most about 4 times its 8 dim² bytes of H, so at dim H 118 a
-#: 1 MiB chunk of 9 trials works in at most about 4.0 MB.
+#: ... and at most this many bytes of a dense H stack.  The stack holds
+#: only H's diagonal blocks, so a trial's working set is at most about
+#: 1.9 times its 8 dim² bytes of H: a 200-trial pass at dim H 118, in
+#: chunks of 9 trials, peaks at 1.98 MB under ``tracemalloc`` on the
+#: blocks of 114, 2 and 2 rows of ``make_feeder(60, 4)``, and at 1.40 MB
+#: on the blocks of 70, 46 and 2 rows of ``make_feeder(60, 1)``.
 #: ``run_pipeline`` medians of the 60-bus full table (seed 1, blocks of
 #: 70, 46 and 2 rows) with 200 trials, 10 interleaved repeats on one Xeon
 #: core (2 MiB of L2) with one BLAS thread, the big blocks inverted:
@@ -331,42 +342,42 @@ def _partition(network, positions):
     rows = (2 * order[:, None] + [0, 1]).ravel()  # x's row of each row of H
     nodes = nonslack[order]
     return _Partition(nodes, spans, [(rows[s, np.newaxis], rows[s]) for s in spans],
-                      JacobianStack(positions, nodes, m))
+                      JacobianStack(positions, nodes, m, [s.stop - s.start for s in spans]))
 
 
 def _invert(H, signs):
-    """H⁻¹ diag(signs) of each trial of a stack, by LAPACK ``getrf`` and
-    then ``getri`` one trial at a time, NaN where a trial is singular."""
-    x = np.empty(H.shape)
-    for H_j, x_j in zip(H, x):
-        lu, piv, info = dgetrf(H_j)
+    """H⁻¹ diag(signs) of each trial of a stack of column-major blocks,
+    in their own memory: LAPACK ``getrf`` and then ``getri`` one trial at
+    a time, NaN where a trial is singular."""
+    for H_j in H:
+        lu, piv, info = dgetrf(H_j, overwrite_a=True)
         if info == 0:
             inv, info = dgetri(lu, piv, overwrite_lu=True)
         if info == 0:
-            np.multiply(inv, signs, out=x_j)  # scales column c by signs[c]
+            np.multiply(inv, signs, out=H_j)  # scales column c by signs[c]
         else:
-            x_j.fill(np.nan)
-    return x
+            H_j.fill(np.nan)
+    return H
 
 
-def _solve(H, z):
-    """Solutions of a stack of H x = z, z diagonal, NaN where a trial is
-    singular: inverted trial by trial from ``INVERT_ROWS`` rows up,
-    batched below."""
+def _solve(H, signs):
+    """Solutions of a stack of H x = diag(signs), written over H, NaN
+    where a trial is singular: inverted trial by trial from
+    ``INVERT_ROWS`` rows up, batched below."""
     if H.shape[-1] >= INVERT_ROWS:
-        return _invert(H, z.diagonal())
+        return _invert(H, signs)
+    z = np.diag(signs)
     try:
-        return np.linalg.solve(H, z)
+        H[...] = np.linalg.solve(H, z)
     except np.linalg.LinAlgError:
         # one singular trial fails the batched call: solve this stack
         # trial by trial, leaving NaN where a trial is singular
-        x = np.full(H.shape[:-1] + z.shape[-1:], np.nan)
-        for j, H_j in enumerate(H):
+        for H_j in H:
             try:
-                x[j] = np.linalg.solve(H_j, z)
+                H_j[...] = np.linalg.solve(H_j, z)
             except np.linalg.LinAlgError:
-                pass
-        return x
+                H_j.fill(np.nan)
+    return H
 
 
 class _Moments:
@@ -380,13 +391,14 @@ class _Moments:
     def __init__(self):
         self.count = 0
 
-    def add(self, x):
-        """Merge a (k, ...) stack of trials."""
+    def add(self, x, spend=False):
+        """Merge a (k, ...) stack of trials; with ``spend``, in x's own
+        memory, whose values it overwrites."""
         if self.count == 0:
             self.anchor = x[0].copy()
             self.mean = np.zeros_like(self.anchor)
             self.m2 = np.zeros_like(self.anchor)
-        d = x - self.anchor
+        d = np.subtract(x, self.anchor, out=x if spend else None)
         k = len(d)
         n = self.count + k
         chunk_mean = d.mean(axis=0)
@@ -418,9 +430,10 @@ class _Set:
         self.store = None
         self.failed = 0
 
-    def add(self, xs, ok, k):
+    def add(self, xs, ok, k, spend):
         """Merge the first ``k`` trials of a chunk's solutions ``xs``, one
-        stack per block, ``ok`` marking the usable trials."""
+        stack per block, ``ok`` marking the usable trials; with ``spend``,
+        in the memory of ``xs``, which no later set reads."""
         ok = ok[:k]
         keep = slice(k)
         if not ok.all():
@@ -432,13 +445,15 @@ class _Set:
         kept = self.moments[0].count
         for x, moments, at in zip(xs, self.moments, self.part.at):
             x = x[keep]
-            moments.add(x)
             if self.cfg.store_trials:
                 if self.store is None:
                     # +0.0 off the blocks, where no trial couples its nodes
                     dim = 2 * len(self.part.nodes)
                     self.store = np.zeros((dim, dim, self.cfg.n_trials))
                 self.store[at + (slice(kept, kept + len(x)),)] = np.moveaxis(x, 0, -1)
+            # a row a trial, its block column-major as the stack holds it:
+            # one contiguous run a trial, which the merge reads fastest
+            moments.add(x.swapaxes(-1, -2).reshape(len(x), -1), spend)
 
     def result(self, runtime_s):
         """The set's MCResult, ``runtime_s`` its share of the pass: each
@@ -449,7 +464,8 @@ class _Set:
         dim = 2 * len(self.part.nodes)
         mean, std = np.zeros((dim, dim)), np.zeros((dim, dim))
         for moments, at in zip(self.moments, self.part.at):
-            mean[at], std[at] = moments.result()
+            d = len(at[1])
+            mean[at], std[at] = (v.reshape(d, d).T for v in moments.result())
         return MCResult(
             mean=mean,
             std=std,
@@ -464,17 +480,19 @@ class _Set:
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 
-def _solve_level(network, Ym, E_k, noise, yu, mode, part):
+def _solve_level(network, Ym, E_k, noise, yu, mode, part, work):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
     level's ``yu``, one stack per block of ``part``, and which trials are
     usable.  ``noise`` holds the trials' admittance draws: in
     branch-parameter mode their rows, in independent-elements mode the
     real and imaginary normals at ``yu.positions``, (rows, 2, L).
 
-    Each trial's H is block-diagonal and each block, a slice of it, is
-    solved on its own (``_solve``).  A trial with a singular or non-finite
-    block is not usable.  The level's admittance stack is freed once H is
-    filled, before the solve, and H once it is solved.
+    Each trial's H is block-diagonal, and ``part.fill`` writes its
+    diagonal blocks alone into the pass's buffer ``work`` (a new stack if
+    it is None); each block is solved on its own (``_solve``), its
+    solutions written over it.  A trial with a
+    singular or non-finite block is not usable.  The level's admittance
+    stack is freed once the blocks are filled, before the solve.
     """
     rows = len(noise)
     if mode == BRANCH_PARAMETER:
@@ -487,9 +505,9 @@ def _solve_level(network, Ym, E_k, noise, yu, mode, part):
         Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
         Y_k[:, at] = Ym.take(at) + noise[:, 0] * yu.re + 1j * (noise[:, 1] * yu.im)
         Y_k = Y_k.reshape(rows, m, m)
-    system = assemble_from_raw(Y_k, E_k[:rows], network, part.fill)
+    system = assemble_from_raw(Y_k, E_k[:rows], network, part.fill, work)
     del Y_k
-    xs = [_solve(system.H[:, s, s], system.z[s, s]) for s in part.blocks]
+    xs = [_solve(H, system.signs[s]) for H, s in zip(system.blocks, part.blocks)]
     return xs, np.all([np.isfinite(x).all(axis=(-2, -1)) for x in xs], axis=0)
 
 
@@ -551,13 +569,20 @@ def run_monte_carlo_sets(
         if pattern.tobytes() not in parts:
             parts[pattern.tobytes()] = _partition(network, pattern)
         sets.append(_Set(c, parts[pattern.tobytes()]))
+    size = _chunk_trials(dim)
+    # the blocks of H go into one buffer that every chunk and level reuses
+    # when a block is inverted in it; a fresh stack of that size per chunk
+    # would fault its pages in again.  Without one, each chunk's stack is
+    # allocated and freed, so as not to be held beside the draws
+    work = None
+    if any(max(part.fill.sizes) >= INVERT_ROWS for part in parts.values()):
+        work = np.empty(size * max(part.fill.size for part in parts.values()))
     del parts
     # the bytes of each level's noise positions -> those positions
     gathers = {c.yu.positions.tobytes(): c.yu.positions for c in cfgs}
     levels = {}  # id(yu) -> the sets that share it
     for s in sets:
         levels.setdefault(id(s.cfg.yu), []).append(s)
-    size = _chunk_trials(dim)
     n_max = max(s.cfg.n_trials for s in sets)
     hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
     for start in range(0, n_max, size):
@@ -587,9 +612,9 @@ def run_monte_carlo_sets(
             rows = max(k for _, k in shares)
             yu = level[0].cfg.yu
             xs, ok = _solve_level(network, Ym, E_k, noise[yu.positions.tobytes()][:rows], yu,
-                                  cfg.symmetry_mode, level[0].part)
+                                  cfg.symmetry_mode, level[0].part, work)
             for s, k in shares:
-                s.add(xs, ok, k)
+                s.add(xs, ok, k, spend=s is shares[-1][0])
             # freed before the next chunk's assembly, so that the
             # allocator reuses their room instead of trimming the heap
             # and faulting it in again

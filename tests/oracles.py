@@ -10,11 +10,13 @@ variance for any z, the magnitude derivative, the refuted repeated-sign
 projection, the QQ normality check, the nested-loop enumeration and
 spelled-out labels of the report's coefficients, their positions
 read off a ``dim x dim`` mask, the pretty-text table one ``%`` template
-a row, and the nonzero mask of a dense matrix.
+a row, the nonzero mask of a dense matrix, and the document of a
+network file as dicts and lists.
 Tests import them as they import ``conftest`` helpers.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ from scipy import stats
 
 from pfsc.coefficients import INJECTIONS, PARTS, P, SensitivityProblem
 from pfsc.loadflow import GridState, _conj_term_block, _term_block, jacobian_derivative
-from pfsc.network import AdmittanceMatrix
+from pfsc.network import PQ, SLACK, AdmittanceMatrix
 from pfsc.report import CoefficientKey
 from pfsc.uncertainty import AdmittanceUncertainty, CartesianNoiseSpec
 
@@ -379,3 +381,32 @@ def pretty_text(report, decimals=4):
     text.append("timings (s):\n")
     text += [f"  {k}: {report.timings[k]:.3f}\n" for k in sorted(report.timings)]
     return "".join(text)
+
+
+def network_document(network):
+    """The document a network file holds, as dicts and lists, built
+    bus by bus and branch by branch: ``emit_network`` writes the bytes of
+    ``json.dumps(network_document(network), indent=2)`` and a newline."""
+    p, table = network.phase_count, network.branch_table
+
+    def per_phase(values):  # a number a bus or branch if p is 1, else a list
+        return values.ravel().tolist() if p == 1 else values.tolist()
+
+    buses = [{"index": index, "kind": SLACK} if index == network.slack_bus
+             else {"index": index, "kind": PQ, "p_kw": p_kw, "q_kvar": q_kvar}
+             for index, p_kw, q_kvar in zip(
+                 network.bus_index, per_phase(network.p_kw), per_phase(network.q_kvar))]
+    branches = [{"from": network.node(f)[0], "to": network.node(t)[0], "r_ohm": r, "x_ohm": x}
+                for f, t, r, x in zip(table.from_flat.tolist(), table.to_flat.tolist(),
+                                      per_phase(table.z_ohm.real), per_phase(table.z_ohm.imag))]
+    for entry, shunt, one, length in zip(
+            branches, table.shunt_b_s, table.per_phase, table.length_km.tolist()):
+        if shunt.any():
+            entry["shunt_b_s"] = (shunt[:1, :1] if one else shunt).tolist()
+        if not math.isnan(length):
+            entry["length_km"] = length
+    v = network.slack_voltage_pu
+    return {"name": network.name, "phases": p,
+            "bases": {"s_base_va": network.base_power_va, "v_base_v": network.base_voltage_v},
+            "slack_voltage_pu": [float(abs(v)), float(np.angle(v))],
+            "buses": buses, "branches": branches}

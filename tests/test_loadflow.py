@@ -302,9 +302,39 @@ def test_stack_fill_equals_dense_oracle(feeder):
     for kind, (positions, Y_k) in _perturbed_stacks(net, Y, rng).items():
         fill = JacobianStack(positions, ns, net.n_nodes)
         for Ym, E_ in ((Y_k, E_k), (Y_k, E), (Y_k[0], E_k[0])):
-            got, want = fill(Ym, E_), jacobian(Ym, E_, ns)
+            (got,), want = fill(Ym, E_), jacobian(Ym, E_, ns)
             assert np.array_equal(got, want), kind
             assert got.tobytes() == (want + 0.0).tobytes(), kind
+
+
+def test_stack_fill_in_blocks_equals_dense_oracle():
+    # the unknowns of make_feeder(60, 1) in the order of its three
+    # subtrees off the slack, blocks of 70, 46 and 2 rows: each block is
+    # the oracle's H there, column-major in one stack of 7,020 values a
+    # trial, and the oracle's H is zero off the blocks; a stack given as
+    # ``out`` is zeroed and refilled in place
+    net = make_feeder(60, 1)
+    Y = pfsc.build_admittance(net)
+    E = solve_load_flow(net, Y).voltages
+    rng = np.random.default_rng(6)
+    E_k = E + 1e-3 * rng.standard_normal((3,) + E.shape)
+    part = pfsc.montecarlo._partition(net, Y.positions)
+    sizes = [s.stop - s.start for s in part.blocks]
+    assert sizes == [70, 46, 2]
+    positions, Y_k = _perturbed_stacks(net, Y, rng)["elements"]
+    fill = JacobianStack(positions, part.nodes, net.n_nodes, sizes)
+    assert fill.size == 70**2 + 46**2 + 2**2
+    want = jacobian(Y_k, E_k, part.nodes)
+    inside = np.zeros(want.shape[-2:], dtype=bool)
+    out = np.full(5 * fill.size, np.nan)
+    for blocks in (fill(Y_k, E_k), fill(Y_k, E_k, out)):
+        for H, s in zip(blocks, part.blocks):
+            assert H.shape == (3, s.stop - s.start, s.stop - s.start)
+            assert H[0].flags.f_contiguous
+            assert H.tobytes() == (want[:, s, s] + 0.0).tobytes()
+            inside[s, s] = True
+    assert not want[:, ~inside].any()
+    assert np.isnan(out[3 * fill.size :]).all()
 
 
 def _dense_load_flow(net, Y, tol=1e-8, max_iter=50):

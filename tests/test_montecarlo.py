@@ -372,13 +372,23 @@ def test_zero_voltage_noise_keeps_streams_aligned(ieee4_solved, seven_trial_chun
 
 
 def poisoned_assembly(monkeypatch, poison):
-    """Route the engine's assembly through ``poison(H_stack, call_index)``."""
+    """Route the engine's assembly through ``poison(H_stack, call_index)``:
+    the stack of H is put together from its diagonal blocks, in the
+    engine's order of the unknowns, poisoned, and each block is read back
+    from it into the chunk's buffer."""
     calls = []
 
     def assemble(Ym, E, network, *order):
         problem = assemble_from_raw(Ym, E, network, *order)
-        poison(problem.H, len(calls))
-        calls.append(len(problem.H))
+        ends = np.cumsum([H.shape[-1] for H in problem.blocks])
+        spans = [slice(end - H.shape[-1], end) for H, end in zip(problem.blocks, ends)]
+        whole = np.zeros((len(problem.blocks[0]), ends[-1], ends[-1]))
+        for H, s in zip(problem.blocks, spans):
+            whole[:, s, s] = H
+        poison(whole, len(calls))
+        for H, s in zip(problem.blocks, spans):
+            H[...] = whole[:, s, s]
+        calls.append(len(whole))
         return problem
 
     monkeypatch.setattr(montecarlo, "assemble_from_raw", assemble)
@@ -421,8 +431,25 @@ def test_failed_inverted_trials_dropped_and_counted(feeder60, seven_trial_chunks
             H[4, 10] = 0.0
 
     calls = poisoned_assembly(monkeypatch, poison)
+    solved = []  # each block's solutions, (rows, a copy), as the solve leaves them
+    solve = montecarlo._solve
+
+    def recorded(H, signs):
+        x = solve(H, signs)
+        solved.append((H.shape[-1], x.copy()))
+        return x
+
+    monkeypatch.setattr(montecarlo, "_solve", recorded)
     out = run_monte_carlo(net, Y, state, cfg)
     assert calls == [7, 7, 6]
+    # trial 4's 70-row block is singular inside the buffer it is inverted
+    # in: getrf stops there and the trial's block is NaN in place; the
+    # other trials of that stack, and the next chunk's, which reuses the
+    # buffer, invert to finite values
+    big = [x for rows, x in solved if rows == 70]
+    assert np.isnan(big[1][4]).all()
+    assert all(np.isfinite(big[1][j]).all() for j in (0, 2, 3, 5, 6))
+    assert np.isfinite(big[2]).all()
     assert out.trials_failed == 2
     kept = np.delete(clean.trials, [8, 11], axis=-1)
     assert out.trials.tobytes() == kept.tobytes()
@@ -468,7 +495,8 @@ def poisoned_trial(monkeypatch, network, state, cfg, trial):
     def assemble(Ym, E, network, *order):
         problem = assemble_from_raw(Ym, E, network, *order)
         hit = (E == target).all(axis=-1)
-        problem.H[hit] = 0.0
+        for H in problem.blocks:
+            H[hit] = 0.0
         hits.append(int(hit.sum()))
         return problem
 
@@ -709,14 +737,29 @@ def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
 
 def test_full_table_monte_carlo_peak_memory(feeder60):
     """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
-    full-table report, peaks at about 1.9 MB under ``tracemalloc`` in
-    1 MiB chunks of 9 trials, each solved and merged block by block, with
-    each chunk's draw rows freed before its stacks are built."""
+    full-table report, peaks at about 1.4 MB under ``tracemalloc`` in
+    chunks of 9 trials (the 1 MiB of a dense H stack), each solved and
+    merged block by block, with each chunk's draw rows freed before its
+    stacks are built."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
     peak = traced_peak(lambda: run_monte_carlo_sets(net, Y, state, [cfg]))
     assert peak <= 2.2e6, peak
+
+
+def test_block_stack_monte_carlo_peak_memory(feeder60):
+    """The pass of ``test_full_table_monte_carlo_peak_memory`` holds only
+    the diagonal blocks of each chunk's H, 7,020 of its 13,924 entries a
+    trial, in one buffer that every chunk reuses, and inverts its blocks
+    of 70 and 46 rows in that buffer: it peaks at about 1.41 MB under
+    ``tracemalloc``, where a dense stack of H and a solution stack beside
+    it peaked at 1.96 MB."""
+    net, Y, state, polar, yu = feeder60
+    cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
+    run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
+    peak = traced_peak(lambda: run_monte_carlo_sets(net, Y, state, [cfg]))
+    assert peak <= 1.6e6, peak
 
 
 def test_stored_trials_peak_memory(feeder60):
@@ -857,9 +900,9 @@ def stacks_made(monkeypatch):
     made = []
     init = pfsc.loadflow.JacobianStack.__init__
 
-    def counted(self, positions, nonslack, m):
+    def counted(self, positions, nonslack, m, *sizes):
         made.append(positions.tolist())
-        init(self, positions, nonslack, m)
+        init(self, positions, nonslack, m, *sizes)
 
     monkeypatch.setattr(pfsc.loadflow.JacobianStack, "__init__", counted)
     return made
@@ -943,14 +986,15 @@ def test_moments_and_trials_are_kept_per_block(feeder60, monkeypatch):
     merged = []
     add = montecarlo._Moments.add
 
-    def recorded(self, x):
+    def recorded(self, x, *spend):
         merged.append(x.shape)
-        return add(self, x)
+        return add(self, x, *spend)
 
     monkeypatch.setattr(montecarlo._Moments, "add", recorded)
     cfg = MCConfig(n_trials=20, seed=3, polar=polar, yu=yu, store_trials=True)
     out = run_monte_carlo(net, Y, state, cfg)
-    assert merged == [(k, d, d) for k in (9, 9, 2) for d in (70, 46, 2)]
+    # each block merged as a row of d^2 values a trial
+    assert merged == [(k, d * d) for k in (9, 9, 2) for d in (70, 46, 2)]
     H, _ = next(oracle_systems(net, Y, state, cfg))
     inside = np.zeros(H.shape, dtype=bool)
     for rows in components(H):
@@ -1007,6 +1051,43 @@ def block_calls(k, sizes, inverted):
     one batched solve of each other block."""
     return [shape for d in sizes
             for shape in ([(d, d)] * k if d in inverted else [(k, d, d)])]
+
+
+def test_big_blocks_are_inverted_in_their_stack(feeder60, monkeypatch):
+    # every block is solved into the chunk's stack, which every chunk
+    # reuses: each solution is the view of its block, filled with the
+    # bytes of invert_and_sign of each trial's block for the blocks of 70
+    # and 46 rows, and with those of the batched solve for the 2-row one
+    net, Y, state, polar, yu = feeder60
+    stacks, solved = [], []
+
+    def assemble(Ym, E, network, *rest):
+        system = assemble_from_raw(Ym, E, network, *rest)
+        stacks.append(system.blocks)
+        return system
+
+    solve = montecarlo._solve
+
+    def recorded(H, signs):
+        filled = H.copy()
+        x = solve(H, signs)
+        assert x is H and any(H is block for block in stacks[-1])
+        solved.append((filled, x.copy(), signs))
+        return x
+
+    monkeypatch.setattr(montecarlo, "assemble_from_raw", assemble)
+    monkeypatch.setattr(montecarlo, "_solve", recorded)
+    run_monte_carlo(net, Y, state, MCConfig(n_trials=20, seed=3, polar=polar, yu=yu))
+    assert [[H.shape for H in blocks] for blocks in stacks] == [
+        [(k, d, d) for d in (70, 46, 2)] for k in (9, 9, 2)]
+    assert all(np.shares_memory(blocks[0], stacks[0][0]) for blocks in stacks)
+    assert len(solved) == 9
+    for H, x, signs in solved:
+        if H.shape[-1] >= montecarlo.INVERT_ROWS:
+            for H_j, x_j in zip(H, x):
+                assert x_j.tobytes() == invert_and_sign(H_j, np.diag(signs)).tobytes()
+        else:
+            assert x.tobytes() == np.linalg.solve(H, np.diag(signs)).tobytes()
 
 
 def test_decoupled_feeder_solves_no_whole_H(feeder60, monkeypatch):

@@ -18,7 +18,7 @@ from pfsc.errors import (
 from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network, with_injections
 
 from conftest import make_feeder, make_random_network, make_three_phase_balanced
-from oracles import structural_nonzero
+from oracles import network_document, structural_nonzero
 
 
 def _no_json(text, **kwargs):
@@ -712,6 +712,34 @@ branches:
             emitted = json.loads(path.read_text())["branches"][0]["shunt_b_s"]
             assert np.shape(emitted) == shunt.shape
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pfsc.load_network(pfsc.bundled_network_path()),
+            make_three_phase_balanced,
+            lambda: make_random_network(12, 5, radial=False),
+            lambda: make_feeder(300, 3),
+            lambda: _varied(pfsc.load_network(pfsc.bundled_network_path()), 2e-4),
+            lambda: _varied(pfsc.load_network(pfsc.bundled_network_path()), [[3e-4]]),
+            lambda: _varied(make_three_phase_balanced(),
+                            [[1e-4, 2e-5, 0.0], [2e-5, 1e-4, 0.0], [0.0, 0.0, 3e-4]]),
+            lambda: _varied(make_three_phase_balanced(), 1e-4),
+            lambda: _varied(make_feeder(60, 1), 1e-5),
+            lambda: replace(make_three_phase_balanced(), name='50% "odd"\n\x00 %s name'),
+        ],
+        ids=["ieee4", "three-phase", "random12", "feeder300", "ieee4-shunt", "ieee4-1x1-shunt",
+             "three-phase-3x3-shunt", "three-phase-scalar-shunt", "feeder60-shunts-lengths",
+             "odd-name"],
+    )
+    def test_emitted_bytes_are_the_indented_json_document(self, make, tmp_path):
+        # each layout of a bus or branch is one template: the file is, byte
+        # for byte, what json.dumps(doc, indent=2) writes of the document
+        # built entry by entry
+        net = make()
+        path = tmp_path / "net.json"
+        emit_network(net, path)
+        assert path.read_text() == json.dumps(network_document(net), indent=2) + "\n"
+
     def test_huge_bus_numbers_load_and_solve(self, tmp_path):
         # bus numbers stay Python ints: one beyond int64 neither overflows
         # nor is rounded, in YAML or in the JSON that is written back
@@ -723,6 +751,8 @@ branches:
             f"branches: [{{from: 1, to: {big}, r_ohm: 0.1, x_ohm: 0.2}}]\n"
         )
         emit_network(load_network(path), tmp_path / "net.json")
+        assert (tmp_path / "net.json").read_text() == (
+            json.dumps(network_document(load_network(path)), indent=2) + "\n")
         for net in (load_network(path), load_network(tmp_path / "net.json")):
             assert [bus.index for bus in net.buses] == [1, big]
             assert net.branches[0].to_bus == big
@@ -817,6 +847,15 @@ def _with_shunt(net, shunt):
 def _shunted(net, shunt):
     """``net`` with ``shunt`` on its first branch."""
     return replace(net, branches=_with_shunt(net, shunt))
+
+
+def _varied(net, shunt):
+    """``net`` with ``shunt`` on every third branch and a length on every
+    second, so that its branches take four layouts in the file."""
+    return replace(net, branches=tuple(
+        Branch(br.from_bus, br.to_bus, br.z_ohm, shunt if i % 3 == 0 else None,
+               None if i % 2 else 0.5 + i)
+        for i, br in enumerate(net.branches)))
 
 
 @pytest.mark.parametrize(

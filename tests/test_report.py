@@ -540,7 +540,8 @@ class TestEmission:
 
         def one_singular_trial(Ym, E, network, *order):
             problem = real(Ym, E, network, *order)
-            problem.H[0] = 0.0
+            for H in problem.blocks:
+                H[0] = 0.0
             return problem
 
         monkeypatch.setattr(montecarlo, "assemble_from_raw", one_singular_trial)
