@@ -235,6 +235,7 @@ def assemble_from_raw(
     network: NetworkModel,
     fill: JacobianStack | None = None,
     out: np.ndarray | None = None,
+    K: np.ndarray | None = None,
 ) -> RawSystem:
     """H at raw inputs, filled on its pattern by ``loadflow.JacobianStack``,
     and the signs of z = diag(signs).
@@ -249,8 +250,14 @@ def assemble_from_raw(
     ``out`` the buffer it fills, if any; a Monte-Carlo pass lays one out
     per noise pattern, in blocks that no trial couples.  By default one
     is laid out for the entries nonzero in some slice of ``Ym``, in the
-    network's order, with one block: ``H``, (..., 2n, 2n).
+    network's order, with one block: ``H``, (..., 2n, 2n).  With ``K``,
+    the products (Y E) at ``fill``'s unknowns (..., n), ``Ym`` holds each
+    Y's entries at ``fill``'s positions, (..., L), and no dense Y is read
+    (``JacobianStack.on_pattern``): a Monte-Carlo pass calls it so.
     """
+    if K is not None:
+        nonslack = _checked_nonslack((network.n_nodes,) * 2, E, network)
+        return RawSystem(fill.on_pattern(Ym, E, K, out), _rhs_signs(len(nonslack)))
     nonslack = _checked_nonslack(Ym.shape, E, network)
     if fill is None:
         nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)

@@ -24,17 +24,20 @@ here, by those rules, in one of two forms:
 - ``JacobianStack``: dense and batched over stacks of (Y, E), for the
   Monte-Carlo trials.  It is laid out for the positions where the Y of
   a stack may be nonzero and for diagonal blocks of H that none of them
-  links, and fills the blocks into a zeroed stack that holds only those
-  diagonal blocks, each column-major.
+  links, reads each Y's entries at those positions, and fills the blocks
+  into a zeroed stack that holds only those diagonal blocks, each
+  column-major.
 
 Both write their blocks by one routine (``_write_blocks``), and, given
 the same product Y E, every stored entry equals that of H assembled
 densely over every entry of Y under ==.  At a point, Y E is summed over
 Y's pattern (``AdmittanceMatrix.dot``): the Newton loop forms it once per
 iterate, for the power mismatch and the refill, and no dense Y is built.
-``JacobianStack`` forms K = Y E as the dense batched product of its
-stack, which on the four-bus feeder costs less than half of a sum over
-the pattern of each stack.
+``JacobianStack`` takes K = Y E at its unknowns from its caller, and
+reads no dense Y: the Monte-Carlo pass forms K as the dense product of
+each trial's Y, a few trials at a time in one reused buffer, which keeps
+the bits of the whole stack's batched product and on the four-bus
+feeder costs less than half of a sum over the pattern of each stack.
 
 H is real-bilinear in (E, Y), so its derivative with respect to each
 real input is exact and sparse: ``jacobian_derivative`` lays it out once
@@ -59,6 +62,7 @@ diagonal blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +70,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import LoadFlowError
-from .network import AdmittanceMatrix, NetworkModel
+from .network import AdmittanceMatrix, NetworkModel, take
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -352,25 +356,35 @@ class JacobianStack:
     number of rows, that no position links to another (by default one
     block, the whole H).  Each H of a stack is stored as ``size`` values,
     its blocks one after another, each column-major, the layout LAPACK
-    factors in place.  Calling it with ``Ym`` (..., m, m) and ``E``
-    (..., m), whose leading axes broadcast, zeroes a stack of H,
-    (..., size), in ``out`` (a flat float array of at least that many
-    values, reused between calls) or in a new array, writes each 2x2
-    block of the pattern at its offsets, and returns a view of each
-    diagonal block of H, (..., d, d).  K = Y E is the dense batched
-    product.  Every entry equals that of H assembled over every entry of
-    Y under ==, and is the same in any stack; an entry off the pattern
+    factors in place.
+
+    ``on_pattern(y, E, K, out=None)`` takes each Y of the stack as its
+    entries ``y`` (..., L) at ``positions`` and K = (Y E) at ``nonslack``
+    (..., n), with ``E`` (..., m) whose leading axes broadcast to those of
+    ``y``; no dense Y is read.  It zeroes a stack of H, (..., size), in ``out`` (a flat
+    float array of at least that many values, reused between calls) or
+    in a new array, writes each 2x2 block of the pattern at its offsets,
+    and returns a view of each diagonal block of H, (..., d, d).  Calling
+    the stack with dense ``Ym`` (..., m, m) and ``E`` does the same with
+    y read from ``Ym`` and K from the dense batched product.  Every
+    entry equals that of H assembled over every entry of Y with the same
+    K under ==, and is the same in any stack; an entry off the pattern
     is +0.0, where the dense assembly may give -0.0.
     """
 
     def __init__(self, positions, nonslack, m, sizes=None):
         ns = np.asarray(nonslack, dtype=np.intp)
         self._ns, dim = ns, 2 * len(ns)
+        self.positions = positions
         self.sizes = [dim] if sizes is None else list(sizes)
         self.size = sum(d**2 for d in self.sizes)
         _, c, row, col = _blocks(positions, ns, m)
-        # the diagonal blocks, then the linked ones: flat Y position and row node
-        self._y = np.concatenate([ns * (m + 1), positions[c >= 0]])
+        # the diagonal blocks, then the linked ones: the entry of y that
+        # each reads (len(positions) for a diagonal not stored, which
+        # reads a zero appended to y) and its row node
+        self._y = take(positions, np.arange(len(positions) + 1),
+                       np.concatenate([ns * (m + 1), positions[c >= 0]]))
+        self._pad = bool(np.any(self._y == len(positions)))
         self._row = ns[row]
         # per block of the pattern, the rows d of its diagonal block, that
         # block's first row and its first offset; the offsets of each
@@ -385,13 +399,24 @@ class JacobianStack:
         self._at = corner + np.array([np.zeros_like(d), d, np.ones_like(d), d + 1])
 
     def __call__(self, Ym, E, out=None):
-        K = (Ym @ E[..., None])[..., 0][..., self._ns]
-        A = np.conj(E[..., self._row]) * Ym.reshape(Ym.shape[:-2] + (-1,))[..., self._y]
+        stack = np.broadcast_shapes(Ym.shape[:-2], E.shape[:-1])
+        y = np.broadcast_to(Ym.reshape(Ym.shape[:-2] + (-1,))[..., self.positions],
+                            stack + (len(self.positions),))
+        return self.on_pattern(y, E, (Ym @ E[..., None])[..., self._ns, 0], out)
+
+    def on_pattern(self, y, E, K, out=None):
+        if self._pad:
+            y = np.concatenate([y, np.zeros(y.shape[:-1] + (1,), dtype=y.dtype)], axis=-1)
+        conj_E = E[..., self._row]
+        np.conj(conj_E, out=conj_E)
+        A = y[..., self._y]
+        np.multiply(conj_E, A, out=A)  # A = conj(E_r) y, in the gathered y
+        del conj_E
         stack = A.shape[:-1]
         if out is None:
             H = np.zeros(stack + (self.size,))
         else:
-            H = out[: self.size * int(np.prod(stack))].reshape(stack + (self.size,))
+            H = out[: self.size * math.prod(stack)].reshape(stack + (self.size,))
             H.fill(0.0)
         _write_blocks(H, self._at, A, K)
         blocks, at = [], 0

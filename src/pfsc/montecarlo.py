@@ -8,43 +8,44 @@ two models (``MCConfig.symmetry_mode``): ``independent-elements``, the
 model of the analytical propagation, draws every real and imaginary
 part of the matrix on its own; ``branch-parameter`` perturbs each
 branch's series impedance and stamps the matrix from it with the
-package's one stamp, ``network.stamp_admittance``, whose values at the
-positions it writes ``network.dense`` scatters into the chunk's stack.
-A set's admittance noise must be made for the network's node count.
+package's one stamp, ``network.stamp_admittance``, which gives each
+trial's entries at the positions it writes.  A set's admittance noise
+must be made for the network's node count.
 
 Trial k draws from its own stream, bitwise that of
 ``default_rng(SeedSequence((seed, k)))`` (NEP 19), so its draws do not
 depend on the chunking or on ``n_trials``.  ``_stream_states`` runs
 SeedSequence's hash (``_hashmix``, ``_pool``) as uint32 array arithmetic
 over up to ``CHUNK_TRIALS`` trials at a time, and ``_draws`` hands each
-trial's seed words to ``default_rng`` through ``_SeedWords``, a NumPy
-``ISeedSequence``.
+trial's seed words to ``Generator(PCG64(...))``, what ``default_rng``
+builds, through ``_SeedWords``, a NumPy ``ISeedSequence``.
 
 Trials run in chunks (``_chunk_trials``) of at most ``CHUNK_TRIALS``
-trials and at most ``CHUNK_BYTES`` of a dense stack of H.  Per chunk
-and level, the perturbations are array expressions, and one
-``assemble_from_raw`` call fills the diagonal blocks of each trial's H,
-and nothing off them, each block column-major (``JacobianStack``), with
-the signs s of the z = diag(s) they share.  Each block is solved on its
-own (``_solve``) and its solutions written over it: one of at least
-``INVERT_ROWS`` rows is factored and inverted trial by trial in its own
-memory by LAPACK ``getrf`` and ``getri``, and its columns scaled by s;
-a smaller one is solved by one batched ``np.linalg.solve`` against its
-z.  A trial with a singular or non-finite block is dropped and counted
-once.  When a block is inverted, the blocks go into one buffer that the
-pass allocates once and every chunk and level refills; otherwise each
-chunk's stack is allocated and freed, so that it is not held beside
-the next chunk's draws.  In independent-elements mode a level reads a
-trial's admittance draws only at its noise positions: those normals are
-gathered once per chunk for each noise pattern, and the draw rows are
-freed before any stack is filled.  A level's Y stack is freed once the
-blocks are filled.  The sets merge each block's trials as rows of its
-values in the stack's column-major order, one contiguous run a trial,
-and the last set to read a chunk merges them in the stack's own memory,
-with no temporary of a block's stack.  The mean and std are streamed
-across chunks (Chan, Golub & LeVeque 1979), so memory is bounded by one
-chunk whatever ``n_trials`` is; only ``store_trials`` (the CLI's
-``--dump-trials``) keeps every trial.
+trials and at most ``CHUNK_BYTES`` of a dense stack of H.  A pass holds
+one buffer, which every chunk and level reuses, and no other array as
+wide as m² a trial.  Each chunk's draw rows are drawn into the buffer a
+few at a time, and only the normals that some level reads are kept
+(``_draws``): the voltages', and in independent-elements mode those at
+the levels' noise positions.  Per chunk and level, the perturbations are
+array expressions, and each trial's Y is held as its entries on the
+level's pattern.  K = Y E is the dense product of each trial's Y, formed
+in the buffer as many trials at a time as it holds (``_products``), and
+one ``assemble_from_raw`` call fills the diagonal blocks of each trial's
+H into the buffer, and nothing off them, each block column-major
+(``JacobianStack``), with the signs s of the z = diag(s) they share.
+Each block is solved on its own (``_solve``) and its solutions written
+over it: one of at least ``INVERT_ROWS`` rows is factored and inverted
+trial by trial in its own memory by LAPACK ``getrf`` and ``getri``, and
+its columns scaled by s; a smaller one is solved by one batched
+``np.linalg.solve`` against its z.  A trial with a singular or
+non-finite block is dropped and counted once.  The sets merge each
+block's trials as rows of its values in the stack's column-major order,
+one contiguous run a trial, and the last set to read a chunk merges
+them in the buffer, with no temporary of a block's stack.  The mean and
+std are streamed across chunks (Chan, Golub & LeVeque 1979), so memory
+is bounded by one chunk whatever ``n_trials`` is; only ``store_trials``
+(the CLI's ``--dump-trials``) keeps every trial.  The buffer is freed
+before the sets build their results.
 
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
@@ -86,6 +87,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import Generator, PCG64
 from numpy.random.bit_generator import ISeedSequence
 from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.sparse import coo_matrix
@@ -94,7 +96,7 @@ from scipy.sparse.csgraph import connected_components
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
 from .loadflow import GridState, JacobianStack, _blocks
-from .network import AdmittanceMatrix, NetworkModel, dense, stamp_admittance
+from .network import AdmittanceMatrix, NetworkModel, stamp_admittance, take
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
 INDEPENDENT_ELEMENTS = "independent-elements"
@@ -104,11 +106,11 @@ _MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 #: a chunk holds at most this many trials ...
 CHUNK_TRIALS = 256
 #: ... and at most this many bytes of a dense H stack.  The stack holds
-#: only H's diagonal blocks, so a trial's working set is at most about
-#: 1.9 times its 8 dim² bytes of H: a 200-trial pass at dim H 118, in
-#: chunks of 9 trials, peaks at 1.98 MB under ``tracemalloc`` on the
-#: blocks of 114, 2 and 2 rows of ``make_feeder(60, 4)``, and at 1.40 MB
-#: on the blocks of 70, 46 and 2 rows of ``make_feeder(60, 1)``.
+#: only H's diagonal blocks, and a pass peaks at up to about 1.5 times a
+#: chunk's dense H stack: a 200-trial pass at dim H 118, in chunks of 9
+#: trials (1.0 MB of dense H), peaks at 1.53 MB under ``tracemalloc`` on
+#: the blocks of 114, 2 and 2 rows of ``make_feeder(60, 4)``, and at
+#: 0.87 MB on the blocks of 70, 46 and 2 rows of ``make_feeder(60, 1)``.
 #: ``run_pipeline`` medians of the 60-bus full table (seed 1, blocks of
 #: 70, 46 and 2 rows) with 200 trials, 10 interleaved repeats on one Xeon
 #: core (2 MiB of L2) with one BLAS thread, the big blocks inverted:
@@ -117,6 +119,14 @@ CHUNK_TRIALS = 256
 #: 1 MiB: it bounds the pass's memory, and its boundaries set the bits of
 #: the streamed moments.
 CHUNK_BYTES = 2**20
+#: a pass's one buffer holds at least this many bytes, and at least one
+#: trial's draw row, one trial's dense Y and one chunk's stack of H's
+#: diagonal blocks: each chunk's draw rows are drawn into it as many at a
+#: time as it holds (``_draws``), each level's K = Y E is formed in it as
+#: many trials at a time (``_products``), and then the level's H.  On a
+#: network of a few buses it holds a whole 256-trial chunk's dense Y, so
+#: K is one batched product as without it (ieee4: 16 entries a trial).
+SCRATCH_BYTES = 2**16
 #: a block of H with at least this many rows is inverted one trial at a
 #: time (``_invert``); a smaller one keeps the batched ``np.linalg.solve``,
 #: whose single call beats a Python loop of LAPACK calls on small blocks.
@@ -190,7 +200,8 @@ def _perturb_voltages(E, polar: PolarNoiseSpec, n_rho, n_theta):
 
 
 def _perturb_branches(network, frac, noise):
-    """Admittance stack of a chunk from perturbed series impedances.
+    """Admittance stack of a chunk from perturbed series impedances, as
+    ``stamp_admittance`` gives it: ``(positions, values)``.
 
     Each row of ``noise`` holds, branch by branch, the real and then the
     imaginary standard-normal draws of the branch's impedance entries.
@@ -199,7 +210,7 @@ def _perturb_branches(network, frac, noise):
     z = network.branch_table.z_ohm
     n = noise.reshape(len(noise), len(z), 2, p, p)
     z_k = z + (n[:, :, 0] * frac * np.abs(z) + 1j * (n[:, :, 1] * frac * np.abs(z)))
-    return dense(*stamp_admittance(network, z_k), network.n_nodes)
+    return stamp_admittance(network, z_k)
 
 
 # The hash of ``numpy.random.SeedSequence`` (pool of 4 words); the
@@ -290,21 +301,40 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _draws(states, width):
-    """Standard-normal draws of trials, one row of ``width`` each, from
-    their seed words ``states`` as ``_stream_states`` gives them.
+def _draws(states, width, keep=None, buffer=None):
+    """Standard-normal draws of trials from their seed words ``states`` as
+    ``_stream_states`` gives them: each trial's row of ``width``, or with
+    ``keep`` only the row's columns ``keep``.
 
     Each trial's stream fills its row: magnitude and phase noise of the m
     voltages, then the admittance noise, element-wise the real and
     imaginary noise of the m x m matrix, or in branch-parameter mode that
     of each branch impedance (see ``_perturb_branches``).  Each row comes
-    from ``default_rng`` of the trial's words, so the rows are bitwise
-    those of ``default_rng(SeedSequence((seed, k)))``.
+    from ``Generator(PCG64(...))`` of the trial's words, what
+    ``default_rng`` builds, so the rows are bitwise those of
+    ``default_rng(SeedSequence((seed, k)))``.  With ``keep``, the rows are
+    drawn into the flat array ``buffer``, as many at a time as it holds
+    (at least one), and their columns ``keep`` copied out, so that no
+    chunk of whole rows is held.
     """
-    draws = np.empty((len(states), width))
-    for row, words in zip(draws, states):
-        np.random.default_rng(_SeedWords(words)).standard_normal(out=row)
+    if keep is None:
+        draws = np.empty((len(states), width))
+        _fill_rows(draws, states)
+        return draws
+    draws = np.empty((len(states), len(keep)))
+    rows = buffer[: len(buffer) // width * width].reshape(-1, width)
+    for start in range(0, len(states), len(rows)):
+        part = states[start : start + len(rows)]
+        _fill_rows(rows, part)
+        # "clip" lets take write into out unbuffered; keep is in range
+        np.take(rows[: len(part)], keep, axis=1, out=draws[start : start + len(part)], mode="clip")
     return draws
+
+
+def _fill_rows(rows, states):
+    """Each trial's standard normals into its row of ``rows``."""
+    for row, words in zip(rows, states):
+        Generator(PCG64(_SeedWords(words))).standard_normal(out=row)
 
 
 class _Partition(NamedTuple):
@@ -401,12 +431,18 @@ class _Moments:
         d = np.subtract(x, self.anchor, out=x if spend else None)
         k = len(d)
         n = self.count + k
-        chunk_mean = d.mean(axis=0)
-        d -= chunk_mean
+        delta = d.mean(axis=0)  # the chunk's mean, until made its delta
+        d -= delta
         chunk_m2 = np.square(d, out=d).sum(axis=0)
-        delta = chunk_mean - self.mean
-        self.mean += delta * (k / n)
-        self.m2 += chunk_m2 + delta**2 * (self.count * k / n)
+        delta -= self.mean
+        # m2 += chunk_m2 + delta² count k / n, and mean += delta k / n, each
+        # operation in that order and in place: the first row of d is spent
+        term = np.square(delta, out=d[0])
+        term *= self.count * k / n
+        term += chunk_m2
+        self.m2 += term
+        delta *= k / n
+        self.mean += delta
         self.count = n
 
     def result(self):
@@ -480,33 +516,78 @@ class _Set:
 SHARED_FIELDS = ("seed", "polar", "symmetry_mode", "store_trials")
 
 
-def _solve_level(network, Ym, E_k, noise, yu, mode, part, work):
-    """Solutions of the first ``len(noise)`` trials of a chunk at one
-    level's ``yu``, one stack per block of ``part``, and which trials are
-    usable.  ``noise`` holds the trials' admittance draws: in
-    branch-parameter mode their rows, in independent-elements mode the
-    real and imaginary normals at ``yu.positions``, (rows, 2, L).
+class _Level(NamedTuple):
+    """What a pass lays out once for the sets that share one ``yu``."""
 
-    Each trial's H is block-diagonal, and ``part.fill`` writes its
-    diagonal blocks alone into the pass's buffer ``work`` (a new stack if
-    it is None); each block is solved on its own (``_solve``), its
-    solutions written over it.  A trial with a
-    singular or non-finite block is not usable.  The level's admittance
-    stack is freed once the blocks are filled, before the solve.
+    sets: list  # their _Set each, in config order
+    values: np.ndarray  # Y's entries on the pattern, ``sets[0].part.fill.positions``
+    at: np.ndarray  # the places of ``yu.positions`` in the pattern
+
+
+def _products(positions, values, E, nodes, buffer):
+    """K = (Y E) at ``nodes`` of each trial, its Y the (m, m) matrix of
+    its ``values`` (k, L) at the flat ``positions``, zero elsewhere: the
+    dense product, formed in ``buffer`` as many trials at a time as it
+    holds.  A trial's product does not depend on the stack it is formed
+    in, so K holds the bits of the whole stack's batched product."""
+    m = E.shape[-1]
+    Y = buffer[: len(buffer) // (2 * m * m) * 2 * m * m].view(complex).reshape(-1, m * m)
+    K = np.empty((len(values), len(nodes)), dtype=complex)
+    for start in range(0, len(values), len(Y)):
+        stop = min(start + len(Y), len(values))
+        Y_b = Y[: stop - start]
+        Y_b.fill(0.0)
+        Y_b[:, positions] = values[start:stop]
+        E_b = E if len(E) == 1 else E[start:stop]
+        K[start:stop] = (Y_b.reshape(-1, m, m) @ E_b[..., None])[..., nodes, 0]
+    return K
+
+
+def _solve_level(network, level, E_k, noise, yu, mode, buffer):
+    """Solutions of the first ``len(noise)`` trials of a chunk at one
+    ``_Level``, whose noise is ``yu``, one stack per block of its
+    partition, and which trials are usable.  ``noise`` holds the trials'
+    admittance draws: in branch-parameter mode their rows, in
+    independent-elements mode the real and imaginary normals at
+    ``yu.positions``, (rows, 2, L).
+
+    Each trial's Y is held as its entries on the level's pattern, and
+    its K = Y E is formed in the pass's ``buffer`` (``_products``); no
+    stack of dense Y is held.  Each trial's H is block-diagonal, and the
+    level's stack fills its diagonal blocks alone into ``buffer``; each
+    block is solved on its own (``_solve``), its solutions written over
+    it.  A trial with a singular or non-finite block is not usable.
     """
     rows = len(noise)
+    E = E_k[:rows]
+    part = level.sets[0].part
+    pattern = part.fill.positions
     if mode == BRANCH_PARAMETER:
-        Y_k = _perturb_branches(network, yu.level_pct / 100.0, noise)
+        positions, y = _perturb_branches(network, yu.level_pct / 100.0, noise)
+        K = _products(positions, y, E, part.nodes, buffer)
+        if not np.array_equal(positions, pattern):
+            # a stamp that leaves out a term of the nominal one: zero there
+            y = take(positions, np.concatenate([y, np.zeros((rows, 1))], axis=1), pattern)
     else:
-        # Y + n_re sigma_re + 1j (n_im sigma_im) on the stds' pattern; an
-        # element with zero stds keeps Y's entry, which is what that sum
-        # gives there bitwise (Y's stamped entries hold no -0.0)
-        m, at = len(Ym), yu.positions
-        Y_k = np.repeat(Ym.reshape(1, m * m), rows, axis=0)
-        Y_k[:, at] = Ym.take(at) + noise[:, 0] * yu.re + 1j * (noise[:, 1] * yu.im)
-        Y_k = Y_k.reshape(rows, m, m)
-    system = assemble_from_raw(Y_k, E_k[:rows], network, part.fill, work)
-    del Y_k
+        # Y + n_re sigma_re + 1j (n_im sigma_im) at the noise positions, in
+        # that order, each real term made complex before it is added, not
+        # in a ufunc's cast buffer; an element with zero stds keeps Y's
+        # entry, which is what that sum gives there bitwise (Y's stamped
+        # entries hold no -0.0)
+        noisy = (noise[:, 0] * yu.re).astype(complex)
+        np.add(level.values[level.at], noisy, out=noisy)
+        im = (noise[:, 1] * yu.im).astype(complex)
+        noisy += np.multiply(1j, im, out=im)
+        del im
+        if len(level.at) == len(pattern):
+            y = noisy
+        else:
+            y = np.repeat(level.values[np.newaxis], rows, axis=0)
+            y[:, level.at] = noisy
+        del noisy
+        K = _products(pattern, y, E, part.nodes, buffer)
+    system = assemble_from_raw(y, E, network, part.fill, buffer, K)
+    del y, K  # not held through the solve
     xs = [_solve(H, system.signs[s]) for H, s in zip(system.blocks, part.blocks)]
     return xs, np.all([np.isfinite(x).all(axis=(-2, -1)) for x in xs], axis=0)
 
@@ -546,9 +627,9 @@ def run_monte_carlo_sets(
             raise ConfigError("branch-parameter mode needs a relative level_pct")
     cfg = cfgs[0]
     E0 = state.voltages
-    Ym = Y.matrix
     m = E0.size
-    if cfg.symmetry_mode == BRANCH_PARAMETER:
+    branch = cfg.symmetry_mode == BRANCH_PARAMETER
+    if branch:
         width = 2 * m + 2 * network.branch_table.z_ohm.size
     else:
         width = 2 * m + 2 * m * m
@@ -560,29 +641,39 @@ def run_monte_carlo_sets(
     # which Y lacks where parallel branches cancel.  Its blocks and stack
     # are the same alone as in the pass; sets on equal patterns share them.
     # The patterns' bytes are not held through the pass
-    stamped = (stamp_admittance(network, network.branch_table.z_ohm)[0]
-               if cfg.symmetry_mode == BRANCH_PARAMETER else None)
-    parts = {}  # the bytes of a pattern's positions -> its _Partition
+    stamped = stamp_admittance(network, network.branch_table.z_ohm)[0] if branch else None
+    parts = {}  # the bytes of a pattern's positions -> its _Partition, Y's entries there
+    levels = {}  # id(yu) -> its _Level
     sets = []
     for c in cfgs:
         pattern = np.union1d(Y.positions, c.yu.positions) if stamped is None else stamped
         if pattern.tobytes() not in parts:
-            parts[pattern.tobytes()] = _partition(network, pattern)
-        sets.append(_Set(c, parts[pattern.tobytes()]))
+            parts[pattern.tobytes()] = _partition(network, pattern), Y.take(pattern)
+        part, values = parts[pattern.tobytes()]
+        if id(c.yu) not in levels:
+            levels[id(c.yu)] = _Level([], values, np.searchsorted(pattern, c.yu.positions))
+        sets.append(_Set(c, part))
+        levels[id(c.yu)].sets.append(sets[-1])
     size = _chunk_trials(dim)
-    # the blocks of H go into one buffer that every chunk and level reuses
-    # when a block is inverted in it; a fresh stack of that size per chunk
-    # would fault its pages in again.  Without one, each chunk's stack is
-    # allocated and freed, so as not to be held beside the draws
-    work = None
-    if any(max(part.fill.sizes) >= INVERT_ROWS for part in parts.values()):
-        work = np.empty(size * max(part.fill.size for part in parts.values()))
+    # one buffer that every chunk and level reuses: each chunk's draw rows
+    # are drawn into it, then at each level the trials' dense Y, as many
+    # at a time as it holds, for K = Y E, and then their stack of H, which
+    # is solved in it.  It holds at least SCRATCH_BYTES, a draw row, a
+    # dense Y and a chunk's stack; a fresh stack per chunk would fault its
+    # pages in again
+    buffer = np.empty(max(SCRATCH_BYTES // 8, width, 2 * m * m,
+                          size * max(part.fill.size for part, _ in parts.values())))
     del parts
-    # the bytes of each level's noise positions -> those positions
-    gathers = {c.yu.positions.tobytes(): c.yu.positions for c in cfgs}
-    levels = {}  # id(yu) -> the sets that share it
-    for s in sets:
-        levels.setdefault(id(s.cfg.yu), []).append(s)
+    # the draw columns that some level reads: in independent-elements mode
+    # the voltage normals, then the real and the imaginary normals at the
+    # union of the levels' noise positions; and the bytes of each level's
+    # noise positions -> its two rows of those columns past the voltages
+    noises = {c.yu.positions.tobytes(): c.yu.positions for c in cfgs}
+    held = np.unique(np.concatenate(list(noises.values())))
+    gathers = {key: 2 * m + np.searchsorted(held, positions) + [[0], [len(held)]]
+               for key, positions in noises.items()}
+    reads = () if branch else (np.concatenate([np.arange(2 * m), 2 * m + held,
+                                               2 * m + m * m + held]), buffer)
     n_max = max(s.cfg.n_trials for s in sets)
     hashed = size * (CHUNK_TRIALS // size)  # whole chunks, at most CHUNK_TRIALS trials
     for start in range(0, n_max, size):
@@ -590,35 +681,34 @@ def run_monte_carlo_sets(
         at = start % hashed
         if at == 0:
             states = _stream_states(cfg.seed, range(start, min(start + hashed, n_max)))
-        draws = _draws(states[at : at + end - start], width)
+        draws = _draws(states[at : at + end - start], width, *reads)
         if at + end - start == len(states):
             del states  # the last chunk of its hash: not held through the solves
         E_k = _perturb_voltages(E0, cfg.polar, draws[:, :m], draws[:, m : 2 * m])
-        if cfg.symmetry_mode == BRANCH_PARAMETER:
+        if branch:
             noise = dict.fromkeys(gathers, draws[:, 2 * m :])
         else:
-            # the normals at each level's noise positions, (rows, 2, L); the
-            # draw rows, mostly never read, are freed before any level
-            # builds a stack
-            elements = draws[:, 2 * m :].reshape(len(draws), 2, m * m)
-            noise = {key: elements[:, :, at] for key, at in gathers.items()}
-            del elements, draws
+            # the normals at each level's noise positions, (rows, 2, L)
+            noise = {key: draws[:, cols] for key, cols in gathers.items()}
+        del draws  # freed before any level fills a stack, unless branch noise views it
         for level in levels.values():
             # (set, its trials in this chunk) of each set that reads some
             shares = [(s, min(s.cfg.n_trials, end) - start)
-                      for s in level if s.cfg.n_trials > start]
+                      for s in level.sets if s.cfg.n_trials > start]
             if not shares:
                 continue
             rows = max(k for _, k in shares)
-            yu = level[0].cfg.yu
-            xs, ok = _solve_level(network, Ym, E_k, noise[yu.positions.tobytes()][:rows], yu,
-                                  cfg.symmetry_mode, level[0].part, work)
+            yu = level.sets[0].cfg.yu
+            xs, ok = _solve_level(network, level, E_k, noise[yu.positions.tobytes()][:rows], yu,
+                                  cfg.symmetry_mode, buffer)
             for s, k in shares:
                 s.add(xs, ok, k, spend=s is shares[-1][0])
             # freed before the next chunk's assembly, so that the
             # allocator reuses their room instead of trimming the heap
             # and faulting it in again
             del xs
+        del E_k, noise  # not held beside the next chunk's draws
+    del buffer, reads  # not held beside the results
     seconds = time.perf_counter() - t0
     total = sum(s.cfg.n_trials for s in sets)
     return [s.result(seconds * s.cfg.n_trials / total) for s in sets]

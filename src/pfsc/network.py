@@ -47,12 +47,11 @@ some stamp of the stack.  ``build_admittance``
 is its call on the network's own impedances and returns Y as an
 ``AdmittanceMatrix``, whose pattern drops an entry that sums to zero,
 as where parallel branches' admittances cancel; the branch-parameter
-Monte-Carlo trials call it on perturbed impedances and scatter the
-values with ``dense``.  The
-product Y E at a point is summed over the pattern
+Monte-Carlo trials call it on perturbed impedances and keep its values.
+The product Y E at a point is summed over the pattern
 (``AdmittanceMatrix.dot``); a dense Y is an ``(m, m)`` array that only
-the Monte-Carlo stacks need, and ``AdmittanceMatrix.matrix`` builds it
-on each read.
+the Monte-Carlo pass builds, a few trials at a time for their K = Y E,
+and ``AdmittanceMatrix.matrix`` builds it on each read, for tests and checks.
 """
 
 from __future__ import annotations

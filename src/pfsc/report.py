@@ -185,9 +185,11 @@ class ComparisonReport:
                 half[k] = t
         return halves
 
-    def percent_of_nominal(self, stds):
+    def percent_of_nominal(self, stds, rows=slice(None)):
+        """100 stds / |nominal| of the coefficients ``rows``, by default of
+        all; NaN or inf where the nominal is zero."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            return 100.0 * stds / np.abs(self.nominal)
+            return 100.0 * stds[rows] / np.abs(self.nominal[rows])
 
 
 def _filter_entries(coefficients):
@@ -298,10 +300,15 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
             sigma = analytical_sigma(result, yu, en)
             timings[_timing_key("analytical_s", lvl)] = time.perf_counter() - t0
             analytical[lvl] = sigma[at]
+            del sigma  # the whole table: not held through the pass
         if cfg.mode in ("mc", "both"):
             for n in dict.fromkeys(cfg.n_mc):  # a repeated count runs once too
                 mc_sets.append((lvl, n))
                 mc_cfgs.append(MCConfig(n_trials=n, seed=cfg.seed, polar=polar, yu=yu))
+    # the pass reads nothing of the point's solve (its dense H, H^-1 and
+    # x), which is not held beside the pass's buffer
+    nominal = result.x[at]
+    del problem, result
     # one pass for every set: a set's seconds are the pass's, split in
     # proportion to the sets' trials
     for key, mc in zip(mc_sets, run_monte_carlo_sets(network, Y, state, mc_cfgs)):
@@ -312,7 +319,7 @@ def run_pipeline(cfg: RunConfig) -> ComparisonReport:
         nodes=network.nonslack_nodes(),
         rows=rows,
         cols=cols,
-        nominal=result.x[at],
+        nominal=nominal,
         analytical=analytical,
         mc=mc_stds,
         mc_failed=mc_failed,
@@ -335,7 +342,7 @@ _JSON_SLOT = re.compile(r'^( *)(".*": )"\\u0000(\d+)"', re.M)
 
 
 #: rows that emission formats and writes at once
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 1024
 
 
 def write_joined(fh, n, text, sep):
@@ -360,6 +367,17 @@ def _json_numbers(values, start, stop, sep, text=None):
     items = (map(repr, block[finite].tolist()) if text is None
              else itertools.compress(text.split("\n"), keep))
     return sep.join([next(items) if ok else "null" for ok in keep])
+
+
+class _Sliced:
+    """A column read only by slices of rows: ``[start:stop]`` is
+    ``rows(slice(start, stop))``, computed when read."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, rows):
+        return self.rows(rows)
 
 
 class _Column:
@@ -419,11 +437,13 @@ def emit_report(report: ComparisonReport, formats, out_dir) -> list[Path]:
     labels = _Column(lines=lambda start, stop: "\n".join(report._label_list(start, stop)))
     nominal = _Column(report.nominal)
     # (n_mc, stds, percent of nominal) of each std column of a level, n_mc
-    # None for the analytical one, in report column order
+    # None for the analytical one, in report column order; a percent is
+    # computed a block of rows at a time, as it is written
     columns = {lvl: [] for lvl in levels}
     for lvl, n in [(lvl, None) for lvl in report.analytical] + sorted(report.mc):
         stds = report.analytical[lvl] if n is None else report.mc[(lvl, n)]
-        columns[lvl].append((n, _Column(stds), report.percent_of_nominal(stds)))
+        pct = _Sliced(partial(report.percent_of_nominal, stds))
+        columns[lvl].append((n, _Column(stds), pct))
 
     for fmt in dict.fromkeys(formats):  # a repeated format is written once
         if fmt == "csv":

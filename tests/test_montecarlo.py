@@ -591,6 +591,21 @@ def test_batched_streams_equal_per_trial_streams(ieee4, seed):
         assert np.array_equal(montecarlo._stream_states(seed, trials), words)
 
 
+@pytest.mark.parametrize("rows_held", [1, 3, 7])
+def test_kept_draws_are_the_rows_columns(ieee4, rows_held):
+    # drawn into a buffer of 1, 3 (a split inside the 7-trial chunk) and 7
+    # rows, the kept columns are bitwise those of the whole rows, at the
+    # widths of both modes
+    three_phase = make_three_phase_balanced()
+    states = montecarlo._stream_states(5, range(250, 257))
+    rng = np.random.default_rng(2)
+    for width in mode_widths(ieee4) | mode_widths(three_phase):
+        keep = np.sort(rng.choice(width, size=width // 3, replace=False))
+        buffer = np.full(rows_held * width + width // 2, np.nan)
+        got = montecarlo._draws(states, width, keep, buffer)
+        assert got.tobytes() == montecarlo._draws(states, width)[:, keep].tobytes()
+
+
 def test_chunked_run_reads_the_per_trial_streams(ieee4_solved):
     # 300 trials: a full 256-trial chunk and part of the next
     net, Y, state, polar, yu = mc_setup(ieee4_solved)
@@ -737,10 +752,10 @@ def test_chunk_size_keeps_trials_and_moments(feeder60, monkeypatch, mode):
 
 def test_full_table_monte_carlo_peak_memory(feeder60):
     """One 200-trial pass at dim H 118, the Monte-Carlo set of a 60-bus
-    full-table report, peaks at about 1.4 MB under ``tracemalloc`` in
+    full-table report, peaks at about 0.87 MB under ``tracemalloc`` in
     chunks of 9 trials (the 1 MiB of a dense H stack), each solved and
-    merged block by block, with each chunk's draw rows freed before its
-    stacks are built."""
+    merged block by block, with only the normals its level reads kept of
+    each chunk's draw rows."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
@@ -752,7 +767,7 @@ def test_block_stack_monte_carlo_peak_memory(feeder60):
     """The pass of ``test_full_table_monte_carlo_peak_memory`` holds only
     the diagonal blocks of each chunk's H, 7,020 of its 13,924 entries a
     trial, in one buffer that every chunk reuses, and inverts its blocks
-    of 70 and 46 rows in that buffer: it peaks at about 1.41 MB under
+    of 70 and 46 rows in that buffer: it peaks at about 0.87 MB under
     ``tracemalloc``, where a dense stack of H and a solution stack beside
     it peaked at 1.96 MB."""
     net, Y, state, polar, yu = feeder60
@@ -766,13 +781,27 @@ def test_stored_trials_peak_memory(feeder60):
     """The pass of ``test_full_table_monte_carlo_peak_memory`` with
     ``store_trials`` holds its 22.3 MB trial store once, each chunk's
     blocks written into their rows and columns in network order: it
-    peaks at about 24.2 MB under ``tracemalloc``, well below a second
+    peaks at about 23.2 MB under ``tracemalloc``, well below a second
     copy of the store."""
     net, Y, state, polar, yu = feeder60
     cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu, store_trials=True)
     run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
     peak = traced_peak(lambda: run_monte_carlo_sets(net, Y, state, [cfg]))
     assert peak <= 40e6, peak
+
+
+def test_one_buffer_monte_carlo_peak_memory(feeder60):
+    """The pass of ``test_full_table_monte_carlo_peak_memory`` keeps only
+    the normals its level reads and holds each trial's Y as its entries on
+    the pattern: no array as wide as m² a trial but its one buffer, in
+    which the chunk's draw rows, its dense Y for K = Y E and its blocks of
+    H take turns.  It peaks at about 0.87 MB under ``tracemalloc``, where
+    a dense Y stack and whole draw rows per chunk peaked at 1.41 MB."""
+    net, Y, state, polar, yu = feeder60
+    cfg = MCConfig(n_trials=200, seed=3, polar=polar, yu=yu)
+    run_monte_carlo_sets(net, Y, state, [replace(cfg, n_trials=1)])  # lazy set-up
+    peak = traced_peak(lambda: run_monte_carlo_sets(net, Y, state, [cfg]))
+    assert peak <= 1.15e6, peak
 
 
 # -- independent blocks of H ---------------------------------------------------
@@ -892,6 +921,42 @@ def test_cancelled_stamp_trials_are_the_dense_oracle_loop_bytes():
     _, std = estimate_stats(dense)
     assert std[0, 2] > 0.0
     np.testing.assert_allclose(out.std, std, rtol=STD_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("noise", ["relative", "dense", BRANCH_PARAMETER])
+@pytest.mark.parametrize("feeder", sorted(PARTITION_FEEDERS) + ["three-phase-uncoupled"])
+def test_pattern_fill_with_sub_batched_products_is_the_dense_fill(feeder, noise):
+    # five trials' Y as their entries on the pattern, and K = Y E formed a
+    # sub-batch of two trials at a time in a buffer, fill every block of
+    # the stack with the bytes of the dense stack's fill, which are the
+    # oracle's H there; K is the bytes of the whole stack's batched product
+    if feeder == "three-phase-uncoupled":
+        net = make_three_phase_balanced(mutual=0.0)
+    else:
+        net = PARTITION_FEEDERS[feeder]()
+    Y = build_admittance(net)
+    E = pfsc.solve_load_flow(net, Y).voltages
+    m = net.n_nodes
+    rng = np.random.default_rng(4)
+    E_k = E + 1e-3 * (rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m)))
+    if noise == BRANCH_PARAMETER:
+        z = net.branch_table.z_ohm
+        z_k = z * (1 + 0.01 * rng.standard_normal((5,) + z.shape))
+        positions, y = pfsc.network.stamp_admittance(net, z_k)
+    else:
+        sigma = np.abs(Y.matrix) * 0.01 + (1e-3 if noise == "dense" else 0.0)
+        positions = np.union1d(Y.positions, AdmittanceUncertainty(sigma, sigma).positions)
+        y = Y.take(positions) + 0.01 * (rng.standard_normal((5, len(positions)))
+                                        + 1j * rng.standard_normal((5, len(positions))))
+    part = montecarlo._partition(net, positions)
+    Ym = pfsc.network.dense(positions, y, m)
+    buffer = np.full(2 * (2 * m * m) + 3, np.nan)
+    K = montecarlo._products(positions, y, E_k, part.nodes, buffer)
+    assert K.tobytes() == (Ym @ E_k[..., None])[..., part.nodes, 0].tobytes()
+    oracle = jacobian(Ym, E_k, part.nodes)
+    for got, want, s in zip(part.fill.on_pattern(y, E_k, K), part.fill(Ym, E_k), part.blocks):
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == (oracle[:, s, s] + 0.0).tobytes()
 
 
 @pytest.fixture

@@ -921,20 +921,25 @@ def test_json_numbers_format_finite_values_only():
     assert _json_numbers(values, 0, 2, ", ") == "1.5, -0.0"
 
 
-def _emission_peak(report, out_dir):
-    """Peak traced bytes that ``emit_report`` of ``report`` in every format adds."""
+def _traced_peak(run):
+    """Peak traced bytes that ``run()`` adds."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        emit_report(report, FORMATS, out_dir)
+        run()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
+def _emission_peak(report, out_dir):
+    """Peak traced bytes that ``emit_report`` of ``report`` in every format adds."""
+    return _traced_peak(lambda: emit_report(report, FORMATS, out_dir))
+
+
 def test_full_table_emission_peak_memory(tmp_path):
     """``emit_report`` of the 13,924-row table of ``make_feeder(60, 1)`` in
-    every format peaks at about 1.6 MB under ``tracemalloc``: the labels
+    every format peaks at about 1.10 MB under ``tracemalloc``: the labels
     and the shared columns are kept as one text per block of rows, and
     every file is written a block of rows at a time."""
     report = run_pipeline(_network_cfg(tmp_path, make_feeder(60, 1), n_mc=(20,)))
@@ -943,9 +948,31 @@ def test_full_table_emission_peak_memory(tmp_path):
     assert peak <= 3e6, peak
 
 
+def test_block_percent_emission_peak_memory(tmp_path):
+    """The emission of ``test_full_table_emission_peak_memory`` computes
+    each percent-of-nominal column a block of 1,024 rows at a time, and
+    holds no array of the whole table beside the report's own: it peaks
+    at about 1.10 MB under ``tracemalloc``, where whole-table percent
+    columns and blocks of 2,048 rows peaked at 1.62 MB."""
+    report = run_pipeline(_network_cfg(tmp_path, make_feeder(60, 1), n_mc=(20,)))
+    peak = _emission_peak(report, tmp_path / "out")
+    assert peak <= 1.3e6, peak
+
+
+def test_full_table_pipeline_peak_memory(tmp_path):
+    """``run_pipeline`` of that table with 200 Monte-Carlo trials frees the
+    point's dense H, H^-1 and x, and each whole table of analytical stds,
+    before the pass: it peaks at about 1.35 MB under ``tracemalloc``, in
+    the pass, where holding them through the pass peaked at 2.29 MB."""
+    cfg = _network_cfg(tmp_path, make_feeder(60, 1), n_mc=(200,))
+    run_pipeline(cfg)  # lazy set-up
+    peak = _traced_peak(lambda: run_pipeline(cfg))
+    assert peak <= 1.6e6, peak
+
+
 def test_150_bus_analytical_emission_peak_memory(tmp_path):
     """The 88,804-row analytical table of ``make_feeder(150, 1)`` in every
-    format peaks at about 5.5 MB under ``tracemalloc``, most of it the
+    format peaks at about 4.8 MB under ``tracemalloc``, most of it the
     text of the labels and of the two shared columns."""
     report = run_pipeline(
         _network_cfg(tmp_path, make_feeder(150, 1), mode="analytical"))
