@@ -59,8 +59,12 @@ def _resolve_config(path):
 
 def _check_output_files(*paths):
     """Raise ConfigError unless each output file can be written where it
-    is named: it is not a directory, its directory exists, and no other
-    of the paths resolves to it.  None or an empty path names no file."""
+    is named: its name does not end in a separator, it is not a directory,
+    its directory exists, and no other of the paths resolves to it.  None
+    or an empty path names no file."""
+    for path in filter(None, paths):  # a Path drops the separator
+        if path.endswith((os.sep, os.altsep or os.sep)):
+            raise ConfigError(f"output file name ends in a separator: {path}")
     files = [Path(path) for path in paths if path]
     for i, out in enumerate(files):
         if out.resolve() in {earlier.resolve() for earlier in files[:i]}:

@@ -119,14 +119,6 @@ CHUNK_TRIALS = 256
 #: 1 MiB: it bounds the pass's memory, and its boundaries set the bits of
 #: the streamed moments.
 CHUNK_BYTES = 2**20
-#: a pass's one buffer holds at least this many bytes, and at least one
-#: trial's draw row, one trial's dense Y and one chunk's stack of H's
-#: diagonal blocks: each chunk's draw rows are drawn into it as many at a
-#: time as it holds (``_draws``), each level's K = Y E is formed in it as
-#: many trials at a time (``_products``), and then the level's H.  On a
-#: network of a few buses it holds a whole 256-trial chunk's dense Y, so
-#: K is one batched product as without it (ieee4: 16 entries a trial).
-SCRATCH_BYTES = 2**16
 #: a block of H with at least this many rows is inverted one trial at a
 #: time (``_invert``); a smaller one keeps the batched ``np.linalg.solve``,
 #: whose single call beats a Python loop of LAPACK calls on small blocks.
@@ -658,10 +650,9 @@ def run_monte_carlo_sets(
     # one buffer that every chunk and level reuses: each chunk's draw rows
     # are drawn into it, then at each level the trials' dense Y, as many
     # at a time as it holds, for K = Y E, and then their stack of H, which
-    # is solved in it.  It holds at least SCRATCH_BYTES, a draw row, a
-    # dense Y and a chunk's stack; a fresh stack per chunk would fault its
-    # pages in again
-    buffer = np.empty(max(SCRATCH_BYTES // 8, width, 2 * m * m,
+    # is solved in it.  It holds a draw row, a dense Y and a chunk's stack;
+    # a fresh stack per chunk would fault its pages in again
+    buffer = np.empty(max(width, 2 * m * m,
                           size * max(part.fill.size for part, _ in parts.values())))
     del parts
     # the draw columns that some level reads: in independent-elements mode

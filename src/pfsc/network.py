@@ -838,6 +838,7 @@ def load_network(path) -> NetworkModel:
           s_base_va: 1.0e6
           v_base_v: 4160.0
         slack_voltage_pu: 1.0    # optional, may be [mag, angle_rad]
+                                 # or a string such as "(0.6-0.8j)"
         buses:
           - {index: 1, kind: slack}
           - {index: 2, kind: pq, load_kw: 300, load_kvar: 150,
@@ -914,106 +915,44 @@ def load_network(path) -> NetworkModel:
     return network
 
 
-#: stands for a number in the layout of a record (``_list_text``)
-_NUMBER = "\0"
-
-
-def _json_numbers(values):
-    """The JSON text of each number of a flat list, by the C encoder, as
-    an object array."""
-    return np.array(json.dumps(values)[1:-1].split(", ") if values else [], dtype=object)
-
-
-def _list_text(texts, codes, layout):
-    """A list of records as ``json.dumps(doc, indent=2)`` writes it as a
-    value of the document ``doc``.
-
-    Record i has the layout of its code ``codes[i]``: ``layout(code)``
-    gives the record with ``_NUMBER`` for each number, and the columns of
-    ``texts`` (records, columns) that hold the numbers' JSON text, in the
-    order they are written.  The records of one layout are filled into
-    one ``%`` template, its JSON written once.
-    """
-    items = np.empty(len(codes), dtype=object)
-    for code in np.unique(codes).tolist():
-        rows = np.flatnonzero(codes == code)
-        record, columns = layout(code)
-        one = json.dumps(record, indent=2).replace("%", "%%").replace(json.dumps(_NUMBER), "%s")
-        template = "    " + one.replace("\n", "\n    ")
-        items[rows] = [template % tuple(row) for row in texts[np.ix_(rows, columns)].tolist()]
-    return "[\n" + ",\n".join(items.tolist()) + "\n  ]" if len(items) else "[]"
-
-
 def emit_network(network: NetworkModel, path):
     """Write a network in the schema accepted by load_network, as the
     JSON document ``json.dumps(doc, indent=2)``.  JSON is YAML flow syntax,
     so any YAML reader loads the file too.
 
-    The same bytes, without the pure-Python encoder that ``indent``
-    selects: the numbers go through the C encoder in one call per kind,
-    and each layout of a bus or a branch is written once, as a template
-    (``_list_text``).
+    The slack voltage ``v`` is written ``[magnitude, angle_rad]`` where
+    ``load_network`` reads that pair back to ``v`` bit for bit, as it does
+    every real positive voltage, and elsewhere as the string
+    ``str(complex(v))``, such as ``"(0.617936559776332-0.8115136524370934j)"``.
     """
     p, table = network.phase_count, network.branch_table
-    q = p * p
 
-    def square(size):  # the layout of a size x size list
-        return [[_NUMBER] * size for _ in range(size)]
+    def per_phase(values):  # a number a bus or branch if p is 1, else a list
+        return values.ravel().tolist() if p == 1 else values.tolist()
 
-    # a value a bus or branch is one number if p is 1, else a list
-    phases, matrix = (_NUMBER, _NUMBER) if p == 1 else ([_NUMBER] * p, square(p))
-
-    # bus columns: its number, then p_kw and q_kvar of each phase
-    bus_texts = np.column_stack([
-        _json_numbers(list(network.bus_index)),
-        _json_numbers(np.hstack([network.p_kw, network.q_kvar]).ravel().tolist()).reshape(-1, 2 * p)])
-
-    def bus_layout(slack):
-        if slack:
-            return {"index": _NUMBER, "kind": SLACK}, [0]
-        return ({"index": _NUMBER, "kind": PQ, "p_kw": phases, "q_kvar": phases},
-                list(range(1 + 2 * p)))
-
-    # branch columns: the bus numbers at its ends, then r, x and the shunt
-    # entry by entry, row-major, and its length; a shunt or a length is
-    # encoded only where it is written
-    ends = np.array(network.bus_index, dtype=object)
-    n = len(table.from_flat)
-    shunt = table.shunt_b_s.reshape(n, q).any(axis=1)
-    length = ~np.isnan(table.length_km)
-    branch_texts = np.full((n, 2 + 3 * q + 1), "", dtype=object)
-    branch_texts[:, 0] = _json_numbers(ends[table.from_flat // p].tolist())
-    branch_texts[:, 1] = _json_numbers(ends[table.to_flat // p].tolist())
-    branch_texts[:, 2 : 2 + 2 * q] = _json_numbers(
-        np.hstack([table.z_ohm.real.reshape(n, q), table.z_ohm.imag.reshape(n, q)]).ravel().tolist()
-    ).reshape(n, 2 * q)
-    branch_texts[shunt, 2 + 2 * q : 2 + 3 * q] = _json_numbers(
-        table.shunt_b_s[shunt].ravel().tolist()).reshape(-1, q)
-    branch_texts[length, -1] = _json_numbers(table.length_km[length].tolist())
-    codes = 4 * shunt + 2 * (shunt & table.per_phase) + length
-
-    def branch_layout(code):
-        record = {"from": _NUMBER, "to": _NUMBER, "r_ohm": matrix, "x_ohm": matrix}
-        columns = list(range(2 + 2 * q))
-        if code & 4:  # a 1x1 shunt on a polyphase branch is written 1x1
-            one = code & 2
-            record["shunt_b_s"] = square(1 if one else p)
-            columns += [2 + 2 * q] if one else range(2 + 2 * q, 2 + 3 * q)
-        if code & 1:
-            record["length_km"] = _NUMBER
-            columns.append(2 + 3 * q)
-        return record, columns
-
-    v = network.slack_voltage_pu
-    head = json.dumps({"name": network.name, "phases": p,
-                       "bases": {"s_base_va": network.base_power_va,
-                                 "v_base_v": network.base_voltage_v},
-                       "slack_voltage_pu": [float(abs(v)), float(np.angle(v))]}, indent=2)
-    slack = np.array([index == network.slack_bus for index in network.bus_index])
+    buses = [{"index": index, "kind": SLACK} if index == network.slack_bus
+             else {"index": index, "kind": PQ, "p_kw": p_kw, "q_kvar": q_kvar}
+             for index, p_kw, q_kvar in zip(
+                 network.bus_index, per_phase(network.p_kw), per_phase(network.q_kvar))]
+    branches = [{"from": network.node(f)[0], "to": network.node(t)[0], "r_ohm": r, "x_ohm": x}
+                for f, t, r, x in zip(table.from_flat.tolist(), table.to_flat.tolist(),
+                                      per_phase(table.z_ohm.real), per_phase(table.z_ohm.imag))]
+    for entry, shunt, one, length in zip(
+            branches, table.shunt_b_s, table.per_phase, table.length_km.tolist()):
+        if shunt.any():  # a 1x1 shunt on a polyphase branch is written 1x1
+            entry["shunt_b_s"] = (shunt[:1, :1] if one else shunt).tolist()
+        if not math.isnan(length):
+            entry["length_km"] = length
+    v = complex(network.slack_voltage_pu)
+    mag, angle = abs(v), float(np.angle(v))
+    # str() tells every pair of floats apart, -0.0 from 0.0 too
+    polar = str(complex(mag * np.exp(1j * angle))) == str(v)
+    doc = {"name": network.name, "phases": p,
+           "bases": {"s_base_va": network.base_power_va, "v_base_v": network.base_voltage_v},
+           "slack_voltage_pu": [mag, angle] if polar else str(v),
+           "buses": buses, "branches": branches}
     with open(path, "w") as fh:
-        fh.write(f"{head[:-2]},\n"
-                 f'  "buses": {_list_text(bus_texts, slack, bus_layout)},\n'
-                 f'  "branches": {_list_text(branch_texts, codes, branch_layout)}\n}}\n')
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def with_injections(network: NetworkModel, s_pu) -> NetworkModel:

@@ -405,8 +405,13 @@ def network_document(network):
             entry["shunt_b_s"] = (shunt[:1, :1] if one else shunt).tolist()
         if not math.isnan(length):
             entry["length_km"] = length
-    v = network.slack_voltage_pu
+    # the slack voltage as [magnitude, angle] where load_network reads
+    # the pair back to it bit for bit, else as its complex string
+    v = complex(network.slack_voltage_pu)
+    polar = [abs(v), float(np.angle(v))]
+    back = np.complex128(polar[0] * np.exp(1j * polar[1]))
+    exact = back.tobytes() == np.complex128(v).tobytes()
     return {"name": network.name, "phases": p,
             "bases": {"s_base_va": network.base_power_va, "v_base_v": network.base_voltage_v},
-            "slack_voltage_pu": [float(abs(v)), float(np.angle(v))],
+            "slack_voltage_pu": polar if exact else str(v),
             "buses": buses, "branches": branches}

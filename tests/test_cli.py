@@ -618,7 +618,8 @@ def test_report_out_on_a_file_checked_before_the_load_flow(capsys, tmp_path, mon
     ("{dir}/no/such/x.csv", "output directory not found: {dir}/no/such"),
     ("{dir}", "output file is a directory: {dir}"),
     ("{dir}/file/x.csv", "output file lies under a file: {dir}/file"),
-], ids=["missing-directory", "directory", "under-a-file"])
+    ("{dir}/nodir/", "output file name ends in a separator: {dir}/nodir/"),
+], ids=["missing-directory", "directory", "under-a-file", "trailing-separator"])
 def test_table_out_checked_before_the_load_flow(capsys, tmp_path, monkeypatch,
                                                 argv, out, message):
     unreachable_load_flow(monkeypatch)

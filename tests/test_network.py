@@ -732,9 +732,8 @@ branches:
              "odd-name"],
     )
     def test_emitted_bytes_are_the_indented_json_document(self, make, tmp_path):
-        # each layout of a bus or branch is one template: the file is, byte
-        # for byte, what json.dumps(doc, indent=2) writes of the document
-        # built entry by entry
+        # the file is, byte for byte, what json.dumps(doc, indent=2) writes
+        # of the document built entry by entry
         net = make()
         path = tmp_path / "net.json"
         emit_network(net, path)
@@ -832,6 +831,27 @@ branches:
         assert again.base_power_va == ieee4.base_power_va
         assert again.base_voltage_v == ieee4.base_voltage_v
         assert again.slack_voltage_pu == ieee4.slack_voltage_pu
+
+    def test_rotated_slack_voltage_round_trips(self, ieee4, tmp_path):
+        # a slack voltage that [abs(v), angle(v)] reads back as another
+        # complex number, as 1.02 e^{-0.92j} and -1.0 do, is written as its
+        # complex string: each reloads bit for bit and writes its own bytes
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        slacks = [1.02 * np.exp(1j * k / 100) for k in range(-300, 301)] + [-1.0]
+        for v in slacks:
+            net = replace(ieee4, slack_voltage_pu=v)
+            emit_network(net, first)
+            back = load_network(first)
+            assert np.complex128(back.slack_voltage_pu).tobytes() == np.complex128(v).tobytes()
+            assert back == net
+            emit_network(back, again)
+            assert again.read_bytes() == first.read_bytes()
+            assert first.read_text() == json.dumps(network_document(net), indent=2) + "\n"
+        emit_network(replace(ieee4, slack_voltage_pu=1.02 * np.exp(-0.92j)), first)
+        assert json.loads(first.read_text())["slack_voltage_pu"] == (
+            "(0.617936559776332-0.8115136524370934j)")
+        emit_network(replace(ieee4, slack_voltage_pu=-1.0), first)
+        assert json.loads(first.read_text())["slack_voltage_pu"] == "(-1+0j)"
 
     def test_per_unit_conversion(self, ieee4):
         s = ieee4.injections_pu()
