@@ -50,24 +50,28 @@ before the sets build their results.
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
 the level's noise, so element noise where Y is zero reaches H.  In
-branch-parameter mode it is every position ``stamp_admittance`` writes:
-Y does not store an entry where parallel branches' admittances cancel,
-such as a series-compensated pair at +-j x, but a perturbed stamp fills
+branch-parameter mode it is the positions ``stamp_admittance`` writes,
+which the branches' structure fixes, so every trial's stamp writes them
+and K = Y E is formed on the pattern in both modes.  Y does not store
+an entry that sums to zero, where parallel branches' admittances cancel,
+such as a series-compensated pair at +-j x, or a term of ``inv(z)``
+that cancels between phases that z links, but a perturbed stamp fills
 it.  H does not couple nodes that no position of the pattern links: on
 a radial feeder each branch leaving the slack starts a subtree of its
 own, and with uncoupled phases each phase is a network of its own.
 ``_partition`` lays out, once per pass for each noise pattern, the
-connected components of the non-slack nodes, and one ``JacobianStack``
-with its unknowns in that block order, so each trial's H is
-block-diagonal and each block is a slice of it.  A set merges its
-moments block by block and writes each block's trials into their rows
-and columns of the trial store, in network order; its mean and std are
-put in their blocks of a +0.0 table at its result.  Off the blocks, the
-store, the mean and the std hold +0.0, the value of x there, and every
-exact zero of a trial is one of those.  A network whose nodes all link
-has one block; below ``INVERT_ROWS`` rows its trials are bitwise those
-of ``np.linalg.solve(H, z)`` of the whole H.  Elsewhere they differ from
-the whole solve's in their last bits, with the same exact zeros.
+connected components of the non-slack nodes (``network.components``),
+and one ``JacobianStack`` with its unknowns in that block order, so
+each trial's H is block-diagonal and each block is a slice of it.  A set
+merges its moments block by block and writes each block's trials into
+their rows and columns of the trial store, in network order; its mean
+and std are put in their blocks of a +0.0 table at its result.  Off
+the blocks, the store, the mean and the std hold +0.0, the value of x
+there, and every exact zero of a trial is one of those.  A network
+whose nodes all link has one block; below ``INVERT_ROWS`` rows its
+trials are bitwise those of ``np.linalg.solve(H, z)`` of the whole H.
+Elsewhere they differ from the whole solve's in their last bits, with
+the same exact zeros.
 
 Since trial k reads the same draws in every set, one pass serves several
 sets that differ only in their admittance noise ``yu`` and in
@@ -90,13 +94,11 @@ import numpy as np
 from numpy.random import Generator, PCG64
 from numpy.random.bit_generator import ISeedSequence
 from scipy.linalg.lapack import dgetrf, dgetri
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
 from .loadflow import GridState, JacobianStack, _blocks
-from .network import AdmittanceMatrix, NetworkModel, stamp_admittance, take
+from .network import AdmittanceMatrix, NetworkModel, components, stamp_admittance
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
 INDEPENDENT_ELEMENTS = "independent-elements"
@@ -347,8 +349,8 @@ def _partition(network, positions):
     that any of its trials' Y may hold (see ``run_monte_carlo_sets``).
     Two nodes are linked when H has a block for their pair on that
     pattern, the rule of ``loadflow._blocks``, which the stack reads too.
-    A block is a connected component of the links, as SciPy's
-    ``connected_components`` labels them, its nodes in network order; the
+    A block is a connected component of the links, as
+    ``network.components`` labels them, its nodes in network order; the
     blocks are ordered by their first node.  H with its
     unknowns in that order is block-diagonal: one block on a network
     whose nodes all link, one per subtree of the slack on a radial feeder.
@@ -356,8 +358,7 @@ def _partition(network, positions):
     nonslack = np.array(network.nonslack_flat_indices())
     n, m = len(nonslack), network.n_nodes
     _, _, r, c = _blocks(positions, nonslack, m)  # the pairs of nodes that H couples
-    links = coo_matrix((np.ones(len(r)), (r, c)), shape=(n, n))
-    _, label = connected_components(links, directed=False)  # numbered by first node
+    label = components(n, r[n:], c[n:])  # past the diagonal blocks; by first node
     order = np.argsort(label, kind="stable")  # each block's nodes in network order
     ends = np.cumsum(2 * np.bincount(label)).tolist()
     spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
@@ -543,8 +544,9 @@ def _solve_level(network, level, E_k, noise, yu, mode, buffer):
     independent-elements mode the real and imaginary normals at
     ``yu.positions``, (rows, 2, L).
 
-    Each trial's Y is held as its entries on the level's pattern, and
-    its K = Y E is formed in the pass's ``buffer`` (``_products``); no
+    Each trial's Y is held as its entries on the level's pattern, which
+    every branch-parameter stamp writes, and its K = Y E is formed on the
+    pattern in the pass's ``buffer`` (``_products``); no
     stack of dense Y is held.  Each trial's H is block-diagonal, and the
     level's stack fills its diagonal blocks alone into ``buffer``; each
     block is solved on its own (``_solve``), its solutions written over
@@ -553,13 +555,9 @@ def _solve_level(network, level, E_k, noise, yu, mode, buffer):
     rows = len(noise)
     E = E_k[:rows]
     part = level.sets[0].part
-    pattern = part.fill.positions
     if mode == BRANCH_PARAMETER:
-        positions, y = _perturb_branches(network, yu.level_pct / 100.0, noise)
-        K = _products(positions, y, E, part.nodes, buffer)
-        if not np.array_equal(positions, pattern):
-            # a stamp that leaves out a term of the nominal one: zero there
-            y = take(positions, np.concatenate([y, np.zeros((rows, 1))], axis=1), pattern)
+        # every stamp of the network writes the pattern's positions
+        _, y = _perturb_branches(network, yu.level_pct / 100.0, noise)
     else:
         # Y + n_re sigma_re + 1j (n_im sigma_im) at the noise positions, in
         # that order, each real term made complex before it is added, not
@@ -571,13 +569,13 @@ def _solve_level(network, level, E_k, noise, yu, mode, buffer):
         im = (noise[:, 1] * yu.im).astype(complex)
         noisy += np.multiply(1j, im, out=im)
         del im
-        if len(level.at) == len(pattern):
+        if len(level.at) == len(part.fill.positions):
             y = noisy
         else:
             y = np.repeat(level.values[np.newaxis], rows, axis=0)
             y[:, level.at] = noisy
         del noisy
-        K = _products(pattern, y, E, part.nodes, buffer)
+    K = _products(part.fill.positions, y, E, part.nodes, buffer)
     system = assemble_from_raw(y, E, network, part.fill, buffer, K)
     del y, K  # not held through the solve
     xs = [_solve(H, system.signs[s]) for H, s in zip(system.blocks, part.blocks)]
@@ -621,18 +619,15 @@ def run_monte_carlo_sets(
     E0 = state.voltages
     m = E0.size
     branch = cfg.symmetry_mode == BRANCH_PARAMETER
-    if branch:
-        width = 2 * m + 2 * network.branch_table.z_ohm.size
-    else:
-        width = 2 * m + 2 * m * m
+    width = 2 * m + 2 * (network.branch_table.z_ohm.size if branch else m * m)
 
     dim = 2 * len(network.nonslack_flat_indices())
     check_nonempty(dim)
     # one _Partition per noise pattern, the positions a level's trials' Y
-    # can hold: Y's and the noise's, or every position the stamp writes,
-    # which Y lacks where parallel branches cancel.  Its blocks and stack
-    # are the same alone as in the pass; sets on equal patterns share them.
-    # The patterns' bytes are not held through the pass
+    # can hold: Y's and the noise's, or the positions every stamp of the
+    # network writes, which Y lacks where its terms sum to 0.  Its blocks
+    # and stack are the same alone as in the pass; sets on equal patterns
+    # share them.  The patterns' bytes are not held through the pass
     stamped = stamp_admittance(network, network.branch_table.z_ohm)[0] if branch else None
     parts = {}  # the bytes of a pattern's positions -> its _Partition, Y's entries there
     levels = {}  # id(yu) -> its _Level

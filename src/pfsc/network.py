@@ -40,14 +40,22 @@ sensitivity system are the non-slack nodes in that order
 ``node`` maps it back (``nonslack_nodes`` for every unknown); no other
 module computes a position itself.
 
+Coupling.  ``components`` labels the connected components of a graph
+by a depth-first walk, numbered by their first node.  It is the one
+answer to which nodes are coupled: a network is refused unless its
+branches join every bus to the slack, and the Monte-Carlo pass splits H
+into the blocks that no position links.
+
 Admittance pattern.  ``stamp_admittance`` is the one stamp: it sums the
 branch terms of a stack of series impedances on the sorted flat
-positions ``r m + c`` that the branches reach with a term nonzero in
-some stamp of the stack.  ``build_admittance``
+positions ``r m + c`` that the branches can couple, fixed by their
+structure whatever the values: the phases that each branch's z links,
+and its shunt's nonzeros at its ends.  ``build_admittance``
 is its call on the network's own impedances and returns Y as an
 ``AdmittanceMatrix``, whose pattern drops an entry that sums to zero,
 as where parallel branches' admittances cancel; the branch-parameter
-Monte-Carlo trials call it on perturbed impedances and keep its values.
+Monte-Carlo trials call it on perturbed impedances, which write the
+same positions, and keep its values.
 The product Y E at a point is summed over the pattern
 (``AdmittanceMatrix.dot``); a dense Y is an ``(m, m)`` array that only
 the Monte-Carlo pass builds, a few trials at a time for their K = Y E,
@@ -88,10 +96,15 @@ def read_yaml(path, error):
     ``NaN`` and ``Infinity`` are not JSON.  Any other text, and text that
     is not JSON, is read with ``_YAML_LOADER``.  A YAML syntax error raises
     ``error`` with one line: the path, the line and column where the
-    parser stopped, and its problem.
+    parser stopped, and its problem.  The file is read as UTF-8, and text
+    that is not UTF-8 raises ``error`` naming the path and the offset of
+    the first byte that does not decode.
     """
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: byte {exc.start} ({exc.reason})") from None
     if text.lstrip().startswith("{"):
         try:
             return json.loads(text, parse_constant=_refuse_constant)
@@ -211,13 +224,15 @@ class NetworkModel:
         del self.buses, self.branches
 
     def _set(self, bus_index, position, p_kw, q_kvar, branch_table):
-        """Hold the checked arrays; NetworkValidationError unless the
-        branches connect every bus to the slack."""
+        """Hold the checked arrays; NetworkValidationError naming the first
+        bus that no branch path joins to the slack, if one does not."""
         self.bus_index, self._position = tuple(bus_index), position
         self.p_kw, self.q_kvar, self.branch_table = p_kw, q_kvar, branch_table
         p = self.phase_count
-        _check_connected(self.n_bus, position[self.slack_bus],
-                         branch_table.from_flat // p, branch_table.to_flat // p)
+        label = components(self.n_bus, branch_table.from_flat // p, branch_table.to_flat // p)
+        _raise_first(NetworkValidationError, [(label != label[position[self.slack_bus]], lambda k: (
+            f"graph not connected: no branch path from slack bus {self.slack_bus} to bus "
+            f"{self.bus_index[k]}"))])
 
     def __getattr__(self, name):
         # reached only for an attribute not set: ``buses`` and
@@ -342,22 +357,27 @@ class NetworkModel:
             ends[0] * p, ends[1] * p, z, shunt, one, np.where(given, length, np.nan)))
 
 
-def _check_connected(n_bus, slack, a, b):
-    """NetworkValidationError unless a depth-first walk from bus position
-    ``slack`` along the branches between positions ``a`` and ``b`` (B,)
-    reaches all ``n_bus`` buses."""
-    adjacency = [[] for _ in range(n_bus)]
+def components(n, a, b):
+    """The component label (n,) of each of ``n`` nodes linked by the edges
+    between ``a`` and ``b`` (E,), numbered by their first node: a
+    depth-first walk from each node in order that no earlier walk
+    reached.  The one answer of the package to which nodes are coupled:
+    the buses of a network and the blocks of H."""
+    adjacency = [[] for _ in range(n)]
     for i, j in zip(a.tolist(), b.tolist()):
         adjacency[i].append(j)
         adjacency[j].append(i)
-    seen, stack = {slack}, [slack]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != n_bus:
-        raise NetworkValidationError("graph not connected")
+    label, count = [-1] * n, 0
+    for first in range(n):
+        if label[first] < 0:
+            label[first], stack = count, [first]
+            while stack:
+                for nxt in adjacency[stack.pop()]:
+                    if label[nxt] < 0:
+                        label[nxt] = count
+                        stack.append(nxt)
+            count += 1
+    return np.array(label, dtype=np.intp)
 
 
 class AdmittanceMatrix:
@@ -459,16 +479,22 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
 def stamp_admittance(network: NetworkModel, z_ohm):
     """Y of ``network`` with the series impedances ``z_ohm`` (..., B, p, p,
     in ohms) in place of its branches': ``(positions, values)``, the
-    sorted flat positions (L,) of the branch terms in the ``(m, m)`` Y
-    that are nonzero in some stamp of the stack, and the entries there
-    (..., L).
+    sorted flat positions (L,) that the branches can couple in the
+    ``(m, m)`` Y, and the entries there (..., L).
 
     The terms are the blocks (f, f), (t, t), (f, t), (t, f) of each
     branch, branch by branch, so that an entry shared by several branches
-    sums them in branch order.  A term that is zero in every stamp, as
-    between the phases of a branch that does not couple them, is left
-    out.  ``dense`` scatters the values into dense matrices.  An entry
-    may sum to zero, which is kept.
+    sums them in branch order.  The positions are fixed by the branches'
+    structure in the network, whatever the values: a branch writes the
+    phase pairs that the nonzeros of its z link in all four blocks, and
+    its shunt's nonzeros in the two end blocks.  So every stack writes
+    the same positions, and a term that is zero, as where ``inv(z)``
+    cancels inside a coupled block, is written as one.  ``z_ohm`` is
+    nonzero only where the network's impedances are, as relative noise
+    keeps them.  A term between phases that no branch links, such as the
+    cross-phase terms of uncoupled phases, is left out.  ``dense``
+    scatters the values into dense matrices.  An entry may sum to zero,
+    which is kept.
     """
     p = network.phase_count
     m = network.n_nodes
@@ -491,9 +517,12 @@ def stamp_admittance(network: NetworkModel, z_ohm):
     terms = np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
     stack = terms.shape[:-4]
     terms = terms.reshape(stack + (-1,))
-    # a term that is zero in every stamp, such as the cross-phase terms of
-    # uncoupled phases, writes no position; the sums lose only +-0.0
-    held = (terms != 0).any(axis=tuple(range(len(stack))))
+    # the phases each branch links, (B, p, p): inv(z) couples the phases
+    # of each connected part of z's nonzeros, and for p <= 3 two steps
+    # reach every phase of one; the shunt adds its own at the ends
+    link = (table.z_ohm != 0) | (table.z_ohm != 0).swapaxes(-1, -2) | np.eye(p, dtype=bool)
+    link = link @ link
+    held = np.stack([link | (table.shunt_b_s != 0)] * 2 + [link] * 2, axis=1).reshape(-1)
     flat, terms = flat[held], terms[..., held]
     positions, at = np.unique(flat, return_inverse=True)
     values = np.zeros(stack + (len(positions),), dtype=complex)

@@ -441,6 +441,18 @@ def test_malformed_noise_config_is_one_line(capsys, tmp_path, text, message):
     assert err.startswith("pfsc propagate: ") and message in err
 
 
+@pytest.mark.parametrize("command, option", [("solve", "--network"), ("propagate", "--network"),
+                                             ("propagate", "--noise-config")])
+def test_file_that_is_not_utf8_is_one_line(capsys, tmp_path, command, option):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xff\xfe")
+    files = {"--network": NETWORK, option: str(bad)}
+    code, out, err = run(capsys, command, *(word for item in files.items() for word in item))
+    assert code == 1
+    assert out == ""
+    assert err == f"pfsc {command}: {bad}: not UTF-8 text: byte 0 (invalid start byte)\n"
+
+
 class _ClosedPipe(io.TextIOWrapper):
     """A stdout whose reader has gone, as ``| head`` leaves it."""
 

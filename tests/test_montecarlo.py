@@ -235,11 +235,38 @@ def serial_trials(network, Y, state, cfg, solve=np.linalg.solve):
     return np.stack(samples, axis=-1)
 
 
+def cancelled_term():
+    """The three-phase fixture with the leaf branch 3-4 at z = (0.5+0.6j)
+    [[1, 1, 1], [1, 2, 2], [1, 2, 3]] ohm, whose inverse [[2, -1, 0], [-1,
+    2, -1], [0, -1, 1]] / (0.5+0.6j) has exact zeros between phases a and
+    c: z links them through phase b, so every perturbed stamp fills those
+    terms, while the nominal stamp's values there are 0."""
+    base = make_three_phase_balanced()
+    z = [br.z_ohm for br in base.branches]
+    leaf = complex(0.5, 0.6) * np.array([[1, 1, 1], [1, 2, 2], [1, 2, 3]])
+    return replace(base, branches=(Branch(1, 2, z[0]), Branch(2, 3, z[1]), Branch(3, 4, leaf)))
+
+
+def cancelled_diagonal():
+    """Bus 3 between series branches at +0.05j and -0.05j ohm: its
+    admittances cancel, so Y stores no diagonal entry for bus 3, and a
+    stack laid out on Y's positions (element noise) reads a zero there,
+    appended to each trial's entries."""
+    return NetworkModel(
+        buses=(Bus(1, "slack"), Bus(2, "pq", (50.0,), (10.0,)), Bus(3, "pq", (-30.0,), (-5.0,)),
+               Bus(4, "pq", (-40.0,), (-10.0,))),
+        branches=(Branch(1, 2, complex(0.01, 0.03)), Branch(2, 3, 0.05j), Branch(3, 4, -0.05j)),
+        phase_count=1, slack_bus=1, base_power_va=1e6, base_voltage_v=1e3,
+    )
+
+
 #: feeders on which the engine's stacks are checked byte for byte, with
 #: the sizes of the blocks of their H
 ORACLE_FEEDERS = {
     "ieee4": (lambda: pfsc.load_network(pfsc.bundled_network_path()), [6]),
     "three-phase": (make_three_phase_balanced, [18]),
+    "cancelled-term": (cancelled_term, [18]),
+    "cancelled-diagonal": (cancelled_diagonal, [6]),
     "mesh12-seed3": (lambda: make_random_network(12, 3, radial=False), [12, 10]),
     "feeder60-seed1": (lambda: make_feeder(60, 1), [70, 46, 2]),
 }
@@ -855,6 +882,8 @@ PARTITION_FEEDERS = {
     "two-feeder-three-phase": two_feeder_three_phase,
     "mesh12-seed3": ORACLE_FEEDERS["mesh12-seed3"][0],
     "cancelled-stamp": cancelled_stamp,
+    "cancelled-term": cancelled_term,
+    "cancelled-diagonal": cancelled_diagonal,
     **{f"feeder60-seed{s}": (lambda s=s: make_feeder(60, s)) for s in range(1, 6)},
 }
 
@@ -921,6 +950,23 @@ def test_cancelled_stamp_trials_are_the_dense_oracle_loop_bytes():
     _, std = estimate_stats(dense)
     assert std[0, 2] > 0.0
     np.testing.assert_allclose(out.std, std, rtol=STD_RTOL, atol=0.0)
+
+
+def test_stamp_writes_the_terms_that_cancel_in_inv_z():
+    # the positions come from z's structure: the nominal stamp writes the
+    # cancelled terms as zeros, which Y does not store, and a perturbed
+    # stack writes the same positions, nonzero there
+    net = cancelled_term()
+    z = net.branch_table.z_ohm
+    positions, nominal = pfsc.network.stamp_admittance(net, z)
+    cancelled = np.setdiff1d(positions, build_admittance(net).positions)
+    assert len(cancelled) > 0
+    at = np.searchsorted(positions, cancelled)
+    assert np.all(nominal[at] == 0)
+    z_k = z * (1 + 0.01 * np.random.default_rng(4).standard_normal((5,) + z.shape))
+    perturbed, y = pfsc.network.stamp_admittance(net, z_k)
+    assert np.array_equal(perturbed, positions)
+    assert np.all(y[:, at] != 0)
 
 
 @pytest.mark.parametrize("noise", ["relative", "dense", BRANCH_PARAMETER])

@@ -6,6 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import pfsc
 from pfsc import network as network_module
@@ -15,7 +19,15 @@ from pfsc.errors import (
     NetworkValidationError,
     yaml_error_line,
 )
-from pfsc.network import Branch, Bus, NetworkModel, emit_network, load_network, with_injections
+from pfsc.network import (
+    Branch,
+    Bus,
+    NetworkModel,
+    components,
+    emit_network,
+    load_network,
+    with_injections,
+)
 
 from conftest import make_feeder, make_random_network, make_three_phase_balanced
 from oracles import network_document, structural_nonzero
@@ -98,6 +110,21 @@ class TestBuildAdmittance:
                 base_power_va=1e6,
                 base_voltage_v=1e3,
             )
+
+    @pytest.mark.parametrize("slack", [1, 7])
+    def test_disconnected_graph_names_the_first_bus_not_reached(self, slack):
+        # buses 9 and 4 are an island of their own, and bus 5 another:
+        # the first in bus order that the slack does not reach is named
+        buses = [Bus(index, "slack" if index == slack else "pq", (0.0,), (0.0,))
+                 for index in (1, 7, 9, 5, 4)]
+        with pytest.raises(NetworkValidationError) as excinfo:
+            NetworkModel(
+                buses=tuple(buses), branches=(Branch(1, 7, 0.1j), Branch(4, 9, 0.1j)),
+                phase_count=1, slack_bus=slack, base_power_va=1e6, base_voltage_v=1e3,
+            )
+        assert str(excinfo.value) == (
+            f"graph not connected: no branch path from slack bus {slack} to bus 9"
+        )
 
     def test_row_sums_zero_without_shunts(self, ieee4):
         Y = pfsc.build_admittance(ieee4)
@@ -659,6 +686,19 @@ branches:
             f"{path}: line 3, column 1: did not find expected node content"
         )
 
+    @pytest.mark.parametrize(
+        "data, offset, reason",
+        [(b"\xff\xfe", 0, "invalid start byte"),
+         (b"name: caf\xe9\nphases: 1\n", 9, "invalid continuation byte")],
+        ids=["utf16-bom", "latin1"],
+    )
+    def test_text_that_is_not_utf8_is_one_line(self, tmp_path, data, offset, reason):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(data)
+        with pytest.raises(NetworkParseError) as excinfo:
+            load_network(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text: byte {offset} ({reason})"
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("phases: 1\n")
@@ -985,11 +1025,14 @@ _FILE_3PH_BRANCH = ("branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0
            + _FILE_BRANCH,
            NetworkParseError, f"{{path}}: buses[1] kind must be 'slack' or 'pq', not {kind!r}")
           for kind in ("pv", "Slack", "PQ", 1)),
+        ("phases: 1\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2}, {index: 3}]\n"
+         + _FILE_BRANCH,
+         NetworkValidationError, "graph not connected: no branch path from slack bus 1 to bus 3"),
     ],
     ids=["phases-2", "phases-0", "phases-minus-1", "phases-2-with-branch",
          "scalar-for-three-phases", "per-phase-count", "top-level-list",
          "bases-key-missing", "slack-voltage-3-items", "net-and-split", "no-slack",
-         "kind-pv", "kind-Slack", "kind-PQ", "kind-1"],
+         "kind-pv", "kind-Slack", "kind-PQ", "kind-1", "island"],
 )
 def test_file_refusals(tmp_path, text, error, message):
     path = tmp_path / "net.yaml"
@@ -1031,3 +1074,27 @@ def test_bus_of_unknown_kind_refused_in_code():
     with pytest.raises(NetworkValidationError) as info:
         Bus(2, "pv")
     assert str(info.value) == "bus 2: unknown kind 'pv'"
+
+
+def _graphs():
+    """(n, edges): n nodes and up to 2n edges between them, self-loops too;
+    nodes that no edge reaches stay isolated."""
+    return st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=2 * n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_components_are_scipys_labels(graph):
+    # labels numbered by first node, as SciPy numbers them; the first half
+    # of the edges is given twice, so every graph of two edges or more
+    # repeats one
+    n, edges = graph
+    edges += edges[: len(edges) // 2]
+    a, b = (np.array([edge[end] for edge in edges], dtype=np.intp) for end in (0, 1))
+    _, want = connected_components(coo_matrix((np.ones(len(edges)), (a, b)), shape=(n, n)),
+                                   directed=False)
+    got = components(n, a, b)
+    assert got.dtype == np.intp
+    assert got.tolist() == want.tolist()

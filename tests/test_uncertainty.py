@@ -197,6 +197,13 @@ class TestNoiseConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_noise_config(path)
 
+    def test_text_that_is_not_utf8_is_one_line(self, tmp_path):
+        path = tmp_path / "noise.yaml"
+        path.write_bytes(b"it_classes:\n  '0.5': {magnitude_pct: 0.5, phase_rad: 0.006} # \xb5\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_noise_config(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text: byte 62 (invalid start byte)"
+
     @pytest.mark.parametrize("key", ["magnitude_pct", "phase_rad"])
     def test_negative_limit_rejected(self, tmp_path, key):
         # refused as the file is read, not later by PolarNoiseSpec, whose
