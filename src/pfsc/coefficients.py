@@ -245,14 +245,14 @@ def assemble_from_raw(
     gives a stack of H, each slice equal to its own assembly, held as the
     diagonal blocks that ``fill`` lays out, each (..., d, d); the signs
     are shared by every slice.  ``fill`` is a stack laid out for
-    positions that hold every entry any slice of ``Ym`` has nonzero, its
-    unknowns in any order (the signs are the same in every order), and
-    ``out`` the buffer it fills, if any; a Monte-Carlo pass lays one out
-    per noise pattern, in blocks that no trial couples.  By default one
-    is laid out for the entries nonzero in some slice of ``Ym``, in the
-    network's order, with one block: ``H``, (..., 2n, 2n).  With ``K``,
-    the products (Y E) at ``fill``'s unknowns (..., n), ``Ym`` holds each
-    Y's entries at ``fill``'s positions, (..., L), and no dense Y is read
+    positions that hold every entry any slice of ``Ym`` has nonzero and
+    for the network's unknowns, and ``out`` the buffer it fills, if any;
+    a Monte-Carlo pass lays one out per noise pattern.  By default one is
+    laid out for the entries nonzero in some slice of ``Ym``, and its
+    blocks are put together in the network's order: one block ``H``,
+    (..., 2n, 2n) (``JacobianStack.dense``).  With ``K``, the products
+    (Y E) at ``fill.nodes`` (..., n), ``Ym`` holds each Y's entries at
+    ``fill``'s positions, (..., L), and no dense Y is read
     (``JacobianStack.on_pattern``): a Monte-Carlo pass calls it so.
     """
     if K is not None:
@@ -262,6 +262,7 @@ def assemble_from_raw(
     if fill is None:
         nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
         fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
+        return RawSystem([fill.dense(Ym, E)], _rhs_signs(len(nonslack)))
     return RawSystem(fill(Ym, E, out), _rhs_signs(len(nonslack)))
 
 

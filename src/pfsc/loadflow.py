@@ -23,10 +23,10 @@ here, by those rules, in one of two forms:
   inverts it made dense.
 - ``JacobianStack``: dense and batched over stacks of (Y, E), for the
   Monte-Carlo trials.  It is laid out for the positions where the Y of
-  a stack may be nonzero and for diagonal blocks of H that none of them
-  links, reads each Y's entries at those positions, and fills the blocks
-  into a zeroed stack that holds only those diagonal blocks, each
-  column-major.
+  a stack may be nonzero, and it lays out H's diagonal blocks that none
+  of them links itself, from ``_blocks``.  It reads each Y's entries at
+  those positions and fills the blocks into a zeroed stack that holds
+  only those diagonal blocks, each column-major.
 
 Both write their blocks by one routine (``_write_blocks``), and, given
 the same product Y E, every stored entry equals that of H assembled
@@ -56,8 +56,9 @@ lays them out as CSC arrays and the data offsets of each block.
 ``jacobian_derivative`` reads it for the positions of its admittance
 inputs, and each term carries the data offset of its entry.  On Y's
 pattern they get the same arrays.  ``JacobianStack`` reads the blocks
-for the positions of a stack and writes them at their offsets in its
-diagonal blocks.
+for the positions of a stack, takes H's diagonal blocks to be the
+connected components of their node pairs (``network.components``), and
+writes the blocks at their offsets in those diagonal blocks.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import LoadFlowError
-from .network import AdmittanceMatrix, NetworkModel, take
+from .network import AdmittanceMatrix, NetworkModel, components, take
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -351,33 +352,48 @@ class JacobianStack:
 
     Laid out (``_blocks``) for the sorted, distinct flat ``positions``
     of an (m, m) Y that hold every entry any Y of a stack may have
-    nonzero.  ``sizes`` splits H's rows, in the order of the unknowns
-    ``nonslack``, into consecutive diagonal blocks, each of an even
-    number of rows, that no position links to another (by default one
-    block, the whole H).  Each H of a stack is stored as ``size`` values,
-    its blocks one after another, each column-major, the layout LAPACK
-    factors in place.
+    nonzero, and for the unknowns ``nonslack``.  The stack lays out H's
+    blocks itself: two unknowns are linked when ``_blocks`` gives a block
+    for their pair, and each block of H is a connected component of the
+    links (``network.components``), its unknowns in the order of
+    ``nonslack``, the blocks ordered by their first unknown.  No position
+    links two blocks, so H with its unknowns in that order, ``nodes``, is
+    block-diagonal: one block when every unknown links, one per subtree
+    of the slack on a radial feeder.  ``blocks`` holds the slice of each
+    block's rows (and columns) of H in that order, and ``at`` the index
+    of each block's rows and columns of x, whose unknowns are in the
+    order of ``nonslack``.  Each H of a stack is stored as ``size``
+    values, its blocks one after another, each column-major, the layout
+    LAPACK factors in place.
 
     ``on_pattern(y, E, K, out=None)`` takes each Y of the stack as its
-    entries ``y`` (..., L) at ``positions`` and K = (Y E) at ``nonslack``
+    entries ``y`` (..., L) at ``positions`` and K = (Y E) at ``nodes``
     (..., n), with ``E`` (..., m) whose leading axes broadcast to those of
     ``y``; no dense Y is read.  It zeroes a stack of H, (..., size), in ``out`` (a flat
     float array of at least that many values, reused between calls) or
     in a new array, writes each 2x2 block of the pattern at its offsets,
     and returns a view of each diagonal block of H, (..., d, d).  Calling
     the stack with dense ``Ym`` (..., m, m) and ``E`` does the same with
-    y read from ``Ym`` and K from the dense batched product.  Every
-    entry equals that of H assembled over every entry of Y with the same
-    K under ==, and is the same in any stack; an entry off the pattern
-    is +0.0, where the dense assembly may give -0.0.
+    y read from ``Ym`` and K from the dense batched product, and
+    ``dense(Ym, E)`` puts those blocks in their rows and columns of x.
+    Every entry equals that of H assembled over every entry of Y with the
+    same K under ==, and is the same in any stack; an entry off the
+    pattern is +0.0, where the dense assembly may give -0.0.
     """
 
-    def __init__(self, positions, nonslack, m, sizes=None):
-        ns = np.asarray(nonslack, dtype=np.intp)
-        self._ns, dim = ns, 2 * len(ns)
-        self.positions = positions
-        self.sizes = [dim] if sizes is None else list(sizes)
-        self.size = sum(d**2 for d in self.sizes)
+    def __init__(self, positions, nonslack, m):
+        ns, self.positions = np.asarray(nonslack, dtype=np.intp), positions
+        n = len(ns)
+        _, _, r, c = _blocks(positions, ns, m)  # the pairs of unknowns that H couples
+        label = components(n, r[n:], c[n:])  # past the diagonal blocks; by first unknown
+        order = np.argsort(label, kind="stable")  # each block's unknowns in order
+        sizes = 2 * np.bincount(label)
+        ends = np.cumsum(sizes)
+        self.blocks = [slice(b - d, b) for b, d in zip(ends.tolist(), sizes.tolist())]
+        rows = (2 * order[:, None] + [0, 1]).ravel()  # x's row of each row of H
+        self.at = [(rows[s, np.newaxis], rows[s]) for s in self.blocks]
+        self.nodes = ns = ns[order]
+        self.size = int(np.sum(sizes**2))
         _, c, row, col = _blocks(positions, ns, m)
         # the diagonal blocks, then the linked ones: the entry of y that
         # each reads (len(positions) for a diagonal not stored, which
@@ -390,10 +406,9 @@ class JacobianStack:
         # block's first row and its first offset; the offsets of each
         # block's entries, column-major in the diagonal block, in the order
         # of _block_layout's
-        sizes = np.array(self.sizes)
-        node_block = np.repeat(np.arange(len(sizes)), sizes // 2)[row]
+        node_block = label[order][row]
         d = sizes[node_block]
-        first = (np.cumsum(sizes) - sizes)[node_block]
+        first = (ends - sizes)[node_block]
         offset = (np.cumsum(sizes**2) - sizes**2)[node_block]
         corner = offset + (2 * col - first) * d + 2 * row - first
         self._at = corner + np.array([np.zeros_like(d), d, np.ones_like(d), d + 1])
@@ -402,7 +417,17 @@ class JacobianStack:
         stack = np.broadcast_shapes(Ym.shape[:-2], E.shape[:-1])
         y = np.broadcast_to(Ym.reshape(Ym.shape[:-2] + (-1,))[..., self.positions],
                             stack + (len(self.positions),))
-        return self.on_pattern(y, E, (Ym @ E[..., None])[..., self._ns, 0], out)
+        return self.on_pattern(y, E, (Ym @ E[..., None])[..., self.nodes, 0], out)
+
+    def dense(self, Ym, E):
+        """H (..., 2n, 2n) of dense ``Ym`` and ``E``, its unknowns in the
+        order of ``nonslack``: each block in its rows and columns of x,
+        +0.0 off the blocks, and each H column-major."""
+        stack = np.broadcast_shapes(Ym.shape[:-2], E.shape[:-1])
+        H = np.zeros(stack + (2 * len(self.nodes),) * 2).swapaxes(-1, -2)
+        for block, at in zip(self(Ym, E), self.at):
+            H[(...,) + at] = block
+        return H
 
     def on_pattern(self, y, E, K, out=None):
         if self._pad:
@@ -420,7 +445,8 @@ class JacobianStack:
             H.fill(0.0)
         _write_blocks(H, self._at, A, K)
         blocks, at = [], 0
-        for d in self.sizes:
+        for s in self.blocks:
+            d = s.stop - s.start
             # column-major: the C-order (d, d) view is the block's transpose
             blocks.append(H[..., at : at + d * d].reshape(stack + (d, d)).swapaxes(-1, -2))
             at += d * d

@@ -50,18 +50,18 @@ before the sets build their results.
 A level's noise pattern is the set of flat positions its trials' Y can
 hold.  In independent-elements mode that is Y's positions and those of
 the level's noise, so element noise where Y is zero reaches H.  In
-branch-parameter mode it is the positions ``stamp_admittance`` writes,
-which the branches' structure fixes, so every trial's stamp writes them
-and K = Y E is formed on the pattern in both modes.  Y does not store
+branch-parameter mode it is the positions that every stamp writes,
+which ``network.stamp_pattern`` reads off the branches' structure with
+no stamp values computed, so every trial's stamp writes them and K = Y E
+is formed on the pattern in both modes.  Y does not store
 an entry that sums to zero, where parallel branches' admittances cancel,
 such as a series-compensated pair at +-j x, or a term of ``inv(z)``
 that cancels between phases that z links, but a perturbed stamp fills
 it.  H does not couple nodes that no position of the pattern links: on
 a radial feeder each branch leaving the slack starts a subtree of its
 own, and with uncoupled phases each phase is a network of its own.
-``_partition`` lays out, once per pass for each noise pattern, the
-connected components of the non-slack nodes (``network.components``),
-and one ``JacobianStack`` with its unknowns in that block order, so
+The pass lays out one ``JacobianStack`` per noise pattern, and the stack
+lays out those blocks itself (its ``nodes``, ``blocks`` and ``at``), so
 each trial's H is block-diagonal and each block is a slice of it.  A set
 merges its moments block by block and writes each block's trials into
 their rows and columns of the trial store, in network order; its mean
@@ -97,8 +97,8 @@ from scipy.linalg.lapack import dgetrf, dgetri
 
 from .coefficients import assemble_from_raw, check_nonempty
 from .errors import ConfigError
-from .loadflow import GridState, JacobianStack, _blocks
-from .network import AdmittanceMatrix, NetworkModel, components, stamp_admittance
+from .loadflow import GridState, JacobianStack
+from .network import AdmittanceMatrix, NetworkModel, stamp_admittance, stamp_pattern
 from .uncertainty import AdmittanceUncertainty, PolarNoiseSpec
 
 INDEPENDENT_ELEMENTS = "independent-elements"
@@ -331,43 +331,6 @@ def _fill_rows(rows, states):
         Generator(PCG64(_SeedWords(words))).standard_normal(out=row)
 
 
-class _Partition(NamedTuple):
-    """The blocks of H that no trial couples, and the stack H is filled by
-    (``_partition``)."""
-
-    nodes: np.ndarray  # the non-slack flat indices in block order
-    blocks: list  # per block, the slice of H's rows (and columns) in that order
-    at: list  # per block, the index of its rows and columns of x in network order
-    fill: JacobianStack  # H's stack on the pattern, its unknowns in block order
-
-
-def _partition(network, positions):
-    """The non-slack nodes in the blocks that H does not couple, and one
-    ``JacobianStack`` laid out for them.
-
-    ``positions`` is a noise pattern: the flat positions of the (m, m) Y
-    that any of its trials' Y may hold (see ``run_monte_carlo_sets``).
-    Two nodes are linked when H has a block for their pair on that
-    pattern, the rule of ``loadflow._blocks``, which the stack reads too.
-    A block is a connected component of the links, as
-    ``network.components`` labels them, its nodes in network order; the
-    blocks are ordered by their first node.  H with its
-    unknowns in that order is block-diagonal: one block on a network
-    whose nodes all link, one per subtree of the slack on a radial feeder.
-    """
-    nonslack = np.array(network.nonslack_flat_indices())
-    n, m = len(nonslack), network.n_nodes
-    _, _, r, c = _blocks(positions, nonslack, m)  # the pairs of nodes that H couples
-    label = components(n, r[n:], c[n:])  # past the diagonal blocks; by first node
-    order = np.argsort(label, kind="stable")  # each block's nodes in network order
-    ends = np.cumsum(2 * np.bincount(label)).tolist()
-    spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-    rows = (2 * order[:, None] + [0, 1]).ravel()  # x's row of each row of H
-    nodes = nonslack[order]
-    return _Partition(nodes, spans, [(rows[s, np.newaxis], rows[s]) for s in spans],
-                      JacobianStack(positions, nodes, m, [s.stop - s.start for s in spans]))
-
-
 def _invert(H, signs):
     """H⁻¹ diag(signs) of each trial of a stack of column-major blocks,
     in their own memory: LAPACK ``getrf`` and then ``getri`` one trial at
@@ -447,15 +410,15 @@ class _Moments:
 
 
 class _Set:
-    """What a pass has gathered for one set, block by block of ``part``,
-    the ``_Partition`` of the set's level: moments and failures, and with
-    ``store_trials`` the usable trials, along the last axis of one store
-    of ``n_trials`` in network order, allocated by the first chunk."""
+    """What a pass has gathered for one set, block by block of ``fill``,
+    the ``JacobianStack`` of the set's level: moments and failures, and
+    with ``store_trials`` the usable trials, along the last axis of one
+    store of ``n_trials`` in network order, allocated by the first chunk."""
 
-    def __init__(self, cfg: MCConfig, part: _Partition):
+    def __init__(self, cfg: MCConfig, fill: JacobianStack):
         self.cfg = cfg
-        self.part = part
-        self.moments = [_Moments() for _ in part.blocks]
+        self.fill = fill
+        self.moments = [_Moments() for _ in fill.blocks]
         self.store = None
         self.failed = 0
 
@@ -472,12 +435,12 @@ class _Set:
                 return
             keep = np.flatnonzero(ok)  # the chunk may hold more rows than k
         kept = self.moments[0].count
-        for x, moments, at in zip(xs, self.moments, self.part.at):
+        for x, moments, at in zip(xs, self.moments, self.fill.at):
             x = x[keep]
             if self.cfg.store_trials:
                 if self.store is None:
                     # +0.0 off the blocks, where no trial couples its nodes
-                    dim = 2 * len(self.part.nodes)
+                    dim = 2 * len(self.fill.nodes)
                     self.store = np.zeros((dim, dim, self.cfg.n_trials))
                 self.store[at + (slice(kept, kept + len(x)),)] = np.moveaxis(x, 0, -1)
             # a row a trial, its block column-major as the stack holds it:
@@ -490,9 +453,9 @@ class _Set:
         count = self.moments[0].count
         if count == 0:
             raise ConfigError("all Monte-Carlo trials failed (singular systems)")
-        dim = 2 * len(self.part.nodes)
+        dim = 2 * len(self.fill.nodes)
         mean, std = np.zeros((dim, dim)), np.zeros((dim, dim))
-        for moments, at in zip(self.moments, self.part.at):
+        for moments, at in zip(self.moments, self.fill.at):
             d = len(at[1])
             mean[at], std[at] = (v.reshape(d, d).T for v in moments.result())
         return MCResult(
@@ -513,7 +476,7 @@ class _Level(NamedTuple):
     """What a pass lays out once for the sets that share one ``yu``."""
 
     sets: list  # their _Set each, in config order
-    values: np.ndarray  # Y's entries on the pattern, ``sets[0].part.fill.positions``
+    values: np.ndarray  # Y's entries on the pattern, ``sets[0].fill.positions``
     at: np.ndarray  # the places of ``yu.positions`` in the pattern
 
 
@@ -539,7 +502,7 @@ def _products(positions, values, E, nodes, buffer):
 def _solve_level(network, level, E_k, noise, yu, mode, buffer):
     """Solutions of the first ``len(noise)`` trials of a chunk at one
     ``_Level``, whose noise is ``yu``, one stack per block of its
-    partition, and which trials are usable.  ``noise`` holds the trials'
+    ``JacobianStack``, and which trials are usable.  ``noise`` holds the trials'
     admittance draws: in branch-parameter mode their rows, in
     independent-elements mode the real and imaginary normals at
     ``yu.positions``, (rows, 2, L).
@@ -554,7 +517,7 @@ def _solve_level(network, level, E_k, noise, yu, mode, buffer):
     """
     rows = len(noise)
     E = E_k[:rows]
-    part = level.sets[0].part
+    fill = level.sets[0].fill
     if mode == BRANCH_PARAMETER:
         # every stamp of the network writes the pattern's positions
         _, y = _perturb_branches(network, yu.level_pct / 100.0, noise)
@@ -569,16 +532,16 @@ def _solve_level(network, level, E_k, noise, yu, mode, buffer):
         im = (noise[:, 1] * yu.im).astype(complex)
         noisy += np.multiply(1j, im, out=im)
         del im
-        if len(level.at) == len(part.fill.positions):
+        if len(level.at) == len(fill.positions):
             y = noisy
         else:
             y = np.repeat(level.values[np.newaxis], rows, axis=0)
             y[:, level.at] = noisy
         del noisy
-    K = _products(part.fill.positions, y, E, part.nodes, buffer)
-    system = assemble_from_raw(y, E, network, part.fill, buffer, K)
+    K = _products(fill.positions, y, E, fill.nodes, buffer)
+    system = assemble_from_raw(y, E, network, fill, buffer, K)
     del y, K  # not held through the solve
-    xs = [_solve(H, system.signs[s]) for H, s in zip(system.blocks, part.blocks)]
+    xs = [_solve(H, system.signs[s]) for H, s in zip(system.blocks, fill.blocks)]
     return xs, np.all([np.isfinite(x).all(axis=(-2, -1)) for x in xs], axis=0)
 
 
@@ -621,25 +584,26 @@ def run_monte_carlo_sets(
     branch = cfg.symmetry_mode == BRANCH_PARAMETER
     width = 2 * m + 2 * (network.branch_table.z_ohm.size if branch else m * m)
 
-    dim = 2 * len(network.nonslack_flat_indices())
+    nonslack = network.nonslack_flat_indices()
+    dim = 2 * len(nonslack)
     check_nonempty(dim)
-    # one _Partition per noise pattern, the positions a level's trials' Y
-    # can hold: Y's and the noise's, or the positions every stamp of the
-    # network writes, which Y lacks where its terms sum to 0.  Its blocks
-    # and stack are the same alone as in the pass; sets on equal patterns
-    # share them.  The patterns' bytes are not held through the pass
-    stamped = stamp_admittance(network, network.branch_table.z_ohm)[0] if branch else None
-    parts = {}  # the bytes of a pattern's positions -> its _Partition, Y's entries there
+    # one JacobianStack per noise pattern, the positions a level's trials'
+    # Y can hold: Y's and the noise's, or the positions every stamp of the
+    # network writes (``stamp_pattern``), which Y lacks where its terms sum
+    # to 0.  Its blocks are the same alone as in the pass; sets on equal
+    # patterns share it.  The patterns' bytes are not held through the pass
+    stamped = stamp_pattern(network)[0] if branch else None
+    fills = {}  # the bytes of a pattern's positions -> its JacobianStack, Y's entries there
     levels = {}  # id(yu) -> its _Level
     sets = []
     for c in cfgs:
         pattern = np.union1d(Y.positions, c.yu.positions) if stamped is None else stamped
-        if pattern.tobytes() not in parts:
-            parts[pattern.tobytes()] = _partition(network, pattern), Y.take(pattern)
-        part, values = parts[pattern.tobytes()]
+        if pattern.tobytes() not in fills:
+            fills[pattern.tobytes()] = JacobianStack(pattern, nonslack, m), Y.take(pattern)
+        fill, values = fills[pattern.tobytes()]
         if id(c.yu) not in levels:
             levels[id(c.yu)] = _Level([], values, np.searchsorted(pattern, c.yu.positions))
-        sets.append(_Set(c, part))
+        sets.append(_Set(c, fill))
         levels[id(c.yu)].sets.append(sets[-1])
     size = _chunk_trials(dim)
     # one buffer that every chunk and level reuses: each chunk's draw rows
@@ -647,9 +611,8 @@ def run_monte_carlo_sets(
     # at a time as it holds, for K = Y E, and then their stack of H, which
     # is solved in it.  It holds a draw row, a dense Y and a chunk's stack;
     # a fresh stack per chunk would fault its pages in again
-    buffer = np.empty(max(width, 2 * m * m,
-                          size * max(part.fill.size for part, _ in parts.values())))
-    del parts
+    buffer = np.empty(max(width, 2 * m * m, size * max(fill.size for fill, _ in fills.values())))
+    del fills
     # the draw columns that some level reads: in independent-elements mode
     # the voltage normals, then the real and the imaginary normals at the
     # union of the levels' noise positions; and the bytes of each level's

@@ -43,19 +43,22 @@ module computes a position itself.
 Coupling.  ``components`` labels the connected components of a graph
 by a depth-first walk, numbered by their first node.  It is the one
 answer to which nodes are coupled: a network is refused unless its
-branches join every bus to the slack, and the Monte-Carlo pass splits H
-into the blocks that no position links.
+branches join every bus to the slack, and ``loadflow.JacobianStack``
+splits H into the blocks that no position links.
 
 Admittance pattern.  ``stamp_admittance`` is the one stamp: it sums the
 branch terms of a stack of series impedances on the sorted flat
-positions ``r m + c`` that the branches can couple, fixed by their
-structure whatever the values: the phases that each branch's z links,
-and its shunt's nonzeros at its ends.  ``build_admittance``
-is its call on the network's own impedances and returns Y as an
-``AdmittanceMatrix``, whose pattern drops an entry that sums to zero,
-as where parallel branches' admittances cancel; the branch-parameter
-Monte-Carlo trials call it on perturbed impedances, which write the
-same positions, and keep its values.
+positions ``r m + c`` that the branches can couple.  ``stamp_pattern``
+lays those positions out from the branches' structure alone, whatever
+the values: the phases that each branch's z links, and its shunt's
+nonzeros at its ends; it gives each term held its place among them, and
+the stamp calls it.  ``build_admittance`` is the stamp's call on the
+network's own impedances and returns Y as an ``AdmittanceMatrix``,
+whose pattern drops an entry that sums to zero, as where parallel
+branches' admittances cancel.  The branch-parameter Monte-Carlo pass
+takes its pattern from ``stamp_pattern``, and its trials call the stamp
+on perturbed impedances, which write the same positions, and keep its
+values.
 The product Y E at a point is summed over the pattern
 (``AdmittanceMatrix.dot``); a dense Y is an ``(m, m)`` array that only
 the Monte-Carlo pass builds, a few trials at a time for their K = Y E,
@@ -223,15 +226,16 @@ class NetworkModel:
         # the arrays hold the network: the objects are read back from them
         del self.buses, self.branches
 
-    def _set(self, bus_index, position, p_kw, q_kvar, branch_table):
+    def _set(self, bus_index, position, p_kw, q_kvar, branch_table, prefix=""):
         """Hold the checked arrays; NetworkValidationError naming the first
-        bus that no branch path joins to the slack, if one does not."""
+        bus that no branch path joins to the slack, if one does not, its
+        message led by ``prefix`` (a file's ``{path}: ``)."""
         self.bus_index, self._position = tuple(bus_index), position
         self.p_kw, self.q_kvar, self.branch_table = p_kw, q_kvar, branch_table
         p = self.phase_count
         label = components(self.n_bus, branch_table.from_flat // p, branch_table.to_flat // p)
         _raise_first(NetworkValidationError, [(label != label[position[self.slack_bus]], lambda k: (
-            f"graph not connected: no branch path from slack bus {self.slack_bus} to bus "
+            f"{prefix}graph not connected: no branch path from slack bus {self.slack_bus} to bus "
             f"{self.bus_index[k]}"))])
 
     def __getattr__(self, name):
@@ -476,28 +480,53 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
     return AdmittanceMatrix.on_pattern(positions, values, network.n_nodes)
 
 
+def stamp_pattern(network: NetworkModel):
+    """Where ``stamp_admittance`` writes on ``network``, fixed by the
+    branches' structure whatever their impedances: ``(positions, at,
+    held)``, the sorted flat positions (L,) that the branches can couple
+    in the ``(m, m)`` Y, the place in them of each term held, and the
+    mask of the terms held among all the terms.
+
+    The terms are the blocks (f, f), (t, t), (f, t), (t, f) of each
+    branch, branch by branch, each p x p block row-major.  A branch holds
+    the phase pairs that the nonzeros of its z link in all four blocks,
+    and its shunt's nonzeros in the two end blocks; a term between phases
+    that no branch links, such as the cross-phase terms of uncoupled
+    phases, is left out.
+    """
+    p, m, table = network.phase_count, network.n_nodes, network.branch_table
+    f, t = table.from_flat, table.to_flat
+    first = np.stack([f, t, f, t], axis=1)[:, :, None, None]
+    second = np.stack([f, t, t, f], axis=1)[:, :, None, None]
+    ph = np.arange(p)
+    flat = ((first + ph[:, None]) * m + second + ph).reshape(-1)
+    # the phases each branch links, (B, p, p): inv(z) couples the phases
+    # of each connected part of z's nonzeros, and for p <= 3 two steps
+    # reach every phase of one; the shunt adds its own at the ends
+    link = (table.z_ohm != 0) | (table.z_ohm != 0).swapaxes(-1, -2) | np.eye(p, dtype=bool)
+    link = link @ link
+    held = np.stack([link | (table.shunt_b_s != 0)] * 2 + [link] * 2, axis=1).reshape(-1)
+    positions, at = np.unique(flat[held], return_inverse=True)
+    return positions, at, held
+
+
 def stamp_admittance(network: NetworkModel, z_ohm):
     """Y of ``network`` with the series impedances ``z_ohm`` (..., B, p, p,
     in ohms) in place of its branches': ``(positions, values)``, the
     sorted flat positions (L,) that the branches can couple in the
     ``(m, m)`` Y, and the entries there (..., L).
 
-    The terms are the blocks (f, f), (t, t), (f, t), (t, f) of each
-    branch, branch by branch, so that an entry shared by several branches
-    sums them in branch order.  The positions are fixed by the branches'
-    structure in the network, whatever the values: a branch writes the
-    phase pairs that the nonzeros of its z link in all four blocks, and
-    its shunt's nonzeros in the two end blocks.  So every stack writes
-    the same positions, and a term that is zero, as where ``inv(z)``
-    cancels inside a coupled block, is written as one.  ``z_ohm`` is
-    nonzero only where the network's impedances are, as relative noise
-    keeps them.  A term between phases that no branch links, such as the
-    cross-phase terms of uncoupled phases, is left out.  ``dense``
-    scatters the values into dense matrices.  An entry may sum to zero,
-    which is kept.
+    The positions and the terms held are ``stamp_pattern``'s, fixed by
+    the branches' structure in the network, whatever the values.  Each
+    term held is summed at its position, branch by branch, so that an
+    entry shared by several branches sums them in branch order.  So every
+    stack writes the same positions, and a term that is zero, as where
+    ``inv(z)`` cancels inside a coupled block, is written as one.
+    ``z_ohm`` is nonzero only where the network's impedances are, as
+    relative noise keeps them.  ``dense`` scatters the values into dense
+    matrices.  An entry may sum to zero, which is kept.
     """
-    p = network.phase_count
-    m = network.n_nodes
+    positions, at, held = stamp_pattern(network)
     table = network.branch_table
     z_pu = z_ohm / network.z_base_ohm
     degenerate = np.abs(np.linalg.det(z_pu)) < 1e-300
@@ -509,22 +538,9 @@ def stamp_admittance(network: NetworkModel, z_ohm):
         )
     y = np.linalg.inv(z_pu)
     ysh = 1j * table.shunt_b_s * network.z_base_ohm / 2.0
-    f, t = table.from_flat, table.to_flat
-    first = np.stack([f, t, f, t], axis=1)[:, :, None, None]
-    second = np.stack([f, t, t, f], axis=1)[:, :, None, None]
-    ph = np.arange(p)
-    flat = ((first + ph[:, None]) * m + second + ph).reshape(-1)
     terms = np.stack([y + ysh, y + ysh, -y, -y], axis=-3)
     stack = terms.shape[:-4]
-    terms = terms.reshape(stack + (-1,))
-    # the phases each branch links, (B, p, p): inv(z) couples the phases
-    # of each connected part of z's nonzeros, and for p <= 3 two steps
-    # reach every phase of one; the shunt adds its own at the ends
-    link = (table.z_ohm != 0) | (table.z_ohm != 0).swapaxes(-1, -2) | np.eye(p, dtype=bool)
-    link = link @ link
-    held = np.stack([link | (table.shunt_b_s != 0)] * 2 + [link] * 2, axis=1).reshape(-1)
-    flat, terms = flat[held], terms[..., held]
-    positions, at = np.unique(flat, return_inverse=True)
+    terms = terms.reshape(stack + (-1,))[..., held]
     values = np.zeros(stack + (len(positions),), dtype=complex)
     # stack k's entries start at k L of the flat values
     start = len(positions) * np.arange(math.prod(stack)).reshape(stack + (1,))
@@ -555,16 +571,18 @@ def _finite(value, what, error):
     return value
 
 
-def _bus_positions(index, slack, slack_bus):
+def _bus_positions(index, slack, slack_bus, prefix=""):
     """{bus number: position} of the bus numbers ``index``;
-    NetworkValidationError unless they are distinct and ``slack`` (N,)
-    marks one bus, numbered ``slack_bus``."""
+    NetworkValidationError, its message led by ``prefix`` (a file's
+    ``{path}: ``), unless they are distinct and ``slack`` (N,) marks one
+    bus, numbered ``slack_bus``."""
     position = dict(zip(index, range(len(index))))
     if len(position) != len(index):
-        raise NetworkValidationError("duplicate bus indices")
+        raise NetworkValidationError(f"{prefix}duplicate bus indices")
     slacks = [index[k] for k in np.flatnonzero(slack)]
     if len(slacks) != 1:
-        raise NetworkValidationError(f"exactly one slack bus required, found {len(slacks)}")
+        raise NetworkValidationError(
+            f"{prefix}exactly one slack bus required, found {len(slacks)}")
     if slacks[0] != slack_bus:
         raise NetworkValidationError(
             f"slack_bus={slack_bus} does not match the bus marked slack ({slacks[0]})"
@@ -932,7 +950,7 @@ def load_network(path) -> NetworkModel:
     if not slack.any():
         raise NetworkParseError(f"{path}: exactly one slack bus required, found 0")
     slack_bus = index[int(np.argmax(slack))]
-    position = _bus_positions(index, slack, slack_bus)
+    position = _bus_positions(index, slack, slack_bus, f"{path}: ")
     table = _read_branches(
         _entries(raw, "branches", ("from", "to"), path), position, p, f"{path}: branches")
     # the arrays are checked: the network is built from them as they are
@@ -940,7 +958,7 @@ def load_network(path) -> NetworkModel:
     network.__dict__.update(phase_count=p, slack_bus=slack_bus, base_power_va=s_base,
                             base_voltage_v=v_base, slack_voltage_pu=slack_v,
                             name=str(raw.get("name", "")))
-    network._set(index, position, p_kw, q_kvar, table)
+    network._set(index, position, p_kw, q_kvar, table, f"{path}: ")
     return network
 
 

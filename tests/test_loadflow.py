@@ -302,7 +302,7 @@ def test_stack_fill_equals_dense_oracle(feeder):
     for kind, (positions, Y_k) in _perturbed_stacks(net, Y, rng).items():
         fill = JacobianStack(positions, ns, net.n_nodes)
         for Ym, E_ in ((Y_k, E_k), (Y_k, E), (Y_k[0], E_k[0])):
-            (got,), want = fill(Ym, E_), jacobian(Ym, E_, ns)
+            got, want = fill.dense(Ym, E_), jacobian(Ym, E_, ns)
             assert np.array_equal(got, want), kind
             assert got.tobytes() == (want + 0.0).tobytes(), kind
 
@@ -318,17 +318,16 @@ def test_stack_fill_in_blocks_equals_dense_oracle():
     E = solve_load_flow(net, Y).voltages
     rng = np.random.default_rng(6)
     E_k = E + 1e-3 * rng.standard_normal((3,) + E.shape)
-    part = pfsc.montecarlo._partition(net, Y.positions)
-    sizes = [s.stop - s.start for s in part.blocks]
-    assert sizes == [70, 46, 2]
     positions, Y_k = _perturbed_stacks(net, Y, rng)["elements"]
-    fill = JacobianStack(positions, part.nodes, net.n_nodes, sizes)
+    fill = JacobianStack(positions, net.nonslack_flat_indices(), net.n_nodes)
+    sizes = [s.stop - s.start for s in fill.blocks]
+    assert sizes == [70, 46, 2]
     assert fill.size == 70**2 + 46**2 + 2**2
-    want = jacobian(Y_k, E_k, part.nodes)
+    want = jacobian(Y_k, E_k, fill.nodes)
     inside = np.zeros(want.shape[-2:], dtype=bool)
     out = np.full(5 * fill.size, np.nan)
     for blocks in (fill(Y_k, E_k), fill(Y_k, E_k, out)):
-        for H, s in zip(blocks, part.blocks):
+        for H, s in zip(blocks, fill.blocks):
             assert H.shape == (3, s.stop - s.start, s.stop - s.start)
             assert H[0].flags.f_contiguous
             assert H.tobytes() == (want[:, s, s] + 0.0).tobytes()

@@ -858,19 +858,21 @@ def cancelled_stamp():
 def engine_blocks(monkeypatch, net, Y, state, cfg):
     """The blocks that a pass over ``cfg`` solves, each as the rows of H
     in network order, in the order the engine lays them out."""
-    parts = []
+    fills = []
 
-    def record(network, positions):
-        parts.append(partition(network, positions))
-        return parts[-1]
+    def record(*args):
+        fills.append(stack(*args))
+        return fills[-1]
 
-    partition = montecarlo._partition
-    monkeypatch.setattr(montecarlo, "_partition", record)
+    stack = montecarlo.JacobianStack
+    monkeypatch.setattr(montecarlo, "JacobianStack", record)
     run_monte_carlo(net, Y, state, cfg)
-    (part,) = parts
-    k = np.searchsorted(net.nonslack_flat_indices(), part.nodes)
+    (fill,) = fills
+    k = np.searchsorted(net.nonslack_flat_indices(), fill.nodes)
     rows = (2 * k[:, None] + [0, 1]).ravel()
-    blocks = [rows[s] for s in part.blocks]
+    blocks = [rows[s] for s in fill.blocks]
+    # the stack's rows and columns of x are those of its nodes
+    assert [at[1].tolist() for at in fill.at] == [b.tolist() for b in blocks]
     # ordered by their first node, whatever order the oracle numbers them in
     assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
     return blocks
@@ -969,6 +971,34 @@ def test_stamp_writes_the_terms_that_cancel_in_inv_z():
     assert np.all(y[:, at] != 0)
 
 
+@pytest.mark.parametrize("feeder", sorted(PARTITION_FEEDERS))
+def test_branch_pass_takes_its_pattern_from_the_structure(feeder, monkeypatch):
+    # stamp_pattern gives the positions the stamp writes, with no stamp
+    # values: a branch-parameter pass stamps its trials' perturbed
+    # impedances only, stacks with a leading trial axis, and never the
+    # network's own
+    net = PARTITION_FEEDERS[feeder]()
+    z = net.branch_table.z_ohm
+    positions, _, _ = pfsc.network.stamp_pattern(net)
+    assert np.array_equal(positions, pfsc.network.stamp_admittance(net, z)[0])
+    Y = build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    stamped = []
+
+    def record(network, z_ohm):
+        stamped.append(z_ohm)
+        return stamp(network, z_ohm)
+
+    stamp = montecarlo.stamp_admittance
+    monkeypatch.setattr(montecarlo, "stamp_admittance", record)
+    cfg = MCConfig(n_trials=12, seed=3, polar=it_class_to_polar("0.5"),
+                   yu=AdmittanceUncertainty.from_relative(Y, 1.0), symmetry_mode=BRANCH_PARAMETER)
+    run_monte_carlo(net, Y, state, cfg)
+    assert [z_k.shape[1:] for z_k in stamped] == [z.shape] * len(stamped)
+    assert sum(len(z_k) for z_k in stamped) == 12
+    assert not any(np.array_equal(z_j, z) for z_k in stamped for z_j in z_k)
+
+
 @pytest.mark.parametrize("noise", ["relative", "dense", BRANCH_PARAMETER])
 @pytest.mark.parametrize("feeder", sorted(PARTITION_FEEDERS) + ["three-phase-uncoupled"])
 def test_pattern_fill_with_sub_batched_products_is_the_dense_fill(feeder, noise):
@@ -994,13 +1024,13 @@ def test_pattern_fill_with_sub_batched_products_is_the_dense_fill(feeder, noise)
         positions = np.union1d(Y.positions, AdmittanceUncertainty(sigma, sigma).positions)
         y = Y.take(positions) + 0.01 * (rng.standard_normal((5, len(positions)))
                                         + 1j * rng.standard_normal((5, len(positions))))
-    part = montecarlo._partition(net, positions)
+    fill = pfsc.loadflow.JacobianStack(positions, net.nonslack_flat_indices(), m)
     Ym = pfsc.network.dense(positions, y, m)
     buffer = np.full(2 * (2 * m * m) + 3, np.nan)
-    K = montecarlo._products(positions, y, E_k, part.nodes, buffer)
-    assert K.tobytes() == (Ym @ E_k[..., None])[..., part.nodes, 0].tobytes()
-    oracle = jacobian(Ym, E_k, part.nodes)
-    for got, want, s in zip(part.fill.on_pattern(y, E_k, K), part.fill(Ym, E_k), part.blocks):
+    K = montecarlo._products(positions, y, E_k, fill.nodes, buffer)
+    assert K.tobytes() == (Ym @ E_k[..., None])[..., fill.nodes, 0].tobytes()
+    oracle = jacobian(Ym, E_k, fill.nodes)
+    for got, want, s in zip(fill.on_pattern(y, E_k, K), fill(Ym, E_k), fill.blocks):
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == (oracle[:, s, s] + 0.0).tobytes()
 

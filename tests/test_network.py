@@ -1027,12 +1027,21 @@ _FILE_3PH_BRANCH = ("branches: [{from: 1, to: 2, r_ohm: [[0.1, 0, 0], [0, 0.1, 0
           for kind in ("pv", "Slack", "PQ", 1)),
         ("phases: 1\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2}, {index: 3}]\n"
          + _FILE_BRANCH,
-         NetworkValidationError, "graph not connected: no branch path from slack bus 1 to bus 3"),
+         NetworkValidationError,
+         "{path}: graph not connected: no branch path from slack bus 1 to bus 3"),
+        # a file's bus-number refusals name it, as a network built in code's do not
+        ("phases: 1\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2}, {index: 2}]\n"
+         + _FILE_BRANCH,
+         NetworkValidationError, "{path}: duplicate bus indices"),
+        ("phases: 1\n" + _FILE_BASES + "buses: [{index: 1, kind: slack}, {index: 2, kind: slack}]\n"
+         + _FILE_BRANCH,
+         NetworkValidationError, "{path}: exactly one slack bus required, found 2"),
     ],
     ids=["phases-2", "phases-0", "phases-minus-1", "phases-2-with-branch",
          "scalar-for-three-phases", "per-phase-count", "top-level-list",
          "bases-key-missing", "slack-voltage-3-items", "net-and-split", "no-slack",
-         "kind-pv", "kind-Slack", "kind-PQ", "kind-1", "island"],
+         "kind-pv", "kind-Slack", "kind-PQ", "kind-1", "island", "repeated-bus",
+         "two-slacks"],
 )
 def test_file_refusals(tmp_path, text, error, message):
     path = tmp_path / "net.yaml"
