@@ -241,29 +241,28 @@ def assemble_from_raw(
     and the signs of z = diag(signs).
 
     Used, with perturbed inputs, by the Monte-Carlo trials.  Leading axes
-    of ``Ym`` (..., m, m) and ``E`` (..., m) broadcast: a stack of inputs
-    gives a stack of H, each slice equal to its own assembly, held as the
-    diagonal blocks that ``fill`` lays out, each (..., d, d); the signs
-    are shared by every slice.  ``fill`` is a stack laid out for
-    positions that hold every entry any slice of ``Ym`` has nonzero and
-    for the network's unknowns, and ``out`` the buffer it fills, if any;
-    a Monte-Carlo pass lays one out per noise pattern.  By default one is
-    laid out for the entries nonzero in some slice of ``Ym``, and its
-    blocks are put together in the network's order: one block ``H``,
-    (..., 2n, 2n) (``JacobianStack.dense``).  With ``K``, the products
-    (Y E) at ``fill.nodes`` (..., n), ``Ym`` holds each Y's entries at
-    ``fill``'s positions, (..., L), and no dense Y is read
-    (``JacobianStack.on_pattern``): a Monte-Carlo pass calls it so.
+    of ``Ym`` and ``E`` (..., m) broadcast: a stack of inputs gives a
+    stack of H, each slice equal to its own assembly; the signs are
+    shared by every slice.  Without ``fill``, ``Ym`` is dense,
+    (..., m, m), a stack is laid out for the entries nonzero in some
+    slice of it, and its blocks are put together in the network's order:
+    one block ``H``, (..., 2n, 2n) (``JacobianStack.dense``).  With
+    ``fill``, a stack laid out for positions that hold every entry any
+    slice of Y has nonzero and for the network's unknowns, ``Ym`` holds
+    each Y's entries at ``fill``'s positions, (..., L), ``K`` the
+    products (Y E) at ``fill.nodes``, (..., n), and ``out`` the buffer
+    to fill, if any: H is held as the diagonal blocks that ``fill`` lays
+    out, each (..., d, d), and no dense Y is read
+    (``JacobianStack.on_pattern``).  A Monte-Carlo pass lays out one
+    ``fill`` per noise pattern and calls it so.
     """
-    if K is not None:
-        nonslack = _checked_nonslack((network.n_nodes,) * 2, E, network)
-        return RawSystem(fill.on_pattern(Ym, E, K, out), _rhs_signs(len(nonslack)))
-    nonslack = _checked_nonslack(Ym.shape, E, network)
     if fill is None:
+        nonslack = _checked_nonslack(Ym.shape, E, network)
         nonzero = Ym.reshape(-1, Ym.shape[-1] ** 2).any(axis=0)
-        fill = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
-        return RawSystem([fill.dense(Ym, E)], _rhs_signs(len(nonslack)))
-    return RawSystem(fill(Ym, E, out), _rhs_signs(len(nonslack)))
+        stack = JacobianStack(np.flatnonzero(nonzero), nonslack, network.n_nodes)
+        return RawSystem([stack.dense(Ym, E)], _rhs_signs(len(nonslack)))
+    nonslack = _checked_nonslack((network.n_nodes,) * 2, E, network)
+    return RawSystem(fill.on_pattern(Ym, E, K, out), _rhs_signs(len(nonslack)))
 
 
 def _checked_nonslack(shape, E, network):

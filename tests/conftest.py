@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ def ieee4_solved(ieee4):
     Y = pfsc.build_admittance(ieee4)
     state = pfsc.solve_load_flow(ieee4, Y)
     return ieee4, Y, state
+
+
+@functools.lru_cache(maxsize=None)
+def ieee4_case():
+    """ieee4, its Y, load flow, problem and coefficients, built once a
+    process: the seeded gates' samplers read them outside any fixture."""
+    net = pfsc.load_network(pfsc.bundled_network_path())
+    Y = pfsc.build_admittance(net)
+    state = pfsc.solve_load_flow(net, Y)
+    problem = pfsc.assemble_problem(Y, state, net)
+    return net, Y, state, problem, pfsc.solve_coefficients(problem)
 
 
 def make_two_bus(p2_kw=0.0, q2_kvar=0.0, x_pu=0.1, r_pu=0.0):

@@ -7,9 +7,9 @@ hand-derived channel form of var(H), var(H) as one dense bincount and the
 coefficient stds of its dense product chain, the literal loop forms of the
 inverse variance, single cross terms of cov(H^-1), the coefficient
 variance for any z, the magnitude derivative, the refuted repeated-sign
-projection, the QQ normality check, the nested-loop enumeration and
-spelled-out labels of the report's coefficients, their positions
-read off a ``dim x dim`` mask, the pretty-text table one ``%`` template
+projection, seeded draws of a voltage under polar noise, the QQ normality
+check, the nested-loop enumeration and spelled-out labels of the report's
+coefficients, their positions read off a ``dim x dim`` mask, the pretty-text table one ``%`` template
 a row, the nonzero mask of a dense matrix, and the document of a
 network file as dicts and lists.
 Tests import them as they import ``conftest`` helpers.
@@ -169,6 +169,15 @@ def repeated_sign_projection(E, polar) -> CartesianNoiseSpec:
         sigma_re=np.sqrt(np.maximum(var_re, 0.0)),
         sigma_im=np.sqrt(np.maximum(var_im, 0.0)),
     )
+
+
+def sample_polar_voltage(rng, rho, theta, sigma_rho, sigma_theta, n):
+    """``n`` draws of the voltage ``rho·exp(jθ)`` with a relative magnitude
+    std ``sigma_rho`` and an angle std ``sigma_theta`` (rad): the
+    magnitudes are drawn from ``rng`` first, then the angles."""
+    magnitudes = rho + rng.normal(0.0, sigma_rho * rho, n)
+    angles = theta + rng.normal(0.0, sigma_theta, n)
+    return magnitudes * np.exp(1j * angles)
 
 
 @dataclass(frozen=True)

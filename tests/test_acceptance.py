@@ -6,6 +6,7 @@ The thresholds are the package's release gates; see the README for the
 rationale behind each tolerance.
 """
 
+import functools
 import time
 import timeit
 
@@ -27,13 +28,14 @@ from pfsc.uncertainty import (
     propagate_to_H,
 )
 
-from conftest import make_random_network
+from conftest import ieee4_case, make_random_network
 from oracles import (
     general_variance,
     inverse_cross_covariance,
     inverse_self_variance_reference,
     qq_normality_check,
     repeated_sign_projection,
+    sample_polar_voltage,
 )
 
 SEED = 17
@@ -56,11 +58,8 @@ def _verdict(name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def case(ieee4_solved):
-    net, Y, state = ieee4_solved
-    problem = pfsc.assemble_problem(Y, state, net)
-    result = pfsc.solve_coefficients(problem)
-    return net, Y, state, problem, result
+def case():
+    return ieee4_case()
 
 
 def _reference_indices(problem):
@@ -70,16 +69,114 @@ def _reference_indices(problem):
     ]
 
 
-@pytest.fixture(scope="module")
-def mc_10k(case):
-    net, Y, state, problem, result = case
+def reference_values(table):
+    """The six reference coefficients of a (dim, dim) table on ieee4."""
+    problem = ieee4_case()[3]
+    return np.array([table[r, c] for r, c in _reference_indices(problem)])
+
+
+# The seeded samples each gate reads, keyed by the seed; tests/seed_audit.py
+# reruns the gates through these at other seeds.
+
+
+@functools.lru_cache(maxsize=None)
+def reference_run(n_trials, seed):
+    """The Monte-Carlo run on ieee4 at IT class 0.5 and 1 % admittance
+    noise: 10,000 trials for ``mc_10k``, 100 for test_mc_convergence."""
+    net, Y, state, _, _ = ieee4_case()
     cfg = MCConfig(
-        n_trials=10000,
-        seed=SEED,
+        n_trials=n_trials,
+        seed=seed,
         polar=it_class_to_polar("0.5"),
         yu=AdmittanceUncertainty.from_relative(Y, 1.0),
     )
     return run_monte_carlo(net, Y, state, cfg)
+
+
+def reference_sigma():
+    """The analytical stds at IT class 0.5 and 1 % admittance noise."""
+    _, Y, state, _, result = ieee4_case()
+    en = project_polar_noise(state, it_class_to_polar("0.5"))
+    yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+    return analytical_sigma(result, yu, en)
+
+
+@functools.lru_cache(maxsize=None)
+def admittance_sweep(seed):
+    """The sweep through 0.5, 1 and 2 % admittance std, 1,000 trials with IT
+    1.0 voltage noise each: the ratios of the 1 % to the 0.5 % stds (the
+    analytical ones, then Monte-Carlo's), the mean relative gap of the
+    analytical stds at each level, and the mean relative Monte-Carlo std at
+    2 %, all on the reference coefficients."""
+    net, Y, state, _, result = ieee4_case()
+    polar = it_class_to_polar("1.0")
+    no_en = CartesianNoiseSpec.zero(net.n_nodes)
+    al, mc, gap = {}, {}, {}
+    for lvl in (0.5, 1.0, 2.0):
+        yu = AdmittanceUncertainty.from_relative(Y, lvl)
+        unc = analytical_sigma(result, yu, no_en)
+        run = run_monte_carlo(
+            net,
+            Y,
+            state,
+            MCConfig(n_trials=1000, seed=seed, polar=polar, yu=yu),
+        )
+        al[lvl] = reference_values(unc)
+        mc[lvl] = reference_values(run.std)
+        gap[lvl] = np.mean(np.abs(al[lvl] - mc[lvl]) / mc[lvl])
+    ratios = np.concatenate([al[1.0] / al[0.5], mc[1.0] / mc[0.5]])
+    rel2 = np.mean(mc[2.0] / np.abs(reference_values(result.x)))
+    return ratios, gap, rel2
+
+
+def projection_deviations(seed):
+    """Largest relative deviation, over three angles, of the projected
+    stds from those of 10^6 polar-noise draws, per imaginary-part form:
+    the package's sign-corrected one and the refuted repeated-sign one
+    of the oracles.  One rng at ``seed`` draws every angle's samples."""
+    rng = np.random.default_rng(seed)
+    polar = PolarNoiseSpec(sigma_rho=0.005 / 3, sigma_theta=0.006 / 3)
+    forms = {
+        "sign-corrected": project_polar_noise,
+        "repeated-sign": repeated_sign_projection,
+    }
+    results = dict.fromkeys(forms, 0.0)
+    for theta in (0.0, np.pi / 6, np.pi / 3):
+        E = np.exp(1j * theta)
+        draws = sample_polar_voltage(
+            rng, 1.0, theta, polar.sigma_rho, polar.sigma_theta, 10**6
+        )
+        emp_re = draws.real.std(ddof=1)
+        emp_im = draws.imag.std(ddof=1)
+        for form, project in forms.items():
+            en = project(np.array([E]), polar)
+            dev = max(
+                abs(en.sigma_re[0] - emp_re) / emp_re,
+                abs(en.sigma_im[0] - emp_im) / emp_im,
+            )
+            results[form] = max(results[form], dev)
+    return results
+
+
+def property_draws(seed):
+    """test_property_suite's draws from one rng at ``seed``: a 10 x 10 H and
+    its var(H) for the accelerated kernel, then 10^5 IT-1.0 noisy
+    voltages of bus 3."""
+    net, _, state, _, _ = ieee4_case()
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(10, 10))
+    hvr = rng.uniform(0.01, 1.0, (10, 10))
+    polar = it_class_to_polar("1.0")
+    e = state.voltages[net.flat_index(3)]
+    draws = sample_polar_voltage(
+        rng, abs(e), np.angle(e), polar.sigma_rho, polar.sigma_theta, 10**5
+    )
+    return H, hvr, draws
+
+
+@pytest.fixture(scope="module")
+def mc_10k():
+    return reference_run(10000, SEED)
 
 
 def test_oracle_equivalence(case):
@@ -119,13 +216,9 @@ def test_std_agreement_reference_case(case, mc_10k):
     their published benchmarks.  Runs in under 10 minutes."""
     net, Y, state, problem, result = case
     t0 = time.perf_counter()
-    en = project_polar_noise(state, it_class_to_polar("0.5"))
-    yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-    unc = analytical_sigma(result, yu, en)
+    unc = reference_sigma()
     gap = np.max(np.abs(unc - mc_10k.std) / mc_10k.std)
-    nominal = np.array(
-        [result.x[r, c] for r, c in _reference_indices(problem)]
-    )
+    nominal = reference_values(result.x)
     nom_dev = np.max(
         np.abs(nominal - REFERENCE_NOMINAL) / np.array(REFERENCE_NOMINAL)
     )
@@ -139,7 +232,7 @@ def test_std_agreement_reference_case(case, mc_10k):
     )
 
 
-def test_admittance_sweep_trend(case):
+def test_admittance_sweep_trend():
     """Sweeping the admittance std through 0.5/1/2 % (1000 trials,
     IT 1.0 measurement noise on the sampled voltages):
     (a) both methods scale linearly in the admittance std (1% over 0.5%
@@ -151,31 +244,10 @@ def test_admittance_sweep_trend(case):
     (voltage noise enters through the sampled trials only); the
     entry-independent inverse propagation overstates the voltage-noise
     channel, see README."""
-    net, Y, state, problem, result = case
     t0 = time.perf_counter()
-    idx = _reference_indices(problem)
-    polar = it_class_to_polar("1.0")
-    no_en = CartesianNoiseSpec.zero(net.n_nodes)
-    al, mc, gap = {}, {}, {}
-    for lvl in (0.5, 1.0, 2.0):
-        yu = AdmittanceUncertainty.from_relative(Y, lvl)
-        unc = analytical_sigma(result, yu, no_en)
-        run = run_monte_carlo(
-            net,
-            Y,
-            state,
-            MCConfig(n_trials=1000, seed=SEED, polar=polar, yu=yu),
-        )
-        al[lvl] = np.array([unc[r, c] for r, c in idx])
-        mc[lvl] = np.array([run.std[r, c] for r, c in idx])
-        gap[lvl] = np.mean(np.abs(al[lvl] - mc[lvl]) / mc[lvl])
-    ratios = np.concatenate([al[1.0] / al[0.5], mc[1.0] / mc[0.5]])
+    ratios, gap, rel2 = admittance_sweep(SEED)
     linear = np.all((ratios >= 1.8) & (ratios <= 2.2))
     widening = gap[2.0] > gap[0.5]
-    nominal = np.array(
-        [result.x[r, c] for r, c in _reference_indices(problem)]
-    )
-    rel2 = np.mean(mc[2.0] / np.abs(nominal))
     in_band = 0.15 <= rel2 <= 0.22
     elapsed = time.perf_counter() - t0
     ok = linear and widening and in_band and elapsed < 900.0
@@ -188,20 +260,11 @@ def test_admittance_sweep_trend(case):
     )
 
 
-def test_mc_convergence(case, mc_10k):
+def test_mc_convergence(mc_10k):
     """100-trial and 10000-trial Monte-Carlo stds agree within 10%
     relative on the six reference coefficients."""
-    net, Y, state, problem, result = case
-    cfg = MCConfig(
-        n_trials=100,
-        seed=SEED,
-        polar=it_class_to_polar("0.5"),
-        yu=AdmittanceUncertainty.from_relative(Y, 1.0),
-    )
-    small = run_monte_carlo(net, Y, state, cfg)
-    idx = _reference_indices(problem)
-    s100 = np.array([small.std[r, c] for r, c in idx])
-    s10k = np.array([mc_10k.std[r, c] for r, c in idx])
+    s100 = reference_values(reference_run(100, SEED).std)
+    s10k = reference_values(mc_10k.std)
     gap = np.max(np.abs(s100 - s10k) / s10k)
     ok = gap <= 0.10
     _verdict("mc-convergence", ok, f"max gap {gap * 100:.1f}% vs 10%")
@@ -245,27 +308,7 @@ def test_projection_correctness():
     angles.  Both imaginary-part variants are exercised: the package's
     sign-corrected form must pass, and the refuted repeated-sign form,
     built by the test oracle, is recorded (see the README)."""
-    rng = np.random.default_rng(SEED)
-    polar = PolarNoiseSpec(sigma_rho=0.005 / 3, sigma_theta=0.006 / 3)
-    forms = {
-        "sign-corrected": project_polar_noise,
-        "repeated-sign": repeated_sign_projection,
-    }
-    results = dict.fromkeys(forms, 0.0)
-    for theta in (0.0, np.pi / 6, np.pi / 3):
-        E = np.exp(1j * theta)
-        rho = 1.0 + rng.normal(0.0, polar.sigma_rho, 10**6)
-        ang = theta + rng.normal(0.0, polar.sigma_theta, 10**6)
-        draws = rho * np.exp(1j * ang)
-        emp_re = draws.real.std(ddof=1)
-        emp_im = draws.imag.std(ddof=1)
-        for form, project in forms.items():
-            en = project(np.array([E]), polar)
-            dev = max(
-                abs(en.sigma_re[0] - emp_re) / emp_re,
-                abs(en.sigma_im[0] - emp_im) / emp_im,
-            )
-            results[form] = max(results[form], dev)
+    results = projection_deviations(SEED)
     ok = results["sign-corrected"] <= 0.02
     _verdict(
         "projection-correctness",
@@ -323,9 +366,7 @@ def test_property_suite(case):
     cov = inverse_cross_covariance(result.H_inv, hv.toarray(), (1, 2), (1, 2))
     checks["self-covariance"] = abs(cov - iv[1, 2]) <= 1e-12 * iv[1, 2]
 
-    rng = np.random.default_rng(SEED)
-    H = rng.normal(size=(10, 10))
-    hvr = rng.uniform(0.01, 1.0, (10, 10))
+    H, hvr, draws = property_draws(SEED)
     Hinv = np.linalg.inv(H)
     fast = inverse_self_variance(Hinv, hvr)
     slow = inverse_self_variance_reference(Hinv, hvr)
@@ -348,11 +389,6 @@ def test_property_suite(case):
 
     checks["seeded-repeatability"] = endtoend() == endtoend()
 
-    polar = it_class_to_polar("1.0")
-    e = state.voltages[net.flat_index(3)]
-    rho = abs(e) + rng.normal(0.0, polar.sigma_rho * abs(e), 10**5)
-    ang = np.angle(e) + rng.normal(0.0, polar.sigma_theta, 10**5)
-    draws = rho * np.exp(1j * ang)
     checks["voltage-normality"] = (
         qq_normality_check(draws.real).correlation >= 0.999
         and qq_normality_check(draws.imag).correlation >= 0.999

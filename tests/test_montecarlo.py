@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -21,8 +22,8 @@ from pfsc.montecarlo import (
 from pfsc.network import Branch, Bus, NetworkModel, build_admittance
 from pfsc.uncertainty import AdmittanceUncertainty, PolarNoiseSpec, it_class_to_polar
 
-from conftest import make_feeder, make_random_network, make_three_phase_balanced
-from oracles import jacobian, qq_normality_check, trial_rng
+from conftest import ieee4_case, make_feeder, make_random_network, make_three_phase_balanced
+from oracles import jacobian, qq_normality_check, sample_polar_voltage, trial_rng
 
 MODES = (INDEPENDENT_ELEMENTS, BRANCH_PARAMETER)
 
@@ -83,14 +84,18 @@ def test_trial_prefix_property(ieee4_solved):
     assert np.array_equal(a.trials, b.trials[..., :20])
 
 
-def test_mean_near_nominal(ieee4_solved):
-    net, Y, state, polar, yu = mc_setup(ieee4_solved)
-    problem = pfsc.assemble_problem(Y, state, net)
-    res = pfsc.solve_coefficients(problem)
-    cfg = MCConfig(n_trials=2000, seed=3, polar=polar, yu=yu)
-    out = run_monte_carlo(net, Y, state, cfg)
+@functools.lru_cache(maxsize=None)
+def mean_run(seed):
+    """2,000 trials on ieee4 at ``mc_setup``'s noise, and the nominal x."""
+    net, Y, state, polar, yu = mc_setup(ieee4_case()[:3])
+    cfg = MCConfig(n_trials=2000, seed=seed, polar=polar, yu=yu)
+    return run_monte_carlo(net, Y, state, cfg), ieee4_case()[4].x
+
+
+def test_mean_near_nominal():
+    out, x = mean_run(3)
     se = out.std / np.sqrt(out.n_trials)
-    assert np.all(np.abs(out.mean - res.x) < 5 * se + 1e-12)
+    assert np.all(np.abs(out.mean - x) < 5 * se + 1e-12)
 
 
 def test_invalid_config():
@@ -1264,6 +1269,11 @@ def test_one_block_network_solves_H_whole(ieee4_solved, seven_trial_chunks, monk
     assert shapes == [(k, 6, 6) for k in (7, 7, 6) for _ in cfgs]
 
 
+def standard_normals(seed):
+    """test_seeded_normal_std's sample: one row of 10^4 standard normals."""
+    return np.random.default_rng(seed).normal(0.0, 1.0, (1, 10**4))
+
+
 class TestEstimateStats:
     def test_constant_rows(self):
         trials = np.ones((3, 10))
@@ -1276,8 +1286,7 @@ class TestEstimateStats:
         assert std[0] == pytest.approx(abs(a - b) / np.sqrt(2))
 
     def test_seeded_normal_std(self):
-        rng = np.random.default_rng(11)
-        _, std = estimate_stats(rng.normal(0.0, 1.0, (1, 10**4)))
+        _, std = estimate_stats(standard_normals(11))
         assert std[0] == pytest.approx(1.0, rel=0.03)
 
     def test_too_few_trials(self):
@@ -1285,16 +1294,34 @@ class TestEstimateStats:
             estimate_stats(np.ones((3, 1)))
 
 
+def qq_sample(seed, law):
+    """TestQQ's 10^5 draws at ``seed``: normal(3, 2), or for ``law``
+    "uniform" the uniform on [0, 1) that the check must flag."""
+    rng = np.random.default_rng(seed)
+    if law == "uniform":
+        return rng.uniform(0.0, 1.0, 10**5)
+    return rng.normal(3.0, 2.0, 10**5)
+
+
+def noisy_voltage(seed):
+    """10^5 IT-1.0 noisy voltages of ieee4's bus 4, drawn at ``seed``."""
+    net, _, state, _, _ = ieee4_case()
+    polar = it_class_to_polar("1.0")
+    E = state.voltages[net.flat_index(4)]
+    return sample_polar_voltage(
+        np.random.default_rng(seed), abs(E), np.angle(E), polar.sigma_rho,
+        polar.sigma_theta, 10**5,
+    )
+
+
 class TestQQ:
     def test_normal_input(self):
-        rng = np.random.default_rng(42)
-        report = qq_normality_check(rng.normal(3.0, 2.0, 10**5))
+        report = qq_normality_check(qq_sample(42, "normal"))
         assert report.correlation >= 0.999
         assert report.looks_normal
 
     def test_uniform_input_flagged(self):
-        rng = np.random.default_rng(42)
-        report = qq_normality_check(rng.uniform(0.0, 1.0, 10**5))
+        report = qq_normality_check(qq_sample(42, "uniform"))
         assert report.correlation < 0.999
         assert not report.looks_normal
 
@@ -1311,14 +1338,8 @@ class TestQQ:
         assert lines[0] == "theoretical_quantile,sample_quantile"
         assert len(lines) == 101
 
-    def test_noisy_voltage_parts_look_normal(self, ieee4_solved):
+    def test_noisy_voltage_parts_look_normal(self):
         # real/imag parts of the polar-noise-perturbed voltages
-        net, Y, state = ieee4_solved
-        polar = it_class_to_polar("1.0")
-        rng = np.random.default_rng(8)
-        E = state.voltages[net.flat_index(4)]
-        rho = abs(E) + rng.normal(0.0, polar.sigma_rho * abs(E), 10**5)
-        theta = np.angle(E) + rng.normal(0.0, polar.sigma_theta, 10**5)
-        noisy = rho * np.exp(1j * theta)
+        noisy = noisy_voltage(8)
         assert qq_normality_check(noisy.real).looks_normal
         assert qq_normality_check(noisy.imag).looks_normal

@@ -1,3 +1,4 @@
+import functools
 import gc
 import re
 import tracemalloc
@@ -12,6 +13,7 @@ from pfsc import coefficients, uncertainty
 from pfsc.coefficients import assemble_problem, solve_coefficients
 from pfsc.errors import ConfigError
 from pfsc.loadflow import SparseJacobian
+from pfsc.montecarlo import MCConfig, run_monte_carlo
 from pfsc.network import AdmittanceMatrix
 from pfsc.report import coefficient_positions
 from pfsc.uncertainty import (
@@ -27,7 +29,13 @@ from pfsc.uncertainty import (
     propagate_to_H,
 )
 
-from conftest import make_feeder, make_random_network, make_three_phase_balanced, make_two_bus
+from conftest import (
+    ieee4_case,
+    make_feeder,
+    make_random_network,
+    make_three_phase_balanced,
+    make_two_bus,
+)
 from oracles import (
     channel_variance,
     dense_chain_sigma,
@@ -37,27 +45,29 @@ from oracles import (
     inverse_self_variance_reference,
     jacobian,
     repeated_sign_projection,
+    sample_polar_voltage,
     term_positions,
 )
 
-
-import functools
-
-
-@functools.lru_cache(maxsize=1)
-def _ieee4_cached():
-    net = pfsc.load_network(pfsc.bundled_network_path())
-    Y = pfsc.build_admittance(net)
-    return net, Y, pfsc.solve_load_flow(net, Y)
+#: the angles of TestProjection::test_matches_sampling_oracle
+ORACLE_ANGLES = [0.0, np.pi / 6, np.pi / 3, 0.3]
 
 
 def sample_polar_projection(rho, theta, sigma_rho_rel, sigma_theta, n, seed):
     """Sampling oracle: draw polar noise, project, return empirical stds."""
-    rng = np.random.default_rng(seed)
-    rho_s = rho + rng.normal(0.0, sigma_rho_rel * rho, n)
-    theta_s = theta + rng.normal(0.0, sigma_theta, n)
-    e = rho_s * np.exp(1j * theta_s)
+    e = sample_polar_voltage(np.random.default_rng(seed), rho, theta, sigma_rho_rel,
+                             sigma_theta, n)
     return e.real.std(ddof=1), e.imag.std(ddof=1)
+
+
+def projection_against_sampling(theta, seed):
+    """The projected stds of a unit voltage at angle ``theta`` with polar
+    stds of 0.005/3 (relative) and 0.006/3 rad, and the empirical stds of
+    10^6 draws at ``seed``."""
+    s_rho = 0.005 / 3
+    s_th = 0.006 / 3
+    out = project_polar_noise(np.array([np.exp(1j * theta)]), PolarNoiseSpec(s_rho, s_th))
+    return out, sample_polar_projection(1.0, theta, s_rho, s_th, 10**6, seed=seed)
 
 
 class TestProjection:
@@ -73,14 +83,9 @@ class TestProjection:
         assert out.sigma_re[0] == pytest.approx(1e-3, rel=1e-6)
         assert out.sigma_im[0] == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("theta", [0.0, np.pi / 6, np.pi / 3, 0.3])
+    @pytest.mark.parametrize("theta", ORACLE_ANGLES)
     def test_matches_sampling_oracle(self, theta):
-        s_rho = 0.005 / 3
-        s_th = 0.006 / 3
-        spec = PolarNoiseSpec(s_rho, s_th)
-        e = np.array([np.exp(1j * theta)])
-        out = project_polar_noise(e, spec)
-        sre, sim = sample_polar_projection(1.0, theta, s_rho, s_th, 10**6, seed=9)
+        out, (sre, sim) = projection_against_sampling(theta, seed=9)
         assert out.sigma_re[0] == pytest.approx(sre, rel=0.02)
         assert out.sigma_im[0] == pytest.approx(sim, rel=0.02)
 
@@ -270,6 +275,92 @@ def loaded_two_bus():
     state = pfsc.solve_load_flow(net, Y)
     problem = assemble_problem(Y, state, net)
     return net, Y, state, problem
+
+
+def two_bus_H_entries(Ym, E):
+    """The entries H[0, 0], H[0, 1], H[1, 0], H[1, 1] of the loaded two-bus
+    H, re-derived from its definition, per sample of ``Ym`` (..., 2, 2)
+    or ``E`` (..., 2); (n, 4) for n samples."""
+    K2 = Ym[..., 1, 0] * E[..., 0] + Ym[..., 1, 1] * E[..., 1]
+    A = np.conj(E[..., 1]) * Ym[..., 1, 1]
+    return np.stack(
+        [
+            A.real + K2.real,
+            -A.imag + K2.imag,
+            A.imag + K2.imag,
+            A.real - K2.real,
+        ],
+        axis=1,
+    )
+
+
+def admittance_sampled_var_H(seed):
+    """var(H) of the loaded two-bus case under 1 % admittance noise, by
+    propagate_to_H and from 10^5 sampled H."""
+    _, Y, state, problem = loaded_two_bus()
+    yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+    hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2)).toarray()
+    rng = np.random.default_rng(seed)
+    n = 10**5
+    Ys = Y.matrix[None, :, :] + (
+        rng.normal(0.0, 1.0, (n, 2, 2)) * yu.sigma_re
+        + 1j * rng.normal(0.0, 1.0, (n, 2, 2)) * yu.sigma_im
+    )
+    return hv, two_bus_H_entries(Ys, state.voltages).var(axis=0, ddof=1).reshape(2, 2)
+
+
+def voltage_sampled_var_H(seed):
+    """var(H) of the loaded two-bus case under Cartesian voltage noise, by
+    propagate_to_H and from 10^5 sampled H."""
+    _, Y, state, problem = loaded_two_bus()
+    en = CartesianNoiseSpec(np.array([1e-3, 2e-3]), np.array([2e-3, 1e-3]))
+    hv = propagate_to_H(problem, AdmittanceUncertainty.zero(2), en).toarray()
+    rng = np.random.default_rng(seed)
+    n = 10**5
+    E = state.voltages[None, :] + (
+        rng.normal(0.0, 1.0, (n, 2)) * en.sigma_re
+        + 1j * rng.normal(0.0, 1.0, (n, 2)) * en.sigma_im
+    )
+    return hv, two_bus_H_entries(Y.matrix, E).var(axis=0, ddof=1).reshape(2, 2)
+
+
+def sampled_inverses(seed):
+    """H⁻¹ of the loaded two-bus case and var(H) under 1 % admittance noise,
+    and the closed-form inverses of 10^5 H drawn with that variance."""
+    _, Y, _, problem = loaded_two_bus()
+    yu = AdmittanceUncertainty.from_relative(Y, 1.0)
+    hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2))
+    H_inv = np.linalg.inv(problem.H)
+    rng = np.random.default_rng(seed)
+    n = 10**5
+    Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
+        hv.toarray()
+    )
+    det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
+    inv = np.empty_like(Hs)
+    inv[:, 0, 0] = Hs[:, 1, 1] / det
+    inv[:, 1, 1] = Hs[:, 0, 0] / det
+    inv[:, 0, 1] = -Hs[:, 0, 1] / det
+    inv[:, 1, 0] = -Hs[:, 1, 0] / det
+    return H_inv, hv, inv
+
+
+@functools.lru_cache(maxsize=None)
+def channel_stds(seed, voltage):
+    """The analytical stds on ieee4 of one input channel, and those of
+    20,000 Monte-Carlo trials at ``seed``: 0.5 % admittance noise, or
+    (``voltage``) IT class 1.0 voltage noise."""
+    net, Y, state, _, res = ieee4_case()
+    if voltage:
+        polar = it_class_to_polar("1.0")
+        yu = AdmittanceUncertainty.zero(net.n_nodes)
+        unc = analytical_sigma(res, yu, project_polar_noise(state, polar))
+    else:
+        polar = PolarNoiseSpec(0.0, 0.0)
+        yu = AdmittanceUncertainty.from_relative(Y, 0.5)
+        unc = analytical_sigma(res, yu, CartesianNoiseSpec.zero(net.n_nodes))
+    cfg = MCConfig(n_trials=20000, seed=seed, polar=polar, yu=yu)
+    return unc, run_monte_carlo(net, Y, state, cfg).std
 
 
 def diagonal_blocks_reference(problem, Y, state, yu, en):
@@ -562,58 +653,11 @@ class TestPropagateToH:
         assert hv[r, c + 1] == pytest.approx(e2.real**2 * s_y**2, rel=1e-12)
 
     def test_matches_perturbation_sampling_admittance_only(self):
-        net, Y, state, problem = loaded_two_bus()
-        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        en = CartesianNoiseSpec.zero(2)
-        hv = propagate_to_H(problem, yu, en).toarray()
-
-        # vectorized re-derivation of the 2x2 H from its definition
-        rng = np.random.default_rng(123)
-        n = 10**5
-        Ys = Y.matrix[None, :, :] + (
-            rng.normal(0.0, 1.0, (n, 2, 2)) * yu.sigma_re
-            + 1j * rng.normal(0.0, 1.0, (n, 2, 2)) * yu.sigma_im
-        )
-        E = state.voltages
-        K2 = Ys[:, 1, 0] * E[0] + Ys[:, 1, 1] * E[1]
-        A = np.conj(E[1]) * Ys[:, 1, 1]
-        entries = np.stack(
-            [
-                A.real + K2.real,
-                -A.imag + K2.imag,
-                A.imag + K2.imag,
-                A.real - K2.real,
-            ],
-            axis=1,
-        )
-        sampled = entries.var(axis=0, ddof=1).reshape(2, 2)
+        hv, sampled = admittance_sampled_var_H(123)
         np.testing.assert_allclose(hv, sampled, rtol=0.03)
 
     def test_matches_perturbation_sampling_voltage_only(self):
-        net, Y, state, problem = loaded_two_bus()
-        yu = AdmittanceUncertainty.zero(2)
-        en = CartesianNoiseSpec(np.array([1e-3, 2e-3]), np.array([2e-3, 1e-3]))
-        hv = propagate_to_H(problem, yu, en).toarray()
-
-        rng = np.random.default_rng(321)
-        n = 10**5
-        E = state.voltages[None, :] + (
-            rng.normal(0.0, 1.0, (n, 2)) * en.sigma_re
-            + 1j * rng.normal(0.0, 1.0, (n, 2)) * en.sigma_im
-        )
-        Ym = Y.matrix
-        K2 = Ym[1, 0] * E[:, 0] + Ym[1, 1] * E[:, 1]
-        A = np.conj(E[:, 1]) * Ym[1, 1]
-        entries = np.stack(
-            [
-                A.real + K2.real,
-                -A.imag + K2.imag,
-                A.imag + K2.imag,
-                A.real - K2.real,
-            ],
-            axis=1,
-        )
-        sampled = entries.var(axis=0, ddof=1).reshape(2, 2)
+        hv, sampled = voltage_sampled_var_H(321)
         np.testing.assert_allclose(hv, sampled, rtol=0.03)
 
     def test_relative_stds_are_one_read_only_array(self, ieee4_solved):
@@ -860,24 +904,8 @@ class TestInverseVariance:
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
     def test_matches_inversion_sampling(self):
-        net, Y, state, problem = loaded_two_bus()
-        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2))
-        H_inv = np.linalg.inv(problem.H)
+        H_inv, hv, inv = sampled_inverses(77)
         iv = inverse_self_variance(H_inv, hv)
-
-        rng = np.random.default_rng(77)
-        n = 10**5
-        Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
-            hv.toarray()
-        )
-        # analytic 2x2 inverse, vectorized
-        det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
-        inv = np.empty_like(Hs)
-        inv[:, 0, 0] = Hs[:, 1, 1] / det
-        inv[:, 1, 1] = Hs[:, 0, 0] / det
-        inv[:, 0, 1] = -Hs[:, 0, 1] / det
-        inv[:, 1, 0] = -Hs[:, 1, 0] / det
         sampled = inv.var(axis=0, ddof=1)
         np.testing.assert_allclose(iv, sampled, rtol=0.05)
 
@@ -903,22 +931,7 @@ class TestInverseVariance:
             inverse_cross_covariance(H_inv, np.zeros((2, 2)), (0, 2), (0, 0))
 
     def test_cross_covariance_matches_sampling(self):
-        net, Y, state, problem = loaded_two_bus()
-        yu = AdmittanceUncertainty.from_relative(Y, 1.0)
-        hv = propagate_to_H(problem, yu, CartesianNoiseSpec.zero(2))
-        H_inv = np.linalg.inv(problem.H)
-
-        rng = np.random.default_rng(55)
-        n = 10**5
-        Hs = problem.H[None, :, :] + rng.normal(0.0, 1.0, (n, 2, 2)) * np.sqrt(
-            hv.toarray()
-        )
-        det = Hs[:, 0, 0] * Hs[:, 1, 1] - Hs[:, 0, 1] * Hs[:, 1, 0]
-        inv = np.empty_like(Hs)
-        inv[:, 0, 0] = Hs[:, 1, 1] / det
-        inv[:, 1, 1] = Hs[:, 0, 0] / det
-        inv[:, 0, 1] = -Hs[:, 0, 1] / det
-        inv[:, 1, 0] = -Hs[:, 1, 0] / det
+        H_inv, hv, inv = sampled_inverses(55)
         # pairs with appreciable correlation; weakly correlated pairs are
         # dominated by second-order sampling noise and are not comparable
         for mn, ab in [((0, 0), (0, 1)), ((1, 0), (1, 1))]:
@@ -982,9 +995,7 @@ class TestCoefficientVariance:
     @given(st.floats(min_value=1.0, max_value=10.0))
     def test_scaling_homogeneity(self, k):
         # scaling every input std by k scales every output std by exactly k
-        net, Y, state = _ieee4_cached()
-        problem = assemble_problem(Y, state, net)
-        res = solve_coefficients(problem)
+        net, Y, state, problem, res = ieee4_case()
         yu1 = AdmittanceUncertainty.from_relative(Y, 1.0)
         en1 = project_polar_noise(state, it_class_to_polar("0.5"))
         yuk = AdmittanceUncertainty(k * yu1.sigma_re, k * yu1.sigma_im)
@@ -1005,23 +1016,10 @@ class TestChannelFidelity:
     """How well the entry-independent inverse propagation tracks the MC
     oracle, per input channel.  See the README's known-limitations note."""
 
-    def _mc_std(self, net, Y, state, polar, yu, n=20000):
-        from pfsc.montecarlo import MCConfig, run_monte_carlo
-
-        cfg = MCConfig(n_trials=n, seed=5, polar=polar, yu=yu)
-        return run_monte_carlo(net, Y, state, cfg).std
-
     def test_admittance_channel_tracks_mc(self):
         # admittance-element noise maps near-one-to-one onto H entries,
         # so the entry-independence assumption is benign here
-        net, Y, state = _ieee4_cached()
-        problem = assemble_problem(Y, state, net)
-        res = solve_coefficients(problem)
-        yu = AdmittanceUncertainty.from_relative(Y, 0.5)
-        unc = analytical_sigma(
-            res, yu, CartesianNoiseSpec.zero(net.n_nodes)
-        )
-        mc = self._mc_std(net, Y, state, PolarNoiseSpec(0.0, 0.0), yu)
+        unc, mc = channel_stds(5, voltage=False)
         assert np.max(np.abs(unc - mc) / mc) < 0.05
 
     def test_voltage_channel_known_overestimate(self):
@@ -1029,17 +1027,7 @@ class TestChannelFidelity:
         # dropping those correlations in the inverse propagation loses
         # the cancellation and overstates the stds by several times.
         # This documents the bias so a future fix shows up as a diff.
-        net, Y, state = _ieee4_cached()
-        problem = assemble_problem(Y, state, net)
-        res = solve_coefficients(problem)
-        polar = it_class_to_polar("1.0")
-        en = project_polar_noise(state, polar)
-        unc = analytical_sigma(
-            res,
-            AdmittanceUncertainty.zero(net.n_nodes), en,
-        )
-        mc = self._mc_std(net, Y, state, polar,
-                          AdmittanceUncertainty.zero(net.n_nodes))
+        unc, mc = channel_stds(5, voltage=True)
         ratio = unc / mc
         assert np.all(ratio > 1.0)
         assert ratio.max() > 2.0
